@@ -28,7 +28,6 @@ from .frame import (
     SampleSet,
     StratumSpec,
     TierLabel,
-    UnitRecord,
     block_index,
     build_design_vector,
     evaluate_cell,

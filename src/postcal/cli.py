@@ -140,11 +140,19 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load(args)
+def _artifacts(args, cfg: RunConfig):
+    """Shared calibrate/infer/diagnose path: output directory, sample, draws
+    (from ``--draws`` or fitted in-run) and the calibrated artifacts."""
     out = _out_dir(args)
     ingested = _ingest(cfg)
-    draws = _resolve_draws(args, cfg, ingested)
+    if args.draws:
+        draws = read_draws(args.draws, ingested.spec)
+    elif cfg.models:
+        draws, _, _ = _fit_draws(cfg, ingested)
+    else:
+        raise ConfigError(
+            "no --draws file given and no 'models' section to fit in-run"
+        )
     art = build_artifacts(
         ingested.sample,
         ingested.spec,
@@ -152,6 +160,12 @@ def cmd_calibrate(args) -> int:
         calibration_attributes=ingested.calibration_attributes,
         level=cfg.level,
     )
+    return out, ingested, draws, art
+
+
+def cmd_calibrate(args) -> int:
+    cfg = _load(args)
+    out, ingested, _, art = _artifacts(args, cfg)
     meta = _metadata(
         cfg,
         gram_rank=art.gram.rank,
@@ -177,35 +191,14 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_draws(args, cfg: RunConfig, ingested: IngestedSample):
-    if args.draws:
-        return read_draws(args.draws, ingested.spec)
-    if not cfg.models:
-        raise ConfigError(
-            "no --draws file given and no 'models' section to fit in-run"
-        )
-    draws, _, _ = _fit_draws(cfg, ingested)
-    return draws
-
-
 def cmd_infer(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args)
-    ingested = _ingest(cfg)
     if not cfg.cells:
         raise ConfigError("config declares no cells to infer")
-    draws = _resolve_draws(args, cfg, ingested)
-    convergence = gelman_rubin(draws)
-    art = build_artifacts(
-        ingested.sample,
-        ingested.spec,
-        draws,
-        calibration_attributes=ingested.calibration_attributes,
-        level=cfg.level,
-    )
+    out, _, draws, art = _artifacts(args, cfg)
     meta = _metadata(
         cfg,
-        rhat_max=convergence.rhat_max,
+        rhat_max=gelman_rubin(draws).rhat_max,
         continuous_scale=CONTINUOUS_SCALE_NOTE,
     )
     report = build_run_report(art, cfg.cells, metadata=meta)
@@ -217,17 +210,8 @@ def cmd_infer(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args)
-    ingested = _ingest(cfg)
-    draws = _resolve_draws(args, cfg, ingested)
+    out, ingested, draws, art = _artifacts(args, cfg)
     convergence = gelman_rubin(draws)
-    art = build_artifacts(
-        ingested.sample,
-        ingested.spec,
-        draws,
-        calibration_attributes=ingested.calibration_attributes,
-        level=cfg.level,
-    )
     meta = _metadata(cfg, rhat_max=convergence.rhat_max)
     rows = []
     if cfg.cells:
@@ -500,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--verbose", action="store_true")
         if draws:
             p.add_argument(
@@ -525,6 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="repeated-sampling coverage experiment")
     common(p_sim)
+    p_sim.add_argument(
+        "--threads", type=int, default=1, help="replication worker processes"
+    )
     p_sim.add_argument(
         "--keep-replications",
         action="store_true",

@@ -66,6 +66,18 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _typed(section: dict, key: str, kind, default, where: str = ""):
+    """``kind`` of ``section[key]`` or of the default; a value of the wrong
+    type is a ConfigError that names the key."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where}{key}: expected {kind.__name__}, got {value!r}"
+        ) from None
+
+
 def _as_tuple(value) -> tuple:
     if value is None:
         return ()
@@ -141,7 +153,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return parse_config(raw, base_dir=path.parent, seed_override=seed_override)
@@ -151,7 +166,7 @@ def parse_config(
     raw: dict, base_dir: Path | None = None, seed_override: int | None = None
 ) -> RunConfig:
     base = base_dir or Path(".")
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
 
     cfg = RunConfig(seed=seed, raw=raw)
 
@@ -187,14 +202,15 @@ def parse_config(
             raise ConfigError(
                 f"models.{variable}: kind must be 'binary' or 'gaussian'"
             )
+        where = f"models.{variable}."
         cfg.models[variable] = ModelConfig(
             variable=variable,
             kind=kind,
-            prior_df=float(spec.get("prior_df", 1.0)),
-            prior_scale=float(spec.get("prior_scale", 1.0)),
+            prior_df=_typed(spec, "prior_df", float, 1.0, where),
+            prior_scale=_typed(spec, "prior_scale", float, 1.0, where),
             covariates=tuple(_as_tuple(spec.get("covariates"))),
             fixed_sigma2=(
-                float(spec["fixed_sigma2"])
+                _typed(spec, "fixed_sigma2", float, None, where)
                 if spec.get("fixed_sigma2") is not None
                 else None
             ),
@@ -202,13 +218,15 @@ def parse_config(
 
     mcmc = raw.get("mcmc") or {}
     cfg.mcmc = McmcConfig(
-        burnin=int(mcmc.get("burnin", 1000)),
-        iterations=int(mcmc.get("iterations", 5000)),
-        chains=int(mcmc.get("chains", 3)),
+        burnin=_typed(mcmc, "burnin", int, 1000, "mcmc."),
+        iterations=_typed(mcmc, "iterations", int, 5000, "mcmc."),
+        chains=_typed(mcmc, "chains", int, 3, "mcmc."),
         seed=seed,
-        proposal_sd=float(mcmc.get("proposal_sd", 0.5)),
+        proposal_sd=_typed(mcmc, "proposal_sd", float, 0.5, "mcmc."),
     )
-    cfg.rhat_threshold = float(mcmc.get("rhat_threshold", DEFAULT_RHAT_THRESHOLD))
+    cfg.rhat_threshold = _typed(
+        mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc."
+    )
 
     cells = raw.get("cells") or []
     parsed = tuple(parse_cell(entry, calibration) for entry in cells)
@@ -219,7 +237,7 @@ def parse_config(
     cfg.cells = parsed
 
     report = raw.get("report") or {}
-    cfg.level = float(report.get("level", DEFAULT_LEVEL))
+    cfg.level = _typed(report, "level", float, DEFAULT_LEVEL, "report.")
     if not 0.0 < cfg.level < 1.0:
         raise ConfigError("report.level must be in (0, 1)")
 

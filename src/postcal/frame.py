@@ -8,7 +8,7 @@ contributes its value for variable v at the position of its own domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -55,29 +55,6 @@ class DomainSpec:
 
     id: str
     index: int
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One sampled person.
-
-    ``calib_values`` holds the raw measurements of the V calibration
-    variables; ``attributes`` holds categorical levels used only for cell
-    filtering; ``outcomes`` holds non-calibration numeric variables.
-    """
-
-    stratum: str
-    domain: str
-    design_weight: float
-    calib_values: tuple[float, ...]
-    attributes: Mapping[str, str] = field(default_factory=dict)
-    outcomes: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.design_weight > 0:
-            raise DataError(
-                f"record in stratum {self.stratum!r}: design weight must be > 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,99 +117,109 @@ def block_index(v: int, d: int, spec: CalibrationSpec) -> int:
     return (v - 1) * spec.n_domains + d
 
 
-def build_design_vector(record: UnitRecord, spec: CalibrationSpec) -> np.ndarray:
-    """Stack a record's calibration values into its p-length design vector.
+def build_design_vector(
+    domain: str, calib_values, spec: CalibrationSpec
+) -> np.ndarray:
+    """Stack one record's calibration values into its p-length design vector.
 
     Entry (v, d) carries the record's value for variable v when the record
     belongs to domain d, zero otherwise; at most V entries are non-zero.
+    This per-record form is the reference for ``SampleSet.design_matrix``.
     """
-    if len(record.calib_values) != spec.n_variables:
+    if len(calib_values) != spec.n_variables:
         raise DataError(
-            f"record has {len(record.calib_values)} calibration values, "
+            f"record has {len(calib_values)} calibration values, "
             f"spec declares {spec.n_variables}"
         )
-    d = spec.domain_position(record.domain)
+    d = spec.domain_position(domain)
     y = np.zeros(spec.p)
-    for v, value in enumerate(record.calib_values):
+    for v, value in enumerate(calib_values):
         y[v * spec.n_domains + d] = value
     return y
 
 
 class SampleSet:
-    """Immutable sample container with vectorized column views.
+    """Immutable columnar sample.
 
-    Validates the frame invariants at construction (strata resolve, weights
-    positive, domain indices form a bijection) and exposes numpy arrays for
-    the numeric pipeline.  Instances are safe for concurrent read.
+    Row i of every column describes one sampled record: ``stratum_idx`` and
+    ``domain_idx`` are 0-based positions into ``strata`` and ``domains``
+    (domains in block order), ``calib`` is the n x V matrix of calibration
+    values, ``attributes`` maps names to categorical columns used only for
+    cell filtering and ``outcomes`` maps names to non-calibration numeric
+    columns.  Validates the frame invariants at construction (positions in
+    range, weights positive, domain indices a bijection, sample counts within
+    population sizes).  Instances are safe for concurrent read.
     """
 
     def __init__(
         self,
-        records: Iterable[UnitRecord],
         strata: Iterable[StratumSpec],
         domains: Iterable[DomainSpec],
+        stratum_idx,
+        domain_idx,
+        weights,
+        calib,
+        attributes: Mapping[str, object] | None = None,
+        outcomes: Mapping[str, object] | None = None,
     ):
-        self.records: tuple[UnitRecord, ...] = tuple(records)
         self.strata: tuple[StratumSpec, ...] = tuple(strata)
         self.domains: tuple[DomainSpec, ...] = tuple(
             sorted(domains, key=lambda d: d.index)
         )
-        if not self.records:
+        self.weights = np.asarray(weights, dtype=float)
+        self.n = self.weights.size
+        if not self.n:
             raise DataError("sample must contain at least one record")
 
         indices = [d.index for d in self.domains]
         if sorted(indices) != list(range(1, len(self.domains) + 1)):
             raise DataError("domain indices must be a bijection onto 1..D")
-        ids = [d.id for d in self.domains]
-        if len(set(ids)) != len(ids):
+        if len(set(self.domain_ids)) != len(self.domains):
             raise DataError("domain ids must be unique")
-        stratum_ids = [s.id for s in self.strata]
-        if len(set(stratum_ids)) != len(stratum_ids):
+        if len(set(self.stratum_ids)) != len(self.strata):
             raise DataError("stratum ids must be unique")
 
-        self._stratum_pos = {s: i for i, s in enumerate(stratum_ids)}
-        self._domain_pos = {d: i for i, d in enumerate(ids)}
-
-        n_values = {len(r.calib_values) for r in self.records}
-        if len(n_values) != 1:
-            raise DataError("records disagree on the number of calibration values")
-        self.n_calibration_values = n_values.pop()
-
-        missing_strata = sorted(
-            {r.stratum for r in self.records} - set(stratum_ids)
-        )
-        if missing_strata:
-            raise DataError(f"records reference unknown strata: {missing_strata}")
-        missing_domains = sorted({r.domain for r in self.records} - set(ids))
-        if missing_domains:
-            raise DataError(f"records reference unknown domains: {missing_domains}")
-
-        self.n = len(self.records)
-        self.weights = np.array([r.design_weight for r in self.records])
-        self.calib = np.array([r.calib_values for r in self.records], dtype=float)
-        self.stratum_idx = np.array(
-            [self._stratum_pos[r.stratum] for r in self.records], dtype=np.intp
-        )
-        self.domain_idx = np.array(
-            [self._domain_pos[r.domain] for r in self.records], dtype=np.intp
-        )
-
-        attr_keys = {frozenset(r.attributes) for r in self.records}
-        if len(attr_keys) > 1:
-            raise DataError("records carry inconsistent attribute keys")
-        outcome_keys = {frozenset(r.outcomes) for r in self.records}
-        if len(outcome_keys) > 1:
-            raise DataError("records carry inconsistent outcome keys")
-        self.attribute_names = tuple(sorted(attr_keys.pop())) if attr_keys else ()
-        self.outcome_names = tuple(sorted(outcome_keys.pop())) if outcome_keys else ()
+        self.stratum_idx = np.asarray(stratum_idx, dtype=np.intp)
+        self.domain_idx = np.asarray(domain_idx, dtype=np.intp)
+        self.calib = np.asarray(calib, dtype=float)
+        if self.calib.ndim != 2:
+            raise DataError("calibration values must form an n x V matrix")
+        self.n_calibration_values = self.calib.shape[1]
         self.attributes = {
-            name: np.array([r.attributes[name] for r in self.records], dtype=object)
-            for name in self.attribute_names
+            name: np.asarray(column, dtype=object)
+            for name, column in (attributes or {}).items()
         }
         self.outcomes = {
-            name: np.array([r.outcomes[name] for r in self.records], dtype=float)
-            for name in self.outcome_names
+            name: np.asarray(column, dtype=float)
+            for name, column in (outcomes or {}).items()
         }
+        columns = {
+            "weights": self.weights,
+            "stratum_idx": self.stratum_idx,
+            "domain_idx": self.domain_idx,
+            "calib": self.calib,
+            **self.attributes,
+            **self.outcomes,
+        }
+        for name, column in columns.items():
+            if column.shape[:1] != (self.n,):
+                raise DataError(
+                    f"column {name!r} has shape {column.shape}, sample has "
+                    f"{self.n} records"
+                )
+        for name, idx, bound in (
+            ("stratum", self.stratum_idx, len(self.strata)),
+            ("domain", self.domain_idx, len(self.domains)),
+        ):
+            if idx.ndim != 1 or idx.min() < 0 or idx.max() >= bound:
+                raise DataError(f"{name} positions must lie in 0..{bound - 1}")
+
+        bad = np.flatnonzero(~(self.weights > 0))
+        if bad.size:
+            stratum = self.strata[self.stratum_idx[bad[0]]]
+            raise DataError(
+                f"record in stratum {stratum.id!r}: design weight must be > 0"
+            )
 
         self.stratum_counts = np.bincount(
             self.stratum_idx, minlength=len(self.strata)
@@ -262,9 +249,6 @@ class SampleSet:
     @property
     def stratum_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.strata)
-
-    def stratum_position(self, stratum_id: str) -> int:
-        return self._stratum_pos[stratum_id]
 
     def check_spec(self, spec: CalibrationSpec) -> None:
         """Require the sample layout to match a calibration spec."""

@@ -509,11 +509,12 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
     domain totals.
     """
     mapping: dict[str, str] = {}
+    domain_ids = sample.domain_ids
     for pos, stratum in enumerate(sample.strata):
         members = sample.stratum_members(pos)
         if members.size == 0:
             raise DataError(f"stratum {stratum.id!r} has no domain assignment")
-        domains = {sample.records[i].domain for i in (int(j) for j in members)}
+        domains = {domain_ids[d] for d in np.unique(sample.domain_idx[members])}
         if len(domains) > 1:
             raise DataError(
                 f"stratum {stratum.id!r} spans multiple domains {sorted(domains)}"

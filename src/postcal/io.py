@@ -9,19 +9,14 @@ re-reading reproduces the float64 values exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .frame import (
-    CalibrationSpec,
-    DomainSpec,
-    SampleSet,
-    StratumSpec,
-    UnitRecord,
-)
+from .frame import CalibrationSpec, DomainSpec, SampleSet, StratumSpec
 from .hb import PosteriorDraws
 
 MACHINE_FLOAT = "%.17g"
@@ -71,55 +66,68 @@ class IngestedSample:
     calibration_attributes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _read_rows(path: Path) -> list[dict[str, str]]:
+def _read_table(path: Path) -> tuple[dict[str, tuple[str, ...]], list[int]]:
+    """Columns of a delimited file by header name, and each data row's line."""
+    text, lines = [], []
     with open(path, newline="") as fh:
-        rows = [
-            line for line in fh if line.strip() and not line.startswith("#")
-        ]
-    reader = csv.DictReader(rows)
-    out = list(reader)
-    if not out:
+        for number, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                text.append(line)
+                lines.append(number)
+    if len(text) < 2:
         raise DataError(f"{path}: no data rows")
-    return out
+    header, *rows = csv.reader(text)
+    del lines[0]
+    for row, number in zip(rows, lines):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{number}: {len(row)} fields, header has {len(header)}"
+            )
+    return dict(zip(header, zip(*rows))), lines
 
 
-def _parse_float(raw: str, where: str) -> float:
+def _finite_or_none(raw: str) -> float | None:
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise DataError(f"{where}: cannot parse {raw!r} as a number") from None
+        value = float(raw)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _float_column(raw: tuple[str, ...], path: Path, lines: list[int]) -> np.ndarray:
+    """Parse a numeric column; the first unparseable or non-finite entry is
+    reported with its file line."""
+    values = [_finite_or_none(x) for x in raw]
+    if None in values:
+        i = values.index(None)
+        raise DataError(f"{path}:{lines[i]}: {raw[i]!r} is not a finite number")
+    return np.array(values)
 
 
 def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np.ndarray]]:
     """Stratum metadata file: id, population_size, optional deff, covariates.
 
     Any additional numeric column is returned as a stratum-level covariate.
+    An empty deff entry means 1.
     """
     path = Path(path)
-    rows = _read_rows(path)
-    header = list(rows[0].keys())
-    required = {"id", "population_size"}
-    missing = required - set(header)
+    columns, lines = _read_table(path)
+    missing = {"id", "population_size"} - set(columns)
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
-    extra = [c for c in header if c not in ("id", "population_size", "deff")]
-    strata = []
-    covariates: dict[str, list[float]] = {c: [] for c in extra}
-    for i, row in enumerate(rows):
-        where = f"{path}:{i + 2}"
-        deff = row.get("deff")
-        strata.append(
-            StratumSpec(
-                id=row["id"],
-                population_size=int(
-                    _parse_float(row["population_size"], where)
-                ),
-                deff=_parse_float(deff, where) if deff not in (None, "") else 1.0,
-            )
-        )
-        for c in extra:
-            covariates[c].append(_parse_float(row[c], where))
-    return tuple(strata), {c: np.array(v) for c, v in covariates.items()}
+    sizes = _float_column(columns["population_size"], path, lines)
+    raw_deff = columns.get("deff", ("",) * len(lines))
+    deff = _float_column(tuple(x or "1" for x in raw_deff), path, lines)
+    strata = tuple(
+        StratumSpec(id=sid, population_size=int(size), deff=d)
+        for sid, size, d in zip(columns["id"], sizes.tolist(), deff.tolist())
+    )
+    covariates = {
+        c: _float_column(values, path, lines)
+        for c, values in columns.items()
+        if c not in ("id", "population_size", "deff")
+    }
+    return strata, covariates
 
 
 def read_sample(
@@ -131,13 +139,14 @@ def read_sample(
 ) -> IngestedSample:
     """Ingest unit records and stratum metadata into a validated sample.
 
-    Band rules materialize derived categorical attributes (for example hours
-    bands) at ingestion time, so cell membership stays fixed, and register
-    them as calibration-derived when the source is a calibration variable.
+    Columns are parsed whole and stratum and domain ids resolved to
+    positions, keeping file order.  Band rules materialize derived
+    categorical attributes (for example hours bands) at ingestion time, so
+    cell membership stays fixed, and register them as calibration-derived
+    when the source is a calibration variable.
     """
     records_path = Path(records_path)
-    rows = _read_rows(records_path)
-    header = set(rows[0].keys())
+    columns, lines = _read_table(records_path)
     needed = (
         {roles.stratum, roles.domain, roles.weight}
         | set(roles.calibration)
@@ -146,7 +155,7 @@ def read_sample(
     )
     if roles.record_id:
         needed.add(roles.record_id)
-    missing = needed - header
+    missing = needed - set(columns)
     if missing:
         raise DataError(f"{records_path}: missing columns {sorted(missing)}")
     for rule in band_rules:
@@ -157,37 +166,7 @@ def read_sample(
             )
 
     strata, covariates = read_strata(strata_path)
-    records = []
-    record_ids = []
-    seen_domains: list[str] = []
-    for i, row in enumerate(rows):
-        where = f"{records_path}:{i + 2}"
-        calib = tuple(
-            _parse_float(row[c], where) for c in roles.calibration
-        )
-        attributes = {a: row[a] for a in roles.attributes}
-        numeric = dict(zip(roles.calibration, calib))
-        outcomes = {}
-        for o in roles.outcomes:
-            outcomes[o] = _parse_float(row[o], where)
-        numeric.update(outcomes)
-        for rule in band_rules:
-            attributes[rule.name] = rule.label(numeric[rule.source])
-        domain = row[roles.domain]
-        if domain not in seen_domains:
-            seen_domains.append(domain)
-        records.append(
-            UnitRecord(
-                stratum=row[roles.stratum],
-                domain=domain,
-                design_weight=_parse_float(row[roles.weight], where),
-                calib_values=calib,
-                attributes=attributes,
-                outcomes=outcomes,
-            )
-        )
-        record_ids.append(row[roles.record_id] if roles.record_id else str(i + 1))
-
+    seen_domains = list(dict.fromkeys(columns[roles.domain]))
     order = tuple(domain_order) if domain_order else tuple(sorted(seen_domains))
     unknown = set(seen_domains) - set(order)
     if unknown:
@@ -195,18 +174,50 @@ def read_sample(
             f"{records_path}: records reference domains outside the declared "
             f"order: {sorted(unknown)}"
         )
-    domains = tuple(DomainSpec(id=d, index=i + 1) for i, d in enumerate(order))
+    stratum_pos = {s.id: i for i, s in enumerate(strata)}
+    unknown = set(columns[roles.stratum]) - set(stratum_pos)
+    if unknown:
+        raise DataError(
+            f"{records_path}: records reference unknown strata: {sorted(unknown)}"
+        )
     spec = CalibrationSpec(
         variable_names=tuple(roles.calibration), domain_order=order
     )
-    sample = SampleSet(records=records, strata=strata, domains=domains)
+    domain_pos = {d: i for i, d in enumerate(order)}
+
+    def numeric(name: str) -> np.ndarray:
+        return _float_column(columns[name], records_path, lines)
+
+    calib = {c: numeric(c) for c in roles.calibration}
+    outcomes = {o: numeric(o) for o in roles.outcomes}
+    attributes = {a: np.array(columns[a], dtype=object) for a in roles.attributes}
+    sources = {**calib, **outcomes}
+    for rule in band_rules:
+        attributes[rule.name] = np.array(
+            [rule.label(x) for x in sources[rule.source].tolist()], dtype=object
+        )
+    sample = SampleSet(
+        strata=strata,
+        domains=tuple(DomainSpec(id=d, index=i + 1) for i, d in enumerate(order)),
+        stratum_idx=[stratum_pos[s] for s in columns[roles.stratum]],
+        domain_idx=[domain_pos[d] for d in columns[roles.domain]],
+        weights=numeric(roles.weight),
+        calib=np.column_stack(list(calib.values())),
+        attributes=attributes,
+        outcomes=outcomes,
+    )
+    record_ids = (
+        columns[roles.record_id]
+        if roles.record_id
+        else tuple(str(i + 1) for i in range(sample.n))
+    )
     calibration_attrs = tuple(
         rule.name for rule in band_rules if rule.source in roles.calibration
     )
     return IngestedSample(
         sample=sample,
         spec=spec,
-        record_ids=tuple(record_ids),
+        record_ids=record_ids,
         strata_covariates=covariates,
         calibration_attributes=calibration_attrs,
     )
@@ -241,21 +252,18 @@ def write_draws(
 def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
     """Read a draw matrix and validate it against the calibration layout."""
     path = Path(path)
-    rows = _read_rows(path)
+    columns, lines = _read_table(path)
     expected = ("chain",) + spec.block_labels()
-    header = tuple(rows[0].keys())
+    header = tuple(columns)
     if header != expected:
         raise DataError(
             f"{path}: draw columns {header} do not match the expected layout "
             f"{expected}"
         )
-    tags = []
-    values = []
-    for i, row in enumerate(rows):
-        where = f"{path}:{i + 2}"
-        tags.append(int(_parse_float(row["chain"], where)))
-        values.append([_parse_float(row[c], where) for c in expected[1:]])
-    return PosteriorDraws(draws=np.array(values), chain_tags=np.array(tags))
+    values = [_float_column(columns[c], path, lines) for c in expected]
+    return PosteriorDraws(
+        draws=np.column_stack(values[1:]), chain_tags=values[0].astype(int)
+    )
 
 
 def write_weights(

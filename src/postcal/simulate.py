@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, _require
 from .errors import ConfigError, DataError
 from .fitting import fit_all_variables
 from .frame import (
@@ -24,7 +24,6 @@ from .frame import (
     DomainSpec,
     SampleSet,
     StratumSpec,
-    UnitRecord,
     filter_mask,
 )
 from .hb import McmcConfig, PosteriorDraws, chain_rng, gelman_rubin
@@ -293,13 +292,13 @@ def draw_stratified_sample(
     """Stratified simple random sample without replacement.
 
     Takes round(fraction * N_h) units per stratum with a floor of 2, and
-    attaches the design weights N_h / n_h.
+    attaches the design weights N_h / n_h.  Rows come in stratum order, then
+    ascending population index.
     """
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"sampling fraction must be in (0, 1], got {fraction}")
-    records = []
-    attr_names = sorted(frame.attributes)
-    outcome_names = sorted(frame.outcomes)
+    chosen = []
+    weights = []
     for pos, stratum in enumerate(frame.strata):
         members = np.nonzero(frame.stratum_idx == pos)[0]
         N_h = members.size
@@ -308,21 +307,19 @@ def draw_stratified_sample(
                 f"stratum {stratum.id!r} has population {N_h} < 2"
             )
         n_h = min(N_h, max(2, round(fraction * N_h)))
-        chosen = np.sort(rng.choice(members, size=n_h, replace=False))
-        weight = N_h / n_h
-        for i in chosen:
-            i = int(i)
-            records.append(
-                UnitRecord(
-                    stratum=stratum.id,
-                    domain=frame.spec.domains[int(frame.domain_idx[i])],
-                    design_weight=weight,
-                    calib_values=tuple(frame.calib[i]),
-                    attributes={a: frame.attributes[a][i] for a in attr_names},
-                    outcomes={o: frame.outcomes[o][i] for o in outcome_names},
-                )
-            )
-    return SampleSet(records=records, strata=frame.strata, domains=frame.domains)
+        chosen.append(np.sort(rng.choice(members, size=n_h, replace=False)))
+        weights.append(np.full(n_h, N_h / n_h))
+    rows = np.concatenate(chosen)
+    return SampleSet(
+        strata=frame.strata,
+        domains=frame.domains,
+        stratum_idx=frame.stratum_idx[rows],
+        domain_idx=frame.domain_idx[rows],
+        weights=np.concatenate(weights),
+        calib=frame.calib[rows],
+        attributes={a: column[rows] for a, column in frame.attributes.items()},
+        outcomes={o: column[rows] for o, column in frame.outcomes.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -559,12 +556,6 @@ def apply_band_rules(frame: SurveyFrame, rules) -> None:
         frame.attributes[rule.name] = np.array(
             [rule.label(float(x)) for x in column], dtype=object
         )
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return section[key]
 
 
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:

@@ -1,13 +1,42 @@
 import numpy as np
 import pytest
 
-from postcal.frame import (
-    CalibrationSpec,
-    DomainSpec,
-    SampleSet,
-    StratumSpec,
-    UnitRecord,
-)
+from postcal.frame import CalibrationSpec, DomainSpec, SampleSet, StratumSpec
+
+
+def sample_from_rows(rows, strata, domains, attributes=None, outcomes=None):
+    """Columnar sample from (stratum id, domain id, weight, calib values) rows.
+
+    ``attributes`` and ``outcomes`` map names to per-row columns.
+    """
+    strata, domains = tuple(strata), tuple(sorted(domains, key=lambda d: d.index))
+    stratum_pos = {s.id: i for i, s in enumerate(strata)}
+    domain_pos = {d.id: i for i, d in enumerate(domains)}
+    stratum_ids, domain_ids, weights, calib = zip(*rows)
+    return SampleSet(
+        strata,
+        domains,
+        stratum_idx=[stratum_pos[s] for s in stratum_ids],
+        domain_idx=[domain_pos[d] for d in domain_ids],
+        weights=weights,
+        calib=calib,
+        attributes=attributes,
+        outcomes=outcomes,
+    )
+
+
+def take_rows(sample, rows):
+    """The sample restricted to, and reordered by, the given row indices."""
+    return SampleSet(
+        sample.strata,
+        sample.domains,
+        sample.stratum_idx[rows],
+        sample.domain_idx[rows],
+        sample.weights[rows],
+        sample.calib[rows],
+        {name: column[rows] for name, column in sample.attributes.items()},
+        {name: column[rows] for name, column in sample.outcomes.items()},
+    )
 
 
 def make_random_sample(
@@ -28,25 +57,32 @@ def make_random_sample(
         variable_names=tuple(f"v{k + 1}" for k in range(n_variables)),
         domain_order=tuple(d.id for d in domains),
     )
-    records = []
+    # draws interleave per record in the order the fixture always used
+    calib = np.empty((n, n_variables))
+    weights = np.empty(n)
+    group = np.empty(n, dtype=object)
+    u = np.empty(n)
     for i in range(n):
-        values = []
         for k in range(n_variables):
             if binary_first and k == 0:
-                values.append(float(rng.random() < 0.6))
+                calib[i, k] = float(rng.random() < 0.6)
             else:
-                values.append(float(rng.uniform(0.5, 40.0)))
-        records.append(
-            UnitRecord(
-                stratum=strata[i % n_strata].id,
-                domain=domains[i % n_domains].id,
-                design_weight=float(rng.uniform(1.0, 5.0)),
-                calib_values=tuple(values),
-                attributes={"group": "a" if rng.random() < 0.5 else "b"},
-                outcomes={"u": float(rng.normal(10.0, 3.0))},
-            )
-        )
-    return SampleSet(records, strata, domains), spec
+                calib[i, k] = float(rng.uniform(0.5, 40.0))
+        weights[i] = float(rng.uniform(1.0, 5.0))
+        group[i] = "a" if rng.random() < 0.5 else "b"
+        u[i] = float(rng.normal(10.0, 3.0))
+    rows = np.arange(n)
+    sample = SampleSet(
+        strata,
+        domains,
+        stratum_idx=rows % n_strata,
+        domain_idx=rows % n_domains,
+        weights=weights,
+        calib=calib,
+        attributes={"group": group},
+        outcomes={"u": u},
+    )
+    return sample, spec
 
 
 @pytest.fixture

@@ -14,20 +14,23 @@ from postcal.frame import (
     CellFilter,
     CellQuery,
     DomainSpec,
-    SampleSet,
     StratumSpec,
-    UnitRecord,
     build_design_vector,
     evaluate_cell,
 )
 
-from conftest import make_random_sample
+from conftest import make_random_sample, sample_from_rows
 
 
 def dense_gram_oracle(sample, spec):
     """Direct triple product Y' diag(w) Y with Y assembled record by record."""
-    Y = np.array([build_design_vector(r, spec) for r in sample.records])
-    return Y.T @ np.diag(np.array([r.design_weight for r in sample.records])) @ Y
+    Y = np.array(
+        [
+            build_design_vector(spec.domain_order[d], values, spec)
+            for d, values in zip(sample.domain_idx, sample.calib)
+        ]
+    )
+    return Y.T @ np.diag(sample.weights) @ Y
 
 
 def kkt_oracle(sample, spec, target):
@@ -55,11 +58,8 @@ class TestGram:
     def test_single_variable_is_diagonal(self):
         # one record per domain with unit values and weights: orthogonal blocks
         domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(3))
-        records = [
-            UnitRecord(stratum="s1", domain=d.id, design_weight=1.0, calib_values=(1.0,))
-            for d in domains
-        ]
-        sample = SampleSet(records, (StratumSpec("s1", 10),), domains)
+        records = [("s1", d.id, 1.0, (1.0,)) for d in domains]
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
         spec = CalibrationSpec(("v1",), tuple(d.id for d in domains))
         gram = compute_gram(sample, spec)
         assert np.array_equal(gram.g, np.eye(3))
@@ -69,10 +69,10 @@ class TestGram:
         # no record in domain d2 carries variable v1, so that block is empty
         domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
         records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=1.0, calib_values=(2.0,)),
-            UnitRecord(stratum="s1", domain="d2", design_weight=1.0, calib_values=(0.0,)),
+            ("s1", "d1", 1.0, (2.0,)),
+            ("s1", "d2", 1.0, (0.0,)),
         ]
-        sample = SampleSet(records, (StratumSpec("s1", 10),), domains)
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
         spec = CalibrationSpec(("v1",), ("d1", "d2"))
         gram = compute_gram(sample, spec)
         assert gram.rank == 1
@@ -105,10 +105,8 @@ class TestHtTotals:
 
     def test_single_record(self):
         domains = (DomainSpec("d1", 1),)
-        records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=10.0, calib_values=(2.0,))
-        ]
-        sample = SampleSet(records, (StratumSpec("s1", 20),), domains)
+        records = [("s1", "d1", 10.0, (2.0,))]
+        sample = sample_from_rows(records, (StratumSpec("s1", 20),), domains)
         spec = CalibrationSpec(("v1",), ("d1",))
         assert ht_totals(sample, spec).tolist() == [20.0]
 
@@ -118,9 +116,11 @@ class TestHtTotals:
         for v in range(2):
             for d, dom in enumerate(spec.domain_order):
                 direct = sum(
-                    r.design_weight * r.calib_values[v]
-                    for r in sample.records
-                    if r.domain == dom
+                    w * values[v]
+                    for w, di, values in zip(
+                        sample.weights, sample.domain_idx, sample.calib
+                    )
+                    if di == d
                 )
                 assert ht[v * 3 + d] == pytest.approx(direct, rel=1e-12)
 
@@ -130,15 +130,10 @@ def toy_fixture():
     domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     records = [
-        UnitRecord(
-            stratum="s1",
-            domain="d1" if i < 3 else "d2",
-            design_weight=2.0,
-            calib_values=(values[i],),
-        )
+        ("s1", "d1" if i < 3 else "d2", 2.0, (values[i],))
         for i in range(6)
     ]
-    sample = SampleSet(records, (StratumSpec("s1", 50),), domains)
+    sample = sample_from_rows(records, (StratumSpec("s1", 50),), domains)
     spec = CalibrationSpec(("v1",), ("d1", "d2"))
     return sample, spec
 
@@ -235,10 +230,10 @@ class TestReplicateDirection:
     def test_full_sample_single_constraint_gives_one(self):
         domains = (DomainSpec("d1", 1),)
         records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=w, calib_values=(y,))
+            ("s1", "d1", w, (y,))
             for w, y in [(2.0, 1.0), (3.0, 4.0), (1.5, 2.0)]
         ]
-        sample = SampleSet(records, (StratumSpec("s1", 30),), domains)
+        sample = sample_from_rows(records, (StratumSpec("s1", 30),), domains)
         spec = CalibrationSpec(("v1",), ("d1",))
         gram = compute_gram(sample, spec)
         cell = evaluate_cell(CellQuery("all", "v1", CellFilter()), sample, spec)

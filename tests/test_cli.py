@@ -3,9 +3,10 @@ import filecmp
 import json
 
 import numpy as np
+import pytest
 import yaml
 
-from postcal.cli import main
+from postcal.cli import build_parser, main
 from postcal.hb import chain_rng
 from postcal.simulate import draw_stratified_sample, generate_population
 
@@ -21,19 +22,20 @@ def write_sample_files(tmp_path, seed=77, fraction=0.12, drop_employed_in_d2=Fal
         writer.writerow(
             ["stratum", "domain", "weight", "employed", "hours", "occ", "income"]
         )
-        for r in sample.records:
-            employed, hours = (float(v) for v in r.calib_values)
-            if drop_employed_in_d2 and r.domain == "d2":
+        for i in range(sample.n):
+            employed, hours = (float(v) for v in sample.calib[i])
+            domain = sample.domain_ids[sample.domain_idx[i]]
+            if drop_employed_in_d2 and domain == "d2":
                 employed = 0.0
             writer.writerow(
                 [
-                    r.stratum,
-                    r.domain,
-                    repr(float(r.design_weight)),
+                    sample.stratum_ids[sample.stratum_idx[i]],
+                    domain,
+                    repr(float(sample.weights[i])),
                     repr(employed),
                     repr(hours),
-                    r.attributes["occ"],
-                    repr(float(r.outcomes["income"])),
+                    sample.attributes["occ"][i],
+                    repr(float(sample.outcomes["income"][i])),
                 ]
             )
     strata_path = tmp_path / "strata.csv"
@@ -394,3 +396,84 @@ class TestErrors:
         assert not filecmp.cmp(
             tmp_path / "a" / "draws.csv", tmp_path / "b" / "draws.csv", shallow=False
         )
+
+
+def set_csv_field(path, column, value):
+    """Overwrite ``column`` in the first data row of a simple CSV file."""
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    fields[header.split(",").index(column)] = value
+    path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+
+
+def set_config(dotted_key, value):
+    def corrupt(tmp_path):
+        raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+        *parents, key = dotted_key.split(".")
+        section = raw
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+        write_config(tmp_path, raw)
+
+    return corrupt
+
+
+def break_yaml(tmp_path):
+    with open(tmp_path / "config.yaml", "a") as fh:
+        fh.write("cells: [unclosed\n")
+
+
+MALFORMED_INPUTS = [
+    pytest.param(
+        lambda t: set_csv_field(t / "strata.csv", "population_size", "nan"),
+        "strata.csv:2",
+        id="strata-population-nan",
+    ),
+    pytest.param(
+        lambda t: set_csv_field(t / "draws.csv", "chain", "nan"),
+        "draws.csv:2",
+        id="draws-chain-nan",
+    ),
+    pytest.param(
+        lambda t: set_csv_field(t / "records.csv", "hours", "nan"),
+        "records.csv:2",
+        id="records-calibration-nan",
+    ),
+    pytest.param(
+        lambda t: set_csv_field(t / "records.csv", "employed", "inf"),
+        "records.csv:2",
+        id="records-calibration-inf",
+    ),
+    pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
+    pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
+    pytest.param(set_config("seed", "x"), "seed", id="seed-x"),
+    pytest.param(break_yaml, "config.yaml", id="yaml-syntax-error"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("corrupt,cause", MALFORMED_INPUTS)
+    def test_exit_2_names_the_cause(self, tmp_path, capsys, corrupt, cause):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        (tmp_path / "draws.csv").write_text(
+            "chain,v1_d1,v1_d2,v2_d1,v2_d2\n"
+            + "".join(f"{c},30,40,900,1100\n" for c in (0, 0, 1, 1))
+        )
+        corrupt(tmp_path)
+        argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = main(argv + ["--draws", str(tmp_path / "draws.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert cause in err
+        assert "Traceback" not in err
+
+    def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
+        base = ["--config", "c.yaml", "--out", str(tmp_path), "--threads", "2"]
+        for command in ("fit", "calibrate", "infer", "diagnose"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *base])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert build_parser().parse_args(["simulate", *base]).threads == 2

@@ -9,13 +9,12 @@ from postcal.frame import (
     DomainSpec,
     SampleSet,
     StratumSpec,
-    UnitRecord,
     block_index,
     build_design_vector,
     evaluate_cell,
 )
 
-from conftest import make_random_sample
+from conftest import make_random_sample, sample_from_rows, take_rows
 
 
 def spec_vd(v, d):
@@ -55,10 +54,7 @@ class TestDesignVector:
     def test_worked_example_three_nonzero(self):
         # employed person in the first of eight domains working 38 h/week
         spec = spec_vd(3, 8)
-        record = UnitRecord(
-            stratum="s", domain="d1", design_weight=1.0, calib_values=(1.0, 0.0, 38.0)
-        )
-        y = build_design_vector(record, spec)
+        y = build_design_vector("d1", (1.0, 0.0, 38.0), spec)
         assert y.shape == (24,)
         assert y[0] == 1.0
         assert y[16] == 38.0
@@ -66,31 +62,24 @@ class TestDesignVector:
 
     def test_all_zero_values(self):
         spec = spec_vd(3, 8)
-        record = UnitRecord(
-            stratum="s", domain="d3", design_weight=2.0, calib_values=(0.0, 0.0, 0.0)
-        )
-        assert np.all(build_design_vector(record, spec) == 0.0)
+        assert np.all(build_design_vector("d3", (0.0, 0.0, 0.0), spec) == 0.0)
 
     def test_two_by_two_layout(self):
         spec = spec_vd(2, 2)
-        record = UnitRecord(
-            stratum="s", domain="d2", design_weight=1.0, calib_values=(3.0, 5.0)
-        )
-        assert build_design_vector(record, spec).tolist() == [0.0, 3.0, 0.0, 5.0]
+        assert build_design_vector("d2", (3.0, 5.0), spec).tolist() == [
+            0.0, 3.0, 0.0, 5.0,
+        ]
 
     def test_unknown_domain_named_in_error(self):
         spec = spec_vd(2, 2)
-        record = UnitRecord(
-            stratum="s", domain="nowhere", design_weight=1.0, calib_values=(1.0, 2.0)
-        )
         with pytest.raises(DataError, match="nowhere"):
-            build_design_vector(record, spec)
+            build_design_vector("nowhere", (1.0, 2.0), spec)
 
     def test_at_most_one_nonzero_per_block(self):
         sample, spec = make_random_sample(40, 3, 4, seed=9)
         D = spec.n_domains
-        for record in sample.records:
-            y = build_design_vector(record, spec)
+        for d, values in zip(sample.domain_idx, sample.calib):
+            y = build_design_vector(spec.domain_order[d], values, spec)
             for v in range(spec.n_variables):
                 block = y[v * D : (v + 1) * D]
                 assert np.count_nonzero(block) <= 1
@@ -100,14 +89,16 @@ class TestDesignVector:
         # with direct per-(variable, domain) filtered summation
         sample, spec = make_random_sample(60, 2, 3, seed=5)
         total = np.zeros(spec.p)
-        for record in sample.records:
-            total += record.design_weight * build_design_vector(record, spec)
+        for w, d, values in zip(sample.weights, sample.domain_idx, sample.calib):
+            total += w * build_design_vector(spec.domain_order[d], values, spec)
         for v, name in enumerate(spec.variable_names):
             for d, dom in enumerate(spec.domain_order):
                 direct = sum(
-                    r.design_weight * r.calib_values[v]
-                    for r in sample.records
-                    if r.domain == dom
+                    w * values[v]
+                    for w, di, values in zip(
+                        sample.weights, sample.domain_idx, sample.calib
+                    )
+                    if di == d
                 )
                 assert total[v * spec.n_domains + d] == pytest.approx(direct, rel=1e-12)
 
@@ -117,19 +108,19 @@ def toy_ten_records():
     employed = [1, 1, 1, 1, 1, 1, 0, 1, 1, 0]
     domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
     strata = (StratumSpec("s1", 100),)
-    records = [
-        UnitRecord(
-            stratum="s1",
-            domain="d1" if i < 5 else "d2",
-            design_weight=2.0,
-            calib_values=(float(employed[i]), hours[i]),
-            attributes={"sex": "f" if i % 2 == 0 else "m"},
-            outcomes={"income": 100.0 * i},
-        )
+    rows = [
+        ("s1", "d1" if i < 5 else "d2", 2.0, (float(employed[i]), hours[i]))
         for i in range(10)
     ]
+    sample = sample_from_rows(
+        rows,
+        strata,
+        domains,
+        attributes={"sex": ["f" if i % 2 == 0 else "m" for i in range(10)]},
+        outcomes={"income": [100.0 * i for i in range(10)]},
+    )
     spec = CalibrationSpec(("employed", "hours"), ("d1", "d2"))
-    return SampleSet(records, strata, domains), spec
+    return sample, spec
 
 
 class TestEvaluateCell:
@@ -175,9 +166,7 @@ class TestEvaluateCell:
 
     def test_order_independence(self):
         sample, spec = toy_ten_records()
-        shuffled = SampleSet(
-            records=sample.records[::-1], strata=sample.strata, domains=sample.domains
-        )
+        shuffled = take_rows(sample, np.arange(sample.n)[::-1])
         q = CellQuery("band", "employed", CellFilter.build(ranges={"hours": (35, 39)}))
         a = evaluate_cell(q, sample, spec)
         b = evaluate_cell(q, shuffled, spec)
@@ -217,34 +206,84 @@ class TestEvaluateCell:
             )
 
 
+def one_stratum_sample(n=1, population=10, weight=1.0, **columns):
+    args = dict(
+        stratum_idx=[0] * n,
+        domain_idx=[0] * n,
+        weights=[weight] * n,
+        calib=[(1.0,)] * n,
+    )
+    args.update(columns)
+    return SampleSet((StratumSpec("s1", population),), (DomainSpec("d1", 1),), **args)
+
+
 class TestSampleSetValidation:
+    def test_valid_columns_accepted(self):
+        sample = one_stratum_sample(n=3)
+        assert sample.n == 3
+        assert sample.calib.shape == (3, 1)
+        assert sample.stratum_counts.tolist() == [3]
+
     def test_unknown_stratum_rejected(self):
-        domains = (DomainSpec("d1", 1),)
-        records = [
-            UnitRecord(stratum="ghost", domain="d1", design_weight=1.0, calib_values=(1.0,))
-        ]
-        with pytest.raises(DataError, match="ghost"):
-            SampleSet(records, (StratumSpec("s1", 10),), domains)
+        # ids resolve to positions at ingestion; a position outside the
+        # strata is the columnar form of an unknown stratum
+        with pytest.raises(DataError, match="stratum positions"):
+            one_stratum_sample(stratum_idx=[1])
+
+    def test_unknown_domain_position_rejected(self):
+        with pytest.raises(DataError, match="domain positions"):
+            one_stratum_sample(domain_idx=[-1])
 
     def test_domain_indices_must_be_bijection(self):
-        records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=1.0, calib_values=(1.0,))
-        ]
         with pytest.raises(DataError, match="bijection"):
             SampleSet(
-                records,
                 (StratumSpec("s1", 10),),
                 (DomainSpec("d1", 1), DomainSpec("d2", 3)),
+                stratum_idx=[0],
+                domain_idx=[0],
+                weights=[1.0],
+                calib=[(1.0,)],
             )
 
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(DataError, match="stratum ids"):
+            SampleSet(
+                (StratumSpec("s1", 10), StratumSpec("s1", 10)),
+                (DomainSpec("d1", 1),),
+                stratum_idx=[0],
+                domain_idx=[0],
+                weights=[1.0],
+                calib=[(1.0,)],
+            )
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DataError, match="at least one record"):
+            one_stratum_sample(n=0, calib=np.empty((0, 1)))
+
+    @pytest.mark.parametrize(
+        "column",
+        ["stratum_idx", "domain_idx", "calib", "attributes", "outcomes"],
+    )
+    def test_column_length_must_match(self, column):
+        bad = {
+            "stratum_idx": [0, 0, 0],
+            "domain_idx": [0],
+            "calib": [(1.0,)],
+            "attributes": {"sex": ["f"]},
+            "outcomes": {"income": [1.0, 2.0, 3.0]},
+        }[column]
+        with pytest.raises(DataError, match="shape"):
+            one_stratum_sample(n=2, **{column: bad})
+
+    def test_calibration_values_must_be_a_matrix(self):
+        with pytest.raises(DataError, match="n x V"):
+            one_stratum_sample(n=2, calib=[1.0, 2.0])
+
     def test_sample_larger_than_population_rejected(self):
-        records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=1.0, calib_values=(1.0,))
-            for _ in range(3)
-        ]
         with pytest.raises(DataError, match="exceeds"):
-            SampleSet(records, (StratumSpec("s1", 2),), (DomainSpec("d1", 1),))
+            one_stratum_sample(n=3, population=2)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(DataError, match="weight"):
-            UnitRecord(stratum="s1", domain="d1", design_weight=0.0, calib_values=(1.0,))
+        for weight in (0.0, -1.0, float("nan")):
+            with pytest.raises(DataError, match="'s1': design weight"):
+                one_stratum_sample(weight=weight)

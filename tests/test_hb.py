@@ -8,7 +8,6 @@ from postcal.frame import (
     DomainSpec,
     SampleSet,
     StratumSpec,
-    UnitRecord,
 )
 from postcal.hb import (
     BinaryHBInput,
@@ -22,6 +21,8 @@ from postcal.hb import (
     fit_gaussian_fh,
     gelman_rubin,
 )
+
+from conftest import sample_from_rows
 
 
 def batch_mcse(draws, n_batches=30):
@@ -207,19 +208,13 @@ def psi_sample(values_by_stratum, sizes, deff=1.0):
         StratumSpec(f"s{k + 1}", population_size=sizes[k], deff=deff)
         for k in range(len(values_by_stratum))
     )
-    records = []
-    for k, values in enumerate(values_by_stratum):
-        for v in values:
-            records.append(
-                UnitRecord(
-                    stratum=f"s{k + 1}",
-                    domain="d1",
-                    design_weight=1.0,
-                    calib_values=(float(v),),
-                )
-            )
+    records = [
+        (f"s{k + 1}", "d1", 1.0, (float(v),))
+        for k, values in enumerate(values_by_stratum)
+        for v in values
+    ]
     spec = CalibrationSpec(("y",), ("d1",))
-    return SampleSet(records, strata, domains), spec
+    return sample_from_rows(records, strata, domains), spec
 
 
 class TestComputePsi:
@@ -263,11 +258,11 @@ def aggregation_fixture():
         StratumSpec("s3", 300),
     )
     records = [
-        UnitRecord(stratum="s1", domain="dA", design_weight=1.0, calib_values=(1.0,)),
-        UnitRecord(stratum="s2", domain="dA", design_weight=1.0, calib_values=(0.0,)),
-        UnitRecord(stratum="s3", domain="dB", design_weight=1.0, calib_values=(1.0,)),
+        ("s1", "dA", 1.0, (1.0,)),
+        ("s2", "dA", 1.0, (0.0,)),
+        ("s3", "dB", 1.0, (1.0,)),
     ]
-    sample = SampleSet(records, strata, domains)
+    sample = sample_from_rows(records, strata, domains)
     spec = CalibrationSpec(("v1",), ("dA", "dB"))
     return sample, spec
 
@@ -288,8 +283,8 @@ class TestDomainAggregation:
 
     def test_single_stratum_direct_product(self):
         domains = (DomainSpec("dA", 1),)
-        sample = SampleSet(
-            [UnitRecord(stratum="s1", domain="dA", design_weight=1.0, calib_values=(1.0,))],
+        sample = sample_from_rows(
+            [("s1", "dA", 1.0, (1.0,))],
             (StratumSpec("s1", 100),),
             domains,
         )
@@ -313,12 +308,15 @@ class TestDomainAggregation:
         )
         base = draws_to_domain_totals({"v1": draws}, sample, spec).draws
         scaled_sample = SampleSet(
-            sample.records,
             tuple(
                 StratumSpec(s.id, s.population_size * 3, s.deff)
                 for s in sample.strata
             ),
             sample.domains,
+            sample.stratum_idx,
+            sample.domain_idx,
+            sample.weights,
+            sample.calib,
         )
         scaled = draws_to_domain_totals({"v1": draws}, scaled_sample, spec).draws
         assert np.allclose(scaled, 3.0 * base, rtol=1e-14)
@@ -326,10 +324,10 @@ class TestDomainAggregation:
     def test_stratum_spanning_domains_rejected(self):
         domains = (DomainSpec("dA", 1), DomainSpec("dB", 2))
         records = [
-            UnitRecord(stratum="s1", domain="dA", design_weight=1.0, calib_values=(1.0,)),
-            UnitRecord(stratum="s1", domain="dB", design_weight=1.0, calib_values=(1.0,)),
+            ("s1", "dA", 1.0, (1.0,)),
+            ("s1", "dB", 1.0, (1.0,)),
         ]
-        sample = SampleSet(records, (StratumSpec("s1", 10),), domains)
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
         spec = CalibrationSpec(("v1",), ("dA", "dB"))
         draws = StratumDraws(
             draws=np.array([[0.5]]),

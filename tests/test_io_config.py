@@ -66,7 +66,7 @@ class TestIngestion:
             "other",
         )
         ingested = read_sample(records, strata, roles(), band_rules=(rule,))
-        bands = [r.attributes["hours_band"] for r in ingested.sample.records]
+        bands = ingested.sample.attributes["hours_band"].tolist()
         assert bands == ["long", "none", "short", "long"]
         assert ingested.calibration_attributes == ("hours_band",)
 
@@ -91,6 +91,30 @@ class TestIngestion:
         )
         with pytest.raises(DataError, match=":2"):
             read_sample(records, strata, bad)
+
+    def test_columns_keep_file_order(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        sample = read_sample(records, strata, roles(), domain_order=("d2", "d1")).sample
+        assert sample.stratum_idx.tolist() == [0, 0, 1, 1]
+        assert sample.domain_idx.tolist() == [1, 1, 0, 0]
+        assert sample.weights.tolist() == [2.5, 2.5, 3.0, 3.0]
+        assert sample.calib.tolist() == [[1, 38], [0, 0], [1, 20], [1, 45]]
+        assert sample.attributes["occupation"].tolist() == [
+            "managers", "trades", "trades", "managers",
+        ]
+        assert sample.outcomes["income"].tolist() == [1200, 100, 800, 2000]
+
+    def test_unknown_stratum_rejected(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        records.write_text(RECORDS_CSV + "ghost,d1,1.0,1,30,trades,500\n")
+        with pytest.raises(DataError, match=r"unknown strata: \['ghost'\]"):
+            read_sample(records, strata, roles())
+
+    def test_ragged_row_points_at_line(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        records.write_text("# comment\n" + RECORDS_CSV + "s1,d1,1.0\n")
+        with pytest.raises(DataError, match=r"records.csv:7: 3 fields"):
+            read_sample(records, strata, roles())
 
     def test_explicit_domain_order(self, tmp_path):
         records, strata = write_inputs(tmp_path)

@@ -8,10 +8,8 @@ from postcal.frame import (
     CellFilter,
     CellQuery,
     DomainSpec,
-    SampleSet,
     StratumSpec,
     TierLabel,
-    UnitRecord,
     evaluate_cell,
 )
 from postcal.hb import PosteriorDraws
@@ -23,7 +21,7 @@ from postcal.replicate import (
     replicate_totals,
 )
 
-from conftest import make_random_sample
+from conftest import make_random_sample, sample_from_rows
 
 
 def survey_sample():
@@ -33,24 +31,25 @@ def survey_sample():
     domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(3))
     strata = (StratumSpec("s1", 400), StratumSpec("s2", 400))
     records = []
+    occupation, hours_band, income = [], [], []
     for i in range(48):
         employed = float(rng.random() < 0.65)
         hours = employed * rng.uniform(4.0, 55.0)
-        records.append(
-            UnitRecord(
-                stratum="s1" if i % 2 == 0 else "s2",
-                domain=domains[i % 3].id,
-                design_weight=rng.uniform(2.0, 6.0),
-                attributes={
-                    "occupation": rng.choice(["managers", "trades", "sales"]),
-                    "hours_band": "35-39" if 35 <= hours <= 39 else "other",
-                },
-                outcomes={"income": hours * 25.0 + rng.normal(0.0, 40.0)},
-                calib_values=(employed, hours),
-            )
-        )
+        stratum = "s1" if i % 2 == 0 else "s2"
+        weight = rng.uniform(2.0, 6.0)
+        records.append((stratum, domains[i % 3].id, weight, (employed, hours)))
+        occupation.append(rng.choice(["managers", "trades", "sales"]))
+        hours_band.append("35-39" if 35 <= hours <= 39 else "other")
+        income.append(hours * 25.0 + rng.normal(0.0, 40.0))
     spec = CalibrationSpec(("employed", "hours"), tuple(d.id for d in domains))
-    return SampleSet(records, strata, domains), spec
+    sample = sample_from_rows(
+        records,
+        strata,
+        domains,
+        attributes={"occupation": occupation, "hours_band": hours_band},
+        outcomes={"income": income},
+    )
+    return sample, spec
 
 
 def synthetic_draws(ht, n_draws, seed, scale=0.05):
@@ -263,8 +262,10 @@ class TestPointEstimate:
         q = CellQuery("grp", "v2", CellFilter.build(attributes={"group": "a"}))
         cell = evaluate_cell(q, sample, spec)
         by_hand = sum(
-            r.design_weight * r.calib_values[1]
-            for r in sample.records
-            if r.attributes["group"] == "a"
+            w * values[1]
+            for w, values, group in zip(
+                sample.weights, sample.calib, sample.attributes["group"]
+            )
+            if group == "a"
         )
         assert point_estimate(cell, weights) == pytest.approx(by_hand, rel=1e-12)

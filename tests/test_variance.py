@@ -8,9 +8,7 @@ from postcal.frame import (
     CellFilter,
     CellQuery,
     DomainSpec,
-    SampleSet,
     StratumSpec,
-    UnitRecord,
     evaluate_cell,
 )
 from postcal.hb import PosteriorDraws
@@ -25,6 +23,8 @@ from postcal.variance import (
     share_and_variance,
     variance_components,
 )
+
+from conftest import sample_from_rows
 
 
 def two_stratum_fixture():
@@ -43,18 +43,10 @@ def two_stratum_fixture():
         ("s2", 20.0, 0.0, "b"),
         ("s2", 20.0, 1.0, "a"),
     ]
-    records = [
-        UnitRecord(
-            stratum=s,
-            domain="d1",
-            design_weight=w,
-            calib_values=(emp,),
-            attributes={"g": g},
-        )
-        for s, w, emp, g in rows
-    ]
+    records = [(s, "d1", w, (emp,)) for s, w, emp, _ in rows]
     spec = CalibrationSpec(("emp",), ("d1",))
-    return SampleSet(records, strata, domains), spec
+    groups = [g for *_, g in rows]
+    return sample_from_rows(records, strata, domains, attributes={"g": groups}), spec
 
 
 class TestShareAndVariance:
@@ -128,11 +120,11 @@ class TestShareAndVariance:
         domains = (DomainSpec("d1", 1),)
         strata = (StratumSpec("s1", 30), StratumSpec("s2", 40))
         records = [
-            UnitRecord(stratum="s1", domain="d1", design_weight=10.0, calib_values=(1.0,)),
-            UnitRecord(stratum="s2", domain="d1", design_weight=20.0, calib_values=(1.0,)),
-            UnitRecord(stratum="s2", domain="d1", design_weight=20.0, calib_values=(0.0,)),
+            ("s1", "d1", 10.0, (1.0,)),
+            ("s2", "d1", 20.0, (1.0,)),
+            ("s2", "d1", 20.0, (0.0,)),
         ]
-        sample = SampleSet(records, strata, domains)
+        sample = sample_from_rows(records, strata, domains)
         spec = CalibrationSpec(("emp",), ("d1",))
         gram = compute_gram(sample, spec)
         ht = ht_totals(sample, spec)
@@ -220,20 +212,13 @@ def link_fixture(outcome_fn, n=40, seed=3):
     domains = (DomainSpec("d1", 1),)
     strata = (StratumSpec("s1", 5000),)
     records = []
+    outcome = []
     for i in range(n):
-        employed = 1.0
         hours = float(rng.uniform(5.0, 50.0))
-        records.append(
-            UnitRecord(
-                stratum="s1",
-                domain="d1",
-                design_weight=2.0,
-                calib_values=(employed, hours),
-                outcomes={"u": outcome_fn(hours, rng)},
-            )
-        )
+        records.append(("s1", "d1", 2.0, (1.0, hours)))
+        outcome.append(outcome_fn(hours, rng))
     spec = CalibrationSpec(("employed", "hours"), ("d1",))
-    return SampleSet(records, strata, domains), spec
+    return sample_from_rows(records, strata, domains, outcomes={"u": outcome}), spec
 
 
 class TestLinkSelection:
@@ -274,17 +259,10 @@ class TestLinkSelection:
     def test_no_admissible_candidate(self):
         domains = (DomainSpec("d1", 1),)
         strata = (StratumSpec("s1", 100),)
-        records = [
-            UnitRecord(
-                stratum="s1",
-                domain="d1",
-                design_weight=1.0,
-                calib_values=(1.0, 38.0),
-                outcomes={"u": float(k)},
-            )
-            for k in range(5)
-        ]
-        sample = SampleSet(records, strata, domains)
+        records = [("s1", "d1", 1.0, (1.0, 38.0))] * 5
+        sample = sample_from_rows(
+            records, strata, domains, outcomes={"u": [float(k) for k in range(5)]}
+        )
         spec = CalibrationSpec(("employed", "hours"), ("d1",))
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
         with pytest.raises(LinkSelectionError, match="direct estimate"):
@@ -308,12 +286,12 @@ def orthogonality_fixture():
     domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
     strata = (StratumSpec("s1", 100),)
     records = [
-        UnitRecord(stratum="s1", domain="d1", design_weight=2.0, calib_values=(3.0,)),
-        UnitRecord(stratum="s1", domain="d1", design_weight=1.0, calib_values=(5.0,)),
-        UnitRecord(stratum="s1", domain="d2", design_weight=2.0, calib_values=(4.0,)),
-        UnitRecord(stratum="s1", domain="d2", design_weight=3.0, calib_values=(1.0,)),
+        ("s1", "d1", 2.0, (3.0,)),
+        ("s1", "d1", 1.0, (5.0,)),
+        ("s1", "d2", 2.0, (4.0,)),
+        ("s1", "d2", 3.0, (1.0,)),
     ]
-    sample = SampleSet(records, strata, domains)
+    sample = sample_from_rows(records, strata, domains)
     spec = CalibrationSpec(("y",), ("d1", "d2"))
     gram = compute_gram(sample, spec)
     ht = ht_totals(sample, spec)
@@ -397,19 +375,13 @@ class TestComponentTwoAgreement:
         # noise of the off-diagonal covariance estimates
         domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
         strata = (StratumSpec("s1", 1000),)
-        records = []
-        for d, value in (("d1", 2.0), ("d2", 3.0)):
-            for k in range(10):
-                records.append(
-                    UnitRecord(
-                        stratum="s1",
-                        domain=d,
-                        design_weight=4.0,
-                        calib_values=(value,),
-                        attributes={"g": "a" if k < 4 else "b"},
-                    )
-                )
-        sample = SampleSet(records, strata, domains)
+        records = [
+            ("s1", d, 4.0, (value,))
+            for d, value in (("d1", 2.0), ("d2", 3.0))
+            for k in range(10)
+        ]
+        groups = ["a" if k < 4 else "b" for _ in range(2) for k in range(10)]
+        sample = sample_from_rows(records, strata, domains, attributes={"g": groups})
         spec = CalibrationSpec(("y",), ("d1", "d2"))
         gram = compute_gram(sample, spec)
         ht = ht_totals(sample, spec)

@@ -60,22 +60,41 @@ def config_hash(raw: dict, seed: int) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _mapping(value, where: str) -> dict:
+    """``value`` as a section: null is empty, a non-mapping a ConfigError."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _section(parent: dict, key: str, where: str) -> dict:
+    """The sub-mapping ``parent[key]``, empty when absent or null."""
+    return _mapping(parent.get(key), where)
+
+
 def _require(section: dict, key: str, where: str):
-    if key not in section:
+    if key not in _mapping(section, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
     return section[key]
+
+
+def _convert(value, kind, where: str):
+    """``kind(value)``; a value of the wrong type is a ConfigError naming
+    ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where}: expected {kind.__name__}, got {value!r}"
+        ) from None
 
 
 def _typed(section: dict, key: str, kind, default, where: str = ""):
     """``kind`` of ``section[key]`` or of the default; a value of the wrong
     type is a ConfigError that names the key."""
-    value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}{key}: expected {kind.__name__}, got {value!r}"
-        ) from None
+    return _convert(section.get(key, default), kind, f"{where}{key}")
 
 
 def _as_tuple(value) -> tuple:
@@ -170,10 +189,10 @@ def parse_config(
 
     cfg = RunConfig(seed=seed, raw=raw)
 
-    sample = raw.get("sample")
+    sample = _section(raw, "sample", "sample")
     calibration: tuple[str, ...] = ()
     if sample:
-        columns = _require(sample, "columns", "sample")
+        columns = _mapping(_require(sample, "columns", "sample"), "sample.columns")
         calibration = tuple(_require(columns, "calibration", "sample.columns"))
         cfg.roles = ColumnRoles(
             stratum=_require(columns, "stratum", "sample.columns"),
@@ -195,7 +214,7 @@ def parse_config(
         cfg.domain_order = tuple(order) if order else None
         cfg.band_rules = parse_band_rules(sample.get("derived"), calibration)
 
-    models = raw.get("models") or {}
+    models = _section(raw, "models", "models")
     for variable, spec in models.items():
         kind = _require(spec, "kind", f"models.{variable}")
         if kind not in ("binary", "gaussian"):
@@ -216,7 +235,7 @@ def parse_config(
             ),
         )
 
-    mcmc = raw.get("mcmc") or {}
+    mcmc = _section(raw, "mcmc", "mcmc")
     cfg.mcmc = McmcConfig(
         burnin=_typed(mcmc, "burnin", int, 1000, "mcmc."),
         iterations=_typed(mcmc, "iterations", int, 5000, "mcmc."),
@@ -236,12 +255,14 @@ def parse_config(
         raise ConfigError(f"duplicate cell names: {dupes}")
     cfg.cells = parsed
 
-    report = raw.get("report") or {}
+    report = _section(raw, "report", "report")
     cfg.level = _typed(report, "level", float, DEFAULT_LEVEL, "report.")
     if not 0.0 < cfg.level < 1.0:
         raise ConfigError("report.level must be in (0, 1)")
 
-    cfg.simulate = raw.get("simulate") or {}
+    cfg.simulate = _section(raw, "simulate", "simulate")
+    for key in ("population", "mc"):
+        _section(cfg.simulate, key, f"simulate.{key}")
     if cfg.simulate.get("derived"):
         # simulation-only configs carry band rules without a sample section
         cfg.band_rules = cfg.band_rules + parse_band_rules(

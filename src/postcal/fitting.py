@@ -60,11 +60,7 @@ def fit_variable(
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
         )
-    empty = [
-        s.id
-        for pos, s in enumerate(sample.strata)
-        if sample.stratum_members(pos).size == 0
-    ]
+    empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
     if empty:
         raise DataError(f"strata without sampled records: {empty}")
     column = sample.calib[:, spec.variable_names.index(model.variable)]

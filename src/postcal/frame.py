@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -275,9 +276,18 @@ class SampleSet:
             self._design_matrix = Y
         return self._design_matrix
 
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, ...]:
+        # one stable sort groups the rows by stratum, ascending within each
+        order = np.argsort(self.stratum_idx, kind="stable")
+        order.flags.writeable = False
+        ends = np.cumsum(self.stratum_counts)
+        return tuple(np.split(order, ends[:-1]))
+
     def stratum_members(self, position: int) -> np.ndarray:
-        """Record indices belonging to the stratum at a 0-based position."""
-        return np.nonzero(self.stratum_idx == position)[0]
+        """Record indices (ascending, read-only) belonging to the stratum at
+        a 0-based position."""
+        return self._members[position]
 
 
 def _as_frozenset(value) -> frozenset:

@@ -9,6 +9,26 @@ Two models are fitted with bespoke samplers:
 * a Gaussian measurement-error model for continuous variables with known
   per-stratum sampling variances, sampled by full-conditional Gibbs.
 
+Both samplers run on one chain-batched driver: the chains are lanes of
+``(chains, ...)`` state arrays that advance together, one numpy pass per
+iteration, with per-lane proposal scales and acceptance counts.
+
+Stream contract: chain c of variable v reads only the generator
+``chain_rng(seed, *key, v, c)``, and one iteration consumes a fixed sequence
+of variates from it whatever the chain's state:
+
+* binary model: k x (normal, uniform), then H normals, then H uniforms,
+  then one chi-square draw (the effects and chi-square draws only when the
+  effects are on and the variance is free, respectively);
+* Gaussian model: H normals, then k normals, then one chi-square draw (the
+  chi-square only when the variance is free).
+
+The driver pre-draws each lane's variates in that order one adaptation
+window (50 iterations) at a time, and every per-lane product is the same
+BLAS call a lone chain makes, so the draws do not depend on the chain count
+or on the batching: a 2-chain fit is bit for bit the first two chains of a
+3-chain fit.
+
 Stratum-level draws are aggregated to domain totals in the block layout of
 the calibration system; externally produced draw matrices are accepted as a
 first-class alternative (see :mod:`postcal.io`).
@@ -16,7 +36,7 @@ first-class alternative (see :mod:`postcal.io`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -230,19 +250,79 @@ def _expit_open(eta: np.ndarray) -> np.ndarray:
     return np.clip(out, _P_FLOOR, _P_CEIL)
 
 
-def _draw_sigma2(
-    rng: np.random.Generator, effects: np.ndarray, df: float, scale: float
-) -> float:
-    # scaled-inverse-chi-square posterior given iid N(0, sigma2) effects
-    post_df = df + effects.shape[0]
-    post_scale = (df * scale + float(effects @ effects)) / post_df
-    return post_df * post_scale / float(rng.chisquare(post_df))
+def _sigma2_draws(
+    effects: np.ndarray, chisq: np.ndarray, df: float, scale: float
+) -> np.ndarray:
+    # scaled-inverse-chi-square posterior given iid N(0, sigma2) effects, one
+    # per lane; the stacked product is one BLAS dot per lane
+    post_df = df + effects.shape[1]
+    sum_sq = (effects[:, None, :] @ effects[:, :, None])[:, 0, 0]
+    post_scale = (df * scale + sum_sq) / post_df
+    return post_df * post_scale / chisq
 
 
-def _adapt(scale: np.ndarray, accepted: np.ndarray, proposed: int) -> None:
-    rate = accepted / max(proposed, 1)
-    scale[rate < _ACCEPT_LOW] *= 0.7
-    scale[rate > _ACCEPT_HIGH] *= 1.4
+def _run_lanes(
+    config: McmcConfig,
+    spawn_key: tuple[int, ...],
+    shape: tuple[int, int],
+    n_variates: int,
+    draw,
+    step,
+    proposals: dict[str, int] | None = None,
+    link=None,
+) -> StratumDraws:
+    """Advance all chains together and keep their post-burn-in draws.
+
+    ``draw(rng, rows)`` fills ``rows[i]`` with the ``n_variates`` variates
+    iteration i of a window consumes on one chain, in the model's fixed call
+    order.  They are pre-drawn for every lane one adaptation window at a
+    time, each lane from its own stream.  ``step(it, variates)`` advances
+    every lane one iteration given the ``(chains, n_variates)`` variates and
+    returns the stratum values, coefficients and variances as
+    ``(chains, H)``, ``(chains, k)`` and ``(chains,)`` arrays, plus per-lane
+    counts of accepted proposals keyed like ``proposals`` (proposals per
+    iteration).  ``link`` maps the kept stratum values, one window at a time.
+    """
+    C, burnin, iterations = config.chains, config.burnin, config.iterations
+    H, k = shape
+    proposals = proposals or {}
+    rngs = [chain_rng(config.seed, *spawn_key, c) for c in range(C)]
+    kept_stratum = np.empty((C, iterations, H))
+    kept_beta = np.empty((C, iterations, k))
+    kept_sigma2 = np.empty((C, iterations))
+    accepted = {name: np.zeros(C, dtype=int) for name in proposals}
+
+    total = burnin + iterations
+    for start in range(0, total, _ADAPT_WINDOW):
+        width = min(_ADAPT_WINDOW, total - start)
+        variates = np.empty((width, C, n_variates))
+        for c, rng in enumerate(rngs):
+            draw(rng, variates[:, c])
+        for i in range(width):
+            it = start + i
+            stratum, beta, sigma2, counts = step(it, variates[i])
+            if it >= burnin:
+                keep = it - burnin
+                kept_stratum[:, keep] = stratum
+                kept_beta[:, keep] = beta
+                kept_sigma2[:, keep] = sigma2
+                for name, count in counts.items():
+                    accepted[name] += count
+        kept_from, kept_to = max(start - burnin, 0), start + width - burnin
+        if link is not None and kept_to > kept_from:
+            window = kept_stratum[:, kept_from:kept_to]
+            window[...] = link(window)
+
+    return StratumDraws(
+        draws=kept_stratum.reshape(C * iterations, H),
+        chain_tags=np.repeat(np.arange(C), iterations),
+        beta_draws=kept_beta.reshape(C * iterations, k),
+        sigma2_draws=kept_sigma2.reshape(C * iterations),
+        acceptance={
+            name: float(np.mean(accepted[name] / (per_iteration * iterations)))
+            for name, per_iteration in proposals.items()
+        },
+    )
 
 
 def fit_binary_hb(
@@ -252,13 +332,14 @@ def fit_binary_hb(
 ) -> StratumDraws:
     """Sample stratum success probabilities from the logit-normal model.
 
-    Each chain owns its own generator stream derived from the seed and chain
-    index, so results do not depend on chain execution order.  Proposal
-    scales adapt toward a 20-50% acceptance rate during burn-in and are
-    frozen afterwards.
+    All chains start from the empirical-logit fit and advance together, each
+    on its own stream (see the module docstring).  Proposal scales adapt
+    per chain toward a 20-50% acceptance rate during burn-in and are frozen
+    afterwards.
     """
     m, n, Z = model.successes, model.sizes, model.covariates
     H, k = Z.shape[0], Z.shape[1]
+    C = config.chains
     warnings = []
     if np.all(m == 0):
         warnings.append("degenerate input: no successes in any stratum")
@@ -266,109 +347,108 @@ def fit_binary_hb(
         warnings.append("degenerate input: all trials are successes")
 
     free_sigma = model.fixed_sigma2 is None
+    # the effect variance stays > 0 whenever the effects are on: pinned > 0,
+    # or a scaled-inverse-chi-square draw
     use_effects = free_sigma or model.fixed_sigma2 > 0
+    post_df = model.prior_df + H
 
     # empirical-logit start values shared by all chains
     p_hat = (m + 0.5) / (n + 1.0)
     eta_hat = np.log(p_hat / (1.0 - p_hat))
     beta0, *_ = np.linalg.lstsq(Z, eta_hat, rcond=None)
+    v0 = np.clip(eta_hat - Z @ beta0, -2.0, 2.0) if use_effects else np.zeros(H)
 
-    all_p = []
-    all_beta = []
-    all_sigma2 = []
-    tags = []
-    accept_stats = {"beta": 0.0, "effects": 0.0}
+    beta = np.tile(beta0, (C, 1))
+    v = np.tile(v0, (C, 1))
+    sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
+    beta_scale = np.full((C, k), config.proposal_sd)
+    v_scale = np.full((C, H), config.proposal_sd)
+    beta_acc = np.zeros((C, k))
+    v_acc = np.zeros((C, H))
 
-    for chain in range(config.chains):
-        rng = chain_rng(config.seed, *spawn_key, chain)
-        beta = beta0.copy()
-        v = np.clip(eta_hat - Z @ beta, -2.0, 2.0) if use_effects else np.zeros(H)
-        sigma2 = (
-            model.prior_scale if free_sigma else max(model.fixed_sigma2, 0.0)
-        )
-        beta_scale = np.full(k, config.proposal_sd)
-        v_scale = np.full(H, config.proposal_sd)
-        beta_acc = np.zeros(k)
-        v_acc = np.zeros(H)
-        window = 0
+    eta = Z @ beta0 + v
+    loglik = _binomial_loglik(eta, m, n)
+    if not np.isfinite(loglik).all():
+        raise NumericalError("non-finite log-posterior at initial state")
 
-        eta = Z @ beta + v
-        loglik = _binomial_loglik(eta, m, n)
-        if not np.isfinite(loglik).all():
-            raise NumericalError("non-finite log-posterior at initial state")
+    # per iteration: k x (normal, uniform), H normals, H uniforms, one
+    # chi-square; ``random`` is ``uniform`` on [0, 1) without the affine map
+    n_variates = 2 * k + (2 * H if use_effects else 0) + (1 if free_sigma else 0)
+    z_v = slice(2 * k, 2 * k + H)
+    log_u_v = slice(2 * k + H, 2 * k + 2 * H)
 
-        total = config.burnin + config.iterations
-        kept_p = np.empty((config.iterations, H))
-        kept_beta = np.empty((config.iterations, k))
-        kept_sigma2 = np.empty(config.iterations)
-        beta_acc_keep = 0.0
-        v_acc_keep = 0.0
-
-        for it in range(total):
-            in_burnin = it < config.burnin
-            # regression coefficients: coordinate-wise random walk
+    def draw(rng, rows):
+        for row in rows:
             for j in range(k):
-                prop = beta.copy()
-                prop[j] += beta_scale[j] * rng.standard_normal()
-                eta_prop = eta + Z[:, j] * (prop[j] - beta[j])
-                loglik_prop = _binomial_loglik(eta_prop, m, n)
-                delta = float(loglik_prop.sum() - loglik.sum())
-                if np.log(rng.uniform()) < delta:
-                    beta, eta, loglik = prop, eta_prop, loglik_prop
-                    beta_acc[j] += 1
-                    if not in_burnin:
-                        beta_acc_keep += 1.0 / k
-            # stratum effects: simultaneous independent random walks
-            if use_effects and sigma2 > 0:
-                v_prop = v + v_scale * rng.standard_normal(H)
-                eta_prop = eta + (v_prop - v)
-                loglik_prop = _binomial_loglik(eta_prop, m, n)
-                delta = (
-                    loglik_prop
-                    - loglik
-                    - (v_prop**2 - v**2) / (2.0 * sigma2)
-                )
-                accept = np.log(rng.uniform(size=H)) < delta
-                v = np.where(accept, v_prop, v)
-                eta = np.where(accept, eta_prop, eta)
-                loglik = np.where(accept, loglik_prop, loglik)
-                v_acc += accept
-                if not in_burnin:
-                    v_acc_keep += accept.mean()
+                row[j] = rng.standard_normal()
+                row[k + j] = rng.random()
+            if use_effects:
+                rng.standard_normal(out=row[z_v])
+                rng.random(out=row[log_u_v])
             if free_sigma:
-                sigma2 = _draw_sigma2(rng, v, model.prior_df, model.prior_scale)
+                row[-1] = rng.chisquare(post_df)
+        # the accept tests compare log-uniforms
+        for logs in (rows[:, k : 2 * k], rows[:, log_u_v]):
+            np.log(logs, out=logs)
 
-            window += 1
-            if in_burnin and window == _ADAPT_WINDOW:
-                _adapt(beta_scale, beta_acc, _ADAPT_WINDOW)
-                _adapt(v_scale, v_acc, _ADAPT_WINDOW)
-                beta_acc[:] = 0.0
-                v_acc[:] = 0.0
-                window = 0
-            if not np.isfinite(loglik).all():
-                raise NumericalError("non-finite log-posterior during sampling")
+    def step(it, variates):
+        nonlocal v, eta, loglik, sigma2, v_acc
+        beta_count = np.zeros(C, dtype=int)
+        # regression coefficients: coordinate-wise random walk
+        for j in range(k):
+            prop = beta[:, j] + beta_scale[:, j] * variates[:, j]
+            eta_prop = eta + Z[:, j] * (prop - beta[:, j])[:, None]
+            loglik_prop = _binomial_loglik(eta_prop, m, n)
+            delta = loglik_prop.sum(axis=1) - loglik.sum(axis=1)
+            accept = variates[:, k + j] < delta
+            beta[:, j] = np.where(accept, prop, beta[:, j])
+            eta = np.where(accept[:, None], eta_prop, eta)
+            loglik = np.where(accept[:, None], loglik_prop, loglik)
+            beta_acc[:, j] += accept
+            beta_count += accept
+        # stratum effects: simultaneous independent random walks
+        v_count = np.zeros(C, dtype=int)
+        if use_effects:
+            v_prop = v + v_scale * variates[:, z_v]
+            eta_prop = eta + (v_prop - v)
+            loglik_prop = _binomial_loglik(eta_prop, m, n)
+            delta = (
+                loglik_prop
+                - loglik
+                - (v_prop**2 - v**2) / (2.0 * sigma2)[:, None]
+            )
+            accept = variates[:, log_u_v] < delta
+            v = np.where(accept, v_prop, v)
+            eta = np.where(accept, eta_prop, eta)
+            loglik = np.where(accept, loglik_prop, loglik)
+            v_acc += accept
+            v_count = accept.sum(axis=1)
+        if free_sigma:
+            sigma2 = _sigma2_draws(
+                v, variates[:, -1], model.prior_df, model.prior_scale
+            )
 
-            if not in_burnin:
-                keep = it - config.burnin
-                kept_p[keep] = _expit_open(eta)
-                kept_beta[keep] = beta
-                kept_sigma2[keep] = sigma2
+        if it < config.burnin and (it + 1) % _ADAPT_WINDOW == 0:
+            for scale, acc in ((beta_scale, beta_acc), (v_scale, v_acc)):
+                rate = acc / _ADAPT_WINDOW
+                scale[rate < _ACCEPT_LOW] *= 0.7
+                scale[rate > _ACCEPT_HIGH] *= 1.4
+                acc[:] = 0.0
+        if not np.isfinite(loglik).all():
+            raise NumericalError("non-finite log-posterior during sampling")
+        return eta, beta, sigma2, {"beta": beta_count, "effects": v_count}
 
-        all_p.append(kept_p)
-        all_beta.append(kept_beta)
-        all_sigma2.append(kept_sigma2)
-        tags.append(np.full(config.iterations, chain))
-        accept_stats["beta"] += beta_acc_keep / config.iterations / config.chains
-        accept_stats["effects"] += v_acc_keep / config.iterations / config.chains
-
-    return StratumDraws(
-        draws=np.vstack(all_p),
-        chain_tags=np.concatenate(tags),
-        beta_draws=np.vstack(all_beta),
-        sigma2_draws=np.concatenate(all_sigma2),
-        acceptance=accept_stats,
-        warnings=tuple(warnings),
+    result = _run_lanes(
+        config,
+        spawn_key,
+        (H, k),
+        n_variates,
+        draw,
+        step,
+        proposals={"beta": k, "effects": H},
+        link=_expit_open,
     )
+    return replace(result, warnings=tuple(warnings))
 
 
 def _collinear_columns(Z: np.ndarray) -> list[int]:
@@ -395,6 +475,7 @@ def fit_gaussian_fh(
     """
     est, psi, Z = model.estimates, model.sampling_variances, model.covariates
     H, k = Z.shape[0], Z.shape[1]
+    C = config.chains
 
     ztz = Z.T @ Z
     if np.linalg.matrix_rank(ztz) < k:
@@ -406,55 +487,44 @@ def fit_gaussian_fh(
     ztz_inv_chol = np.linalg.cholesky(ztz_inv)
 
     free_sigma = model.fixed_sigma2 is None
-    all_theta = []
-    all_beta = []
-    all_sigma2 = []
-    tags = []
+    post_df = model.prior_df + H
+    beta = np.tile(ztz_inv @ (Z.T @ est), (C, 1))
+    sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
 
-    for chain in range(config.chains):
-        rng = chain_rng(config.seed, *spawn_key, chain)
-        theta = est.copy()
-        beta = ztz_inv @ (Z.T @ theta)
-        sigma2 = model.prior_scale if free_sigma else float(model.fixed_sigma2)
+    # per iteration: H normals, k normals, one chi-square
+    n_variates = H + k + (1 if free_sigma else 0)
 
-        total = config.burnin + config.iterations
-        kept_theta = np.empty((config.iterations, H))
-        kept_beta = np.empty((config.iterations, k))
-        kept_sigma2 = np.empty(config.iterations)
-
-        for it in range(total):
-            synthetic = Z @ beta
-            prec = 1.0 / psi + 1.0 / sigma2
-            mean = (est / psi + synthetic / sigma2) / prec
-            theta = mean + rng.standard_normal(H) / np.sqrt(prec)
-
-            beta_hat = ztz_inv @ (Z.T @ theta)
-            beta = beta_hat + np.sqrt(sigma2) * (
-                ztz_inv_chol @ rng.standard_normal(k)
-            )
-
+    def draw(rng, rows):
+        for row in rows:
+            # one call draws the same stream as H normals then k normals
+            rng.standard_normal(out=row[: H + k])
             if free_sigma:
-                sigma2 = _draw_sigma2(
-                    rng, theta - Z @ beta, model.prior_df, model.prior_scale
-                )
+                row[-1] = rng.chisquare(post_df)
 
-            if it >= config.burnin:
-                keep = it - config.burnin
-                kept_theta[keep] = theta
-                kept_beta[keep] = beta
-                kept_sigma2[keep] = sigma2
+    # stacked products run the same BLAS call per lane as a single chain
+    def synthetic(beta):
+        return (Z @ beta[:, :, None])[:, :, 0]
 
-        all_theta.append(kept_theta)
-        all_beta.append(kept_beta)
-        all_sigma2.append(kept_sigma2)
-        tags.append(np.full(config.iterations, chain))
+    def step(it, variates):
+        nonlocal beta, sigma2
+        prec = 1.0 / psi + 1.0 / sigma2[:, None]
+        mean = (est / psi + synthetic(beta) / sigma2[:, None]) / prec
+        theta = mean + variates[:, :H] / np.sqrt(prec)
 
-    return StratumDraws(
-        draws=np.vstack(all_theta),
-        chain_tags=np.concatenate(tags),
-        beta_draws=np.vstack(all_beta),
-        sigma2_draws=np.concatenate(all_sigma2),
-    )
+        beta_hat = ztz_inv @ (Z.T @ theta[:, :, None])
+        noise = ztz_inv_chol @ variates[:, H : H + k, None]
+        beta = (beta_hat + np.sqrt(sigma2)[:, None, None] * noise)[:, :, 0]
+
+        if free_sigma:
+            sigma2 = _sigma2_draws(
+                theta - synthetic(beta),
+                variates[:, -1],
+                model.prior_df,
+                model.prior_scale,
+            )
+        return theta, beta, sigma2, {}
+
+    return _run_lanes(config, spawn_key, (H, k), n_variates, draw, step)
 
 
 def compute_psi(

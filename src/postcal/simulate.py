@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig, _require
+from .config import (
+    ModelConfig,
+    _convert,
+    _mapping,
+    _require,
+    _section,
+    _typed,
+)
 from .errors import ConfigError, DataError
 from .fitting import fit_all_variables
 from .frame import (
@@ -339,9 +346,9 @@ class McConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+            raise ConfigError("simulate.mc.replications must be >= 1")
         if self.target_mode not in ("hb", "truth"):
-            raise ConfigError("target_mode must be 'hb' or 'truth'")
+            raise ConfigError("simulate.mc.target_mode must be 'hb' or 'truth'")
 
 
 @dataclass
@@ -558,31 +565,64 @@ def apply_band_rules(frame: SurveyFrame, rules) -> None:
         )
 
 
+_REQUIRED = object()
+
+
+def _field(entry, key: str, kind, where: str, default=_REQUIRED):
+    """``kind`` of ``entry[key]`` (required unless a default is given); a
+    missing or mistyped value is a ConfigError naming ``where.key``."""
+    if default is _REQUIRED:
+        _require(entry, key, where)
+    return _typed(entry, key, kind, default, f"{where}.")
+
+
+def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple:
+    """``entry[key]`` as two floats; ``open_ended`` lets either be null."""
+    value = entry.get(key) or default
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where}.{key}: expected [low, high], got {value!r}")
+    return tuple(
+        None if v is None and open_ended else _convert(v, float, f"{where}.{key}")
+        for v in value
+    )
+
+
+def _entries(section: dict, key: str, where: str) -> list[tuple[str, dict]]:
+    """The list ``section[key]`` as (path, entry) pairs."""
+    value = section.get(key) or []
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
+    return [(f"{where}.{key}[{i}]", entry) for i, entry in enumerate(value)]
+
+
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
     """Build a population spec from the ``simulate.population`` section."""
-    domains = tuple(_require(section, "domains", "simulate.population"))
-    strata_cfg = _require(section, "strata", "simulate.population")
+    where = "simulate.population"
+    domains = _require(section, "domains", where)
+    if not isinstance(domains, list):
+        raise ConfigError(f"{where}.domains: expected a list, got {domains!r}")
+    domains = tuple(domains)
+    strata_cfg = _require(section, "strata", where)
     plans: list[StratumPlan] = []
     if isinstance(strata_cfg, list):
-        for entry in strata_cfg:
+        for path, entry in _entries(section, "strata", where):
             plans.append(
                 StratumPlan(
-                    id=str(_require(entry, "id", "stratum")),
-                    domain=str(_require(entry, "domain", "stratum")),
-                    population_size=int(
-                        _require(entry, "population_size", "stratum")
-                    ),
-                    covariate=float(entry.get("covariate", 0.0)),
-                    deff=float(entry.get("deff", 1.0)),
+                    id=str(_require(entry, "id", path)),
+                    domain=str(_require(entry, "domain", path)),
+                    population_size=_field(entry, "population_size", int, path),
+                    covariate=_field(entry, "covariate", float, path, 0.0),
+                    deff=_field(entry, "deff", float, path, 1.0),
                 )
             )
     else:
-        per_domain = int(_require(strata_cfg, "per_domain", "simulate.population.strata"))
-        size = int(_require(strata_cfg, "population_size", "simulate.population.strata"))
-        lo, hi = strata_cfg.get("covariate_range", (-1.0, 1.0))
-        deff = float(strata_cfg.get("deff", 1.0))
+        path = f"{where}.strata"
+        per_domain = _field(strata_cfg, "per_domain", int, path)
+        size = _field(strata_cfg, "population_size", int, path)
+        lo, hi = _pair(strata_cfg, "covariate_range", path, (-1.0, 1.0))
+        deff = _field(strata_cfg, "deff", float, path, 1.0)
         total = per_domain * len(domains)
-        covariates = np.linspace(float(lo), float(hi), total)
+        covariates = np.linspace(lo, hi, total)
         width = len(str(total))
         k = 0
         for domain in domains:
@@ -598,33 +638,30 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                 )
                 k += 1
 
+    _require(section, "variables", where)
     variables: list[BinaryVariableModel | ContinuousVariableModel] = []
-    for entry in _require(section, "variables", "simulate.population"):
-        name = str(_require(entry, "name", "variable"))
-        kind = _require(entry, "kind", f"variable {name!r}")
+    for path, entry in _entries(section, "variables", where):
+        name = str(_require(entry, "name", path))
+        kind = _require(entry, "kind", path)
         if kind == "binary":
             variables.append(
                 BinaryVariableModel(
                     name=name,
-                    intercept=float(_require(entry, "intercept", name)),
-                    slope=float(entry.get("slope", 0.0)),
-                    stratum_sd=float(entry.get("stratum_sd", 0.0)),
+                    intercept=_field(entry, "intercept", float, path),
+                    slope=_field(entry, "slope", float, path, 0.0),
+                    stratum_sd=_field(entry, "stratum_sd", float, path, 0.0),
                     exclusive_with=entry.get("exclusive_with"),
                 )
             )
         elif kind == "continuous":
-            clip = entry.get("clip") or (None, None)
             variables.append(
                 ContinuousVariableModel(
                     name=name,
-                    mean=float(_require(entry, "mean", name)),
-                    unit_sd=float(_require(entry, "unit_sd", name)),
-                    slope=float(entry.get("slope", 0.0)),
-                    stratum_sd=float(entry.get("stratum_sd", 0.0)),
-                    clip=(
-                        float(clip[0]) if clip[0] is not None else None,
-                        float(clip[1]) if clip[1] is not None else None,
-                    ),
+                    mean=_field(entry, "mean", float, path),
+                    unit_sd=_field(entry, "unit_sd", float, path),
+                    slope=_field(entry, "slope", float, path, 0.0),
+                    stratum_sd=_field(entry, "stratum_sd", float, path, 0.0),
+                    clip=_pair(entry, "clip", path, (None, None), open_ended=True),
                     gated_by=entry.get("gated_by"),
                 )
             )
@@ -635,24 +672,26 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
 
     attributes = tuple(
         AttributeModel(
-            name=str(_require(entry, "name", "attribute")),
+            name=str(_require(entry, "name", path)),
             levels=tuple(
-                (str(label), float(prob))
-                for label, prob in _require(entry, "levels", "attribute").items()
+                (str(label), _convert(prob, float, f"{path}.levels.{label}"))
+                for label, prob in _mapping(
+                    _require(entry, "levels", path), f"{path}.levels"
+                ).items()
             ),
-            domain_tilt=float(entry.get("domain_tilt", 0.0)),
+            domain_tilt=_field(entry, "domain_tilt", float, path, 0.0),
         )
-        for entry in section.get("attributes") or ()
+        for path, entry in _entries(section, "attributes", where)
     )
     outcomes = tuple(
         OutcomeModel(
-            name=str(_require(entry, "name", "outcome")),
-            link=str(_require(entry, "link", "outcome")),
-            rho=float(_require(entry, "rho", "outcome")),
-            loc=float(entry.get("loc", 0.0)),
-            scale=float(entry.get("scale", 1.0)),
+            name=str(_require(entry, "name", path)),
+            link=str(_require(entry, "link", path)),
+            rho=_field(entry, "rho", float, path),
+            loc=_field(entry, "loc", float, path, 0.0),
+            scale=_field(entry, "scale", float, path, 1.0),
         )
-        for entry in section.get("outcomes") or ()
+        for path, entry in _entries(section, "outcomes", where)
     )
     return SyntheticPopulationSpec(
         domains=domains,
@@ -676,7 +715,7 @@ def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
     if not cfg.cells:
         raise ConfigError("config declares no cells to simulate")
     population = population_spec_from_config(
-        section.get("population") or {}, seed=cfg.seed
+        _section(section, "population", "simulate.population"), seed=cfg.seed
     )
     frame = generate_population(population)
     apply_band_rules(frame, cfg.band_rules)
@@ -685,10 +724,12 @@ def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
         for rule in cfg.band_rules
         if rule.source in frame.calibration.variable_names
     )
-    mc_section = section.get("mc") or {}
+    mc_section = _section(section, "mc", "simulate.mc")
     mc = McConfig(
-        replications=int(mc_section.get("replications", 200)),
-        sampling_fraction=float(mc_section.get("sampling_fraction", 0.05)),
+        replications=_field(mc_section, "replications", int, "simulate.mc", 200),
+        sampling_fraction=_field(
+            mc_section, "sampling_fraction", float, "simulate.mc", 0.05
+        ),
         mcmc=cfg.mcmc,
         cells=cfg.cells,
         seed=cfg.seed,
@@ -696,7 +737,7 @@ def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
         calibration_attributes=calibration_attrs,
         level=cfg.level,
         rhat_threshold=cfg.rhat_threshold,
-        target_mode=str(mc_section.get("target_mode", "hb")),
+        target_mode=_field(mc_section, "target_mode", str, "simulate.mc", "hb"),
     )
     return frame, mc, frame.truth_table(mc.cells)
 

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -407,12 +408,14 @@ def set_csv_field(path, column, value):
 
 
 def set_config(dotted_key, value):
+    """Set a config value by dotted path; numeric parts index lists."""
+
     def corrupt(tmp_path):
         raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
-        *parents, key = dotted_key.split(".")
+        *parents, key = [int(k) if k.isdigit() else k for k in dotted_key.split(".")]
         section = raw
         for name in parents:
-            section = section.setdefault(name, {})
+            section = section[name] if isinstance(section, list) else section.setdefault(name, {})
         section[key] = value
         write_config(tmp_path, raw)
 
@@ -449,7 +452,74 @@ MALFORMED_INPUTS = [
     pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
     pytest.param(set_config("seed", "x"), "seed", id="seed-x"),
     pytest.param(break_yaml, "config.yaml", id="yaml-syntax-error"),
+    *(
+        pytest.param(set_config(key, value), f"{key}: expected a mapping", id=f"{key}-not-a-mapping")
+        for key, value in [
+            ("sample", 5),
+            ("sample.columns", ["stratum"]),
+            ("models", 5),
+            ("models.hours", "gaussian"),
+            ("mcmc", 5),
+            ("report", 0.9),
+            ("simulate", "yes"),
+            ("simulate.population", 5),
+            ("simulate.mc", [2]),
+        ]
+    ),
 ]
+
+
+POPULATION = "simulate.population"
+SIMULATE_MALFORMED = [
+    # the error names list entries as `variables[0]`
+    pytest.param(set_config(key, value), re.sub(r"\.(\d+)\.", r"[\1].", key), id=key)
+    for key, value in [
+        ("simulate.mc.replications", "abc"),
+        ("simulate.mc.sampling_fraction", "tenth"),
+        ("simulate.mc.target_mode", None),
+        (f"{POPULATION}.strata.per_domain", "two"),
+        (f"{POPULATION}.strata.population_size", "big"),
+        (f"{POPULATION}.strata.covariate_range", 3),
+        (f"{POPULATION}.strata.deff", "high"),
+        (f"{POPULATION}.variables.0.intercept", "high"),
+        (f"{POPULATION}.variables.0.stratum_sd", [0.1]),
+        (f"{POPULATION}.variables.1.unit_sd", "wide"),
+        (f"{POPULATION}.variables.1.clip", ["low", 60]),
+        (f"{POPULATION}.attributes.0.levels.a", "half"),
+        (f"{POPULATION}.attributes.0.domain_tilt", "some"),
+        (f"{POPULATION}.outcomes.0.rho", "strong"),
+        (f"{POPULATION}.outcomes.0.scale", "x"),
+    ]
+] + [
+    pytest.param(
+        set_config(f"{POPULATION}.strata", [{"id": "s1", "domain": "d1", "population_size": "many"}]),
+        f"{POPULATION}.strata[0].population_size",
+        id="explicit-stratum-population_size",
+    ),
+    pytest.param(
+        set_config(f"{POPULATION}.strata", 5),
+        f"{POPULATION}.strata: expected a mapping",
+        id="strata-not-a-section",
+    ),
+    pytest.param(
+        set_config(f"{POPULATION}.variables", 5),
+        f"{POPULATION}.variables: expected a list",
+        id="variables-not-a-list",
+    ),
+    pytest.param(
+        set_config(f"{POPULATION}.attributes.0.levels", ["a", "b"]),
+        f"{POPULATION}.attributes[0].levels: expected a mapping",
+        id="levels-not-a-mapping",
+    ),
+]
+
+
+def assert_exit_2_naming(capsys, argv, cause):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert cause in err
+    assert "Traceback" not in err
 
 
 class TestMalformedInput:
@@ -463,11 +533,15 @@ class TestMalformedInput:
         )
         corrupt(tmp_path)
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        code = main(argv + ["--draws", str(tmp_path / "draws.csv")])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert cause in err
-        assert "Traceback" not in err
+        assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
+
+    @pytest.mark.parametrize("corrupt,cause", SIMULATE_MALFORMED)
+    def test_simulate_exit_2_names_the_key(self, tmp_path, capsys, corrupt, cause):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, simulate_config())
+        corrupt(tmp_path)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_exit_2_naming(capsys, argv, cause)
 
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
         base = ["--config", "c.yaml", "--out", str(tmp_path), "--threads", "2"]

@@ -1,0 +1,145 @@
+"""Sampler-kernel fixtures: the exact draws of both HB samplers must not move.
+
+``tests/golden/hb_kernels.json`` holds short fits (2-3 chains) in the modes
+the demo and smoke goldens do not reach: binary with free, pinned and zero
+effect variance, a single pinned stratum, and Gaussian with free and pinned
+variance.  Every draw array, the chain tags and the acceptance rates must
+match to a relative 1e-9.  A property test checks that each chain reads only
+its own stream: a 2-chain fit is the first two chains of a 3-chain fit, bit
+for bit.
+
+A change that is meant to move the draws re-baselines the fixture with
+``PYTHONPATH=src python tests/test_hb_kernels.py`` and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from postcal.hb import (
+    BinaryHBInput,
+    GaussianFHInput,
+    McmcConfig,
+    fit_binary_hb,
+    fit_gaussian_fh,
+)
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "hb_kernels.json"
+REL_TOL = 1e-9
+
+_Z5 = np.column_stack([np.ones(5), np.linspace(-1.0, 1.0, 5)])
+_BINARY = dict(
+    successes=[3, 7, 0, 12, 5], sizes=[10, 15, 8, 20, 9], covariates=_Z5
+)
+_GAUSSIAN = dict(
+    estimates=[4.1, 5.3, 3.2, 6.8, 5.0],
+    sampling_variances=[0.4, 0.9, 0.25, 1.6, 0.5],
+    covariates=_Z5,
+)
+# burn-in 120 crosses two adaptation windows and ends inside a third
+_MCMC = dict(burnin=120, iterations=30, seed=11, proposal_sd=0.5)
+
+CASES = {
+    "binary-free": (fit_binary_hb, BinaryHBInput(**_BINARY), 3),
+    "binary-pinned": (fit_binary_hb, BinaryHBInput(**_BINARY, fixed_sigma2=0.3), 3),
+    "binary-no-effects": (fit_binary_hb, BinaryHBInput(**_BINARY, fixed_sigma2=0.0), 2),
+    "binary-single-stratum": (
+        fit_binary_hb,
+        BinaryHBInput(successes=[4], sizes=[11], covariates=[[1.0]], fixed_sigma2=0.5),
+        2,
+    ),
+    "gaussian-free": (fit_gaussian_fh, GaussianFHInput(**_GAUSSIAN), 3),
+    "gaussian-pinned": (
+        fit_gaussian_fh,
+        GaussianFHInput(**_GAUSSIAN, fixed_sigma2=0.8),
+        2,
+    ),
+}
+
+ARRAYS = ("draws", "beta_draws", "sigma2_draws", "chain_tags")
+
+
+def run_case(name: str):
+    fit, model, chains = CASES[name]
+    return fit(model, McmcConfig(chains=chains, **_MCMC), spawn_key=(2,))
+
+
+def as_record(result) -> dict:
+    record = {key: getattr(result, key).tolist() for key in ARRAYS}
+    record["acceptance"] = dict(result.acceptance)
+    return record
+
+
+@pytest.fixture(scope="module")
+def fixture():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_matches_fixture(fixture, name):
+    got, want = as_record(run_case(name)), fixture[name]
+    for key in ARRAYS:
+        assert np.shape(got[key]) == np.shape(want[key]), key
+        np.testing.assert_allclose(got[key], want[key], rtol=REL_TOL, atol=0, err_msg=key)
+    assert sorted(got["acceptance"]) == sorted(want["acceptance"])
+    for key, value in want["acceptance"].items():
+        assert got["acceptance"][key] == pytest.approx(value, rel=REL_TOL, abs=0)
+
+
+def random_model(data):
+    """A small binary or Gaussian input in one of its variance modes."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="inputs"))
+    kind = data.draw(st.sampled_from(["binary", "gaussian"]), label="kind")
+    H = data.draw(st.integers(1, 6), label="strata")
+    k = data.draw(st.integers(1, min(H, 3)), label="k")
+    Z = np.column_stack([np.ones(H), rng.normal(size=(H, k - 1))])
+    modes = [None, 0.4] if kind == "gaussian" else [None, 0.4, 0.0]
+    fixed = data.draw(st.sampled_from(modes if H > 1 else modes[1:]), label="sigma2")
+    if kind == "binary":
+        sizes = rng.integers(1, 30, size=H)
+        model = BinaryHBInput(
+            successes=rng.integers(0, sizes + 1), sizes=sizes, covariates=Z,
+            fixed_sigma2=fixed,
+        )
+        return fit_binary_hb, model
+    model = GaussianFHInput(
+        estimates=rng.normal(5.0, 2.0, size=H),
+        sampling_variances=rng.uniform(0.1, 2.0, size=H),
+        covariates=Z,
+        fixed_sigma2=fixed,
+    )
+    return fit_gaussian_fh, model
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chains_read_only_their_own_stream(data):
+    fit, model = random_model(data)
+    burnin = data.draw(st.integers(0, 130), label="burnin")
+    iterations = data.draw(st.integers(1, 20), label="iterations")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+
+    def run(chains):
+        config = McmcConfig(burnin=burnin, iterations=iterations, chains=chains, seed=seed)
+        return fit(model, config, spawn_key=(1, 0))
+
+    two, three = run(2), run(3)
+    rows = 2 * iterations
+    for key in ARRAYS:
+        assert np.array_equal(getattr(two, key), getattr(three, key)[:rows]), key
+
+
+def regenerate() -> None:
+    """Rewrite the fixture from the current code, one line per case."""
+    lines = [f"{json.dumps(name)}: {json.dumps(as_record(run_case(name)))}" for name in sorted(CASES)]
+    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    regenerate()

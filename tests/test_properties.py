@@ -67,3 +67,13 @@ def test_calibration_reproduces_random_targets(data):
     achieved = sample.design_matrix(spec).T @ weights.weights
     violation = np.abs(achieved - target) / np.maximum(np.abs(target), 1e-12)
     assert violation.max() < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stratum_members_match_a_scan(data):
+    sample, _ = random_sample(data)
+    for pos in range(len(sample.strata)):
+        members = sample.stratum_members(pos)
+        assert np.array_equal(members, np.flatnonzero(sample.stratum_idx == pos))
+        assert not members.flags.writeable

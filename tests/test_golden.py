@@ -28,8 +28,24 @@ DEMO_CONFIG = ROOT / "configs" / "demo" / "config.yaml"
 SMOKE_CONFIG = ROOT / "configs" / "simulate_smoke.yaml"
 REL_TOL = 1e-9
 
-DEMO_FILES = ("report.json", "weights.csv", "diagnostics.csv", "convergence.csv", "fit.json")
-SIMULATE_FILES = ("coverage.json", "replications.csv")
+DEMO_FILES = (
+    "report.json",
+    "report_estimates.csv",
+    "report_diagnostics.csv",
+    "weights.csv",
+    "diagnostics.csv",
+    "convergence.csv",
+    "fit.json",
+    "calibrate.json",
+    "diagnose.json",
+)
+SIMULATE_FILES = (
+    "coverage.json",
+    "replications.csv",
+    "coverage_by_cell.csv",
+    "coverage_by_tier.csv",
+    "cv_by_tier.csv",
+)
 
 
 def run_demo(out: Path) -> None:

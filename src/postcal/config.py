@@ -105,48 +105,76 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
-def parse_band_rules(entries, calibration: tuple[str, ...]) -> tuple[BandRule, ...]:
+def _entries(section: dict, key: str, where: str) -> list[tuple[str, object]]:
+    """The list ``section[key]`` as (key path, entry) pairs; absent or null
+    is empty, anything else but a list a ConfigError naming the path."""
+    path = f"{where}.{key}" if where else key
+    value = section.get(key) or []
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return [(f"{path}[{i}]", entry) for i, entry in enumerate(value)]
+
+
+def _name(value, where: str) -> str:
+    """A scalar as a name; a list, mapping or null is a ConfigError naming
+    ``where``."""
+    if value is None or isinstance(value, (list, dict)):
+        raise ConfigError(f"{where}: expected a name, got {value!r}")
+    return str(value)
+
+
+def _names(section: dict, key: str, where: str) -> tuple[str, ...]:
+    return tuple(_name(v, path) for path, v in _entries(section, key, where))
+
+
+def _bound(interval: dict, key: str, where: str) -> float | None:
+    value = interval.get(key)
+    return None if value is None else _convert(value, float, f"{where}.{key}")
+
+
+def _band_rules(section: dict, where: str) -> tuple[BandRule, ...]:
+    """The band rules listed under ``section['derived']``."""
     rules = []
-    for entry in entries or []:
-        name = _require(entry, "name", "derived attribute")
-        source = _require(entry, "source", f"derived attribute {name!r}")
-        bands = []
-        for band in _require(entry, "bands", f"derived attribute {name!r}"):
-            bands.append(
-                (
-                    str(_require(band, "label", f"band of {name!r}")),
-                    band.get("min"),
-                    band.get("max"),
-                )
+    for path, entry in _entries(section, "derived", where):
+        name = _name(_require(entry, "name", path), f"{path}.name")
+        source = _name(_require(entry, "source", path), f"{path}.source")
+        _require(entry, "bands", path)
+        bands = tuple(
+            (
+                _name(_require(band, "label", at), f"{at}.label"),
+                _bound(band, "min", at),
+                _bound(band, "max", at),
             )
+            for at, band in _entries(entry, "bands", path)
+        )
         rules.append(
             BandRule(
                 name=name,
                 source=source,
-                bands=tuple(bands),
+                bands=bands,
                 else_label=str(entry.get("else_label", "none")),
             )
         )
     return tuple(rules)
 
 
-def parse_cell(entry: dict, calibration: tuple[str, ...]) -> CellQuery:
-    name = _require(entry, "name", "cell")
-    summed = _require(entry, "sum", f"cell {name!r}")
-    where = entry.get("where") or {}
+def _cell(entry: dict, calibration: tuple[str, ...], where: str) -> CellQuery:
+    name = _name(_require(entry, "name", where), f"{where}.name")
+    summed = _name(_require(entry, "sum", where), f"{where}.sum")
     domains = None
     attributes = {}
     ranges = {}
-    for key, value in where.items():
+    for key, value in _section(entry, "where", f"{where}.where").items():
+        path = f"{where}.where.{key}"
         if key == "domain":
             domains = _as_tuple(value)
         elif key in calibration:
             if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
                 raise ConfigError(
-                    f"cell {name!r}: filter on calibration variable {key!r} "
-                    f"must be an interval with 'min'/'max'"
+                    f"{path}: filter on calibration variable {key!r} must be "
+                    f"an interval with 'min'/'max'"
                 )
-            ranges[key] = (value.get("min"), value.get("max"))
+            ranges[key] = (_bound(value, "min", path), _bound(value, "max", path))
         else:
             attributes[key] = tuple(str(v) for v in _as_tuple(value))
     tier = entry.get("tier")
@@ -154,15 +182,16 @@ def parse_cell(entry: dict, calibration: tuple[str, ...]) -> CellQuery:
         tier_override = TierLabel(tier) if tier is not None else None
     except ValueError:
         raise ConfigError(
-            f"cell {name!r}: unknown tier {tier!r}; expected one of "
+            f"{where}.tier: unknown tier {tier!r}; expected one of "
             f"{[t.value for t in TierLabel]}"
         ) from None
+    link = entry.get("link")
     return CellQuery(
         name=name,
         summed_variable=summed,
         filter=CellFilter.build(domains=domains, attributes=attributes, ranges=ranges),
         tier_override=tier_override,
-        link_variable=entry.get("link"),
+        link_variable=None if link is None else _name(link, f"{where}.link"),
     )
 
 
@@ -193,7 +222,8 @@ def parse_config(
     calibration: tuple[str, ...] = ()
     if sample:
         columns = _mapping(_require(sample, "columns", "sample"), "sample.columns")
-        calibration = tuple(_require(columns, "calibration", "sample.columns"))
+        _require(columns, "calibration", "sample.columns")
+        calibration = _names(columns, "calibration", "sample.columns")
         cfg.roles = ColumnRoles(
             stratum=_require(columns, "stratum", "sample.columns"),
             domain=_require(columns, "domain", "sample.columns"),
@@ -210,9 +240,8 @@ def parse_config(
         for p in (cfg.records_path, cfg.strata_path):
             if not p.exists():
                 raise ConfigError(f"input file not found: {p}")
-        order = sample.get("domain_order")
-        cfg.domain_order = tuple(order) if order else None
-        cfg.band_rules = parse_band_rules(sample.get("derived"), calibration)
+        cfg.domain_order = _names(sample, "domain_order", "sample") or None
+        cfg.band_rules = _band_rules(sample, "sample")
 
     models = _section(raw, "models", "models")
     for variable, spec in models.items():
@@ -247,8 +276,9 @@ def parse_config(
         mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc."
     )
 
-    cells = raw.get("cells") or []
-    parsed = tuple(parse_cell(entry, calibration) for entry in cells)
+    parsed = tuple(
+        _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")
+    )
     names = [c.name for c in parsed]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -263,9 +293,6 @@ def parse_config(
     cfg.simulate = _section(raw, "simulate", "simulate")
     for key in ("population", "mc"):
         _section(cfg.simulate, key, f"simulate.{key}")
-    if cfg.simulate.get("derived"):
-        # simulation-only configs carry band rules without a sample section
-        cfg.band_rules = cfg.band_rules + parse_band_rules(
-            cfg.simulate["derived"], calibration
-        )
+    # simulation-only configs carry band rules without a sample section
+    cfg.band_rules += _band_rules(cfg.simulate, "simulate")
     return cfg

@@ -65,6 +65,10 @@ def fit_variable(
         raise DataError(f"strata without sampled records: {empty}")
     column = sample.calib[:, spec.variable_names.index(model.variable)]
     Z = _covariate_matrix(sample, model, strata_covariates)
+    # stratum sums of 0/1 values are exact integers in any summation order
+    stratum_sums = np.bincount(
+        sample.stratum_idx, column, minlength=len(sample.strata)
+    )
 
     if model.kind == "binary":
         if not np.isin(column, (0.0, 1.0)).all():
@@ -72,12 +76,8 @@ def fit_variable(
                 f"variable {model.variable!r} is not binary; found values "
                 f"outside {{0, 1}}"
             )
-        H = len(sample.strata)
-        successes = np.zeros(H)
-        for pos in range(H):
-            successes[pos] = column[sample.stratum_members(pos)].sum()
         inputs = BinaryHBInput(
-            successes=successes,
+            successes=stratum_sums,
             sizes=sample.stratum_counts.astype(float),
             covariates=Z,
             prior_df=model.prior_df,
@@ -99,14 +99,8 @@ def fit_variable(
                 f"variable {model.variable!r}: zero sampling variance is not "
                 f"usable in the measurement-error model ({'; '.join(degenerate)})"
             )
-        estimates = np.array(
-            [
-                column[sample.stratum_members(pos)].mean()
-                for pos in range(len(sample.strata))
-            ]
-        )
         inputs = GaussianFHInput(
-            estimates=estimates,
+            estimates=stratum_sums / sample.stratum_counts,
             sampling_variances=psi,
             covariates=Z,
             prior_df=model.prior_df,

@@ -277,17 +277,35 @@ class SampleSet:
         return self._design_matrix
 
     @cached_property
-    def _members(self) -> tuple[np.ndarray, ...]:
-        # one stable sort groups the rows by stratum, ascending within each
-        order = np.argsort(self.stratum_idx, kind="stable")
-        order.flags.writeable = False
-        ends = np.cumsum(self.stratum_counts)
-        return tuple(np.split(order, ends[:-1]))
+    def stratum_domain_pairs(self) -> np.ndarray:
+        """H x D read-only table: stratum h has sampled records in domain d."""
+        H, D = len(self.strata), len(self.domains)
+        counts = np.bincount(self.stratum_idx * D + self.domain_idx, minlength=H * D)
+        table = counts.reshape(H, D) > 0
+        table.flags.writeable = False
+        return table
 
-    def stratum_members(self, position: int) -> np.ndarray:
-        """Record indices (ascending, read-only) belonging to the stratum at
-        a 0-based position."""
-        return self._members[position]
+    def stratum_mean_variance(self, values: np.ndarray) -> np.ndarray:
+        """Design variance of each stratum's sample mean of ``values``.
+
+        Returns deff_h * (1 - f_h) * s2_h / n_h per stratum in frame order,
+        where s2_h is the within-stratum sample variance (divisor n_h - 1)
+        and f_h the sampling fraction; strata with n_h < 2 get 0.  Two
+        passes of ``np.bincount`` over the values centred on one member of
+        their stratum (its largest value), so a stratum whose values are all
+        equal gets exactly 0.
+        """
+        values = np.asarray(values, dtype=float)
+        H, idx, n_h = len(self.strata), self.stratum_idx, self.stratum_counts
+        anchor = np.full(H, -np.inf)
+        np.maximum.at(anchor, idx, values)
+        centred = values - anchor[idx]
+        n = np.maximum(n_h, 1)
+        mean = np.bincount(idx, centred, minlength=H) / n
+        ss = np.bincount(idx, (centred - mean[idx]) ** 2, minlength=H)
+        s2 = np.where(n_h > 1, ss / np.maximum(n_h - 1, 1), 0.0)
+        fpc = 1.0 - self.sampling_fractions
+        return self.stratum_deff * fpc * s2 / n
 
 
 def _as_frozenset(value) -> frozenset:

@@ -210,6 +210,11 @@ class PosteriorDraws:
     def posterior_mean(self) -> np.ndarray:
         return self.draws.mean(axis=0)
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """p x p sample covariance of the draw columns (divisor B - 1)."""
+        return np.atleast_2d(np.cov(self.draws, rowvar=False, ddof=1))
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -533,8 +538,9 @@ def compute_psi(
     """Known sampling variances deff * (1 - f) * S^2 / n per sampled stratum.
 
     Returns (stratum ids, psi values, degeneracy warnings) for the strata
-    present in the sample, in frame order.  S^2 is the within-stratum sample
-    variance with divisor n_h - 1, and f the stratum sampling fraction.
+    present in the sample, in frame order; the values are
+    ``SampleSet.stratum_mean_variance`` of the variable's column.  A stratum
+    with one record is an error, since S^2 needs n_h >= 2.
     """
     if variable in spec.variable_names:
         column = sample.calib[:, spec.variable_names.index(variable)]
@@ -543,33 +549,23 @@ def compute_psi(
     else:
         raise DataError(f"unknown variable {variable!r}")
 
-    ids = []
-    psi = []
-    warnings = []
-    too_small = []
-    for pos, stratum in enumerate(sample.strata):
-        members = sample.stratum_members(pos)
-        if members.size == 0:
-            continue
-        if members.size < 2:
-            too_small.append(stratum.id)
-            continue
-        s2 = float(np.var(column[members], ddof=1))
-        fpc = 1.0 - sample.sampling_fractions[pos]
-        value = stratum.deff * fpc * s2 / members.size
-        if value == 0.0:
-            reason = "census stratum" if fpc == 0.0 else "constant variable"
-            warnings.append(
-                f"stratum {stratum.id!r}: degenerate sampling variance ({reason})"
-            )
-        ids.append(stratum.id)
-        psi.append(value)
+    counts = sample.stratum_counts
+    too_small = [sample.strata[h].id for h in np.flatnonzero(counts == 1)]
     if too_small:
         raise DataError(
             f"variable {variable!r}: sampling variance needs n_h >= 2 in "
             f"strata {too_small}"
         )
-    return tuple(ids), np.array(psi), tuple(warnings)
+    sampled = np.flatnonzero(counts > 0)
+    psi = sample.stratum_mean_variance(column)[sampled]
+    census = sample.sampling_fractions[sampled] == 1.0
+    warnings = tuple(
+        f"stratum {sample.strata[h].id!r}: degenerate sampling variance "
+        f"({'census stratum' if is_census else 'constant variable'})"
+        for h, value, is_census in zip(sampled, psi, census)
+        if value == 0.0
+    )
+    return tuple(sample.strata[h].id for h in sampled), psi, warnings
 
 
 def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
@@ -578,19 +574,20 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
     A stratum must contain records from exactly one domain to contribute to
     domain totals.
     """
-    mapping: dict[str, str] = {}
+    present = sample.stratum_domain_pairs
+    spread = present.sum(axis=1)
     domain_ids = sample.domain_ids
-    for pos, stratum in enumerate(sample.strata):
-        members = sample.stratum_members(pos)
-        if members.size == 0:
-            raise DataError(f"stratum {stratum.id!r} has no domain assignment")
-        domains = {domain_ids[d] for d in np.unique(sample.domain_idx[members])}
-        if len(domains) > 1:
-            raise DataError(
-                f"stratum {stratum.id!r} spans multiple domains {sorted(domains)}"
-            )
-        mapping[stratum.id] = domains.pop()
-    return mapping
+    unassigned = np.flatnonzero(spread != 1)
+    if unassigned.size:
+        h = unassigned[0]
+        stratum_id = sample.strata[h].id
+        if not spread[h]:
+            raise DataError(f"stratum {stratum_id!r} has no domain assignment")
+        domains = sorted(domain_ids[d] for d in np.flatnonzero(present[h]))
+        raise DataError(f"stratum {stratum_id!r} spans multiple domains {domains}")
+    return {
+        s.id: domain_ids[d] for s, d in zip(sample.strata, present.argmax(axis=1))
+    }
 
 
 def draws_to_domain_totals(

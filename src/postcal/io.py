@@ -48,11 +48,25 @@ class BandRule:
     bands: tuple[tuple[str, float | None, float | None], ...]
     else_label: str = "none"
 
-    def label(self, value: float) -> str:
-        for label, lo, hi in self.bands:
-            if (lo is None or value >= lo) and (hi is None or value <= hi):
-                return label
-        return self.else_label
+    def labels(self, column: np.ndarray) -> np.ndarray:
+        """Label of every value as an object array: the first band, in
+        declaration order, whose closed interval holds it, else
+        ``else_label``."""
+        column = np.asarray(column, dtype=float)
+        masks = []
+        for _, lo, hi in self.bands:
+            mask = np.ones(column.shape, dtype=bool)
+            if lo is not None:
+                mask &= column >= lo
+            if hi is not None:
+                mask &= column <= hi
+            masks.append(mask)
+        # index one shared str object per label: a string array cast to
+        # object would allocate one str per value
+        B = len(self.bands)
+        which = np.select(masks, range(B), B) if masks else np.full(column.shape, B)
+        names = [label for label, _, _ in self.bands] + [self.else_label]
+        return np.array(names, dtype=object)[which]
 
 
 @dataclass
@@ -193,9 +207,7 @@ def read_sample(
     attributes = {a: np.array(columns[a], dtype=object) for a in roles.attributes}
     sources = {**calib, **outcomes}
     for rule in band_rules:
-        attributes[rule.name] = np.array(
-            [rule.label(x) for x in sources[rule.source].tolist()], dtype=object
-        )
+        attributes[rule.name] = rule.labels(sources[rule.source])
     sample = SampleSet(
         strata=strata,
         domains=tuple(DomainSpec(id=d, index=i + 1) for i, d in enumerate(order)),

@@ -18,6 +18,7 @@ import numpy as np
 from .config import (
     ModelConfig,
     _convert,
+    _entries,
     _mapping,
     _require,
     _section,
@@ -560,9 +561,7 @@ def apply_band_rules(frame: SurveyFrame, rules) -> None:
             raise ConfigError(
                 f"band rule {rule.name!r}: unknown source {rule.source!r}"
             )
-        frame.attributes[rule.name] = np.array(
-            [rule.label(float(x)) for x in column], dtype=object
-        )
+        frame.attributes[rule.name] = rule.labels(column)
 
 
 _REQUIRED = object()
@@ -585,14 +584,6 @@ def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple
         None if v is None and open_ended else _convert(v, float, f"{where}.{key}")
         for v in value
     )
-
-
-def _entries(section: dict, key: str, where: str) -> list[tuple[str, dict]]:
-    """The list ``section[key]`` as (path, entry) pairs."""
-    value = section.get(key) or []
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
-    return [(f"{where}.{key}[{i}]", entry) for i, entry in enumerate(value)]
 
 
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:

@@ -3,13 +3,19 @@
 The posterior-propagation interval of a filtered cell carries only the
 uncertainty of the domain totals; the sampling variability of the
 within-domain cell shares is invisible to it.  The calibrated Bayes interval
-(CBI) restores it by combining
+(CBI) restores it by combining, over the domains d of the denominator
+variable,
 
-* component 1, the design-based Taylor-linearised variance of the calibrated
-  cell shares, accumulated over strata with the known design effects and
-  finite population corrections, and
-* component 2, the model-based posterior variance of the domain totals,
-  weighted by the squared shares,
+* component 1 = sum_d total_d^2 * Var(share_d), the design-based
+  Taylor-linearised variance of the calibrated cell shares.  With z_d the
+  cell-masked values zeroed outside d, total_d^2 * Var(share_d) =
+  sum_h N_h^2 * deff_h * (1 - f_h) * s2_h(z_d) / n_h over the strata h;
+  the stratum factor is ``SampleSet.stratum_mean_variance``, the kernel that
+  also gives the Gaussian model's sampling variances psi_h;
+* component 2 = sum_d share_d^2 * V_d, the model-based variance of the
+  domain totals, where V_d is the diagonal entry of the draw covariance
+  ``PosteriorDraws.covariance``, computed once per draw set and shared with
+  the replicate-variance diagnostic of every cell,
 
 around the point estimate with the fixed normal multiplier 1.96.  For cells
 summing a non-calibration outcome, the share is formed against the
@@ -19,7 +25,7 @@ variable), giving a ratio-type interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,15 +46,17 @@ WEAK_LINK_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
-class DomainShareTerm:
-    """Per-domain share of the cell with its design and posterior variances."""
+class DomainShares:
+    """A cell's share of each domain total, in block order.
 
-    domain: str
-    share: float
-    share_variance: float
-    posterior_variance: float
-    domain_total: float
-    excluded: bool = False
+    ``excluded`` marks the domains the cell meets whose denominator total is
+    zero; their share and share variance are 0.
+    """
+
+    share: np.ndarray
+    share_variance: np.ndarray
+    domain_total: np.ndarray
+    excluded: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,13 +64,15 @@ class VarianceComponents:
     """Compositional (design) and domain (model) variance parts.
 
     component1 = sum_d total_d^2 * Var(share_d); component2 =
-    sum_d share_d^2 * V_d.  The bookkeeping is exact: the total variance the
-    interval uses is component1 + component2 as assembled here.
+    sum_d share_d^2 * V_d, with V_d in ``posterior_variance`` (0 for excluded
+    domains).  The bookkeeping is exact: the total variance the interval uses
+    is component1 + component2 as assembled here.
     """
 
     component1: float
     component2: float
-    terms: tuple[DomainShareTerm, ...]
+    shares: DomainShares | None = None
+    posterior_variance: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -120,22 +130,20 @@ def share_and_variance(
     weights: CalibratedWeights,
     denominator_variable: str,
     posterior_mean: np.ndarray,
-) -> tuple[tuple[DomainShareTerm, ...], tuple[str, ...]]:
+) -> tuple[DomainShares, tuple[str, ...]]:
     """Calibrated cell shares per domain with Taylor-linearised variances.
 
     The share of domain d is the calibrated cell total within d divided by
     the posterior-mean domain total of the denominator variable; shares are
     computed once and held fixed across draws.  The denominator is a
     calibration constant, so the share variance is the design variance of
-    the numerator total scaled by 1/total^2: it accumulates
-    deff_h * N_h^2 * (1 - f_h) * s2_h / n_h over the strata intersecting the
-    domain, where s2_h is the within-stratum sample variance of the
-    cell-masked summed values over the whole stratum sample (equivalently,
-    s2 taken on the stratum-expanded values N_h * z_i).
+    the numerator total scaled by 1/total^2: sum_h N_h^2 times the stratum
+    kernel of z_d, the cell-masked summed values zeroed outside d, over the
+    whole stratum sample (so strata spanning domains are covered too).
 
     Domains whose denominator total is zero are excluded with a warning when
-    the cell intersects them; singleton strata contribute zero with a
-    warning.
+    the cell intersects them; singleton strata touching a domain with a
+    non-zero total contribute zero with a warning, in domain order.
     """
     if denominator_variable not in spec.variable_names:
         raise DataError(
@@ -144,76 +152,42 @@ def share_and_variance(
     v = spec.variable_names.index(denominator_variable)
     D = spec.n_domains
     masked_values = cell.values * cell.mask
+    total = np.asarray(posterior_mean, dtype=float)[v * D : (v + 1) * D]
+    numerator = np.bincount(
+        sample.domain_idx, masked_values * weights.weights, minlength=D
+    )
+    met = np.bincount(sample.domain_idx, cell.mask, minlength=D) > 0
+    zero = total == 0.0
 
-    terms = []
+    # a singleton stratum has one record, so it touches exactly one domain
+    singletons = sample.stratum_domain_pairs & (sample.stratum_counts == 1)[:, None]
     warnings: list[str] = []
-    flagged_singletons: set[str] = set()
     for d in range(D):
-        domain_id = spec.domain_order[d]
-        in_domain = sample.domain_idx == d
-        total = float(posterior_mean[v * D + d])
-        numerator = float(np.sum(masked_values[in_domain] * weights.weights[in_domain]))
-        intersects = bool(np.any(cell.mask & in_domain))
-        if total == 0.0:
-            if intersects:
-                warnings.append(
-                    f"domain {domain_id!r} excluded: zero denominator total "
-                    f"for {denominator_variable!r}"
-                )
-            terms.append(
-                DomainShareTerm(
-                    domain=domain_id,
-                    share=0.0,
-                    share_variance=0.0,
-                    posterior_variance=0.0,
-                    domain_total=0.0,
-                    excluded=intersects,
-                )
+        if zero[d] and met[d]:
+            warnings.append(
+                f"domain {spec.domain_order[d]!r} excluded: zero "
+                f"denominator total for {denominator_variable!r}"
             )
-            continue
-
-        z = masked_values * in_domain
-        variance = 0.0
-        touching = np.unique(sample.stratum_idx[in_domain])
-        for pos in touching:
-            members = sample.stratum_members(int(pos))
-            n_h = members.size
-            if n_h < 2:
-                stratum_id = sample.strata[int(pos)].id
-                if stratum_id not in flagged_singletons:
-                    flagged_singletons.add(stratum_id)
-                    warnings.append(
-                        f"stratum {stratum_id!r}: singleton, share-variance "
-                        f"contribution set to 0"
-                    )
-                continue
-            s2 = float(np.var(z[members], ddof=1))
-            fpc = 1.0 - sample.sampling_fractions[int(pos)]
-            N_h = sample.stratum_sizes[int(pos)]
-            variance += (
-                sample.stratum_deff[int(pos)] * N_h**2 * fpc * s2 / n_h
+        elif not zero[d]:
+            warnings.extend(
+                f"stratum {sample.strata[h].id!r}: singleton, share-variance "
+                f"contribution set to 0"
+                for h in np.flatnonzero(singletons[:, d])
             )
-        terms.append(
-            DomainShareTerm(
-                domain=domain_id,
-                share=numerator / total,
-                share_variance=variance / total**2,
-                posterior_variance=0.0,
-                domain_total=total,
-            )
-        )
-    return tuple(terms), tuple(warnings)
 
-
-def posterior_domain_variance(
-    draws: PosteriorDraws, spec: CalibrationSpec, variable: str, domain: str
-) -> float:
-    """Sample variance of one domain-total column across the draws."""
-    if draws.n_draws < 2:
-        raise DataError("need at least 2 draws for a posterior variance")
-    v = spec.variable_names.index(variable)
-    d = spec.domain_position(domain)
-    return float(np.var(draws.draws[:, v * spec.n_domains + d], ddof=1))
+    # a domain the cell misses has z_d = 0 and so no variance
+    variance = np.zeros(D)
+    for d in np.flatnonzero(met & ~zero):
+        z = np.where(sample.domain_idx == d, masked_values, 0.0)
+        variance[d] = sample.stratum_sizes**2 @ sample.stratum_mean_variance(z)
+    kept = ~zero
+    shares = DomainShares(
+        share=np.divide(numerator, total, out=np.zeros(D), where=kept),
+        share_variance=np.divide(variance, total**2, out=np.zeros(D), where=kept),
+        domain_total=total,
+        excluded=zero & met,
+    )
+    return shares, tuple(warnings)
 
 
 def variance_components(
@@ -226,33 +200,23 @@ def variance_components(
     draws: PosteriorDraws,
 ) -> VarianceComponents:
     """Assemble both variance components for one cell."""
-    terms, warnings = share_and_variance(
+    shares, warnings = share_and_variance(
         sample, spec, cell, weights, denominator_variable, posterior_mean
     )
-    completed = []
-    component1 = 0.0
-    component2 = 0.0
-    for term in terms:
-        if term.excluded:
-            completed.append(term)
-            continue
-        v_d = posterior_domain_variance(draws, spec, denominator_variable, term.domain)
-        completed.append(
-            DomainShareTerm(
-                domain=term.domain,
-                share=term.share,
-                share_variance=term.share_variance,
-                posterior_variance=v_d,
-                domain_total=term.domain_total,
-            )
-        )
-        component1 += term.domain_total**2 * term.share_variance
-        component2 += term.share**2 * v_d
+    v, D = spec.variable_names.index(denominator_variable), spec.n_domains
+    kept = ~shares.excluded
+    posterior_variance = np.zeros(D)
+    if kept.any():
+        if draws.n_draws < 2:
+            raise DataError("need at least 2 draws for a posterior variance")
+        column_variances = np.diagonal(draws.covariance)[v * D : (v + 1) * D]
+        posterior_variance[kept] = column_variances[kept]
     return VarianceComponents(
-        component1=component1,
-        component2=component2,
-        terms=tuple(completed),
-        warnings=tuple(warnings),
+        component1=float(np.sum(shares.domain_total**2 * shares.share_variance)),
+        component2=float(np.sum(shares.share**2 * posterior_variance)),
+        shares=shares,
+        posterior_variance=posterior_variance,
+        warnings=warnings,
     )
 
 
@@ -263,11 +227,8 @@ def cbi(point: float, components: VarianceComponents) -> CbiInterval:
     if c1 < 0 or c2 < 0:
         warnings.append("negative variance component clamped to 0")
         c1, c2 = max(c1, 0.0), max(c2, 0.0)
-        components = VarianceComponents(
-            component1=c1,
-            component2=c2,
-            terms=components.terms,
-            warnings=tuple(warnings),
+        components = replace(
+            components, component1=c1, component2=c2, warnings=tuple(warnings)
         )
     half = CBI_Z * float(np.sqrt(c1 + c2))
     return CbiInterval(
@@ -361,8 +322,7 @@ def cell_diagnostics(
         cos_theta = None
     else:
         cos_theta = float(direction @ residual / (a_norm * r_norm))
-    cov = np.atleast_2d(np.cov(draws.draws, rowvar=False, ddof=1))
-    replicate_variance = float(direction @ cov @ direction)
+    replicate_variance = float(direction @ draws.covariance @ direction)
     return CellDiagnostics(
         a_norm=a_norm,
         cos_theta=cos_theta,

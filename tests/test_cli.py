@@ -466,6 +466,25 @@ MALFORMED_INPUTS = [
             ("simulate.mc", [2]),
         ]
     ),
+    # malformed list entries: the error names the key path, list entries as `cells[0]`
+    *(
+        pytest.param(
+            set_config(key, value),
+            re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", key) + ": expected",
+            id=key,
+        )
+        for key, value in [
+            ("cells", 5),
+            ("cells.0.where", [1, 2]),
+            ("cells.0.name", ["a"]),
+            ("cells.0.where.hours.min", "abc"),
+            ("sample.derived.0.bands.0.min", "abc"),
+            ("sample.derived.0.bands", 5),
+            ("sample.derived", 5),
+            ("sample.domain_order", 5),
+            ("sample.columns.calibration", 5),
+        ]
+    ),
 ]
 
 

@@ -20,6 +20,7 @@ from postcal.hb import (
     fit_binary_hb,
     fit_gaussian_fh,
     gelman_rubin,
+    stratum_domain_map,
 )
 
 from conftest import sample_from_rows
@@ -238,6 +239,14 @@ class TestComputePsi:
         assert psi[0] == 0.0
         assert any("constant" in w for w in warnings)
 
+    @pytest.mark.parametrize("n", [10, 60, 125])
+    def test_constant_column_is_exactly_zero(self, n):
+        # np.var of 0.1 repeated 60 times is about 1.8e-33, not 0
+        sample, spec = psi_sample([[0.1] * n], [10 * n])
+        _, psi, warnings = compute_psi(sample, "y", spec)
+        assert psi[0] == 0.0
+        assert warnings == ("stratum 's1': degenerate sampling variance (constant variable)",)
+
     def test_deff_multiplies(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30], deff=2.5)
         _, psi, _ = compute_psi(sample, "y", spec)
@@ -265,6 +274,23 @@ def aggregation_fixture():
     sample = sample_from_rows(records, strata, domains)
     spec = CalibrationSpec(("v1",), ("dA", "dB"))
     return sample, spec
+
+
+class TestStratumDomainMap:
+    def test_each_stratum_maps_to_its_domain(self):
+        sample, _ = aggregation_fixture()
+        assert stratum_domain_map(sample) == {"s1": "dA", "s2": "dA", "s3": "dB"}
+
+    def test_first_unassigned_stratum_in_frame_order_is_named(self):
+        domains = (DomainSpec("dA", 1), DomainSpec("dB", 2))
+        strata = tuple(StratumSpec(f"s{k}", 100) for k in (1, 2, 3, 4))
+        spans = [("s1", "dA"), ("s3", "dB"), ("s3", "dA"), ("s4", "dB")]
+        records = [(s, d, 1.0, (1.0,)) for s, d in spans]
+        with pytest.raises(DataError, match="stratum 's2' has no domain assignment"):
+            stratum_domain_map(sample_from_rows(records, strata, domains))
+        records.append(("s2", "dA", 1.0, (1.0,)))
+        with pytest.raises(DataError, match=r"'s3' spans multiple domains \['dA', 'dB'\]"):
+            stratum_domain_map(sample_from_rows(records, strata, domains))
 
 
 class TestDomainAggregation:

@@ -5,9 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from postcal.calibration import calibrate, compute_gram, ht_totals
-from postcal.frame import CellFilter, CellQuery, evaluate_cell
+from postcal.calibration import CalibratedWeights, calibrate, compute_gram, ht_totals
+from postcal.frame import (
+    CalibrationSpec,
+    CellFilter,
+    CellQuery,
+    DomainSpec,
+    SampleSet,
+    StratumSpec,
+    evaluate_cell,
+)
+from postcal.hb import PosteriorDraws
+from postcal.io import BandRule
+from postcal.variance import variance_components
 
+from cbi_reference import reference_variance_components
 from conftest import make_random_sample, take_rows
 
 seeds = st.integers(0, 2**32 - 1)
@@ -69,11 +81,112 @@ def test_calibration_reproduces_random_targets(data):
     assert violation.max() < 1e-8
 
 
-@settings(max_examples=30, deadline=None)
+def spanning_sample(data):
+    """Records placed in random strata and domains, so strata span domains;
+    some strata are singletons, empty or fully sampled (census)."""
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    H = data.draw(st.integers(1, 5), label="strata")
+    D = data.draw(st.integers(1, 4), label="domains")
+    n = data.draw(st.integers(2, 40), label="n")
+    stratum_idx = rng.integers(0, H, n)
+    counts = np.bincount(stratum_idx, minlength=H)
+    sizes = np.maximum(counts + rng.integers(0, 3 * counts + 2), 1)
+    strata = tuple(
+        StratumSpec(f"s{h + 1}", int(size), deff=float(rng.uniform(0.5, 3.0)))
+        for h, size in enumerate(sizes)
+    )
+    domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(D))
+    calib = np.column_stack(
+        [(rng.random(n) < 0.6).astype(float), rng.uniform(0.5, 40.0, n)]
+    )
+    sample = SampleSet(
+        strata,
+        domains,
+        stratum_idx,
+        rng.integers(0, D, n),
+        rng.uniform(1.0, 5.0, n),
+        calib,
+        attributes={"group": rng.choice(["a", "b", "c"], n)},
+        outcomes={"u": rng.uniform(1.0, 20.0, n)},
+    )
+    return sample, CalibrationSpec(("v1", "v2"), tuple(d.id for d in domains)), rng
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_stratum_members_match_a_scan(data):
-    sample, _ = random_sample(data)
-    for pos in range(len(sample.strata)):
-        members = sample.stratum_members(pos)
-        assert np.array_equal(members, np.flatnonzero(sample.stratum_idx == pos))
-        assert not members.flags.writeable
+def test_stratum_kernel_matches_np_var(data):
+    sample, _, rng = spanning_sample(data)
+    values = sample.calib[:, 1].copy()
+    constant = int(rng.integers(len(sample.strata)))
+    values[sample.stratum_idx == constant] = 0.1
+    got = sample.stratum_mean_variance(values)
+    assert got[constant] == 0.0
+    for h, stratum in enumerate(sample.strata):
+        members = values[sample.stratum_idx == h]
+        n_h = members.size
+        if h == constant or n_h < 2:
+            assert got[h] == 0.0
+            continue
+        f = n_h / stratum.population_size
+        want = stratum.deff * (1.0 - f) * np.var(members, ddof=1) / n_h
+        assert got[h] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_variance_components_match_the_loop_form(data):
+    sample, spec, rng = spanning_sample(data)
+    posterior_mean = rng.uniform(50.0, 500.0, spec.p)
+    posterior_mean[rng.random(spec.p) < 0.3] = 0.0  # zero-total domains
+    B = data.draw(st.integers(2, 30), label="draws")
+    draws = PosteriorDraws(
+        posterior_mean + rng.normal(0.0, 10.0, (B, spec.p)), np.zeros(B, dtype=int)
+    )
+    weights = CalibratedWeights(sample.weights, np.ones(sample.n), posterior_mean, 0)
+    filters = [random_filter(data, spec), CellFilter.build(attributes={"group": "zz"})]
+    summed = st.sampled_from(spec.variable_names + ("u",))
+    for k, f in enumerate(filters):
+        cell = evaluate_cell(CellQuery(f"c{k}", data.draw(summed), f), sample, spec)
+        denominator = data.draw(st.sampled_from(spec.variable_names), label="denominator")
+        args = (sample, spec, cell, weights, denominator, posterior_mean, draws)
+        got = variance_components(*args)
+        c1, c2, terms, warnings = reference_variance_components(*args)
+        assert got.warnings == warnings
+        assert got.shares.excluded.tolist() == [t.excluded for t in terms]
+        for name in ("share", "share_variance", "domain_total"):
+            want = [getattr(t, name) for t in terms]
+            np.testing.assert_allclose(getattr(got.shares, name), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            got.posterior_variance, [t.posterior_variance for t in terms], rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose([got.component1, got.component2], [c1, c2], rtol=1e-12, atol=0)
+
+
+def label_one(rule: BandRule, value: float) -> str:
+    """Per-value reference: the first band whose closed interval holds it."""
+    for label, lo, hi in rule.bands:
+        if (lo is None or value >= lo) and (hi is None or value <= hi):
+            return label
+    return rule.else_label
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_labels_match_a_per_value_reference(data):
+    edges = [-1.0, 0.0, 1.0, 29.0, 29.5, 30.0, 45.0]
+    bound = st.none() | st.sampled_from(edges)
+    bands = data.draw(
+        st.lists(st.tuples(st.sampled_from(["lo", "mid", "hi", "x"]), bound, bound), max_size=4),
+        label="bands",
+    )
+    rule = BandRule("band", "v", tuple(bands), else_label="none")
+    # values exactly on the band edges, plus any float (NaN included)
+    values = data.draw(
+        st.lists(st.sampled_from(edges) | st.floats(allow_nan=True), max_size=30),
+        label="values",
+    )
+    got = rule.labels(np.array(values, dtype=float))
+    assert got.dtype == object
+    assert got.tolist() == [label_one(rule, v) for v in values]
+    # one shared str object per label, not one per value
+    assert len({id(label) for label in got}) <= len(bands) + 1

@@ -222,7 +222,7 @@ class TestStratifiedSampling:
         frame = generate_population(small_spec(seed=2))
         sample = draw_stratified_sample(frame, 0.1, chain_rng(0, 1))
         for pos in range(len(sample.strata)):
-            members = sample.stratum_members(pos)
+            members = sample.stratum_idx == pos
             assert np.unique(sample.weights[members]).size == 1
 
     def test_minimum_two_per_stratum(self):

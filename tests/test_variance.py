@@ -18,7 +18,6 @@ from postcal.variance import (
     cbi,
     cell_diagnostics,
     coefficient_of_variation,
-    posterior_domain_variance,
     select_linking_variable,
     share_and_variance,
     variance_components,
@@ -58,18 +57,17 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        terms, warnings = share_and_variance(
+        shares, warnings = share_and_variance(
             sample, spec, cell, weights, "emp", posterior_mean=ht
         )
         assert warnings == ()
-        term = terms[0]
         # numerator: one in-cell employed record at w=10 plus two at w=20
-        assert term.share == pytest.approx(50.0 / 60.0, rel=1e-12)
+        assert shares.share[0] == pytest.approx(50.0 / 60.0, rel=1e-12)
         # per-stratum sample variances of emp * 1(cell): both are 1/3
         # s1: 1 * 30^2 * (1 - 0.1) * (1/3) / 3 = 90
         # s2: 2 * 60^2 * (1 - 0.05) * (1/3) / 3 = 760
         expected = (90.0 + 760.0) / 60.0**2
-        assert term.share_variance == pytest.approx(expected, rel=1e-12)
+        assert shares.share_variance[0] == pytest.approx(expected, rel=1e-12)
 
     def test_full_domain_cell_share_is_one(self):
         sample, spec = two_stratum_fixture()
@@ -80,12 +78,12 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("d1", "emp", CellFilter.build(domains="d1")), sample, spec
         )
-        terms, _ = share_and_variance(sample, spec, cell, weights, "emp", target)
-        assert terms[0].share == pytest.approx(1.0, rel=1e-12)
+        shares, _ = share_and_variance(sample, spec, cell, weights, "emp", target)
+        assert shares.share[0] == pytest.approx(1.0, rel=1e-12)
         # masked values equal the variable itself, so s2 is the stratum
         # variance of emp: 1/3 in both strata
         expected = (90.0 + 760.0) / target[0] ** 2
-        assert terms[0].share_variance == pytest.approx(expected, rel=1e-12)
+        assert shares.share_variance[0] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_cell_zero_share_zero_variance(self):
         sample, spec = two_stratum_fixture()
@@ -97,9 +95,9 @@ class TestShareAndVariance:
             sample,
             spec,
         )
-        terms, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
-        assert terms[0].share == 0.0
-        assert terms[0].share_variance == 0.0
+        shares, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
+        assert shares.share[0] == 0.0
+        assert shares.share_variance[0] == 0.0
         assert warnings == ()
 
     def test_zero_domain_total_excluded_with_warning(self):
@@ -110,10 +108,11 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        terms, warnings = share_and_variance(
+        shares, warnings = share_and_variance(
             sample, spec, cell, weights, "emp", posterior_mean=np.zeros(1)
         )
-        assert terms[0].excluded
+        assert shares.excluded[0]
+        assert shares.share[0] == shares.share_variance[0] == 0.0
         assert any("zero denominator" in w for w in warnings)
 
     def test_singleton_stratum_contribution_zeroed(self):
@@ -130,52 +129,55 @@ class TestShareAndVariance:
         ht = ht_totals(sample, spec)
         weights = calibrate(sample, gram, ht, ht)
         cell = evaluate_cell(CellQuery("all", "emp", CellFilter()), sample, spec)
-        terms, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
+        shares, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
         assert any("singleton" in w for w in warnings)
         # only s2 contributes: 1 * 40^2 * (1 - 0.05) * 0.5 / 2 = 380
-        assert terms[0].share_variance == pytest.approx(380.0 / ht[0] ** 2, rel=1e-12)
+        assert shares.share_variance[0] == pytest.approx(380.0 / ht[0] ** 2, rel=1e-12)
 
 
 class TestPosteriorDomainVariance:
+    """V_d is the diagonal of the draw covariance."""
+
     def test_hand_arithmetic(self):
         draws = PosteriorDraws(
             draws=np.array([[0.0], [2.0]]), chain_tags=np.array([0, 0])
         )
-        spec = CalibrationSpec(("v",), ("d1",))
-        assert posterior_domain_variance(draws, spec, "v", "d1") == 2.0
+        assert draws.covariance[0, 0] == 2.0
 
     def test_constant_draws(self):
         draws = PosteriorDraws(draws=np.full((9, 1), 3.0), chain_tags=np.zeros(9, dtype=int))
-        spec = CalibrationSpec(("v",), ("d1",))
-        assert posterior_domain_variance(draws, spec, "v", "d1") == 0.0
+        assert draws.covariance[0, 0] == 0.0
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=(40, 1))
-        spec = CalibrationSpec(("v",), ("d1",))
-        v1 = posterior_domain_variance(
-            PosteriorDraws(base, np.zeros(40, dtype=int)), spec, "v", "d1"
-        )
-        v3 = posterior_domain_variance(
-            PosteriorDraws(3.0 * base, np.zeros(40, dtype=int)), spec, "v", "d1"
-        )
+        v1 = PosteriorDraws(base, np.zeros(40, dtype=int)).covariance[0, 0]
+        v3 = PosteriorDraws(3.0 * base, np.zeros(40, dtype=int)).covariance[0, 0]
         assert v3 == pytest.approx(9.0 * v1, rel=1e-12)
+
+    def test_diagonal_is_the_column_variance_and_computed_once(self):
+        rng = np.random.default_rng(8)
+        draws = PosteriorDraws(rng.normal(size=(50, 3)), np.zeros(50, dtype=int))
+        assert np.diagonal(draws.covariance) == pytest.approx(
+            np.var(draws.draws, axis=0, ddof=1), rel=1e-12
+        )
+        assert draws.covariance is draws.covariance
 
 
 class TestCbi:
     def test_arithmetic_example(self):
-        components = VarianceComponents(component1=4.0, component2=0.0, terms=())
+        components = VarianceComponents(component1=4.0, component2=0.0)
         interval = cbi(100.0, components)
         assert interval.lower == pytest.approx(96.08, abs=1e-12)
         assert interval.upper == pytest.approx(103.92, abs=1e-12)
 
     def test_degenerate(self):
-        components = VarianceComponents(component1=0.0, component2=0.0, terms=())
+        components = VarianceComponents(component1=0.0, component2=0.0)
         interval = cbi(5.0, components)
         assert interval.lower == interval.upper == 5.0
 
     def test_negative_component_clamped_with_warning(self):
-        components = VarianceComponents(component1=-1e-9, component2=1.0, terms=())
+        components = VarianceComponents(component1=-1e-9, component2=1.0)
         interval = cbi(0.0, components)
         assert any("clamped" in w for w in interval.components.warnings)
         assert interval.upper == pytest.approx(CBI_Z, rel=1e-12)
@@ -184,7 +186,7 @@ class TestCbi:
         rng = np.random.default_rng(0)
         for _ in range(50):
             c1, c2 = rng.uniform(0.0, 10.0, size=2)
-            components = VarianceComponents(component1=c1, component2=c2, terms=())
+            components = VarianceComponents(component1=c1, component2=c2)
             interval = cbi(0.0, components)
             assert interval.width >= 2.0 * CBI_Z * np.sqrt(c2) - 1e-12
 
@@ -405,8 +407,8 @@ class TestComponentTwoAgreement:
         cov = np.cov(draws_matrix, rowvar=False, ddof=1)
         quadform = float(direction @ cov @ direction)
         # sampling noise of the single off-diagonal covariance term
-        shares = np.array([t.share for t in comp.terms])
-        variances = np.array([t.posterior_variance for t in comp.terms])
+        shares = comp.shares.share
+        variances = comp.posterior_variance
         se = np.sqrt(
             2.0
             * shares[0] ** 2

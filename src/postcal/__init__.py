@@ -28,7 +28,7 @@ from .frame import (
     SampleSet,
     StratumSpec,
     TierLabel,
-    block_index,
+    block_sums,
     build_design_vector,
     evaluate_cell,
 )

@@ -9,6 +9,8 @@ where G = sum_i w_i y_i y_i' is the weighted cross-product of the design
 vectors and T_ht the Horvitz-Thompson total vector.  The multiplicative
 factor is the familiar g-weight of regression calibration.  G and its
 factorization are computed once per sample and shared across all targets.
+No n x p design matrix is formed: totals and moments are ``block_sums``
+reductions, and G is block-diagonal by domain.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy import linalg as sla
 from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError, RankDeficiencyError
-from .frame import CalibrationSpec, SampleSet
+from .frame import CalibrationSpec, SampleSet, block_sums
 
 # A pivot below p * max(diag G) * 2^-50 is treated as numerically zero.
 _PIVOT_RELATIVE_TOL = 2.0 ** -50
@@ -78,15 +80,22 @@ class CalibratedWeights:
 def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
     """Accumulate G = sum_i w_i y_i y_i' and factorize it.
 
-    The matrix is formed as Z'Z with Z = sqrt(w) * Y, which keeps it
-    symmetric positive semi-definite by construction.  Rank is determined by
-    a pivoted Cholesky factorization with a scale-relative pivot tolerance;
-    when deficient, the error names the (variable, domain) blocks that could
-    not be pivoted (typically empty variable-domain cells).
+    Entry (v*D + d, u*D + e) is zero unless d == e, so G is assembled from
+    one V x V cross-product Z_d'Z_d per domain, Z_d the rows of
+    sqrt(w) * calib in domain d, which keeps it symmetric positive
+    semi-definite by construction.  Rank is determined by a pivoted
+    Cholesky factorization with a scale-relative pivot tolerance; when
+    deficient, the error names the (variable, domain) blocks that could not
+    be pivoted (typically empty variable-domain cells).
     """
-    Y = sample.design_matrix(spec)
-    Z = Y * np.sqrt(sample.weights)[:, None]
-    g = Z.T @ Z
+    sample.check_spec(spec)
+    V, D = spec.n_variables, spec.n_domains
+    Z = sample.calib * np.sqrt(sample.weights)[:, None]
+    g = np.zeros((V, D, V, D))
+    for d in range(D):
+        Z_d = Z[sample.domain_idx == d]
+        g[:, d, :, d] = Z_d.T @ Z_d
+    g = g.reshape(spec.p, spec.p)
     g = (g + g.T) / 2.0
 
     p = spec.p
@@ -127,8 +136,8 @@ def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
 
 def ht_totals(sample: SampleSet, spec: CalibrationSpec) -> np.ndarray:
     """Horvitz-Thompson total vector T_ht = sum_i w_i y_i."""
-    Y = sample.design_matrix(spec)
-    return Y.T @ sample.weights
+    sample.check_spec(spec)
+    return block_sums(spec, sample.domain_idx, sample.calib, sample.weights)
 
 
 def calibrate(
@@ -139,8 +148,9 @@ def calibrate(
 ) -> CalibratedWeights:
     """Calibrate the design weights so that sum_i w'_i y_i equals ``target``.
 
-    Implemented as a single solve G u = (target - T_ht) followed by
-    per-record dot products; the inverse of G is never formed.
+    Implemented as a single solve G u = (target - T_ht) followed by the
+    per-record dot products y_i'u = sum_v calib[i, v] * u[v*D + d_i]; the
+    inverse of G is never formed.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (gram.p,):
@@ -152,9 +162,10 @@ def calibrate(
         raise NumericalError(
             f"target has non-finite components at positions {bad.tolist()}"
         )
-    u = gram.solve(target - ht)
-    Y = sample.design_matrix(gram.spec)
-    g_factors = 1.0 + Y @ u
+    spec = gram.spec
+    sample.check_spec(spec)
+    u = gram.solve(target - ht).reshape(spec.n_variables, spec.n_domains)
+    g_factors = 1.0 + np.sum(sample.calib * u.T[sample.domain_idx], axis=1)
     weights = sample.weights * g_factors
     return CalibratedWeights(
         weights=weights,
@@ -171,8 +182,10 @@ def cell_weighted_moment(
     values: np.ndarray,
 ) -> np.ndarray:
     """Cell moment vector sum_{i in c} value_i w_i y_i."""
-    Y = sample.design_matrix(spec)
-    return Y.T @ (sample.weights * values * mask)
+    sample.check_spec(spec)
+    return block_sums(
+        spec, sample.domain_idx, sample.calib, sample.weights * values * mask
+    )
 
 
 def replicate_direction(gram: GramMatrix, cell_weighted_moment: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .frame import TierLabel
 from .hb import gelman_rubin
 from .io import IngestedSample, format_machine, read_draws, read_sample, write_draws, write_table, write_weights
 from .report import (
-    HUMAN_FLOAT,
+    _human,
     build_artifacts,
     build_run_report,
     report_to_dict,
@@ -222,9 +222,9 @@ def cmd_diagnose(args) -> int:
                     row.name,
                     row.tier.value,
                     str(row.n_cell),
-                    HUMAN_FLOAT % row.a_norm,
-                    "" if row.cos_theta is None else HUMAN_FLOAT % row.cos_theta,
-                    str(row.orthogonality_flag).lower(),
+                    _human(row.a_norm),
+                    _human(row.cos_theta),
+                    _human(row.orthogonality_flag),
                 ]
             )
     write_table(
@@ -254,47 +254,40 @@ def cmd_diagnose(args) -> int:
 
 
 def _coverage_cell_rows(report) -> list[list[str]]:
-    def fmt(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(value).lower()
-        return HUMAN_FLOAT % value
-
-    rows = []
-    for c in report.cells:
-        rows.append(
-            [
-                c.name,
-                c.tier,
-                fmt(c.truth),
-                str(c.replications),
-                fmt(c.mean_point),
-                fmt(c.mean_are),
-                fmt(c.mean_n_cell),
-                fmt(c.cri_coverage),
-                fmt(c.cri_mc_se),
-                fmt(c.cri_significant),
-                fmt(c.cbi_coverage),
-                fmt(c.cbi_mc_se),
-                fmt(c.cbi_significant),
-                fmt(c.mean_cv_cri),
-                fmt(c.mean_cv_cbi),
-            ]
-        )
-    return rows
+    return [
+        [
+            c.name,
+            c.tier,
+            *map(
+                _human,
+                (
+                    c.truth,
+                    c.replications,
+                    c.mean_point,
+                    c.mean_are,
+                    c.mean_n_cell,
+                    c.cri_coverage,
+                    c.cri_mc_se,
+                    c.cri_significant,
+                    c.cbi_coverage,
+                    c.cbi_mc_se,
+                    c.cbi_significant,
+                    c.mean_cv_cri,
+                    c.mean_cv_cbi,
+                ),
+            ),
+        ]
+        for c in report.cells
+    ]
 
 
 def _tier_summary_rows(report) -> tuple[list[list[str]], list[list[str]]]:
     def span(values):
+        """min, mean and max of the non-missing values, formatted."""
         values = [v for v in values if v is not None]
         if not values:
             return "", "", ""
-        return (
-            HUMAN_FLOAT % min(values),
-            HUMAN_FLOAT % (sum(values) / len(values)),
-            HUMAN_FLOAT % max(values),
-        )
+        return tuple(map(_human, (min(values), sum(values) / len(values), max(values))))
 
     coverage_rows = []
     cv_rows = []
@@ -302,36 +295,14 @@ def _tier_summary_rows(report) -> tuple[list[list[str]], list[list[str]]]:
         cells = [c for c in report.cells if c.tier == tier.value]
         if not cells:
             continue
-        cri_min, cri_mean, cri_max = span([c.cri_coverage for c in cells])
-        cbi_min, cbi_mean, cbi_max = span([c.cbi_coverage for c in cells])
-        coverage_rows.append(
-            [
-                tier.value,
-                str(len(cells)),
-                cri_min,
-                cri_mean,
-                cri_max,
-                cbi_min,
-                cbi_mean,
-                cbi_max,
-                HUMAN_FLOAT % report.nominal,
-            ]
-        )
-        n_min, _, n_max = span([c.mean_n_cell for c in cells])
-        cvp_min, _, cvp_max = span([c.mean_cv_cri for c in cells])
-        cvb_min, _, cvb_max = span([c.mean_cv_cbi for c in cells])
-        cv_rows.append(
-            [
-                tier.value,
-                str(len(cells)),
-                n_min,
-                n_max,
-                cvp_min,
-                cvp_max,
-                cvb_min,
-                cvb_max,
-            ]
-        )
+        head = [tier.value, str(len(cells))]
+        cri = span(c.cri_coverage for c in cells)
+        cbi = span(c.cbi_coverage for c in cells)
+        coverage_rows.append(head + [*cri, *cbi, _human(report.nominal)])
+        n_min, _, n_max = span(c.mean_n_cell for c in cells)
+        cvp_min, _, cvp_max = span(c.mean_cv_cri for c in cells)
+        cvb_min, _, cvb_max = span(c.mean_cv_cbi for c in cells)
+        cv_rows.append(head + [n_min, n_max, cvp_min, cvp_max, cvb_min, cvb_max])
     return coverage_rows, cv_rows
 
 

@@ -2,8 +2,10 @@
 
 The calibration system stacks V variables over D geographic domains into a
 single constraint vector of length p = V * D.  Block order is variable-major:
-variable v occupies positions (v-1)*D+1 .. v*D (1-based), and a unit record
-contributes its value for variable v at the position of its own domain.
+variable v occupies 0-based positions v*D .. v*D + D - 1, and a record's
+design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
+``block_sums`` reduces over that layout without forming design vectors;
+``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
 """
 
 from __future__ import annotations
@@ -106,18 +108,6 @@ class CalibrationSpec:
         return f"({self.variable_names[v]}, {self.domain_order[d]})"
 
 
-def block_index(v: int, d: int, spec: CalibrationSpec) -> int:
-    """1-based block position of variable v in domain d, both 1-based.
-
-    The layout is variable-major: position (v-1)*D + d.
-    """
-    if not 1 <= v <= spec.n_variables:
-        raise DataError(f"variable index {v} outside 1..{spec.n_variables}")
-    if not 1 <= d <= spec.n_domains:
-        raise DataError(f"domain index {d} outside 1..{spec.n_domains}")
-    return (v - 1) * spec.n_domains + d
-
-
 def build_design_vector(
     domain: str, calib_values, spec: CalibrationSpec
 ) -> np.ndarray:
@@ -125,7 +115,8 @@ def build_design_vector(
 
     Entry (v, d) carries the record's value for variable v when the record
     belongs to domain d, zero otherwise; at most V entries are non-zero.
-    This per-record form is the reference for ``SampleSet.design_matrix``.
+    A test reference only: production code reduces over the layout with
+    ``block_sums`` and never forms design vectors.
     """
     if len(calib_values) != spec.n_variables:
         raise DataError(
@@ -137,6 +128,20 @@ def build_design_vector(
     for v, value in enumerate(calib_values):
         y[v * spec.n_domains + d] = value
     return y
+
+
+def block_sums(spec: CalibrationSpec, domain_idx, calib, scale=None) -> np.ndarray:
+    """The p-vector sum_i scale_i * y_i (``scale`` 1 by default): entry
+    v*D + d sums variable v over domain d, one ``np.bincount`` per variable."""
+    calib = np.asarray(calib, dtype=float)
+    if calib.ndim != 2 or calib.shape[1] != spec.n_variables:
+        raise DataError(
+            f"calibration values of shape {calib.shape} do not fit {spec.n_variables} variables"
+        )
+    D = spec.n_domains
+    return np.concatenate(
+        [np.bincount(domain_idx, c if scale is None else c * scale, minlength=D) for c in calib.T]
+    )
 
 
 class SampleSet:
@@ -241,7 +246,6 @@ class SampleSet:
         self.sampling_fractions = np.where(
             self.stratum_sizes > 0, self.stratum_counts / self.stratum_sizes, 0.0
         )
-        self._design_matrix: np.ndarray | None = None
 
     @property
     def domain_ids(self) -> tuple[str, ...]:
@@ -265,16 +269,15 @@ class SampleSet:
             )
 
     def design_matrix(self, spec: CalibrationSpec) -> np.ndarray:
-        """n x p dense calibration design matrix (cached)."""
+        """n x p dense design matrix, row i the design vector y_i.
+
+        A test reference for ``block_sums`` and the calibration kernels,
+        which never form it; built afresh on every call.
+        """
         self.check_spec(spec)
-        if self._design_matrix is None:
-            V, D = spec.n_variables, spec.n_domains
-            Y = np.zeros((self.n, spec.p))
-            rows = np.arange(self.n)
-            for v in range(V):
-                Y[rows, v * D + self.domain_idx] = self.calib[:, v]
-            self._design_matrix = Y
-        return self._design_matrix
+        Y = np.zeros((self.n, spec.n_variables, spec.n_domains))
+        Y[np.arange(self.n), :, self.domain_idx] = self.calib
+        return Y.reshape(self.n, spec.p)
 
     @cached_property
     def stratum_domain_pairs(self) -> np.ndarray:
@@ -339,14 +342,6 @@ class CellFilter:
                 sorted((k, _as_frozenset(v)) for k, v in (attributes or {}).items())
             ),
             value_ranges=tuple(sorted((ranges or {}).items())),
-        )
-
-    @property
-    def is_always_true(self) -> bool:
-        return (
-            self.domains is None
-            and not self.attribute_levels
-            and not self.value_ranges
         )
 
     def single_domain(self) -> str | None:

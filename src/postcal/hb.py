@@ -599,23 +599,25 @@ def draws_to_domain_totals(
 
     Binary draws (p_h) and Gaussian draws of stratum means (theta_h) both
     scale by the stratum population size: the domain total draw is
-    sum over strata in the domain of N_h * draw_h.
+    sum over strata in the domain of N_h * draw_h, added stratum by stratum
+    in frame order.
     """
     missing = [v for v in spec.variable_names if v not in stratum_draws]
     if missing:
         raise DataError(f"missing stratum draws for variables {missing}")
-    domain_of = stratum_domain_map(sample)
-    ids = sample.stratum_ids
-    sizes = sample.stratum_sizes
+    sample.check_spec(spec)
+    stratum_domain_map(sample)  # each stratum lies in exactly one domain
+    domain_pos = sample.stratum_domain_pairs.argmax(axis=1)
+    H = len(sample.strata)
 
     tags = None
     n_draws = None
     for name in spec.variable_names:
         d = stratum_draws[name]
-        if d.draws.shape[1] != len(ids):
+        if d.draws.shape[1] != H:
             raise DataError(
                 f"variable {name!r}: draws cover {d.draws.shape[1]} strata, "
-                f"sample has {len(ids)}"
+                f"sample has {H}"
             )
         if tags is None:
             tags = d.chain_tags
@@ -623,13 +625,12 @@ def draws_to_domain_totals(
         elif d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
             raise DataError("stratum draws disagree on chain layout")
 
-    totals = np.zeros((n_draws, spec.p))
+    totals = np.zeros((n_draws, spec.n_variables, spec.n_domains))
     for v, name in enumerate(spec.variable_names):
-        scaled = stratum_draws[name].draws * sizes[None, :]
-        for pos, stratum_id in enumerate(ids):
-            d = spec.domain_position(domain_of[stratum_id])
-            totals[:, v * spec.n_domains + d] += scaled[:, pos]
-    return PosteriorDraws(draws=totals, chain_tags=tags)
+        scaled = stratum_draws[name].draws * sample.stratum_sizes[None, :]
+        for h, d in enumerate(domain_pos):
+            totals[:, v, d] += scaled[:, h]
+    return PosteriorDraws(draws=totals.reshape(n_draws, spec.p), chain_tags=tags)
 
 
 def gelman_rubin(draws: PosteriorDraws) -> ConvergenceReport:

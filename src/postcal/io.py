@@ -109,13 +109,28 @@ def _finite_or_none(raw: str) -> float | None:
 
 
 def _float_column(raw: tuple[str, ...], path: Path, lines: list[int]) -> np.ndarray:
-    """Parse a numeric column; the first unparseable or non-finite entry is
-    reported with its file line."""
-    values = [_finite_or_none(x) for x in raw]
-    if None in values:
-        i = values.index(None)
+    """Parse a numeric column whole (numpy accepts the strings ``float``
+    does); the first unparseable or non-finite entry is reported with its
+    file line."""
+    try:
+        values = np.array(raw, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        i = next(i for i, x in enumerate(raw) if _finite_or_none(x) is None)
         raise DataError(f"{path}:{lines[i]}: {raw[i]!r} is not a finite number")
-    return np.array(values)
+    return values
+
+
+def _require_unique(ids: tuple[str, ...], what: str, path: Path, lines: list[int]) -> None:
+    """Reject a repeated id, naming it and the file line that repeats it."""
+    first: dict[str, int] = {}
+    for i, x in enumerate(ids):
+        if first.setdefault(x, i) != i:
+            raise DataError(
+                f"{path}:{lines[i]}: duplicate {what} id {x!r} "
+                f"(first on line {lines[first[x]]})"
+            )
 
 
 def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np.ndarray]]:
@@ -129,6 +144,7 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
     missing = {"id", "population_size"} - set(columns)
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
+    _require_unique(columns["id"], "stratum", path, lines)
     sizes = _float_column(columns["population_size"], path, lines)
     raw_deff = columns.get("deff", ("",) * len(lines))
     deff = _float_column(tuple(x or "1" for x in raw_deff), path, lines)
@@ -172,6 +188,8 @@ def read_sample(
     missing = needed - set(columns)
     if missing:
         raise DataError(f"{records_path}: missing columns {sorted(missing)}")
+    if roles.record_id:
+        _require_unique(columns[roles.record_id], "record", records_path, lines)
     for rule in band_rules:
         if rule.source not in set(roles.calibration) | set(roles.outcomes):
             raise DataError(

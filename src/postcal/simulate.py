@@ -32,6 +32,7 @@ from .frame import (
     DomainSpec,
     SampleSet,
     StratumSpec,
+    block_sums,
     filter_mask,
 )
 from .hb import McmcConfig, PosteriorDraws, chain_rng, gelman_rubin
@@ -171,13 +172,7 @@ class SurveyFrame:
 
     def calibration_truth_vector(self) -> np.ndarray:
         """Population domain totals of the calibration variables."""
-        spec = self.calibration
-        out = np.zeros(spec.p)
-        for v in range(spec.n_variables):
-            for d in range(spec.n_domains):
-                members = self.domain_idx == d
-                out[v * spec.n_domains + d] = self.calib[members, v].sum()
-        return out
+        return block_sums(self.calibration, self.domain_idx, self.calib)
 
 
 def generate_population(spec: SyntheticPopulationSpec) -> SurveyFrame:

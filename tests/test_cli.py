@@ -8,10 +8,16 @@ import pytest
 import yaml
 
 from postcal.cli import build_parser, main
-from postcal.hb import chain_rng
-from postcal.simulate import draw_stratified_sample, generate_population
+from postcal.frame import SampleSet
+from postcal.hb import McmcConfig, chain_rng
+from postcal.simulate import (
+    McConfig,
+    draw_stratified_sample,
+    generate_population,
+    run_replication,
+)
 
-from test_simulate import small_spec
+from test_simulate import default_cells, default_models, small_spec
 
 
 def write_sample_files(tmp_path, seed=77, fraction=0.12, drop_employed_in_d2=False):
@@ -399,12 +405,24 @@ class TestErrors:
         )
 
 
-def set_csv_field(path, column, value):
-    """Overwrite ``column`` in the first data row of a simple CSV file."""
-    header, first, *rest = path.read_text().splitlines()
-    fields = first.split(",")
+def set_csv_field(path, column, value, row=0):
+    """Overwrite ``column`` in data row ``row`` (0-based) of a simple CSV file."""
+    header, *rows = path.read_text().splitlines()
+    fields = rows[row].split(",")
     fields[header.split(",").index(column)] = value
-    path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    rows[row] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def repeat_record_id(tmp_path):
+    """Give the records a declared id column whose third row repeats the first id."""
+    path = tmp_path / "records.csv"
+    header, *rows = path.read_text().splitlines()
+    ids = [f"p{i + 1:04d}" for i in range(len(rows))]
+    ids[2] = ids[0]
+    lines = [f"person_id,{header}", *(f"{i},{row}" for i, row in zip(ids, rows))]
+    path.write_text("\n".join(lines) + "\n")
+    set_config("sample.columns.id", "person_id")(tmp_path)
 
 
 def set_config(dotted_key, value):
@@ -447,6 +465,16 @@ MALFORMED_INPUTS = [
         lambda t: set_csv_field(t / "records.csv", "employed", "inf"),
         "records.csv:2",
         id="records-calibration-inf",
+    ),
+    pytest.param(
+        lambda t: set_csv_field(t / "strata.csv", "id", "s1", row=2),
+        "strata.csv:4: duplicate stratum id 's1'",
+        id="strata-duplicate-id",
+    ),
+    pytest.param(
+        repeat_record_id,
+        "records.csv:4: duplicate record id 'p0001'",
+        id="records-duplicate-id",
     ),
     pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
     pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
@@ -570,3 +598,23 @@ class TestMalformedInput:
             assert exc.value.code == 2
             assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert build_parser().parse_args(["simulate", *base]).threads == 2
+
+
+def test_no_command_forms_the_dense_design_matrix(tmp_path, monkeypatch):
+    def forbidden(self, spec):
+        raise AssertionError("an n x p design matrix was formed")
+
+    monkeypatch.setattr(SampleSet, "design_matrix", forbidden)
+    write_sample_files(tmp_path)
+    cfg = write_config(tmp_path, base_config())
+    for command in ("calibrate", "infer"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    mc = McConfig(
+        replications=1,
+        sampling_fraction=0.15,
+        mcmc=McmcConfig(burnin=30, iterations=60, chains=2, seed=0),
+        cells=default_cells(),
+        seed=41,
+        models=default_models(),
+    )
+    assert run_replication(generate_population(small_spec(seed=41)), mc, 0).rows

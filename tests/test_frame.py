@@ -9,7 +9,7 @@ from postcal.frame import (
     DomainSpec,
     SampleSet,
     StratumSpec,
-    block_index,
+    block_sums,
     build_design_vector,
     evaluate_cell,
 )
@@ -24,30 +24,26 @@ def spec_vd(v, d):
     )
 
 
-class TestBlockIndex:
-    def test_first_block_first_domain(self):
-        assert block_index(1, 1, spec_vd(3, 8)) == 1
+class TestBlockSums:
+    def test_worked_example(self):
+        # two records in d2 and one in d1; variable-major blocks v1_d1, v1_d2, v2_d1, v2_d2
+        spec = spec_vd(2, 2)
+        calib = np.array([[1.0, 10.0], [0.0, 20.0], [1.0, 30.0]])
+        domain_idx = np.array([1, 0, 1])
+        assert block_sums(spec, domain_idx, calib).tolist() == [0.0, 2.0, 20.0, 40.0]
+        scaled = block_sums(spec, domain_idx, calib, scale=np.array([2.0, 3.0, 0.5]))
+        assert scaled.tolist() == [0.0, 2.5, 60.0, 35.0]
 
-    def test_third_block_first_domain(self):
-        # the third variable's block starts right after two domain blocks
-        assert block_index(3, 1, spec_vd(3, 8)) == 17
-
-    def test_middle_position(self):
-        assert block_index(2, 5, spec_vd(3, 8)) == 13
-
-    def test_bijective_over_all_pairs(self):
+    def test_empty_domain_gives_zero_blocks(self):
         spec = spec_vd(3, 8)
-        seen = {
-            block_index(v, d, spec)
-            for v in range(1, 4)
-            for d in range(1, 9)
-        }
-        assert seen == set(range(1, 25))
+        sums = block_sums(spec, np.array([4]), np.array([[1.0, 0.0, 38.0]]))
+        assert sums.shape == (24,)
+        assert np.flatnonzero(sums).tolist() == [4, 20]
 
-    @pytest.mark.parametrize("v,d", [(0, 1), (4, 1), (1, 0), (1, 9)])
-    def test_out_of_range(self, v, d):
-        with pytest.raises(DataError):
-            block_index(v, d, spec_vd(3, 8))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_variable_count_mismatch_rejected(self, width):
+        with pytest.raises(DataError, match="2 variables"):
+            block_sums(spec_vd(2, 2), np.array([0]), np.ones((1, width)))
 
 
 class TestDesignVector:

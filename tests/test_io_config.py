@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,31 @@ class TestIngestion:
         )
         with pytest.raises(DataError, match=":2"):
             read_sample(records, strata, bad)
+
+    @pytest.mark.parametrize(
+        "raw", ["1_000", " 3.5 ", "+.5", "\u0661\u0662", "nan", "1e500", "", "0x10", "1,5", "-inf"]
+    )
+    def test_numbers_parse_as_float_does(self, tmp_path, raw):
+        # a column is parsed whole; it must accept exactly the finite values float() reads
+        records = tmp_path / "records.csv"
+        with open(records, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["stratum", "domain", "weight", "employed"], ["s1", "d1", "2", "1"], ["s1", "d1", raw, "1"]]
+            )
+        strata = tmp_path / "strata.csv"
+        strata.write_text("id,population_size\ns1,2000\n")
+        plain = ColumnRoles(
+            stratum="stratum", domain="domain", weight="weight", calibration=("employed",)
+        )
+        try:
+            expected = float(raw)
+        except ValueError:
+            expected = math.nan
+        if math.isfinite(expected):
+            assert read_sample(records, strata, plain).sample.weights.tolist() == [2.0, expected]
+        else:
+            with pytest.raises(DataError, match=r"records.csv:3: .* is not a finite number"):
+                read_sample(records, strata, plain)
 
     def test_columns_keep_file_order(self, tmp_path):
         records, strata = write_inputs(tmp_path)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from postcal.calibration import CalibratedWeights, calibrate, compute_gram, ht_totals
+from postcal.calibration import (
+    CalibratedWeights,
+    calibrate,
+    cell_weighted_moment,
+    compute_gram,
+    ht_totals,
+)
 from postcal.frame import (
     CalibrationSpec,
     CellFilter,
@@ -17,6 +23,7 @@ from postcal.frame import (
 )
 from postcal.hb import PosteriorDraws
 from postcal.io import BandRule
+from postcal.simulate import SurveyFrame
 from postcal.variance import variance_components
 
 from cbi_reference import reference_variance_components
@@ -160,6 +167,47 @@ def test_variance_components_match_the_loop_form(data):
             got.posterior_variance, [t.posterior_variance for t in terms], rtol=1e-12, atol=0
         )
         np.testing.assert_allclose([got.component1, got.component2], [c1, c2], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_kernels_match_the_dense_design_matrix(data):
+    sample, spec, rng = spanning_sample(data)
+    Y = sample.design_matrix(spec)
+    w = sample.weights
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    close(ht_totals(sample, spec), Y.T @ w)
+    summed = data.draw(st.sampled_from(spec.variable_names + ("u",)), label="summed")
+    cell = evaluate_cell(CellQuery("c", summed, random_filter(data, spec)), sample, spec)
+    close(
+        cell_weighted_moment(sample, spec, cell.mask, cell.values),
+        Y.T @ (w * cell.values * cell.mask),
+    )
+    gram = compute_gram(sample, spec)
+    close(gram.g, Y.T @ (Y * w[:, None]))
+    if gram.full_rank:
+        ht = ht_totals(sample, spec)
+        target = ht * rng.uniform(0.7, 1.3, spec.p)
+        u = gram.solve(target - ht)
+        # g_i = 1 + y_i'u may cancel to near 0: bound the error by its terms
+        got = calibrate(sample, gram, ht, target).g_factors
+        assert np.all(np.abs(got - (1.0 + Y @ u)) <= 1e-12 * (1.0 + np.abs(Y) @ np.abs(u)))
+    frame = SurveyFrame(
+        spec=None,
+        calibration=spec,
+        strata=sample.strata,
+        domains=sample.domains,
+        stratum_idx=sample.stratum_idx,
+        domain_idx=sample.domain_idx,
+        calib=sample.calib,
+        attributes=sample.attributes,
+        outcomes=sample.outcomes,
+        covariates={},
+    )
+    close(frame.calibration_truth_vector(), Y.sum(axis=0))
 
 
 def label_one(rule: BandRule, value: float) -> str:

@@ -9,7 +9,6 @@ inputs reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,16 +23,17 @@ from .errors import (
     RankDeficiencyError,
 )
 from .fitting import CONTINUOUS_SCALE_NOTE, fit_all_variables
-from .frame import TierLabel
 from .hb import gelman_rubin
-from .io import IngestedSample, format_machine, read_draws, read_sample, write_draws, write_table, write_weights
+from .io import IngestedSample, read_draws, read_sample, write_draws, write_json, write_weights
 from .report import (
-    _human,
+    DIAGNOSE_COLUMNS,
     build_artifacts,
     build_run_report,
-    report_to_dict,
+    write_convergence,
+    write_coverage,
     write_report_json,
     write_report_tables,
+    write_rows,
 )
 from .simulate import build_simulation, run_simulation
 
@@ -76,12 +76,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _fit_draws(cfg: RunConfig, ingested: IngestedSample):
     return fit_all_variables(
         ingested.sample,
@@ -90,14 +84,6 @@ def _fit_draws(cfg: RunConfig, ingested: IngestedSample):
         ingested.strata_covariates,
         cfg.mcmc,
     )
-
-
-def _convergence_rows(spec, convergence) -> list[list[str]]:
-    rows = []
-    if convergence.available:
-        for label, value in zip(spec.block_labels(), convergence.rhat):
-            rows.append([label, format_machine(float(value))])
-    return rows
 
 
 def cmd_fit(args) -> int:
@@ -110,12 +96,7 @@ def cmd_fit(args) -> int:
     meta = _metadata(cfg, continuous_scale=CONTINUOUS_SCALE_NOTE)
 
     write_draws(out / "draws.csv", draws, ingested.spec, metadata=meta)
-    write_table(
-        out / "convergence.csv",
-        ["parameter", "rhat"],
-        _convergence_rows(ingested.spec, convergence),
-        metadata=meta,
-    )
+    write_convergence(out / "convergence.csv", ingested.spec, convergence, meta)
     payload = {
         "metadata": meta,
         "n_draws": draws.n_draws,
@@ -128,7 +109,7 @@ def cmd_fit(args) -> int:
             f"convergence diagnostic unavailable: {convergence.reason}"
         )
         _say(args, f"warning: {convergence.reason}")
-    _write_json(out / "fit.json", payload)
+    write_json(out / "fit.json", payload)
 
     if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
         print(
@@ -179,15 +160,7 @@ def cmd_calibrate(args) -> int:
         art.mean_weights.weights,
         metadata=meta,
     )
-    _write_json(
-        out / "calibrate.json",
-        {
-            "metadata": meta,
-            "gram_rank": art.gram.rank,
-            "gram_condition": art.gram.condition_estimate,
-            "negative_weight_count": art.mean_weights.negative_count,
-        },
-    )
+    write_json(out / "calibrate.json", {"metadata": meta, **art.summary})
     return EXIT_OK
 
 
@@ -213,97 +186,19 @@ def cmd_diagnose(args) -> int:
     out, ingested, draws, art = _artifacts(args, cfg)
     convergence = gelman_rubin(draws)
     meta = _metadata(cfg, rhat_max=convergence.rhat_max)
-    rows = []
-    if cfg.cells:
-        report = build_run_report(art, cfg.cells, metadata=meta)
-        for row in report.rows:
-            rows.append(
-                [
-                    row.name,
-                    row.tier.value,
-                    str(row.n_cell),
-                    _human(row.a_norm),
-                    _human(row.cos_theta),
-                    _human(row.orthogonality_flag),
-                ]
-            )
-    write_table(
-        out / "diagnostics.csv",
-        ["cell", "tier", "n_cell", "a_norm", "cos_theta", "orthogonal"],
-        rows,
-        metadata=meta,
-    )
-    write_table(
-        out / "convergence.csv",
-        ["parameter", "rhat"],
-        _convergence_rows(ingested.spec, convergence),
-        metadata=meta,
-    )
-    _write_json(
+    rows = build_run_report(art, cfg.cells, metadata=meta).rows if cfg.cells else []
+    write_rows(out / "diagnostics.csv", DIAGNOSE_COLUMNS, rows, meta)
+    write_convergence(out / "convergence.csv", ingested.spec, convergence, meta)
+    write_json(
         out / "diagnose.json",
         {
             "metadata": meta,
-            "gram_rank": art.gram.rank,
-            "gram_condition": art.gram.condition_estimate,
-            "negative_weight_count": art.mean_weights.negative_count,
+            **art.summary,
             "rhat_available": convergence.available,
             "rhat_max": convergence.rhat_max,
         },
     )
     return EXIT_OK
-
-
-def _coverage_cell_rows(report) -> list[list[str]]:
-    return [
-        [
-            c.name,
-            c.tier,
-            *map(
-                _human,
-                (
-                    c.truth,
-                    c.replications,
-                    c.mean_point,
-                    c.mean_are,
-                    c.mean_n_cell,
-                    c.cri_coverage,
-                    c.cri_mc_se,
-                    c.cri_significant,
-                    c.cbi_coverage,
-                    c.cbi_mc_se,
-                    c.cbi_significant,
-                    c.mean_cv_cri,
-                    c.mean_cv_cbi,
-                ),
-            ),
-        ]
-        for c in report.cells
-    ]
-
-
-def _tier_summary_rows(report) -> tuple[list[list[str]], list[list[str]]]:
-    def span(values):
-        """min, mean and max of the non-missing values, formatted."""
-        values = [v for v in values if v is not None]
-        if not values:
-            return "", "", ""
-        return tuple(map(_human, (min(values), sum(values) / len(values), max(values))))
-
-    coverage_rows = []
-    cv_rows = []
-    for tier in TierLabel:
-        cells = [c for c in report.cells if c.tier == tier.value]
-        if not cells:
-            continue
-        head = [tier.value, str(len(cells))]
-        cri = span(c.cri_coverage for c in cells)
-        cbi = span(c.cbi_coverage for c in cells)
-        coverage_rows.append(head + [*cri, *cbi, _human(report.nominal)])
-        n_min, _, n_max = span(c.mean_n_cell for c in cells)
-        cvp_min, _, cvp_max = span(c.mean_cv_cri for c in cells)
-        cvb_min, _, cvb_max = span(c.mean_cv_cbi for c in cells)
-        cv_rows.append(head + [n_min, n_max, cvp_min, cvp_max, cvb_min, cvb_max])
-    return coverage_rows, cv_rows
 
 
 def cmd_simulate(args) -> int:
@@ -322,121 +217,7 @@ def cmd_simulate(args) -> int:
         replications=mc.replications,
         excluded_nonconverged=report.excluded_nonconverged,
     )
-    write_table(
-        out / "coverage_by_cell.csv",
-        [
-            "cell",
-            "tier",
-            "truth",
-            "replications",
-            "mean_point",
-            "mean_are",
-            "mean_n_cell",
-            "cri_coverage",
-            "cri_mc_se",
-            "cri_outside_2se",
-            "cbi_coverage",
-            "cbi_mc_se",
-            "cbi_outside_2se",
-            "mean_cv_cri",
-            "mean_cv_cbi",
-        ],
-        _coverage_cell_rows(report),
-        metadata=meta,
-    )
-    coverage_rows, cv_rows = _tier_summary_rows(report)
-    write_table(
-        out / "coverage_by_tier.csv",
-        [
-            "tier",
-            "cells",
-            "cri_cov_min",
-            "cri_cov_mean",
-            "cri_cov_max",
-            "cbi_cov_min",
-            "cbi_cov_mean",
-            "cbi_cov_max",
-            "nominal",
-        ],
-        coverage_rows,
-        metadata=meta,
-    )
-    write_table(
-        out / "cv_by_tier.csv",
-        [
-            "tier",
-            "cells",
-            "n_cell_min",
-            "n_cell_max",
-            "cv_cri_min",
-            "cv_cri_max",
-            "cv_cbi_min",
-            "cv_cbi_max",
-        ],
-        cv_rows,
-        metadata=meta,
-    )
-    payload = {
-        "metadata": meta,
-        "replications_requested": report.replications_requested,
-        "replications_used": report.replications_used,
-        "excluded_nonconverged": report.excluded_nonconverged,
-        "nominal": report.nominal,
-        "cells": [
-            {
-                "name": c.name,
-                "tier": c.tier,
-                "truth": c.truth,
-                "mean_point": c.mean_point,
-                "mean_are": c.mean_are,
-                "mean_n_cell": c.mean_n_cell,
-                "cri_coverage": c.cri_coverage,
-                "cri_mc_se": c.cri_mc_se,
-                "cri_outside_2se": c.cri_significant,
-                "cbi_coverage": c.cbi_coverage,
-                "cbi_mc_se": c.cbi_mc_se,
-                "cbi_outside_2se": c.cbi_significant,
-                "mean_cv_cri": c.mean_cv_cri,
-                "mean_cv_cbi": c.mean_cv_cbi,
-            }
-            for c in report.cells
-        ],
-    }
-    _write_json(out / "coverage.json", payload)
-
-    if args.keep_replications:
-        rows = []
-        for r in results:
-            for row in r.rows:
-                rows.append(
-                    [
-                        str(r.index),
-                        row.name,
-                        row.tier.value,
-                        format_machine(row.point),
-                        format_machine(row.cri_lower),
-                        format_machine(row.cri_upper),
-                        "" if row.cbi_lower is None else format_machine(row.cbi_lower),
-                        "" if row.cbi_upper is None else format_machine(row.cbi_upper),
-                    ]
-                )
-            if not r.converged:
-                rows.append([str(r.index), "<not converged>", "", "", "", "", "", ""])
-        write_table(
-            out / "replications.csv",
-            [
-                "replication",
-                "cell",
-                "tier",
-                "point",
-                "cri_lower",
-                "cri_upper",
-                "cbi_lower",
-                "cbi_upper",
-            ],
-            rows,
-            metadata=meta,
-        )
+    write_coverage(out, report, results if args.keep_replications else None, meta)
     return EXIT_OK
 
 

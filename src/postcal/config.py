@@ -1,4 +1,9 @@
-"""Structured run configuration: one YAML document, sections per subsystem."""
+"""Structured run configuration: one YAML document, sections per subsystem.
+
+This module owns every key path: each section, ``simulate:`` included, is
+parsed here into typed values, and every exit-2 message about a missing,
+mistyped or malformed key names its path (list entries as ``cells[0]``).
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -30,6 +36,108 @@ class ModelConfig:
     fixed_sigma2: float | None = None
 
 
+@dataclass(frozen=True)
+class StratumPlan:
+    """One population stratum: size, domain membership, model covariate."""
+
+    id: str
+    domain: str
+    population_size: int
+    covariate: float = 0.0
+    deff: float = 1.0
+
+
+@dataclass(frozen=True)
+class BinaryVariableModel:
+    """Stratum-level logit model for a binary calibration variable.
+
+    ``exclusive_with`` forces the variable to 0 wherever an earlier binary
+    variable is 1 (for example unemployment within employment).
+    """
+
+    name: str
+    intercept: float
+    slope: float = 0.0
+    stratum_sd: float = 0.0
+    exclusive_with: str | None = None
+
+
+@dataclass(frozen=True)
+class ContinuousVariableModel:
+    """Gaussian unit-level model with optional stratum effects and gating."""
+
+    name: str
+    mean: float
+    unit_sd: float
+    slope: float = 0.0
+    stratum_sd: float = 0.0
+    clip: tuple[float | None, float | None] = (None, None)
+    gated_by: str | None = None
+
+
+@dataclass(frozen=True)
+class AttributeModel:
+    """Categorical attribute with optionally domain-tilted level shares."""
+
+    name: str
+    levels: tuple[tuple[str, float], ...]
+    domain_tilt: float = 0.0
+
+    def __post_init__(self):
+        probs = [p for _, p in self.levels]
+        if any(p < 0 or p > 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            raise ConfigError(
+                f"attribute {self.name!r}: level probabilities must lie in "
+                f"[0, 1] and sum to 1"
+            )
+
+    def domain_probs(self, domain_position: int) -> np.ndarray:
+        probs = np.array([p for _, p in self.levels])
+        if self.domain_tilt:
+            k = np.arange(len(probs))
+            tilt = np.where((k + domain_position) % 2 == 0, 1.0, -1.0)
+            probs = probs * (1.0 + self.domain_tilt * tilt)
+            probs = probs / probs.sum()
+        return probs
+
+
+@dataclass(frozen=True)
+class OutcomeModel:
+    """Outcome with a controllable population correlation to a variable."""
+
+    name: str
+    link: str
+    rho: float
+    loc: float = 0.0
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class SyntheticPopulationSpec:
+    domains: tuple[str, ...]
+    strata: tuple[StratumPlan, ...]
+    variables: tuple[BinaryVariableModel | ContinuousVariableModel, ...]
+    attributes: tuple[AttributeModel, ...] = ()
+    outcomes: tuple[OutcomeModel, ...] = ()
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """The ``simulate`` section: the population and the experiment size."""
+
+    population: SyntheticPopulationSpec
+    replications: int = 200
+    sampling_fraction: float = 0.05
+    target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ConfigError("simulate.mc.replications must be >= 1")
+        if self.target_mode not in ("hb", "truth"):
+            raise ConfigError("simulate.mc.target_mode must be 'hb' or 'truth'")
+
+
 @dataclass
 class RunConfig:
     """Validated configuration for one command invocation."""
@@ -46,7 +154,7 @@ class RunConfig:
     rhat_threshold: float = DEFAULT_RHAT_THRESHOLD
     cells: tuple[CellQuery, ...] = ()
     level: float = DEFAULT_LEVEL
-    simulate: dict = field(default_factory=dict)
+    simulate: SimulateConfig | None = None
 
     @property
     def config_hash(self) -> str:
@@ -91,10 +199,30 @@ def _convert(value, kind, where: str):
         ) from None
 
 
-def _typed(section: dict, key: str, kind, default, where: str = ""):
-    """``kind`` of ``section[key]`` or of the default; a value of the wrong
-    type is a ConfigError that names the key."""
-    return _convert(section.get(key, default), kind, f"{where}{key}")
+_REQUIRED = object()
+
+
+def _typed(section: dict, key: str, kind, default=_REQUIRED, where: str = ""):
+    """``kind`` of ``section[key]``, or of the default when one is given; a
+    missing or mistyped value is a ConfigError naming ``where.key``."""
+    if default is _REQUIRED:
+        _require(section, key, where)
+    path = f"{where}.{key}" if where else key
+    return _convert(section.get(key, default), kind, path)
+
+
+def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple:
+    """``entry[key]`` as two floats, the default when absent or null;
+    ``open_ended`` lets either be null."""
+    value = entry.get(key)
+    if value is None:
+        value = default
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where}.{key}: expected [low, high], got {value!r}")
+    return tuple(
+        None if v is None and open_ended else _convert(v, float, f"{where}.{key}")
+        for v in value
+    )
 
 
 def _as_tuple(value) -> tuple:
@@ -250,7 +378,7 @@ def parse_config(
             raise ConfigError(
                 f"models.{variable}: kind must be 'binary' or 'gaussian'"
             )
-        where = f"models.{variable}."
+        where = f"models.{variable}"
         cfg.models[variable] = ModelConfig(
             variable=variable,
             kind=kind,
@@ -266,14 +394,14 @@ def parse_config(
 
     mcmc = _section(raw, "mcmc", "mcmc")
     cfg.mcmc = McmcConfig(
-        burnin=_typed(mcmc, "burnin", int, 1000, "mcmc."),
-        iterations=_typed(mcmc, "iterations", int, 5000, "mcmc."),
-        chains=_typed(mcmc, "chains", int, 3, "mcmc."),
+        burnin=_typed(mcmc, "burnin", int, 1000, "mcmc"),
+        iterations=_typed(mcmc, "iterations", int, 5000, "mcmc"),
+        chains=_typed(mcmc, "chains", int, 3, "mcmc"),
         seed=seed,
-        proposal_sd=_typed(mcmc, "proposal_sd", float, 0.5, "mcmc."),
+        proposal_sd=_typed(mcmc, "proposal_sd", float, 0.5, "mcmc"),
     )
     cfg.rhat_threshold = _typed(
-        mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc."
+        mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc"
     )
 
     parsed = tuple(
@@ -286,13 +414,128 @@ def parse_config(
     cfg.cells = parsed
 
     report = _section(raw, "report", "report")
-    cfg.level = _typed(report, "level", float, DEFAULT_LEVEL, "report.")
+    cfg.level = _typed(report, "level", float, DEFAULT_LEVEL, "report")
     if not 0.0 < cfg.level < 1.0:
         raise ConfigError("report.level must be in (0, 1)")
 
-    cfg.simulate = _section(raw, "simulate", "simulate")
-    for key in ("population", "mc"):
-        _section(cfg.simulate, key, f"simulate.{key}")
+    simulate = _section(raw, "simulate", "simulate")
+    population = _section(simulate, "population", "simulate.population")
+    mc = _section(simulate, "mc", "simulate.mc")
     # simulation-only configs carry band rules without a sample section
-    cfg.band_rules += _band_rules(cfg.simulate, "simulate")
+    cfg.band_rules += _band_rules(simulate, "simulate")
+    if simulate:
+        cfg.simulate = SimulateConfig(
+            population=population_spec_from_config(population, seed),
+            replications=_typed(mc, "replications", int, 200, "simulate.mc"),
+            sampling_fraction=_typed(mc, "sampling_fraction", float, 0.05, "simulate.mc"),
+            target_mode=_typed(mc, "target_mode", str, "hb", "simulate.mc"),
+        )
     return cfg
+
+
+def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
+    """Build a population spec from the ``simulate.population`` section."""
+    where = "simulate.population"
+    domains = _require(section, "domains", where)
+    if not isinstance(domains, list) or not domains:
+        raise ConfigError(f"{where}.domains: expected a non-empty list, got {domains!r}")
+    domains = tuple(domains)
+    strata_cfg = _require(section, "strata", where)
+    plans: list[StratumPlan] = []
+    if isinstance(strata_cfg, list):
+        if not strata_cfg:
+            raise ConfigError(f"{where}.strata: expected at least one stratum, got []")
+        for path, entry in _entries(section, "strata", where):
+            plans.append(
+                StratumPlan(
+                    id=str(_require(entry, "id", path)),
+                    domain=str(_require(entry, "domain", path)),
+                    population_size=_typed(entry, "population_size", int, where=path),
+                    covariate=_typed(entry, "covariate", float, 0.0, path),
+                    deff=_typed(entry, "deff", float, 1.0, path),
+                )
+            )
+    else:
+        path = f"{where}.strata"
+        per_domain = _typed(strata_cfg, "per_domain", int, where=path)
+        if per_domain < 1:
+            raise ConfigError(f"{path}.per_domain: expected at least 1, got {per_domain}")
+        size = _typed(strata_cfg, "population_size", int, where=path)
+        lo, hi = _pair(strata_cfg, "covariate_range", path, (-1.0, 1.0))
+        deff = _typed(strata_cfg, "deff", float, 1.0, path)
+        covariates = np.linspace(lo, hi, per_domain * len(domains))
+        width = len(str(covariates.size))
+        for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
+            plans.append(
+                StratumPlan(
+                    id=f"s{k + 1:0{width}d}",
+                    domain=domain,
+                    population_size=size,
+                    covariate=float(covariates[k]),
+                    deff=deff,
+                )
+            )
+
+    _require(section, "variables", where)
+    variables: list[BinaryVariableModel | ContinuousVariableModel] = []
+    for path, entry in _entries(section, "variables", where):
+        name = str(_require(entry, "name", path))
+        kind = _require(entry, "kind", path)
+        if kind == "binary":
+            variables.append(
+                BinaryVariableModel(
+                    name=name,
+                    intercept=_typed(entry, "intercept", float, where=path),
+                    slope=_typed(entry, "slope", float, 0.0, path),
+                    stratum_sd=_typed(entry, "stratum_sd", float, 0.0, path),
+                    exclusive_with=entry.get("exclusive_with"),
+                )
+            )
+        elif kind == "continuous":
+            variables.append(
+                ContinuousVariableModel(
+                    name=name,
+                    mean=_typed(entry, "mean", float, where=path),
+                    unit_sd=_typed(entry, "unit_sd", float, where=path),
+                    slope=_typed(entry, "slope", float, 0.0, path),
+                    stratum_sd=_typed(entry, "stratum_sd", float, 0.0, path),
+                    clip=_pair(entry, "clip", path, (None, None), open_ended=True),
+                    gated_by=entry.get("gated_by"),
+                )
+            )
+        else:
+            raise ConfigError(
+                f"variable {name!r}: kind must be 'binary' or 'continuous'"
+            )
+
+    attributes = tuple(
+        AttributeModel(
+            name=str(_require(entry, "name", path)),
+            levels=tuple(
+                (str(label), _convert(prob, float, f"{path}.levels.{label}"))
+                for label, prob in _mapping(
+                    _require(entry, "levels", path), f"{path}.levels"
+                ).items()
+            ),
+            domain_tilt=_typed(entry, "domain_tilt", float, 0.0, path),
+        )
+        for path, entry in _entries(section, "attributes", where)
+    )
+    outcomes = tuple(
+        OutcomeModel(
+            name=str(_require(entry, "name", path)),
+            link=str(_require(entry, "link", path)),
+            rho=_typed(entry, "rho", float, where=path),
+            loc=_typed(entry, "loc", float, 0.0, path),
+            scale=_typed(entry, "scale", float, 1.0, path),
+        )
+        for path, entry in _entries(section, "outcomes", where)
+    )
+    return SyntheticPopulationSpec(
+        domains=domains,
+        strata=tuple(plans),
+        variables=tuple(variables),
+        attributes=attributes,
+        outcomes=outcomes,
+        seed=seed,
+    )

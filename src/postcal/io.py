@@ -9,6 +9,7 @@ re-reading reproduces the float64 values exactly.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -253,10 +254,6 @@ def read_sample(
     )
 
 
-def metadata_lines(metadata: dict) -> list[str]:
-    return [f"# {key}={metadata[key]}" for key in sorted(metadata)]
-
-
 def write_draws(
     path: str | Path,
     draws: PosteriorDraws,
@@ -264,19 +261,20 @@ def write_draws(
     metadata: dict | None = None,
 ) -> None:
     """Write a draw matrix: one row per draw, chain tag plus p block columns."""
-    path = Path(path)
     labels = spec.block_labels()
     if draws.p != len(labels):
         raise DataError(
             f"draw matrix width {draws.p} does not match layout p={len(labels)}"
         )
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(metadata or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("chain",) + labels)
-        for tag, row in zip(draws.chain_tags, draws.draws):
-            writer.writerow([str(int(tag))] + [format_machine(x) for x in row])
+    write_table(
+        path,
+        ("chain",) + labels,
+        (
+            [str(int(tag))] + [format_machine(x) for x in row]
+            for tag, row in zip(draws.chain_tags, draws.draws)
+        ),
+        metadata=metadata,
+    )
 
 
 def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
@@ -305,29 +303,35 @@ def write_weights(
     metadata: dict | None = None,
 ) -> None:
     """Posterior-mean calibrated weight export."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(metadata or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "design_weight", "g_factor", "calibrated_weight"])
-        for rid, w, g, wc in zip(record_ids, design_weights, g_factors, calibrated):
-            writer.writerow(
-                [rid, format_machine(w), format_machine(g), format_machine(wc)]
-            )
+    write_table(
+        path,
+        ["record_id", "design_weight", "g_factor", "calibrated_weight"],
+        (
+            [rid, format_machine(w), format_machine(g), format_machine(wc)]
+            for rid, w, g, wc in zip(record_ids, design_weights, g_factors, calibrated)
+        ),
+        metadata=metadata,
+    )
 
 
 def write_table(
     path: str | Path,
-    header: list[str],
-    rows: list[list],
+    header,
+    rows,
     metadata: dict | None = None,
 ) -> None:
-    """Generic delimited table writer with metadata comment lines."""
-    path = Path(path)
+    """Generic delimited table writer, the metadata first as ``# key=value``
+    comment lines in key order."""
+    metadata = metadata or {}
     with open(path, "w", newline="") as fh:
-        for line in metadata_lines(metadata or {}):
-            fh.write(line + "\n")
+        fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """A JSON document with sorted keys, two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")

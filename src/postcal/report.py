@@ -7,10 +7,11 @@ so cells are independent work units.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import variance as var
 from .errors import LinkSelectionError, RankDeficiencyError
 from .frame import CalibrationSpec, CellQuery, SampleSet, TierLabel, evaluate_cell
 from .hb import PosteriorDraws
-from .io import write_table
+from .io import MACHINE_FLOAT, format_machine, write_json, write_table
 
 HUMAN_FLOAT = "%.6g"
 
@@ -41,6 +42,16 @@ class InferenceArtifacts:
     @property
     def posterior_mean(self) -> np.ndarray:
         return self.draws.posterior_mean
+
+    @property
+    def summary(self) -> dict:
+        """Rank and condition of the calibration system, and the count of
+        negative posterior-mean weights."""
+        return {
+            "gram_rank": self.gram.rank,
+            "gram_condition": self.gram.condition_estimate,
+            "negative_weight_count": self.mean_weights.negative_count,
+        }
 
 
 def build_artifacts(
@@ -171,7 +182,7 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
                 art.draws,
             )
             warnings.extend(components.warnings)
-            cbi_interval = var.cbi(point, components)
+            cbi_interval = var.cbi(point, components, art.level)
 
     diag = var.cell_diagnostics(
         totals.direction,
@@ -181,6 +192,7 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
         cri.width,
         cbi_interval.width if cbi_interval is not None else None,
         point,
+        art.level,
     )
     return CellReportRow(
         name=query.name,
@@ -246,9 +258,7 @@ def build_run_report(
         "p": art.spec.p,
         "n_draws": art.draws.n_draws,
         "level": art.level,
-        "gram_rank": art.gram.rank,
-        "gram_condition": art.gram.condition_estimate,
-        "negative_weight_count": art.mean_weights.negative_count,
+        **art.summary,
     }
     meta.update(metadata or {})
     return RunReport(rows=rows, metadata=meta)
@@ -259,60 +269,168 @@ def _jsonable(value):
         return None
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
     return value
 
 
-def report_to_dict(report: RunReport) -> dict:
-    cells = []
-    for row in report.rows:
-        cells.append(
-            {
-                "name": row.name,
-                "tier": row.tier.value,
-                "n_cell": row.n_cell,
-                "point": _jsonable(row.point),
-                "cri_lower": _jsonable(row.cri_lower),
-                "cri_upper": _jsonable(row.cri_upper),
-                "cri_kind": row.cri_kind,
-                "cbi_lower": _jsonable(row.cbi_lower),
-                "cbi_upper": _jsonable(row.cbi_upper),
-                "component1": _jsonable(row.component1),
-                "component2": _jsonable(row.component2),
-                "a_norm": _jsonable(row.a_norm),
-                "cos_theta": _jsonable(row.cos_theta),
-                "orthogonality_flag": row.orthogonality_flag,
-                "cv_cri": _jsonable(row.cv_cri),
-                "cv_cbi": _jsonable(row.cv_cbi),
-                "link_variable": row.link_variable,
-                "link_rho": _jsonable(row.link_rho),
-                "warnings": list(row.warnings),
-            }
-        )
-    return {
-        "metadata": {k: _jsonable(v) for k, v in report.metadata.items()},
-        "cells": cells,
-    }
+def _record(row, skip: tuple[str, ...] = ()) -> dict:
+    """A row dataclass as a JSON object keyed by its field names."""
+    return {f.name: _jsonable(getattr(row, f.name)) for f in fields(row) if f.name not in skip}
 
 
 def write_report_json(path: str | Path, report: RunReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """``report.json``: the run metadata and each row's fields."""
+    write_json(
+        path,
+        {
+            "metadata": {k: _jsonable(v) for k, v in report.metadata.items()},
+            "cells": [_record(row) for row in report.rows],
+        },
+    )
 
 
-def _human(value) -> str:
+def _human(value, float_format: str = HUMAN_FLOAT) -> str:
+    """One table field: empty for None and NaN, strings as they are, enums
+    by value, tuples joined by "; ", bools in lower case, floats in
+    ``float_format``."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return "; ".join(value)
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float) and math.isnan(value):
         return ""
-    return HUMAN_FLOAT % value
+    return float_format % value
 
 
-def write_report_tables(out_dir: str | Path, report: RunReport) -> tuple[Path, Path]:
+# A table is declared once as its columns over a row object: a
+# (header, attribute) pair, or a bare name when the two agree.
+ESTIMATE_COLUMNS = (
+    ("cell", "name"),
+    "tier",
+    "n_cell",
+    "point",
+    "cri_lower",
+    "cri_upper",
+    "cri_kind",
+    "cbi_lower",
+    "cbi_upper",
+)
+REPORT_DIAGNOSTIC_COLUMNS = (
+    ("cell", "name"),
+    "tier",
+    "a_norm",
+    "cos_theta",
+    ("orthogonal", "orthogonality_flag"),
+    "component1",
+    "component2",
+    "cv_cri",
+    "cv_cbi",
+    "link_variable",
+    "link_rho",
+    "warnings",
+)
+DIAGNOSE_COLUMNS = (
+    ("cell", "name"),
+    "tier",
+    "n_cell",
+    "a_norm",
+    "cos_theta",
+    ("orthogonal", "orthogonality_flag"),
+)
+COVERAGE_CELL_COLUMNS = (
+    ("cell", "name"),
+    "tier",
+    "truth",
+    "replications",
+    "mean_point",
+    "mean_are",
+    "mean_n_cell",
+    "cri_coverage",
+    "cri_mc_se",
+    "cri_outside_2se",
+    "cbi_coverage",
+    "cbi_mc_se",
+    "cbi_outside_2se",
+    "mean_cv_cri",
+    "mean_cv_cbi",
+)
+COVERAGE_TIER_COLUMNS = (
+    "tier",
+    "cells",
+    "cri_cov_min",
+    "cri_cov_mean",
+    "cri_cov_max",
+    "cbi_cov_min",
+    "cbi_cov_mean",
+    "cbi_cov_max",
+    "nominal",
+)
+CV_TIER_COLUMNS = (
+    "tier",
+    "cells",
+    "n_cell_min",
+    "n_cell_max",
+    "cv_cri_min",
+    "cv_cri_max",
+    "cv_cbi_min",
+    "cv_cbi_max",
+)
+REPLICATION_COLUMNS = (
+    "replication",
+    ("cell", "name"),
+    "tier",
+    "point",
+    "cri_lower",
+    "cri_upper",
+    "cbi_lower",
+    "cbi_upper",
+)
+
+
+def write_rows(
+    path: str | Path,
+    columns,
+    rows,
+    metadata: dict | None = None,
+    float_format: str = HUMAN_FLOAT,
+) -> None:
+    """Write ``rows`` as the declared ``columns``, each value through
+    ``_human``; an attribute a row lacks is an empty field."""
+    pairs = [(c, c) if isinstance(c, str) else c for c in columns]
+    write_table(
+        path,
+        [header for header, _ in pairs],
+        (
+            [_human(getattr(row, attr, None), float_format) for _, attr in pairs]
+            for row in rows
+        ),
+        metadata=metadata,
+    )
+
+
+def write_convergence(path: str | Path, spec: CalibrationSpec, convergence, metadata: dict) -> None:
+    """R-hat per draw column, no rows when the diagnostic is unavailable."""
+    rows = zip(spec.block_labels(), convergence.rhat) if convergence.available else ()
+    write_table(
+        path,
+        ["parameter", "rhat"],
+        ([label, format_machine(float(value))] for label, value in rows),
+        metadata=metadata,
+    )
+
+
+def write_report_tables(out_dir: str | Path, report: RunReport) -> None:
     """Panel-style tables: estimates (intervals) and diagnostics."""
     out_dir = Path(out_dir)
     meta = {
@@ -320,70 +438,66 @@ def write_report_tables(out_dir: str | Path, report: RunReport) -> tuple[Path, P
         for k in ("seed", "config_hash")
         if k in report.metadata
     }
-    estimates = out_dir / "report_estimates.csv"
-    write_table(
-        estimates,
-        [
-            "cell",
-            "tier",
-            "n_cell",
-            "point",
-            "cri_lower",
-            "cri_upper",
-            "cri_kind",
-            "cbi_lower",
-            "cbi_upper",
-        ],
-        [
-            [
-                row.name,
-                row.tier.value,
-                str(row.n_cell),
-                _human(row.point),
-                _human(row.cri_lower),
-                _human(row.cri_upper),
-                row.cri_kind,
-                _human(row.cbi_lower),
-                _human(row.cbi_upper),
-            ]
-            for row in report.rows
-        ],
-        metadata=meta,
+    write_rows(out_dir / "report_estimates.csv", ESTIMATE_COLUMNS, report.rows, meta)
+    write_rows(out_dir / "report_diagnostics.csv", REPORT_DIAGNOSTIC_COLUMNS, report.rows, meta)
+
+
+def _tier_summaries(coverage) -> list[SimpleNamespace]:
+    """Per tier present: its cell count, the nominal level, and the min,
+    mean and max over its cells of each non-missing coverage statistic."""
+    summaries = []
+    for tier in TierLabel:
+        cells = [c for c in coverage.cells if c.tier == tier.value]
+        if not cells:
+            continue
+        summary = SimpleNamespace(tier=tier.value, cells=len(cells), nominal=coverage.nominal)
+        for prefix, attr in (
+            ("cri_cov", "cri_coverage"),
+            ("cbi_cov", "cbi_coverage"),
+            ("n_cell", "mean_n_cell"),
+            ("cv_cri", "mean_cv_cri"),
+            ("cv_cbi", "mean_cv_cbi"),
+        ):
+            values = [getattr(c, attr) for c in cells if getattr(c, attr) is not None]
+            if values:
+                setattr(summary, f"{prefix}_min", min(values))
+                setattr(summary, f"{prefix}_mean", sum(values) / len(values))
+                setattr(summary, f"{prefix}_max", max(values))
+        summaries.append(summary)
+    return summaries
+
+
+def _replication_rows(results):
+    """Each replication's interval rows, tagged with its index; a replication
+    that did not converge is one row naming it so."""
+    for r in results:
+        for row in r.rows:
+            yield SimpleNamespace(replication=r.index, **vars(row))
+        if not r.converged:
+            yield SimpleNamespace(replication=r.index, name="<not converged>")
+
+
+def write_coverage(out_dir: str | Path, coverage, results, metadata: dict) -> None:
+    """The coverage experiment's tables and ``coverage.json``; with
+    ``results``, also every replication's intervals in ``replications.csv``."""
+    out_dir = Path(out_dir)
+    write_rows(out_dir / "coverage_by_cell.csv", COVERAGE_CELL_COLUMNS, coverage.cells, metadata)
+    tiers = _tier_summaries(coverage)
+    write_rows(out_dir / "coverage_by_tier.csv", COVERAGE_TIER_COLUMNS, tiers, metadata)
+    write_rows(out_dir / "cv_by_tier.csv", CV_TIER_COLUMNS, tiers, metadata)
+    write_json(
+        out_dir / "coverage.json",
+        {
+            **_record(coverage, skip=("cells",)),
+            "metadata": metadata,
+            "cells": [_record(c, skip=("replications",)) for c in coverage.cells],
+        },
     )
-    diagnostics = out_dir / "report_diagnostics.csv"
-    write_table(
-        diagnostics,
-        [
-            "cell",
-            "tier",
-            "a_norm",
-            "cos_theta",
-            "orthogonal",
-            "component1",
-            "component2",
-            "cv_cri",
-            "cv_cbi",
-            "link_variable",
-            "link_rho",
-            "warnings",
-        ],
-        [
-            [
-                row.name,
-                row.tier.value,
-                _human(row.a_norm),
-                _human(row.cos_theta),
-                _human(row.orthogonality_flag),
-                _human(row.component1),
-                _human(row.component2),
-                _human(row.cv_cri),
-                _human(row.cv_cbi),
-                row.link_variable or "",
-                _human(row.link_rho),
-                "; ".join(row.warnings),
-            ]
-            for row in report.rows
-        ],
-        metadata=meta,
-    )
-    return estimates, diagnostics
+    if results is not None:
+        write_rows(
+            out_dir / "replications.csv",
+            REPLICATION_COLUMNS,
+            _replication_rows(results),
+            metadata,
+            float_format=MACHINE_FLOAT,
+        )

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
 from .config import (
+    BinaryVariableModel,
+    ContinuousVariableModel,
     ModelConfig,
-    _convert,
-    _entries,
-    _mapping,
-    _require,
-    _section,
-    _typed,
+    SyntheticPopulationSpec,
 )
 from .errors import ConfigError, DataError
 from .fitting import fit_all_variables
@@ -37,92 +35,6 @@ from .frame import (
 )
 from .hb import McmcConfig, PosteriorDraws, chain_rng, gelman_rubin
 from .report import CellReportRow, build_artifacts, build_run_report
-
-
-@dataclass(frozen=True)
-class StratumPlan:
-    """One population stratum: size, domain membership, model covariate."""
-
-    id: str
-    domain: str
-    population_size: int
-    covariate: float = 0.0
-    deff: float = 1.0
-
-
-@dataclass(frozen=True)
-class BinaryVariableModel:
-    """Stratum-level logit model for a binary calibration variable.
-
-    ``exclusive_with`` forces the variable to 0 wherever an earlier binary
-    variable is 1 (for example unemployment within employment).
-    """
-
-    name: str
-    intercept: float
-    slope: float = 0.0
-    stratum_sd: float = 0.0
-    exclusive_with: str | None = None
-
-
-@dataclass(frozen=True)
-class ContinuousVariableModel:
-    """Gaussian unit-level model with optional stratum effects and gating."""
-
-    name: str
-    mean: float
-    unit_sd: float
-    slope: float = 0.0
-    stratum_sd: float = 0.0
-    clip: tuple[float | None, float | None] = (None, None)
-    gated_by: str | None = None
-
-
-@dataclass(frozen=True)
-class AttributeModel:
-    """Categorical attribute with optionally domain-tilted level shares."""
-
-    name: str
-    levels: tuple[tuple[str, float], ...]
-    domain_tilt: float = 0.0
-
-    def __post_init__(self):
-        probs = [p for _, p in self.levels]
-        if any(p < 0 or p > 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"attribute {self.name!r}: level probabilities must lie in "
-                f"[0, 1] and sum to 1"
-            )
-
-    def domain_probs(self, domain_position: int) -> np.ndarray:
-        probs = np.array([p for _, p in self.levels])
-        if self.domain_tilt:
-            k = np.arange(len(probs))
-            tilt = np.where((k + domain_position) % 2 == 0, 1.0, -1.0)
-            probs = probs * (1.0 + self.domain_tilt * tilt)
-            probs = probs / probs.sum()
-        return probs
-
-
-@dataclass(frozen=True)
-class OutcomeModel:
-    """Outcome with a controllable population correlation to a variable."""
-
-    name: str
-    link: str
-    rho: float
-    loc: float = 0.0
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class SyntheticPopulationSpec:
-    domains: tuple[str, ...]
-    strata: tuple[StratumPlan, ...]
-    variables: tuple[BinaryVariableModel | ContinuousVariableModel, ...]
-    attributes: tuple[AttributeModel, ...] = ()
-    outcomes: tuple[OutcomeModel, ...] = ()
-    seed: int = 0
 
 
 @dataclass
@@ -187,8 +99,9 @@ def generate_population(spec: SyntheticPopulationSpec) -> SurveyFrame:
         raise ConfigError("variable names must be unique")
     for v in spec.variables:
         if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
-            before = names[: names.index(v.name)]
-            if v.exclusive_with not in before:
+            earlier = spec.variables[: names.index(v.name)]
+            binary = [b.name for b in earlier if isinstance(b, BinaryVariableModel)]
+            if v.exclusive_with not in binary:
                 raise ConfigError(
                     f"variable {v.name!r}: exclusive_with must reference an "
                     f"earlier binary variable"
@@ -340,12 +253,6 @@ class McConfig:
     rhat_threshold: float = 1.2
     target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
 
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("simulate.mc.replications must be >= 1")
-        if self.target_mode not in ("hb", "truth"):
-            raise ConfigError("simulate.mc.target_mode must be 'hb' or 'truth'")
-
 
 @dataclass
 class ReplicationResult:
@@ -376,19 +283,12 @@ def run_replication(
         rhat_max = 1.0
         warnings: tuple[str, ...] = ()
     else:
-        mcmc = McmcConfig(
-            burnin=config.mcmc.burnin,
-            iterations=config.mcmc.iterations,
-            chains=config.mcmc.chains,
-            seed=config.seed,
-            proposal_sd=config.mcmc.proposal_sd,
-        )
         draws, _, warnings = fit_all_variables(
             sample,
             spec,
             config.models,
             frame.covariates,
-            mcmc,
+            replace(config.mcmc, seed=config.seed),
             base_key=(index, 1),
         )
         convergence = gelman_rubin(draws)
@@ -431,10 +331,10 @@ class CellCoverage:
     mean_n_cell: float
     cri_coverage: float
     cri_mc_se: float
-    cri_significant: bool
+    cri_outside_2se: bool
     cbi_coverage: float | None
     cbi_mc_se: float | None
-    cbi_significant: bool | None
+    cbi_outside_2se: bool | None
     mean_cv_cri: float | None
     mean_cv_cbi: float | None
 
@@ -522,10 +422,10 @@ def accumulate_report(
                 mean_n_cell=float(np.mean(n_cells)),
                 cri_coverage=cri_rate,
                 cri_mc_se=cri_se,
-                cri_significant=abs(cri_rate - nominal) > 2.0 * cri_se,
+                cri_outside_2se=abs(cri_rate - nominal) > 2.0 * cri_se,
                 cbi_coverage=cbi_rate,
                 cbi_mc_se=cbi_se,
-                cbi_significant=cbi_sig,
+                cbi_outside_2se=cbi_sig,
                 mean_cv_cri=_mean_or_none(cv_cri),
                 mean_cv_cbi=_mean_or_none(cv_cbi),
             )
@@ -559,178 +459,35 @@ def apply_band_rules(frame: SurveyFrame, rules) -> None:
         frame.attributes[rule.name] = rule.labels(column)
 
 
-_REQUIRED = object()
-
-
-def _field(entry, key: str, kind, where: str, default=_REQUIRED):
-    """``kind`` of ``entry[key]`` (required unless a default is given); a
-    missing or mistyped value is a ConfigError naming ``where.key``."""
-    if default is _REQUIRED:
-        _require(entry, key, where)
-    return _typed(entry, key, kind, default, f"{where}.")
-
-
-def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple:
-    """``entry[key]`` as two floats; ``open_ended`` lets either be null."""
-    value = entry.get(key) or default
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where}.{key}: expected [low, high], got {value!r}")
-    return tuple(
-        None if v is None and open_ended else _convert(v, float, f"{where}.{key}")
-        for v in value
-    )
-
-
-def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
-    """Build a population spec from the ``simulate.population`` section."""
-    where = "simulate.population"
-    domains = _require(section, "domains", where)
-    if not isinstance(domains, list):
-        raise ConfigError(f"{where}.domains: expected a list, got {domains!r}")
-    domains = tuple(domains)
-    strata_cfg = _require(section, "strata", where)
-    plans: list[StratumPlan] = []
-    if isinstance(strata_cfg, list):
-        for path, entry in _entries(section, "strata", where):
-            plans.append(
-                StratumPlan(
-                    id=str(_require(entry, "id", path)),
-                    domain=str(_require(entry, "domain", path)),
-                    population_size=_field(entry, "population_size", int, path),
-                    covariate=_field(entry, "covariate", float, path, 0.0),
-                    deff=_field(entry, "deff", float, path, 1.0),
-                )
-            )
-    else:
-        path = f"{where}.strata"
-        per_domain = _field(strata_cfg, "per_domain", int, path)
-        size = _field(strata_cfg, "population_size", int, path)
-        lo, hi = _pair(strata_cfg, "covariate_range", path, (-1.0, 1.0))
-        deff = _field(strata_cfg, "deff", float, path, 1.0)
-        total = per_domain * len(domains)
-        covariates = np.linspace(lo, hi, total)
-        width = len(str(total))
-        k = 0
-        for domain in domains:
-            for _ in range(per_domain):
-                plans.append(
-                    StratumPlan(
-                        id=f"s{k + 1:0{width}d}",
-                        domain=domain,
-                        population_size=size,
-                        covariate=float(covariates[k]),
-                        deff=deff,
-                    )
-                )
-                k += 1
-
-    _require(section, "variables", where)
-    variables: list[BinaryVariableModel | ContinuousVariableModel] = []
-    for path, entry in _entries(section, "variables", where):
-        name = str(_require(entry, "name", path))
-        kind = _require(entry, "kind", path)
-        if kind == "binary":
-            variables.append(
-                BinaryVariableModel(
-                    name=name,
-                    intercept=_field(entry, "intercept", float, path),
-                    slope=_field(entry, "slope", float, path, 0.0),
-                    stratum_sd=_field(entry, "stratum_sd", float, path, 0.0),
-                    exclusive_with=entry.get("exclusive_with"),
-                )
-            )
-        elif kind == "continuous":
-            variables.append(
-                ContinuousVariableModel(
-                    name=name,
-                    mean=_field(entry, "mean", float, path),
-                    unit_sd=_field(entry, "unit_sd", float, path),
-                    slope=_field(entry, "slope", float, path, 0.0),
-                    stratum_sd=_field(entry, "stratum_sd", float, path, 0.0),
-                    clip=_pair(entry, "clip", path, (None, None), open_ended=True),
-                    gated_by=entry.get("gated_by"),
-                )
-            )
-        else:
-            raise ConfigError(
-                f"variable {name!r}: kind must be 'binary' or 'continuous'"
-            )
-
-    attributes = tuple(
-        AttributeModel(
-            name=str(_require(entry, "name", path)),
-            levels=tuple(
-                (str(label), _convert(prob, float, f"{path}.levels.{label}"))
-                for label, prob in _mapping(
-                    _require(entry, "levels", path), f"{path}.levels"
-                ).items()
-            ),
-            domain_tilt=_field(entry, "domain_tilt", float, path, 0.0),
-        )
-        for path, entry in _entries(section, "attributes", where)
-    )
-    outcomes = tuple(
-        OutcomeModel(
-            name=str(_require(entry, "name", path)),
-            link=str(_require(entry, "link", path)),
-            rho=_field(entry, "rho", float, path),
-            loc=_field(entry, "loc", float, path, 0.0),
-            scale=_field(entry, "scale", float, path, 1.0),
-        )
-        for path, entry in _entries(section, "outcomes", where)
-    )
-    return SyntheticPopulationSpec(
-        domains=domains,
-        strata=tuple(plans),
-        variables=tuple(variables),
-        attributes=attributes,
-        outcomes=outcomes,
-        seed=seed,
-    )
-
-
 def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
     """Realize the configured experiment: population, settings, truths.
 
     ``cfg`` is a parsed run configuration with a ``simulate`` section; band
     rules are materialized on the frame so truths and samples agree.
     """
-    section = cfg.simulate
-    if not section:
+    if cfg.simulate is None:
         raise ConfigError("config lacks a 'simulate' section")
     if not cfg.cells:
         raise ConfigError("config declares no cells to simulate")
-    population = population_spec_from_config(
-        _section(section, "population", "simulate.population"), seed=cfg.seed
-    )
-    frame = generate_population(population)
+    frame = generate_population(cfg.simulate.population)
     apply_band_rules(frame, cfg.band_rules)
-    calibration_attrs = tuple(
-        rule.name
-        for rule in cfg.band_rules
-        if rule.source in frame.calibration.variable_names
-    )
-    mc_section = _section(section, "mc", "simulate.mc")
     mc = McConfig(
-        replications=_field(mc_section, "replications", int, "simulate.mc", 200),
-        sampling_fraction=_field(
-            mc_section, "sampling_fraction", float, "simulate.mc", 0.05
-        ),
+        replications=cfg.simulate.replications,
+        sampling_fraction=cfg.simulate.sampling_fraction,
         mcmc=cfg.mcmc,
         cells=cfg.cells,
         seed=cfg.seed,
         models=cfg.models,
-        calibration_attributes=calibration_attrs,
+        calibration_attributes=tuple(
+            rule.name
+            for rule in cfg.band_rules
+            if rule.source in frame.calibration.variable_names
+        ),
         level=cfg.level,
         rhat_threshold=cfg.rhat_threshold,
-        target_mode=_field(mc_section, "target_mode", str, "simulate.mc", "hb"),
+        target_mode=cfg.simulate.target_mode,
     )
     return frame, mc, frame.truth_table(mc.cells)
-
-
-def _replication_job(args) -> ReplicationResult:
-    frame, config, index = args
-    return run_replication(frame, config, index)
 
 
 def run_simulation(
@@ -746,8 +503,10 @@ def run_simulation(
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(
-                    _replication_job,
-                    [(frame, config, i) for i in indexes],
+                    run_replication,
+                    repeat(frame),
+                    repeat(config),
+                    indexes,
                     chunksize=max(1, config.replications // (4 * threads)),
                 )
             )

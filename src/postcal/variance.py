@@ -17,15 +17,16 @@ variable,
   ``PosteriorDraws.covariance``, computed once per draw set and shared with
   the replicate-variance diagnostic of every cell,
 
-around the point estimate with the fixed normal multiplier 1.96.  For cells
-summing a non-calibration outcome, the share is formed against the
-calibration variable most correlated with the outcome (the linking
-variable), giving a ratio-type interval.
+around the point estimate with the normal multiplier z of the report level
+(``cbi_z``, 1.96 at 0.95).  For cells summing a non-calibration outcome, the
+share is formed against the calibration variable most correlated with the
+outcome (the linking variable), giving a ratio-type interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .errors import DataError, LinkSelectionError
 from .frame import CalibrationSpec, CellData, SampleSet
 from .hb import PosteriorDraws
 
-CBI_Z = 1.96
+
+def cbi_z(level: float) -> float:
+    """The two-sided normal multiplier of ``level``, rounded to two decimals
+    as in the conventional tables: 1.28, 1.64, 1.96 at 0.80, 0.90, 0.95."""
+    return round(NormalDist().inv_cdf((1.0 + level) / 2.0), 2)
+
+
+CBI_Z = cbi_z(0.95)
 
 # Operational cutoff for "the direction is essentially orthogonal to the
 # posterior correction": below this the propagation interval collapses.
@@ -220,8 +228,11 @@ def variance_components(
     )
 
 
-def cbi(point: float, components: VarianceComponents) -> CbiInterval:
-    """Calibrated Bayes interval: point +/- 1.96 sqrt(comp1 + comp2)."""
+def cbi(
+    point: float, components: VarianceComponents, level: float = 0.95
+) -> CbiInterval:
+    """Calibrated Bayes interval: point +/- z sqrt(comp1 + comp2), with
+    z = cbi_z(level)."""
     warnings = list(components.warnings)
     c1, c2 = components.component1, components.component2
     if c1 < 0 or c2 < 0:
@@ -230,9 +241,10 @@ def cbi(point: float, components: VarianceComponents) -> CbiInterval:
         components = replace(
             components, component1=c1, component2=c2, warnings=tuple(warnings)
         )
-    half = CBI_Z * float(np.sqrt(c1 + c2))
+    z = cbi_z(level)
+    half = z * float(np.sqrt(c1 + c2))
     return CbiInterval(
-        lower=point - half, upper=point + half, z=CBI_Z, components=components
+        lower=point - half, upper=point + half, z=z, components=components
     )
 
 
@@ -294,11 +306,12 @@ def select_linking_variable(
     )
 
 
-def coefficient_of_variation(width: float, point: float) -> float:
-    """Interval width divided by 3.92, as a fraction of the point estimate."""
+def coefficient_of_variation(width: float, point: float, z: float = CBI_Z) -> float:
+    """Interval width divided by 2z (3.92 at 95%), as a fraction of the point
+    estimate."""
     if point == 0.0:
         return float("nan")
-    return (width / (2.0 * CBI_Z)) / abs(point)
+    return (width / (2.0 * z)) / abs(point)
 
 
 def cell_diagnostics(
@@ -309,12 +322,15 @@ def cell_diagnostics(
     cri_width: float,
     cbi_width: float | None,
     point: float,
+    level: float = 0.95,
 ) -> CellDiagnostics:
     """Alignment and scale diagnostics explaining the propagation width.
 
     The replicate variance is the quadratic form a' Cov(draws) a, which must
-    agree with the empirical variance of the replicate totals.
+    agree with the empirical variance of the replicate totals.  The CVs take
+    the interval widths at ``level`` over 2 ``cbi_z(level)``.
     """
+    z = cbi_z(level)
     a_norm = float(np.linalg.norm(direction))
     residual = posterior_mean - ht
     r_norm = float(np.linalg.norm(residual))
@@ -327,9 +343,9 @@ def cell_diagnostics(
         a_norm=a_norm,
         cos_theta=cos_theta,
         replicate_variance=replicate_variance,
-        cv_cri=coefficient_of_variation(cri_width, point),
+        cv_cri=coefficient_of_variation(cri_width, point, z),
         cv_cbi=(
-            coefficient_of_variation(cbi_width, point)
+            coefficient_of_variation(cbi_width, point, z)
             if cbi_width is not None
             else None
         ),

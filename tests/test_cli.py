@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import filecmp
 import json
+import math
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ import yaml
 from postcal.cli import build_parser, main
 from postcal.frame import SampleSet
 from postcal.hb import McmcConfig, chain_rng
+from postcal.report import CellReportRow
 from postcal.simulate import (
     McConfig,
     draw_stratified_sample,
@@ -202,6 +205,31 @@ class TestInfer:
         assert meta["seed"] == 4242
         assert meta["gram_rank"] == 4
         assert "rhat_max" in meta and "config_hash" in meta
+
+    def test_report_cells_are_the_row_fields(self, tmp_path):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = sorted(f.name for f in dataclasses.fields(CellReportRow))
+        assert [sorted(row) for row in report["cells"]] == [names] * len(report["cells"])
+
+    @pytest.mark.parametrize("level,z", [(0.80, 1.28), (0.90, 1.64), (0.95, 1.96)])
+    def test_cbi_follows_the_report_level(self, tmp_path, level, z):
+        write_sample_files(tmp_path)
+        raw = base_config()
+        raw["report"] = {"level": level}
+        cfg = write_config(tmp_path, raw)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["cells"]
+        rows = [r for r in rows if r["cbi_lower"] is not None]
+        assert rows
+        for r in rows:
+            half = z * math.sqrt(r["component1"] + r["component2"])
+            assert r["cbi_upper"] - r["point"] == pytest.approx(half, rel=1e-9)
+            if r["point"]:
+                width = r["cbi_upper"] - r["cbi_lower"]
+                assert r["cv_cbi"] == pytest.approx(width / (2 * z) / abs(r["point"]), rel=1e-9)
 
     def test_empty_cell_row(self, tmp_path):
         write_sample_files(tmp_path)
@@ -557,6 +585,17 @@ SIMULATE_MALFORMED = [
         set_config(f"{POPULATION}.attributes.0.levels", ["a", "b"]),
         f"{POPULATION}.attributes[0].levels: expected a mapping",
         id="levels-not-a-mapping",
+    ),
+    # an empty population, and falsy values that must not fall back to the default
+    *(
+        pytest.param(set_config(key, value), re.sub(r"\.(\d+)\.", r"[\1].", key) + ": expected", id=name)
+        for name, key, value in [
+            ("per_domain-zero", f"{POPULATION}.strata.per_domain", 0),
+            ("domains-empty", f"{POPULATION}.domains", []),
+            ("strata-empty", f"{POPULATION}.strata", []),
+            ("covariate_range-zero", f"{POPULATION}.strata.covariate_range", 0),
+            ("clip-empty", f"{POPULATION}.variables.1.clip", []),
+        ]
     ),
 ]
 

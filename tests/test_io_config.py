@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from postcal.io import (
     write_draws,
     write_weights,
 )
+
+SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
 
 RECORDS_CSV = """stratum,domain,weight,employed,hours,occupation,income
 s1,d1,2.5,1,38,managers,1200
@@ -290,3 +293,27 @@ class TestConfig:
         cfg_path.write_text(yaml.safe_dump(bad))
         with pytest.raises(ConfigError, match="interval"):
             load_config(cfg_path)
+
+
+class TestSimulateSection:
+    def test_load_config_rejects_a_malformed_population_key(self, tmp_path):
+        import yaml
+
+        population = {
+            "domains": ["d1"],
+            "strata": {"per_domain": "two", "population_size": 10},
+            "variables": [{"name": "emp", "kind": "binary", "intercept": 0.0}],
+        }
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"simulate": {"population": population}}))
+        with pytest.raises(ConfigError, match=r"simulate\.population\.strata\.per_domain"):
+            load_config(path)
+
+    def test_shipped_smoke_config_parses_to_typed_values(self):
+        cfg = load_config(SMOKE_CONFIG, seed_override=3)
+        assert (cfg.simulate.replications, cfg.simulate.sampling_fraction) == (5, 0.1)
+        assert cfg.simulate.target_mode == "hb"
+        population = cfg.simulate.population
+        assert population.seed == 3
+        assert [s.id for s in population.strata] == [f"s{k}" for k in range(1, 9)]
+        assert population.variables[1].clip == (1.0, 60.0)

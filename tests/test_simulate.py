@@ -1,26 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from postcal.config import ModelConfig
+from postcal.config import (
+    AttributeModel,
+    BinaryVariableModel,
+    ContinuousVariableModel,
+    ModelConfig,
+    OutcomeModel,
+    StratumPlan,
+    SyntheticPopulationSpec,
+    population_spec_from_config,
+)
 from postcal.errors import ConfigError, DataError
 from postcal.frame import CellFilter, CellQuery
 from postcal.hb import McmcConfig, chain_rng
 from postcal.io import BandRule
 from postcal.report import build_artifacts, build_run_report
 from postcal.simulate import (
-    AttributeModel,
-    BinaryVariableModel,
-    ContinuousVariableModel,
     McConfig,
-    OutcomeModel,
     ReplicationResult,
-    StratumPlan,
-    SyntheticPopulationSpec,
     accumulate_report,
     apply_band_rules,
     draw_stratified_sample,
     generate_population,
-    population_spec_from_config,
     run_replication,
     run_simulation,
 )
@@ -367,7 +371,7 @@ class TestAccumulation:
         cell = report.cells[0]
         assert cell.cri_coverage == pytest.approx(0.95)
         assert cell.cri_mc_se == pytest.approx(np.sqrt(0.95 * 0.05 / 200), rel=1e-12)
-        assert not cell.cri_significant
+        assert not cell.cri_outside_2se
 
     def test_all_covered(self):
         mc = McConfig(
@@ -483,6 +487,16 @@ class TestConfigBuilders:
                 },
                 seed=0,
             )
+
+    def test_exclusive_with_must_name_a_binary_variable(self):
+        spec = small_spec()
+        spec = replace(
+            spec,
+            variables=spec.variables
+            + (BinaryVariableModel("x", intercept=0.0, exclusive_with="hours"),),
+        )
+        with pytest.raises(ConfigError, match="exclusive_with"):
+            generate_population(spec)
 
     def test_band_rules_applied_to_frame(self):
         frame = generate_population(small_spec(seed=71))

@@ -190,6 +190,20 @@ class TestCbi:
             interval = cbi(0.0, components)
             assert interval.width >= 2.0 * CBI_Z * np.sqrt(c2) - 1e-12
 
+    @pytest.mark.parametrize("level,z", [(0.80, 1.28), (0.90, 1.64), (0.95, 1.96)])
+    def test_half_width_is_the_level_multiplier(self, level, z):
+        components = VarianceComponents(component1=4.0, component2=5.0)
+        interval = cbi(10.0, components, level)
+        assert interval.z == z
+        assert interval.upper - 10.0 == pytest.approx(z * 3.0, rel=1e-14)
+        assert 10.0 - interval.lower == pytest.approx(z * 3.0, rel=1e-14)
+        draws = PosteriorDraws(np.array([[1.0], [2.0]]), np.array([0, 0]))
+        diag = cell_diagnostics(
+            np.ones(1), draws.posterior_mean, np.zeros(1), draws, 1.0, interval.width, 10.0, level
+        )
+        assert diag.cv_cbi == pytest.approx(3.0 / 10.0, rel=1e-14)
+        assert diag.cv_cri == pytest.approx(1.0 / (2.0 * z) / 10.0, rel=1e-14)
+
     def test_bookkeeping_exact(self):
         sample, spec = two_stratum_fixture()
         gram = compute_gram(sample, spec)

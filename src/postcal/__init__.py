@@ -24,7 +24,6 @@ from .frame import (
     CellData,
     CellFilter,
     CellQuery,
-    DomainSpec,
     SampleSet,
     StratumSpec,
     TierLabel,

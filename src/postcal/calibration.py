@@ -137,7 +137,7 @@ def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
 def ht_totals(sample: SampleSet, spec: CalibrationSpec) -> np.ndarray:
     """Horvitz-Thompson total vector T_ht = sum_i w_i y_i."""
     sample.check_spec(spec)
-    return block_sums(spec, sample.domain_idx, sample.calib, sample.weights)
+    return block_sums(sample, sample.weights)
 
 
 def calibrate(
@@ -183,9 +183,7 @@ def cell_weighted_moment(
 ) -> np.ndarray:
     """Cell moment vector sum_{i in c} value_i w_i y_i."""
     sample.check_spec(spec)
-    return block_sums(
-        spec, sample.domain_idx, sample.calib, sample.weights * values * mask
-    )
+    return block_sums(sample, sample.weights * values * mask)
 
 
 def replicate_direction(gram: GramMatrix, cell_weighted_moment: np.ndarray) -> np.ndarray:

@@ -207,7 +207,7 @@ def cmd_simulate(args) -> int:
     frame, mc, truths = build_simulation(cfg)
     _say(
         args,
-        f"population {frame.size} units, {len(frame.strata)} strata; "
+        f"population {frame.n} units, {len(frame.strata)} strata; "
         f"{mc.replications} replications",
     )
     report, results = run_simulation(frame, mc, truths=truths, threads=args.threads)

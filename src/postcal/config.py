@@ -22,6 +22,8 @@ from .io import BandRule, ColumnRoles
 
 DEFAULT_LEVEL = 0.95
 DEFAULT_RHAT_THRESHOLD = 1.2
+# a stratified draw takes at least 2 units from every stratum
+MIN_STRATUM_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -202,13 +204,16 @@ def _convert(value, kind, where: str):
 _REQUIRED = object()
 
 
-def _typed(section: dict, key: str, kind, default=_REQUIRED, where: str = ""):
+def _typed(section: dict, key: str, kind, default=_REQUIRED, where: str = "", minimum=None):
     """``kind`` of ``section[key]``, or of the default when one is given; a
-    missing or mistyped value is a ConfigError naming ``where.key``."""
+    missing, mistyped or below-``minimum`` value is a ConfigError naming ``where.key``."""
     if default is _REQUIRED:
         _require(section, key, where)
     path = f"{where}.{key}" if where else key
-    return _convert(section.get(key, default), kind, path)
+    value = _convert(section.get(key, default), kind, path)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}: expected at least {minimum}, got {value}")
+    return value
 
 
 def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple:
@@ -450,17 +455,17 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                 StratumPlan(
                     id=str(_require(entry, "id", path)),
                     domain=str(_require(entry, "domain", path)),
-                    population_size=_typed(entry, "population_size", int, where=path),
+                    population_size=_typed(
+                        entry, "population_size", int, where=path, minimum=MIN_STRATUM_SIZE
+                    ),
                     covariate=_typed(entry, "covariate", float, 0.0, path),
                     deff=_typed(entry, "deff", float, 1.0, path),
                 )
             )
     else:
         path = f"{where}.strata"
-        per_domain = _typed(strata_cfg, "per_domain", int, where=path)
-        if per_domain < 1:
-            raise ConfigError(f"{path}.per_domain: expected at least 1, got {per_domain}")
-        size = _typed(strata_cfg, "population_size", int, where=path)
+        per_domain = _typed(strata_cfg, "per_domain", int, where=path, minimum=1)
+        size = _typed(strata_cfg, "population_size", int, where=path, minimum=MIN_STRATUM_SIZE)
         lo, hi = _pair(strata_cfg, "covariate_range", path, (-1.0, 1.0))
         deff = _typed(strata_cfg, "deff", float, 1.0, path)
         covariates = np.linspace(lo, hi, per_domain * len(domains))

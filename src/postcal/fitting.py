@@ -63,7 +63,7 @@ def fit_variable(
     empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
     if empty:
         raise DataError(f"strata without sampled records: {empty}")
-    column = sample.calib[:, spec.variable_names.index(model.variable)]
+    column = sample.column(model.variable)
     Z = _covariate_matrix(sample, model, strata_covariates)
     # stratum sums of 0/1 values are exact integers in any summation order
     stratum_sums = np.bincount(

@@ -1,4 +1,9 @@
-"""Finite-population sample model, calibration design vectors, and cells.
+"""Survey-unit store, calibration design vectors, and cells.
+
+``SampleSet`` is the one store of survey units, whether a drawn sample or a
+census population with every weight 1.  It carries its ``CalibrationSpec``
+(variable names and domain order) and owns ``column``, the lookup of a
+numeric column by name, so one cell filter reads samples and populations.
 
 The calibration system stacks V variables over D geographic domains into a
 single constraint vector of length p = V * D.  Block order is variable-major:
@@ -50,14 +55,6 @@ class StratumSpec:
             raise DataError(f"stratum {self.id!r}: population_size must be >= 1")
         if not self.deff > 0:
             raise DataError(f"stratum {self.id!r}: deff must be > 0")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Geographic domain with its 1-based block position."""
-
-    id: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -130,37 +127,33 @@ def build_design_vector(
     return y
 
 
-def block_sums(spec: CalibrationSpec, domain_idx, calib, scale=None) -> np.ndarray:
+def block_sums(sample: SampleSet, scale=None) -> np.ndarray:
     """The p-vector sum_i scale_i * y_i (``scale`` 1 by default): entry
     v*D + d sums variable v over domain d, one ``np.bincount`` per variable."""
-    calib = np.asarray(calib, dtype=float)
-    if calib.ndim != 2 or calib.shape[1] != spec.n_variables:
-        raise DataError(
-            f"calibration values of shape {calib.shape} do not fit {spec.n_variables} variables"
-        )
-    D = spec.n_domains
+    idx, D = sample.domain_idx, sample.calibration.n_domains
     return np.concatenate(
-        [np.bincount(domain_idx, c if scale is None else c * scale, minlength=D) for c in calib.T]
+        [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in sample.calib.T]
     )
 
 
 class SampleSet:
-    """Immutable columnar sample.
+    """Immutable columnar store of survey units with their calibration layout.
 
-    Row i of every column describes one sampled record: ``stratum_idx`` and
-    ``domain_idx`` are 0-based positions into ``strata`` and ``domains``
-    (domains in block order), ``calib`` is the n x V matrix of calibration
-    values, ``attributes`` maps names to categorical columns used only for
-    cell filtering and ``outcomes`` maps names to non-calibration numeric
-    columns.  Validates the frame invariants at construction (positions in
-    range, weights positive, domain indices a bijection, sample counts within
-    population sizes).  Instances are safe for concurrent read.
+    Row i of every column describes one unit: ``stratum_idx`` and
+    ``domain_idx`` are 0-based positions into ``strata`` and
+    ``calibration.domain_order``, ``calib`` is the n x V matrix of the
+    ``calibration`` variables, ``attributes`` maps names to categorical
+    columns used only for cell filtering and ``outcomes`` maps names to
+    non-calibration numeric columns; ``column`` looks up either by name.
+    Validates the frame invariants at construction (positions in range,
+    weights positive, sample counts within population sizes).  Instances are
+    safe for concurrent read.
     """
 
     def __init__(
         self,
         strata: Iterable[StratumSpec],
-        domains: Iterable[DomainSpec],
+        calibration: CalibrationSpec,
         stratum_idx,
         domain_idx,
         weights,
@@ -169,28 +162,22 @@ class SampleSet:
         outcomes: Mapping[str, object] | None = None,
     ):
         self.strata: tuple[StratumSpec, ...] = tuple(strata)
-        self.domains: tuple[DomainSpec, ...] = tuple(
-            sorted(domains, key=lambda d: d.index)
-        )
+        self.calibration = calibration
         self.weights = np.asarray(weights, dtype=float)
         self.n = self.weights.size
         if not self.n:
             raise DataError("sample must contain at least one record")
-
-        indices = [d.index for d in self.domains]
-        if sorted(indices) != list(range(1, len(self.domains) + 1)):
-            raise DataError("domain indices must be a bijection onto 1..D")
-        if len(set(self.domain_ids)) != len(self.domains):
-            raise DataError("domain ids must be unique")
         if len(set(self.stratum_ids)) != len(self.strata):
             raise DataError("stratum ids must be unique")
 
         self.stratum_idx = np.asarray(stratum_idx, dtype=np.intp)
         self.domain_idx = np.asarray(domain_idx, dtype=np.intp)
         self.calib = np.asarray(calib, dtype=float)
-        if self.calib.ndim != 2:
-            raise DataError("calibration values must form an n x V matrix")
-        self.n_calibration_values = self.calib.shape[1]
+        if self.calib.ndim != 2 or self.calib.shape[1] != calibration.n_variables:
+            raise DataError(
+                f"calibration values of shape {self.calib.shape} do not form an "
+                f"n x V matrix for V = {calibration.n_variables} variables"
+            )
         self.attributes = {
             name: np.asarray(column, dtype=object)
             for name, column in (attributes or {}).items()
@@ -215,7 +202,7 @@ class SampleSet:
                 )
         for name, idx, bound in (
             ("stratum", self.stratum_idx, len(self.strata)),
-            ("domain", self.domain_idx, len(self.domains)),
+            ("domain", self.domain_idx, calibration.n_domains),
         ):
             if idx.ndim != 1 or idx.min() < 0 or idx.max() >= bound:
                 raise DataError(f"{name} positions must lie in 0..{bound - 1}")
@@ -249,24 +236,31 @@ class SampleSet:
 
     @property
     def domain_ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.domains)
+        return self.calibration.domain_order
 
     @property
     def stratum_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.strata)
 
     def check_spec(self, spec: CalibrationSpec) -> None:
-        """Require the sample layout to match a calibration spec."""
-        if self.domain_ids != spec.domain_order:
+        """Require the sample's layout (variable names, domain order) to be ``spec``."""
+        if spec != self.calibration:
             raise DataError(
-                f"sample domains {self.domain_ids} do not match the "
-                f"calibration domain order {spec.domain_order}"
+                f"sample layout {self.calibration} does not match the "
+                f"calibration spec {spec}"
             )
-        if self.n_calibration_values != spec.n_variables:
-            raise DataError(
-                f"records carry {self.n_calibration_values} calibration values, "
-                f"spec declares {spec.n_variables}"
-            )
+
+    def column(self, name: str, cell: str | None = None) -> np.ndarray:
+        """Per-unit values of a calibration variable or outcome by name;
+        ``cell`` names the cell asking, for the error message."""
+        if name in self.calibration.variable_names:
+            return self.calib[:, self.calibration.variable_names.index(name)]
+        if name in self.outcomes:
+            return self.outcomes[name]
+        where = f"cell {cell!r}: " if cell is not None else ""
+        raise DataError(
+            f"{where}variable {name!r} is neither a calibration variable nor an outcome"
+        )
 
     def design_matrix(self, spec: CalibrationSpec) -> np.ndarray:
         """n x p dense design matrix, row i the design vector y_i.
@@ -282,7 +276,7 @@ class SampleSet:
     @cached_property
     def stratum_domain_pairs(self) -> np.ndarray:
         """H x D read-only table: stratum h has sampled records in domain d."""
-        H, D = len(self.strata), len(self.domains)
+        H, D = len(self.strata), self.calibration.n_domains
         counts = np.bincount(self.stratum_idx * D + self.domain_idx, minlength=H * D)
         table = counts.reshape(H, D) > 0
         table.flags.writeable = False
@@ -379,36 +373,14 @@ class CellData:
         return int(self.mask.sum())
 
 
-def resolve_summed_values(
-    query: CellQuery, sample: SampleSet, spec: CalibrationSpec
-) -> tuple[np.ndarray, bool]:
-    """Per-record values of the summed variable and whether it is calibrated."""
-    name = query.summed_variable
-    if name in spec.variable_names:
-        return sample.calib[:, spec.variable_names.index(name)], True
-    if name in sample.outcomes:
-        return sample.outcomes[name], False
-    raise DataError(
-        f"cell {query.name!r}: variable {name!r} is neither a calibration "
-        f"variable nor an outcome"
-    )
+def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.ndarray:
+    """Apply a cell filter to a sample's units.
 
-
-def filter_mask(
-    f: CellFilter,
-    spec: CalibrationSpec,
-    domain_idx: np.ndarray,
-    attributes: Mapping[str, np.ndarray],
-    calib: np.ndarray,
-    cell_name: str = "?",
-) -> np.ndarray:
-    """Apply a cell filter to columnar unit data.
-
-    Shared by sample evaluation and population truth computation so that the
-    two paths cannot diverge.
+    A census population is a ``SampleSet`` too, so sample cells and
+    population truths go through this one predicate.
     """
-    n = domain_idx.shape[0]
-    mask = np.ones(n, dtype=bool)
+    spec = sample.calibration
+    mask = np.ones(sample.n, dtype=bool)
     if f.domains is not None:
         unknown = f.domains - set(spec.domain_order)
         if unknown:
@@ -419,21 +391,21 @@ def filter_mask(
         allowed = np.array(
             [d in f.domains for d in spec.domain_order], dtype=bool
         )
-        mask &= allowed[domain_idx]
+        mask &= allowed[sample.domain_idx]
     for attr, levels in f.attribute_levels:
-        if attr not in attributes:
+        if attr not in sample.attributes:
             raise DataError(
                 f"cell {cell_name!r}: filter references unknown attribute "
                 f"{attr!r}"
             )
-        mask &= np.isin(attributes[attr], list(levels))
+        mask &= np.isin(sample.attributes[attr], list(levels))
     for var, (lo, hi) in f.value_ranges:
         if var not in spec.variable_names:
             raise DataError(
                 f"cell {cell_name!r}: interval filter references "
                 f"{var!r}, which is not a calibration variable"
             )
-        column = calib[:, spec.variable_names.index(var)]
+        column = sample.column(var)
         if lo is not None:
             mask &= column >= lo
         if hi is not None:
@@ -450,13 +422,6 @@ def evaluate_cell(
     values; it is independent of weights, draws, and record order.
     """
     sample.check_spec(spec)
-    values, _ = resolve_summed_values(query, sample, spec)
-    mask = filter_mask(
-        query.filter,
-        spec,
-        sample.domain_idx,
-        sample.attributes,
-        sample.calib,
-        cell_name=query.name,
-    )
+    values = sample.column(query.summed_variable, query.name)
+    mask = filter_mask(query.filter, sample, query.name)
     return CellData(mask=mask, values=values)

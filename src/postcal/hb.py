@@ -542,12 +542,8 @@ def compute_psi(
     ``SampleSet.stratum_mean_variance`` of the variable's column.  A stratum
     with one record is an error, since S^2 needs n_h >= 2.
     """
-    if variable in spec.variable_names:
-        column = sample.calib[:, spec.variable_names.index(variable)]
-    elif variable in sample.outcomes:
-        column = sample.outcomes[variable]
-    else:
-        raise DataError(f"unknown variable {variable!r}")
+    sample.check_spec(spec)
+    column = sample.column(variable)
 
     counts = sample.stratum_counts
     too_small = [sample.strata[h].id for h in np.flatnonzero(counts == 1)]

@@ -13,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
-from .frame import CalibrationSpec, DomainSpec, SampleSet, StratumSpec
+from .errors import ConfigError, DataError
+from .frame import CalibrationSpec, SampleSet, StratumSpec
 from .hb import PosteriorDraws
 
 MACHINE_FLOAT = "%.17g"
@@ -68,6 +69,26 @@ class BandRule:
         which = np.select(masks, range(B), B) if masks else np.full(column.shape, B)
         names = [label for label, _, _ in self.bands] + [self.else_label]
         return np.array(names, dtype=object)[which]
+
+
+def derive_bands(
+    rules, numeric: Mapping[str, np.ndarray], calibration: tuple[str, ...]
+) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+    """Band attribute columns from the ``numeric`` columns by name, and the
+    names of the bands whose source is a ``calibration`` variable.
+
+    Bands are derived before a unit store is built, so sample records and
+    population truths see identical attribute values.
+    """
+    bands = {}
+    for rule in rules:
+        if rule.source not in numeric:
+            raise ConfigError(
+                f"band rule {rule.name!r}: source {rule.source!r} is not a "
+                f"numeric column"
+            )
+        bands[rule.name] = rule.labels(numeric[rule.source])
+    return bands, tuple(rule.name for rule in rules if rule.source in calibration)
 
 
 @dataclass
@@ -191,12 +212,6 @@ def read_sample(
         raise DataError(f"{records_path}: missing columns {sorted(missing)}")
     if roles.record_id:
         _require_unique(columns[roles.record_id], "record", records_path, lines)
-    for rule in band_rules:
-        if rule.source not in set(roles.calibration) | set(roles.outcomes):
-            raise DataError(
-                f"band rule {rule.name!r}: source {rule.source!r} is not a "
-                f"declared numeric column"
-            )
 
     strata, covariates = read_strata(strata_path)
     seen_domains = list(dict.fromkeys(columns[roles.domain]))
@@ -224,26 +239,23 @@ def read_sample(
     calib = {c: numeric(c) for c in roles.calibration}
     outcomes = {o: numeric(o) for o in roles.outcomes}
     attributes = {a: np.array(columns[a], dtype=object) for a in roles.attributes}
-    sources = {**calib, **outcomes}
-    for rule in band_rules:
-        attributes[rule.name] = rule.labels(sources[rule.source])
+    bands, calibration_attrs = derive_bands(
+        band_rules, {**outcomes, **calib}, roles.calibration
+    )
     sample = SampleSet(
         strata=strata,
-        domains=tuple(DomainSpec(id=d, index=i + 1) for i, d in enumerate(order)),
+        calibration=spec,
         stratum_idx=[stratum_pos[s] for s in columns[roles.stratum]],
         domain_idx=[domain_pos[d] for d in columns[roles.domain]],
         weights=numeric(roles.weight),
         calib=np.column_stack(list(calib.values())),
-        attributes=attributes,
+        attributes={**attributes, **bands},
         outcomes=outcomes,
     )
     record_ids = (
         columns[roles.record_id]
         if roles.record_id
         else tuple(str(i + 1) for i in range(sample.n))
-    )
-    calibration_attrs = tuple(
-        rule.name for rule in band_rules if rule.source in roles.calibration
     )
     return IngestedSample(
         sample=sample,

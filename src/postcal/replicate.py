@@ -32,7 +32,6 @@ from .frame import (
     SampleSet,
     TierLabel,
     evaluate_cell,
-    resolve_summed_values,
 )
 from .hb import PosteriorDraws
 
@@ -78,8 +77,8 @@ def classify_cell(
     metadata.  Interval clauses on calibration values are always treated as
     calibration-derived.
     """
-    _, is_calibration = resolve_summed_values(query, sample, spec)
-    if not is_calibration:
+    sample.column(query.summed_variable, query.name)  # rejects an unknown variable
+    if query.summed_variable not in spec.variable_names:
         return TierLabel.TIER_3NCV
     f = query.filter
     if f.single_domain() is not None:

@@ -2,9 +2,11 @@
 
 The harness realizes a finite population with known cell truths, draws fresh
 stratified samples, pushes each one through the full inference pipeline, and
-accumulates coverage of both interval kinds against the truths.  Seeds are
-split hierarchically (master seed, replication, stage, chain), so runs are
-reproducible under parallel execution and replication order.
+accumulates coverage of both interval kinds against the truths.  The
+population is a census ``SampleSet`` (every unit, each weight 1), so its
+truths and the samples' cells go through the same ``evaluate_cell``.  Seeds
+are split hierarchically (master seed, replication, stage, chain), so runs
+are reproducible under parallel execution and replication order.
 """
 
 from __future__ import annotations
@@ -27,76 +29,72 @@ from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
     CellQuery,
-    DomainSpec,
     SampleSet,
     StratumSpec,
     block_sums,
-    filter_mask,
+    evaluate_cell,
 )
 from .hb import McmcConfig, PosteriorDraws, chain_rng, gelman_rubin
+from .io import BandRule, derive_bands
 from .report import CellReportRow, build_artifacts, build_run_report
 
 
-@dataclass
-class SurveyFrame:
-    """Fully realized finite population with columnar views."""
+class SurveyFrame(SampleSet):
+    """Census of a synthetic population: every unit, each with weight 1.
 
-    spec: SyntheticPopulationSpec
-    calibration: CalibrationSpec
-    strata: tuple[StratumSpec, ...]
-    domains: tuple[DomainSpec, ...]
-    stratum_idx: np.ndarray
-    domain_idx: np.ndarray
-    calib: np.ndarray
-    attributes: dict[str, np.ndarray]
-    outcomes: dict[str, np.ndarray]
-    covariates: dict[str, np.ndarray]
+    ``columns`` are the ``SampleSet`` arguments but the weights; the frame
+    adds the generating ``SyntheticPopulationSpec``, the stratum
+    ``covariates`` and the names of the calibration-derived band attributes.
+    """
 
-    @property
-    def size(self) -> int:
-        return self.stratum_idx.shape[0]
+    def __init__(self, spec, covariates, calibration_attributes, **columns):
+        weights = np.broadcast_to(1.0, np.shape(columns["stratum_idx"]))
+        super().__init__(weights=weights, **columns)
+        self.spec = spec
+        self.covariates = covariates
+        self.calibration_attributes = calibration_attributes
 
     def cell_truth(self, query: CellQuery) -> float:
         """Exhaustive population total of the cell's summed variable."""
-        if query.summed_variable in self.calibration.variable_names:
-            values = self.calib[
-                :, self.calibration.variable_names.index(query.summed_variable)
-            ]
-        elif query.summed_variable in self.outcomes:
-            values = self.outcomes[query.summed_variable]
-        else:
-            raise DataError(
-                f"cell {query.name!r}: unknown variable "
-                f"{query.summed_variable!r}"
-            )
-        mask = filter_mask(
-            query.filter,
-            self.calibration,
-            self.domain_idx,
-            self.attributes,
-            self.calib,
-            cell_name=query.name,
-        )
-        return float(values[mask].sum())
+        cell = evaluate_cell(query, self, self.calibration)
+        return float(cell.values[cell.mask].sum())
 
     def truth_table(self, cells) -> dict[str, float]:
         return {query.name: self.cell_truth(query) for query in cells}
 
     def calibration_truth_vector(self) -> np.ndarray:
         """Population domain totals of the calibration variables."""
-        return block_sums(self.calibration, self.domain_idx, self.calib)
+        return block_sums(self)
 
 
-def generate_population(spec: SyntheticPopulationSpec) -> SurveyFrame:
-    """Realize every population unit; deterministic under the spec seed."""
-    if len({s.id for s in spec.strata}) != len(spec.strata):
-        raise ConfigError("stratum ids must be unique")
+def _outcome_column(model, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An outcome with target correlation ``model.rho`` to its link column."""
+    sd = float(base.std())
+    if sd == 0.0 and model.rho != 0.0:
+        raise ConfigError(
+            f"outcome {model.name!r}: target correlation {model.rho} is "
+            f"unreachable because {model.link!r} is constant in the "
+            f"population"
+        )
+    standardized = (base - base.mean()) / sd if sd > 0 else np.zeros(base.size)
+    noise = rng.standard_normal(base.size)
+    mix = model.rho * standardized + math.sqrt(1.0 - model.rho**2) * noise
+    return model.loc + model.scale * mix
+
+
+def generate_population(
+    spec: SyntheticPopulationSpec, band_rules: tuple[BandRule, ...] = ()
+) -> SurveyFrame:
+    """Realize every population unit, deterministic under the spec seed.
+
+    Band rules derive their attributes from the generated numeric columns
+    before the census store is built.
+    """
     unknown = sorted({s.domain for s in spec.strata} - set(spec.domains))
     if unknown:
         raise ConfigError(f"strata reference unknown domains {unknown}")
-    names = [v.name for v in spec.variables]
-    if len(set(names)) != len(names):
-        raise ConfigError("variable names must be unique")
+    calibration = CalibrationSpec(tuple(v.name for v in spec.variables), tuple(spec.domains))
+    names = calibration.variable_names
     for v in spec.variables:
         if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
             earlier = spec.variables[: names.index(v.name)]
@@ -165,40 +163,28 @@ def generate_population(spec: SyntheticPopulationSpec) -> SurveyFrame:
             column[members] = labels[picks]
         attributes[attr.name] = column
 
-    outcomes: dict[str, np.ndarray] = {}
-    for model in spec.outcomes:
-        base = calib[:, names.index(model.link)]
-        sd = float(base.std())
-        if sd == 0.0 and model.rho != 0.0:
-            raise ConfigError(
-                f"outcome {model.name!r}: target correlation {model.rho} is "
-                f"unreachable because {model.link!r} is constant in the "
-                f"population"
-            )
-        standardized = (base - base.mean()) / sd if sd > 0 else np.zeros(N)
-        noise = rng.standard_normal(N)
-        mix = model.rho * standardized + math.sqrt(1.0 - model.rho**2) * noise
-        outcomes[model.name] = model.loc + model.scale * mix
-
-    calibration = CalibrationSpec(
-        variable_names=tuple(names), domain_order=tuple(spec.domains)
+    # each outcome's N-float temporaries are freed before the bands are derived
+    outcomes = {
+        model.name: _outcome_column(model, calib[:, names.index(model.link)], rng)
+        for model in spec.outcomes
+    }
+    bands, calibration_attributes = derive_bands(
+        band_rules, {**outcomes, **dict(zip(names, calib.T))}, names
     )
     return SurveyFrame(
         spec=spec,
-        calibration=calibration,
+        covariates={"z": z},
+        calibration_attributes=calibration_attributes,
         strata=tuple(
             StratumSpec(id=s.id, population_size=s.population_size, deff=s.deff)
             for s in spec.strata
         ),
-        domains=tuple(
-            DomainSpec(id=d, index=i + 1) for i, d in enumerate(spec.domains)
-        ),
+        calibration=calibration,
         stratum_idx=stratum_idx,
         domain_idx=domain_idx,
         calib=calib,
-        attributes=attributes,
+        attributes={**attributes, **bands},
         outcomes=outcomes,
-        covariates={"z": z},
     )
 
 
@@ -228,7 +214,7 @@ def draw_stratified_sample(
     rows = np.concatenate(chosen)
     return SampleSet(
         strata=frame.strata,
-        domains=frame.domains,
+        calibration=frame.calibration,
         stratum_idx=frame.stratum_idx[rows],
         domain_idx=frame.domain_idx[rows],
         weights=np.concatenate(weights),
@@ -248,7 +234,6 @@ class McConfig:
     cells: tuple[CellQuery, ...]
     seed: int
     models: dict[str, ModelConfig] = field(default_factory=dict)
-    calibration_attributes: tuple[str, ...] = ()
     level: float = 0.95
     rhat_threshold: float = 1.2
     target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
@@ -305,7 +290,7 @@ def run_replication(
         sample,
         spec,
         draws,
-        calibration_attributes=config.calibration_attributes,
+        calibration_attributes=frame.calibration_attributes,
         level=config.level,
     )
     report = build_run_report(art, config.cells)
@@ -439,38 +424,17 @@ def accumulate_report(
     )
 
 
-def apply_band_rules(frame: SurveyFrame, rules) -> None:
-    """Materialize banded attributes on the population frame.
-
-    Bands are derived deterministically from generated numeric columns, so
-    sample records and population truths see identical attribute values.
-    """
-    for rule in rules:
-        if rule.source in frame.calibration.variable_names:
-            column = frame.calib[
-                :, frame.calibration.variable_names.index(rule.source)
-            ]
-        elif rule.source in frame.outcomes:
-            column = frame.outcomes[rule.source]
-        else:
-            raise ConfigError(
-                f"band rule {rule.name!r}: unknown source {rule.source!r}"
-            )
-        frame.attributes[rule.name] = rule.labels(column)
-
-
 def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
     """Realize the configured experiment: population, settings, truths.
 
     ``cfg`` is a parsed run configuration with a ``simulate`` section; band
-    rules are materialized on the frame so truths and samples agree.
+    rules are derived on the population so truths and samples agree.
     """
     if cfg.simulate is None:
         raise ConfigError("config lacks a 'simulate' section")
     if not cfg.cells:
         raise ConfigError("config declares no cells to simulate")
-    frame = generate_population(cfg.simulate.population)
-    apply_band_rules(frame, cfg.band_rules)
+    frame = generate_population(cfg.simulate.population, cfg.band_rules)
     mc = McConfig(
         replications=cfg.simulate.replications,
         sampling_fraction=cfg.simulate.sampling_fraction,
@@ -478,11 +442,6 @@ def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
         cells=cfg.cells,
         seed=cfg.seed,
         models=cfg.models,
-        calibration_attributes=tuple(
-            rule.name
-            for rule in cfg.band_rules
-            if rule.source in frame.calibration.variable_names
-        ),
         level=cfg.level,
         rhat_threshold=cfg.rhat_threshold,
         target_mode=cfg.simulate.target_mode,

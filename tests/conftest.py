@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from postcal.frame import CalibrationSpec, DomainSpec, SampleSet, StratumSpec
+from postcal.frame import CalibrationSpec, SampleSet, StratumSpec
 
 
-def sample_from_rows(rows, strata, domains, attributes=None, outcomes=None):
-    """Columnar sample from (stratum id, domain id, weight, calib values) rows.
+def sample_from_rows(rows, strata, spec, attributes=None, outcomes=None):
+    """Columnar sample from (stratum id, domain id, weight, calib values) rows
+    laid out by the calibration ``spec``.
 
     ``attributes`` and ``outcomes`` map names to per-row columns.
     """
-    strata, domains = tuple(strata), tuple(sorted(domains, key=lambda d: d.index))
+    strata = tuple(strata)
     stratum_pos = {s.id: i for i, s in enumerate(strata)}
-    domain_pos = {d.id: i for i, d in enumerate(domains)}
+    domain_pos = {d: i for i, d in enumerate(spec.domain_order)}
     stratum_ids, domain_ids, weights, calib = zip(*rows)
     return SampleSet(
         strata,
-        domains,
+        spec,
         stratum_idx=[stratum_pos[s] for s in stratum_ids],
         domain_idx=[domain_pos[d] for d in domain_ids],
         weights=weights,
@@ -29,7 +30,7 @@ def take_rows(sample, rows):
     """The sample restricted to, and reordered by, the given row indices."""
     return SampleSet(
         sample.strata,
-        sample.domains,
+        sample.calibration,
         sample.stratum_idx[rows],
         sample.domain_idx[rows],
         sample.weights[rows],
@@ -49,13 +50,12 @@ def make_random_sample(
 ):
     """Random but reproducible sample with full-rank calibration support."""
     rng = np.random.default_rng(seed)
-    domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(n_domains))
     strata = tuple(
         StratumSpec(f"s{h + 1}", population_size=10 * n) for h in range(n_strata)
     )
     spec = CalibrationSpec(
         variable_names=tuple(f"v{k + 1}" for k in range(n_variables)),
-        domain_order=tuple(d.id for d in domains),
+        domain_order=tuple(f"d{j + 1}" for j in range(n_domains)),
     )
     # draws interleave per record in the order the fixture always used
     calib = np.empty((n, n_variables))
@@ -74,7 +74,7 @@ def make_random_sample(
     rows = np.arange(n)
     sample = SampleSet(
         strata,
-        domains,
+        spec,
         stratum_idx=rows % n_strata,
         domain_idx=rows % n_domains,
         weights=weights,

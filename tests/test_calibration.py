@@ -13,7 +13,6 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
-    DomainSpec,
     StratumSpec,
     build_design_vector,
     evaluate_cell,
@@ -57,23 +56,21 @@ class TestGram:
 
     def test_single_variable_is_diagonal(self):
         # one record per domain with unit values and weights: orthogonal blocks
-        domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(3))
-        records = [("s1", d.id, 1.0, (1.0,)) for d in domains]
-        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
-        spec = CalibrationSpec(("v1",), tuple(d.id for d in domains))
+        spec = CalibrationSpec(("v1",), ("d1", "d2", "d3"))
+        records = [("s1", d, 1.0, (1.0,)) for d in spec.domain_order]
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), spec)
         gram = compute_gram(sample, spec)
         assert np.array_equal(gram.g, np.eye(3))
         assert gram.full_rank
 
     def test_empty_block_reported_as_deficient(self):
         # no record in domain d2 carries variable v1, so that block is empty
-        domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
+        spec = CalibrationSpec(("v1",), ("d1", "d2"))
         records = [
             ("s1", "d1", 1.0, (2.0,)),
             ("s1", "d2", 1.0, (0.0,)),
         ]
-        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
-        spec = CalibrationSpec(("v1",), ("d1", "d2"))
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), spec)
         gram = compute_gram(sample, spec)
         assert gram.rank == 1
         assert not gram.full_rank
@@ -104,10 +101,9 @@ class TestHtTotals:
         assert np.allclose(ht, Y.sum(axis=0) * 2.0)  # all weights are 2.0
 
     def test_single_record(self):
-        domains = (DomainSpec("d1", 1),)
-        records = [("s1", "d1", 10.0, (2.0,))]
-        sample = sample_from_rows(records, (StratumSpec("s1", 20),), domains)
         spec = CalibrationSpec(("v1",), ("d1",))
+        records = [("s1", "d1", 10.0, (2.0,))]
+        sample = sample_from_rows(records, (StratumSpec("s1", 20),), spec)
         assert ht_totals(sample, spec).tolist() == [20.0]
 
     def test_matches_filtered_sums(self):
@@ -127,14 +123,13 @@ class TestHtTotals:
 
 def toy_fixture():
     """6 records, p = 2 (one variable, two domains), constant weight 2."""
-    domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
+    spec = CalibrationSpec(("v1",), ("d1", "d2"))
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     records = [
         ("s1", "d1" if i < 3 else "d2", 2.0, (values[i],))
         for i in range(6)
     ]
-    sample = sample_from_rows(records, (StratumSpec("s1", 50),), domains)
-    spec = CalibrationSpec(("v1",), ("d1", "d2"))
+    sample = sample_from_rows(records, (StratumSpec("s1", 50),), spec)
     return sample, spec
 
 
@@ -228,13 +223,12 @@ class TestCalibrate:
 
 class TestReplicateDirection:
     def test_full_sample_single_constraint_gives_one(self):
-        domains = (DomainSpec("d1", 1),)
+        spec = CalibrationSpec(("v1",), ("d1",))
         records = [
             ("s1", "d1", w, (y,))
             for w, y in [(2.0, 1.0), (3.0, 4.0), (1.5, 2.0)]
         ]
-        sample = sample_from_rows(records, (StratumSpec("s1", 30),), domains)
-        spec = CalibrationSpec(("v1",), ("d1",))
+        sample = sample_from_rows(records, (StratumSpec("s1", 30),), spec)
         gram = compute_gram(sample, spec)
         cell = evaluate_cell(CellQuery("all", "v1", CellFilter()), sample, spec)
         moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)

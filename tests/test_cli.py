@@ -468,6 +468,13 @@ def set_config(dotted_key, value):
     return corrupt
 
 
+def drop_stratum(tmp_path, stratum="s2"):
+    """Remove one stratum's row from the strata file; the records still name it."""
+    path = tmp_path / "strata.csv"
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(f"{stratum},")]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def break_yaml(tmp_path):
     with open(tmp_path / "config.yaml", "a") as fh:
         fh.write("cells: [unclosed\n")
@@ -503,6 +510,11 @@ MALFORMED_INPUTS = [
         repeat_record_id,
         "records.csv:4: duplicate record id 'p0001'",
         id="records-duplicate-id",
+    ),
+    pytest.param(
+        drop_stratum,
+        "records.csv: records reference unknown strata: ['s2']",
+        id="records-unknown-stratum",
     ),
     pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
     pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
@@ -596,6 +608,20 @@ SIMULATE_MALFORMED = [
             ("covariate_range-zero", f"{POPULATION}.strata.covariate_range", 0),
             ("clip-empty", f"{POPULATION}.variables.1.clip", []),
         ]
+    ),
+    # stratum sizes from which a stratified draw cannot take 2 units
+    *(
+        pytest.param(
+            set_config(f"{POPULATION}.strata.population_size", size),
+            f"{POPULATION}.strata.population_size: expected at least 2, got {size}",
+            id=f"population_size-{size}",
+        )
+        for size in (-5, 1)
+    ),
+    pytest.param(
+        set_config(f"{POPULATION}.strata", [{"id": "s1", "domain": "d1", "population_size": -5}]),
+        f"{POPULATION}.strata[0].population_size: expected at least 2, got -5",
+        id="listed-stratum-population_size--5",
     ),
 ]
 

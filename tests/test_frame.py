@@ -6,7 +6,6 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
-    DomainSpec,
     SampleSet,
     StratumSpec,
     block_sums,
@@ -24,26 +23,30 @@ def spec_vd(v, d):
     )
 
 
+def units(spec, domain_idx, calib):
+    """One-stratum sample of the given domains and calibration rows."""
+    n = len(domain_idx)
+    return SampleSet((StratumSpec("s1", 10),), spec, [0] * n, domain_idx, [1.0] * n, calib)
+
+
 class TestBlockSums:
     def test_worked_example(self):
         # two records in d2 and one in d1; variable-major blocks v1_d1, v1_d2, v2_d1, v2_d2
-        spec = spec_vd(2, 2)
-        calib = np.array([[1.0, 10.0], [0.0, 20.0], [1.0, 30.0]])
-        domain_idx = np.array([1, 0, 1])
-        assert block_sums(spec, domain_idx, calib).tolist() == [0.0, 2.0, 20.0, 40.0]
-        scaled = block_sums(spec, domain_idx, calib, scale=np.array([2.0, 3.0, 0.5]))
+        sample = units(spec_vd(2, 2), [1, 0, 1], [[1.0, 10.0], [0.0, 20.0], [1.0, 30.0]])
+        assert block_sums(sample).tolist() == [0.0, 2.0, 20.0, 40.0]
+        scaled = block_sums(sample, scale=np.array([2.0, 3.0, 0.5]))
         assert scaled.tolist() == [0.0, 2.5, 60.0, 35.0]
 
     def test_empty_domain_gives_zero_blocks(self):
-        spec = spec_vd(3, 8)
-        sums = block_sums(spec, np.array([4]), np.array([[1.0, 0.0, 38.0]]))
+        sums = block_sums(units(spec_vd(3, 8), [4], [[1.0, 0.0, 38.0]]))
         assert sums.shape == (24,)
         assert np.flatnonzero(sums).tolist() == [4, 20]
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_variable_count_mismatch_rejected(self, width):
+        # the store rejects the rows, so block_sums never meets them
         with pytest.raises(DataError, match="2 variables"):
-            block_sums(spec_vd(2, 2), np.array([0]), np.ones((1, width)))
+            units(spec_vd(2, 2), [0], np.ones((1, width)))
 
 
 class TestDesignVector:
@@ -102,7 +105,7 @@ class TestDesignVector:
 def toy_ten_records():
     hours = [10.0, 36.0, 38.0, 40.0, 35.0, 39.0, 12.0, 37.0, 50.0, 0.0]
     employed = [1, 1, 1, 1, 1, 1, 0, 1, 1, 0]
-    domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
+    spec = CalibrationSpec(("employed", "hours"), ("d1", "d2"))
     strata = (StratumSpec("s1", 100),)
     rows = [
         ("s1", "d1" if i < 5 else "d2", 2.0, (float(employed[i]), hours[i]))
@@ -111,11 +114,10 @@ def toy_ten_records():
     sample = sample_from_rows(
         rows,
         strata,
-        domains,
+        spec,
         attributes={"sex": ["f" if i % 2 == 0 else "m" for i in range(10)]},
         outcomes={"income": [100.0 * i for i in range(10)]},
     )
-    spec = CalibrationSpec(("employed", "hours"), ("d1", "d2"))
     return sample, spec
 
 
@@ -210,7 +212,7 @@ def one_stratum_sample(n=1, population=10, weight=1.0, **columns):
         calib=[(1.0,)] * n,
     )
     args.update(columns)
-    return SampleSet((StratumSpec("s1", population),), (DomainSpec("d1", 1),), **args)
+    return SampleSet((StratumSpec("s1", population),), spec_vd(1, 1), **args)
 
 
 class TestSampleSetValidation:
@@ -230,22 +232,11 @@ class TestSampleSetValidation:
         with pytest.raises(DataError, match="domain positions"):
             one_stratum_sample(domain_idx=[-1])
 
-    def test_domain_indices_must_be_bijection(self):
-        with pytest.raises(DataError, match="bijection"):
-            SampleSet(
-                (StratumSpec("s1", 10),),
-                (DomainSpec("d1", 1), DomainSpec("d2", 3)),
-                stratum_idx=[0],
-                domain_idx=[0],
-                weights=[1.0],
-                calib=[(1.0,)],
-            )
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError, match="stratum ids"):
             SampleSet(
                 (StratumSpec("s1", 10), StratumSpec("s1", 10)),
-                (DomainSpec("d1", 1),),
+                spec_vd(1, 1),
                 stratum_idx=[0],
                 domain_idx=[0],
                 weights=[1.0],
@@ -274,6 +265,26 @@ class TestSampleSetValidation:
     def test_calibration_values_must_be_a_matrix(self):
         with pytest.raises(DataError, match="n x V"):
             one_stratum_sample(n=2, calib=[1.0, 2.0])
+
+    def test_check_spec_compares_variable_names(self):
+        sample = make_random_sample(6, 2, 2, seed=1)[0]
+        sample.check_spec(spec_vd(2, 2))
+        renamed = CalibrationSpec(("v1", "w2"), ("d1", "d2"))
+        with pytest.raises(DataError, match="sample layout .* does not match"):
+            sample.check_spec(renamed)
+        with pytest.raises(DataError, match="sample layout .* does not match"):
+            evaluate_cell(CellQuery("all", "v1"), sample, renamed)
+        with pytest.raises(DataError, match="sample layout .* does not match"):
+            sample.check_spec(CalibrationSpec(("v1", "v2"), ("d2", "d1")))
+
+    def test_column_by_name(self):
+        sample, _ = toy_ten_records()
+        assert np.array_equal(sample.column("hours"), sample.calib[:, 1])
+        assert sample.column("income") is sample.outcomes["income"]
+        with pytest.raises(DataError, match="^variable 'wages' is neither"):
+            sample.column("wages")
+        with pytest.raises(DataError, match="^cell 'c': variable 'wages'"):
+            sample.column("wages", "c")
 
     def test_sample_larger_than_population_rejected(self):
         with pytest.raises(DataError, match="exceeds"):

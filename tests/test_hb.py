@@ -5,7 +5,6 @@ from scipy import stats
 from postcal.errors import DataError
 from postcal.frame import (
     CalibrationSpec,
-    DomainSpec,
     SampleSet,
     StratumSpec,
 )
@@ -204,7 +203,6 @@ class TestGaussianSampler:
 
 
 def psi_sample(values_by_stratum, sizes, deff=1.0):
-    domains = (DomainSpec("d1", 1),)
     strata = tuple(
         StratumSpec(f"s{k + 1}", population_size=sizes[k], deff=deff)
         for k in range(len(values_by_stratum))
@@ -215,7 +213,7 @@ def psi_sample(values_by_stratum, sizes, deff=1.0):
         for v in values
     ]
     spec = CalibrationSpec(("y",), ("d1",))
-    return sample_from_rows(records, strata, domains), spec
+    return sample_from_rows(records, strata, spec), spec
 
 
 class TestComputePsi:
@@ -260,7 +258,7 @@ class TestComputePsi:
 
 def aggregation_fixture():
     """3 strata, 2 domains: s1 and s2 in dA, s3 in dB."""
-    domains = (DomainSpec("dA", 1), DomainSpec("dB", 2))
+    spec = CalibrationSpec(("v1",), ("dA", "dB"))
     strata = (
         StratumSpec("s1", 100),
         StratumSpec("s2", 200),
@@ -271,8 +269,7 @@ def aggregation_fixture():
         ("s2", "dA", 1.0, (0.0,)),
         ("s3", "dB", 1.0, (1.0,)),
     ]
-    sample = sample_from_rows(records, strata, domains)
-    spec = CalibrationSpec(("v1",), ("dA", "dB"))
+    sample = sample_from_rows(records, strata, spec)
     return sample, spec
 
 
@@ -282,15 +279,15 @@ class TestStratumDomainMap:
         assert stratum_domain_map(sample) == {"s1": "dA", "s2": "dA", "s3": "dB"}
 
     def test_first_unassigned_stratum_in_frame_order_is_named(self):
-        domains = (DomainSpec("dA", 1), DomainSpec("dB", 2))
+        spec = CalibrationSpec(("v1",), ("dA", "dB"))
         strata = tuple(StratumSpec(f"s{k}", 100) for k in (1, 2, 3, 4))
         spans = [("s1", "dA"), ("s3", "dB"), ("s3", "dA"), ("s4", "dB")]
         records = [(s, d, 1.0, (1.0,)) for s, d in spans]
         with pytest.raises(DataError, match="stratum 's2' has no domain assignment"):
-            stratum_domain_map(sample_from_rows(records, strata, domains))
+            stratum_domain_map(sample_from_rows(records, strata, spec))
         records.append(("s2", "dA", 1.0, (1.0,)))
         with pytest.raises(DataError, match=r"'s3' spans multiple domains \['dA', 'dB'\]"):
-            stratum_domain_map(sample_from_rows(records, strata, domains))
+            stratum_domain_map(sample_from_rows(records, strata, spec))
 
 
 class TestDomainAggregation:
@@ -308,13 +305,12 @@ class TestDomainAggregation:
         assert totals.draws[1].tolist() == [100 * 0.4 + 200 * 0.3, 300 * 0.2]
 
     def test_single_stratum_direct_product(self):
-        domains = (DomainSpec("dA", 1),)
+        spec = CalibrationSpec(("v1",), ("dA",))
         sample = sample_from_rows(
             [("s1", "dA", 1.0, (1.0,))],
             (StratumSpec("s1", 100),),
-            domains,
+            spec,
         )
-        spec = CalibrationSpec(("v1",), ("dA",))
         draws = StratumDraws(
             draws=np.array([[0.5]]),
             chain_tags=np.array([0]),
@@ -338,7 +334,7 @@ class TestDomainAggregation:
                 StratumSpec(s.id, s.population_size * 3, s.deff)
                 for s in sample.strata
             ),
-            sample.domains,
+            sample.calibration,
             sample.stratum_idx,
             sample.domain_idx,
             sample.weights,
@@ -348,13 +344,12 @@ class TestDomainAggregation:
         assert np.allclose(scaled, 3.0 * base, rtol=1e-14)
 
     def test_stratum_spanning_domains_rejected(self):
-        domains = (DomainSpec("dA", 1), DomainSpec("dB", 2))
+        spec = CalibrationSpec(("v1",), ("dA", "dB"))
         records = [
             ("s1", "dA", 1.0, (1.0,)),
             ("s1", "dB", 1.0, (1.0,)),
         ]
-        sample = sample_from_rows(records, (StratumSpec("s1", 10),), domains)
-        spec = CalibrationSpec(("v1",), ("dA", "dB"))
+        sample = sample_from_rows(records, (StratumSpec("s1", 10),), spec)
         draws = StratumDraws(
             draws=np.array([[0.5]]),
             chain_tags=np.array([0]),

@@ -17,6 +17,7 @@ from postcal.io import (
     write_draws,
     write_weights,
 )
+from postcal.simulate import generate_population
 
 SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
 
@@ -75,6 +76,15 @@ class TestIngestion:
         bands = ingested.sample.attributes["hours_band"].tolist()
         assert bands == ["long", "none", "short", "long"]
         assert ingested.calibration_attributes == ("hours_band",)
+
+    def test_unknown_band_source_named_alike_in_sample_and_population(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        rule = (BandRule("band", "wages", (("low", None, 29.0),)),)
+        message = "band rule 'band': source 'wages' is not a numeric column"
+        with pytest.raises(ConfigError, match=message):
+            read_sample(records, strata, roles(), band_rules=rule)
+        with pytest.raises(ConfigError, match=message):
+            generate_population(load_config(SMOKE_CONFIG).simulate.population, rule)
 
     def test_missing_column_rejected(self, tmp_path):
         records, strata = write_inputs(tmp_path)
@@ -151,7 +161,7 @@ class TestIngestion:
         records, strata = write_inputs(tmp_path)
         ingested = read_sample(records, strata, roles(), domain_order=("d2", "d1"))
         assert ingested.spec.domain_order == ("d2", "d1")
-        assert ingested.sample.domains[0].id == "d2"
+        assert ingested.sample.domain_ids[0] == "d2"
 
 
 class TestDrawsRoundTrip:

@@ -16,13 +16,14 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
-    DomainSpec,
     SampleSet,
     StratumSpec,
+    TierLabel,
     evaluate_cell,
 )
 from postcal.hb import PosteriorDraws
 from postcal.io import BandRule
+from postcal.replicate import classify_cell, recalibration_oracle, replicate_totals
 from postcal.simulate import SurveyFrame
 from postcal.variance import variance_components
 
@@ -88,6 +89,61 @@ def test_calibration_reproduces_random_targets(data):
     assert violation.max() < 1e-8
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_replicate_totals_match_recalibration_at_every_draw(data):
+    # the affine identity: propagating draws through a_c equals recalibrating
+    sample, spec = random_sample(data, min_n=6)
+    gram = compute_gram(sample, spec)
+    assume(gram.full_rank and gram.condition_estimate < 1e6)
+    ht = ht_totals(sample, spec)
+    rng = np.random.default_rng(data.draw(seeds, label="draws"))
+    B = data.draw(st.integers(2, 8), label="B")
+    draws = PosteriorDraws(ht * rng.uniform(0.7, 1.3, (B, spec.p)), np.zeros(B, dtype=int))
+    summed = st.sampled_from(spec.variable_names + ("u",))
+    for k in range(data.draw(st.integers(1, 3), label="cells")):
+        query = CellQuery(f"c{k}", data.draw(summed, label="summed"), random_filter(data, spec))
+        cell = evaluate_cell(query, sample, spec)
+        got = replicate_totals(cell, draws, gram, ht, sample, spec).values
+        want = recalibration_oracle(query, draws, gram, ht, sample, spec)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tier_classification_is_total_and_ignores_clause_order(data):
+    sample, spec = random_sample(data)
+    names = ("group", "band", "region")
+    derived = data.draw(st.sets(st.sampled_from(names)), label="derived")
+    summed = data.draw(st.sampled_from(spec.variable_names + ("u",)), label="summed")
+    domains = data.draw(
+        st.none() | st.sets(st.sampled_from(spec.domain_order), min_size=1), label="domains"
+    )
+    levels = st.sets(st.sampled_from(["a", "b", "c"]), min_size=1)
+    attributes = data.draw(st.dictionaries(st.sampled_from(names), levels), label="attributes")
+    bounds = st.none() | st.floats(0.0, 40.0)
+    ranges = data.draw(
+        st.dictionaries(st.sampled_from(spec.variable_names), st.tuples(bounds, bounds)),
+        label="ranges",
+    )
+
+    def tier(attributes, ranges):
+        query = CellQuery("c", summed, CellFilter.build(domains, attributes, ranges))
+        return classify_cell(query, spec, sample, derived)
+
+    got = tier(attributes, ranges)
+    assert isinstance(got, TierLabel)
+    shuffled = [dict(data.draw(st.permutations(list(d.items())))) for d in (attributes, ranges)]
+    assert tier(*shuffled) is got
+    calibrated = summed in spec.variable_names
+    bare_domain = domains is not None and len(domains) == 1 and not attributes and not ranges
+    assert (got is TierLabel.TIER_3NCV) == (not calibrated)
+    assert (got is TierLabel.TIER_1E) == (calibrated and bare_domain)
+    assert (got is TierLabel.TIER_2CA) == (
+        calibrated and not bare_domain and set(attributes) <= derived
+    )
+
+
 def spanning_sample(data):
     """Records placed in random strata and domains, so strata span domains;
     some strata are singletons, empty or fully sampled (census)."""
@@ -102,13 +158,13 @@ def spanning_sample(data):
         StratumSpec(f"s{h + 1}", int(size), deff=float(rng.uniform(0.5, 3.0)))
         for h, size in enumerate(sizes)
     )
-    domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(D))
+    spec = CalibrationSpec(("v1", "v2"), tuple(f"d{j + 1}" for j in range(D)))
     calib = np.column_stack(
         [(rng.random(n) < 0.6).astype(float), rng.uniform(0.5, 40.0, n)]
     )
     sample = SampleSet(
         strata,
-        domains,
+        spec,
         stratum_idx,
         rng.integers(0, D, n),
         rng.uniform(1.0, 5.0, n),
@@ -116,7 +172,7 @@ def spanning_sample(data):
         attributes={"group": rng.choice(["a", "b", "c"], n)},
         outcomes={"u": rng.uniform(1.0, 20.0, n)},
     )
-    return sample, CalibrationSpec(("v1", "v2"), tuple(d.id for d in domains)), rng
+    return sample, spec, rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,15 +253,15 @@ def test_block_kernels_match_the_dense_design_matrix(data):
         assert np.all(np.abs(got - (1.0 + Y @ u)) <= 1e-12 * (1.0 + np.abs(Y) @ np.abs(u)))
     frame = SurveyFrame(
         spec=None,
-        calibration=spec,
+        covariates={},
+        calibration_attributes=(),
         strata=sample.strata,
-        domains=sample.domains,
+        calibration=spec,
         stratum_idx=sample.stratum_idx,
         domain_idx=sample.domain_idx,
         calib=sample.calib,
         attributes=sample.attributes,
         outcomes=sample.outcomes,
-        covariates={},
     )
     close(frame.calibration_truth_vector(), Y.sum(axis=0))
 

@@ -7,7 +7,6 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
-    DomainSpec,
     StratumSpec,
     TierLabel,
     evaluate_cell,
@@ -28,7 +27,7 @@ def survey_sample():
     """Sample with binary employment, hours, an occupation attribute, and
     an income outcome; 3 domains."""
     rng = np.random.default_rng(31)
-    domains = tuple(DomainSpec(f"d{j + 1}", j + 1) for j in range(3))
+    spec = CalibrationSpec(("employed", "hours"), ("d1", "d2", "d3"))
     strata = (StratumSpec("s1", 400), StratumSpec("s2", 400))
     records = []
     occupation, hours_band, income = [], [], []
@@ -37,15 +36,14 @@ def survey_sample():
         hours = employed * rng.uniform(4.0, 55.0)
         stratum = "s1" if i % 2 == 0 else "s2"
         weight = rng.uniform(2.0, 6.0)
-        records.append((stratum, domains[i % 3].id, weight, (employed, hours)))
+        records.append((stratum, spec.domain_order[i % 3], weight, (employed, hours)))
         occupation.append(rng.choice(["managers", "trades", "sales"]))
         hours_band.append("35-39" if 35 <= hours <= 39 else "other")
         income.append(hours * 25.0 + rng.normal(0.0, 40.0))
-    spec = CalibrationSpec(("employed", "hours"), tuple(d.id for d in domains))
     sample = sample_from_rows(
         records,
         strata,
-        domains,
+        spec,
         attributes={"occupation": occupation, "hours_band": hours_band},
         outcomes={"income": income},
     )

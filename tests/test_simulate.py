@@ -22,7 +22,6 @@ from postcal.simulate import (
     McConfig,
     ReplicationResult,
     accumulate_report,
-    apply_band_rules,
     draw_stratified_sample,
     generate_population,
     run_replication,
@@ -120,7 +119,7 @@ class TestGeneratePopulation:
         )
         frame = generate_population(spec)
         rho = np.corrcoef(frame.outcomes["noise"], frame.calib[:, 1])[0, 1]
-        assert abs(rho) < 3.0 / np.sqrt(frame.size)
+        assert abs(rho) < 3.0 / np.sqrt(frame.n)
 
     def test_moderate_target_correlation_realized(self):
         frame = generate_population(small_spec(seed=3, size=2500))
@@ -182,9 +181,8 @@ class TestGeneratePopulation:
 
 class TestTruthTable:
     def test_matches_independent_pass(self):
-        frame = generate_population(small_spec(seed=21))
-        apply_band_rules(
-            frame,
+        frame = generate_population(
+            small_spec(seed=21),
             (BandRule("band", "hours", (("lo", 1.0, 29.0), ("hi", 30.0, None)), "none"),),
         )
         cells = (
@@ -195,7 +193,7 @@ class TestTruthTable:
         truths = frame.truth_table(cells)
         # independent pass: plain python loops over the raw columns
         expected = {"emp_d1": 0.0, "inc_a": 0.0, "emp_hi": 0.0}
-        for i in range(frame.size):
+        for i in range(frame.n):
             emp = frame.calib[i, 0]
             hours = frame.calib[i, 1]
             if frame.domain_idx[i] == 0:
@@ -219,7 +217,7 @@ class TestStratifiedSampling:
     def test_census_fraction(self):
         frame = generate_population(small_spec(seed=2, size=50))
         sample = draw_stratified_sample(frame, 1.0, chain_rng(0, 0))
-        assert sample.n == frame.size
+        assert sample.n == frame.n
         assert np.all(sample.weights == 1.0)
 
     def test_weights_constant_within_stratum(self):
@@ -499,9 +497,8 @@ class TestConfigBuilders:
             generate_population(spec)
 
     def test_band_rules_applied_to_frame(self):
-        frame = generate_population(small_spec(seed=71))
-        apply_band_rules(
-            frame,
+        frame = generate_population(
+            small_spec(seed=71),
             (BandRule("band", "hours", (("low", None, 29.0), ("high", 30.0, None)), "x"),),
         )
         hours = frame.calib[:, 1]

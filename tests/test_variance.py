@@ -7,7 +7,6 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
-    DomainSpec,
     StratumSpec,
     evaluate_cell,
 )
@@ -32,7 +31,7 @@ def two_stratum_fixture():
     Stratum s1: N=30, deff=1, w=10, emp values (1, 1, 0), cell flags (1, 0, 0).
     Stratum s2: N=60, deff=2, w=20, emp values (1, 0, 1), cell flags (1, 0, 1).
     """
-    domains = (DomainSpec("d1", 1),)
+    spec = CalibrationSpec(("emp",), ("d1",))
     strata = (StratumSpec("s1", 30, deff=1.0), StratumSpec("s2", 60, deff=2.0))
     rows = [
         ("s1", 10.0, 1.0, "a"),
@@ -43,9 +42,8 @@ def two_stratum_fixture():
         ("s2", 20.0, 1.0, "a"),
     ]
     records = [(s, "d1", w, (emp,)) for s, w, emp, _ in rows]
-    spec = CalibrationSpec(("emp",), ("d1",))
     groups = [g for *_, g in rows]
-    return sample_from_rows(records, strata, domains, attributes={"g": groups}), spec
+    return sample_from_rows(records, strata, spec, attributes={"g": groups}), spec
 
 
 class TestShareAndVariance:
@@ -116,15 +114,14 @@ class TestShareAndVariance:
         assert any("zero denominator" in w for w in warnings)
 
     def test_singleton_stratum_contribution_zeroed(self):
-        domains = (DomainSpec("d1", 1),)
+        spec = CalibrationSpec(("emp",), ("d1",))
         strata = (StratumSpec("s1", 30), StratumSpec("s2", 40))
         records = [
             ("s1", "d1", 10.0, (1.0,)),
             ("s2", "d1", 20.0, (1.0,)),
             ("s2", "d1", 20.0, (0.0,)),
         ]
-        sample = sample_from_rows(records, strata, domains)
-        spec = CalibrationSpec(("emp",), ("d1",))
+        sample = sample_from_rows(records, strata, spec)
         gram = compute_gram(sample, spec)
         ht = ht_totals(sample, spec)
         weights = calibrate(sample, gram, ht, ht)
@@ -225,7 +222,7 @@ class TestCbi:
 
 def link_fixture(outcome_fn, n=40, seed=3):
     rng = np.random.default_rng(seed)
-    domains = (DomainSpec("d1", 1),)
+    spec = CalibrationSpec(("employed", "hours"), ("d1",))
     strata = (StratumSpec("s1", 5000),)
     records = []
     outcome = []
@@ -233,8 +230,7 @@ def link_fixture(outcome_fn, n=40, seed=3):
         hours = float(rng.uniform(5.0, 50.0))
         records.append(("s1", "d1", 2.0, (1.0, hours)))
         outcome.append(outcome_fn(hours, rng))
-    spec = CalibrationSpec(("employed", "hours"), ("d1",))
-    return sample_from_rows(records, strata, domains, outcomes={"u": outcome}), spec
+    return sample_from_rows(records, strata, spec, outcomes={"u": outcome}), spec
 
 
 class TestLinkSelection:
@@ -273,13 +269,12 @@ class TestLinkSelection:
         assert link.weak
 
     def test_no_admissible_candidate(self):
-        domains = (DomainSpec("d1", 1),)
+        spec = CalibrationSpec(("employed", "hours"), ("d1",))
         strata = (StratumSpec("s1", 100),)
         records = [("s1", "d1", 1.0, (1.0, 38.0))] * 5
         sample = sample_from_rows(
-            records, strata, domains, outcomes={"u": [float(k) for k in range(5)]}
+            records, strata, spec, outcomes={"u": [float(k) for k in range(5)]}
         )
-        spec = CalibrationSpec(("employed", "hours"), ("d1",))
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
         with pytest.raises(LinkSelectionError, match="direct estimate"):
             select_linking_variable(sample, spec, cell)
@@ -299,7 +294,7 @@ class TestLinkSelection:
 
 def orthogonality_fixture():
     """p = 2 fixture; the cell is the first constraint with direction e1."""
-    domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
+    spec = CalibrationSpec(("y",), ("d1", "d2"))
     strata = (StratumSpec("s1", 100),)
     records = [
         ("s1", "d1", 2.0, (3.0,)),
@@ -307,8 +302,7 @@ def orthogonality_fixture():
         ("s1", "d2", 2.0, (4.0,)),
         ("s1", "d2", 3.0, (1.0,)),
     ]
-    sample = sample_from_rows(records, strata, domains)
-    spec = CalibrationSpec(("y",), ("d1", "d2"))
+    sample = sample_from_rows(records, strata, spec)
     gram = compute_gram(sample, spec)
     ht = ht_totals(sample, spec)
     cell = evaluate_cell(
@@ -389,7 +383,7 @@ class TestComponentTwoAgreement:
         # with independent draw columns the share-weighted per-domain
         # variances then agree with the quadratic form up to the sampling
         # noise of the off-diagonal covariance estimates
-        domains = (DomainSpec("d1", 1), DomainSpec("d2", 2))
+        spec = CalibrationSpec(("y",), ("d1", "d2"))
         strata = (StratumSpec("s1", 1000),)
         records = [
             ("s1", d, 4.0, (value,))
@@ -397,8 +391,7 @@ class TestComponentTwoAgreement:
             for k in range(10)
         ]
         groups = ["a" if k < 4 else "b" for _ in range(2) for k in range(10)]
-        sample = sample_from_rows(records, strata, domains, attributes={"g": groups})
-        spec = CalibrationSpec(("y",), ("d1", "d2"))
+        sample = sample_from_rows(records, strata, spec, attributes={"g": groups})
         gram = compute_gram(sample, spec)
         ht = ht_totals(sample, spec)
 

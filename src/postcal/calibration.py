@@ -178,12 +178,13 @@ def calibrate(
 def cell_weighted_moment(
     sample: SampleSet,
     spec: CalibrationSpec,
-    mask: np.ndarray,
+    rows: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Cell moment vector sum_{i in c} value_i w_i y_i."""
+    """Cell moment vector sum_{i in c} value_i w_i y_i; ``rows`` indexes the
+    cell's records (positions or a boolean mask), ``values`` are per record."""
     sample.check_spec(spec)
-    return block_sums(sample, sample.weights * values * mask)
+    return block_sums(sample, sample.weights[rows] * values[rows], rows)
 
 
 def replicate_direction(gram: GramMatrix, cell_weighted_moment: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def fit_variable(
     )
 
     if model.kind == "binary":
-        if not np.isin(column, (0.0, 1.0)).all():
+        if not ((column == 0.0) | (column == 1.0)).all():
             raise DataError(
                 f"variable {model.variable!r} is not binary; found values "
                 f"outside {{0, 1}}"

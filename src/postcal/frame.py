@@ -9,8 +9,11 @@ The calibration system stacks V variables over D geographic domains into a
 single constraint vector of length p = V * D.  Block order is variable-major:
 variable v occupies 0-based positions v*D .. v*D + D - 1, and a record's
 design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
-``block_sums`` reduces over that layout without forming design vectors;
-``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
+``block_sums`` reduces over that layout, on all rows or a cell's rows, without
+forming design vectors; ``build_design_vector`` and ``SampleSet.design_matrix``
+are test references.  Cell filters test attributes on ``attribute_codes``,
+integer level codes built once per store, so a cell costs one O(n) mask and
+every reduction after it runs on the cell's rows alone.
 """
 
 from __future__ import annotations
@@ -127,12 +130,15 @@ def build_design_vector(
     return y
 
 
-def block_sums(sample: SampleSet, scale=None) -> np.ndarray:
-    """The p-vector sum_i scale_i * y_i (``scale`` 1 by default): entry
-    v*D + d sums variable v over domain d, one ``np.bincount`` per variable."""
-    idx, D = sample.domain_idx, sample.calibration.n_domains
+def block_sums(sample: SampleSet, scale=None, rows=None) -> np.ndarray:
+    """The p-vector sum_i scale_i * y_i over ``rows`` (default all; ``scale``
+    1 by default, else given at those rows): entry v*D + d sums variable v
+    over domain d, one ``np.bincount`` per variable."""
+    rows = slice(None) if rows is None else rows
+    idx, calib = sample.domain_idx[rows], sample.calib[rows]
+    D = sample.calibration.n_domains
     return np.concatenate(
-        [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in sample.calib.T]
+        [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in calib.T]
     )
 
 
@@ -282,27 +288,46 @@ class SampleSet:
         table.flags.writeable = False
         return table
 
-    def stratum_mean_variance(self, values: np.ndarray) -> np.ndarray:
+    @cached_property
+    def attribute_codes(self) -> dict[str, tuple[tuple, np.ndarray]]:
+        """Per attribute, its levels in order of first appearance and the
+        column as positions in them, in the smallest unsigned dtype."""
+        out = {}
+        for name, labels in self.attributes.items():
+            levels: dict = {}
+            codes = [levels.setdefault(x, len(levels)) for x in labels.tolist()]
+            out[name] = tuple(levels), np.array(codes, dtype=np.min_scalar_type(len(levels) - 1))
+        return out
+
+    def stratum_mean_variance(self, values, rows=None, by_domain=False) -> np.ndarray:
         """Design variance of each stratum's sample mean of ``values``.
 
         Returns deff_h * (1 - f_h) * s2_h / n_h per stratum in frame order,
         where s2_h is the within-stratum sample variance (divisor n_h - 1)
-        and f_h the sampling fraction; strata with n_h < 2 get 0.  Two
-        passes of ``np.bincount`` over the values centred on one member of
-        their stratum (its largest value), so a stratum whose values are all
-        equal gets exactly 0.
+        and f_h the sampling fraction; strata with n_h < 2 get 0.  ``values``
+        are given at ``rows`` (default all), 0 elsewhere.  ``by_domain``
+        gives the H x D table for z_d, the values zeroed outside domain d,
+        keyed by (stratum, domain) pair.  Squares are summed about each key's
+        largest value (an all-equal key gets exactly 0), plus the exact
+        n_k (n_h - n_k) / n_h * mean_k^2 for the stratum's zeros outside it.
         """
         values = np.asarray(values, dtype=float)
-        H, idx, n_h = len(self.strata), self.stratum_idx, self.stratum_counts
-        anchor = np.full(H, -np.inf)
+        rows = slice(None) if rows is None else rows
+        H, D = len(self.strata), self.calibration.n_domains if by_domain else 1
+        idx = self.stratum_idx[rows] * D + (self.domain_idx[rows] if by_domain else 0)
+        n_h = np.repeat(self.stratum_counts, D)
+        n = np.maximum(n_h, 1)
+        n_k = np.bincount(idx, minlength=H * D)
+        anchor = np.full(H * D, -np.inf)
         np.maximum.at(anchor, idx, values)
         centred = values - anchor[idx]
-        n = np.maximum(n_h, 1)
-        mean = np.bincount(idx, centred, minlength=H) / n
-        ss = np.bincount(idx, (centred - mean[idx]) ** 2, minlength=H)
+        mean = np.bincount(idx, centred, minlength=H * D) / np.maximum(n_k, 1)
+        ss = np.bincount(idx, (centred - mean[idx]) ** 2, minlength=H * D)
+        ss = ss + n_k * (n_h - n_k) / n * np.where(n_k > 0, anchor + mean, 0.0) ** 2
         s2 = np.where(n_h > 1, ss / np.maximum(n_h - 1, 1), 0.0)
-        fpc = 1.0 - self.sampling_fractions
-        return self.stratum_deff * fpc * s2 / n
+        fpc = 1.0 - np.repeat(self.sampling_fractions, D)
+        out = np.repeat(self.stratum_deff, D) * fpc * s2 / n
+        return out.reshape(H, D) if by_domain else out
 
 
 def _as_frozenset(value) -> frozenset:
@@ -363,14 +388,19 @@ class CellQuery:
 
 @dataclass(frozen=True)
 class CellData:
-    """Evaluated cell membership: boolean mask plus per-record summed values."""
+    """Evaluated cell membership: boolean mask plus per-record summed values;
+    ``rows``, the positions of the members, is what the cell kernels read."""
 
     mask: np.ndarray
     values: np.ndarray
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
+
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return self.rows.size
 
 
 def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.ndarray:
@@ -398,7 +428,8 @@ def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.nd
                 f"cell {cell_name!r}: filter references unknown attribute "
                 f"{attr!r}"
             )
-        mask &= np.isin(sample.attributes[attr], list(levels))
+        present, codes = sample.attribute_codes[attr]
+        mask &= np.array([level in levels for level in present], dtype=bool)[codes]
     for var, (lo, hi) in f.value_ranges:
         if var not in spec.variable_names:
             raise DataError(

@@ -99,16 +99,17 @@ def replicate_totals(
 ) -> ReplicateTotals:
     """Replicate cell totals via the affine propagation identity.
 
-    Cost is O(n p + p^2) once per cell plus O(B p) across draws.
+    Cost is O(n_c V + p^2) once per cell, n_c its records, plus O(B p)
+    across draws; the draws are not re-centred on T_ht per cell.
     """
     if draws.p != spec.p:
         raise DataError(
             f"draw matrix has {draws.p} columns, calibration system has {spec.p}"
         )
-    moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)
+    moment = cell_weighted_moment(sample, spec, cell.rows, cell.values)
     direction = replicate_direction(gram, moment)
-    fixed_ht = float(np.sum(sample.weights * cell.values * cell.mask))
-    values = fixed_ht + (draws.draws - ht) @ direction
+    fixed_ht = float(np.sum(sample.weights[cell.rows] * cell.values[cell.rows]))
+    values = (fixed_ht - ht @ direction) + draws.draws @ direction
     return ReplicateTotals(values=values, fixed_ht=fixed_ht, direction=direction)
 
 
@@ -138,7 +139,7 @@ def empirical_quantile_ci(
 
 def point_estimate(cell: CellData, weights: CalibratedWeights) -> float:
     """Weighted cell total under the posterior-mean calibrated weights."""
-    return float(np.sum(cell.values * cell.mask * weights.weights))
+    return float(np.sum(cell.values[cell.rows] * weights.weights[cell.rows]))
 
 
 def recalibration_oracle(

@@ -10,8 +10,10 @@ variable,
   Taylor-linearised variance of the calibrated cell shares.  With z_d the
   cell-masked values zeroed outside d, total_d^2 * Var(share_d) =
   sum_h N_h^2 * deff_h * (1 - f_h) * s2_h(z_d) / n_h over the strata h;
-  the stratum factor is ``SampleSet.stratum_mean_variance``, the kernel that
-  also gives the Gaussian model's sampling variances psi_h;
+  the stratum factors of every domain come from one pass of
+  ``SampleSet.stratum_mean_variance`` over the cell's rows keyed by
+  (stratum, domain), the kernel that also gives the Gaussian model's
+  sampling variances psi_h;
 * component 2 = sum_d share_d^2 * V_d, the model-based variance of the
   domain totals, where V_d is the diagonal entry of the draw covariance
   ``PosteriorDraws.covariance``, computed once per draw set and shared with
@@ -159,12 +161,10 @@ def share_and_variance(
         )
     v = spec.variable_names.index(denominator_variable)
     D = spec.n_domains
-    masked_values = cell.values * cell.mask
+    values, domain = cell.values[cell.rows], sample.domain_idx[cell.rows]
     total = np.asarray(posterior_mean, dtype=float)[v * D : (v + 1) * D]
-    numerator = np.bincount(
-        sample.domain_idx, masked_values * weights.weights, minlength=D
-    )
-    met = np.bincount(sample.domain_idx, cell.mask, minlength=D) > 0
+    numerator = np.bincount(domain, values * weights.weights[cell.rows], minlength=D)
+    met = np.bincount(domain, minlength=D) > 0
     zero = total == 0.0
 
     # a singleton stratum has one record, so it touches exactly one domain
@@ -183,11 +183,8 @@ def share_and_variance(
                 for h in np.flatnonzero(singletons[:, d])
             )
 
-    # a domain the cell misses has z_d = 0 and so no variance
-    variance = np.zeros(D)
-    for d in np.flatnonzero(met & ~zero):
-        z = np.where(sample.domain_idx == d, masked_values, 0.0)
-        variance[d] = sample.stratum_sizes**2 @ sample.stratum_mean_variance(z)
+    kernel = sample.stratum_mean_variance(values, cell.rows, by_domain=True)
+    variance = sample.stratum_sizes**2 @ kernel
     kept = ~zero
     shares = DomainShares(
         share=np.divide(numerator, total, out=np.zeros(D), where=kept),
@@ -271,7 +268,7 @@ def select_linking_variable(
     denominators and are excluded regardless of formal correlation; ties
     break by declaration order.
     """
-    idx = np.nonzero(cell.mask)[0]
+    idx = cell.rows
     u = cell.values[idx]
     candidates = []
     best_name = None

@@ -62,7 +62,8 @@ def reference_share_and_variance(
                         f"contribution set to 0"
                     )
                 continue
-            s2 = float(np.var(z[members], ddof=1))
+            # all-equal values vary by exactly 0, which np.var can miss by a rounding residue
+            s2 = 0.0 if np.ptp(z[members]) == 0.0 else float(np.var(z[members], ddof=1))
             fpc = 1.0 - sample.sampling_fractions[int(pos)]
             N_h = sample.stratum_sizes[int(pos)]
             variance += sample.stratum_deff[int(pos)] * N_h**2 * fpc * s2 / n_h

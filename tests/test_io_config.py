@@ -287,6 +287,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="9-Z"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SMOKE_CONFIG.parent.glob("**/*.yaml")),
+        ids=lambda p: str(p.relative_to(SMOKE_CONFIG.parent)),
+    )
+    def test_libyaml_and_pure_python_loaders_agree(self, path):
+        import yaml
+
+        from postcal.config import _YAML_LOADER
+
+        fast = getattr(yaml, "CSafeLoader", None)
+        if fast is None:
+            assert _YAML_LOADER is yaml.SafeLoader
+            pytest.skip("PyYAML built without libyaml")
+        assert _YAML_LOADER is fast
+        text = path.read_text()
+        assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")

@@ -74,6 +74,52 @@ def test_row_permutation_permutes_cell_masks(data):
         assert moved_total == pytest.approx(total, rel=1e-12)
 
 
+def label_mask(f: CellFilter, sample: SampleSet) -> np.ndarray:
+    """Reference filter: ``np.isin`` on the label columns themselves."""
+    domain_labels = np.array(sample.domain_ids, dtype=object)[sample.domain_idx]
+    mask = np.isin(domain_labels, list(f.domains)) if f.domains is not None else True
+    for attr, levels in f.attribute_levels:
+        mask = mask & np.isin(sample.attributes[attr], list(levels))
+    for var, (lo, hi) in f.value_ranges:
+        column = sample.column(var)
+        mask = mask & (lo is None or column >= lo) & (hi is None or column <= hi)
+    return np.broadcast_to(mask, (sample.n,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coded_masks_equal_label_masks(data):
+    sample, spec, _ = spanning_sample(data)
+    frame = SurveyFrame(
+        spec=None,
+        covariates={},
+        calibration_attributes=(),
+        strata=sample.strata,
+        calibration=spec,
+        stratum_idx=sample.stratum_idx,
+        domain_idx=sample.domain_idx,
+        calib=sample.calib,
+        attributes=sample.attributes,
+        outcomes=sample.outcomes,
+    )
+    # "zz" never occurs in the sample
+    levels = st.sets(st.sampled_from(["a", "b", "c", "zz"]), min_size=1)
+    filters = [
+        random_filter(data, spec),
+        CellFilter.build(attributes={"group": data.draw(levels, label="levels")}),
+        CellFilter.build(attributes={"group": {"zz"}}),
+        CellFilter.build(attributes={"group": {"a", "zz"}}),
+    ]
+    for k, f in enumerate(filters):
+        want = label_mask(f, sample)
+        query = CellQuery(f"c{k}", "u", f)
+        for units in (sample, frame):
+            cell = evaluate_cell(query, units, spec)
+            assert cell.mask.tolist() == want.tolist()
+            assert cell.rows.tolist() == np.flatnonzero(want).tolist()
+        assert frame.cell_truth(query) == sample.outcomes["u"][want].sum()
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_calibration_reproduces_random_targets(data):
@@ -199,6 +245,19 @@ def test_stratum_kernel_matches_np_var(data):
 @given(data=st.data())
 def test_variance_components_match_the_loop_form(data):
     sample, spec, rng = spanning_sample(data)
+    # stratum `still` lies wholly in one domain, its outcome constant there
+    still = int(rng.integers(len(sample.strata)))
+    in_still = sample.stratum_idx == still
+    sample = SampleSet(
+        sample.strata,
+        spec,
+        sample.stratum_idx,
+        np.where(in_still, int(rng.integers(spec.n_domains)), sample.domain_idx),
+        sample.weights,
+        sample.calib,
+        attributes=sample.attributes,
+        outcomes={"u": np.where(in_still, 0.1, sample.outcomes["u"])},
+    )
     posterior_mean = rng.uniform(50.0, 500.0, spec.p)
     posterior_mean[rng.random(spec.p) < 0.3] = 0.0  # zero-total domains
     B = data.draw(st.integers(2, 30), label="draws")
@@ -206,10 +265,16 @@ def test_variance_components_match_the_loop_form(data):
         posterior_mean + rng.normal(0.0, 10.0, (B, spec.p)), np.zeros(B, dtype=int)
     )
     weights = CalibratedWeights(sample.weights, np.ones(sample.n), posterior_mean, 0)
-    filters = [random_filter(data, spec), CellFilter.build(attributes={"group": "zz"})]
     summed = st.sampled_from(spec.variable_names + ("u",))
-    for k, f in enumerate(filters):
-        cell = evaluate_cell(CellQuery(f"c{k}", data.draw(summed), f), sample, spec)
+    queries = [
+        CellQuery("c0", data.draw(summed, label="summed"), random_filter(data, spec)),
+        CellQuery(
+            "c1", data.draw(summed, label="summed"), CellFilter.build(attributes={"group": "zz"})
+        ),
+        CellQuery("c2", "u"),
+    ]
+    for query in queries:
+        cell = evaluate_cell(query, sample, spec)
         denominator = data.draw(st.sampled_from(spec.variable_names), label="denominator")
         args = (sample, spec, cell, weights, denominator, posterior_mean, draws)
         got = variance_components(*args)
@@ -223,6 +288,9 @@ def test_variance_components_match_the_loop_form(data):
             got.posterior_variance, [t.posterior_variance for t in terms], rtol=1e-12, atol=0
         )
         np.testing.assert_allclose([got.component1, got.component2], [c1, c2], rtol=1e-12, atol=0)
+    # the whole-sample cell c2: `still` adds exactly 0 to every domain
+    kernel = sample.stratum_mean_variance(cell.values[cell.rows], cell.rows, by_domain=True)
+    assert kernel[still].tolist() == [0.0] * spec.n_domains
 
 
 @settings(max_examples=60, deadline=None)

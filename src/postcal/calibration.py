@@ -181,8 +181,7 @@ def cell_weighted_moment(
     rows: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Cell moment vector sum_{i in c} value_i w_i y_i; ``rows`` indexes the
-    cell's records (positions or a boolean mask), ``values`` are per record."""
+    """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's ``rows``."""
     sample.check_spec(spec)
     return block_sums(sample, sample.weights[rows] * values[rows], rows)
 

@@ -232,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, func, draws=False):
-        p = sub.add_parser(name, help=help_text)
+    def common(p, draws=False):
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", required=True, help="output directory")
@@ -242,14 +241,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--draws", default=None, help="draw matrix file (skip in-run fitting)"
             )
-        p.set_defaults(func=func)
-        return p
 
-    command("fit", "fit the hierarchical models, write draws", cmd_fit)
-    command("calibrate", "export posterior-mean calibrated weights", cmd_calibrate, draws=True)
-    command("infer", "tiered intervals for configured cells", cmd_infer, draws=True)
-    command("diagnose", "convergence and cell diagnostics only", cmd_diagnose, draws=True)
-    p_sim = command("simulate", "repeated-sampling coverage experiment", cmd_simulate)
+    p_fit = sub.add_parser("fit", help="fit the hierarchical models, write draws")
+    common(p_fit)
+    p_fit.set_defaults(func=cmd_fit)
+
+    p_cal = sub.add_parser("calibrate", help="export posterior-mean calibrated weights")
+    common(p_cal, draws=True)
+    p_cal.set_defaults(func=cmd_calibrate)
+
+    p_inf = sub.add_parser("infer", help="tiered intervals for configured cells")
+    common(p_inf, draws=True)
+    p_inf.set_defaults(func=cmd_infer)
+
+    p_diag = sub.add_parser("diagnose", help="convergence and cell diagnostics only")
+    common(p_diag, draws=True)
+    p_diag.set_defaults(func=cmd_diagnose)
+
+    p_sim = sub.add_parser("simulate", help="repeated-sampling coverage experiment")
+    common(p_sim)
     p_sim.add_argument(
         "--threads", type=int, default=1, help="replication worker processes"
     )
@@ -258,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="persist per-replication interval rows for audit",
     )
+    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 

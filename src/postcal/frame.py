@@ -9,11 +9,10 @@ The calibration system stacks V variables over D geographic domains into a
 single constraint vector of length p = V * D.  Block order is variable-major:
 variable v occupies 0-based positions v*D .. v*D + D - 1, and a record's
 design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
-``block_sums`` reduces over that layout, on all rows or a cell's rows, without
-forming design vectors; ``build_design_vector`` and ``SampleSet.design_matrix``
-are test references.  Cell filters test attributes on ``attribute_codes``,
-integer level codes built once per store, so a cell costs one O(n) mask and
-every reduction after it runs on the cell's rows alone.
+``block_sums`` reduces over that layout without forming design vectors;
+``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
+Cell filters read ``SampleSet.attribute_codes``, so a cell costs one O(n)
+mask and every reduction after it reads only the cell's rows.
 """
 
 from __future__ import annotations
@@ -130,13 +129,11 @@ def build_design_vector(
     return y
 
 
-def block_sums(sample: SampleSet, scale=None, rows=None) -> np.ndarray:
-    """The p-vector sum_i scale_i * y_i over ``rows`` (default all; ``scale``
-    1 by default, else given at those rows): entry v*D + d sums variable v
-    over domain d, one ``np.bincount`` per variable."""
-    rows = slice(None) if rows is None else rows
-    idx, calib = sample.domain_idx[rows], sample.calib[rows]
-    D = sample.calibration.n_domains
+def block_sums(sample: SampleSet, scale=None, rows=slice(None)) -> np.ndarray:
+    """The p-vector sum_i scale_i * y_i over ``rows`` (``scale`` 1 by default,
+    else given at those rows): entry v*D + d sums variable v over domain d,
+    one ``np.bincount`` per variable."""
+    idx, calib, D = sample.domain_idx[rows], sample.calib[rows], sample.calibration.n_domains
     return np.concatenate(
         [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in calib.T]
     )
@@ -299,22 +296,22 @@ class SampleSet:
             out[name] = tuple(levels), np.array(codes, dtype=np.min_scalar_type(len(levels) - 1))
         return out
 
-    def stratum_mean_variance(self, values, rows=None, by_domain=False) -> np.ndarray:
+    def stratum_mean_variance(self, values, rows=None) -> np.ndarray:
         """Design variance of each stratum's sample mean of ``values``.
 
         Returns deff_h * (1 - f_h) * s2_h / n_h per stratum in frame order,
         where s2_h is the within-stratum sample variance (divisor n_h - 1)
-        and f_h the sampling fraction; strata with n_h < 2 get 0.  ``values``
-        are given at ``rows`` (default all), 0 elsewhere.  ``by_domain``
-        gives the H x D table for z_d, the values zeroed outside domain d,
-        keyed by (stratum, domain) pair.  Squares are summed about each key's
-        largest value (an all-equal key gets exactly 0), plus the exact
-        n_k (n_h - n_k) / n_h * mean_k^2 for the stratum's zeros outside it.
+        and f_h the sampling fraction; strata with n_h < 2 get 0.  Given
+        ``rows``, ``values`` are a cell's values there (0 elsewhere) and the
+        result is the H x D table for z_d, the values zeroed outside domain d,
+        keyed by (stratum, domain) pair k.  Squares are summed about each k's
+        largest value (an all-equal k gets exactly 0), plus n_k (n_h - n_k) /
+        n_h * mean_k^2 for the stratum's zeros outside k.
         """
         values = np.asarray(values, dtype=float)
-        rows = slice(None) if rows is None else rows
-        H, D = len(self.strata), self.calibration.n_domains if by_domain else 1
-        idx = self.stratum_idx[rows] * D + (self.domain_idx[rows] if by_domain else 0)
+        H, D = len(self.strata), 1 if rows is None else self.calibration.n_domains
+        idx = self.stratum_idx if rows is None else self.stratum_idx[rows]
+        idx = idx if rows is None else idx * D + self.domain_idx[rows]
         n_h = np.repeat(self.stratum_counts, D)
         n = np.maximum(n_h, 1)
         n_k = np.bincount(idx, minlength=H * D)
@@ -327,7 +324,7 @@ class SampleSet:
         s2 = np.where(n_h > 1, ss / np.maximum(n_h - 1, 1), 0.0)
         fpc = 1.0 - np.repeat(self.sampling_fractions, D)
         out = np.repeat(self.stratum_deff, D) * fpc * s2 / n
-        return out.reshape(H, D) if by_domain else out
+        return out if rows is None else out.reshape(H, D)
 
 
 def _as_frozenset(value) -> frozenset:
@@ -388,8 +385,8 @@ class CellQuery:
 
 @dataclass(frozen=True)
 class CellData:
-    """Evaluated cell membership: boolean mask plus per-record summed values;
-    ``rows``, the positions of the members, is what the cell kernels read."""
+    """Evaluated cell membership: boolean mask (``rows``, its positions) plus
+    per-record summed values."""
 
     mask: np.ndarray
     values: np.ndarray

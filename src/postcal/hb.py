@@ -215,6 +215,13 @@ class PosteriorDraws:
         """p x p sample covariance of the draw columns (divisor B - 1)."""
         return np.atleast_2d(np.cov(self.draws, rowvar=False, ddof=1))
 
+    def centred(self, origin: np.ndarray) -> np.ndarray:
+        """draws - origin, kept for the last origin (a run's one T_ht)."""
+        if not np.array_equal(self.__dict__.get("_origin"), origin):
+            object.__setattr__(self, "_origin", np.array(origin, dtype=float))
+            object.__setattr__(self, "_centred", self.draws - origin)
+        return self._centred
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:

@@ -100,7 +100,7 @@ def replicate_totals(
     """Replicate cell totals via the affine propagation identity.
 
     Cost is O(n_c V + p^2) once per cell, n_c its records, plus O(B p)
-    across draws; the draws are not re-centred on T_ht per cell.
+    across draws, centred on T_ht once per draw set.
     """
     if draws.p != spec.p:
         raise DataError(
@@ -109,7 +109,7 @@ def replicate_totals(
     moment = cell_weighted_moment(sample, spec, cell.rows, cell.values)
     direction = replicate_direction(gram, moment)
     fixed_ht = float(np.sum(sample.weights[cell.rows] * cell.values[cell.rows]))
-    values = (fixed_ht - ht @ direction) + draws.draws @ direction
+    values = fixed_ht + draws.centred(ht) @ direction
     return ReplicateTotals(values=values, fixed_ht=fixed_ht, direction=direction)
 
 

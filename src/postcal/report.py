@@ -128,13 +128,17 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     """Run the full tier-appropriate inference for one cell."""
     sample, spec = art.sample, art.spec
     cell = evaluate_cell(query, sample, spec)
-    auto = rep.classify_cell(query, spec, sample, art.calibration_attributes)
-    tier = query.tier_override or auto
+    tier = query.tier_override or rep.classify_cell(
+        query, spec, sample, art.calibration_attributes
+    )
     warnings: list[str] = []
-    if tier is not auto:
-        warnings.append(
-            f"tier override {tier.value} replaces automatic classification {auto.value}"
-        )
+    if query.tier_override is not None:
+        auto = rep.classify_cell(query, spec, sample, art.calibration_attributes)
+        if auto is not query.tier_override:
+            warnings.append(
+                f"tier override {query.tier_override.value} replaces "
+                f"automatic classification {auto.value}"
+            )
     if cell.count == 0:
         warnings.append("empty cell: no sampled records match the filter")
 
@@ -143,36 +147,42 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     cri = rep.empirical_quantile_ci(totals.values, art.level, kind=kind)
     point = rep.point_estimate(cell, art.mean_weights)
 
-    # the CBI's share denominator: the summed variable, or for an outcome
-    # its linking variable; an exact constraint cell has no CBI
-    denominator = link = cbi_interval = None
-    if tier is TierLabel.TIER_3NCV:
-        try:
-            link = _resolve_link(query, art, cell)
-        except LinkSelectionError as exc:
-            warnings.append(str(exc))
+    cbi_interval = None
+    link_variable = None
+    link_rho = None
+    if tier is not TierLabel.TIER_1E:
+        if tier is TierLabel.TIER_3NCV:
+            try:
+                link = _resolve_link(query, art, cell)
+            except LinkSelectionError as exc:
+                warnings.append(str(exc))
+                link = None
+            if link is not None:
+                link_variable = link.variable
+                link_rho = link.correlation
+                if link.weak:
+                    warnings.append(
+                        f"weak ratio link |rho|={abs(link.correlation):.3f} < "
+                        f"{var.WEAK_LINK_THRESHOLD}; design-based direct "
+                        f"estimation is the recommended primary interval"
+                    )
+                denominator = link.variable
+            else:
+                denominator = None
         else:
-            denominator = link.variable
-            if link.weak:
-                warnings.append(
-                    f"weak ratio link |rho|={abs(link.correlation):.3f} < "
-                    f"{var.WEAK_LINK_THRESHOLD}; design-based direct "
-                    f"estimation is the recommended primary interval"
-                )
-    elif tier is not TierLabel.TIER_1E:
-        denominator = query.summed_variable
-    if denominator is not None:
-        components = var.variance_components(
-            sample,
-            spec,
-            cell,
-            art.mean_weights,
-            denominator,
-            art.posterior_mean,
-            art.draws,
-        )
-        warnings.extend(components.warnings)
-        cbi_interval = var.cbi(point, components, art.level)
+            denominator = query.summed_variable
+        if denominator is not None:
+            components = var.variance_components(
+                sample,
+                spec,
+                cell,
+                art.mean_weights,
+                denominator,
+                art.posterior_mean,
+                art.draws,
+            )
+            warnings.extend(components.warnings)
+            cbi_interval = var.cbi(point, components, art.level)
 
     diag = var.cell_diagnostics(
         totals.direction,
@@ -201,8 +211,8 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
         orthogonality_flag=diag.orthogonality_flag,
         cv_cri=_none_if_nan(diag.cv_cri),
         cv_cbi=_none_if_nan(diag.cv_cbi),
-        link_variable=link.variable if link else None,
-        link_rho=link.correlation if link else None,
+        link_variable=link_variable,
+        link_rho=link_rho,
         warnings=tuple(warnings),
     )
 
@@ -215,14 +225,18 @@ def _resolve_link(query: CellQuery, art: InferenceArtifacts, cell):
                 f"{query.link_variable!r} is not a calibration variable"
             )
         auto = var.select_linking_variable(art.sample, art.spec, cell)
-        # every calibration variable is a candidate
-        candidate = next(c for c in auto.candidates if c.name == query.link_variable)
-        rho = candidate.correlation if candidate.correlation is not None else 0.0
-        return var.RatioLink(
-            variable=query.link_variable,
-            correlation=rho,
-            candidates=auto.candidates,
-            weak=abs(rho) < var.WEAK_LINK_THRESHOLD,
+        for candidate in auto.candidates:
+            if candidate.name == query.link_variable:
+                rho = candidate.correlation if candidate.correlation is not None else 0.0
+                return var.RatioLink(
+                    variable=query.link_variable,
+                    correlation=rho,
+                    candidates=auto.candidates,
+                    weak=abs(rho) < var.WEAK_LINK_THRESHOLD,
+                )
+        raise LinkSelectionError(
+            f"cell {query.name!r}: linking variable {query.link_variable!r} "
+            f"not found among candidates"
         )
     return var.select_linking_variable(art.sample, art.spec, cell)
 

@@ -449,33 +449,21 @@ def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
     return frame, mc, frame.truth_table(mc.cells)
 
 
-_worker_frame: SurveyFrame | None = None  # set once per pool worker, at its start
-
-
-def _set_worker_frame(frame: SurveyFrame) -> None:
-    global _worker_frame
-    _worker_frame = frame
-
-
-def _worker_replication(config: McConfig, index: int) -> ReplicationResult:
-    return run_replication(_worker_frame, config, index)
-
-
 def run_simulation(
     frame: SurveyFrame,
     config: McConfig,
     truths: dict[str, float] | None = None,
     threads: int = 1,
 ) -> tuple[CoverageReport, list[ReplicationResult]]:
-    """Run all replications (optionally in a process pool, which receives the
-    frame once per worker) and accumulate."""
+    """Run all replications (optionally in parallel) and accumulate."""
     truths = truths if truths is not None else frame.truth_table(config.cells)
     indexes = range(config.replications)
     if threads > 1:
-        with ProcessPoolExecutor(threads, initializer=_set_worker_frame, initargs=(frame,)) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(
-                    _worker_replication,
+                    run_replication,
+                    repeat(frame),
                     repeat(config),
                     indexes,
                     chunksize=max(1, config.replications // (4 * threads)),

@@ -183,8 +183,7 @@ def share_and_variance(
                 for h in np.flatnonzero(singletons[:, d])
             )
 
-    kernel = sample.stratum_mean_variance(values, cell.rows, by_domain=True)
-    variance = sample.stratum_sizes**2 @ kernel
+    variance = sample.stratum_sizes**2 @ sample.stratum_mean_variance(values, cell.rows)
     kept = ~zero
     shares = DomainShares(
         share=np.divide(numerator, total, out=np.zeros(D), where=kept),

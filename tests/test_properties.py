@@ -245,10 +245,17 @@ def test_stratum_kernel_matches_np_var(data):
 @given(data=st.data())
 def test_variance_components_match_the_loop_form(data):
     sample, spec, rng = spanning_sample(data)
-    # stratum `still` lies wholly in one domain, its outcome constant there
+    posterior_mean = rng.uniform(50.0, 500.0, spec.p)
+    posterior_mean[rng.random(spec.p) < 0.3] = 0.0  # zero-total domains
+    B = data.draw(st.integers(2, 30), label="draws")
+    draws = PosteriorDraws(
+        posterior_mean + rng.normal(0.0, 10.0, (B, spec.p)), np.zeros(B, dtype=int)
+    )
+    weights = CalibratedWeights(sample.weights, np.ones(sample.n), posterior_mean, 0)
+    # a copy where stratum `still` lies wholly in one domain, its outcome constant there
     still = int(rng.integers(len(sample.strata)))
     in_still = sample.stratum_idx == still
-    sample = SampleSet(
+    still_sample = SampleSet(
         sample.strata,
         spec,
         sample.stratum_idx,
@@ -258,25 +265,14 @@ def test_variance_components_match_the_loop_form(data):
         attributes=sample.attributes,
         outcomes={"u": np.where(in_still, 0.1, sample.outcomes["u"])},
     )
-    posterior_mean = rng.uniform(50.0, 500.0, spec.p)
-    posterior_mean[rng.random(spec.p) < 0.3] = 0.0  # zero-total domains
-    B = data.draw(st.integers(2, 30), label="draws")
-    draws = PosteriorDraws(
-        posterior_mean + rng.normal(0.0, 10.0, (B, spec.p)), np.zeros(B, dtype=int)
-    )
-    weights = CalibratedWeights(sample.weights, np.ones(sample.n), posterior_mean, 0)
+    filters = [random_filter(data, spec), CellFilter.build(attributes={"group": "zz"})]
     summed = st.sampled_from(spec.variable_names + ("u",))
-    queries = [
-        CellQuery("c0", data.draw(summed, label="summed"), random_filter(data, spec)),
-        CellQuery(
-            "c1", data.draw(summed, label="summed"), CellFilter.build(attributes={"group": "zz"})
-        ),
-        CellQuery("c2", "u"),
-    ]
-    for query in queries:
-        cell = evaluate_cell(query, sample, spec)
+    cases = [(sample, CellQuery(f"c{k}", data.draw(summed), f)) for k, f in enumerate(filters)]
+    cases.append((still_sample, CellQuery("c2", "u")))
+    for units, query in cases:
+        cell = evaluate_cell(query, units, spec)
         denominator = data.draw(st.sampled_from(spec.variable_names), label="denominator")
-        args = (sample, spec, cell, weights, denominator, posterior_mean, draws)
+        args = (units, spec, cell, weights, denominator, posterior_mean, draws)
         got = variance_components(*args)
         c1, c2, terms, warnings = reference_variance_components(*args)
         assert got.warnings == warnings
@@ -289,7 +285,7 @@ def test_variance_components_match_the_loop_form(data):
         )
         np.testing.assert_allclose([got.component1, got.component2], [c1, c2], rtol=1e-12, atol=0)
     # the whole-sample cell c2: `still` adds exactly 0 to every domain
-    kernel = sample.stratum_mean_variance(cell.values[cell.rows], cell.rows, by_domain=True)
+    kernel = still_sample.stratum_mean_variance(cell.values[cell.rows], cell.rows)
     assert kernel[still].tolist() == [0.0] * spec.n_domains
 
 

@@ -180,6 +180,19 @@ class TestReplicateTotals:
         ).values
         assert np.max(np.abs(sum(parts) - grand)) < 1e-9 * np.abs(grand).max()
 
+    def test_draws_centred_on_the_origin_given(self):
+        # one draw set serves every cell; its centring must follow T_ht, and
+        # subtracting before the product keeps a tight posterior's spread
+        sample, spec = survey_sample()
+        gram = compute_gram(sample, spec)
+        ht = ht_totals(sample, spec)
+        draws = synthetic_draws(ht, 30, seed=4, scale=1e-9)
+        cell = evaluate_cell(CellQuery("all", "employed", CellFilter()), sample, spec)
+        for origin in (ht, 1.1 * ht, ht.copy()):
+            totals = replicate_totals(cell, draws, gram, origin, sample, spec)
+            want = totals.fixed_ht + (draws.draws - origin) @ totals.direction
+            assert totals.values.tolist() == want.tolist()
+
     def test_dimension_mismatch_rejected(self):
         sample, spec = survey_sample()
         gram = compute_gram(sample, spec)

@@ -1,9 +1,14 @@
 """Delimited-file ingestion and interchange formats.
 
-All machine-format files are comma separated with a header row; lines
-starting with '#' carry run metadata (seed, config hash) and are skipped on
-read.  Numeric values are written with 17 significant digits so that
-re-reading reproduces the float64 values exactly.
+Every file read or written here (records, strata, draws, weights) is comma
+separated with a header row.  On read, blank lines and lines starting with
+'#' are skipped; written files put their run metadata (seed, config hash)
+on such lines.  Fields are quoted as RFC 4180 says (the ``csv`` module's
+default dialect), so a label may hold commas or doubled quotes; LF, CRLF
+and CR line ends are all accepted; and an error in a row names it as
+``file:line``, counting every line of the file.  Numeric values are written
+with 17 significant digits so that re-reading reproduces the float64 values
+exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,8 +107,13 @@ class IngestedSample:
     calibration_attributes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _read_table(path: Path) -> tuple[dict[str, tuple[str, ...]], list[int]]:
-    """Columns of a delimited file by header name, and each data row's line."""
+def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
+    """Columns of a delimited file by header name, and each data row's line.
+
+    One pass: every row's fields go onto one flat list, so column j of a
+    k-column table is the strided slice ``flat[j::k]`` and no per-row list
+    outlives its parse.
+    """
     text, lines = [], []
     with open(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
@@ -112,14 +122,18 @@ def _read_table(path: Path) -> tuple[dict[str, tuple[str, ...]], list[int]]:
                 lines.append(number)
     if len(text) < 2:
         raise DataError(f"{path}: no data rows")
-    header, *rows = csv.reader(text)
+    reader = csv.reader(text)
+    header = next(reader)
+    k = len(header)
+    flat, counts = [], []
+    for row in reader:
+        flat.extend(row)
+        counts.append(len(row))
     del lines[0]
-    for row, number in zip(rows, lines):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{number}: {len(row)} fields, header has {len(header)}"
-            )
-    return dict(zip(header, zip(*rows))), lines
+    if counts.count(k) != len(counts):
+        i = next(i for i, count in enumerate(counts) if count != k)
+        raise DataError(f"{path}:{lines[i]}: {counts[i]} fields, header has {k}")
+    return {name: flat[j::k] for j, name in enumerate(header)}, lines
 
 
 def _finite_or_none(raw: str) -> float | None:
@@ -130,7 +144,7 @@ def _finite_or_none(raw: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _float_column(raw: tuple[str, ...], path: Path, lines: list[int]) -> np.ndarray:
+def _float_column(raw: Sequence[str], path: Path, lines: list[int]) -> np.ndarray:
     """Parse a numeric column whole (numpy accepts the strings ``float``
     does); the first unparseable or non-finite entry is reported with its
     file line."""
@@ -144,8 +158,10 @@ def _float_column(raw: tuple[str, ...], path: Path, lines: list[int]) -> np.ndar
     return values
 
 
-def _require_unique(ids: tuple[str, ...], what: str, path: Path, lines: list[int]) -> None:
+def _require_unique(ids: Sequence[str], what: str, path: Path, lines: list[int]) -> None:
     """Reject a repeated id, naming it and the file line that repeats it."""
+    if len(set(ids)) == len(ids):
+        return
     first: dict[str, int] = {}
     for i, x in enumerate(ids):
         if first.setdefault(x, i) != i:
@@ -253,7 +269,7 @@ def read_sample(
         outcomes=outcomes,
     )
     record_ids = (
-        columns[roles.record_id]
+        tuple(columns[roles.record_id])
         if roles.record_id
         else tuple(str(i + 1) for i in range(sample.n))
     )

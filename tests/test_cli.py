@@ -475,6 +475,13 @@ def drop_stratum(tmp_path, stratum="s2"):
     path.write_text("\n".join(lines) + "\n")
 
 
+def header_only_records(tmp_path):
+    """Leave the records file its header among '#' and blank lines."""
+    path = tmp_path / "records.csv"
+    header = path.read_text().splitlines()[0]
+    path.write_text(f"# seed=0\n\n{header}\n\n# no rows follow\n")
+
+
 def break_yaml(tmp_path):
     with open(tmp_path / "config.yaml", "a") as fh:
         fh.write("cells: [unclosed\n")
@@ -510,6 +517,12 @@ MALFORMED_INPUTS = [
         repeat_record_id,
         "records.csv:4: duplicate record id 'p0001'",
         id="records-duplicate-id",
+    ),
+    pytest.param(header_only_records, "records.csv: no data rows", id="records-header-only"),
+    pytest.param(
+        lambda t: set_csv_field(t / "draws.csv", "v2_d2", "1100,0", row=2),
+        "draws.csv:4: 6 fields, header has 5",
+        id="draws-ragged-row",
     ),
     pytest.param(
         drop_stratum,

@@ -1,9 +1,13 @@
 import csv
+import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postcal.config import config_hash, load_config, parse_config
 from postcal.errors import ConfigError, DataError
@@ -12,6 +16,7 @@ from postcal.hb import PosteriorDraws
 from postcal.io import (
     BandRule,
     ColumnRoles,
+    _read_table,
     read_draws,
     read_sample,
     write_draws,
@@ -162,6 +167,77 @@ class TestIngestion:
         ingested = read_sample(records, strata, roles(), domain_order=("d2", "d1"))
         assert ingested.spec.domain_order == ("d2", "d1")
         assert ingested.sample.domain_ids[0] == "d2"
+
+
+def reference_read_table(path):
+    """The reader's row-wise form: csv.reader over the kept lines, then a
+    transpose of the row lists into column tuples."""
+    text, lines = [], []
+    with open(path, newline="") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                text.append(line)
+                lines.append(number)
+    header, *rows = csv.reader(text)
+    return dict(zip(header, zip(*rows))), lines[1:]
+
+
+# labels with the characters that force csv quoting; no 'r', so no label
+# can equal a field of the ragged row below
+LABELS = st.text(alphabet='ab ,"', max_size=6).filter(lambda s: s == "" or s.strip())
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+NOISE_LINES = st.sampled_from(["", "   ", "\t", "# run metadata", "#a,b,\"c", "# "])
+
+
+@st.composite
+def delimited_tables(draw):
+    """A csv.writer table as a list of lines without their ends, with blank
+    and '#' lines at random positions, and the index of its header line."""
+    k = draw(st.integers(1, 4), label="columns")
+    header = draw(st.lists(LABELS.filter(bool), min_size=k, max_size=k, unique=True))
+    rows = draw(st.lists(st.lists(LABELS, min_size=k, max_size=k), min_size=1, max_size=8))
+    lines = []
+    for row in [header, *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(row)
+        lines.append(out.getvalue())
+    header_line = lines[0]
+    for _ in range(draw(st.integers(0, 4), label="noise")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NOISE_LINES))
+    return k, lines, lines.index(header_line)
+
+
+def join_lines(draw, lines):
+    return "".join(line + draw(LINE_ENDS) for line in lines)
+
+
+class TestReadTable:
+    @settings(max_examples=150, deadline=None)
+    @given(table=delimited_tables(), data=st.data())
+    def test_columns_and_lines_match_the_row_wise_reader(self, tmp_path_factory, table, data):
+        _, lines, _ = table
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        path.write_text(join_lines(data.draw, lines), newline="")
+        columns, numbers = _read_table(path)
+        expected_columns, expected_numbers = reference_read_table(path)
+        assert {name: tuple(values) for name, values in columns.items()} == expected_columns
+        assert numbers == expected_numbers
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=delimited_tables(), data=st.data())
+    def test_ragged_row_is_named_by_its_file_line(self, tmp_path_factory, table, data):
+        k, lines, header_at = table
+        lines = list(lines)
+        fields = data.draw(st.integers(1, k + 2).filter(lambda f: f != k), label="fields")
+        ragged = ",".join(["ragged"] * fields)
+        lines.insert(data.draw(st.integers(header_at + 1, len(lines)), label="at"), ragged)
+        text = join_lines(data.draw, lines)
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        path.write_text(text, newline="")
+        # the file line as an independent splitter on LF, CRLF and CR counts it
+        line = re.split(r"\r\n|\r|\n", text).index(ragged) + 1
+        with pytest.raises(DataError, match=rf"table\.csv:{line}: {fields} fields, header has {k}$"):
+            _read_table(path)
 
 
 class TestDrawsRoundTrip:

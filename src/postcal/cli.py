@@ -48,10 +48,6 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load(args) -> RunConfig:
-    return load_config(args.config, seed_override=args.seed)
-
-
 def _ingest(cfg: RunConfig) -> IngestedSample:
     if cfg.roles is None:
         raise ConfigError("config lacks a 'sample' section")
@@ -86,13 +82,20 @@ def _fit_draws(cfg: RunConfig, ingested: IngestedSample):
     )
 
 
-def cmd_fit(args) -> int:
-    cfg = _load(args)
+def _convergence(draws):
+    """R-hat of the draws, with a warning on stderr when it is unavailable."""
+    convergence = gelman_rubin(draws)
+    if not convergence.available:
+        print("warning: convergence diagnostic unavailable:", convergence.reason, file=sys.stderr)
+    return convergence
+
+
+def cmd_fit(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     ingested = _ingest(cfg)
     _say(args, f"fitting {len(cfg.models)} models on {ingested.sample.n} records")
     draws, _, warnings = _fit_draws(cfg, ingested)
-    convergence = gelman_rubin(draws)
+    convergence = _convergence(draws)
     meta = _metadata(cfg, continuous_scale=CONTINUOUS_SCALE_NOTE)
 
     write_draws(out / "draws.csv", draws, ingested.spec, metadata=meta)
@@ -108,7 +111,6 @@ def cmd_fit(args) -> int:
         payload["warnings"].append(
             f"convergence diagnostic unavailable: {convergence.reason}"
         )
-        _say(args, f"warning: {convergence.reason}")
     write_json(out / "fit.json", payload)
 
     if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
@@ -144,8 +146,7 @@ def _artifacts(args, cfg: RunConfig):
     return out, ingested, draws, art
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load(args)
+def cmd_calibrate(args, cfg: RunConfig) -> int:
     out, ingested, _, art = _artifacts(args, cfg)
     meta = _metadata(
         cfg,
@@ -164,14 +165,13 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
-    cfg = _load(args)
+def cmd_infer(args, cfg: RunConfig) -> int:
     if not cfg.cells:
         raise ConfigError("config declares no cells to infer")
     out, _, draws, art = _artifacts(args, cfg)
     meta = _metadata(
         cfg,
-        rhat_max=gelman_rubin(draws).rhat_max,
+        rhat_max=_convergence(draws).rhat_max,
         continuous_scale=CONTINUOUS_SCALE_NOTE,
     )
     report = build_run_report(art, cfg.cells, metadata=meta)
@@ -181,10 +181,9 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    cfg = _load(args)
+def cmd_diagnose(args, cfg: RunConfig) -> int:
     out, ingested, draws, art = _artifacts(args, cfg)
-    convergence = gelman_rubin(draws)
+    convergence = _convergence(draws)
     meta = _metadata(cfg, rhat_max=convergence.rhat_max)
     rows = build_run_report(art, cfg.cells, metadata=meta).rows if cfg.cells else []
     write_rows(out / "diagnostics.csv", DIAGNOSE_COLUMNS, rows, meta)
@@ -201,8 +200,7 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     frame, mc, truths = build_simulation(cfg)
     _say(
@@ -232,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, draws=False):
+    def command(name, help, func, draws=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", required=True, help="output directory")
@@ -241,25 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--draws", default=None, help="draw matrix file (skip in-run fitting)"
             )
+        p.set_defaults(func=func)
+        return p
 
-    p_fit = sub.add_parser("fit", help="fit the hierarchical models, write draws")
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_cal = sub.add_parser("calibrate", help="export posterior-mean calibrated weights")
-    common(p_cal, draws=True)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_inf = sub.add_parser("infer", help="tiered intervals for configured cells")
-    common(p_inf, draws=True)
-    p_inf.set_defaults(func=cmd_infer)
-
-    p_diag = sub.add_parser("diagnose", help="convergence and cell diagnostics only")
-    common(p_diag, draws=True)
-    p_diag.set_defaults(func=cmd_diagnose)
-
-    p_sim = sub.add_parser("simulate", help="repeated-sampling coverage experiment")
-    common(p_sim)
+    command("fit", "fit the hierarchical models, write draws", cmd_fit)
+    command("calibrate", "export posterior-mean calibrated weights", cmd_calibrate, draws=True)
+    command("infer", "tiered intervals for configured cells", cmd_infer, draws=True)
+    command("diagnose", "convergence and cell diagnostics only", cmd_diagnose, draws=True)
+    p_sim = command("simulate", "repeated-sampling coverage experiment", cmd_simulate)
     p_sim.add_argument(
         "--threads", type=int, default=1, help="replication worker processes"
     )
@@ -268,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="persist per-replication interval rows for audit",
     )
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -276,7 +263,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, seed_override=args.seed))
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

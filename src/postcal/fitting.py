@@ -87,13 +87,7 @@ def fit_variable(
         return fit_binary_hb(inputs, mcmc, spawn_key=spawn_key)
 
     if model.kind == "gaussian":
-        ids, psi, psi_warnings = compute_psi(sample, model.variable, spec)
-        if ids != sample.stratum_ids:
-            raise DataError(
-                f"variable {model.variable!r}: sampling variances cover "
-                f"{len(ids)} of {len(sample.strata)} strata"
-            )
-        degenerate = [w for w in psi_warnings if "degenerate" in w]
+        _, psi, degenerate = compute_psi(sample, model.variable, spec)
         if degenerate:
             raise DataError(
                 f"variable {model.variable!r}: zero sampling variance is not "

@@ -228,8 +228,8 @@ class ConvergenceReport:
     """Gelman-Rubin potential scale reduction per parameter."""
 
     available: bool
-    rhat: np.ndarray | None
-    rhat_max: float | None
+    rhat: np.ndarray | None = None
+    rhat_max: float | None = None
     reason: str = ""
 
 
@@ -647,8 +647,6 @@ def gelman_rubin(draws: PosteriorDraws) -> ConvergenceReport:
     if chains.size < 2:
         return ConvergenceReport(
             available=False,
-            rhat=None,
-            rhat_max=None,
             reason="a single chain cannot support a between-chain diagnostic",
         )
     groups = [draws.draws[draws.chain_tags == c] for c in chains]
@@ -656,8 +654,6 @@ def gelman_rubin(draws: PosteriorDraws) -> ConvergenceReport:
     if length < 2:
         return ConvergenceReport(
             available=False,
-            rhat=None,
-            rhat_max=None,
             reason="need at least 2 iterations per chain",
         )
     stacked = np.stack([g[:length] for g in groups])  # M x L x p

@@ -139,7 +139,7 @@ class TestFit:
         assert lines[0] == "chain,v1_d1,v1_d2,v2_d1,v2_d2"
         assert len(lines) - 1 == 2 * 120  # chains * iterations
 
-    def test_single_chain_warns_but_succeeds(self, tmp_path):
+    def test_single_chain_warns_but_succeeds(self, tmp_path, capsys):
         write_sample_files(tmp_path)
         cfg = write_config(tmp_path, base_config(chains=1))
         code = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -147,6 +147,16 @@ class TestFit:
         payload = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert payload["rhat_available"] is False
         assert any("unavailable" in w for w in payload["warnings"])
+        warning = (
+            "warning: convergence diagnostic unavailable: a single chain cannot "
+            "support a between-chain diagnostic"
+        )
+        assert warning in capsys.readouterr().err
+        draws = str(tmp_path / "out" / "draws.csv")
+        for command in ("infer", "diagnose"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(cfg), "--out", out, "--draws", draws]) == 0
+            assert warning in capsys.readouterr().err
 
     def test_convergence_exit_code(self, tmp_path):
         write_sample_files(tmp_path)
@@ -669,13 +679,33 @@ class TestMalformedInput:
         assert_exit_2_naming(capsys, argv, cause)
 
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
-        base = ["--config", "c.yaml", "--out", str(tmp_path), "--threads", "2"]
-        for command in ("fit", "calibrate", "infer", "diagnose"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, *base])
-            assert exc.value.code == 2
-            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-        assert build_parser().parse_args(["simulate", *base]).threads == 2
+        base = ["--config", "c.yaml", "--out", str(tmp_path)]
+        options = {
+            "--draws": ["--draws", "d.csv"],
+            "--threads": ["--threads", "2"],
+            "--keep-replications": ["--keep-replications"],
+        }
+        accepted = {
+            "fit": (),
+            "calibrate": ("--draws",),
+            "infer": ("--draws",),
+            "diagnose": ("--draws",),
+            "simulate": ("--threads", "--keep-replications"),
+        }
+        for command, own in accepted.items():
+            for option, argv in options.items():
+                if option in own:
+                    build_parser().parse_args([command, *base, *argv])
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *base, *argv])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["simulate", *base, "--threads", "2", "--keep-replications"]
+        )
+        assert (args.threads, args.keep_replications) == (2, True)
+        assert build_parser().parse_args(["infer", *base, "--draws", "d.csv"]).draws == "d.csv"
 
 
 def test_no_command_forms_the_dense_design_matrix(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from postcal import replicate
 from postcal.calibration import calibrate, compute_gram, ht_totals
 from postcal.errors import DataError, NumericalError
 from postcal.frame import (
@@ -19,6 +20,7 @@ from postcal.replicate import (
     recalibration_oracle,
     replicate_totals,
 )
+from postcal.report import analyze_cell, build_artifacts
 
 from conftest import make_random_sample, sample_from_rows
 
@@ -280,3 +282,93 @@ class TestPointEstimate:
             if group == "a"
         )
         assert point_estimate(cell, weights) == pytest.approx(by_hand, rel=1e-12)
+
+
+TRADES = CellFilter.build(attributes={"occupation": "trades"})
+MANAGERS = CellFilter.build(attributes={"occupation": "managers"})
+# one case per branch of the cell's tier and CBI-denominator decision:
+# (query, tier, CBI built, link variable, link rho, warnings)
+ANALYZE_CASES = [
+    (
+        CellQuery("same", "employed", MANAGERS, tier_override=TierLabel.TIER_2NCA),
+        TierLabel.TIER_2NCA, True, None, None, (),
+    ),
+    (
+        CellQuery("override", "employed", MANAGERS, tier_override=TierLabel.TIER_2CA),
+        TierLabel.TIER_2CA, True, None, None,
+        ("tier override 2-CA replaces automatic classification 2-NCA",),
+    ),
+    (
+        CellQuery("exact", "hours", CellFilter.build(domains="d1")),
+        TierLabel.TIER_1E, False, None, None, (),
+    ),
+    (
+        CellQuery("empty", "employed", CellFilter.build(attributes={"occupation": "nobody"})),
+        TierLabel.TIER_2NCA, True, None, None,
+        ("empty cell: no sampled records match the filter",),
+    ),
+    (
+        CellQuery("auto_link", "income", TRADES),
+        TierLabel.TIER_3NCV, True, "hours", "pearson", (),
+    ),
+    (
+        CellQuery("bad_link", "income", TRADES, link_variable="income"),
+        TierLabel.TIER_3NCV, False, None, None,
+        ("cell 'bad_link': linking variable 'income' is not a calibration variable",),
+    ),
+    (
+        # every record working 10-30 hours is employed: a constant named link
+        CellQuery(
+            "constant_link", "income", CellFilter.build(ranges={"hours": (10, 30)}),
+            link_variable="employed",
+        ),
+        TierLabel.TIER_3NCV, True, "employed", 0.0,
+        ("weak ratio link |rho|=0.000 < 0.1; design-based direct estimation is "
+         "the recommended primary interval",),
+    ),
+    (
+        # no hours means not employed: both calibration variables are constant
+        CellQuery("no_link", "income", CellFilter.build(ranges={"hours": (None, 0.0)})),
+        TierLabel.TIER_3NCV, False, None, None,
+        ("no admissible linking variable: every calibration variable is "
+         "constant within the cell; publish a design-based direct estimate "
+         "for this cell instead",),
+    ),
+]
+
+
+def survey_artifacts():
+    sample, spec = survey_sample()
+    return build_artifacts(sample, spec, synthetic_draws(ht_totals(sample, spec), 40, seed=5))
+
+
+class TestAnalyzeCell:
+    @pytest.mark.parametrize(
+        "query,tier,has_cbi,link,rho,warnings",
+        ANALYZE_CASES,
+        ids=[case[0].name for case in ANALYZE_CASES],
+    )
+    def test_tier_link_and_warnings(
+        self, monkeypatch, query, tier, has_cbi, link, rho, warnings
+    ):
+        classified = []
+
+        def counting(query, *args):
+            classified.append(query.name)
+            return classify_cell(query, *args)
+
+        monkeypatch.setattr(replicate, "classify_cell", counting)
+        art = survey_artifacts()
+        row = analyze_cell(query, art)
+        assert classified == [query.name]
+        assert row.tier is tier
+        assert (row.cbi_lower is None) is not has_cbi
+        assert row.link_variable == link
+        if rho == "pearson":
+            cell = evaluate_cell(query, art.sample, art.spec)
+            income = cell.values[cell.rows]
+            hours = art.sample.column("hours")[cell.rows]
+            assert row.link_rho == pytest.approx(np.corrcoef(income, hours)[0, 1], rel=1e-12)
+        else:
+            assert row.link_rho == rho
+        assert row.warnings == warnings

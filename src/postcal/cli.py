@@ -94,7 +94,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     ingested = _ingest(cfg)
     _say(args, f"fitting {len(cfg.models)} models on {ingested.sample.n} records")
-    draws, _, warnings = _fit_draws(cfg, ingested)
+    draws, stratum_draws, warnings = _fit_draws(cfg, ingested)
     convergence = _convergence(draws)
     meta = _metadata(cfg, continuous_scale=CONTINUOUS_SCALE_NOTE)
 
@@ -102,6 +102,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     write_convergence(out / "convergence.csv", ingested.spec, convergence, meta)
     payload = {
         "metadata": meta,
+        "acceptance": {name: d.acceptance for name, d in stratum_draws.items()},
         "n_draws": draws.n_draws,
         "rhat_available": convergence.available,
         "rhat_max": convergence.rhat_max,

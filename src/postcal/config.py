@@ -410,6 +410,11 @@ def parse_config(
     cfg.rhat_threshold = _typed(
         mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc"
     )
+    # R-hat is floored at 1: a lower threshold fails every fit, NaN none
+    if not 1.0 <= cfg.rhat_threshold < np.inf:
+        raise ConfigError(
+            f"mcmc.rhat_threshold: expected a finite value >= 1.0, got {cfg.rhat_threshold}"
+        )
 
     parsed = tuple(
         _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")

@@ -13,21 +13,23 @@ Both samplers run on one chain-batched driver: the chains are lanes of
 ``(chains, ...)`` state arrays that advance together, one numpy pass per
 iteration, with per-lane proposal scales and acceptance counts.
 
-Stream contract: chain c of variable v reads only the generator
-``chain_rng(seed, *key, v, c)``, and one iteration consumes a fixed sequence
-of variates from it whatever the chain's state:
+Stream contract (v2): chain c of variable v reads only the generator
+``chain_rng(seed, *key, v, c)``.  The driver draws one adaptation window
+(W = 50 iterations, fewer in a short last window) at a time, with one call
+per variate kind per window, whatever the chain's state:
 
-* binary model: k x (normal, uniform), then H normals, then H uniforms,
-  then one chi-square draw (the effects and chi-square draws only when the
-  effects are on and the variance is free, respectively);
-* Gaussian model: H normals, then k normals, then one chi-square draw (the
-  chi-square only when the variance is free).
+* binary model: W x k normals, W x k uniforms, then W x H normals and
+  W x H uniforms (only when the effects are on), then W chi-square draws
+  (only when the variance is free);
+* Gaussian model: W x H normals, W x k normals, then W chi-square draws
+  (only when the variance is free).
 
-The driver pre-draws each lane's variates in that order one adaptation
-window (50 iterations) at a time, and every per-lane product is the same
-BLAS call a lone chain makes, so the draws do not depend on the chain count
-or on the batching: a 2-chain fit is bit for bit the first two chains of a
-3-chain fit.
+Proposal scales change only at window ends, so the per-window arithmetic
+(log-uniforms, proposal increments and their shifts of the linear
+predictor, the Gaussian coefficient noise) is done once per window.  Every
+per-lane product is the same BLAS call a lone chain makes, so the draws do
+not depend on the chain count: a 2-chain fit is bit for bit the first two
+chains of a 3-chain fit.
 
 Stratum-level draws are aggregated to domain totals in the block layout of
 the calibration system; externally produced draw matrices are accepted as a
@@ -254,46 +256,41 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 def _expit_open(eta: np.ndarray) -> np.ndarray:
     # overflow-free logistic clamped to the nearest representable values
     # inside (0, 1); extreme logits would otherwise round to exactly 0 or 1
-    out = np.where(
-        eta >= 0.0,
-        1.0 / (1.0 + np.exp(-np.abs(eta))),
-        np.exp(-np.abs(eta)) / (1.0 + np.exp(-np.abs(eta))),
-    )
+    tail = np.exp(-np.abs(eta))
+    out = np.where(eta >= 0.0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
     return np.clip(out, _P_FLOOR, _P_CEIL)
 
 
-def _sigma2_draws(
-    effects: np.ndarray, chisq: np.ndarray, df: float, scale: float
-) -> np.ndarray:
+def _sigma2_draws(effects: np.ndarray, chisq: np.ndarray, model) -> np.ndarray:
     # scaled-inverse-chi-square posterior given iid N(0, sigma2) effects, one
-    # per lane; the stacked product is one BLAS dot per lane
-    post_df = df + effects.shape[1]
+    # per lane: post_df * post_scale / chisq with chisq ~ chi2(df + H), and
+    # post_df * post_scale = df * scale + sum of squares; the stacked product
+    # is one BLAS dot per lane
     sum_sq = (effects[:, None, :] @ effects[:, :, None])[:, 0, 0]
-    post_scale = (df * scale + sum_sq) / post_df
-    return post_df * post_scale / chisq
+    return (model.prior_df * model.prior_scale + sum_sq) / chisq
 
 
 def _run_lanes(
     config: McmcConfig,
     spawn_key: tuple[int, ...],
     shape: tuple[int, int],
-    n_variates: int,
     draw,
-    step,
+    window,
     proposals: dict[str, int] | None = None,
     link=None,
 ) -> StratumDraws:
     """Advance all chains together and keep their post-burn-in draws.
 
-    ``draw(rng, rows)`` fills ``rows[i]`` with the ``n_variates`` variates
-    iteration i of a window consumes on one chain, in the model's fixed call
-    order.  They are pre-drawn for every lane one adaptation window at a
-    time, each lane from its own stream.  ``step(it, variates)`` advances
-    every lane one iteration given the ``(chains, n_variates)`` variates and
-    returns the stratum values, coefficients and variances as
-    ``(chains, H)``, ``(chains, k)`` and ``(chains,)`` arrays, plus per-lane
-    counts of accepted proposals keyed like ``proposals`` (proposals per
-    iteration).  ``link`` maps the kept stratum values, one window at a time.
+    ``draw(rng, width)`` returns one chain's variates for a window of
+    ``width`` iterations, a dict of blocks in stream-contract order.  Stacked
+    over chains into ``(chains, width, ...)`` arrays they go to
+    ``window(blocks, scales, accepted)``, which returns ``step(i)``: advance
+    every lane through iteration i of the window and return the stratum
+    values, coefficients and variances as ``(chains, H)``, ``(chains, k)``
+    and ``(chains,)`` arrays.  ``proposals`` maps each random walk to its
+    proposals per iteration; ``scales[name]`` holds its per-lane scales,
+    fixed within a window, and ``step`` sets its accept flags in
+    ``accepted[name][:, i]``.  ``link`` maps the kept stratum values.
     """
     C, burnin, iterations = config.chains, config.burnin, config.iterations
     H, k = shape
@@ -302,28 +299,40 @@ def _run_lanes(
     kept_stratum = np.empty((C, iterations, H))
     kept_beta = np.empty((C, iterations, k))
     kept_sigma2 = np.empty((C, iterations))
-    accepted = {name: np.zeros(C, dtype=int) for name in proposals}
+    scales = {name: np.full((C, size), config.proposal_sd) for name, size in proposals.items()}
+    kept_accepted = {name: np.zeros(C, dtype=int) for name in proposals}
 
     total = burnin + iterations
     for start in range(0, total, _ADAPT_WINDOW):
         width = min(_ADAPT_WINDOW, total - start)
-        variates = np.empty((width, C, n_variates))
+        blocks = {}
         for c, rng in enumerate(rngs):
-            draw(rng, variates[:, c])
+            for kind, values in draw(rng, width).items():
+                blocks.setdefault(kind, np.empty((C, *values.shape)))[c] = values
+        accepted = {name: np.zeros((C, width, size), bool) for name, size in proposals.items()}
+        step = window(blocks, scales, accepted)
         for i in range(width):
-            it = start + i
-            stratum, beta, sigma2, counts = step(it, variates[i])
-            if it >= burnin:
-                keep = it - burnin
+            stratum, beta, sigma2 = step(i)
+            keep = start + i - burnin
+            if keep >= 0:
                 kept_stratum[:, keep] = stratum
                 kept_beta[:, keep] = beta
                 kept_sigma2[:, keep] = sigma2
-                for name, count in counts.items():
-                    accepted[name] += count
+        # iterations of this window still in burn-in; a window wholly inside
+        # burn-in adapts the scales toward the acceptance band
+        burning = max(burnin - start, 0)
+        for name, flags in accepted.items():
+            kept_accepted[name] += flags[:, burning:].sum(axis=(1, 2))
+            if burning >= _ADAPT_WINDOW:
+                rate = flags.sum(axis=1) / _ADAPT_WINDOW
+                scale = scales[name]
+                scale[rate < _ACCEPT_LOW] *= 0.7
+                scale[rate > _ACCEPT_HIGH] *= 1.4
+        del blocks, accepted, step  # free this window's buffers before the next
         kept_from, kept_to = max(start - burnin, 0), start + width - burnin
         if link is not None and kept_to > kept_from:
-            window = kept_stratum[:, kept_from:kept_to]
-            window[...] = link(window)
+            kept = kept_stratum[:, kept_from:kept_to]
+            kept[...] = link(kept)
 
     return StratumDraws(
         draws=kept_stratum.reshape(C * iterations, H),
@@ -331,8 +340,8 @@ def _run_lanes(
         beta_draws=kept_beta.reshape(C * iterations, k),
         sigma2_draws=kept_sigma2.reshape(C * iterations),
         acceptance={
-            name: float(np.mean(accepted[name] / (per_iteration * iterations)))
-            for name, per_iteration in proposals.items()
+            name: float(np.mean(kept_accepted[name] / (size * iterations)))
+            for name, size in proposals.items()
         },
     )
 
@@ -373,90 +382,77 @@ def fit_binary_hb(
     beta = np.tile(beta0, (C, 1))
     v = np.tile(v0, (C, 1))
     sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
-    beta_scale = np.full((C, k), config.proposal_sd)
-    v_scale = np.full((C, H), config.proposal_sd)
-    beta_acc = np.zeros((C, k))
-    v_acc = np.zeros((C, H))
 
     eta = Z @ beta0 + v
     loglik = _binomial_loglik(eta, m, n)
     if not np.isfinite(loglik).all():
         raise NumericalError("non-finite log-posterior at initial state")
+    loglik_sum = loglik.sum(axis=1)
 
-    # per iteration: k x (normal, uniform), H normals, H uniforms, one
-    # chi-square; ``random`` is ``uniform`` on [0, 1) without the affine map
-    n_variates = 2 * k + (2 * H if use_effects else 0) + (1 if free_sigma else 0)
-    z_v = slice(2 * k, 2 * k + H)
-    log_u_v = slice(2 * k + H, 2 * k + 2 * H)
-
-    def draw(rng, rows):
-        for row in rows:
-            for j in range(k):
-                row[j] = rng.standard_normal()
-                row[k + j] = rng.random()
-            if use_effects:
-                rng.standard_normal(out=row[z_v])
-                rng.random(out=row[log_u_v])
-            if free_sigma:
-                row[-1] = rng.chisquare(post_df)
-        # the accept tests compare log-uniforms
-        for logs in (rows[:, k : 2 * k], rows[:, log_u_v]):
-            np.log(logs, out=logs)
-
-    def step(it, variates):
-        nonlocal v, eta, loglik, sigma2, v_acc
-        beta_count = np.zeros(C, dtype=int)
-        # regression coefficients: coordinate-wise random walk
-        for j in range(k):
-            prop = beta[:, j] + beta_scale[:, j] * variates[:, j]
-            eta_prop = eta + Z[:, j] * (prop - beta[:, j])[:, None]
-            loglik_prop = _binomial_loglik(eta_prop, m, n)
-            delta = loglik_prop.sum(axis=1) - loglik.sum(axis=1)
-            accept = variates[:, k + j] < delta
-            beta[:, j] = np.where(accept, prop, beta[:, j])
-            eta = np.where(accept[:, None], eta_prop, eta)
-            loglik = np.where(accept[:, None], loglik_prop, loglik)
-            beta_acc[:, j] += accept
-            beta_count += accept
-        # stratum effects: simultaneous independent random walks
-        v_count = np.zeros(C, dtype=int)
+    def draw(rng, width):
+        # ``random`` is ``uniform`` on [0, 1) without the affine map
+        block = {"z_beta": rng.standard_normal((width, k)), "u_beta": rng.random((width, k))}
         if use_effects:
-            v_prop = v + v_scale * variates[:, z_v]
-            eta_prop = eta + (v_prop - v)
-            loglik_prop = _binomial_loglik(eta_prop, m, n)
-            delta = (
-                loglik_prop
-                - loglik
-                - (v_prop**2 - v**2) / (2.0 * sigma2)[:, None]
-            )
-            accept = variates[:, log_u_v] < delta
-            v = np.where(accept, v_prop, v)
-            eta = np.where(accept, eta_prop, eta)
-            loglik = np.where(accept, loglik_prop, loglik)
-            v_acc += accept
-            v_count = accept.sum(axis=1)
+            block["z_v"] = rng.standard_normal((width, H))
+            block["u_v"] = rng.random((width, H))
         if free_sigma:
-            sigma2 = _sigma2_draws(
-                v, variates[:, -1], model.prior_df, model.prior_scale
-            )
+            block["chisq"] = rng.chisquare(post_df, width)
+        return block
 
-        if it < config.burnin and (it + 1) % _ADAPT_WINDOW == 0:
-            for scale, acc in ((beta_scale, beta_acc), (v_scale, v_acc)):
-                rate = acc / _ADAPT_WINDOW
-                scale[rate < _ACCEPT_LOW] *= 0.7
-                scale[rate > _ACCEPT_HIGH] *= 1.4
-                acc[:] = 0.0
-        if not np.isfinite(loglik).all():
-            raise NumericalError("non-finite log-posterior during sampling")
-        return eta, beta, sigma2, {"beta": beta_count, "effects": v_count}
+    def window(block, scales, accepted):
+        # the scales are fixed within a window, so every proposal increment,
+        # its shift of eta and the log-uniform it is tested against are known
+        # before the window's first iteration (computed in place of the draws)
+        beta_steps = np.multiply(block["z_beta"], scales["beta"][:, None], out=block["z_beta"])
+        eta_shifts = beta_steps[..., None] * Z.T
+        log_u_beta = np.log(block["u_beta"], out=block["u_beta"])
+        if use_effects:
+            v_steps = np.multiply(block["z_v"], scales["effects"][:, None], out=block["z_v"])
+            log_u_v = np.log(block["u_v"], out=block["u_v"])
+        beta_flags, v_flags = accepted["beta"], accepted["effects"]
+
+        def step(i):
+            # regression coefficients: coordinate-wise random walk
+            for j in range(k):
+                eta_prop = eta + eta_shifts[:, i, j]
+                loglik_prop = _binomial_loglik(eta_prop, m, n)
+                sum_prop = loglik_prop.sum(axis=1)
+                accept = np.less(
+                    log_u_beta[:, i, j], sum_prop - loglik_sum, out=beta_flags[:, i, j]
+                )
+                np.add(beta[:, j], beta_steps[:, i, j], out=beta[:, j], where=accept)
+                np.copyto(eta, eta_prop, where=accept[:, None])
+                np.copyto(loglik, loglik_prop, where=accept[:, None])
+                np.copyto(loglik_sum, sum_prop, where=accept)
+            # stratum effects: simultaneous independent random walks
+            if use_effects:
+                v_prop = v + v_steps[:, i]
+                eta_prop = eta + v_steps[:, i]
+                loglik_prop = _binomial_loglik(eta_prop, m, n)
+                delta = (
+                    loglik_prop
+                    - loglik
+                    - (v_prop**2 - v**2) / (2.0 * sigma2)[:, None]
+                )
+                accept = np.less(log_u_v[:, i], delta, out=v_flags[:, i])
+                np.copyto(v, v_prop, where=accept)
+                np.copyto(eta, eta_prop, where=accept)
+                np.copyto(loglik, loglik_prop, where=accept)
+                loglik_sum[:] = loglik.sum(axis=1)
+            if free_sigma:
+                sigma2[:] = _sigma2_draws(v, block["chisq"][:, i], model)
+            if not np.isfinite(loglik).all():
+                raise NumericalError("non-finite log-posterior during sampling")
+            return eta, beta, sigma2
+
+        return step
 
     result = _run_lanes(
         config,
         spawn_key,
         (H, k),
-        n_variates,
         draw,
-        step,
+        window,
         proposals={"beta": k, "effects": H},
         link=_expit_open,
     )
@@ -502,41 +498,37 @@ def fit_gaussian_fh(
     post_df = model.prior_df + H
     beta = np.tile(ztz_inv @ (Z.T @ est), (C, 1))
     sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
+    projection = ztz_inv @ Z.T
+    prec_data, est_prec = 1.0 / psi, est / psi
 
-    # per iteration: H normals, k normals, one chi-square
-    n_variates = H + k + (1 if free_sigma else 0)
-
-    def draw(rng, rows):
-        for row in rows:
-            # one call draws the same stream as H normals then k normals
-            rng.standard_normal(out=row[: H + k])
-            if free_sigma:
-                row[-1] = rng.chisquare(post_df)
+    def draw(rng, width):
+        block = {"z_theta": rng.standard_normal((width, H))}
+        block["z_beta"] = rng.standard_normal((width, k))
+        if free_sigma:
+            block["chisq"] = rng.chisquare(post_df, width)
+        return block
 
     # stacked products run the same BLAS call per lane as a single chain
     def synthetic(beta):
         return (Z @ beta[:, :, None])[:, :, 0]
 
-    def step(it, variates):
-        nonlocal beta, sigma2
-        prec = 1.0 / psi + 1.0 / sigma2[:, None]
-        mean = (est / psi + synthetic(beta) / sigma2[:, None]) / prec
-        theta = mean + variates[:, :H] / np.sqrt(prec)
+    def window(block, scales, accepted):
+        noise = (ztz_inv_chol @ block["z_beta"][..., None])[..., 0]
 
-        beta_hat = ztz_inv @ (Z.T @ theta[:, :, None])
-        noise = ztz_inv_chol @ variates[:, H : H + k, None]
-        beta = (beta_hat + np.sqrt(sigma2)[:, None, None] * noise)[:, :, 0]
+        def step(i):
+            nonlocal beta
+            prec = prec_data + 1.0 / sigma2[:, None]
+            mean = (est_prec + synthetic(beta) / sigma2[:, None]) / prec
+            theta = mean + block["z_theta"][:, i] / np.sqrt(prec)
+            beta_hat = (projection @ theta[:, :, None])[:, :, 0]
+            beta = beta_hat + np.sqrt(sigma2)[:, None] * noise[:, i]
+            if free_sigma:
+                sigma2[:] = _sigma2_draws(theta - synthetic(beta), block["chisq"][:, i], model)
+            return theta, beta, sigma2
 
-        if free_sigma:
-            sigma2 = _sigma2_draws(
-                theta - synthetic(beta),
-                variates[:, -1],
-                model.prior_df,
-                model.prior_scale,
-            )
-        return theta, beta, sigma2, {}
+        return step
 
-    return _run_lanes(config, spawn_key, (H, k), n_variates, draw, step)
+    return _run_lanes(config, spawn_key, (H, k), draw, window)
 
 
 def compute_psi(

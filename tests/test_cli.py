@@ -10,8 +10,11 @@ import pytest
 import yaml
 
 from postcal.cli import build_parser, main
+from postcal.config import load_config
+from postcal.fitting import fit_all_variables
 from postcal.frame import SampleSet
 from postcal.hb import McmcConfig, chain_rng
+from postcal.io import read_sample
 from postcal.report import CellReportRow
 from postcal.simulate import (
     McConfig,
@@ -160,10 +163,33 @@ class TestFit:
 
     def test_convergence_exit_code(self, tmp_path):
         write_sample_files(tmp_path)
-        cfg = write_config(tmp_path, base_config(rhat_threshold=0.99))
+        # R-hat is floored at 1, so the lowest valid threshold fails any
+        # fit whose chains are not exact copies
+        cfg = write_config(tmp_path, base_config(rhat_threshold=1.0))
         code = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 4
         assert (tmp_path / "out" / "draws.csv").exists()
+
+    def test_fit_json_reports_acceptance(self, tmp_path):
+        write_sample_files(tmp_path)
+        path = write_config(tmp_path, base_config())
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        written = json.loads((tmp_path / "out" / "fit.json").read_text())["acceptance"]
+        cfg = load_config(path)
+        ingested = read_sample(
+            cfg.records_path,
+            cfg.strata_path,
+            cfg.roles,
+            domain_order=cfg.domain_order,
+            band_rules=cfg.band_rules,
+        )
+        _, stratum_draws, _ = fit_all_variables(
+            ingested.sample, ingested.spec, cfg.models, ingested.strata_covariates, cfg.mcmc
+        )
+        assert written == {name: d.acceptance for name, d in stratum_draws.items()}
+        assert written["hours"] == {}  # the Gibbs model has no proposals
+        assert sorted(written["employed"]) == ["beta", "effects"]
+        assert all(0.0 <= rate <= 1.0 for rate in written["employed"].values())
 
 
 class TestInfer:
@@ -540,6 +566,15 @@ MALFORMED_INPUTS = [
         id="records-unknown-stratum",
     ),
     pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
+    # R-hat is floored at 1: below it every fit fails, NaN lets every fit pass
+    *(
+        pytest.param(
+            set_config("mcmc.rhat_threshold", value),
+            "mcmc.rhat_threshold",
+            id=f"mcmc-rhat-threshold-{value}",
+        )
+        for value in (float("nan"), float("inf"), 0.99)
+    ),
     pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
     pytest.param(set_config("seed", "x"), "seed", id="seed-x"),
     pytest.param(break_yaml, "config.yaml", id="yaml-syntax-error"),

@@ -6,7 +6,8 @@ effect variance, a single pinned stratum, and Gaussian with free and pinned
 variance.  Every draw array, the chain tags and the acceptance rates must
 match to a relative 1e-9.  A property test checks that each chain reads only
 its own stream: a 2-chain fit is the first two chains of a 3-chain fit, bit
-for bit.
+for bit.  A recording generator pins stream contract v2: the order, method
+and size of every draw call, one per variate kind per chain per window.
 
 A change that is meant to move the draws re-baselines the fixture with
 ``PYTHONPATH=src python tests/test_hb_kernels.py`` and says why in CHANGES.md.
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postcal import hb
 from postcal.hb import (
     BinaryHBInput,
     GaussianFHInput,
@@ -133,6 +135,61 @@ def test_chains_read_only_their_own_stream(data):
     rows = 2 * iterations
     for key in ARRAYS:
         assert np.array_equal(getattr(two, key), getattr(three, key)[:rows]), key
+
+
+class RecordingRng:
+    """A generator that logs each call's method and the shape it returns."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._log.append((name, np.shape(out)))
+            return out
+
+        return call
+
+
+# per window, in call order: the variate kind and its count per iteration
+STREAM_CONTRACT = {
+    "binary-free": ["normal k", "uniform k", "normal H", "uniform H", "chisquare"],
+    "binary-pinned": ["normal k", "uniform k", "normal H", "uniform H"],
+    "binary-no-effects": ["normal k", "uniform k"],
+    "gaussian-free": ["normal H", "normal k", "chisquare"],
+    "gaussian-pinned": ["normal H", "normal k"],
+}
+METHODS = {"normal": "standard_normal", "uniform": "random", "chisquare": "chisquare"}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CONTRACT))
+def test_stream_contract_v2(monkeypatch, name):
+    logs = {}
+    chain_rng = hb.chain_rng
+
+    def recording_rng(seed, *key):
+        logs[key] = []
+        return RecordingRng(chain_rng(seed, *key), logs[key])
+
+    monkeypatch.setattr(hb, "chain_rng", recording_rng)
+    fit, model, _ = CASES[name]
+    # burn-in ends inside the second window, and 115 iterations leave a
+    # short last window of 15
+    fit(model, McmcConfig(burnin=70, iterations=45, chains=3, seed=5), spawn_key=(2,))
+
+    H, k = model.covariates.shape
+    dims = {"k": (k,), "H": (H,), "": ()}
+    expected = [
+        (METHODS[kind], (width, *dims[dim]))
+        for width in (50, 50, 15)
+        for kind, _, dim in (entry.partition(" ") for entry in STREAM_CONTRACT[name])
+    ]
+    assert list(logs) == [(2, c) for c in range(3)]
+    for log in logs.values():
+        assert log == expected
 
 
 def regenerate() -> None:

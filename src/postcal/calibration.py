@@ -8,7 +8,7 @@ constraints sum_i w'_i y_i = t has the closed form
 where G = sum_i w_i y_i y_i' is the weighted cross-product of the design
 vectors and T_ht the Horvitz-Thompson total vector.  The multiplicative
 factor is the familiar g-weight of regression calibration.  G and its
-factorization are computed once per sample and shared across all targets.
+rank are computed once per sample and shared across all targets.
 No n x p design matrix is formed: totals and moments are ``block_sums``
 reductions, and G is block-diagonal by domain.
 """
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError, RankDeficiencyError
 from .frame import CalibrationSpec, SampleSet, block_sums
@@ -28,16 +26,58 @@ from .frame import CalibrationSpec, SampleSet, block_sums
 _PIVOT_RELATIVE_TOL = 2.0 ** -50
 
 
+def _pivot_tolerance(a: np.ndarray) -> float:
+    """p * max(diag a) * 2^-50, the largest diagonal taken over non-NaN entries."""
+    diag = a.diagonal()
+    diag = diag[~np.isnan(diag)]
+    return a.shape[0] * (float(diag.max()) if diag.size else 0.0) * _PIVOT_RELATIVE_TOL
+
+
+def pivoted_cholesky_rank(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank and pivot order of a symmetric positive semi-definite matrix.
+
+    Applies the diagonal pivoting rule of LAPACK's unblocked ``dpstf2``
+    (Lucas 2004, LAPACK Working Note 161): each step pivots on the largest
+    remaining Schur-complement diagonal, ties going to the first, and the
+    factorization stops when that diagonal is at or below
+    ``_pivot_tolerance(a)`` or is NaN.  As in ``dpstf2``, NaN candidates are
+    passed over except at the first diagonal of the first step.  Returns the
+    rank r and the 0-based pivot order; ``order[r:]`` are the columns left
+    unpivoted, the dependent ones.
+    """
+    a = np.array(a, dtype=float)  # the lower triangle becomes the factor
+    p = a.shape[0]
+    order = np.arange(p)
+    tol = _pivot_tolerance(a)
+    sums = np.zeros(p)  # squared norms of the factor rows so far
+    for j in range(p):
+        if j:
+            sums[j:] += a[j:, j - 1] ** 2
+        candidates = a.diagonal()[j:] - sums[j:]
+        nan = np.isnan(candidates)
+        k = 0 if j == 0 and nan[0] else int(np.argmax(np.where(nan, -np.inf, candidates)))
+        pivot = candidates[k]
+        if not pivot > tol:
+            return j, order
+        if k:
+            swap = [j, j + k]
+            a[swap] = a[swap[::-1]]
+            a[:, swap] = a[:, swap[::-1]]
+            sums[swap] = sums[swap[::-1]]
+            order[swap] = order[swap[::-1]]
+        a[j, j] = np.sqrt(pivot)
+        a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) * (1.0 / a[j, j])
+    return p, order
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """p x p calibration cross-product with its factorization and rank.
+    """p x p calibration cross-product with its rank.
 
-    ``factor`` is the lower Cholesky factor and exists only at full rank.
     Immutable; safe to share across worker threads.
     """
 
     g: np.ndarray
-    factor: np.ndarray | None
     rank: int
     condition_estimate: float
     deficient_blocks: tuple[str, ...]
@@ -52,14 +92,14 @@ class GramMatrix:
         return self.rank == self.p
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G x = rhs through the cached triangular factor."""
-        if self.factor is None:
+        """Solve G x = rhs; G must have full rank."""
+        if not self.full_rank:
             raise RankDeficiencyError(
                 f"cross-product matrix has rank {self.rank} < {self.p}; "
                 f"deficient blocks: {list(self.deficient_blocks)}",
                 self.deficient_blocks,
             )
-        return sla.cho_solve((self.factor, True), rhs)
+        return np.linalg.solve(self.g, rhs)
 
 
 @dataclass(frozen=True)
@@ -78,15 +118,16 @@ class CalibratedWeights:
 
 
 def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
-    """Accumulate G = sum_i w_i y_i y_i' and factorize it.
+    """Accumulate G = sum_i w_i y_i y_i' and find its rank.
 
     Entry (v*D + d, u*D + e) is zero unless d == e, so G is assembled from
     one V x V cross-product Z_d'Z_d per domain, Z_d the rows of
     sqrt(w) * calib in domain d, which keeps it symmetric positive
     semi-definite by construction.  Rank is determined by a pivoted
-    Cholesky factorization with a scale-relative pivot tolerance; when
-    deficient, the error names the (variable, domain) blocks that could not
-    be pivoted (typically empty variable-domain cells).
+    Cholesky factorization with a scale-relative pivot tolerance
+    (``pivoted_cholesky_rank``); when deficient, the error names the
+    (variable, domain) blocks that could not be pivoted (typically empty
+    variable-domain cells).
     """
     sample.check_spec(spec)
     V, D = spec.n_variables, spec.n_domains
@@ -99,25 +140,22 @@ def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
     g = (g + g.T) / 2.0
 
     p = spec.p
-    max_diag = float(np.max(np.diag(g))) if p else 0.0
-    tol = p * max_diag * _PIVOT_RELATIVE_TOL
-    _, piv, rank, _ = lapack.dpstrf(g, tol=tol, lower=1)
-    rank = int(rank)
+    rank, order = pivoted_cholesky_rank(g)
 
     deficient: tuple[str, ...] = ()
-    factor = None
     condition = float("inf")
     if rank == p:
         try:
-            factor = sla.cholesky(g, lower=True)
-        except sla.LinAlgError:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
             rank = p - 1  # borderline indefiniteness; treat as deficient
         else:
             condition = float(np.linalg.cond(g))
-    if factor is None:
+    if rank < p:
         # Unpivoted trailing columns are the dependent blocks; report empty
         # variable-domain cells (zero diagonal) first for readability.
-        rejected = sorted(int(j) - 1 for j in piv[rank:])
+        tol = _pivot_tolerance(g)
+        rejected = sorted(int(j) for j in order[rank:])
         zero_diag = [j for j in rejected if g[j, j] <= tol]
         dependent = [j for j in rejected if j not in zero_diag]
         deficient = tuple(
@@ -126,7 +164,6 @@ def compute_gram(sample: SampleSet, spec: CalibrationSpec) -> GramMatrix:
         )
     return GramMatrix(
         g=g,
-        factor=factor,
         rank=rank,
         condition_estimate=condition,
         deficient_blocks=deficient,

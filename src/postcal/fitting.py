@@ -87,7 +87,7 @@ def fit_variable(
         return fit_binary_hb(inputs, mcmc, spawn_key=spawn_key)
 
     if model.kind == "gaussian":
-        _, psi, degenerate = compute_psi(sample, model.variable, spec)
+        psi, degenerate = compute_psi(sample, model.variable, spec)
         if degenerate:
             raise DataError(
                 f"variable {model.variable!r}: zero sampling variance is not "

@@ -286,6 +286,14 @@ class SampleSet:
         return table
 
     @cached_property
+    def stratum_rows(self) -> tuple[np.ndarray, ...]:
+        """Per stratum, its row positions in ascending order: read-only
+        slices of one stable argsort of ``stratum_idx``."""
+        order = np.argsort(self.stratum_idx, kind="stable")
+        order.flags.writeable = False
+        return tuple(np.split(order, np.cumsum(self.stratum_counts)[:-1]))
+
+    @cached_property
     def attribute_codes(self) -> dict[str, tuple[tuple, np.ndarray]]:
         """Per attribute, its levels in order of first appearance and the
         column as positions in them, in the smallest unsigned dtype."""

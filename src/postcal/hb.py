@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .calibration import pivoted_cholesky_rank
 from .errors import DataError, NumericalError
 from .frame import CalibrationSpec, SampleSet
 
@@ -459,15 +460,10 @@ def fit_binary_hb(
     return replace(result, warnings=tuple(warnings))
 
 
-def _collinear_columns(Z: np.ndarray) -> list[int]:
-    # pivoted QR: columns beyond the numerical rank are the dependent ones
-    from scipy.linalg import qr
-
-    _, r, piv = qr(Z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(Z.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    return sorted(int(j) for j in piv[rank:])
+def _collinear_columns(ztz: np.ndarray) -> list[int]:
+    # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
+    rank, order = pivoted_cholesky_rank(ztz)
+    return sorted(int(j) for j in order[rank:])
 
 
 def fit_gaussian_fh(
@@ -487,9 +483,9 @@ def fit_gaussian_fh(
 
     ztz = Z.T @ Z
     if np.linalg.matrix_rank(ztz) < k:
-        cols = _collinear_columns(Z)
         raise DataError(
-            f"covariate cross-product is singular; collinear columns {cols}"
+            f"covariate cross-product is singular; collinear columns "
+            f"{_collinear_columns(ztz)}"
         )
     ztz_inv = np.linalg.inv(ztz)
     ztz_inv_chol = np.linalg.cholesky(ztz_inv)
@@ -533,11 +529,11 @@ def fit_gaussian_fh(
 
 def compute_psi(
     sample: SampleSet, variable: str, spec: CalibrationSpec
-) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Known sampling variances deff * (1 - f) * S^2 / n per sampled stratum.
 
-    Returns (stratum ids, psi values, degeneracy warnings) for the strata
-    present in the sample, in frame order; the values are
+    Returns (psi values, degeneracy warnings) for the strata present in the
+    sample, in frame order; the values are
     ``SampleSet.stratum_mean_variance`` of the variable's column.  A stratum
     with one record is an error, since S^2 needs n_h >= 2.
     """
@@ -560,7 +556,7 @@ def compute_psi(
         for h, value, is_census in zip(sampled, psi, census)
         if value == 0.0
     )
-    return tuple(sample.strata[h].id for h in sampled), psi, warnings
+    return psi, warnings
 
 
 def stratum_domain_map(sample: SampleSet) -> dict[str, str]:

@@ -115,11 +115,16 @@ def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
     outlives its parse.
     """
     text, lines = [], []
-    with open(path, newline="") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip() and not line.startswith("#"):
-                text.append(line)
-                lines.append(number)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip() and not line.startswith("#"):
+                    text.append(line)
+                    lines.append(number)
+    except UnicodeDecodeError as exc:
+        raise DataError(_decode_error(path)) from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if len(text) < 2:
         raise DataError(f"{path}: no data rows")
     reader = csv.reader(text)
@@ -134,6 +139,18 @@ def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
         i = next(i for i, count in enumerate(counts) if count != k)
         raise DataError(f"{path}:{lines[i]}: {counts[i]} fields, header has {k}")
     return {name: flat[j::k] for j, name in enumerate(header)}, lines
+
+
+def _decode_error(path: Path) -> str:
+    """``file:line`` of the first byte that is not UTF-8, counting lines as
+    the text reader does (LF, CRLF and CR all end one)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())
+        return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8"
+    return f"{path}: not UTF-8"
 
 
 def _finite_or_none(raw: str) -> float | None:
@@ -351,7 +368,7 @@ def write_table(
     """Generic delimited table writer, the metadata first as ``# key=value``
     comment lines in key order."""
     metadata = metadata or {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -201,8 +201,7 @@ def draw_stratified_sample(
         raise DataError(f"sampling fraction must be in (0, 1], got {fraction}")
     chosen = []
     weights = []
-    for pos, stratum in enumerate(frame.strata):
-        members = np.nonzero(frame.stratum_idx == pos)[0]
+    for stratum, members in zip(frame.strata, frame.stratum_rows):
         N_h = members.size
         if N_h < 2:
             raise DataError(

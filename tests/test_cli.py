@@ -518,6 +518,24 @@ def header_only_records(tmp_path):
     path.write_text(f"# seed=0\n\n{header}\n\n# no rows follow\n")
 
 
+def put_byte_not_utf8(name, row=1):
+    """Put the byte 0xff (never valid UTF-8) into data row ``row`` (0-based)
+    of a CSV file with its header on line 1."""
+
+    def corrupt(tmp_path):
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[row + 1] = lines[row + 1].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"".join(lines))
+
+    return corrupt
+
+
+def draws_as_directory(tmp_path):
+    (tmp_path / "draws.csv").unlink()
+    (tmp_path / "draws.csv").mkdir()
+
+
 def break_yaml(tmp_path):
     with open(tmp_path / "config.yaml", "a") as fh:
         fh.write("cells: [unclosed\n")
@@ -564,6 +582,18 @@ MALFORMED_INPUTS = [
         drop_stratum,
         "records.csv: records reference unknown strata: ['s2']",
         id="records-unknown-stratum",
+    ),
+    pytest.param(
+        lambda t: (t / "draws.csv").unlink(),
+        "draws.csv: cannot read (No such file or directory)",
+        id="draws-missing",
+    ),
+    pytest.param(draws_as_directory, "draws.csv: cannot read (Is a directory)", id="draws-directory"),
+    *(
+        pytest.param(
+            put_byte_not_utf8(name), f"{name}:3: byte 0xff is not UTF-8", id=f"{name[:-4]}-not-utf8"
+        )
+        for name in ("records.csv", "strata.csv", "draws.csv")
     ),
     pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
     # R-hat is floored at 1: below it every fit fails, NaN lets every fit pass

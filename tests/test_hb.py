@@ -220,20 +220,20 @@ class TestComputePsi:
     def test_hand_arithmetic(self):
         # S^2 of {1,2,3} is 1; psi = (1 - 3/30) * 1 / 3 = 0.3
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30])
-        ids, psi, warnings = compute_psi(sample, "y", spec)
-        assert ids == ("s1",)
+        psi, warnings = compute_psi(sample, "y", spec)
+        assert psi.shape == (1,)
         assert psi[0] == pytest.approx(0.3, abs=1e-12)
         assert warnings == ()
 
     def test_census_stratum_zero_via_fpc(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [3])
-        _, psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y", spec)
         assert psi[0] == 0.0
         assert any("census" in w for w in warnings)
 
     def test_constant_variable_flagged(self):
         sample, spec = psi_sample([[5.0, 5.0, 5.0]], [30])
-        _, psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y", spec)
         assert psi[0] == 0.0
         assert any("constant" in w for w in warnings)
 
@@ -241,13 +241,13 @@ class TestComputePsi:
     def test_constant_column_is_exactly_zero(self, n):
         # np.var of 0.1 repeated 60 times is about 1.8e-33, not 0
         sample, spec = psi_sample([[0.1] * n], [10 * n])
-        _, psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y", spec)
         assert psi[0] == 0.0
         assert warnings == ("stratum 's1': degenerate sampling variance (constant variable)",)
 
     def test_deff_multiplies(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30], deff=2.5)
-        _, psi, _ = compute_psi(sample, "y", spec)
+        psi, _ = compute_psi(sample, "y", spec)
         assert psi[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_singleton_stratum_rejected(self):

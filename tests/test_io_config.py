@@ -240,6 +240,30 @@ class TestReadTable:
             _read_table(path)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(table=delimited_tables(), data=st.data())
+    def test_byte_that_is_not_utf8_is_named_by_its_file_line(self, tmp_path_factory, table, data):
+        _, lines, _ = table
+        lines = list(lines)
+        if data.draw(st.booleans(), label="padded"):
+            # a long first line puts the byte past the text reader's first chunk
+            lines.insert(0, "#" + "x" * 10_000)
+        at = data.draw(st.integers(0, len(lines) - 1), label="at")
+        cut = data.draw(st.integers(0, len(lines[at])), label="cut")
+        ends = [data.draw(LINE_ENDS) for _ in lines]
+        raw = b"".join(
+            (line[:cut] + "\udcff" + line[cut:] if i == at else line).encode("utf-8", "surrogateescape")
+            + end.encode()
+            for i, (line, end) in enumerate(zip(lines, ends))
+        )
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        path.write_bytes(raw)
+        # the file line as an independent splitter on LF, CRLF and CR counts it
+        line = len(re.findall(rb"\r\n|\r|\n", raw[: raw.index(b"\xff")])) + 1
+        with pytest.raises(DataError, match=rf"table\.csv:{line}: byte 0xff is not UTF-8$"):
+            _read_table(path)
+
+
 class TestDrawsRoundTrip:
     def test_exact_float_round_trip(self, tmp_path):
         spec = CalibrationSpec(("a", "b"), ("d1", "d2"))

@@ -11,6 +11,7 @@ from postcal.calibration import (
     cell_weighted_moment,
     compute_gram,
     ht_totals,
+    pivoted_cholesky_rank,
 )
 from postcal.frame import (
     CalibrationSpec,
@@ -358,3 +359,44 @@ def test_band_labels_match_a_per_value_reference(data):
     assert got.tolist() == [label_one(rule, v) for v in values]
     # one shared str object per label, not one per value
     assert len({id(label) for label in got}) <= len(bands) + 1
+
+
+def planted_psd_matrix(data) -> np.ndarray:
+    """A p x p positive semi-definite matrix, p <= 12, of rank at most r
+    (any r <= p), with planted zero columns, a column proportional to another,
+    tied diagonals (an equicorrelation matrix, rank 1 at rho = 1) or one NaN
+    diagonal."""
+    p = data.draw(st.integers(1, 12), label="p")
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    if data.draw(st.booleans(), label="tied"):
+        rho = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="rho")
+        a = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
+    else:
+        r = data.draw(st.integers(0, p), label="rank")
+        M = rng.normal(size=(r, p))
+        zero = data.draw(st.sets(st.integers(0, p - 1), max_size=p), label="zero columns")
+        M[:, sorted(zero)] = 0.0
+        if p > 1 and data.draw(st.booleans(), label="proportional"):
+            i, j = rng.choice(p, size=2, replace=False)
+            M[:, j] = data.draw(st.sampled_from([-3.0, 0.5, 2.0]), label="factor") * M[:, i]
+        a = M.T @ M
+    a *= 10.0 ** data.draw(st.integers(-6, 6), label="scale")
+    if data.draw(st.booleans(), label="nan"):
+        i = data.draw(st.integers(0, p - 1), label="nan at")
+        a[i, i] = np.nan
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pivoted_cholesky_rank_matches_lapack_dpstrf(data):
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    a = planted_psd_matrix(data)
+    p = a.shape[0]
+    diag = a.diagonal()[~np.isnan(a.diagonal())]
+    tol = p * (diag.max() if diag.size else 0.0) * 2.0**-50
+    _, piv, want_rank, _ = lapack.dpstrf(a, tol=tol, lower=1)
+    rank, order = pivoted_cholesky_rank(a)
+    assert rank == want_rank
+    assert sorted(order[rank:].tolist()) == sorted((piv[want_rank:] - 1).tolist())
+    assert sorted(order.tolist()) == list(range(p))

@@ -220,6 +220,16 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = None
+    if count is None or count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="postcal",
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("diagnose", "convergence and cell diagnostics only", cmd_diagnose, draws=True)
     p_sim = command("simulate", "repeated-sampling coverage experiment", cmd_simulate)
     p_sim.add_argument(
-        "--threads", type=int, default=1, help="replication worker processes"
+        "--threads", type=_worker_count, default=1, help="replication worker processes"
     )
     p_sim.add_argument(
         "--keep-replications",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import ModelConfig
@@ -47,15 +49,13 @@ def _covariate_matrix(
     return np.column_stack(columns)
 
 
-def fit_variable(
+def model_input(
     sample: SampleSet,
     spec: CalibrationSpec,
     model: ModelConfig,
     strata_covariates: dict[str, np.ndarray],
-    mcmc: McmcConfig,
-    spawn_key: tuple[int, ...] = (),
-) -> StratumDraws:
-    """Fit the configured model for one calibration variable."""
+) -> BinaryHBInput | GaussianFHInput:
+    """The validated per-stratum input of one calibration variable's model."""
     if model.variable not in spec.variable_names:
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
@@ -76,7 +76,7 @@ def fit_variable(
                 f"variable {model.variable!r} is not binary; found values "
                 f"outside {{0, 1}}"
             )
-        inputs = BinaryHBInput(
+        return BinaryHBInput(
             successes=stratum_sums,
             sizes=sample.stratum_counts.astype(float),
             covariates=Z,
@@ -84,7 +84,6 @@ def fit_variable(
             prior_scale=model.prior_scale,
             fixed_sigma2=model.fixed_sigma2,
         )
-        return fit_binary_hb(inputs, mcmc, spawn_key=spawn_key)
 
     if model.kind == "gaussian":
         psi, degenerate = compute_psi(sample, model.variable, spec)
@@ -93,7 +92,7 @@ def fit_variable(
                 f"variable {model.variable!r}: zero sampling variance is not "
                 f"usable in the measurement-error model ({'; '.join(degenerate)})"
             )
-        inputs = GaussianFHInput(
+        return GaussianFHInput(
             estimates=stratum_sums / sample.stratum_counts,
             sampling_variances=psi,
             covariates=Z,
@@ -101,7 +100,6 @@ def fit_variable(
             prior_scale=model.prior_scale,
             fixed_sigma2=model.fixed_sigma2,
         )
-        return fit_gaussian_fh(inputs, mcmc, spawn_key=spawn_key)
 
     raise ConfigError(f"unknown model kind {model.kind!r}")
 
@@ -116,24 +114,33 @@ def fit_all_variables(
 ) -> tuple[PosteriorDraws, dict[str, StratumDraws], tuple[str, ...]]:
     """Fit every calibration variable and aggregate to domain totals.
 
-    Chain streams are addressed by (seed, *base_key, variable index, chain),
-    so results are reproducible under any execution order.
+    Every variable's model input is built and validated first, in spec
+    order.  Variables whose model settings agree in all but the variable
+    name (kind, priors, covariates, fixed_sigma2) are then fitted in one
+    sampler call, their chains advancing as one set of lanes.  Chain
+    streams are addressed by (seed, *base_key, variable index, chain), so
+    results are reproducible under any grouping or execution order.
     """
     missing = [v for v in spec.variable_names if v not in models]
     if missing:
         raise ConfigError(f"no model configured for variables {missing}")
-    stratum_draws: dict[str, StratumDraws] = {}
-    warnings: list[str] = []
-    for v, name in enumerate(spec.variable_names):
-        result = fit_variable(
-            sample,
-            spec,
-            models[name],
-            strata_covariates,
+    names = spec.variable_names
+    inputs = [model_input(sample, spec, models[name], strata_covariates) for name in names]
+    groups: dict[ModelConfig, list[int]] = {}
+    for v, name in enumerate(names):
+        groups.setdefault(replace(models[name], variable=""), []).append(v)
+    fitted: dict[int, StratumDraws] = {}
+    for setting, members in groups.items():
+        fit = fit_binary_hb if setting.kind == "binary" else fit_gaussian_fh
+        results = fit(
+            [inputs[v] for v in members],
             mcmc,
-            spawn_key=(*base_key, v),
+            spawn_keys=[(*base_key, v) for v in members],
         )
-        stratum_draws[name] = result
-        warnings.extend(f"{name}: {w}" for w in result.warnings)
+        fitted.update(zip(members, results))
+    stratum_draws = {name: fitted[v] for v, name in enumerate(names)}
+    warnings = tuple(
+        f"{name}: {w}" for name, result in stratum_draws.items() for w in result.warnings
+    )
     totals = draws_to_domain_totals(stratum_draws, sample, spec)
-    return totals, stratum_draws, tuple(warnings)
+    return totals, stratum_draws, warnings

@@ -9,14 +9,19 @@ Two models are fitted with bespoke samplers:
 * a Gaussian measurement-error model for continuous variables with known
   per-stratum sampling variances, sampled by full-conditional Gibbs.
 
-Both samplers run on one chain-batched driver: the chains are lanes of
-``(chains, ...)`` state arrays that advance together, one numpy pass per
-iteration, with per-lane proposal scales and acceptance counts.
+Both samplers run on one lane-batched driver.  One call fits a batch of
+models that share the covariate matrix, the priors and the variance mode
+(one per calibration variable); their chains are the lanes of ``(lanes,
+...)`` state arrays, lanes = models x chains in model-major order, that
+advance together, one numpy pass per iteration, with per-lane model data,
+proposal scales and acceptance counts.  Each model keeps its own start
+values and warnings, and one ``StratumDraws`` comes back per model.
 
 Stream contract (v2): chain c of variable v reads only the generator
-``chain_rng(seed, *key, v, c)``.  The driver draws one adaptation window
-(W = 50 iterations, fewer in a short last window) at a time, with one call
-per variate kind per window, whatever the chain's state:
+``chain_rng(seed, *key, v, c)``, whichever batch the variable is fitted in.
+The driver draws one adaptation window (W = 50 iterations, fewer in a short
+last window) at a time, with one call per variate kind per window, whatever
+the chain's state:
 
 * binary model: W x k normals, W x k uniforms, then W x H normals and
   W x H uniforms (only when the effects are on), then W chi-square draws
@@ -28,8 +33,9 @@ Proposal scales change only at window ends, so the per-window arithmetic
 (log-uniforms, proposal increments and their shifts of the linear
 predictor, the Gaussian coefficient noise) is done once per window.  Every
 per-lane product is the same BLAS call a lone chain makes, so the draws do
-not depend on the chain count: a 2-chain fit is bit for bit the first two
-chains of a 3-chain fit.
+not depend on the chain count or on the batch: a 2-chain fit is bit for bit
+the first two chains of a 3-chain fit, and a model fitted alone draws what
+it draws in any position of a batch.
 
 Stratum-level draws are aggregated to domain totals in the block layout of
 the calibration system; externally produced draw matrices are accepted as a
@@ -38,6 +44,7 @@ first-class alternative (see :mod:`postcal.io`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -271,46 +278,76 @@ def _sigma2_draws(effects: np.ndarray, chisq: np.ndarray, model) -> np.ndarray:
     return (model.prior_df * model.prior_scale + sum_sq) / chisq
 
 
+def _lanes(rows, chains: int) -> np.ndarray:
+    # one row per model -> one row per lane, model-major
+    return np.repeat(np.stack(rows), chains, axis=0)
+
+
+def _shared_setting(models: Sequence, spawn_keys: Sequence[tuple[int, ...]]):
+    """The first model, once the batch is checked to share one setting."""
+    if not models:
+        raise DataError("a fit needs at least one model")
+    if len(spawn_keys) != len(models):
+        raise DataError(
+            f"{len(models)} models need as many spawn keys, got {len(spawn_keys)}"
+        )
+    first = models[0]
+    setting = (first.prior_df, first.prior_scale, first.fixed_sigma2)
+    for model in models[1:]:
+        if not np.array_equal(model.covariates, first.covariates):
+            raise DataError("models fitted together must share the covariate matrix")
+        if (model.prior_df, model.prior_scale, model.fixed_sigma2) != setting:
+            raise DataError(
+                "models fitted together must share prior_df, prior_scale and fixed_sigma2"
+            )
+    return first
+
+
 def _run_lanes(
     config: McmcConfig,
-    spawn_key: tuple[int, ...],
+    spawn_keys: Sequence[tuple[int, ...]],
     shape: tuple[int, int],
     draw,
     window,
     proposals: dict[str, int] | None = None,
     link=None,
-) -> StratumDraws:
-    """Advance all chains together and keep their post-burn-in draws.
+) -> list[StratumDraws]:
+    """Advance all chains of all models together and keep their post-burn-in
+    draws, one ``StratumDraws`` per spawn key.
 
-    ``draw(rng, width)`` returns one chain's variates for a window of
-    ``width`` iterations, a dict of blocks in stream-contract order.  Stacked
-    over chains into ``(chains, width, ...)`` arrays they go to
-    ``window(blocks, scales, accepted)``, which returns ``step(i)``: advance
-    every lane through iteration i of the window and return the stratum
-    values, coefficients and variances as ``(chains, H)``, ``(chains, k)``
-    and ``(chains,)`` arrays.  ``proposals`` maps each random walk to its
-    proposals per iteration; ``scales[name]`` holds its per-lane scales,
-    fixed within a window, and ``step`` sets its accept flags in
-    ``accepted[name][:, i]``.  ``link`` maps the kept stratum values.
+    Lanes are models x chains, model-major: lane (j, c) reads
+    ``chain_rng(seed, *spawn_keys[j], c)``.  ``draw(rng, width)`` returns one
+    lane's variates for a window of ``width`` iterations, a dict of blocks
+    in stream-contract order.  Stacked over lanes into ``(lanes, width,
+    ...)`` arrays they go to ``window(blocks, scales, accepted)``, which
+    returns ``step(i)``: advance every lane through iteration i of the
+    window and return the stratum values, coefficients and variances as
+    ``(lanes, H)``, ``(lanes, k)`` and ``(lanes,)`` arrays.  ``proposals``
+    maps each random walk to its proposals per iteration; ``scales[name]``
+    holds its per-lane scales, fixed within a window, and ``step`` sets its
+    accept flags in ``accepted[name][:, i]``.  ``link`` maps the kept
+    stratum values.
     """
     C, burnin, iterations = config.chains, config.burnin, config.iterations
+    J = len(spawn_keys)
+    L = J * C
     H, k = shape
     proposals = proposals or {}
-    rngs = [chain_rng(config.seed, *spawn_key, c) for c in range(C)]
-    kept_stratum = np.empty((C, iterations, H))
-    kept_beta = np.empty((C, iterations, k))
-    kept_sigma2 = np.empty((C, iterations))
-    scales = {name: np.full((C, size), config.proposal_sd) for name, size in proposals.items()}
-    kept_accepted = {name: np.zeros(C, dtype=int) for name in proposals}
+    rngs = [chain_rng(config.seed, *key, c) for key in spawn_keys for c in range(C)]
+    kept_stratum = np.empty((L, iterations, H))
+    kept_beta = np.empty((L, iterations, k))
+    kept_sigma2 = np.empty((L, iterations))
+    scales = {name: np.full((L, size), config.proposal_sd) for name, size in proposals.items()}
+    kept_accepted = {name: np.zeros(L, dtype=int) for name in proposals}
 
     total = burnin + iterations
     for start in range(0, total, _ADAPT_WINDOW):
         width = min(_ADAPT_WINDOW, total - start)
         blocks = {}
-        for c, rng in enumerate(rngs):
+        for lane, rng in enumerate(rngs):
             for kind, values in draw(rng, width).items():
-                blocks.setdefault(kind, np.empty((C, *values.shape)))[c] = values
-        accepted = {name: np.zeros((C, width, size), bool) for name, size in proposals.items()}
+                blocks.setdefault(kind, np.empty((L, *values.shape)))[lane] = values
+        accepted = {name: np.zeros((L, width, size), bool) for name, size in proposals.items()}
         step = window(blocks, scales, accepted)
         for i in range(width):
             stratum, beta, sigma2 = step(i)
@@ -335,38 +372,44 @@ def _run_lanes(
             kept = kept_stratum[:, kept_from:kept_to]
             kept[...] = link(kept)
 
-    return StratumDraws(
-        draws=kept_stratum.reshape(C * iterations, H),
-        chain_tags=np.repeat(np.arange(C), iterations),
-        beta_draws=kept_beta.reshape(C * iterations, k),
-        sigma2_draws=kept_sigma2.reshape(C * iterations),
-        acceptance={
-            name: float(np.mean(kept_accepted[name] / (size * iterations)))
-            for name, size in proposals.items()
-        },
-    )
+    kept_stratum = kept_stratum.reshape(J, C * iterations, H)
+    kept_beta = kept_beta.reshape(J, C * iterations, k)
+    kept_sigma2 = kept_sigma2.reshape(J, C * iterations)
+    kept_accepted = {name: counts.reshape(J, C) for name, counts in kept_accepted.items()}
+    return [
+        StratumDraws(
+            draws=kept_stratum[j],
+            chain_tags=np.repeat(np.arange(C), iterations),
+            beta_draws=kept_beta[j],
+            sigma2_draws=kept_sigma2[j],
+            acceptance={
+                name: float(np.mean(kept_accepted[name][j] / (size * iterations)))
+                for name, size in proposals.items()
+            },
+        )
+        for j in range(J)
+    ]
 
 
 def fit_binary_hb(
-    model: BinaryHBInput,
+    models: Sequence[BinaryHBInput],
     config: McmcConfig,
-    spawn_key: tuple[int, ...] = (),
-) -> StratumDraws:
+    spawn_keys: Sequence[tuple[int, ...]] = ((),),
+) -> list[StratumDraws]:
     """Sample stratum success probabilities from the logit-normal model.
 
-    All chains start from the empirical-logit fit and advance together, each
-    on its own stream (see the module docstring).  Proposal scales adapt
-    per chain toward a 20-50% acceptance rate during burn-in and are frozen
-    afterwards.
+    ``models`` share the covariate matrix, the priors and the variance mode
+    (``DataError`` otherwise); ``spawn_keys`` holds one stream key per model
+    and one ``StratumDraws`` is returned per model.  Each model's chains
+    start from its own empirical-logit fit, and all lanes advance together,
+    each on its own stream (see the module docstring).  Proposal scales
+    adapt per lane toward a 20-50% acceptance rate during burn-in and are
+    frozen afterwards.
     """
-    m, n, Z = model.successes, model.sizes, model.covariates
+    model = _shared_setting(models, spawn_keys)
+    Z = model.covariates
     H, k = Z.shape[0], Z.shape[1]
     C = config.chains
-    warnings = []
-    if np.all(m == 0):
-        warnings.append("degenerate input: no successes in any stratum")
-    if np.all(m == n):
-        warnings.append("degenerate input: all trials are successes")
 
     free_sigma = model.fixed_sigma2 is None
     # the effect variance stays > 0 whenever the effects are on: pinned > 0,
@@ -374,17 +417,29 @@ def fit_binary_hb(
     use_effects = free_sigma or model.fixed_sigma2 > 0
     post_df = model.prior_df + H
 
-    # empirical-logit start values shared by all chains
-    p_hat = (m + 0.5) / (n + 1.0)
-    eta_hat = np.log(p_hat / (1.0 - p_hat))
-    beta0, *_ = np.linalg.lstsq(Z, eta_hat, rcond=None)
-    v0 = np.clip(eta_hat - Z @ beta0, -2.0, 2.0) if use_effects else np.zeros(H)
+    # empirical-logit start values, per model, shared by its chains
+    warnings, beta0, v0 = [], [], []
+    for each in models:
+        m, n = each.successes, each.sizes
+        flags = []
+        if np.all(m == 0):
+            flags.append("degenerate input: no successes in any stratum")
+        if np.all(m == n):
+            flags.append("degenerate input: all trials are successes")
+        warnings.append(tuple(flags))
+        p_hat = (m + 0.5) / (n + 1.0)
+        eta_hat = np.log(p_hat / (1.0 - p_hat))
+        start, *_ = np.linalg.lstsq(Z, eta_hat, rcond=None)
+        beta0.append(start)
+        v0.append(np.clip(eta_hat - Z @ start, -2.0, 2.0) if use_effects else np.zeros(H))
 
-    beta = np.tile(beta0, (C, 1))
-    v = np.tile(v0, (C, 1))
-    sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
+    m = _lanes([each.successes for each in models], C)
+    n = _lanes([each.sizes for each in models], C)
+    beta = _lanes(beta0, C)
+    v = _lanes(v0, C)
+    sigma2 = np.full(len(beta), model.prior_scale if free_sigma else model.fixed_sigma2)
 
-    eta = Z @ beta0 + v
+    eta = _lanes([Z @ start for start in beta0], C) + v
     loglik = _binomial_loglik(eta, m, n)
     if not np.isfinite(loglik).all():
         raise NumericalError("non-finite log-posterior at initial state")
@@ -448,16 +503,16 @@ def fit_binary_hb(
 
         return step
 
-    result = _run_lanes(
+    results = _run_lanes(
         config,
-        spawn_key,
+        spawn_keys,
         (H, k),
         draw,
         window,
         proposals={"beta": k, "effects": H},
         link=_expit_open,
     )
-    return replace(result, warnings=tuple(warnings))
+    return [replace(result, warnings=flags) for result, flags in zip(results, warnings)]
 
 
 def _collinear_columns(ztz: np.ndarray) -> list[int]:
@@ -467,17 +522,20 @@ def _collinear_columns(ztz: np.ndarray) -> list[int]:
 
 
 def fit_gaussian_fh(
-    model: GaussianFHInput,
+    models: Sequence[GaussianFHInput],
     config: McmcConfig,
-    spawn_key: tuple[int, ...] = (),
-) -> StratumDraws:
+    spawn_keys: Sequence[tuple[int, ...]] = ((),),
+) -> list[StratumDraws]:
     """Gibbs sampler for the Gaussian measurement-error model.
 
     Full conditionals: theta_h is Gaussian with precision 1/psi_h + 1/sigma2
     (the shrinkage form), beta is Gaussian under a flat prior, and sigma2 is
-    scaled-inverse-chi-square.
+    scaled-inverse-chi-square.  Batching follows ``fit_binary_hb``: one
+    setting per call, one stream key and one ``StratumDraws`` per model, and
+    each model's chains start from its own least-squares fit.
     """
-    est, psi, Z = model.estimates, model.sampling_variances, model.covariates
+    model = _shared_setting(models, spawn_keys)
+    Z = model.covariates
     H, k = Z.shape[0], Z.shape[1]
     C = config.chains
 
@@ -492,9 +550,11 @@ def fit_gaussian_fh(
 
     free_sigma = model.fixed_sigma2 is None
     post_df = model.prior_df + H
-    beta = np.tile(ztz_inv @ (Z.T @ est), (C, 1))
-    sigma2 = np.full(C, model.prior_scale if free_sigma else model.fixed_sigma2)
+    beta = _lanes([ztz_inv @ (Z.T @ each.estimates) for each in models], C)
+    sigma2 = np.full(len(beta), model.prior_scale if free_sigma else model.fixed_sigma2)
     projection = ztz_inv @ Z.T
+    est = _lanes([each.estimates for each in models], C)
+    psi = _lanes([each.sampling_variances for each in models], C)
     prec_data, est_prec = 1.0 / psi, est / psi
 
     def draw(rng, width):
@@ -524,7 +584,7 @@ def fit_gaussian_fh(
 
         return step
 
-    return _run_lanes(config, spawn_key, (H, k), draw, window)
+    return _run_lanes(config, spawn_keys, (H, k), draw, window)
 
 
 def compute_psi(

@@ -334,9 +334,14 @@ def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
             f"{expected}"
         )
     values = [_float_column(columns[c], path, lines) for c in expected]
-    return PosteriorDraws(
-        draws=np.column_stack(values[1:]), chain_tags=values[0].astype(int)
-    )
+    tags = values[0]
+    fractional = np.flatnonzero(tags != np.trunc(tags))
+    if fractional.size:
+        i = fractional[0]
+        raise DataError(
+            f"{path}:{lines[i]}: chain tag {columns['chain'][i]!r} is not an integer"
+        )
+    return PosteriorDraws(draws=np.column_stack(values[1:]), chain_tags=tags.astype(int))
 
 
 def write_weights(

@@ -552,6 +552,14 @@ MALFORMED_INPUTS = [
         "draws.csv:2",
         id="draws-chain-nan",
     ),
+    *(
+        pytest.param(
+            lambda t, tag=tag: set_csv_field(t / "draws.csv", "chain", tag, row=1),
+            f"draws.csv:3: chain tag '{tag}' is not an integer",
+            id=f"draws-chain-{tag}",
+        )
+        for tag in ("0.7", "1.5", "-0.25")
+    ),
     pytest.param(
         lambda t: set_csv_field(t / "records.csv", "hours", "nan"),
         "records.csv:2",
@@ -742,6 +750,19 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv, cause)
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_simulate_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, simulate_config())
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", threads])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: expected an integer of at least 1, got '{threads}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
         base = ["--config", "c.yaml", "--out", str(tmp_path)]

@@ -55,7 +55,7 @@ codes["simulate"] = main(
 Z = np.column_stack([np.ones(5), np.arange(5.0), 2.0 * np.arange(5.0)])
 try:
     fit_gaussian_fh(
-        GaussianFHInput(estimates=np.arange(5.0), sampling_variances=np.ones(5), covariates=Z),
+        [GaussianFHInput(estimates=np.arange(5.0), sampling_variances=np.ones(5), covariates=Z)],
         McmcConfig(burnin=10, iterations=10, chains=1, seed=0),
     )
     collinear = None

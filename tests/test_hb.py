@@ -40,7 +40,7 @@ class TestBinarySampler:
             successes=[5], sizes=[10], covariates=[[1.0]], fixed_sigma2=0.0
         )
         config = McmcConfig(burnin=500, iterations=3000, chains=3, seed=11, proposal_sd=0.8)
-        result = fit_binary_hb(model, config)
+        result = fit_binary_hb([model], config)[0]
         eta = np.linspace(-15.0, 15.0, 400_001)
         loglik = 5 * eta - 10 * np.logaddexp(0.0, eta)
         weight = np.exp(loglik - loglik.max())
@@ -58,7 +58,7 @@ class TestBinarySampler:
             prior_df=1.0,
             prior_scale=0.5,
         )
-        result = fit_binary_hb(model, McmcConfig(burnin=300, iterations=800, chains=2, seed=3))
+        result = fit_binary_hb([model], McmcConfig(burnin=300, iterations=800, chains=2, seed=3))[0]
         assert any("no successes" in w for w in result.warnings)
         assert np.all(result.draws > 0.0) and np.all(result.draws < 1.0)
         assert result.draws.mean() < 0.1
@@ -69,7 +69,7 @@ class TestBinarySampler:
             sizes=[20, 20],
             covariates=np.ones((2, 1)),
         )
-        result = fit_binary_hb(model, McmcConfig(burnin=100, iterations=200, chains=1, seed=4))
+        result = fit_binary_hb([model], McmcConfig(burnin=100, iterations=200, chains=1, seed=4))[0]
         assert any("all trials" in w for w in result.warnings)
 
     def test_degenerate_inputs_keep_open_support(self):
@@ -82,8 +82,8 @@ class TestBinarySampler:
             fixed_sigma2=0.0,
         )
         result = fit_binary_hb(
-            model, McmcConfig(burnin=1000, iterations=3000, chains=1, seed=2, proposal_sd=2.0)
-        )
+            [model], McmcConfig(burnin=1000, iterations=3000, chains=1, seed=2, proposal_sd=2.0)
+        )[0]
         assert np.all(result.draws > 0.0)
         assert np.all(result.draws < 1.0)
 
@@ -96,8 +96,8 @@ class TestBinarySampler:
             prior_scale=0.3,
         )
         result = fit_binary_hb(
-            model, McmcConfig(burnin=400, iterations=2000, chains=3, seed=8)
-        )
+            [model], McmcConfig(burnin=400, iterations=2000, chains=3, seed=8)
+        )[0]
         ks = stats.ks_2samp(result.draws[:, 0], result.draws[:, 1]).statistic
         assert ks < 0.08
 
@@ -107,7 +107,7 @@ class TestBinarySampler:
             sizes=[30, 30, 30],
             covariates=np.ones((3, 1)),
         )
-        result = fit_binary_hb(model, McmcConfig(burnin=200, iterations=500, chains=2, seed=6))
+        result = fit_binary_hb([model], McmcConfig(burnin=200, iterations=500, chains=2, seed=6))[0]
         assert np.all(result.sigma2_draws > 0.0)
         assert np.all((result.draws > 0.0) & (result.draws < 1.0))
 
@@ -132,8 +132,8 @@ class TestGaussianSampler:
             fixed_sigma2=sigma2,
         )
         result = fit_gaussian_fh(
-            model, McmcConfig(burnin=500, iterations=4000, chains=3, seed=21)
-        )
+            [model], McmcConfig(burnin=500, iterations=4000, chains=3, seed=21)
+        )[0]
         # closed form: precision-weighted blend of the direct estimate and
         # the GLS synthetic mean
         V = psi + sigma2
@@ -159,8 +159,8 @@ class TestGaussianSampler:
             fixed_sigma2=1.0,
         )
         result = fit_gaussian_fh(
-            model, McmcConfig(burnin=500, iterations=3000, chains=2, seed=9)
-        )
+            [model], McmcConfig(burnin=500, iterations=3000, chains=2, seed=9)
+        )[0]
         theta_big = result.draws[:, 3]
         beta = result.beta_draws[:, 0]
         assert abs(theta_big.mean() - beta.mean()) < 0.2
@@ -175,8 +175,8 @@ class TestGaussianSampler:
             prior_scale=1.0,
         )
         result = fit_gaussian_fh(
-            model, McmcConfig(burnin=400, iterations=3000, chains=2, seed=14)
-        )
+            [model], McmcConfig(burnin=400, iterations=3000, chains=2, seed=14)
+        )[0]
         means = result.draws.mean(axis=0)
         assert np.max(means) - np.min(means) < 0.1
 
@@ -185,11 +185,13 @@ class TestGaussianSampler:
         Z = np.column_stack([np.ones(5), np.arange(5.0), 2.0 * np.arange(5.0)])
         with pytest.raises(DataError, match=r"collinear columns \[[12]\]"):
             fit_gaussian_fh(
-                GaussianFHInput(
-                    estimates=np.arange(5.0),
-                    sampling_variances=np.ones(5),
-                    covariates=Z,
-                ),
+                [
+                    GaussianFHInput(
+                        estimates=np.arange(5.0),
+                        sampling_variances=np.ones(5),
+                        covariates=Z,
+                    )
+                ],
                 McmcConfig(burnin=10, iterations=10, chains=1, seed=0),
             )
 

@@ -4,10 +4,12 @@
 the demo and smoke goldens do not reach: binary with free, pinned and zero
 effect variance, a single pinned stratum, and Gaussian with free and pinned
 variance.  Every draw array, the chain tags and the acceptance rates must
-match to a relative 1e-9.  A property test checks that each chain reads only
-its own stream: a 2-chain fit is the first two chains of a 3-chain fit, bit
-for bit.  A recording generator pins stream contract v2: the order, method
-and size of every draw call, one per variate kind per chain per window.
+match to a relative 1e-9.  Property tests check that each chain reads only
+its own stream: a 2-chain fit is the first two chains of a 3-chain fit, and
+a model fitted alone draws what it draws in any position of a batch, bit for
+bit.  A recording generator pins stream contract v2: the order, method and
+size of every draw call, one per variate kind per lane per window, and the
+model-major order of the lanes' stream keys.
 
 A change that is meant to move the draws re-baselines the fixture with
 ``PYTHONPATH=src python tests/test_hb_kernels.py`` and says why in CHANGES.md.
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postcal import hb
+from postcal.errors import DataError
 from postcal.hb import (
     BinaryHBInput,
     GaussianFHInput,
@@ -69,7 +72,7 @@ ARRAYS = ("draws", "beta_draws", "sigma2_draws", "chain_tags")
 
 def run_case(name: str):
     fit, model, chains = CASES[name]
-    return fit(model, McmcConfig(chains=chains, **_MCMC), spawn_key=(2,))
+    return fit([model], McmcConfig(chains=chains, **_MCMC), spawn_keys=[(2,)])[0]
 
 
 def as_record(result) -> dict:
@@ -94,8 +97,9 @@ def test_kernel_matches_fixture(fixture, name):
         assert got["acceptance"][key] == pytest.approx(value, rel=REL_TOL, abs=0)
 
 
-def random_model(data):
-    """A small binary or Gaussian input in one of its variance modes."""
+def random_batch(data, size):
+    """``size`` small binary or Gaussian inputs that share one setting: the
+    covariates, the priors and a variance mode."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="inputs"))
     kind = data.draw(st.sampled_from(["binary", "gaussian"]), label="kind")
     H = data.draw(st.integers(1, 6), label="strata")
@@ -104,19 +108,32 @@ def random_model(data):
     modes = [None, 0.4] if kind == "gaussian" else [None, 0.4, 0.0]
     fixed = data.draw(st.sampled_from(modes if H > 1 else modes[1:]), label="sigma2")
     if kind == "binary":
-        sizes = rng.integers(1, 30, size=H)
-        model = BinaryHBInput(
-            successes=rng.integers(0, sizes + 1), sizes=sizes, covariates=Z,
+        models = []
+        for _ in range(size):
+            sizes = rng.integers(1, 30, size=H)
+            models.append(
+                BinaryHBInput(
+                    successes=rng.integers(0, sizes + 1), sizes=sizes, covariates=Z,
+                    fixed_sigma2=fixed,
+                )
+            )
+        return fit_binary_hb, models
+    models = [
+        GaussianFHInput(
+            estimates=rng.normal(5.0, 2.0, size=H),
+            sampling_variances=rng.uniform(0.1, 2.0, size=H),
+            covariates=Z,
             fixed_sigma2=fixed,
         )
-        return fit_binary_hb, model
-    model = GaussianFHInput(
-        estimates=rng.normal(5.0, 2.0, size=H),
-        sampling_variances=rng.uniform(0.1, 2.0, size=H),
-        covariates=Z,
-        fixed_sigma2=fixed,
-    )
-    return fit_gaussian_fh, model
+        for _ in range(size)
+    ]
+    return fit_gaussian_fh, models
+
+
+def random_model(data):
+    """A small binary or Gaussian input in one of its variance modes."""
+    fit, (model,) = random_batch(data, 1)
+    return fit, model
 
 
 @settings(max_examples=25, deadline=None)
@@ -129,12 +146,61 @@ def test_chains_read_only_their_own_stream(data):
 
     def run(chains):
         config = McmcConfig(burnin=burnin, iterations=iterations, chains=chains, seed=seed)
-        return fit(model, config, spawn_key=(1, 0))
+        return fit([model], config, spawn_keys=[(1, 0)])[0]
 
     two, three = run(2), run(3)
     rows = 2 * iterations
     for key in ARRAYS:
         assert np.array_equal(getattr(two, key), getattr(three, key)[:rows]), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_model_draws_do_not_depend_on_the_batch(data):
+    size = data.draw(st.integers(1, 3), label="batch")
+    fit, models = random_batch(data, size)
+    keys = data.draw(
+        st.lists(st.integers(0, 9), min_size=size, max_size=size, unique=True), label="keys"
+    )
+    config = McmcConfig(
+        burnin=data.draw(st.integers(0, 130), label="burnin"),
+        iterations=data.draw(st.integers(1, 20), label="iterations"),
+        chains=data.draw(st.integers(1, 3), label="chains"),
+        seed=data.draw(st.integers(0, 2**31 - 1), label="seed"),
+    )
+    batch = fit(models, config, spawn_keys=[(3, key) for key in keys])
+    assert len(batch) == size
+    for model, key, together in zip(models, keys, batch):
+        (alone,) = fit([model], config, spawn_keys=[(3, key)])
+        for name in ARRAYS:
+            assert np.array_equal(getattr(alone, name), getattr(together, name)), name
+        assert alone.acceptance == together.acceptance
+        assert alone.warnings == together.warnings
+
+
+def test_batch_must_share_one_setting():
+    config = McmcConfig(burnin=5, iterations=5, chains=1)
+    model = BinaryHBInput(**_BINARY)
+    shifted = BinaryHBInput(**{**_BINARY, "covariates": _Z5 + 1.0})
+    for other in (
+        shifted,
+        BinaryHBInput(**_BINARY, prior_df=2.0),
+        BinaryHBInput(**_BINARY, prior_scale=2.0),
+        BinaryHBInput(**_BINARY, fixed_sigma2=0.3),
+    ):
+        with pytest.raises(DataError, match="fitted together must share"):
+            fit_binary_hb([model, other], config, spawn_keys=[(0,), (1,)])
+    gaussian = GaussianFHInput(**_GAUSSIAN)
+    with pytest.raises(DataError, match="fitted together must share"):
+        fit_gaussian_fh(
+            [gaussian, GaussianFHInput(**_GAUSSIAN, fixed_sigma2=0.8)],
+            config,
+            spawn_keys=[(0,), (1,)],
+        )
+    with pytest.raises(DataError, match="2 models need as many spawn keys, got 1"):
+        fit_binary_hb([model, model], config)
+    with pytest.raises(DataError, match="at least one model"):
+        fit_gaussian_fh([], config, spawn_keys=[])
 
 
 class RecordingRng:
@@ -165,8 +231,9 @@ STREAM_CONTRACT = {
 METHODS = {"normal": "standard_normal", "uniform": "random", "chisquare": "chisquare"}
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_CONTRACT))
-def test_stream_contract_v2(monkeypatch, name):
+@pytest.fixture
+def stream_logs(monkeypatch):
+    """Each generator's draw-call log, keyed by its spawn key in creation order."""
     logs = {}
     chain_rng = hb.chain_rng
 
@@ -175,21 +242,43 @@ def test_stream_contract_v2(monkeypatch, name):
         return RecordingRng(chain_rng(seed, *key), logs[key])
 
     monkeypatch.setattr(hb, "chain_rng", recording_rng)
-    fit, model, _ = CASES[name]
-    # burn-in ends inside the second window, and 115 iterations leave a
-    # short last window of 15
-    fit(model, McmcConfig(burnin=70, iterations=45, chains=3, seed=5), spawn_key=(2,))
+    return logs
 
+
+# burn-in ends inside the second window, and 115 iterations leave a short
+# last window of 15
+_CONTRACT_MCMC = McmcConfig(burnin=70, iterations=45, chains=3, seed=5)
+
+
+def contract_log(name, model):
+    """One lane's draw calls under ``STREAM_CONTRACT[name]`` for ``_CONTRACT_MCMC``."""
     H, k = model.covariates.shape
     dims = {"k": (k,), "H": (H,), "": ()}
-    expected = [
+    return [
         (METHODS[kind], (width, *dims[dim]))
         for width in (50, 50, 15)
         for kind, _, dim in (entry.partition(" ") for entry in STREAM_CONTRACT[name])
     ]
-    assert list(logs) == [(2, c) for c in range(3)]
-    for log in logs.values():
-        assert log == expected
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CONTRACT))
+def test_stream_contract_v2(stream_logs, name):
+    fit, model, _ = CASES[name]
+    fit([model], _CONTRACT_MCMC, spawn_keys=[(2,)])
+    assert list(stream_logs) == [(2, c) for c in range(3)]
+    for log in stream_logs.values():
+        assert log == contract_log(name, model)
+
+
+def test_stream_contract_two_models(stream_logs):
+    # lanes are model-major: every chain of the first model's key, then of the
+    # second's, each reading the one-model contract
+    _, model, _ = CASES["binary-free"]
+    other = BinaryHBInput(**{**_BINARY, "successes": [1, 2, 3, 4, 5]})
+    fit_binary_hb([model, other], _CONTRACT_MCMC, spawn_keys=[(2, 0), (2, 1)])
+    assert list(stream_logs) == [(2, 0, c) for c in range(3)] + [(2, 1, c) for c in range(3)]
+    for log in stream_logs.values():
+        assert log == contract_log("binary-free", model)
 
 
 def regenerate() -> None:

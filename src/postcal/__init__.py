@@ -12,7 +12,6 @@ from .calibration import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DataError,
     LinkSelectionError,
     NumericalError,

@@ -14,14 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    NumericalError,
-    PostcalError,
-    RankDeficiencyError,
-)
+from .errors import ConfigError, DataError, NumericalError, PostcalError, RankDeficiencyError
 from .fitting import CONTINUOUS_SCALE_NOTE, fit_all_variables
 from .hb import gelman_rubin
 from .io import IngestedSample, read_draws, read_sample, write_draws, write_json, write_weights
@@ -203,17 +196,18 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
-    frame, mc, truths = build_simulation(cfg)
+    frame, cfg, truths = build_simulation(cfg)
+    replications = cfg.simulate.replications
     _say(
         args,
         f"population {frame.n} units, {len(frame.strata)} strata; "
-        f"{mc.replications} replications",
+        f"{replications} replications",
     )
-    report, results = run_simulation(frame, mc, truths=truths, threads=args.threads)
+    report, results = run_simulation(frame, cfg, truths=truths, threads=args.threads)
 
     meta = _metadata(
         cfg,
-        replications=mc.replications,
+        replications=replications,
         excluded_nonconverged=report.excluded_nonconverged,
     )
     write_coverage(out, report, results if args.keep_replications else None, meta)
@@ -281,9 +275,6 @@ def main(argv=None) -> int:
     except (RankDeficiencyError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except PostcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,8 +20,6 @@ from .frame import CellFilter, CellQuery, TierLabel
 from .hb import McmcConfig
 from .io import BandRule, ColumnRoles
 
-DEFAULT_LEVEL = 0.95
-DEFAULT_RHAT_THRESHOLD = 1.2
 # a stratified draw takes at least 2 units from every stratum
 MIN_STRATUM_SIZE = 2
 # libyaml's parser where PyYAML was built with it: the same dict, ~10x faster
@@ -38,6 +36,18 @@ class ModelConfig:
     prior_scale: float = 1.0
     covariates: tuple[str, ...] = ()
     fixed_sigma2: float | None = None
+
+    def __post_init__(self):
+        where = f"models.{self.variable}"
+        if self.kind not in ("binary", "gaussian"):
+            raise ConfigError(f"{where}: kind must be 'binary' or 'gaussian'")
+        # zero switches the binary stratum effects off; the Gaussian model needs a variance
+        s2 = self.fixed_sigma2
+        if s2 is not None and not (s2 > 0 or (s2 == 0 and self.kind == "binary")):
+            bound = ">= 0" if self.kind == "binary" else "> 0"
+            raise ConfigError(
+                f"{where}.fixed_sigma2: expected {bound} for the {self.kind} model, got {s2}"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,10 @@ class SimulateConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("simulate.mc.replications must be >= 1")
+        if not 0.0 < self.sampling_fraction <= 1.0:
+            raise ConfigError(
+                f"simulate.mc.sampling_fraction must be in (0, 1], got {self.sampling_fraction}"
+            )
         if self.target_mode not in ("hb", "truth"):
             raise ConfigError("simulate.mc.target_mode must be 'hb' or 'truth'")
 
@@ -155,10 +169,19 @@ class RunConfig:
     band_rules: tuple[BandRule, ...] = ()
     models: dict[str, ModelConfig] = field(default_factory=dict)
     mcmc: McmcConfig = McmcConfig()
-    rhat_threshold: float = DEFAULT_RHAT_THRESHOLD
+    rhat_threshold: float = 1.2
     cells: tuple[CellQuery, ...] = ()
-    level: float = DEFAULT_LEVEL
+    level: float = 0.95
     simulate: SimulateConfig | None = None
+
+    def __post_init__(self):
+        # R-hat is floored at 1: a lower threshold fails every fit, NaN none
+        if not 1.0 <= self.rhat_threshold < np.inf:
+            raise ConfigError(
+                f"mcmc.rhat_threshold: expected a finite value >= 1.0, got {self.rhat_threshold}"
+            )
+        if not 0.0 < self.level < 1.0:
+            raise ConfigError("report.level must be in (0, 1)")
 
     @property
     def config_hash(self) -> str:
@@ -203,33 +226,39 @@ def _convert(value, kind, where: str):
         ) from None
 
 
-_REQUIRED = object()
+def integer(value) -> int:
+    """``int(value)`` that neither truncates nor reads a boolean: 3, 3.0 and
+    "3" are 3; 2.9, NaN and true are a ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
 
 
-def _typed(section: dict, key: str, kind, default=_REQUIRED, where: str = "", minimum=None):
-    """``kind`` of ``section[key]``, or of the default when one is given; a
-    missing, mistyped or below-``minimum`` value is a ConfigError naming ``where.key``."""
-    if default is _REQUIRED:
-        _require(section, key, where)
+def _typed(section: dict, key: str, kind, where: str = "", minimum=None):
+    """``kind`` of ``section[key]``; a missing, mistyped or below-``minimum``
+    value is a ConfigError naming ``where.key``."""
+    _require(section, key, where)
     path = f"{where}.{key}" if where else key
-    value = _convert(section.get(key, default), kind, path)
+    value = _convert(section[key], kind, path)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: expected at least {minimum}, got {value}")
     return value
 
 
-def _pair(entry: dict, key: str, where: str, default, open_ended=False) -> tuple:
-    """``entry[key]`` as two floats, the default when absent or null;
-    ``open_ended`` lets either be null."""
-    value = entry.get(key)
-    if value is None:
-        value = default
+def _given(section: dict, where: str, **kinds) -> dict:
+    """``{key: kind(section[key])}`` for each key of ``kinds`` that
+    ``section`` holds, as keyword arguments: an absent key leaves its default
+    to the dataclass, the one place it is declared."""
+    return {
+        key: _typed(section, key, kind, where=where) for key, kind in kinds.items() if key in section
+    }
+
+
+def _pair(value, where: str, open_ended=False) -> tuple:
+    """``value`` as two floats; ``open_ended`` lets either be null."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where}.{key}: expected [low, high], got {value!r}")
-    return tuple(
-        None if v is None and open_ended else _convert(v, float, f"{where}.{key}")
-        for v in value
-    )
+        raise ConfigError(f"{where}: expected [low, high], got {value!r}")
+    return tuple(None if v is None and open_ended else _convert(v, float, where) for v in value)
 
 
 def _as_tuple(value) -> tuple:
@@ -283,12 +312,7 @@ def _band_rules(section: dict, where: str) -> tuple[BandRule, ...]:
             for at, band in _entries(entry, "bands", path)
         )
         rules.append(
-            BandRule(
-                name=name,
-                source=source,
-                bands=bands,
-                else_label=str(entry.get("else_label", "none")),
-            )
+            BandRule(name=name, source=source, bands=bands, **_given(entry, path, else_label=str))
         )
     return tuple(rules)
 
@@ -349,9 +373,11 @@ def parse_config(
     raw: dict, base_dir: Path | None = None, seed_override: int | None = None
 ) -> RunConfig:
     base = base_dir or Path(".")
-    seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
-
-    cfg = RunConfig(seed=seed, raw=raw)
+    if seed_override is not None:
+        seed = seed_override
+    else:
+        seed = _typed(raw, "seed", integer) if "seed" in raw else 0
+    found: dict = {}  # the optional RunConfig fields the document sets
 
     sample = _section(raw, "sample", "sample")
     calibration: tuple[str, ...] = ()
@@ -359,7 +385,7 @@ def parse_config(
         columns = _mapping(_require(sample, "columns", "sample"), "sample.columns")
         _require(columns, "calibration", "sample.columns")
         calibration = _names(columns, "calibration", "sample.columns")
-        cfg.roles = ColumnRoles(
+        found["roles"] = ColumnRoles(
             stratum=_require(columns, "stratum", "sample.columns"),
             domain=_require(columns, "domain", "sample.columns"),
             weight=_require(columns, "weight", "sample.columns"),
@@ -368,81 +394,64 @@ def parse_config(
             outcomes=tuple(_as_tuple(columns.get("outcomes"))),
             record_id=columns.get("id"),
         )
-        records = _require(sample, "records", "sample")
-        strata = _require(sample, "strata", "sample")
-        cfg.records_path = (base / records).resolve()
-        cfg.strata_path = (base / strata).resolve()
-        for p in (cfg.records_path, cfg.strata_path):
+        paths = [(base / _require(sample, key, "sample")).resolve() for key in ("records", "strata")]
+        for p in paths:
             if not p.exists():
                 raise ConfigError(f"input file not found: {p}")
-        cfg.domain_order = _names(sample, "domain_order", "sample") or None
-        cfg.band_rules = _band_rules(sample, "sample")
+        found["records_path"], found["strata_path"] = paths
+        found["domain_order"] = _names(sample, "domain_order", "sample") or None
 
-    models = _section(raw, "models", "models")
-    for variable, spec in models.items():
-        kind = _require(spec, "kind", f"models.{variable}")
-        if kind not in ("binary", "gaussian"):
-            raise ConfigError(
-                f"models.{variable}: kind must be 'binary' or 'gaussian'"
-            )
+    models = {}
+    for variable, spec in _section(raw, "models", "models").items():
         where = f"models.{variable}"
-        cfg.models[variable] = ModelConfig(
+        kind = _require(spec, "kind", where)
+        fixed_sigma2 = spec.get("fixed_sigma2")  # null samples the variance, as when absent
+        models[variable] = ModelConfig(
             variable=variable,
             kind=kind,
-            prior_df=_typed(spec, "prior_df", float, 1.0, where),
-            prior_scale=_typed(spec, "prior_scale", float, 1.0, where),
             covariates=tuple(_as_tuple(spec.get("covariates"))),
             fixed_sigma2=(
-                _typed(spec, "fixed_sigma2", float, None, where)
-                if spec.get("fixed_sigma2") is not None
-                else None
+                None if fixed_sigma2 is None else _convert(fixed_sigma2, float, f"{where}.fixed_sigma2")
             ),
+            **_given(spec, where, prior_df=float, prior_scale=float),
         )
 
     mcmc = _section(raw, "mcmc", "mcmc")
-    cfg.mcmc = McmcConfig(
-        burnin=_typed(mcmc, "burnin", int, 1000, "mcmc"),
-        iterations=_typed(mcmc, "iterations", int, 5000, "mcmc"),
-        chains=_typed(mcmc, "chains", int, 3, "mcmc"),
+    found.update(_given(mcmc, "mcmc", rhat_threshold=float))
+    found["mcmc"] = McmcConfig(
         seed=seed,
-        proposal_sd=_typed(mcmc, "proposal_sd", float, 0.5, "mcmc"),
+        **_given(mcmc, "mcmc", burnin=integer, iterations=integer, chains=integer, proposal_sd=float),
     )
-    cfg.rhat_threshold = _typed(
-        mcmc, "rhat_threshold", float, DEFAULT_RHAT_THRESHOLD, "mcmc"
-    )
-    # R-hat is floored at 1: a lower threshold fails every fit, NaN none
-    if not 1.0 <= cfg.rhat_threshold < np.inf:
-        raise ConfigError(
-            f"mcmc.rhat_threshold: expected a finite value >= 1.0, got {cfg.rhat_threshold}"
-        )
 
-    parsed = tuple(
+    cells = tuple(
         _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")
     )
-    names = [c.name for c in parsed]
+    names = [c.name for c in cells]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate cell names: {dupes}")
-    cfg.cells = parsed
 
-    report = _section(raw, "report", "report")
-    cfg.level = _typed(report, "level", float, DEFAULT_LEVEL, "report")
-    if not 0.0 < cfg.level < 1.0:
-        raise ConfigError("report.level must be in (0, 1)")
+    found.update(_given(_section(raw, "report", "report"), "report", level=float))
 
     simulate = _section(raw, "simulate", "simulate")
     population = _section(simulate, "population", "simulate.population")
     mc = _section(simulate, "mc", "simulate.mc")
-    # simulation-only configs carry band rules without a sample section
-    cfg.band_rules += _band_rules(simulate, "simulate")
     if simulate:
-        cfg.simulate = SimulateConfig(
+        found["simulate"] = SimulateConfig(
             population=population_spec_from_config(population, seed),
-            replications=_typed(mc, "replications", int, 200, "simulate.mc"),
-            sampling_fraction=_typed(mc, "sampling_fraction", float, 0.05, "simulate.mc"),
-            target_mode=_typed(mc, "target_mode", str, "hb", "simulate.mc"),
+            **_given(
+                mc, "simulate.mc", replications=integer, sampling_fraction=float, target_mode=str
+            ),
         )
-    return cfg
+    return RunConfig(
+        seed=seed,
+        raw=raw,
+        # simulation-only configs carry band rules without a sample section
+        band_rules=_band_rules(sample, "sample") + _band_rules(simulate, "simulate"),
+        models=models,
+        cells=cells,
+        **found,
+    )
 
 
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
@@ -463,18 +472,20 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     id=str(_require(entry, "id", path)),
                     domain=str(_require(entry, "domain", path)),
                     population_size=_typed(
-                        entry, "population_size", int, where=path, minimum=MIN_STRATUM_SIZE
+                        entry, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
                     ),
-                    covariate=_typed(entry, "covariate", float, 0.0, path),
-                    deff=_typed(entry, "deff", float, 1.0, path),
+                    **_given(entry, path, covariate=float, deff=float),
                 )
             )
     else:
         path = f"{where}.strata"
-        per_domain = _typed(strata_cfg, "per_domain", int, where=path, minimum=1)
-        size = _typed(strata_cfg, "population_size", int, where=path, minimum=MIN_STRATUM_SIZE)
-        lo, hi = _pair(strata_cfg, "covariate_range", path, (-1.0, 1.0))
-        deff = _typed(strata_cfg, "deff", float, 1.0, path)
+        per_domain = _typed(strata_cfg, "per_domain", integer, where=path, minimum=1)
+        size = _typed(
+            strata_cfg, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
+        )
+        span = strata_cfg.get("covariate_range")  # null spans [-1, 1], as when absent
+        lo, hi = (-1.0, 1.0) if span is None else _pair(span, f"{path}.covariate_range")
+        deff = _given(strata_cfg, path, deff=float)
         covariates = np.linspace(lo, hi, per_domain * len(domains))
         width = len(str(covariates.size))
         for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
@@ -484,7 +495,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     domain=domain,
                     population_size=size,
                     covariate=float(covariates[k]),
-                    deff=deff,
+                    **deff,
                 )
             )
 
@@ -498,21 +509,20 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                 BinaryVariableModel(
                     name=name,
                     intercept=_typed(entry, "intercept", float, where=path),
-                    slope=_typed(entry, "slope", float, 0.0, path),
-                    stratum_sd=_typed(entry, "stratum_sd", float, 0.0, path),
                     exclusive_with=entry.get("exclusive_with"),
+                    **_given(entry, path, slope=float, stratum_sd=float),
                 )
             )
         elif kind == "continuous":
+            clip = entry.get("clip")  # null leaves both ends open, as when absent
             variables.append(
                 ContinuousVariableModel(
                     name=name,
                     mean=_typed(entry, "mean", float, where=path),
                     unit_sd=_typed(entry, "unit_sd", float, where=path),
-                    slope=_typed(entry, "slope", float, 0.0, path),
-                    stratum_sd=_typed(entry, "stratum_sd", float, 0.0, path),
-                    clip=_pair(entry, "clip", path, (None, None), open_ended=True),
                     gated_by=entry.get("gated_by"),
+                    **_given(entry, path, slope=float, stratum_sd=float),
+                    **({} if clip is None else {"clip": _pair(clip, f"{path}.clip", open_ended=True)}),
                 )
             )
         else:
@@ -529,7 +539,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     _require(entry, "levels", path), f"{path}.levels"
                 ).items()
             ),
-            domain_tilt=_typed(entry, "domain_tilt", float, 0.0, path),
+            **_given(entry, path, domain_tilt=float),
         )
         for path, entry in _entries(section, "attributes", where)
     )
@@ -538,8 +548,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
             name=str(_require(entry, "name", path)),
             link=str(_require(entry, "link", path)),
             rho=_typed(entry, "rho", float, where=path),
-            loc=_typed(entry, "loc", float, 0.0, path),
-            scale=_typed(entry, "scale", float, 1.0, path),
+            **_given(entry, path, loc=float, scale=float),
         )
         for path, entry in _entries(section, "outcomes", where)
     )

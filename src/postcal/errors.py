@@ -29,9 +29,5 @@ class NumericalError(PostcalError):
     """A numeric computation produced an unusable result."""
 
 
-class ConvergenceError(PostcalError):
-    """MCMC sampling failed to converge or reached invalid state."""
-
-
 class LinkSelectionError(PostcalError):
     """No admissible ratio denominator exists for a non-calibration cell."""

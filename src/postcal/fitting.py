@@ -85,23 +85,20 @@ def model_input(
             fixed_sigma2=model.fixed_sigma2,
         )
 
-    if model.kind == "gaussian":
-        psi, degenerate = compute_psi(sample, model.variable, spec)
-        if degenerate:
-            raise DataError(
-                f"variable {model.variable!r}: zero sampling variance is not "
-                f"usable in the measurement-error model ({'; '.join(degenerate)})"
-            )
-        return GaussianFHInput(
-            estimates=stratum_sums / sample.stratum_counts,
-            sampling_variances=psi,
-            covariates=Z,
-            prior_df=model.prior_df,
-            prior_scale=model.prior_scale,
-            fixed_sigma2=model.fixed_sigma2,
+    psi, degenerate = compute_psi(sample, model.variable, spec)
+    if degenerate:
+        raise DataError(
+            f"variable {model.variable!r}: zero sampling variance is not "
+            f"usable in the measurement-error model ({'; '.join(degenerate)})"
         )
-
-    raise ConfigError(f"unknown model kind {model.kind!r}")
+    return GaussianFHInput(
+        estimates=stratum_sums / sample.stratum_counts,
+        sampling_variances=psi,
+        covariates=Z,
+        prior_df=model.prior_df,
+        prior_scale=model.prior_scale,
+        fixed_sigma2=model.fixed_sigma2,
+    )
 
 
 def fit_all_variables(

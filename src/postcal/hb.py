@@ -119,6 +119,8 @@ class BinaryHBInput:
             raise NumericalError("non-finite model inputs")
         if not (self.prior_df > 0 and self.prior_scale > 0):
             raise DataError("prior_df and prior_scale must be > 0")
+        if self.fixed_sigma2 is not None and not self.fixed_sigma2 >= 0:
+            raise DataError("fixed_sigma2 must be >= 0 for the binary model")
         if self.fixed_sigma2 is None and m.shape[0] < 2:
             raise DataError(
                 "at least 2 strata are required unless fixed_sigma2 is given"

@@ -36,8 +36,8 @@ class InferenceArtifacts:
     ht: np.ndarray
     draws: PosteriorDraws
     mean_weights: cal.CalibratedWeights
+    level: float
     calibration_attributes: tuple[str, ...] = ()
-    level: float = 0.95
 
     @property
     def summary(self) -> dict:
@@ -54,8 +54,8 @@ def build_artifacts(
     sample: SampleSet,
     spec: CalibrationSpec,
     draws: PosteriorDraws,
+    level: float,
     calibration_attributes: tuple[str, ...] = (),
-    level: float = 0.95,
 ) -> InferenceArtifacts:
     """Factorize the calibration system and calibrate to the posterior mean."""
     gram = cal.compute_gram(sample, spec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .config import (
     BinaryVariableModel,
     ContinuousVariableModel,
-    ModelConfig,
+    RunConfig,
     SyntheticPopulationSpec,
 )
 from .errors import ConfigError, DataError
@@ -34,7 +34,7 @@ from .frame import (
     block_sums,
     evaluate_cell,
 )
-from .hb import McmcConfig, PosteriorDraws, chain_rng, gelman_rubin
+from .hb import PosteriorDraws, chain_rng, gelman_rubin
 from .io import BandRule, derive_bands
 from .report import CellReportRow, build_artifacts, build_run_report
 
@@ -223,21 +223,6 @@ def draw_stratified_sample(
     )
 
 
-@dataclass(frozen=True)
-class McConfig:
-    """Repeated-sampling experiment settings."""
-
-    replications: int
-    sampling_fraction: float
-    mcmc: McmcConfig
-    cells: tuple[CellQuery, ...]
-    seed: int
-    models: dict[str, ModelConfig] = field(default_factory=dict)
-    level: float = 0.95
-    rhat_threshold: float = 1.2
-    target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
-
-
 @dataclass
 class ReplicationResult:
     index: int
@@ -247,19 +232,18 @@ class ReplicationResult:
     warnings: tuple[str, ...] = ()
 
 
-def run_replication(
-    frame: SurveyFrame, config: McConfig, index: int
-) -> ReplicationResult:
+def run_replication(frame: SurveyFrame, cfg: RunConfig, index: int) -> ReplicationResult:
     """One full pipeline pass: sample, fit, calibrate, infer.
 
     Replication ``index`` owns the generator streams addressed by
     (seed, index, ...); a non-converged fit is flagged and carries no rows.
+    The fit runs on ``cfg.mcmc`` as parsed, which carries ``cfg.seed``.
     """
-    rng = chain_rng(config.seed, index, 0)
-    sample = draw_stratified_sample(frame, config.sampling_fraction, rng)
+    rng = chain_rng(cfg.seed, index, 0)
+    sample = draw_stratified_sample(frame, cfg.simulate.sampling_fraction, rng)
     spec = frame.calibration
 
-    if config.target_mode == "truth":
+    if cfg.simulate.target_mode == "truth":
         truth_vector = frame.calibration_truth_vector()
         draws = PosteriorDraws(
             draws=np.tile(truth_vector, (2, 1)), chain_tags=np.array([0, 1])
@@ -268,16 +252,11 @@ def run_replication(
         warnings: tuple[str, ...] = ()
     else:
         draws, _, warnings = fit_all_variables(
-            sample,
-            spec,
-            config.models,
-            frame.covariates,
-            replace(config.mcmc, seed=config.seed),
-            base_key=(index, 1),
+            sample, spec, cfg.models, frame.covariates, cfg.mcmc, base_key=(index, 1)
         )
         convergence = gelman_rubin(draws)
         rhat_max = convergence.rhat_max
-        if convergence.available and convergence.rhat_max > config.rhat_threshold:
+        if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
             return ReplicationResult(
                 index=index,
                 converged=False,
@@ -290,9 +269,9 @@ def run_replication(
         spec,
         draws,
         calibration_attributes=frame.calibration_attributes,
-        level=config.level,
+        level=cfg.level,
     )
-    report = build_run_report(art, config.cells)
+    report = build_run_report(art, cfg.cells)
     return ReplicationResult(
         index=index,
         converged=True,
@@ -346,7 +325,7 @@ def _covered(lower: float, upper: float, truth: float) -> bool:
 def accumulate_report(
     results: list[ReplicationResult],
     truths: dict[str, float],
-    config: McConfig,
+    cfg: RunConfig,
 ) -> CoverageReport:
     """Reduce replication outputs to per-cell coverage statistics.
 
@@ -359,10 +338,10 @@ def accumulate_report(
     used = [r for r in ordered if r.converged]
     if not used:
         raise DataError("no converged replications to accumulate")
-    nominal = config.level
+    nominal = cfg.level
 
     cells: list[CellCoverage] = []
-    for pos, query in enumerate(config.cells):
+    for pos, query in enumerate(cfg.cells):
         truth = truths[query.name]
         points: list[float] = []
         ares: list[float] = []
@@ -416,58 +395,49 @@ def accumulate_report(
         )
     return CoverageReport(
         cells=cells,
-        replications_requested=config.replications,
+        replications_requested=cfg.simulate.replications,
         replications_used=len(used),
         excluded_nonconverged=len(ordered) - len(used),
         nominal=nominal,
     )
 
 
-def build_simulation(cfg) -> tuple[SurveyFrame, McConfig, dict[str, float]]:
+def build_simulation(cfg: RunConfig) -> tuple[SurveyFrame, RunConfig, dict[str, float]]:
     """Realize the configured experiment: population, settings, truths.
 
-    ``cfg`` is a parsed run configuration with a ``simulate`` section; band
-    rules are derived on the population so truths and samples agree.
+    ``cfg`` is a parsed run configuration with a ``simulate`` section and is
+    returned as the experiment's settings; band rules are derived on the
+    population so truths and samples agree.
     """
     if cfg.simulate is None:
         raise ConfigError("config lacks a 'simulate' section")
     if not cfg.cells:
         raise ConfigError("config declares no cells to simulate")
     frame = generate_population(cfg.simulate.population, cfg.band_rules)
-    mc = McConfig(
-        replications=cfg.simulate.replications,
-        sampling_fraction=cfg.simulate.sampling_fraction,
-        mcmc=cfg.mcmc,
-        cells=cfg.cells,
-        seed=cfg.seed,
-        models=cfg.models,
-        level=cfg.level,
-        rhat_threshold=cfg.rhat_threshold,
-        target_mode=cfg.simulate.target_mode,
-    )
-    return frame, mc, frame.truth_table(mc.cells)
+    return frame, cfg, frame.truth_table(cfg.cells)
 
 
 def run_simulation(
     frame: SurveyFrame,
-    config: McConfig,
+    cfg: RunConfig,
     truths: dict[str, float] | None = None,
     threads: int = 1,
 ) -> tuple[CoverageReport, list[ReplicationResult]]:
     """Run all replications (optionally in parallel) and accumulate."""
-    truths = truths if truths is not None else frame.truth_table(config.cells)
-    indexes = range(config.replications)
+    truths = truths if truths is not None else frame.truth_table(cfg.cells)
+    replications = cfg.simulate.replications
+    indexes = range(replications)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(
                     run_replication,
                     repeat(frame),
-                    repeat(config),
+                    repeat(cfg),
                     indexes,
-                    chunksize=max(1, config.replications // (4 * threads)),
+                    chunksize=max(1, replications // (4 * threads)),
                 )
             )
     else:
-        results = [run_replication(frame, config, i) for i in indexes]
-    return accumulate_report(results, truths, config), results
+        results = [run_replication(frame, cfg, i) for i in indexes]
+    return accumulate_report(results, truths, cfg), results

@@ -258,7 +258,6 @@ def select_linking_variable(
     sample: SampleSet,
     spec: CalibrationSpec,
     cell: CellData,
-    weak_threshold: float = WEAK_LINK_THRESHOLD,
 ) -> RatioLink:
     """Pick the calibration variable most correlated with the cell outcome.
 
@@ -298,7 +297,7 @@ def select_linking_variable(
         variable=best_name,
         correlation=best_rho,
         candidates=tuple(candidates),
-        weak=abs(best_rho) < weak_threshold,
+        weak=abs(best_rho) < WEAK_LINK_THRESHOLD,
     )
 
 

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +14,14 @@ from postcal.cli import build_parser, main
 from postcal.config import load_config
 from postcal.fitting import fit_all_variables
 from postcal.frame import SampleSet
-from postcal.hb import McmcConfig, chain_rng
+from postcal.hb import chain_rng
 from postcal.io import read_sample
 from postcal.report import CellReportRow
-from postcal.simulate import (
-    McConfig,
-    draw_stratified_sample,
-    generate_population,
-    run_replication,
-)
+from postcal.simulate import draw_stratified_sample, generate_population, run_replication
 
-from test_simulate import default_cells, default_models, small_spec
+from test_simulate import run_config, small_spec
+
+SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
 
 
 def write_sample_files(tmp_path, seed=77, fraction=0.12, drop_employed_in_d2=False):
@@ -451,6 +449,33 @@ class TestSimulateCommand:
         tier_table = (tmp_path / "s1" / "coverage_by_tier.csv").read_text()
         assert "1-E" in tier_table and "3-NCV" in tier_table
 
+    def test_seed_flag_equals_the_config_seed(self, tmp_path):
+        # --seed reaches the population and every replication's samples and
+        # fits as a config `seed:` does; only the hash of the document differs
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["seed"] = 11
+        config = tmp_path / "smoke.yaml"
+        # the level order of an attribute is the order of its draw
+        config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        runs = {
+            "flag": ["--config", str(SMOKE_CONFIG), "--seed", "11"],
+            "key": ["--config", str(config)],
+        }
+        for out, argv in runs.items():
+            assert main(["simulate", *argv, "--out", str(tmp_path / out), "--keep-replications"]) == 0
+
+        def without_hash(path):
+            if path.suffix == ".json":
+                payload = json.loads(path.read_text())
+                payload["metadata"].pop("config_hash")
+                return payload
+            return [line for line in path.read_text().splitlines() if not line.startswith("# config_hash=")]
+
+        names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+        assert len(names) == 5 and names == sorted(p.name for p in (tmp_path / "key").iterdir())
+        for name in names:
+            assert without_hash(tmp_path / "flag" / name) == without_hash(tmp_path / "key" / name), name
+
 
 class TestErrors:
     def test_missing_config_is_validation_error(self, tmp_path):
@@ -615,6 +640,31 @@ MALFORMED_INPUTS = [
     ),
     pytest.param(set_config("report.level", "high"), "report.level", id="report-level-high"),
     pytest.param(set_config("seed", "x"), "seed", id="seed-x"),
+    # an integer key neither truncates a fraction nor reads a boolean
+    *(
+        pytest.param(set_config(key, value), key, id=f"{key}-{value}")
+        for key, value in [
+            ("mcmc.chains", 2.9),
+            ("mcmc.chains", True),
+            ("mcmc.iterations", float("inf")),
+            ("seed", 2.5),
+        ]
+    ),
+    # a pinned stratum-effect variance: >= 0 for the binary model (0 switches
+    # the effects off), > 0 for the Gaussian one; NaN for neither
+    *(
+        pytest.param(
+            set_config(f"models.{variable}.fixed_sigma2", value),
+            f"models.{variable}.fixed_sigma2",
+            id=f"{variable}-fixed_sigma2-{value}",
+        )
+        for variable, value in [
+            ("employed", -1),
+            ("employed", float("nan")),
+            ("hours", 0),
+            ("hours", float("nan")),
+        ]
+    ),
     pytest.param(break_yaml, "config.yaml", id="yaml-syntax-error"),
     *(
         pytest.param(set_config(key, value), f"{key}: expected a mapping", id=f"{key}-not-a-mapping")
@@ -674,6 +724,15 @@ SIMULATE_MALFORMED = [
         (f"{POPULATION}.outcomes.0.scale", "x"),
     ]
 ] + [
+    *(
+        pytest.param(set_config(key, value), key, id=f"{key}-{value}")
+        for key, value in [
+            ("simulate.mc.replications", 2.5),
+            ("simulate.mc.replications", True),
+            ("simulate.mc.sampling_fraction", 1.5),
+            ("simulate.mc.sampling_fraction", 0),
+        ]
+    ),
     pytest.param(
         set_config(f"{POPULATION}.strata", [{"id": "s1", "domain": "d1", "population_size": "many"}]),
         f"{POPULATION}.strata[0].population_size",
@@ -803,12 +862,5 @@ def test_no_command_forms_the_dense_design_matrix(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, base_config())
     for command in ("calibrate", "infer"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
-    mc = McConfig(
-        replications=1,
-        sampling_fraction=0.15,
-        mcmc=McmcConfig(burnin=30, iterations=60, chains=2, seed=0),
-        cells=default_cells(),
-        seed=41,
-        models=default_models(),
-    )
-    assert run_replication(generate_population(small_spec(seed=41)), mc, 0).rows
+    mc = run_config(41, 1, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
+    assert run_replication(generate_population(mc.simulate.population), mc, 0).rows

@@ -119,6 +119,12 @@ class TestBinarySampler:
         with pytest.raises(DataError, match="m_h"):
             BinaryHBInput(successes=[11], sizes=[10], covariates=[[1.0]], fixed_sigma2=0.0)
 
+    @pytest.mark.parametrize("sigma2", [-1.0, float("nan")])
+    def test_pinned_variance_below_zero_or_nan_rejected(self, sigma2):
+        # a pinned 0 switches the stratum effects off; below it is no variance
+        with pytest.raises(DataError, match="fixed_sigma2 must be >= 0"):
+            BinaryHBInput(successes=[5], sizes=[10], covariates=[[1.0]], fixed_sigma2=sigma2)
+
 
 class TestGaussianSampler:
     def test_matches_gls_shrinkage_oracle(self):

@@ -9,10 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postcal.config import config_hash, load_config, parse_config
+from postcal.config import (
+    AttributeModel,
+    BinaryVariableModel,
+    ContinuousVariableModel,
+    ModelConfig,
+    OutcomeModel,
+    RunConfig,
+    SimulateConfig,
+    StratumPlan,
+    SyntheticPopulationSpec,
+    config_hash,
+    load_config,
+    parse_config,
+)
 from postcal.errors import ConfigError, DataError
 from postcal.frame import CalibrationSpec, TierLabel
-from postcal.hb import PosteriorDraws
+from postcal.hb import McmcConfig, PosteriorDraws
 from postcal.io import (
     BandRule,
     ColumnRoles,
@@ -381,6 +394,50 @@ class TestConfig:
         }
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_integer_key_takes_integral_forms(self, value):
+        assert parse_config({"mcmc": {"chains": value}}).mcmc.chains == 3
+
+    def test_absent_keys_leave_the_dataclass_defaults(self):
+        population = {
+            "domains": ["d1"],
+            "strata": [{"id": "s1", "domain": "d1", "population_size": 10}],
+            "variables": [
+                {"name": "emp", "kind": "binary", "intercept": 0.0},
+                {"name": "hrs", "kind": "continuous", "mean": 1.0, "unit_sd": 1.0},
+            ],
+            "attributes": [{"name": "occ", "levels": {"a": 1.0}}],
+            "outcomes": [{"name": "inc", "link": "hrs", "rho": 0.5}],
+        }
+        raw = {
+            "seed": 5,
+            "models": {"emp": {"kind": "binary"}},
+            "simulate": {
+                "population": population,
+                "derived": [{"name": "band", "source": "hrs", "bands": [{"label": "x"}]}],
+            },
+        }
+        assert parse_config(raw) == RunConfig(
+            seed=5,
+            raw=raw,
+            band_rules=(BandRule("band", "hrs", (("x", None, None),)),),
+            models={"emp": ModelConfig("emp", "binary")},
+            mcmc=McmcConfig(seed=5),
+            simulate=SimulateConfig(
+                SyntheticPopulationSpec(
+                    domains=("d1",),
+                    strata=(StratumPlan("s1", "d1", 10),),
+                    variables=(
+                        BinaryVariableModel("emp", 0.0),
+                        ContinuousVariableModel("hrs", 1.0, 1.0),
+                    ),
+                    attributes=(AttributeModel("occ", (("a", 1.0),)),),
+                    outcomes=(OutcomeModel("inc", "hrs", 0.5),),
+                    seed=5,
+                )
+            ),
+        )
 
     def test_bad_tier_rejected(self):
         raw = {"cells": [{"name": "x", "sum": "a", "tier": "9-Z"}]}

@@ -339,7 +339,8 @@ ANALYZE_CASES = [
 
 def survey_artifacts():
     sample, spec = survey_sample()
-    return build_artifacts(sample, spec, synthetic_draws(ht_totals(sample, spec), 40, seed=5))
+    draws = synthetic_draws(ht_totals(sample, spec), 40, seed=5)
+    return build_artifacts(sample, spec, draws, level=0.95)
 
 
 class TestAnalyzeCell:

@@ -7,10 +7,10 @@ from postcal.config import (
     AttributeModel,
     BinaryVariableModel,
     ContinuousVariableModel,
-    ModelConfig,
     OutcomeModel,
     StratumPlan,
     SyntheticPopulationSpec,
+    parse_config,
     population_spec_from_config,
 )
 from postcal.errors import ConfigError, DataError
@@ -19,7 +19,6 @@ from postcal.hb import McmcConfig, chain_rng
 from postcal.io import BandRule
 from postcal.report import build_artifacts, build_run_report
 from postcal.simulate import (
-    McConfig,
     ReplicationResult,
     accumulate_report,
     draw_stratified_sample,
@@ -64,18 +63,50 @@ def small_spec(seed=7, n_strata=4, size=250):
     )
 
 
-def default_models():
-    return {
-        "employed": ModelConfig("employed", "binary", 1.0, 1.0, ("z",)),
-        "hours": ModelConfig("hours", "gaussian", 1.0, 1.0, ("z",)),
-    }
+# the population of small_spec() as a `simulate.population` section
+SMALL_POPULATION = {
+    "domains": ["d1", "d2"],
+    "strata": {"per_domain": 2, "population_size": 250},
+    "variables": [
+        {"name": "employed", "kind": "binary", "intercept": 0.4, "slope": 0.5, "stratum_sd": 0.1},
+        {
+            "name": "hours",
+            "kind": "continuous",
+            "mean": 38.0,
+            "unit_sd": 10.0,
+            "slope": 2.0,
+            "stratum_sd": 1.0,
+            "clip": [1.0, 60.0],
+            "gated_by": "employed",
+        },
+    ],
+    "attributes": [{"name": "occ", "levels": {"a": 0.5, "b": 0.3, "c": 0.2}, "domain_tilt": 0.05}],
+    "outcomes": [{"name": "income", "link": "hours", "rho": 0.6, "loc": 900.0, "scale": 400.0}],
+}
+DEFAULT_CELLS = [
+    {"name": "hours_d1", "sum": "hours", "where": {"domain": "d1"}},
+    {"name": "emp_occ_a", "sum": "employed", "where": {"occ": "a"}},
+    {"name": "income_occ_b", "sum": "income", "where": {"occ": "b"}},
+]
 
 
-def default_cells():
-    return (
-        CellQuery("hours_d1", "hours", CellFilter.build(domains="d1")),
-        CellQuery("emp_occ_a", "employed", CellFilter.build(attributes={"occ": "a"})),
-        CellQuery("income_occ_b", "income", CellFilter.build(attributes={"occ": "b"})),
+def run_config(seed, replications, fraction, mcmc=None, cells=DEFAULT_CELLS, **mc):
+    """A parsed experiment on the small population, binary and Gaussian
+    models on the stratum covariate ``z``."""
+    return parse_config(
+        {
+            "seed": seed,
+            "models": {
+                "employed": {"kind": "binary", "covariates": ["z"]},
+                "hours": {"kind": "gaussian", "covariates": ["z"]},
+            },
+            "mcmc": mcmc or {},
+            "cells": cells,
+            "simulate": {
+                "population": SMALL_POPULATION,
+                "mc": {"replications": replications, "sampling_fraction": fraction, **mc},
+            },
+        }
     )
 
 
@@ -255,16 +286,11 @@ class TestStratifiedSampling:
 
 class TestReplication:
     def test_truth_targets_make_exact_cells_degenerate(self):
-        frame = generate_population(small_spec(seed=31))
-        mc = McConfig(
-            replications=1,
-            sampling_fraction=0.2,
-            mcmc=McmcConfig(burnin=10, iterations=20, chains=2, seed=0),
-            cells=default_cells(),
-            seed=31,
-            models=default_models(),
-            target_mode="truth",
+        mc = run_config(
+            31, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2}, target_mode="truth"
         )
+        assert mc.simulate.population == small_spec(seed=31)
+        frame = generate_population(mc.simulate.population)
         truths = frame.truth_table(mc.cells)
         result = run_replication(frame, mc, 0)
         assert result.converged
@@ -276,15 +302,8 @@ class TestReplication:
         assert report.cells[0].cri_coverage == 1.0
 
     def test_replication_deterministic(self):
-        frame = generate_population(small_spec(seed=41))
-        mc = McConfig(
-            replications=2,
-            sampling_fraction=0.15,
-            mcmc=McmcConfig(burnin=30, iterations=60, chains=2, seed=0),
-            cells=default_cells(),
-            seed=41,
-            models=default_models(),
-        )
+        mc = run_config(41, 2, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
+        frame = generate_population(mc.simulate.population)
         a = run_replication(frame, mc, 1)
         b = run_replication(frame, mc, 1)
         for ra, rb in zip(a.rows, b.rows):
@@ -297,15 +316,8 @@ class TestReplication:
         # same derived seeds
         from postcal.fitting import fit_all_variables
 
-        frame = generate_population(small_spec(seed=51))
-        mc = McConfig(
-            replications=1,
-            sampling_fraction=0.15,
-            mcmc=McmcConfig(burnin=30, iterations=60, chains=2, seed=0),
-            cells=default_cells(),
-            seed=51,
-            models=default_models(),
-        )
+        mc = run_config(51, 1, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
+        frame = generate_population(mc.simulate.population)
         result = run_replication(frame, mc, 3)
 
         rng = chain_rng(51, 3, 0)
@@ -357,13 +369,7 @@ class TestAccumulation:
         return results
 
     def test_coverage_arithmetic(self):
-        mc = McConfig(
-            replications=200,
-            sampling_fraction=0.1,
-            mcmc=McmcConfig(burnin=1, iterations=2, chains=1, seed=0),
-            cells=(CellQuery("c", "employed", CellFilter()),),
-            seed=0,
-        )
+        mc = run_config(0, 200, 0.1, cells=[{"name": "c", "sum": "employed"}])
         results = self._fake_results(200, 190)
         report = accumulate_report(results, {"c": 10.0}, mc)
         cell = report.cells[0]
@@ -372,25 +378,13 @@ class TestAccumulation:
         assert not cell.cri_outside_2se
 
     def test_all_covered(self):
-        mc = McConfig(
-            replications=10,
-            sampling_fraction=0.1,
-            mcmc=McmcConfig(burnin=1, iterations=2, chains=1, seed=0),
-            cells=(CellQuery("c", "employed", CellFilter()),),
-            seed=0,
-        )
+        mc = run_config(0, 10, 0.1, cells=[{"name": "c", "sum": "employed"}])
         report = accumulate_report(self._fake_results(10, 10), {"c": 10.0}, mc)
         assert report.cells[0].cri_coverage == 1.0
         assert report.cells[0].cri_mc_se == 0.0
 
     def test_order_independence(self):
-        mc = McConfig(
-            replications=50,
-            sampling_fraction=0.1,
-            mcmc=McmcConfig(burnin=1, iterations=2, chains=1, seed=0),
-            cells=(CellQuery("c", "employed", CellFilter()),),
-            seed=0,
-        )
+        mc = run_config(0, 50, 0.1, cells=[{"name": "c", "sum": "employed"}])
         results = self._fake_results(50, 37)
         forward = accumulate_report(results, {"c": 10.0}, mc)
         backward = accumulate_report(results[::-1], {"c": 10.0}, mc)
@@ -398,13 +392,7 @@ class TestAccumulation:
         assert forward.cells[0].mean_point == backward.cells[0].mean_point
 
     def test_nonconverged_excluded_and_counted(self):
-        mc = McConfig(
-            replications=5,
-            sampling_fraction=0.1,
-            mcmc=McmcConfig(burnin=1, iterations=2, chains=1, seed=0),
-            cells=(CellQuery("c", "employed", CellFilter()),),
-            seed=0,
-        )
+        mc = run_config(0, 5, 0.1, cells=[{"name": "c", "sum": "employed"}])
         results = self._fake_results(5, 5)
         results[2] = ReplicationResult(index=2, converged=False, rhat_max=3.0)
         report = accumulate_report(results, {"c": 10.0}, mc)
@@ -412,13 +400,7 @@ class TestAccumulation:
         assert report.excluded_nonconverged == 1
 
     def test_no_converged_replications(self):
-        mc = McConfig(
-            replications=1,
-            sampling_fraction=0.1,
-            mcmc=McmcConfig(burnin=1, iterations=2, chains=1, seed=0),
-            cells=(CellQuery("c", "employed", CellFilter()),),
-            seed=0,
-        )
+        mc = run_config(0, 1, 0.1, cells=[{"name": "c", "sum": "employed"}])
         bad = [ReplicationResult(index=0, converged=False, rhat_max=9.9)]
         with pytest.raises(DataError, match="no converged"):
             accumulate_report(bad, {"c": 1.0}, mc)
@@ -426,15 +408,8 @@ class TestAccumulation:
 
 class TestParallelExecution:
     def test_threads_match_sequential(self):
-        frame = generate_population(small_spec(seed=61))
-        mc = McConfig(
-            replications=4,
-            sampling_fraction=0.15,
-            mcmc=McmcConfig(burnin=20, iterations=40, chains=2, seed=0),
-            cells=default_cells(),
-            seed=61,
-            models=default_models(),
-        )
+        mc = run_config(61, 4, 0.15, {"burnin": 20, "iterations": 40, "chains": 2})
+        frame = generate_population(mc.simulate.population)
         truths = frame.truth_table(mc.cells)
         seq_report, _ = run_simulation(frame, mc, truths=truths, threads=1)
         par_report, _ = run_simulation(frame, mc, truths=truths, threads=2)

@@ -212,14 +212,8 @@ def calibrate(
     )
 
 
-def cell_weighted_moment(
-    sample: SampleSet,
-    spec: CalibrationSpec,
-    rows: np.ndarray,
-    values: np.ndarray,
-) -> np.ndarray:
+def cell_weighted_moment(sample: SampleSet, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's ``rows``."""
-    sample.check_spec(spec)
     return block_sums(sample, sample.weights[rows] * values[rows], rows)
 
 

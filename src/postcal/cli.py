@@ -130,13 +130,7 @@ def _artifacts(args, cfg: RunConfig):
         raise ConfigError(
             "no --draws file given and no 'models' section to fit in-run"
         )
-    art = build_artifacts(
-        ingested.sample,
-        ingested.spec,
-        draws,
-        calibration_attributes=ingested.calibration_attributes,
-        level=cfg.level,
-    )
+    art = build_artifacts(ingested.sample, draws, level=cfg.level)
     return out, ingested, draws, art
 
 

@@ -234,6 +234,15 @@ def integer(value) -> int:
     return int(value)
 
 
+def positive(value) -> float:
+    """``float(value)`` that is > 0: zero, a negative value and NaN are a
+    ValueError."""
+    value = float(value)
+    if not value > 0:
+        raise ValueError(value)
+    return value
+
+
 def _typed(section: dict, key: str, kind, where: str = "", minimum=None):
     """``kind`` of ``section[key]``; a missing, mistyped or below-``minimum``
     value is a ConfigError naming ``where.key``."""
@@ -418,20 +427,13 @@ def parse_config(
 
     mcmc = _section(raw, "mcmc", "mcmc")
     found.update(_given(mcmc, "mcmc", rhat_threshold=float))
-    found["mcmc"] = McmcConfig(
-        seed=seed,
-        **_given(mcmc, "mcmc", burnin=integer, iterations=integer, chains=integer, proposal_sd=float),
-    )
-
-    cells = tuple(
-        _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")
-    )
-    names = [c.name for c in cells]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"duplicate cell names: {dupes}")
-
-    found.update(_given(_section(raw, "report", "report"), "report", level=float))
+    # the sampler's bounds, checked here so that the error names the key
+    counts = {
+        key: _typed(mcmc, key, integer, where="mcmc", minimum=low)
+        for key, low in (("burnin", 0), ("iterations", 1), ("chains", 1))
+        if key in mcmc
+    }
+    found["mcmc"] = McmcConfig(seed=seed, **counts, **_given(mcmc, "mcmc", proposal_sd=positive))
 
     simulate = _section(raw, "simulate", "simulate")
     population = _section(simulate, "population", "simulate.population")
@@ -443,6 +445,18 @@ def parse_config(
                 mc, "simulate.mc", replications=integer, sampling_fraction=float, target_mode=str
             ),
         )
+        if not sample:  # a simulation-only config filters on the generated variables
+            calibration = tuple(v.name for v in found["simulate"].population.variables)
+
+    cells = tuple(
+        _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")
+    )
+    names = [c.name for c in cells]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ConfigError(f"duplicate cell names: {dupes}")
+
+    found.update(_given(_section(raw, "report", "report"), "report", level=float))
     return RunConfig(
         seed=seed,
         raw=raw,

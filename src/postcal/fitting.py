@@ -51,12 +51,11 @@ def _covariate_matrix(
 
 def model_input(
     sample: SampleSet,
-    spec: CalibrationSpec,
     model: ModelConfig,
     strata_covariates: dict[str, np.ndarray],
 ) -> BinaryHBInput | GaussianFHInput:
     """The validated per-stratum input of one calibration variable's model."""
-    if model.variable not in spec.variable_names:
+    if model.variable not in sample.calibration.variable_names:
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
         )
@@ -85,7 +84,7 @@ def model_input(
             fixed_sigma2=model.fixed_sigma2,
         )
 
-    psi, degenerate = compute_psi(sample, model.variable, spec)
+    psi, degenerate = compute_psi(sample, model.variable)
     if degenerate:
         raise DataError(
             f"variable {model.variable!r}: zero sampling variance is not "
@@ -118,11 +117,12 @@ def fit_all_variables(
     streams are addressed by (seed, *base_key, variable index, chain), so
     results are reproducible under any grouping or execution order.
     """
+    sample.check_spec(spec)
     missing = [v for v in spec.variable_names if v not in models]
     if missing:
         raise ConfigError(f"no model configured for variables {missing}")
     names = spec.variable_names
-    inputs = [model_input(sample, spec, models[name], strata_covariates) for name in names]
+    inputs = [model_input(sample, models[name], strata_covariates) for name in names]
     groups: dict[ModelConfig, list[int]] = {}
     for v, name in enumerate(names):
         groups.setdefault(replace(models[name], variable=""), []).append(v)
@@ -139,5 +139,5 @@ def fit_all_variables(
     warnings = tuple(
         f"{name}: {w}" for name, result in stratum_draws.items() for w in result.warnings
     )
-    totals = draws_to_domain_totals(stratum_draws, sample, spec)
+    totals = draws_to_domain_totals(stratum_draws, sample)
     return totals, stratum_draws, warnings

@@ -11,6 +11,8 @@ variable v occupies 0-based positions v*D .. v*D + D - 1, and a record's
 design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
 ``block_sums`` reduces over that layout without forming design vectors;
 ``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
+A store also names its ``calibration_attributes``, the attribute columns
+derived from calibration variables, which decide tier 2-CA over 2-NCA.
 Cell filters read ``SampleSet.attribute_codes``, so a cell costs one O(n)
 mask and every reduction after it reads only the cell's rows.
 """
@@ -148,9 +150,12 @@ class SampleSet:
     ``calibration`` variables, ``attributes`` maps names to categorical
     columns used only for cell filtering and ``outcomes`` maps names to
     non-calibration numeric columns; ``column`` looks up either by name.
-    Validates the frame invariants at construction (positions in range,
-    weights positive, sample counts within population sizes).  Instances are
-    safe for concurrent read.
+    ``calibration_attributes`` names the attributes derived from calibration
+    variables (for example banded hours): the filter predicate alone cannot
+    prove that relationship, so the store declares it.  Validates the frame
+    invariants at construction (positions in range, weights positive, sample
+    counts within population sizes, declared attributes present).  Instances
+    are safe for concurrent read.
     """
 
     def __init__(
@@ -163,6 +168,7 @@ class SampleSet:
         calib,
         attributes: Mapping[str, object] | None = None,
         outcomes: Mapping[str, object] | None = None,
+        calibration_attributes: Iterable[str] = (),
     ):
         self.strata: tuple[StratumSpec, ...] = tuple(strata)
         self.calibration = calibration
@@ -189,6 +195,12 @@ class SampleSet:
             name: np.asarray(column, dtype=float)
             for name, column in (outcomes or {}).items()
         }
+        self.calibration_attributes = tuple(calibration_attributes)
+        unknown = [a for a in self.calibration_attributes if a not in self.attributes]
+        if unknown:
+            raise DataError(
+                f"calibration-derived attribute {unknown[0]!r} is not an attribute column"
+            )
         columns = {
             "weights": self.weights,
             "stratum_idx": self.stratum_idx,

@@ -52,7 +52,7 @@ import numpy as np
 
 from .calibration import pivoted_cholesky_rank
 from .errors import DataError, NumericalError
-from .frame import CalibrationSpec, SampleSet
+from .frame import SampleSet
 
 # Random-walk scales adapt toward this acceptance band during burn-in.
 _ACCEPT_LOW = 0.2
@@ -589,9 +589,7 @@ def fit_gaussian_fh(
     return _run_lanes(config, spawn_keys, (H, k), draw, window)
 
 
-def compute_psi(
-    sample: SampleSet, variable: str, spec: CalibrationSpec
-) -> tuple[np.ndarray, tuple[str, ...]]:
+def compute_psi(sample: SampleSet, variable: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Known sampling variances deff * (1 - f) * S^2 / n per sampled stratum.
 
     Returns (psi values, degeneracy warnings) for the strata present in the
@@ -599,7 +597,6 @@ def compute_psi(
     ``SampleSet.stratum_mean_variance`` of the variable's column.  A stratum
     with one record is an error, since S^2 needs n_h >= 2.
     """
-    sample.check_spec(spec)
     column = sample.column(variable)
 
     counts = sample.stratum_counts
@@ -644,9 +641,7 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
 
 
 def draws_to_domain_totals(
-    stratum_draws: dict[str, StratumDraws],
-    sample: SampleSet,
-    spec: CalibrationSpec,
+    stratum_draws: dict[str, StratumDraws], sample: SampleSet
 ) -> PosteriorDraws:
     """Aggregate stratum draws into the p-vector of domain-total draws.
 
@@ -655,10 +650,10 @@ def draws_to_domain_totals(
     sum over strata in the domain of N_h * draw_h, added stratum by stratum
     in frame order.
     """
+    spec = sample.calibration
     missing = [v for v in spec.variable_names if v not in stratum_draws]
     if missing:
         raise DataError(f"missing stratum draws for variables {missing}")
-    sample.check_spec(spec)
     stratum_domain_map(sample)  # each stratum lies in exactly one domain
     domain_pos = sample.stratum_domain_pairs.argmax(axis=1)
     H = len(sample.strata)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -101,10 +101,12 @@ class IngestedSample:
     """Sample plus the metadata the pipeline needs alongside it."""
 
     sample: SampleSet
-    spec: CalibrationSpec
     record_ids: tuple[str, ...]
     strata_covariates: dict[str, np.ndarray]
-    calibration_attributes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def spec(self) -> CalibrationSpec:
+        return self.sample.calibration
 
 
 def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
@@ -272,7 +274,7 @@ def read_sample(
     calib = {c: numeric(c) for c in roles.calibration}
     outcomes = {o: numeric(o) for o in roles.outcomes}
     attributes = {a: np.array(columns[a], dtype=object) for a in roles.attributes}
-    bands, calibration_attrs = derive_bands(
+    bands, calibration_attributes = derive_bands(
         band_rules, {**outcomes, **calib}, roles.calibration
     )
     sample = SampleSet(
@@ -284,19 +286,14 @@ def read_sample(
         calib=np.column_stack(list(calib.values())),
         attributes={**attributes, **bands},
         outcomes=outcomes,
+        calibration_attributes=calibration_attributes,
     )
     record_ids = (
         tuple(columns[roles.record_id])
         if roles.record_id
         else tuple(str(i + 1) for i in range(sample.n))
     )
-    return IngestedSample(
-        sample=sample,
-        spec=spec,
-        record_ids=record_ids,
-        strata_covariates=covariates,
-        calibration_attributes=calibration_attrs,
-    )
+    return IngestedSample(sample=sample, record_ids=record_ids, strata_covariates=covariates)
 
 
 def write_draws(

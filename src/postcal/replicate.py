@@ -14,7 +14,6 @@ and summing over the cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
 
 import numpy as np
 
@@ -63,28 +62,20 @@ class CredibleInterval:
         return self.upper - self.lower
 
 
-def classify_cell(
-    query: CellQuery,
-    spec: CalibrationSpec,
-    sample: SampleSet,
-    calibration_attributes: Collection[str] = (),
-) -> TierLabel:
+def classify_cell(query: CellQuery, sample: SampleSet) -> TierLabel:
     """Assign the inferential tier of a cell; classification is total.
 
-    ``calibration_attributes`` names the categorical attributes known to be
-    derived from calibration variables (for example banded hours); the filter
-    predicate alone cannot prove that relationship, so it is declared
-    metadata.  Interval clauses on calibration values are always treated as
-    calibration-derived.
+    A filter on attributes is calibration-derived when every attribute it
+    reads is one of ``sample.calibration_attributes``; interval clauses on
+    calibration values always are.
     """
     sample.column(query.summed_variable, query.name)  # rejects an unknown variable
-    if query.summed_variable not in spec.variable_names:
+    if query.summed_variable not in sample.calibration.variable_names:
         return TierLabel.TIER_3NCV
     f = query.filter
     if f.single_domain() is not None:
         return TierLabel.TIER_1E
-    derived = set(calibration_attributes)
-    if all(attr in derived for attr, _ in f.attribute_levels):
+    if all(attr in sample.calibration_attributes for attr, _ in f.attribute_levels):
         return TierLabel.TIER_2CA
     return TierLabel.TIER_2NCA
 
@@ -102,11 +93,12 @@ def replicate_totals(
     Cost is O(n_c V + p^2) once per cell, n_c its records, plus O(B p)
     across draws, centred on T_ht once per draw set.
     """
+    sample.check_spec(spec)
     if draws.p != spec.p:
         raise DataError(
             f"draw matrix has {draws.p} columns, calibration system has {spec.p}"
         )
-    moment = cell_weighted_moment(sample, spec, cell.rows, cell.values)
+    moment = cell_weighted_moment(sample, cell.rows, cell.values)
     direction = replicate_direction(gram, moment)
     fixed_ht = float(np.sum(sample.weights[cell.rows] * cell.values[cell.rows]))
     values = fixed_ht + draws.centred(ht) @ direction

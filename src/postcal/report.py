@@ -31,13 +31,11 @@ class InferenceArtifacts:
     """Shared read-only inputs for cell analysis."""
 
     sample: SampleSet
-    spec: CalibrationSpec
     gram: cal.GramMatrix
     ht: np.ndarray
     draws: PosteriorDraws
     mean_weights: cal.CalibratedWeights
     level: float
-    calibration_attributes: tuple[str, ...] = ()
 
     @property
     def summary(self) -> dict:
@@ -50,32 +48,19 @@ class InferenceArtifacts:
         }
 
 
-def build_artifacts(
-    sample: SampleSet,
-    spec: CalibrationSpec,
-    draws: PosteriorDraws,
-    level: float,
-    calibration_attributes: tuple[str, ...] = (),
-) -> InferenceArtifacts:
+def build_artifacts(sample: SampleSet, draws: PosteriorDraws, level: float) -> InferenceArtifacts:
     """Factorize the calibration system and calibrate to the posterior mean."""
-    gram = cal.compute_gram(sample, spec)
+    gram = cal.compute_gram(sample, sample.calibration)
     if not gram.full_rank:
         raise RankDeficiencyError(
             f"calibration cross-product has rank {gram.rank} < {gram.p}; "
             f"deficient blocks: {list(gram.deficient_blocks)}",
             gram.deficient_blocks,
         )
-    ht = cal.ht_totals(sample, spec)
+    ht = cal.ht_totals(sample, sample.calibration)
     mean_weights = cal.calibrate(sample, gram, ht, draws.posterior_mean)
     return InferenceArtifacts(
-        sample=sample,
-        spec=spec,
-        gram=gram,
-        ht=ht,
-        draws=draws,
-        mean_weights=mean_weights,
-        calibration_attributes=calibration_attributes,
-        level=level,
+        sample=sample, gram=gram, ht=ht, draws=draws, mean_weights=mean_weights, level=level
     )
 
 
@@ -122,9 +107,9 @@ class RunReport:
 
 def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     """Run the full tier-appropriate inference for one cell."""
-    sample, spec = art.sample, art.spec
+    sample, spec = art.sample, art.sample.calibration
     cell = evaluate_cell(query, sample, spec)
-    auto = rep.classify_cell(query, spec, sample, art.calibration_attributes)
+    auto = rep.classify_cell(query, sample)
     tier = query.tier_override or auto
     warnings: list[str] = []
     if tier is not auto:
@@ -158,7 +143,6 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     if denominator is not None:
         components = var.variance_components(
             sample,
-            spec,
             cell,
             art.mean_weights,
             denominator,
@@ -202,13 +186,13 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
 
 
 def _resolve_link(query: CellQuery, art: InferenceArtifacts, cell) -> var.RatioLink:
-    names = art.spec.variable_names
+    names = art.sample.calibration.variable_names
     if query.link_variable is not None and query.link_variable not in names:
         raise LinkSelectionError(
             f"cell {query.name!r}: linking variable "
             f"{query.link_variable!r} is not a calibration variable"
         )
-    auto = var.select_linking_variable(art.sample, art.spec, cell)
+    auto = var.select_linking_variable(art.sample, cell)
     if query.link_variable is None:
         return auto
     # one candidate per calibration variable, in declaration order
@@ -236,7 +220,7 @@ def build_run_report(
     rows = [analyze_cell(query, art) for query in cells]
     meta = {
         "n_records": art.sample.n,
-        "p": art.spec.p,
+        "p": art.sample.calibration.p,
         "n_draws": art.draws.n_draws,
         "level": art.level,
         **art.summary,

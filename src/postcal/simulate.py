@@ -43,16 +43,15 @@ class SurveyFrame(SampleSet):
     """Census of a synthetic population: every unit, each with weight 1.
 
     ``columns`` are the ``SampleSet`` arguments but the weights; the frame
-    adds the generating ``SyntheticPopulationSpec``, the stratum
-    ``covariates`` and the names of the calibration-derived band attributes.
+    adds the generating ``SyntheticPopulationSpec`` and the stratum
+    ``covariates``.
     """
 
-    def __init__(self, spec, covariates, calibration_attributes, **columns):
+    def __init__(self, spec, covariates, **columns):
         weights = np.broadcast_to(1.0, np.shape(columns["stratum_idx"]))
         super().__init__(weights=weights, **columns)
         self.spec = spec
         self.covariates = covariates
-        self.calibration_attributes = calibration_attributes
 
     def cell_truth(self, query: CellQuery) -> float:
         """Exhaustive population total of the cell's summed variable."""
@@ -174,7 +173,6 @@ def generate_population(
     return SurveyFrame(
         spec=spec,
         covariates={"z": z},
-        calibration_attributes=calibration_attributes,
         strata=tuple(
             StratumSpec(id=s.id, population_size=s.population_size, deff=s.deff)
             for s in spec.strata
@@ -185,6 +183,7 @@ def generate_population(
         calib=calib,
         attributes={**attributes, **bands},
         outcomes=outcomes,
+        calibration_attributes=calibration_attributes,
     )
 
 
@@ -195,7 +194,8 @@ def draw_stratified_sample(
 
     Takes round(fraction * N_h) units per stratum with a floor of 2, and
     attaches the design weights N_h / n_h.  Rows come in stratum order, then
-    ascending population index.
+    ascending population index; the sample keeps the frame's
+    ``calibration_attributes``.
     """
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"sampling fraction must be in (0, 1], got {fraction}")
@@ -220,6 +220,7 @@ def draw_stratified_sample(
         calib=frame.calib[rows],
         attributes={a: column[rows] for a, column in frame.attributes.items()},
         outcomes={o: column[rows] for o, column in frame.outcomes.items()},
+        calibration_attributes=frame.calibration_attributes,
     )
 
 
@@ -227,9 +228,7 @@ def draw_stratified_sample(
 class ReplicationResult:
     index: int
     converged: bool
-    rhat_max: float | None
     rows: list[CellReportRow] = field(default_factory=list)
-    warnings: tuple[str, ...] = ()
 
 
 def run_replication(frame: SurveyFrame, cfg: RunConfig, index: int) -> ReplicationResult:
@@ -241,44 +240,22 @@ def run_replication(frame: SurveyFrame, cfg: RunConfig, index: int) -> Replicati
     """
     rng = chain_rng(cfg.seed, index, 0)
     sample = draw_stratified_sample(frame, cfg.simulate.sampling_fraction, rng)
-    spec = frame.calibration
 
     if cfg.simulate.target_mode == "truth":
         truth_vector = frame.calibration_truth_vector()
         draws = PosteriorDraws(
             draws=np.tile(truth_vector, (2, 1)), chain_tags=np.array([0, 1])
         )
-        rhat_max = 1.0
-        warnings: tuple[str, ...] = ()
     else:
-        draws, _, warnings = fit_all_variables(
-            sample, spec, cfg.models, frame.covariates, cfg.mcmc, base_key=(index, 1)
+        draws, _, _ = fit_all_variables(
+            sample, frame.calibration, cfg.models, frame.covariates, cfg.mcmc, base_key=(index, 1)
         )
         convergence = gelman_rubin(draws)
-        rhat_max = convergence.rhat_max
         if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
-            return ReplicationResult(
-                index=index,
-                converged=False,
-                rhat_max=convergence.rhat_max,
-                warnings=warnings,
-            )
+            return ReplicationResult(index=index, converged=False)
 
-    art = build_artifacts(
-        sample,
-        spec,
-        draws,
-        calibration_attributes=frame.calibration_attributes,
-        level=cfg.level,
-    )
-    report = build_run_report(art, cfg.cells)
-    return ReplicationResult(
-        index=index,
-        converged=True,
-        rhat_max=rhat_max,
-        rows=report.rows,
-        warnings=warnings,
-    )
+    report = build_run_report(build_artifacts(sample, draws, level=cfg.level), cfg.cells)
+    return ReplicationResult(index=index, converged=True, rows=report.rows)
 
 
 @dataclass

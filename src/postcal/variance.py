@@ -34,7 +34,7 @@ import numpy as np
 
 from .calibration import CalibratedWeights
 from .errors import DataError, LinkSelectionError
-from .frame import CalibrationSpec, CellData, SampleSet
+from .frame import CellData, SampleSet
 from .hb import PosteriorDraws
 
 
@@ -135,7 +135,6 @@ class CellDiagnostics:
 
 def share_and_variance(
     sample: SampleSet,
-    spec: CalibrationSpec,
     cell: CellData,
     weights: CalibratedWeights,
     denominator_variable: str,
@@ -155,6 +154,7 @@ def share_and_variance(
     the cell intersects them; singleton strata touching a domain with a
     non-zero total contribute zero with a warning, in domain order.
     """
+    spec = sample.calibration
     if denominator_variable not in spec.variable_names:
         raise DataError(
             f"denominator {denominator_variable!r} is not a calibration variable"
@@ -196,7 +196,6 @@ def share_and_variance(
 
 def variance_components(
     sample: SampleSet,
-    spec: CalibrationSpec,
     cell: CellData,
     weights: CalibratedWeights,
     denominator_variable: str,
@@ -205,8 +204,9 @@ def variance_components(
 ) -> VarianceComponents:
     """Assemble both variance components for one cell."""
     shares, warnings = share_and_variance(
-        sample, spec, cell, weights, denominator_variable, posterior_mean
+        sample, cell, weights, denominator_variable, posterior_mean
     )
+    spec = sample.calibration
     v, D = spec.variable_names.index(denominator_variable), spec.n_domains
     kept = ~shares.excluded
     posterior_variance = np.zeros(D)
@@ -254,11 +254,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
-def select_linking_variable(
-    sample: SampleSet,
-    spec: CalibrationSpec,
-    cell: CellData,
-) -> RatioLink:
+def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
     """Pick the calibration variable most correlated with the cell outcome.
 
     Correlations are plain Pearson over the sampled records in the cell.
@@ -271,7 +267,7 @@ def select_linking_variable(
     candidates = []
     best_name = None
     best_rho = None
-    for v, name in enumerate(spec.variable_names):
+    for v, name in enumerate(sample.calibration.variable_names):
         col = sample.calib[idx, v]
         constant = idx.size < 2 or float(np.ptp(col)) == 0.0
         if constant:

@@ -4,11 +4,13 @@ import pytest
 from postcal.frame import CalibrationSpec, SampleSet, StratumSpec
 
 
-def sample_from_rows(rows, strata, spec, attributes=None, outcomes=None):
+def sample_from_rows(rows, strata, spec, attributes=None, outcomes=None, calibration_attributes=()):
     """Columnar sample from (stratum id, domain id, weight, calib values) rows
     laid out by the calibration ``spec``.
 
-    ``attributes`` and ``outcomes`` map names to per-row columns.
+    ``attributes`` and ``outcomes`` map names to per-row columns;
+    ``calibration_attributes`` names the attributes derived from calibration
+    variables.
     """
     strata = tuple(strata)
     stratum_pos = {s.id: i for i, s in enumerate(strata)}
@@ -23,6 +25,7 @@ def sample_from_rows(rows, strata, spec, attributes=None, outcomes=None):
         calib=calib,
         attributes=attributes,
         outcomes=outcomes,
+        calibration_attributes=calibration_attributes,
     )
 
 
@@ -37,6 +40,7 @@ def take_rows(sample, rows):
         sample.calib[rows],
         {name: column[rows] for name, column in sample.attributes.items()},
         {name: column[rows] for name, column in sample.outcomes.items()},
+        sample.calibration_attributes,
     )
 
 

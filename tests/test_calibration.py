@@ -231,7 +231,7 @@ class TestReplicateDirection:
         sample = sample_from_rows(records, (StratumSpec("s1", 30),), spec)
         gram = compute_gram(sample, spec)
         cell = evaluate_cell(CellQuery("all", "v1", CellFilter()), sample, spec)
-        moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)
+        moment = cell_weighted_moment(sample, cell.mask, cell.values)
         a = replicate_direction(gram, moment)
         assert a.shape == (1,)
         assert a[0] == pytest.approx(1.0, abs=1e-12)
@@ -239,9 +239,7 @@ class TestReplicateDirection:
     def test_empty_cell_gives_zero(self):
         sample, spec = toy_fixture()
         gram = compute_gram(sample, spec)
-        moment = cell_weighted_moment(
-            sample, spec, np.zeros(sample.n, dtype=bool), sample.calib[:, 0]
-        )
+        moment = cell_weighted_moment(sample, np.zeros(sample.n, dtype=bool), sample.calib[:, 0])
         assert np.array_equal(replicate_direction(gram, moment), np.zeros(2))
 
     def test_residual_check(self):
@@ -252,6 +250,6 @@ class TestReplicateDirection:
             sample,
             spec,
         )
-        moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)
+        moment = cell_weighted_moment(sample, cell.mask, cell.values)
         a = replicate_direction(gram, moment)
         assert np.max(np.abs(gram.g @ a - moment)) < 1e-10 * max(1.0, np.abs(moment).max())

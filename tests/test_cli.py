@@ -629,6 +629,16 @@ MALFORMED_INPUTS = [
         for name in ("records.csv", "strata.csv", "draws.csv")
     ),
     pytest.param(set_config("mcmc.burnin", "abc"), "mcmc.burnin", id="mcmc-burnin-abc"),
+    # the sampler's own bounds, named by key path
+    *(
+        pytest.param(set_config(f"mcmc.{key}", value), f"mcmc.{key}: expected {bound}", id=f"mcmc-{key}-{value}")
+        for key, value, bound in [
+            ("burnin", -1, "at least 0, got -1"),
+            ("iterations", 0, "at least 1, got 0"),
+            ("chains", 0, "at least 1, got 0"),
+            ("proposal_sd", 0, "positive, got 0"),
+        ]
+    ),
     # R-hat is floored at 1: below it every fit fails, NaN lets every fit pass
     *(
         pytest.param(

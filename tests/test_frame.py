@@ -262,6 +262,17 @@ class TestSampleSetValidation:
         with pytest.raises(DataError, match="shape"):
             one_stratum_sample(n=2, **{column: bad})
 
+    def test_calibration_attributes_must_be_attribute_columns(self):
+        sample = one_stratum_sample(
+            n=2, attributes={"band": ["lo", "hi"]}, calibration_attributes=["band"]
+        )
+        assert sample.calibration_attributes == ("band",)
+        assert one_stratum_sample().calibration_attributes == ()
+        with pytest.raises(DataError, match="attribute 'hours_band' is not an attribute column"):
+            one_stratum_sample(
+                n=2, attributes={"band": ["lo", "hi"]}, calibration_attributes=["band", "hours_band"]
+            )
+
     def test_calibration_values_must_be_a_matrix(self):
         with pytest.raises(DataError, match="n x V"):
             one_stratum_sample(n=2, calib=[1.0, 2.0])

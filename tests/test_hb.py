@@ -228,20 +228,20 @@ class TestComputePsi:
     def test_hand_arithmetic(self):
         # S^2 of {1,2,3} is 1; psi = (1 - 3/30) * 1 / 3 = 0.3
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30])
-        psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y")
         assert psi.shape == (1,)
         assert psi[0] == pytest.approx(0.3, abs=1e-12)
         assert warnings == ()
 
     def test_census_stratum_zero_via_fpc(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [3])
-        psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y")
         assert psi[0] == 0.0
         assert any("census" in w for w in warnings)
 
     def test_constant_variable_flagged(self):
         sample, spec = psi_sample([[5.0, 5.0, 5.0]], [30])
-        psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y")
         assert psi[0] == 0.0
         assert any("constant" in w for w in warnings)
 
@@ -249,19 +249,19 @@ class TestComputePsi:
     def test_constant_column_is_exactly_zero(self, n):
         # np.var of 0.1 repeated 60 times is about 1.8e-33, not 0
         sample, spec = psi_sample([[0.1] * n], [10 * n])
-        psi, warnings = compute_psi(sample, "y", spec)
+        psi, warnings = compute_psi(sample, "y")
         assert psi[0] == 0.0
         assert warnings == ("stratum 's1': degenerate sampling variance (constant variable)",)
 
     def test_deff_multiplies(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30], deff=2.5)
-        psi, _ = compute_psi(sample, "y", spec)
+        psi, _ = compute_psi(sample, "y")
         assert psi[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_singleton_stratum_rejected(self):
         sample, spec = psi_sample([[1.0, 2.0], [7.0]], [20, 20])
         with pytest.raises(DataError, match="s2"):
-            compute_psi(sample, "y", spec)
+            compute_psi(sample, "y")
 
 
 def aggregation_fixture():
@@ -307,7 +307,7 @@ class TestDomainAggregation:
             beta_draws=np.zeros((2, 1)),
             sigma2_draws=np.ones(2),
         )
-        totals = draws_to_domain_totals({"v1": draws}, sample, spec)
+        totals = draws_to_domain_totals({"v1": draws}, sample)
         # dA: 100*p1 + 200*p2 ; dB: 300*p3
         assert totals.draws[0].tolist() == [100 * 0.5 + 200 * 0.2, 300 * 0.1]
         assert totals.draws[1].tolist() == [100 * 0.4 + 200 * 0.3, 300 * 0.2]
@@ -325,7 +325,7 @@ class TestDomainAggregation:
             beta_draws=np.zeros((1, 1)),
             sigma2_draws=np.ones(1),
         )
-        totals = draws_to_domain_totals({"v1": draws}, sample, spec)
+        totals = draws_to_domain_totals({"v1": draws}, sample)
         assert totals.draws[0, 0] == 50.0
 
     def test_linear_in_population_sizes(self):
@@ -336,7 +336,7 @@ class TestDomainAggregation:
             beta_draws=np.zeros((1, 1)),
             sigma2_draws=np.ones(1),
         )
-        base = draws_to_domain_totals({"v1": draws}, sample, spec).draws
+        base = draws_to_domain_totals({"v1": draws}, sample).draws
         scaled_sample = SampleSet(
             tuple(
                 StratumSpec(s.id, s.population_size * 3, s.deff)
@@ -348,7 +348,7 @@ class TestDomainAggregation:
             sample.weights,
             sample.calib,
         )
-        scaled = draws_to_domain_totals({"v1": draws}, scaled_sample, spec).draws
+        scaled = draws_to_domain_totals({"v1": draws}, scaled_sample).draws
         assert np.allclose(scaled, 3.0 * base, rtol=1e-14)
 
     def test_stratum_spanning_domains_rejected(self):
@@ -365,12 +365,12 @@ class TestDomainAggregation:
             sigma2_draws=np.ones(1),
         )
         with pytest.raises(DataError, match="multiple domains"):
-            draws_to_domain_totals({"v1": draws}, sample, spec)
+            draws_to_domain_totals({"v1": draws}, sample)
 
     def test_missing_variable_rejected(self):
         sample, spec = aggregation_fixture()
         with pytest.raises(DataError, match="missing stratum draws"):
-            draws_to_domain_totals({}, sample, spec)
+            draws_to_domain_totals({}, sample)
 
 
 class TestPosteriorDraws:

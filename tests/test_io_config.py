@@ -93,7 +93,7 @@ class TestIngestion:
         ingested = read_sample(records, strata, roles(), band_rules=(rule,))
         bands = ingested.sample.attributes["hours_band"].tolist()
         assert bands == ["long", "none", "short", "long"]
-        assert ingested.calibration_attributes == ("hours_band",)
+        assert ingested.sample.calibration_attributes == ("hours_band",)
 
     def test_unknown_band_source_named_alike_in_sample_and_population(self, tmp_path):
         records, strata = write_inputs(tmp_path)

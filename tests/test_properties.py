@@ -94,7 +94,6 @@ def test_coded_masks_equal_label_masks(data):
     frame = SurveyFrame(
         spec=None,
         covariates={},
-        calibration_attributes=(),
         strata=sample.strata,
         calibration=spec,
         stratum_idx=sample.stratum_idx,
@@ -174,9 +173,22 @@ def test_tier_classification_is_total_and_ignores_clause_order(data):
         label="ranges",
     )
 
+    # every name is an attribute column, so any subset may be declared derived
+    sample = SampleSet(
+        sample.strata,
+        spec,
+        sample.stratum_idx,
+        sample.domain_idx,
+        sample.weights,
+        sample.calib,
+        attributes={name: sample.attributes["group"] for name in names},
+        outcomes=sample.outcomes,
+        calibration_attributes=derived,
+    )
+
     def tier(attributes, ranges):
         query = CellQuery("c", summed, CellFilter.build(domains, attributes, ranges))
-        return classify_cell(query, spec, sample, derived)
+        return classify_cell(query, sample)
 
     got = tier(attributes, ranges)
     assert isinstance(got, TierLabel)
@@ -273,9 +285,9 @@ def test_variance_components_match_the_loop_form(data):
     for units, query in cases:
         cell = evaluate_cell(query, units, spec)
         denominator = data.draw(st.sampled_from(spec.variable_names), label="denominator")
-        args = (units, spec, cell, weights, denominator, posterior_mean, draws)
-        got = variance_components(*args)
-        c1, c2, terms, warnings = reference_variance_components(*args)
+        args = (cell, weights, denominator, posterior_mean, draws)
+        got = variance_components(units, *args)
+        c1, c2, terms, warnings = reference_variance_components(units, spec, *args)
         assert got.warnings == warnings
         assert got.shares.excluded.tolist() == [t.excluded for t in terms]
         for name in ("share", "share_variance", "domain_total"):
@@ -304,7 +316,7 @@ def test_block_kernels_match_the_dense_design_matrix(data):
     summed = data.draw(st.sampled_from(spec.variable_names + ("u",)), label="summed")
     cell = evaluate_cell(CellQuery("c", summed, random_filter(data, spec)), sample, spec)
     close(
-        cell_weighted_moment(sample, spec, cell.mask, cell.values),
+        cell_weighted_moment(sample, cell.mask, cell.values),
         Y.T @ (w * cell.values * cell.mask),
     )
     gram = compute_gram(sample, spec)
@@ -319,7 +331,6 @@ def test_block_kernels_match_the_dense_design_matrix(data):
     frame = SurveyFrame(
         spec=None,
         covariates={},
-        calibration_attributes=(),
         strata=sample.strata,
         calibration=spec,
         stratum_idx=sample.stratum_idx,

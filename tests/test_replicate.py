@@ -25,9 +25,10 @@ from postcal.report import analyze_cell, build_artifacts
 from conftest import make_random_sample, sample_from_rows
 
 
-def survey_sample():
-    """Sample with binary employment, hours, an occupation attribute, and
-    an income outcome; 3 domains."""
+def survey_sample(calibration_attributes=()):
+    """Sample with binary employment, hours, an occupation attribute, an
+    hours band declared ``calibration_attributes`` or not, and an income
+    outcome; 3 domains."""
     rng = np.random.default_rng(31)
     spec = CalibrationSpec(("employed", "hours"), ("d1", "d2", "d3"))
     strata = (StratumSpec("s1", 400), StratumSpec("s2", 400))
@@ -48,6 +49,7 @@ def survey_sample():
         spec,
         attributes={"occupation": occupation, "hours_band": hours_band},
         outcomes={"income": income},
+        calibration_attributes=calibration_attributes,
     )
     return sample, spec
 
@@ -65,46 +67,44 @@ class TestClassification:
     def test_domain_total_of_calibration_variable(self):
         sample, spec = survey_sample()
         q = CellQuery("hours_d1", "hours", CellFilter.build(domains="d1"))
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_1E
+        assert classify_cell(q, sample) is TierLabel.TIER_1E
 
     def test_interval_filter_is_calibration_derived(self):
         sample, spec = survey_sample()
         q = CellQuery(
             "emp_band", "employed", CellFilter.build(ranges={"hours": (35, 39)})
         )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_2CA
+        assert classify_cell(q, sample) is TierLabel.TIER_2CA
 
     def test_declared_derived_attribute(self):
-        sample, spec = survey_sample()
         q = CellQuery(
             "emp_band", "employed", CellFilter.build(attributes={"hours_band": "35-39"})
         )
-        assert (
-            classify_cell(q, spec, sample, calibration_attributes=("hours_band",))
-            is TierLabel.TIER_2CA
-        )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_2NCA
+        derived, _ = survey_sample(calibration_attributes=("hours_band",))
+        assert classify_cell(q, derived) is TierLabel.TIER_2CA
+        sample, _ = survey_sample()
+        assert classify_cell(q, sample) is TierLabel.TIER_2NCA
 
     def test_non_calibration_attribute(self):
         sample, spec = survey_sample()
         q = CellQuery(
             "emp_occ", "employed", CellFilter.build(attributes={"occupation": "trades"})
         )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_2NCA
+        assert classify_cell(q, sample) is TierLabel.TIER_2NCA
 
     def test_outcome_variable(self):
         sample, spec = survey_sample()
         q = CellQuery(
             "income_occ", "income", CellFilter.build(attributes={"occupation": "sales"})
         )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_3NCV
+        assert classify_cell(q, sample) is TierLabel.TIER_3NCV
 
     def test_multi_domain_filter_is_not_exact(self):
         sample, spec = survey_sample()
         q = CellQuery(
             "hours_d12", "hours", CellFilter.build(domains=("d1", "d2"))
         )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_2CA
+        assert classify_cell(q, sample) is TierLabel.TIER_2CA
 
     def test_mixed_filter_falls_to_nca(self):
         sample, spec = survey_sample()
@@ -115,7 +115,7 @@ class TestClassification:
                 attributes={"occupation": "trades"}, ranges={"hours": (10, 20)}
             ),
         )
-        assert classify_cell(q, spec, sample) is TierLabel.TIER_2NCA
+        assert classify_cell(q, sample) is TierLabel.TIER_2NCA
 
 
 class TestReplicateTotals:
@@ -340,7 +340,7 @@ ANALYZE_CASES = [
 def survey_artifacts():
     sample, spec = survey_sample()
     draws = synthetic_draws(ht_totals(sample, spec), 40, seed=5)
-    return build_artifacts(sample, spec, draws, level=0.95)
+    return build_artifacts(sample, draws, level=0.95)
 
 
 class TestAnalyzeCell:
@@ -366,7 +366,7 @@ class TestAnalyzeCell:
         assert (row.cbi_lower is None) is not has_cbi
         assert row.link_variable == link
         if rho == "pearson":
-            cell = evaluate_cell(query, art.sample, art.spec)
+            cell = evaluate_cell(query, art.sample, art.sample.calibration)
             income = cell.values[cell.rows]
             hours = art.sample.column("hours")[cell.rows]
             assert row.link_rho == pytest.approx(np.corrcoef(income, hours)[0, 1], rel=1e-12)

@@ -14,13 +14,15 @@ from postcal.config import (
     population_spec_from_config,
 )
 from postcal.errors import ConfigError, DataError
-from postcal.frame import CellFilter, CellQuery
+from postcal.frame import CellFilter, CellQuery, TierLabel
 from postcal.hb import McmcConfig, chain_rng
 from postcal.io import BandRule
+from postcal.replicate import classify_cell
 from postcal.report import build_artifacts, build_run_report
 from postcal.simulate import (
     ReplicationResult,
     accumulate_report,
+    build_simulation,
     draw_stratified_sample,
     generate_population,
     run_replication,
@@ -278,6 +280,19 @@ class TestStratifiedSampling:
         se = totals.std(axis=0, ddof=1) / np.sqrt(totals.shape[0])
         assert np.all(np.abs(mean - truth) <= 3.0 * np.maximum(se, 1e-9))
 
+    def test_sample_keeps_the_derived_bands(self):
+        rules = (
+            BandRule("band", "hours", (("high", 30.0, None),)),
+            BandRule("rich", "income", (("high", 1000.0, None),)),
+        )
+        frame = generate_population(small_spec(seed=71), rules)
+        assert frame.calibration_attributes == ("band",)
+        sample = draw_stratified_sample(frame, 0.1, chain_rng(0, 3))
+        assert sample.calibration_attributes == ("band",)
+        for attribute, tier in (("band", TierLabel.TIER_2CA), ("rich", TierLabel.TIER_2NCA)):
+            query = CellQuery("c", "employed", CellFilter.build(attributes={attribute: "high"}))
+            assert classify_cell(query, sample) is tier
+
     def test_invalid_fraction(self):
         frame = generate_population(small_spec(seed=2, size=50))
         with pytest.raises(DataError, match="fraction"):
@@ -330,7 +345,7 @@ class TestReplication:
             McmcConfig(burnin=30, iterations=60, chains=2, seed=51),
             base_key=(3, 1),
         )
-        art = build_artifacts(sample, frame.calibration, draws, level=0.95)
+        art = build_artifacts(sample, draws, level=0.95)
         report = build_run_report(art, mc.cells)
         for ra, rb in zip(result.rows, report.rows):
             assert ra.point == rb.point
@@ -364,7 +379,7 @@ class TestAccumulation:
                 cv_cbi=0.02,
             )
             results.append(
-                ReplicationResult(index=i, converged=True, rhat_max=1.0, rows=[row])
+                ReplicationResult(index=i, converged=True, rows=[row])
             )
         return results
 
@@ -394,14 +409,14 @@ class TestAccumulation:
     def test_nonconverged_excluded_and_counted(self):
         mc = run_config(0, 5, 0.1, cells=[{"name": "c", "sum": "employed"}])
         results = self._fake_results(5, 5)
-        results[2] = ReplicationResult(index=2, converged=False, rhat_max=3.0)
+        results[2] = ReplicationResult(index=2, converged=False)
         report = accumulate_report(results, {"c": 10.0}, mc)
         assert report.replications_used == 4
         assert report.excluded_nonconverged == 1
 
     def test_no_converged_replications(self):
         mc = run_config(0, 1, 0.1, cells=[{"name": "c", "sum": "employed"}])
-        bad = [ReplicationResult(index=0, converged=False, rhat_max=9.9)]
+        bad = [ReplicationResult(index=0, converged=False)]
         with pytest.raises(DataError, match="no converged"):
             accumulate_report(bad, {"c": 1.0}, mc)
 
@@ -480,3 +495,14 @@ class TestConfigBuilders:
         bands = frame.attributes["band"]
         assert np.all(bands[hours <= 29.0] == "low")
         assert np.all(bands[hours >= 30.0] == "high")
+
+    def test_interval_cell_in_a_simulation_only_config(self):
+        cell = {"name": "emp_long_hours", "sum": "employed", "where": {"hours": {"min": 40}}}
+        cfg = run_config(
+            5, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2}, cells=[cell], target_mode="truth"
+        )
+        frame, cfg, truths = build_simulation(cfg)
+        long_hours = frame.column("hours") >= 40
+        assert truths["emp_long_hours"] == frame.column("employed")[long_hours].sum()
+        [row] = run_replication(frame, cfg, 0).rows
+        assert row.tier is TierLabel.TIER_2CA

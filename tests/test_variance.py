@@ -56,7 +56,7 @@ class TestShareAndVariance:
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
         shares, warnings = share_and_variance(
-            sample, spec, cell, weights, "emp", posterior_mean=ht
+            sample, cell, weights, "emp", posterior_mean=ht
         )
         assert warnings == ()
         # numerator: one in-cell employed record at w=10 plus two at w=20
@@ -76,7 +76,7 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("d1", "emp", CellFilter.build(domains="d1")), sample, spec
         )
-        shares, _ = share_and_variance(sample, spec, cell, weights, "emp", target)
+        shares, _ = share_and_variance(sample, cell, weights, "emp", target)
         assert shares.share[0] == pytest.approx(1.0, rel=1e-12)
         # masked values equal the variable itself, so s2 is the stratum
         # variance of emp: 1/3 in both strata
@@ -93,7 +93,7 @@ class TestShareAndVariance:
             sample,
             spec,
         )
-        shares, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
+        shares, warnings = share_and_variance(sample, cell, weights, "emp", ht)
         assert shares.share[0] == 0.0
         assert shares.share_variance[0] == 0.0
         assert warnings == ()
@@ -107,7 +107,7 @@ class TestShareAndVariance:
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
         shares, warnings = share_and_variance(
-            sample, spec, cell, weights, "emp", posterior_mean=np.zeros(1)
+            sample, cell, weights, "emp", posterior_mean=np.zeros(1)
         )
         assert shares.excluded[0]
         assert shares.share[0] == shares.share_variance[0] == 0.0
@@ -126,7 +126,7 @@ class TestShareAndVariance:
         ht = ht_totals(sample, spec)
         weights = calibrate(sample, gram, ht, ht)
         cell = evaluate_cell(CellQuery("all", "emp", CellFilter()), sample, spec)
-        shares, warnings = share_and_variance(sample, spec, cell, weights, "emp", ht)
+        shares, warnings = share_and_variance(sample, cell, weights, "emp", ht)
         assert any("singleton" in w for w in warnings)
         # only s2 contributes: 1 * 40^2 * (1 - 0.05) * 0.5 / 2 = 380
         assert shares.share_variance[0] == pytest.approx(380.0 / ht[0] ** 2, rel=1e-12)
@@ -212,7 +212,7 @@ class TestCbi:
         cell = evaluate_cell(
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        comp = variance_components(sample, spec, cell, weights, "emp", ht, draws)
+        comp = variance_components(sample, cell, weights, "emp", ht, draws)
         assert comp.component1 == pytest.approx(850.0, rel=1e-12)
         assert comp.component2 == pytest.approx((50.0 / 60.0) ** 2 * 8.0, rel=1e-12)
         interval = cbi(50.0, comp)
@@ -237,7 +237,7 @@ class TestLinkSelection:
     def test_perfect_proportionality(self):
         sample, spec = link_fixture(lambda h, rng: 2.0 * h)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        link = select_linking_variable(sample, spec, cell)
+        link = select_linking_variable(sample, cell)
         assert link.variable == "hours"
         assert link.correlation == pytest.approx(1.0, abs=1e-12)
         assert not link.weak
@@ -246,7 +246,7 @@ class TestLinkSelection:
         # employed is 1 for every record, so it cannot be a denominator
         sample, spec = link_fixture(lambda h, rng: 2.0 * h)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        link = select_linking_variable(sample, spec, cell)
+        link = select_linking_variable(sample, cell)
         employed = next(c for c in link.candidates if c.name == "employed")
         assert not employed.admissible
         assert employed.correlation is None
@@ -257,7 +257,7 @@ class TestLinkSelection:
 
         sample, spec = link_fixture(outcome, n=200, seed=5)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        link = select_linking_variable(sample, spec, cell)
+        link = select_linking_variable(sample, cell)
         assert link.variable == "hours"
         assert 0.4 < link.correlation < 0.8
         assert not link.weak
@@ -265,7 +265,7 @@ class TestLinkSelection:
     def test_weak_flag(self):
         sample, spec = link_fixture(lambda h, rng: rng.standard_normal(), n=800, seed=1)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        link = select_linking_variable(sample, spec, cell)
+        link = select_linking_variable(sample, cell)
         assert link.weak
 
     def test_no_admissible_candidate(self):
@@ -277,7 +277,7 @@ class TestLinkSelection:
         )
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
         with pytest.raises(LinkSelectionError, match="direct estimate"):
-            select_linking_variable(sample, spec, cell)
+            select_linking_variable(sample, cell)
 
     def test_invariant_to_affine_rescaling_of_outcome(self):
         def outcome(h, rng):
@@ -285,9 +285,9 @@ class TestLinkSelection:
 
         sample, spec = link_fixture(outcome, n=100, seed=8)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        base = select_linking_variable(sample, spec, cell)
+        base = select_linking_variable(sample, cell)
         rescaled = type(cell)(mask=cell.mask, values=3.0 * cell.values + 7.0)
-        again = select_linking_variable(sample, spec, rescaled)
+        again = select_linking_variable(sample, rescaled)
         assert again.variable == base.variable
         assert again.correlation == pytest.approx(base.correlation, rel=1e-9)
 
@@ -308,7 +308,7 @@ def orthogonality_fixture():
     cell = evaluate_cell(
         CellQuery("d1", "y", CellFilter.build(domains="d1")), sample, spec
     )
-    moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)
+    moment = cell_weighted_moment(sample, cell.mask, cell.values)
     direction = replicate_direction(gram, moment)
     return sample, spec, gram, ht, cell, direction
 
@@ -404,10 +404,8 @@ class TestComponentTwoAgreement:
         cell = evaluate_cell(
             CellQuery("a", "y", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        comp = variance_components(
-            sample, spec, cell, weights, "y", draws.posterior_mean, draws
-        )
-        moment = cell_weighted_moment(sample, spec, cell.mask, cell.values)
+        comp = variance_components(sample, cell, weights, "y", draws.posterior_mean, draws)
+        moment = cell_weighted_moment(sample, cell.mask, cell.values)
         direction = replicate_direction(gram, moment)
         assert np.allclose(direction, [0.4, 0.4], atol=1e-12)
 

@@ -26,7 +26,15 @@ class RankDeficiencyError(PostcalError):
 
 
 class NumericalError(PostcalError):
-    """A numeric computation produced an unusable result."""
+    """A numeric computation produced an unusable result.
+
+    ``models`` holds the batch positions of the models at fault when a
+    batched sampler call raises it.
+    """
+
+    def __init__(self, message: str, models=()):
+        super().__init__(message)
+        self.models = tuple(models)
 
 
 class LinkSelectionError(PostcalError):

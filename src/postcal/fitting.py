@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .frame import CalibrationSpec, SampleSet
 from .hb import (
     BinaryHBInput,
@@ -24,6 +25,9 @@ from .hb import (
 # Continuous variables are modelled as stratum means and scaled by the
 # stratum population size when aggregated to domain totals.
 CONTINUOUS_SCALE_NOTE = "stratum_means_scaled_by_population_size"
+
+# one sample's fit: domain-total draws, stratum draws per variable, warnings
+SampleFit = tuple[PosteriorDraws, dict[str, StratumDraws], tuple[str, ...]]
 
 
 def _covariate_matrix(
@@ -101,43 +105,77 @@ def model_input(
 
 
 def fit_all_variables(
-    sample: SampleSet,
+    samples: SampleSet | Sequence[SampleSet],
     spec: CalibrationSpec,
     models: dict[str, ModelConfig],
     strata_covariates: dict[str, np.ndarray],
     mcmc: McmcConfig,
-    base_key: tuple[int, ...] = (),
-) -> tuple[PosteriorDraws, dict[str, StratumDraws], tuple[str, ...]]:
-    """Fit every calibration variable and aggregate to domain totals.
+    base_keys: Sequence[tuple[int, ...]] = ((),),
+    labels: Sequence[str] = (),
+) -> list[SampleFit] | SampleFit:
+    """Fit every calibration variable of every sample and aggregate each
+    sample's draws to domain totals.
 
-    Every variable's model input is built and validated first, in spec
-    order.  Variables whose model settings agree in all but the variable
-    name (kind, priors, covariates, fixed_sigma2) are then fitted in one
-    sampler call, their chains advancing as one set of lanes.  Chain
-    streams are addressed by (seed, *base_key, variable index, chain), so
-    results are reproducible under any grouping or execution order.
+    The samples share the strata of ``strata_covariates``; a lone
+    ``SampleSet`` is fitted as a one-sample sequence and gives its own fit,
+    whose warnings are prefixed with their variable's name.  Every model
+    input is built and validated first, sample by sample in spec order.
+    Variables whose model settings agree in all but the variable name (kind,
+    priors, covariates, fixed_sigma2) are then fitted in one sampler call
+    across all the samples, their chains advancing as one set of lanes.  Chain c of variable v of sample s reads
+    the stream (seed, *base_keys[s], v, c), so results are reproducible under
+    any grouping, batching or execution order.  With ``labels`` (one per
+    sample), a ``DataError`` or ``NumericalError`` raised for one sample's
+    variable names them, as in "replication 7, variable 'hours': ...".
     """
-    sample.check_spec(spec)
+    if isinstance(samples, SampleSet):
+        return fit_all_variables([samples], spec, models, strata_covariates, mcmc, base_keys)[0]
+    if len(base_keys) != len(samples) or (labels and len(labels) != len(samples)):
+        raise DataError(f"{len(samples)} samples need one stream key and label each")
+    for sample in samples:
+        sample.check_spec(spec)
     missing = [v for v in spec.variable_names if v not in models]
     if missing:
         raise ConfigError(f"no model configured for variables {missing}")
     names = spec.variable_names
-    inputs = [model_input(sample, models[name], strata_covariates) for name in names]
-    groups: dict[ModelConfig, list[int]] = {}
-    for v, name in enumerate(names):
-        groups.setdefault(replace(models[name], variable=""), []).append(v)
-    fitted: dict[int, StratumDraws] = {}
+
+    def name_in(error: DataError | NumericalError, members) -> None:
+        # prefix the labelled (sample, variable) pairs at fault to the message
+        if labels:
+            where = "; ".join(f"{labels[s]}, variable {names[v]!r}" for s, v in members)
+            error.args = (f"{where}: {error.args[0]}", *error.args[1:])
+
+    inputs: dict[tuple[int, int], BinaryHBInput | GaussianFHInput] = {}
+    for s, sample in enumerate(samples):
+        for v, name in enumerate(names):
+            try:
+                inputs[s, v] = model_input(sample, models[name], strata_covariates)
+            except (DataError, NumericalError) as error:
+                name_in(error, [(s, v)])
+                raise
+    groups: dict[ModelConfig, list[tuple[int, int]]] = {}
+    for s, v in inputs:
+        groups.setdefault(replace(models[names[v]], variable=""), []).append((s, v))
+    fitted: dict[tuple[int, int], StratumDraws] = {}
     for setting, members in groups.items():
         fit = fit_binary_hb if setting.kind == "binary" else fit_gaussian_fh
-        results = fit(
-            [inputs[v] for v in members],
-            mcmc,
-            spawn_keys=[(*base_key, v) for v in members],
-        )
+        try:
+            results = fit(
+                [inputs[member] for member in members],
+                mcmc,
+                spawn_keys=[(*base_keys[s], v) for s, v in members],
+            )
+        except NumericalError as error:
+            name_in(error, [members[j] for j in error.models])
+            raise
         fitted.update(zip(members, results))
-    stratum_draws = {name: fitted[v] for v, name in enumerate(names)}
-    warnings = tuple(
-        f"{name}: {w}" for name, result in stratum_draws.items() for w in result.warnings
-    )
-    totals = draws_to_domain_totals(stratum_draws, sample)
-    return totals, stratum_draws, warnings
+
+    fits = []
+    for s, sample in enumerate(samples):
+        stratum_draws = {name: fitted[s, v] for v, name in enumerate(names)}
+        warnings = tuple(
+            f"{name}: {w}" for name, result in stratum_draws.items() for w in result.warnings
+        )
+        totals = draws_to_domain_totals(stratum_draws, sample)
+        fits.append((totals, stratum_draws, warnings))
+    return fits

@@ -16,8 +16,9 @@ from postcal.fitting import fit_all_variables
 from postcal.frame import SampleSet
 from postcal.hb import chain_rng
 from postcal.io import read_sample
+from postcal import simulate
 from postcal.report import CellReportRow
-from postcal.simulate import draw_stratified_sample, generate_population, run_replication
+from postcal.simulate import draw_stratified_sample, generate_population, run_chunk
 
 from test_simulate import run_config, small_spec
 
@@ -476,6 +477,19 @@ class TestSimulateCommand:
         for name in names:
             assert without_hash(tmp_path / "flag" / name) == without_hash(tmp_path / "key" / name), name
 
+    def test_files_do_not_depend_on_threads_or_chunking(self, tmp_path, monkeypatch):
+        # replication i reads only the streams (seed, i, ...), so the smoke run
+        # writes the same bytes in one process as in chunks of two over two
+        # worker processes
+        argv = ["simulate", "--config", str(SMOKE_CONFIG), "--keep-replications"]
+        assert main([*argv, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        monkeypatch.setattr(simulate, "REPLICATION_CHUNK", 2)
+        assert main([*argv, "--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+        names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
+
 
 class TestErrors:
     def test_missing_config_is_validation_error(self, tmp_path):
@@ -873,4 +887,4 @@ def test_no_command_forms_the_dense_design_matrix(tmp_path, monkeypatch):
     for command in ("calibrate", "infer"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
     mc = run_config(41, 1, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
-    assert run_replication(generate_population(mc.simulate.population), mc, 0).rows
+    assert run_chunk(generate_population(mc.simulate.population), mc, [0])[0].rows

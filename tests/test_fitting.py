@@ -21,7 +21,7 @@ from postcal.config import (
     SyntheticPopulationSpec,
     load_config,
 )
-from postcal.errors import DataError
+from postcal.errors import DataError, NumericalError
 from postcal.hb import McmcConfig, chain_rng
 from postcal.simulate import draw_stratified_sample, generate_population
 
@@ -77,7 +77,7 @@ def calls(monkeypatch):
 def fit(frame, models):
     sample = draw_stratified_sample(frame, 0.2, chain_rng(5, 0))
     return fitting.fit_all_variables(
-        sample, frame.calibration, models, frame.covariates, MCMC, base_key=(0, 1)
+        sample, frame.calibration, models, frame.covariates, MCMC, base_keys=[(0, 1)]
     )
 
 
@@ -114,3 +114,65 @@ def test_later_invalid_input_fails_before_any_sampling(frame, default_models, ca
     with pytest.raises(DataError, match="'hours' is not binary"):
         fit(frame, models)
     assert calls == []
+
+
+ARRAYS = ("draws", "chain_tags", "beta_draws", "sigma2_draws")
+
+
+def test_samples_fitted_together_draw_what_they_draw_alone(frame, default_models, calls):
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(3)]
+    keys = [(s, 1) for s in range(3)]
+    together = fitting.fit_all_variables(
+        samples, frame.calibration, default_models, frame.covariates, MCMC, base_keys=keys
+    )
+    # one sampler call per model setting covers every sample
+    assert calls == [("binary", 6), ("gaussian", 3)]
+    assert len(together) == 3
+    for sample, key, (totals, stratum_draws, warnings) in zip(samples, keys, together):
+        alone_totals, alone_draws, alone_warnings = fitting.fit_all_variables(
+            sample, frame.calibration, default_models, frame.covariates, MCMC, base_keys=[key]
+        )
+        assert np.array_equal(alone_totals.draws, totals.draws)
+        assert np.array_equal(alone_totals.chain_tags, totals.chain_tags)
+        assert list(alone_draws) == list(stratum_draws)
+        for name, draws in alone_draws.items():
+            batched = stratum_draws[name]
+            for array in ARRAYS:
+                assert np.array_equal(getattr(draws, array), getattr(batched, array)), (name, array)
+            assert draws.acceptance == batched.acceptance
+            assert draws.warnings == batched.warnings
+        assert alone_warnings == warnings
+    # each sample's chains read their own streams: the fits differ
+    assert not np.array_equal(together[0][0].draws, together[1][0].draws)
+
+
+def test_every_sample_needs_its_stream_key(frame, default_models):
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
+    with pytest.raises(DataError, match="2 samples need one stream key and label each"):
+        fitting.fit_all_variables(
+            samples, frame.calibration, default_models, frame.covariates, MCMC
+        )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_sampler_error_names_the_sample_and_variable(frame, default_models, monkeypatch):
+    # the second sample's 'unemployed' input is swapped for counts so large
+    # that n * log(1 + exp(eta)) overflows at the start of the binary fit
+    original = fitting.fit_binary_hb
+
+    def crafted(models, config, spawn_keys):
+        models = list(models)
+        H = models[3].n_strata
+        models[3] = replace(models[3], successes=np.full(H, 9e307), sizes=np.full(H, 1e308))
+        return original(models, config, spawn_keys=spawn_keys)
+
+    monkeypatch.setattr(fitting, "fit_binary_hb", crafted)
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
+    with pytest.raises(
+        NumericalError,
+        match=r"^replication 9, variable 'unemployed': non-finite log-posterior at initial state$",
+    ):
+        fitting.fit_all_variables(
+            samples, frame.calibration, default_models, frame.covariates, MCMC,
+            base_keys=[(4, 1), (9, 1)], labels=["replication 4", "replication 9"],
+        )

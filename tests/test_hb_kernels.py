@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postcal import hb
-from postcal.errors import DataError
+from postcal.errors import DataError, NumericalError
 from postcal.hb import (
     BinaryHBInput,
     GaussianFHInput,
@@ -157,6 +157,32 @@ def test_chains_read_only_their_own_stream(data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_model_draws_do_not_depend_on_the_batch(data):
+    check_batch_invariance(data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_model_draws_do_not_depend_on_the_batch_with_softplus_in_parts(data):
+    # the five-call softplus that wide settings use, forced onto small ones
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hb, "_SOFTPLUS_IN_PARTS_STRATA", 1)
+        check_batch_invariance(data)
+
+
+@pytest.mark.parametrize("strata", [6, 40], ids=["logaddexp", "in-parts"])
+def test_scaled_softplus_matches_logaddexp(strata):
+    # both forms are n * log(1 + exp(eta)) to within a few units in the last place
+    rng = np.random.default_rng(strata)
+    eta = np.concatenate([rng.normal(0.0, 4.0, (4, strata)), np.full((1, strata), 0.0)])
+    eta[0, :4] = [-800.0, 800.0, 1e-300, -1e-300]
+    n = rng.integers(1, 50, size=eta.shape).astype(float)
+    out, tmp = np.empty_like(eta), np.empty_like(eta)
+    np.testing.assert_allclose(
+        hb._scaled_softplus(n, eta, out, tmp), n * np.logaddexp(0.0, eta), rtol=1e-15, atol=0
+    )
+
+
+def check_batch_invariance(data):
     size = data.draw(st.integers(1, 3), label="batch")
     fit, models = random_batch(data, size)
     keys = data.draw(
@@ -202,6 +228,16 @@ def test_batch_must_share_one_setting():
     with pytest.raises(DataError, match="at least one model"):
         fit_gaussian_fh([], config, spawn_keys=[])
 
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_log_posterior_names_its_model():
+    # n * log(1 + exp(eta)) overflows for the second model only
+    config = McmcConfig(burnin=5, iterations=5, chains=2)
+    model = BinaryHBInput(**_BINARY)
+    huge = BinaryHBInput(successes=np.full(5, 9e307), sizes=np.full(5, 1e308), covariates=_Z5)
+    with pytest.raises(NumericalError, match="non-finite log-posterior at initial state") as caught:
+        fit_binary_hb([model, huge, model], config, spawn_keys=[(0,), (1,), (2,)])
+    assert caught.value.models == (1,)
 
 class RecordingRng:
     """A generator that logs each call's method and the shape it returns."""

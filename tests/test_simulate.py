@@ -13,19 +13,20 @@ from postcal.config import (
     parse_config,
     population_spec_from_config,
 )
-from postcal.errors import ConfigError, DataError
+from postcal.errors import ConfigError, DataError, NumericalError
 from postcal.frame import CellFilter, CellQuery, TierLabel
 from postcal.hb import McmcConfig, chain_rng
 from postcal.io import BandRule
 from postcal.replicate import classify_cell
 from postcal.report import build_artifacts, build_run_report
 from postcal.simulate import (
+    REPLICATION_CHUNK,
     ReplicationResult,
     accumulate_report,
     build_simulation,
     draw_stratified_sample,
     generate_population,
-    run_replication,
+    run_chunk,
     run_simulation,
 )
 
@@ -307,7 +308,7 @@ class TestReplication:
         assert mc.simulate.population == small_spec(seed=31)
         frame = generate_population(mc.simulate.population)
         truths = frame.truth_table(mc.cells)
-        result = run_replication(frame, mc, 0)
+        result = run_chunk(frame, mc, [0])[0]
         assert result.converged
         row = result.rows[0]  # hours_d1 is the exact constraint cell
         assert row.tier.value == "1-E"
@@ -319,8 +320,8 @@ class TestReplication:
     def test_replication_deterministic(self):
         mc = run_config(41, 2, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
         frame = generate_population(mc.simulate.population)
-        a = run_replication(frame, mc, 1)
-        b = run_replication(frame, mc, 1)
+        a = run_chunk(frame, mc, [1])[0]
+        b = run_chunk(frame, mc, [1])[0]
         for ra, rb in zip(a.rows, b.rows):
             assert ra.point == rb.point
             assert ra.cri_lower == rb.cri_lower
@@ -333,7 +334,7 @@ class TestReplication:
 
         mc = run_config(51, 1, 0.15, {"burnin": 30, "iterations": 60, "chains": 2})
         frame = generate_population(mc.simulate.population)
-        result = run_replication(frame, mc, 3)
+        result = run_chunk(frame, mc, [3])[0]
 
         rng = chain_rng(51, 3, 0)
         sample = draw_stratified_sample(frame, 0.15, rng)
@@ -343,7 +344,7 @@ class TestReplication:
             mc.models,
             frame.covariates,
             McmcConfig(burnin=30, iterations=60, chains=2, seed=51),
-            base_key=(3, 1),
+            base_keys=[(3, 1)],
         )
         art = build_artifacts(sample, draws, level=0.95)
         report = build_run_report(art, mc.cells)
@@ -423,14 +424,39 @@ class TestAccumulation:
 
 class TestParallelExecution:
     def test_threads_match_sequential(self):
-        mc = run_config(61, 4, 0.15, {"burnin": 20, "iterations": 40, "chains": 2})
+        # a replication count that leaves a short last chunk; every field of
+        # every row must agree bit for bit (repr round-trips floats exactly)
+        replications = 2 * REPLICATION_CHUNK + 1
+        mc = run_config(61, replications, 0.15, {"burnin": 20, "iterations": 40, "chains": 2})
         frame = generate_population(mc.simulate.population)
         truths = frame.truth_table(mc.cells)
-        seq_report, _ = run_simulation(frame, mc, truths=truths, threads=1)
-        par_report, _ = run_simulation(frame, mc, truths=truths, threads=2)
-        for a, b in zip(seq_report.cells, par_report.cells):
-            assert a.cri_coverage == b.cri_coverage
-            assert a.mean_point == b.mean_point
+        seq_report, seq = run_simulation(frame, mc, truths=truths, threads=1)
+        par_report, par = run_simulation(frame, mc, truths=truths, threads=2)
+        assert [r.index for r in seq] == list(range(replications))
+        assert any(r.rows for r in seq)
+        assert repr(par) == repr(seq)
+        assert repr(par_report) == repr(seq_report)
+        # each replication in a chunk of its own gives the same result
+        alone = [run_chunk(frame, mc, [i])[0] for i in range(replications)]
+        assert repr(alone) == repr(seq)
+
+    @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+    def test_failing_replication_is_named(self):
+        # one population unit's hours is not finite: the first replication in
+        # the chunk whose sample draws it is named with the variable
+        mc = run_config(61, 1, 0.15, {"burnin": 20, "iterations": 40, "chains": 2})
+        frame = generate_population(mc.simulate.population)
+        frame.calib[100, frame.calibration.variable_names.index("hours")] = np.nan
+        chunk = range(3, 11)
+        drawn = [
+            i for i in chunk
+            if np.isnan(draw_stratified_sample(frame, 0.15, chain_rng(61, i, 0)).column("hours")).any()
+        ]
+        assert drawn and drawn[0] != chunk[0]
+        with pytest.raises(
+            NumericalError, match=rf"^replication {drawn[0]}, variable 'hours': non-finite model inputs$"
+        ):
+            run_chunk(frame, mc, chunk)
 
 
 class TestConfigBuilders:
@@ -504,5 +530,5 @@ class TestConfigBuilders:
         frame, cfg, truths = build_simulation(cfg)
         long_hours = frame.column("hours") >= 40
         assert truths["emp_long_hours"] == frame.column("employed")[long_hours].sum()
-        [row] = run_replication(frame, cfg, 0).rows
+        [row] = run_chunk(frame, cfg, [0])[0].rows
         assert row.tier is TierLabel.TIER_2CA

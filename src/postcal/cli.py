@@ -87,7 +87,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     ingested = _ingest(cfg)
     _say(args, f"fitting {len(cfg.models)} models on {ingested.sample.n} records")
-    draws, stratum_draws, warnings = _fit_draws(cfg, ingested)
+    draws, acceptance, warnings = _fit_draws(cfg, ingested)
     convergence = _convergence(draws)
     meta = _metadata(cfg, continuous_scale=CONTINUOUS_SCALE_NOTE)
 
@@ -95,7 +95,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     write_convergence(out / "convergence.csv", ingested.spec, convergence, meta)
     payload = {
         "metadata": meta,
-        "acceptance": {name: d.acceptance for name, d in stratum_draws.items()},
+        "acceptance": acceptance,
         "n_draws": draws.n_draws,
         "rhat_available": convergence.available,
         "rhat_max": convergence.rhat_max,
@@ -117,13 +117,21 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _artifacts(args, cfg: RunConfig):
+def _artifacts(args, cfg: RunConfig, min_draws: int = 1):
     """Shared calibrate/infer/diagnose path: output directory, sample, draws
-    (from ``--draws`` or fitted in-run) and the calibrated artifacts."""
+    (from ``--draws`` or fitted in-run) and the calibrated artifacts.
+
+    A ``--draws`` file must hold at least ``min_draws`` draws: interval
+    quantiles and R-hat need two, a posterior-mean weight set one.
+    """
     out = _out_dir(args)
     ingested = _ingest(cfg)
     if args.draws:
         draws = read_draws(args.draws, ingested.spec)
+        if draws.n_draws < min_draws:
+            raise DataError(
+                f"{args.draws}: {draws.n_draws} draw; {args.command} needs at least {min_draws}"
+            )
     elif cfg.models:
         draws, _, _ = _fit_draws(cfg, ingested)
     else:
@@ -156,7 +164,7 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 def cmd_infer(args, cfg: RunConfig) -> int:
     if not cfg.cells:
         raise ConfigError("config declares no cells to infer")
-    out, _, draws, art = _artifacts(args, cfg)
+    out, _, draws, art = _artifacts(args, cfg, min_draws=2)
     meta = _metadata(
         cfg,
         rhat_max=_convergence(draws).rhat_max,
@@ -170,7 +178,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
-    out, ingested, draws, art = _artifacts(args, cfg)
+    out, ingested, draws, art = _artifacts(args, cfg, min_draws=2)
     convergence = _convergence(draws)
     meta = _metadata(cfg, rhat_max=convergence.rhat_max)
     rows = build_run_report(art, cfg.cells, metadata=meta).rows if cfg.cells else []

@@ -26,8 +26,8 @@ from .hb import (
 # stratum population size when aggregated to domain totals.
 CONTINUOUS_SCALE_NOTE = "stratum_means_scaled_by_population_size"
 
-# one sample's fit: domain-total draws, stratum draws per variable, warnings
-SampleFit = tuple[PosteriorDraws, dict[str, StratumDraws], tuple[str, ...]]
+# one sample's fit: domain-total draws, acceptance rates per variable, warnings
+SampleFit = tuple[PosteriorDraws, dict[str, dict[str, float]], tuple[str, ...]]
 
 
 def _covariate_matrix(
@@ -124,7 +124,10 @@ def fit_all_variables(
     priors, covariates, fixed_sigma2) are then fitted in one sampler call
     across all the samples, their chains advancing as one set of lanes.  Chain c of variable v of sample s reads
     the stream (seed, *base_keys[s], v, c), so results are reproducible under
-    any grouping, batching or execution order.  With ``labels`` (one per
+    any grouping, batching or execution order.  Each call's stratum draws are
+    added into their samples' domain totals as soon as the call returns and
+    then freed, so a sample's fit is its domain totals, the acceptance rates
+    of each variable's random walks and the warnings.  With ``labels`` (one per
     sample), a ``DataError`` or ``NumericalError`` raised for one sample's
     variable names them, as in "replication 7, variable 'hours': ...".
     """
@@ -156,7 +159,9 @@ def fit_all_variables(
     groups: dict[ModelConfig, list[tuple[int, int]]] = {}
     for s, v in inputs:
         groups.setdefault(replace(models[names[v]], variable=""), []).append((s, v))
-    fitted: dict[tuple[int, int], StratumDraws] = {}
+    totals: dict[int, PosteriorDraws] = {}
+    acceptance: dict[tuple[int, int], dict[str, float]] = {}
+    warnings: dict[tuple[int, int], tuple[str, ...]] = {}
     for setting, members in groups.items():
         fit = fit_binary_hb if setting.kind == "binary" else fit_gaussian_fh
         try:
@@ -168,14 +173,22 @@ def fit_all_variables(
         except NumericalError as error:
             name_in(error, [members[j] for j in error.models])
             raise
-        fitted.update(zip(members, results))
+        # each sample's share of the totals is taken now, so that this
+        # call's kept draws are freed before the next call allocates its own
+        parts: dict[int, dict[str, StratumDraws]] = {}
+        for (s, v), result in zip(members, results):
+            parts.setdefault(s, {})[names[v]] = result
+            acceptance[s, v], warnings[s, v] = result.acceptance, result.warnings
+        del results, result
+        for s, part in parts.items():
+            totals[s] = draws_to_domain_totals(part, samples[s], totals.get(s), partial=True)
+        del parts, part
 
-    fits = []
-    for s, sample in enumerate(samples):
-        stratum_draws = {name: fitted[s, v] for v, name in enumerate(names)}
-        warnings = tuple(
-            f"{name}: {w}" for name, result in stratum_draws.items() for w in result.warnings
+    return [
+        (
+            totals[s],
+            {name: acceptance[s, v] for v, name in enumerate(names)},
+            tuple(f"{name}: {w}" for v, name in enumerate(names) for w in warnings[s, v]),
         )
-        totals = draws_to_domain_totals(stratum_draws, sample)
-        fits.append((totals, stratum_draws, warnings))
-    return fits
+        for s in range(len(samples))
+    ]

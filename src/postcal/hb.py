@@ -689,7 +689,10 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
 
 
 def draws_to_domain_totals(
-    stratum_draws: dict[str, StratumDraws], sample: SampleSet
+    stratum_draws: dict[str, StratumDraws],
+    sample: SampleSet,
+    running: PosteriorDraws | None = None,
+    partial: bool = False,
 ) -> PosteriorDraws:
     """Aggregate stratum draws into the p-vector of domain-total draws.
 
@@ -697,32 +700,41 @@ def draws_to_domain_totals(
     scale by the stratum population size: the domain total draw is
     sum over strata in the domain of N_h * draw_h, added stratum by stratum
     in frame order.
+
+    A sample whose variables are fitted in several sampler calls can be
+    aggregated call by call, so that each call's stratum draws can be freed
+    before the next call allocates its own.  With ``partial``,
+    ``stratum_draws`` may lack variables; its variables are added onto
+    ``running``, an earlier call's result for the same sample, if given, and
+    must share its chain layout.  The caller adds each variable once.
     """
     spec = sample.calibration
     missing = [v for v in spec.variable_names if v not in stratum_draws]
-    if missing:
+    if len(missing) == spec.n_variables or (missing and not partial):
         raise DataError(f"missing stratum draws for variables {missing}")
     stratum_domain_map(sample)  # each stratum lies in exactly one domain
     domain_pos = sample.stratum_domain_pairs.argmax(axis=1)
     H = len(sample.strata)
+    names = [v for v in spec.variable_names if v in stratum_draws]
 
-    tags = None
-    n_draws = None
-    for name in spec.variable_names:
+    if running is not None:
+        tags, n_draws = running.chain_tags, running.n_draws
+    else:
+        tags, n_draws = stratum_draws[names[0]].chain_tags, stratum_draws[names[0]].draws.shape[0]
+    for name in names:
         d = stratum_draws[name]
         if d.draws.shape[1] != H:
             raise DataError(
                 f"variable {name!r}: draws cover {d.draws.shape[1]} strata, "
                 f"sample has {H}"
             )
-        if tags is None:
-            tags = d.chain_tags
-            n_draws = d.draws.shape[0]
-        elif d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
+        if d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
             raise DataError("stratum draws disagree on chain layout")
 
-    totals = np.zeros((n_draws, spec.n_variables, spec.n_domains))
-    for v, name in enumerate(spec.variable_names):
+    shape = (n_draws, spec.n_variables, spec.n_domains)
+    totals = np.zeros(shape) if running is None else running.draws.reshape(shape).copy()
+    for name in names:
+        v = spec.variable_names.index(name)
         scaled = stratum_draws[name].draws * sample.stratum_sizes[None, :]
         for h, d in enumerate(domain_pos):
             totals[:, v, d] += scaled[:, h]

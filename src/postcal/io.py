@@ -177,6 +177,17 @@ def _float_column(raw: Sequence[str], path: Path, lines: list[int]) -> np.ndarra
     return values
 
 
+def _whole_column(raw: Sequence[str], what: str, path: Path, lines: list[int]) -> np.ndarray:
+    """A numeric column whose entries must be integers; the first that is not
+    is reported with its file line."""
+    values = _float_column(raw, path, lines)
+    fractional = np.flatnonzero(values != np.trunc(values))
+    if fractional.size:
+        i = fractional[0]
+        raise DataError(f"{path}:{lines[i]}: {what} {raw[i]!r} is not an integer")
+    return values
+
+
 def _require_unique(ids: Sequence[str], what: str, path: Path, lines: list[int]) -> None:
     """Reject a repeated id, naming it and the file line that repeats it."""
     if len(set(ids)) == len(ids):
@@ -202,19 +213,21 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
     _require_unique(columns["id"], "stratum", path, lines)
-    sizes = _float_column(columns["population_size"], path, lines)
+    sizes = _whole_column(columns["population_size"], "population_size", path, lines)
     raw_deff = columns.get("deff", ("",) * len(lines))
     deff = _float_column(tuple(x or "1" for x in raw_deff), path, lines)
-    strata = tuple(
-        StratumSpec(id=sid, population_size=int(size), deff=d)
-        for sid, size, d in zip(columns["id"], sizes.tolist(), deff.tolist())
-    )
+    strata = []
+    for sid, size, d, line in zip(columns["id"], sizes.tolist(), deff.tolist(), lines):
+        try:
+            strata.append(StratumSpec(id=sid, population_size=int(size), deff=d))
+        except DataError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
     covariates = {
         c: _float_column(values, path, lines)
         for c, values in columns.items()
         if c not in ("id", "population_size", "deff")
     }
-    return strata, covariates
+    return tuple(strata), covariates
 
 
 def read_sample(
@@ -330,15 +343,9 @@ def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
             f"{path}: draw columns {header} do not match the expected layout "
             f"{expected}"
         )
-    values = [_float_column(columns[c], path, lines) for c in expected]
-    tags = values[0]
-    fractional = np.flatnonzero(tags != np.trunc(tags))
-    if fractional.size:
-        i = fractional[0]
-        raise DataError(
-            f"{path}:{lines[i]}: chain tag {columns['chain'][i]!r} is not an integer"
-        )
-    return PosteriorDraws(draws=np.column_stack(values[1:]), chain_tags=tags.astype(int))
+    tags = _whole_column(columns["chain"], "chain tag", path, lines)
+    values = [_float_column(columns[c], path, lines) for c in expected[1:]]
+    return PosteriorDraws(draws=np.column_stack(values), chain_tags=tags.astype(int))
 
 
 def write_weights(

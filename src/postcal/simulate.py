@@ -3,14 +3,15 @@
 The harness realizes a finite population with known cell truths, draws fresh
 stratified samples, pushes them through the full inference pipeline and
 accumulates coverage of both interval kinds against the truths.  Replications
-run in chunks of ``REPLICATION_CHUNK``: a chunk's samples are fitted together,
-one sampler call per model setting with lanes = replications x variables x
-chains, and each replication then passes its own R-hat gate and cell layer.
-With ``threads`` > 1 worker processes run whole chunks.  The
-population is a census ``SampleSet`` (every unit, each weight 1), so its
-truths and the samples' cells go through the same ``evaluate_cell``.  Seeds
-are split hierarchically (master seed, replication, stage, chain), so runs
-are reproducible under parallel execution and replication order.
+run in chunks of each worker's share, at most ``REPLICATION_CHUNK``: a chunk's
+samples are fitted together, one sampler call per model setting with lanes =
+replications x variables x chains, and each replication then passes its own
+R-hat gate and cell layer.  With ``threads`` > 1 worker processes run whole
+chunks.  The population is a census ``SampleSet`` (every unit, each weight
+1), so its truths and the samples' cells go through the same
+``evaluate_cell``.  Seeds are split hierarchically (master seed, replication,
+stage, chain), so runs are reproducible under parallel execution and
+replication order.
 """
 
 from __future__ import annotations
@@ -235,14 +236,27 @@ class ReplicationResult:
     rows: list[CellReportRow] = field(default_factory=list)
 
 
-# Replications per chunk.  A chunk's fits run as one sampler call per model
-# setting, lanes = replications x variables x chains.  Bigger chunks run
-# faster but hold every replication's sample and kept draws at once.
-# Measured on 2 vCPUs: a 4-replication default `simulate` peaks at 58.3,
-# 60.5 and 62.3 MiB in chunks of 2, 3 and 4 or more (57.1 MiB one at a
-# time), and the 200-replication default run at two workers takes 9.0,
-# 7.5, 7.3 and 5.7 s in chunks of 2, 3, 4 and 8.
-REPLICATION_CHUNK = 3
+# Most replications per chunk.  A chunk's fits run as one sampler call per
+# model setting, lanes = replications x variables x chains, and each call has
+# a large fixed cost: on 2 vCPUs, fitting 1, 4, 8 and 16 default replications
+# together takes 107, 201, 311 and 550 ms.  A chunk holds its samples and
+# one sampler call's kept draws at once, and the worker's peak RSS grows by
+# about 1.8 MiB per replication: the 200-replication default run at two
+# workers peaks at 50.0, 58.6 and 73.0 MiB per worker in chunks of 3, 8 and
+# 16, and takes 8.4-9.7, 6.6-7.0 and 6.2-6.6 s.
+REPLICATION_CHUNK = 8
+
+
+def replication_chunks(replications: int, threads: int) -> list[range]:
+    """Replication indexes cut into chunks of each worker's share.
+
+    Chunks hold ceil(replications / threads) replications, at most
+    ``REPLICATION_CHUNK``: no worker sits idle for want of a chunk, and
+    each chunk pays the sampler calls' fixed cost once.
+    """
+    size = min(REPLICATION_CHUNK, math.ceil(replications / threads))
+    indexes = range(replications)
+    return [indexes[i : i + size] for i in indexes[::size]]
 
 
 def run_chunk(frame: SurveyFrame, cfg: RunConfig, indexes: Sequence[int]) -> list[ReplicationResult]:
@@ -260,8 +274,6 @@ def run_chunk(frame: SurveyFrame, cfg: RunConfig, indexes: Sequence[int]) -> lis
         truth = np.tile(frame.calibration_truth_vector(), (2, 1))
         draws = [PosteriorDraws(draws=truth, chain_tags=np.array([0, 1])) for _ in indexes]
     else:
-        # only the domain totals are kept: the chunk's stratum draws are
-        # freed before its cell layer runs
         fits = fit_all_variables(
             samples,
             frame.calibration,
@@ -272,7 +284,6 @@ def run_chunk(frame: SurveyFrame, cfg: RunConfig, indexes: Sequence[int]) -> lis
             labels=[f"replication {i}" for i in indexes],
         )
         draws = [totals for totals, _, _ in fits]
-        del fits
     return [
         run_replication(sample, each, cfg, i) for i, sample, each in zip(indexes, samples, draws)
     ]
@@ -450,14 +461,14 @@ def run_simulation(
     truths: dict[str, float] | None = None,
     threads: int = 1,
 ) -> tuple[CoverageReport, list[ReplicationResult]]:
-    """Run all replications, ``REPLICATION_CHUNK`` at a time, and accumulate.
+    """Run all replications in the chunks of ``replication_chunks`` and
+    accumulate.
 
     With ``threads`` > 1 the chunks run in that many worker processes (no
     more than there are chunks), each sent the frame once.
     """
     truths = truths if truths is not None else frame.truth_table(cfg.cells)
-    indexes = range(cfg.simulate.replications)
-    chunks = [indexes[i : i + REPLICATION_CHUNK] for i in indexes[::REPLICATION_CHUNK]]
+    chunks = replication_chunks(cfg.simulate.replications, threads)
     workers = min(threads, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_serve, initargs=(frame, cfg)) as pool:

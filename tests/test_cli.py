@@ -182,10 +182,10 @@ class TestFit:
             domain_order=cfg.domain_order,
             band_rules=cfg.band_rules,
         )
-        _, stratum_draws, _ = fit_all_variables(
+        _, acceptance, _ = fit_all_variables(
             ingested.sample, ingested.spec, cfg.models, ingested.strata_covariates, cfg.mcmc
         )
-        assert written == {name: d.acceptance for name, d in stratum_draws.items()}
+        assert written == acceptance
         assert written["hours"] == {}  # the Gibbs model has no proposals
         assert sorted(written["employed"]) == ["beta", "effects"]
         assert all(0.0 <= rate <= 1.0 for rate in written["employed"].values())
@@ -477,18 +477,35 @@ class TestSimulateCommand:
         for name in names:
             assert without_hash(tmp_path / "flag" / name) == without_hash(tmp_path / "key" / name), name
 
+    @staticmethod
+    def _smoke(out, threads):
+        argv = ["simulate", "--config", str(SMOKE_CONFIG), "--keep-replications"]
+        assert main([*argv, "--out", str(out), "--threads", threads]) == 0
+
+    @staticmethod
+    def _assert_same_files(a, b):
+        names = sorted(p.name for p in a.iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_files_do_not_depend_on_threads_or_chunking(self, tmp_path, monkeypatch):
         # replication i reads only the streams (seed, i, ...), so the smoke run
         # writes the same bytes in one process as in chunks of two over two
         # worker processes
-        argv = ["simulate", "--config", str(SMOKE_CONFIG), "--keep-replications"]
-        assert main([*argv, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        self._smoke(tmp_path / "t1", "1")
         monkeypatch.setattr(simulate, "REPLICATION_CHUNK", 2)
-        assert main([*argv, "--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
-        names = sorted(p.name for p in (tmp_path / "t1").iterdir())
-        assert len(names) == 5
-        for name in names:
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
+        self._smoke(tmp_path / "t2", "2")
+        self._assert_same_files(tmp_path / "t1", tmp_path / "t2")
+
+    def test_files_do_not_depend_on_threads_in_the_natural_chunks(self, tmp_path):
+        # the 5 replications run as one chunk in one process and as chunks of
+        # 3 and 2 over two worker processes
+        assert [len(c) for c in simulate.replication_chunks(5, 1)] == [5]
+        assert [len(c) for c in simulate.replication_chunks(5, 2)] == [3, 2]
+        self._smoke(tmp_path / "t1", "1")
+        self._smoke(tmp_path / "t2", "2")
+        self._assert_same_files(tmp_path / "t1", tmp_path / "t2")
 
 
 class TestErrors:
@@ -587,9 +604,31 @@ MALFORMED_INPUTS = [
         id="strata-population-nan",
     ),
     pytest.param(
+        lambda t: set_csv_field(t / "strata.csv", "population_size", "1500.7"),
+        "strata.csv:2: population_size '1500.7' is not an integer",
+        id="strata-population-fraction",
+    ),
+    *(
+        pytest.param(
+            lambda t, column=column, value=value: set_csv_field(t / "strata.csv", column, value),
+            f"strata.csv:2: stratum 's1': {rule}",
+            id=f"strata-{column}-{value}",
+        )
+        for column, value, rule in [
+            ("population_size", "0", "population_size must be >= 1"),
+            ("deff", "0", "deff must be > 0"),
+            ("deff", "-1.5", "deff must be > 0"),
+        ]
+    ),
+    pytest.param(
         lambda t: set_csv_field(t / "draws.csv", "chain", "nan"),
         "draws.csv:2",
         id="draws-chain-nan",
+    ),
+    pytest.param(
+        lambda t: (t / "draws.csv").write_text("chain,v1_d1,v1_d2,v2_d1,v2_d2\n0,30,40,900,1100\n"),
+        "draws.csv: 1 draw; infer needs at least 2",
+        id="draws-one-draw",
     ),
     *(
         pytest.param(
@@ -825,6 +864,16 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
+
+    def test_one_draw_file_is_too_few_for_diagnose_but_enough_for_calibrate(self, tmp_path, capsys):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        draws = tmp_path / "draws.csv"
+        draws.write_text("chain,v1_d1,v1_d2,v2_d1,v2_d2\n0,30,40,900,1100\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--draws", str(draws)]
+        assert_exit_2_naming(capsys, ["diagnose", *argv], f"{draws}: 1 draw; diagnose needs at least 2")
+        assert main(["calibrate", *argv]) == 0
+        assert (tmp_path / "out" / "weights.csv").exists()
 
     @pytest.mark.parametrize("corrupt,cause", SIMULATE_MALFORMED)
     def test_simulate_exit_2_names_the_key(self, tmp_path, capsys, corrupt, cause):

@@ -2,11 +2,14 @@
 
 ``fit_all_variables`` builds and validates every variable's input first, then
 groups the variables by model setting (kind, priors, covariates,
-fixed_sigma2) and fits each group as one set of lanes.
+fixed_sigma2) and fits each group as one set of lanes.  It returns domain
+totals, not stratum draws, so the tests read the stratum draws off the
+sampler calls.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,16 +62,26 @@ def default_models():
     return load_config(DEFAULT_CONFIG).models
 
 
+class Calls(list):
+    """(kind, batch size) of every sampler call, in call order, and the
+    ``StratumDraws`` each call returned, by spawn key."""
+
+    def __init__(self):
+        super().__init__()
+        self.drawn = {}
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """(kind, batch size) of every sampler call, in call order."""
-    log = []
+    log = Calls()
     for kind, name in (("binary", "fit_binary_hb"), ("gaussian", "fit_gaussian_fh")):
         original = getattr(fitting, name)
 
         def recording(models, config, spawn_keys, kind=kind, original=original):
             log.append((kind, len(models)))
-            return original(models, config, spawn_keys=spawn_keys)
+            results = original(models, config, spawn_keys=spawn_keys)
+            log.drawn.update(zip(spawn_keys, results))
+            return results
 
         monkeypatch.setattr(fitting, name, recording)
     return log
@@ -82,13 +95,12 @@ def fit(frame, models):
 
 
 def test_default_config_fits_both_binary_variables_in_one_call(frame, default_models, calls):
-    _, stratum_draws, _ = fit(frame, default_models)
+    _, acceptance, _ = fit(frame, default_models)
     assert calls == [("binary", 2), ("gaussian", 1)]
-    assert list(stratum_draws) == ["employed", "unemployed", "hours"]
-    assert stratum_draws["employed"].acceptance.keys() == {"beta", "effects"}
-    assert not np.array_equal(
-        stratum_draws["employed"].draws, stratum_draws["unemployed"].draws
-    )
+    assert list(acceptance) == ["employed", "unemployed", "hours"]
+    assert acceptance["employed"].keys() == {"beta", "effects"}
+    assert sorted(calls.drawn) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    assert not np.array_equal(calls.drawn[0, 1, 0].draws, calls.drawn[0, 1, 1].draws)
 
 
 @pytest.mark.parametrize(
@@ -99,13 +111,14 @@ def test_default_config_fits_both_binary_variables_in_one_call(frame, default_mo
 def test_other_setting_gets_its_own_call(frame, default_models, calls, change):
     models = dict(default_models)
     models["unemployed"] = replace(models["unemployed"], **change)
-    _, alone, _ = fit(frame, models)
+    fit(frame, models)
     assert calls == [("binary", 1), ("binary", 1), ("gaussian", 1)]
+    alone = dict(calls.drawn)
     # the stream address does not depend on the grouping
     calls.clear()
-    _, batched, _ = fit(frame, default_models)
-    assert np.array_equal(alone["employed"].draws, batched["employed"].draws)
-    assert np.array_equal(alone["hours"].draws, batched["hours"].draws)
+    fit(frame, default_models)
+    for key in ((0, 1, 0), (0, 1, 2)):  # employed, hours
+        assert np.array_equal(alone[key].draws, calls.drawn[key].draws)
 
 
 def test_later_invalid_input_fails_before_any_sampling(frame, default_models, calls):
@@ -128,22 +141,53 @@ def test_samples_fitted_together_draw_what_they_draw_alone(frame, default_models
     # one sampler call per model setting covers every sample
     assert calls == [("binary", 6), ("gaussian", 3)]
     assert len(together) == 3
-    for sample, key, (totals, stratum_draws, warnings) in zip(samples, keys, together):
-        alone_totals, alone_draws, alone_warnings = fitting.fit_all_variables(
+    batched = dict(calls.drawn)
+    names = frame.calibration.variable_names
+    for sample, key, (totals, acceptance, warnings) in zip(samples, keys, together):
+        calls.drawn.clear()
+        alone_totals, alone_acceptance, alone_warnings = fitting.fit_all_variables(
             sample, frame.calibration, default_models, frame.covariates, MCMC, base_keys=[key]
         )
         assert np.array_equal(alone_totals.draws, totals.draws)
         assert np.array_equal(alone_totals.chain_tags, totals.chain_tags)
-        assert list(alone_draws) == list(stratum_draws)
-        for name, draws in alone_draws.items():
-            batched = stratum_draws[name]
+        assert alone_acceptance == acceptance
+        assert list(acceptance) == list(names)
+        for v, name in enumerate(names):
+            draws, each = calls.drawn[(*key, v)], batched[(*key, v)]
             for array in ARRAYS:
-                assert np.array_equal(getattr(draws, array), getattr(batched, array)), (name, array)
-            assert draws.acceptance == batched.acceptance
-            assert draws.warnings == batched.warnings
+                assert np.array_equal(getattr(draws, array), getattr(each, array)), (name, array)
+            assert draws.acceptance == each.acceptance == acceptance[name]
+            assert draws.warnings == each.warnings
         assert alone_warnings == warnings
     # each sample's chains read their own streams: the fits differ
     assert not np.array_equal(together[0][0].draws, together[1][0].draws)
+
+
+def test_binary_draws_are_freed_before_the_gaussian_call(frame, default_models, monkeypatch):
+    # each binary StratumDraws and the kept array its draws are a view of
+    # must be gone once their share of the domain totals is taken
+    fit_binary, fit_gaussian = fitting.fit_binary_hb, fitting.fit_gaussian_fh
+    refs, alive_at_gaussian_call = [], []
+
+    def binary(models, config, spawn_keys):
+        results = fit_binary(models, config, spawn_keys=spawn_keys)
+        for result in results:
+            refs.extend((weakref.ref(result), weakref.ref(result.draws.base)))
+        return results
+
+    def gaussian(models, config, spawn_keys):
+        alive_at_gaussian_call.append(sum(ref() is not None for ref in refs))
+        return fit_gaussian(models, config, spawn_keys=spawn_keys)
+
+    monkeypatch.setattr(fitting, "fit_binary_hb", binary)
+    monkeypatch.setattr(fitting, "fit_gaussian_fh", gaussian)
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
+    fits = fitting.fit_all_variables(
+        samples, frame.calibration, default_models, frame.covariates, MCMC,
+        base_keys=[(0, 1), (1, 1)],
+    )
+    assert len(refs) == 8 and len(fits) == 2
+    assert alive_at_gaussian_call == [0]
 
 
 def test_every_sample_needs_its_stream_key(frame, default_models):

@@ -372,6 +372,36 @@ class TestDomainAggregation:
         with pytest.raises(DataError, match="missing stratum draws"):
             draws_to_domain_totals({}, sample)
 
+    def test_parts_add_up_to_the_whole(self):
+        # three variables added in two parts give the totals of one call,
+        # bit for bit, and a part must keep the chain layout of the first
+        spec = CalibrationSpec(("v1", "v2", "v3"), ("dA", "dB"))
+        sample = sample_from_rows(
+            [("s1", "dA", 1.0, (1.0, 0.0, 5.0)), ("s2", "dA", 1.0, (0.0, 1.0, 7.0)),
+             ("s3", "dB", 1.0, (1.0, 1.0, 9.0))],
+            (StratumSpec("s1", 100), StratumSpec("s2", 200), StratumSpec("s3", 300)),
+            spec,
+        )
+        rng = np.random.default_rng(4)
+        tags = np.array([0, 0, 1, 1])
+
+        def draws(tags=tags):
+            return StratumDraws(rng.random((len(tags), 3)), tags, np.zeros((len(tags), 1)), np.ones(len(tags)))
+
+        stratum_draws = {name: draws() for name in ("v1", "v2", "v3")}
+        whole = draws_to_domain_totals(stratum_draws, sample)
+        with pytest.raises(DataError, match=r"missing stratum draws for variables \['v2'\]"):
+            draws_to_domain_totals({"v1": stratum_draws["v1"], "v3": stratum_draws["v3"]}, sample)
+        first = draws_to_domain_totals(
+            {"v1": stratum_draws["v1"], "v3": stratum_draws["v3"]}, sample, partial=True
+        )
+        assert not first.draws[:, 2:4].any()
+        both = draws_to_domain_totals({"v2": stratum_draws["v2"]}, sample, first, partial=True)
+        assert np.array_equal(both.draws, whole.draws)
+        assert np.array_equal(both.chain_tags, whole.chain_tags)
+        with pytest.raises(DataError, match="disagree on chain layout"):
+            draws_to_domain_totals({"v2": draws(np.array([0, 1, 0, 1]))}, sample, first, partial=True)
+
 
 class TestPosteriorDraws:
     def test_posterior_mean_is_column_mean(self):

@@ -26,6 +26,7 @@ from postcal.simulate import (
     build_simulation,
     draw_stratified_sample,
     generate_population,
+    replication_chunks,
     run_chunk,
     run_simulation,
 )
@@ -423,6 +424,16 @@ class TestAccumulation:
 
 
 class TestParallelExecution:
+    @pytest.mark.parametrize(
+        "replications, threads, sizes",
+        [(4, 1, [4]), (5, 2, [3, 2]), (17, 2, [8, 8, 1]), (200, 2, [8] * 25)],
+    )
+    def test_chunks_are_each_workers_share_up_to_the_cap(self, replications, threads, sizes):
+        assert REPLICATION_CHUNK == 8
+        chunks = replication_chunks(replications, threads)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [i for chunk in chunks for i in chunk] == list(range(replications))
+
     def test_threads_match_sequential(self):
         # a replication count that leaves a short last chunk; every field of
         # every row must agree bit for bit (repr round-trips floats exactly)

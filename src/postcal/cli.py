@@ -75,6 +75,17 @@ def _fit_draws(cfg: RunConfig, ingested: IngestedSample):
     )
 
 
+def _require_retained_draws(cfg: RunConfig, command: str, min_draws: int = 2) -> None:
+    """Refuse, before fitting, an in-run fit that keeps fewer than
+    ``min_draws`` draws (``mcmc.chains`` x ``mcmc.iterations``)."""
+    chains, iterations = cfg.mcmc.chains, cfg.mcmc.iterations
+    if chains * iterations < min_draws:
+        raise ConfigError(
+            f"mcmc.chains x mcmc.iterations = {chains} x {iterations} retains "
+            f"{chains * iterations} draw; {command} needs at least {min_draws}"
+        )
+
+
 def _convergence(draws):
     """R-hat of the draws, with a warning on stderr when it is unavailable."""
     convergence = gelman_rubin(draws)
@@ -121,9 +132,12 @@ def _artifacts(args, cfg: RunConfig, min_draws: int = 1):
     """Shared calibrate/infer/diagnose path: output directory, sample, draws
     (from ``--draws`` or fitted in-run) and the calibrated artifacts.
 
-    A ``--draws`` file must hold at least ``min_draws`` draws: interval
-    quantiles and R-hat need two, a posterior-mean weight set one.
+    A ``--draws`` file, or the in-run fit, must hold at least ``min_draws``
+    draws: interval quantiles and R-hat need two, a posterior-mean weight set
+    one.
     """
+    if not args.draws and cfg.models:
+        _require_retained_draws(cfg, args.command, min_draws)
     out = _out_dir(args)
     ingested = _ingest(cfg)
     if args.draws:
@@ -197,6 +211,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
+    _require_retained_draws(cfg, args.command)
     out = _out_dir(args)
     frame, cfg, truths = build_simulation(cfg)
     replications = cfg.simulate.replications

@@ -13,8 +13,10 @@ design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
 ``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
 A store also names its ``calibration_attributes``, the attribute columns
 derived from calibration variables, which decide tier 2-CA over 2-NCA.
-Cell filters read ``SampleSet.attribute_codes``, so a cell costs one O(n)
-mask and every reduction after it reads only the cell's rows.
+A store keeps each attribute column only as codes, ``SampleSet.attribute_codes``
+(its levels, and each unit's position in them), and cell filters read those
+codes, so a cell costs one O(n) mask and every reduction after it reads only
+the cell's rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,6 +133,20 @@ def build_design_vector(
     return y
 
 
+def code_labels(labels: Sequence, levels: dict) -> np.ndarray:
+    """Each label's position in ``levels``, a dict from level to position
+    that first gains every new label in order of first appearance."""
+    for label in dict.fromkeys(labels):
+        levels.setdefault(label, len(levels))
+    return np.fromiter(map(levels.__getitem__, labels), np.uint32, len(labels))
+
+
+def compact_codes(levels: Sequence, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """An attribute's ``(levels, codes)``, the codes in the smallest unsigned
+    dtype that holds every position."""
+    return tuple(levels), codes.astype(np.min_scalar_type(len(levels) - 1))
+
+
 def block_sums(sample: SampleSet, scale=None, rows=slice(None)) -> np.ndarray:
     """The p-vector sum_i scale_i * y_i over ``rows`` (``scale`` 1 by default,
     else given at those rows): entry v*D + d sums variable v over domain d,
@@ -147,9 +163,15 @@ class SampleSet:
     Row i of every column describes one unit: ``stratum_idx`` and
     ``domain_idx`` are 0-based positions into ``strata`` and
     ``calibration.domain_order``, ``calib`` is the n x V matrix of the
-    ``calibration`` variables, ``attributes`` maps names to categorical
-    columns used only for cell filtering and ``outcomes`` maps names to
-    non-calibration numeric columns; ``column`` looks up either by name.
+    ``calibration`` variables, ``attribute_codes`` maps names to the coded
+    categorical columns used only for cell filtering and ``outcomes`` maps
+    names to non-calibration numeric columns; ``column`` looks up either of
+    the numeric kinds by name.  Attributes arrive as label columns
+    (``attributes``), coded here once, or already coded
+    (``attribute_codes``); ``attributes`` is their label view.  Levels come
+    in order of first appearance for label and ingested columns and in
+    declaration order for generated and band columns; only
+    ``filter_mask`` reads them, and it does not depend on their order.
     ``calibration_attributes`` names the attributes derived from calibration
     variables (for example banded hours): the filter predicate alone cannot
     prove that relationship, so the store declares it.  Validates the frame
@@ -169,6 +191,7 @@ class SampleSet:
         attributes: Mapping[str, object] | None = None,
         outcomes: Mapping[str, object] | None = None,
         calibration_attributes: Iterable[str] = (),
+        attribute_codes: Mapping[str, tuple[Sequence, object]] | None = None,
     ):
         self.strata: tuple[StratumSpec, ...] = tuple(strata)
         self.calibration = calibration
@@ -187,16 +210,20 @@ class SampleSet:
                 f"calibration values of shape {self.calib.shape} do not form an "
                 f"n x V matrix for V = {calibration.n_variables} variables"
             )
-        self.attributes = {
-            name: np.asarray(column, dtype=object)
-            for name, column in (attributes or {}).items()
-        }
+        self.attribute_codes: dict[str, tuple[tuple, np.ndarray]] = {}
+        for name, column in (attributes or {}).items():
+            labels = np.asarray(column, dtype=object)
+            levels: dict = {}
+            codes = code_labels(labels.reshape(-1).tolist(), levels)
+            self.attribute_codes[name] = compact_codes(levels, codes.reshape(labels.shape))
+        for name, (levels, codes) in (attribute_codes or {}).items():
+            self.attribute_codes[name] = tuple(levels), np.asarray(codes)
         self.outcomes = {
             name: np.asarray(column, dtype=float)
             for name, column in (outcomes or {}).items()
         }
         self.calibration_attributes = tuple(calibration_attributes)
-        unknown = [a for a in self.calibration_attributes if a not in self.attributes]
+        unknown = [a for a in self.calibration_attributes if a not in self.attribute_codes]
         if unknown:
             raise DataError(
                 f"calibration-derived attribute {unknown[0]!r} is not an attribute column"
@@ -206,7 +233,7 @@ class SampleSet:
             "stratum_idx": self.stratum_idx,
             "domain_idx": self.domain_idx,
             "calib": self.calib,
-            **self.attributes,
+            **{name: codes for name, (_, codes) in self.attribute_codes.items()},
             **self.outcomes,
         }
         for name, column in columns.items():
@@ -218,6 +245,10 @@ class SampleSet:
         for name, idx, bound in (
             ("stratum", self.stratum_idx, len(self.strata)),
             ("domain", self.domain_idx, calibration.n_domains),
+            *(
+                (f"attribute {name!r}", codes, len(levels))
+                for name, (levels, codes) in self.attribute_codes.items()
+            ),
         ):
             if idx.ndim != 1 or idx.min() < 0 or idx.max() >= bound:
                 raise DataError(f"{name} positions must lie in 0..{bound - 1}")
@@ -306,15 +337,14 @@ class SampleSet:
         return tuple(np.split(order, np.cumsum(self.stratum_counts)[:-1]))
 
     @cached_property
-    def attribute_codes(self) -> dict[str, tuple[tuple, np.ndarray]]:
-        """Per attribute, its levels in order of first appearance and the
-        column as positions in them, in the smallest unsigned dtype."""
-        out = {}
-        for name, labels in self.attributes.items():
-            levels: dict = {}
-            codes = [levels.setdefault(x, len(levels)) for x in labels.tolist()]
-            out[name] = tuple(levels), np.array(codes, dtype=np.min_scalar_type(len(levels) - 1))
-        return out
+    def attributes(self) -> dict[str, np.ndarray]:
+        """Label view of ``attribute_codes``: per attribute, each unit's
+        level as an object array, built on first access.  Cell filters read
+        the codes; no command reads this view."""
+        return {
+            name: np.fromiter(levels, object, len(levels))[codes]
+            for name, (levels, codes) in self.attribute_codes.items()
+        }
 
     def stratum_mean_variance(self, values, rows=None) -> np.ndarray:
         """Design variance of each stratum's sample mean of ``values``.
@@ -440,7 +470,7 @@ def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.nd
         )
         mask &= allowed[sample.domain_idx]
     for attr, levels in f.attribute_levels:
-        if attr not in sample.attributes:
+        if attr not in sample.attribute_codes:
             raise DataError(
                 f"cell {cell_name!r}: filter references unknown attribute "
                 f"{attr!r}"

@@ -6,9 +6,11 @@ separated with a header row.  On read, blank lines and lines starting with
 on such lines.  Fields are quoted as RFC 4180 says (the ``csv`` module's
 default dialect), so a label may hold commas or doubled quotes; LF, CRLF
 and CR line ends are all accepted; and an error in a row names it as
-``file:line``, counting every line of the file.  Numeric values are written
-with 17 significant digits so that re-reading reproduces the float64 values
-exactly.
+``file:line``, counting every line of the file.  Files are read in blocks
+of ``BLOCK_ROWS`` rows: a block's fields are held as strings only while its
+columns are parsed and coded, and of several faults in a file the first in
+file order is reported.  Numeric values are written with 17 significant
+digits so that re-reading reproduces the float64 values exactly.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .frame import CalibrationSpec, SampleSet, StratumSpec
+from .frame import CalibrationSpec, SampleSet, StratumSpec, code_labels, compact_codes
 from .hb import PosteriorDraws
 
 MACHINE_FLOAT = "%.17g"
@@ -55,10 +60,10 @@ class BandRule:
     bands: tuple[tuple[str, float | None, float | None], ...]
     else_label: str = "none"
 
-    def labels(self, column: np.ndarray) -> np.ndarray:
-        """Label of every value as an object array: the first band, in
-        declaration order, whose closed interval holds it, else
-        ``else_label``."""
+    def codes(self, column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+        """Levels (the band labels in declaration order, then
+        ``else_label``) and each value's position in them: the first band
+        whose closed interval holds it, else ``else_label``."""
         column = np.asarray(column, dtype=float)
         masks = []
         for _, lo, hi in self.bands:
@@ -68,19 +73,23 @@ class BandRule:
             if hi is not None:
                 mask &= column <= hi
             masks.append(mask)
-        # index one shared str object per label: a string array cast to
-        # object would allocate one str per value
         B = len(self.bands)
         which = np.select(masks, range(B), B) if masks else np.full(column.shape, B)
-        names = [label for label, _, _ in self.bands] + [self.else_label]
-        return np.array(names, dtype=object)[which]
+        return compact_codes([label for label, _, _ in self.bands] + [self.else_label], which)
+
+    def labels(self, column: np.ndarray) -> np.ndarray:
+        """Label of every value as an object array, ``levels[codes]`` of
+        ``codes``: one shared str object per label."""
+        levels, codes = self.codes(column)
+        return np.array(levels, dtype=object)[codes]
 
 
 def derive_bands(
     rules, numeric: Mapping[str, np.ndarray], calibration: tuple[str, ...]
-) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
-    """Band attribute columns from the ``numeric`` columns by name, and the
-    names of the bands whose source is a ``calibration`` variable.
+) -> tuple[dict[str, tuple[tuple, np.ndarray]], tuple[str, ...]]:
+    """Band attribute columns, as ``(levels, codes)``, from the ``numeric``
+    columns by name, and the names of the bands whose source is a
+    ``calibration`` variable.
 
     Bands are derived before a unit store is built, so sample records and
     population truths see identical attribute values.
@@ -92,7 +101,7 @@ def derive_bands(
                 f"band rule {rule.name!r}: source {rule.source!r} is not a "
                 f"numeric column"
             )
-        bands[rule.name] = rule.labels(numeric[rule.source])
+        bands[rule.name] = rule.codes(numeric[rule.source])
     return bands, tuple(rule.name for rule in rules if rule.source in calibration)
 
 
@@ -109,50 +118,105 @@ class IngestedSample:
         return self.sample.calibration
 
 
-def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
-    """Columns of a delimited file by header name, and each data row's line.
+# Rows per block of the record and draw readers: a block's fields are held as
+# strings only while its columns are parsed and coded.
+BLOCK_ROWS = 8192
 
-    One pass: every row's fields go onto one flat list, so column j of a
-    k-column table is the strided slice ``flat[j::k]`` and no per-row list
-    outlives its parse.
+# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it:
+# the first such byte of the file is the first of these in the decoded text.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _row_blocks(path: Path) -> Iterator:
+    """The header of a delimited file, then its data rows in blocks of
+    ``BLOCK_ROWS``, each as its columns by header name (lists of fields)
+    and its rows' file lines.
+
+    One ``csv.reader`` runs over the kept lines.  A row with the wrong field
+    count, or a line with a byte that is not UTF-8, ends the rows: its block
+    is cut before it and the fault is raised when the next block is asked
+    for, so a consumer that checks every block it gets reports the first
+    fault in file order.
     """
-    text, lines = [], []
+    lines: list[int] = []
+    not_utf8: list[str] = []
+
+    def kept(fh):
+        for number, line in enumerate(fh, 1):
+            byte = not line.isascii() and _NOT_UTF8.search(line)
+            if byte:
+                not_utf8.append(f"{path}:{number}: byte {ord(byte[0]) - 0xDC00:#04x} is not UTF-8")
+                return
+            if line.strip() and not line.startswith("#"):
+                lines.append(number)
+                yield line
+
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if line.strip() and not line.startswith("#"):
-                    text.append(line)
-                    lines.append(number)
-    except UnicodeDecodeError as exc:
-        raise DataError(_decode_error(path)) from exc
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    if len(text) < 2:
-        raise DataError(f"{path}: no data rows")
-    reader = csv.reader(text)
-    header = next(reader)
-    k = len(header)
-    flat, counts = [], []
-    for row in reader:
+    with fh:
+        reader = csv.reader(kept(fh))
+        header = next(reader, None)
+        k = len(header or ())
+        lines = []
+        flat, fault = _next_block(reader, k, path, lines)
+        if not flat and not fault:
+            raise DataError(not_utf8[0] if not_utf8 else f"{path}: no data rows")
+        yield header
+        while flat:
+            n = len(flat) // k
+            columns = {name: flat[j::k] for j, name in enumerate(header)}
+            flat = None  # only one block's fields are alive at a time
+            yield columns, lines[:n]
+            columns = None
+            if fault:
+                break
+            lines = []
+            flat, fault = _next_block(reader, k, path, lines)
+        if fault:
+            raise DataError(fault)
+        if not_utf8:
+            raise DataError(not_utf8[0])
+
+
+def _next_block(reader, k: int, path: Path, lines: list[int]) -> tuple[list[str], str | None]:
+    """The fields of the next ``BLOCK_ROWS`` rows of ``k`` fields on one flat
+    list, so that column j is ``flat[j::k]``, and the fault of a row with
+    another field count, which ends the block.  Each row's list is dropped
+    as soon as it is parsed: a block of them alive would make the cyclic
+    garbage collector scan them over and over."""
+    flat: list[str] = []
+    for row in islice(reader, BLOCK_ROWS):
+        if len(row) != k:
+            return flat, f"{path}:{lines[len(flat) // k]}: {len(row)} fields, header has {k}"
         flat.extend(row)
-        counts.append(len(row))
-    del lines[0]
-    if counts.count(k) != len(counts):
-        i = next(i for i, count in enumerate(counts) if count != k)
-        raise DataError(f"{path}:{lines[i]}: {counts[i]} fields, header has {k}")
-    return {name: flat[j::k] for j, name in enumerate(header)}, lines
+    return flat, None
 
 
-def _decode_error(path: Path) -> str:
-    """``file:line`` of the first byte that is not UTF-8, counting lines as
-    the text reader does (LF, CRLF and CR all end one)."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start] + b"x").splitlines())
-        return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8"
-    return f"{path}: not UTF-8"
+def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
+    """Columns of a delimited file by header name, and each data row's line:
+    the blocks of ``_row_blocks`` collected, for files read whole."""
+    with closing(_row_blocks(path)) as blocks:
+        columns: dict[str, list[str]] = {name: [] for name in next(blocks)}
+        lines: list[int] = []
+        for block, block_lines in blocks:
+            for name, values in block.items():
+                columns[name].extend(values)
+            lines.extend(block_lines)
+    return columns, lines
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """File line of data row ``row`` (from 0), found by reading the file
+    again: a block's lines are dropped with the block."""
+    with closing(_row_blocks(path)) as blocks:
+        next(blocks)
+        for _, lines in blocks:
+            if row < len(lines):
+                return lines[row]
+            row -= len(lines)
+    raise ValueError(f"{path} has no data row {row}")
 
 
 def _finite_or_none(raw: str) -> float | None:
@@ -163,42 +227,66 @@ def _finite_or_none(raw: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _float_column(raw: Sequence[str], path: Path, lines: list[int]) -> np.ndarray:
+# A block's checks put their first fault each onto a list of (row, message)
+# pairs; ``_raise_first`` reports the earliest row's, so that of several
+# faults the first in file order is named.
+
+
+def _floats(raw: Sequence[str], faults: list) -> np.ndarray | None:
     """Parse a numeric column whole (numpy accepts the strings ``float``
-    does); the first unparseable or non-finite entry is reported with its
-    file line."""
+    does); None, with a fault, when an entry is unparseable or non-finite."""
     try:
         values = np.array(raw, dtype=float)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
         i = next(i for i, x in enumerate(raw) if _finite_or_none(x) is None)
-        raise DataError(f"{path}:{lines[i]}: {raw[i]!r} is not a finite number")
+        faults.append((i, f"{raw[i]!r} is not a finite number"))
+        return None
     return values
 
 
-def _whole_column(raw: Sequence[str], what: str, path: Path, lines: list[int]) -> np.ndarray:
-    """A numeric column whose entries must be integers; the first that is not
-    is reported with its file line."""
-    values = _float_column(raw, path, lines)
-    fractional = np.flatnonzero(values != np.trunc(values))
-    if fractional.size:
-        i = fractional[0]
-        raise DataError(f"{path}:{lines[i]}: {what} {raw[i]!r} is not an integer")
+def _wholes(raw: Sequence[str], what: str, faults: list) -> np.ndarray | None:
+    """A numeric column whose entries must be integers."""
+    values = _floats(raw, faults)
+    if values is not None:
+        fractional = np.flatnonzero(values != np.trunc(values))
+        if fractional.size:
+            i = fractional[0]
+            faults.append((i, f"{what} {raw[i]!r} is not an integer"))
     return values
 
 
-def _require_unique(ids: Sequence[str], what: str, path: Path, lines: list[int]) -> None:
-    """Reject a repeated id, naming it and the file line that repeats it."""
-    if len(set(ids)) == len(ids):
-        return
-    first: dict[str, int] = {}
-    for i, x in enumerate(ids):
-        if first.setdefault(x, i) != i:
-            raise DataError(
-                f"{path}:{lines[i]}: duplicate {what} id {x!r} "
-                f"(first on line {lines[first[x]]})"
-            )
+def _add_ids(
+    block: Sequence[str], what: str, ids: list, seen: set, path: Path, lines: list[int], faults: list
+) -> None:
+    """Append a block's ids to ``ids`` (``seen`` is their set); a fault
+    names the first id that repeats one and the line of its first copy."""
+    fresh = set(block)
+    if len(fresh) != len(block) or not seen.isdisjoint(fresh):
+        first: dict[str, int] = {}
+        for i, x in enumerate(block):
+            if x in seen:
+                line = _line_of_row(path, ids.index(x))
+            elif first.setdefault(x, i) != i:
+                line = lines[first[x]]
+            else:
+                continue
+            faults.append((i, f"duplicate {what} id {x!r} (first on line {line})"))
+            break
+    seen |= fresh
+    ids.extend(block)
+
+
+def _raise_first(faults: list, path: Path, lines: list[int]) -> None:
+    if faults:
+        i, message = min(faults)
+        raise DataError(f"{path}:{lines[i]}: {message}")
+
+
+def _positions(levels: dict, blocks: list[np.ndarray], position: Mapping) -> np.ndarray:
+    """The positions of coded id blocks, ``position`` giving each level's."""
+    return np.array([position[x] for x in levels], dtype=np.intp)[np.concatenate(blocks)]
 
 
 def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np.ndarray]]:
@@ -212,21 +300,23 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
     missing = {"id", "population_size"} - set(columns)
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
-    _require_unique(columns["id"], "stratum", path, lines)
-    sizes = _whole_column(columns["population_size"], "population_size", path, lines)
+    faults: list = []
+    _add_ids(columns["id"], "stratum", [], set(), path, lines, faults)
+    sizes = _wholes(columns["population_size"], "population_size", faults)
     raw_deff = columns.get("deff", ("",) * len(lines))
-    deff = _float_column(tuple(x or "1" for x in raw_deff), path, lines)
+    deff = _floats(tuple(x or "1" for x in raw_deff), faults)
+    covariates = {
+        c: _floats(values, faults)
+        for c, values in columns.items()
+        if c not in ("id", "population_size", "deff")
+    }
+    _raise_first(faults, path, lines)
     strata = []
     for sid, size, d, line in zip(columns["id"], sizes.tolist(), deff.tolist(), lines):
         try:
             strata.append(StratumSpec(id=sid, population_size=int(size), deff=d))
         except DataError as exc:
             raise DataError(f"{path}:{line}: {exc}") from None
-    covariates = {
-        c: _float_column(values, path, lines)
-        for c, values in columns.items()
-        if c not in ("id", "population_size", "deff")
-    }
     return tuple(strata), covariates
 
 
@@ -239,39 +329,51 @@ def read_sample(
 ) -> IngestedSample:
     """Ingest unit records and stratum metadata into a validated sample.
 
-    Columns are parsed whole and stratum and domain ids resolved to
-    positions, keeping file order.  Band rules materialize derived
-    categorical attributes (for example hours bands) at ingestion time, so
-    cell membership stays fixed, and register them as calibration-derived
-    when the source is a calibration variable.
+    The records are read in blocks of ``BLOCK_ROWS`` rows, keeping file
+    order: each block's numeric columns are parsed, and its stratum, domain
+    and attribute columns coded, before the next block is read, so only the
+    record ids outlive their block as strings.  Stratum and domain ids are
+    then resolved to positions.  Band rules materialize derived categorical
+    attributes (for example hours bands) at ingestion time, so cell
+    membership stays fixed, and register them as calibration-derived when
+    the source is a calibration variable.
     """
     records_path = Path(records_path)
-    columns, lines = _read_table(records_path)
-    needed = (
-        {roles.stratum, roles.domain, roles.weight}
-        | set(roles.calibration)
-        | set(roles.attributes)
-        | set(roles.outcomes)
-    )
-    if roles.record_id:
-        needed.add(roles.record_id)
-    missing = needed - set(columns)
-    if missing:
-        raise DataError(f"{records_path}: missing columns {sorted(missing)}")
-    if roles.record_id:
-        _require_unique(columns[roles.record_id], "record", records_path, lines)
+    numeric = dict.fromkeys((*roles.calibration, *roles.outcomes, roles.weight))
+    categorical = dict.fromkeys((roles.stratum, roles.domain, *roles.attributes))
+    with closing(_row_blocks(records_path)) as blocks:
+        needed = set(numeric) | set(categorical) | ({roles.record_id} - {None})
+        missing = needed - set(next(blocks))
+        if missing:
+            raise DataError(f"{records_path}: missing columns {sorted(missing)}")
+        floats: dict[str, list] = {name: [] for name in numeric}
+        codes: dict[str, tuple[dict, list]] = {name: ({}, []) for name in categorical}
+        ids: list[str] = []
+        seen: set[str] = set()
+        for columns, lines in blocks:
+            faults: list = []
+            for name, parsed in floats.items():
+                parsed.append(_floats(columns[name], faults))
+            if roles.record_id:
+                _add_ids(columns[roles.record_id], "record", ids, seen, records_path, lines, faults)
+            _raise_first(faults, records_path, lines)
+            for name, (levels, coded) in codes.items():
+                coded.append(code_labels(columns[name], levels))
+            # the next block is read while this one would still be alive
+            del columns
+    del seen  # freed before the store is built
 
     strata, covariates = read_strata(strata_path)
-    seen_domains = list(dict.fromkeys(columns[roles.domain]))
-    order = tuple(domain_order) if domain_order else tuple(sorted(seen_domains))
-    unknown = set(seen_domains) - set(order)
+    domain_levels = codes[roles.domain][0]
+    order = tuple(domain_order) if domain_order else tuple(sorted(domain_levels))
+    unknown = set(domain_levels) - set(order)
     if unknown:
         raise DataError(
             f"{records_path}: records reference domains outside the declared "
             f"order: {sorted(unknown)}"
         )
     stratum_pos = {s.id: i for i, s in enumerate(strata)}
-    unknown = set(columns[roles.stratum]) - set(stratum_pos)
+    unknown = set(codes[roles.stratum][0]) - set(stratum_pos)
     if unknown:
         raise DataError(
             f"{records_path}: records reference unknown strata: {sorted(unknown)}"
@@ -279,33 +381,29 @@ def read_sample(
     spec = CalibrationSpec(
         variable_names=tuple(roles.calibration), domain_order=order
     )
-    domain_pos = {d: i for i, d in enumerate(order)}
-
-    def numeric(name: str) -> np.ndarray:
-        return _float_column(columns[name], records_path, lines)
-
-    calib = {c: numeric(c) for c in roles.calibration}
-    outcomes = {o: numeric(o) for o in roles.outcomes}
-    attributes = {a: np.array(columns[a], dtype=object) for a in roles.attributes}
+    for name, parsed in floats.items():
+        floats[name] = np.concatenate(parsed)
+    calib = {c: floats[c] for c in roles.calibration}
+    outcomes = {o: floats[o] for o in roles.outcomes}
     bands, calibration_attributes = derive_bands(
         band_rules, {**outcomes, **calib}, roles.calibration
     )
+    attributes = {}
+    for name in roles.attributes:
+        levels, coded = codes[name]
+        attributes[name] = compact_codes(levels, np.concatenate(coded))
     sample = SampleSet(
         strata=strata,
         calibration=spec,
-        stratum_idx=[stratum_pos[s] for s in columns[roles.stratum]],
-        domain_idx=[domain_pos[d] for d in columns[roles.domain]],
-        weights=numeric(roles.weight),
+        stratum_idx=_positions(*codes[roles.stratum], stratum_pos),
+        domain_idx=_positions(*codes[roles.domain], {d: i for i, d in enumerate(order)}),
+        weights=floats[roles.weight],
         calib=np.column_stack(list(calib.values())),
-        attributes={**attributes, **bands},
         outcomes=outcomes,
         calibration_attributes=calibration_attributes,
+        attribute_codes={**attributes, **bands},
     )
-    record_ids = (
-        tuple(columns[roles.record_id])
-        if roles.record_id
-        else tuple(str(i + 1) for i in range(sample.n))
-    )
+    record_ids = tuple(ids) if roles.record_id else tuple(str(i + 1) for i in range(sample.n))
     return IngestedSample(sample=sample, record_ids=record_ids, strata_covariates=covariates)
 
 
@@ -333,19 +431,28 @@ def write_draws(
 
 
 def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
-    """Read a draw matrix and validate it against the calibration layout."""
+    """Read a draw matrix, in blocks of ``BLOCK_ROWS`` rows, and validate it
+    against the calibration layout."""
     path = Path(path)
-    columns, lines = _read_table(path)
     expected = ("chain",) + spec.block_labels()
-    header = tuple(columns)
-    if header != expected:
-        raise DataError(
-            f"{path}: draw columns {header} do not match the expected layout "
-            f"{expected}"
-        )
-    tags = _whole_column(columns["chain"], "chain tag", path, lines)
-    values = [_float_column(columns[c], path, lines) for c in expected[1:]]
-    return PosteriorDraws(draws=np.column_stack(values), chain_tags=tags.astype(int))
+    with closing(_row_blocks(path)) as blocks:
+        header = tuple(next(blocks))
+        if header != expected:
+            raise DataError(
+                f"{path}: draw columns {header} do not match the expected layout "
+                f"{expected}"
+            )
+        tags, values = [], []
+        for columns, lines in blocks:
+            faults: list = []
+            tags.append(_wholes(columns["chain"], "chain tag", faults))
+            block = [_floats(columns[c], faults) for c in expected[1:]]
+            _raise_first(faults, path, lines)
+            values.append(np.column_stack(block))
+            del columns
+    return PosteriorDraws(
+        draws=np.concatenate(values), chain_tags=np.concatenate(tags).astype(int)
+    )
 
 
 def write_weights(

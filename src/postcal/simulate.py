@@ -37,6 +37,7 @@ from .frame import (
     SampleSet,
     StratumSpec,
     block_sums,
+    compact_codes,
     evaluate_cell,
 )
 from .hb import PosteriorDraws, chain_rng, gelman_rubin
@@ -92,7 +93,8 @@ def generate_population(
     """Realize every population unit, deterministic under the spec seed.
 
     Band rules derive their attributes from the generated numeric columns
-    before the census store is built.
+    before the census store is built.  Generated and band attributes are
+    kept as codes into their levels in declaration order.
     """
     unknown = sorted({s.domain for s in spec.strata} - set(spec.domains))
     if unknown:
@@ -155,17 +157,15 @@ def generate_population(
                 column = column * calib[:, names.index(model.gated_by)]
         calib[:, v_pos] = column
 
-    attributes: dict[str, np.ndarray] = {}
+    attributes: dict[str, tuple[tuple, np.ndarray]] = {}
     for attr in spec.attributes:
-        labels = np.array([label for label, _ in attr.levels], dtype=object)
-        column = np.empty(N, dtype=object)
+        codes = np.zeros(N, dtype=np.intp)
         for d in range(len(spec.domains)):
             members = np.nonzero(domain_idx == d)[0]
             if members.size == 0:
                 continue
-            picks = rng.choice(len(labels), size=members.size, p=attr.domain_probs(d))
-            column[members] = labels[picks]
-        attributes[attr.name] = column
+            codes[members] = rng.choice(len(attr.levels), size=members.size, p=attr.domain_probs(d))
+        attributes[attr.name] = compact_codes([label for label, _ in attr.levels], codes)
 
     # each outcome's N-float temporaries are freed before the bands are derived
     outcomes = {
@@ -186,9 +186,9 @@ def generate_population(
         stratum_idx=stratum_idx,
         domain_idx=domain_idx,
         calib=calib,
-        attributes={**attributes, **bands},
         outcomes=outcomes,
         calibration_attributes=calibration_attributes,
+        attribute_codes={**attributes, **bands},
     )
 
 
@@ -200,7 +200,7 @@ def draw_stratified_sample(
     Takes round(fraction * N_h) units per stratum with a floor of 2, and
     attaches the design weights N_h / n_h.  Rows come in stratum order, then
     ascending population index; the sample keeps the frame's
-    ``calibration_attributes``.
+    ``calibration_attributes`` and its attribute levels.
     """
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"sampling fraction must be in (0, 1], got {fraction}")
@@ -223,9 +223,11 @@ def draw_stratified_sample(
         domain_idx=frame.domain_idx[rows],
         weights=np.concatenate(weights),
         calib=frame.calib[rows],
-        attributes={a: column[rows] for a, column in frame.attributes.items()},
         outcomes={o: column[rows] for o, column in frame.outcomes.items()},
         calibration_attributes=frame.calibration_attributes,
+        attribute_codes={
+            a: (levels, codes[rows]) for a, (levels, codes) in frame.attribute_codes.items()
+        },
     )
 
 

@@ -20,6 +20,7 @@ from postcal import simulate
 from postcal.report import CellReportRow
 from postcal.simulate import draw_stratified_sample, generate_population, run_chunk
 
+from test_golden import run_demo, run_simulate
 from test_simulate import run_config, small_spec
 
 SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
@@ -875,6 +876,21 @@ class TestMalformedInput:
         assert main(["calibrate", *argv]) == 0
         assert (tmp_path / "out" / "weights.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "calibrate", "infer", "diagnose", "simulate"])
+    def test_one_retained_draw_is_refused_by_key_where_intervals_need_two(
+        self, tmp_path, capsys, command
+    ):
+        write_sample_files(tmp_path)
+        raw = simulate_config()
+        raw["mcmc"] = {"burnin": 5, "iterations": 1, "chains": 1}
+        cfg = write_config(tmp_path, raw)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command in ("fit", "calibrate"):
+            assert main(argv) == 0
+        else:
+            cause = f"mcmc.chains x mcmc.iterations = 1 x 1 retains 1 draw; {command} needs at least 2"
+            assert_exit_2_naming(capsys, argv, cause)
+
     @pytest.mark.parametrize("corrupt,cause", SIMULATE_MALFORMED)
     def test_simulate_exit_2_names_the_key(self, tmp_path, capsys, corrupt, cause):
         write_sample_files(tmp_path)
@@ -924,6 +940,15 @@ class TestMalformedInput:
         )
         assert (args.threads, args.keep_replications) == (2, True)
         assert build_parser().parse_args(["infer", *base, "--draws", "d.csv"]).draws == "d.csv"
+
+
+def test_no_command_reads_the_attribute_label_view(tmp_path, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the attribute label view was built")
+
+    monkeypatch.setattr(SampleSet, "attributes", property(forbidden))
+    run_demo(tmp_path / "demo")
+    run_simulate(tmp_path / "smoke")
 
 
 def test_no_command_forms_the_dense_design_matrix(tmp_path, monkeypatch):

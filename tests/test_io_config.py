@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import io
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from postcal.config import (
@@ -26,6 +28,7 @@ from postcal.config import (
 from postcal.errors import ConfigError, DataError
 from postcal.frame import CalibrationSpec, TierLabel
 from postcal.hb import McmcConfig, PosteriorDraws
+import postcal.io as postcal_io
 from postcal.io import (
     BandRule,
     ColumnRoles,
@@ -181,6 +184,110 @@ class TestIngestion:
         assert ingested.spec.domain_order == ("d2", "d1")
         assert ingested.sample.domain_ids[0] == "d2"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("r5,s1,d1", "3 fields, header has 8"),
+            ("r5,s1,d1,nan,1,38,managers,1200", "'nan' is not a finite number"),
+            ("r1,s1,d1,2.5,1,38,managers,1200", "duplicate record id 'r1' (first on line 3)"),
+        ],
+        ids=["ragged", "non-finite", "duplicate"],
+    )
+    def test_fault_opening_a_later_block_is_named_by_its_line(
+        self, tmp_path, monkeypatch, row, message
+    ):
+        # blocks of 2 rows: the fault is data row 4, the first row of the third block
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", 2)
+        records, strata = write_inputs(tmp_path)
+        header, *rows = RECORDS_CSV.splitlines()
+        rows = [f"r{i + 1},{fields}" for i, fields in enumerate(rows + rows)]
+        rows[4] = row
+        records.write_text("# run metadata\n" + "\n".join([f"id,{header}", *rows]) + "\n")
+        with pytest.raises(DataError, match=rf"records\.csv:7: {re.escape(message)}$"):
+            read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, postcal_io.BLOCK_ROWS])
+    def test_of_several_faults_the_first_in_file_order_is_named(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        records, strata = write_inputs(tmp_path)
+        header, *good = RECORDS_CSV.splitlines()
+        good = [f"r{i + 1},{fields}" for i, fields in enumerate(good)]
+        faults = {
+            1: ("r2,s1,d1,2.5,0,0,trades,abc", "'abc' is not a finite number"),
+            2: ("r1,s2,d2,3.0,1,20,trades,800", "duplicate record id 'r1' (first on line 2)"),
+            3: ("r4,s2,d2", "3 fields, header has 8"),
+        }
+        rows = list(good)
+        for i, (row, _) in faults.items():
+            rows[i] = row
+        for i, (_, message) in faults.items():
+            records.write_text("\n".join([f"id,{header}", *rows]) + "\n")
+            with pytest.raises(DataError, match=rf"records\.csv:{i + 2}: {re.escape(message)}$"):
+                read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+            rows[i] = good[i]  # mend this fault: the next one in file order is named
+
+    def test_non_utf8_byte_after_an_earlier_fault_is_not_named(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        header, first, *rest = RECORDS_CSV.splitlines()
+        text = "\n".join([header, first.replace("2.5", "inf", 1), *rest]) + "\n"
+        records.write_bytes(text.encode() + b"s1,d1,1\xff,1,30,trades,500\n")
+        with pytest.raises(DataError, match=r"records\.csv:2: 'inf' is not a finite number$"):
+            read_sample(records, strata, roles())
+        records.write_bytes(RECORDS_CSV.encode() + b"s1,d1,1\xff,1,30,trades,500\n")
+        with pytest.raises(DataError, match=r"records\.csv:6: byte 0xff is not UTF-8$"):
+            read_sample(records, strata, roles())
+
+    def test_attributes_are_stored_as_codes_in_order_of_first_appearance(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        sample = read_sample(records, strata, roles()).sample
+        levels, codes = sample.attribute_codes["occupation"]
+        assert levels == ("managers", "trades")
+        assert codes.tolist() == [0, 1, 1, 0]
+        assert codes.dtype == np.uint8
+        assert "attributes" not in vars(sample)
+
+
+def write_records(path, n, seed=0):
+    """``n`` records in the columns of ``roles()`` plus an id, with numbers
+    written at 17 significant digits as the benchmark's large sample is."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "stratum", "domain", "weight", "employed", "hours", "occupation", "income"])
+        for i in range(n):
+            s = i % 2
+            writer.writerow(
+                [
+                    f"r{i:06d}", f"s{s + 1}", f"d{s + 1}", "%.17g" % rng.uniform(1, 5),
+                    int(rng.random() < 0.6), "%.17g" % rng.uniform(0, 60),
+                    ("managers", "trades", "services")[i % 3], "%.17g" % rng.normal(900, 300),
+                ]
+            )
+
+
+def test_read_sample_holds_one_block_of_fields_at_a_time(tmp_path, monkeypatch):
+    # four times the blocks may at most double the memory the read frees
+    # again (its peak above what it retains); a whole-file read quadruples it
+    monkeypatch.setattr(postcal_io, "BLOCK_ROWS", 1024)
+    strata = tmp_path / "strata.csv"
+    strata.write_text("id,population_size\ns1,100000\ns2,100000\n")
+
+    def transient(blocks):
+        records = tmp_path / f"records{blocks}.csv"
+        write_records(records, blocks * 1024)
+        tracemalloc.start()
+        try:
+            ingested = read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ingested.sample.n == blocks * 1024
+        return peak - retained
+
+    assert transient(16) <= 2 * transient(4)
+
 
 def reference_read_table(path):
     """The reader's row-wise form: csv.reader over the kept lines, then a
@@ -224,21 +331,34 @@ def join_lines(draw, lines):
     return "".join(line + draw(LINE_ENDS) for line in lines)
 
 
+# Block sizes the reader is checked at: at 1, 2 and 3 rows a block boundary
+# falls inside every generated table.
+BLOCK_SIZES = (1, 2, 3, postcal_io.BLOCK_ROWS)
+
+
 class TestReadTable:
-    @settings(max_examples=150, deadline=None)
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(table=delimited_tables(), data=st.data())
-    def test_columns_and_lines_match_the_row_wise_reader(self, tmp_path_factory, table, data):
+    def test_columns_and_lines_match_the_row_wise_reader(
+        self, tmp_path_factory, monkeypatch, table, data
+    ):
         _, lines, _ = table
         path = tmp_path_factory.getbasetemp() / "table.csv"
         path.write_text(join_lines(data.draw, lines), newline="")
-        columns, numbers = _read_table(path)
         expected_columns, expected_numbers = reference_read_table(path)
-        assert {name: tuple(values) for name, values in columns.items()} == expected_columns
-        assert numbers == expected_numbers
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+            columns, numbers = _read_table(path)
+            assert {name: tuple(values) for name, values in columns.items()} == expected_columns
+            assert numbers == expected_numbers
 
-    @settings(max_examples=100, deadline=None)
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(table=delimited_tables(), data=st.data())
-    def test_ragged_row_is_named_by_its_file_line(self, tmp_path_factory, table, data):
+    def test_ragged_row_is_named_by_its_file_line(self, tmp_path_factory, monkeypatch, table, data):
         k, lines, header_at = table
         lines = list(lines)
         fields = data.draw(st.integers(1, k + 2).filter(lambda f: f != k), label="fields")
@@ -249,13 +369,18 @@ class TestReadTable:
         path.write_text(text, newline="")
         # the file line as an independent splitter on LF, CRLF and CR counts it
         line = re.split(r"\r\n|\r|\n", text).index(ragged) + 1
-        with pytest.raises(DataError, match=rf"table\.csv:{line}: {fields} fields, header has {k}$"):
-            _read_table(path)
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+            with pytest.raises(DataError, match=rf"table\.csv:{line}: {fields} fields, header has {k}$"):
+                _read_table(path)
 
-
-    @settings(max_examples=100, deadline=None)
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(table=delimited_tables(), data=st.data())
-    def test_byte_that_is_not_utf8_is_named_by_its_file_line(self, tmp_path_factory, table, data):
+    def test_byte_that_is_not_utf8_is_named_by_its_file_line(
+        self, tmp_path_factory, monkeypatch, table, data
+    ):
         _, lines, _ = table
         lines = list(lines)
         if data.draw(st.booleans(), label="padded"):
@@ -273,8 +398,10 @@ class TestReadTable:
         path.write_bytes(raw)
         # the file line as an independent splitter on LF, CRLF and CR counts it
         line = len(re.findall(rb"\r\n|\r|\n", raw[: raw.index(b"\xff")])) + 1
-        with pytest.raises(DataError, match=rf"table\.csv:{line}: byte 0xff is not UTF-8$"):
-            _read_table(path)
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+            with pytest.raises(DataError, match=rf"table\.csv:{line}: byte 0xff is not UTF-8$"):
+                _read_table(path)
 
 
 class TestDrawsRoundTrip:

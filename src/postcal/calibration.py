@@ -9,8 +9,9 @@ where G = sum_i w_i y_i y_i' is the weighted cross-product of the design
 vectors and T_ht the Horvitz-Thompson total vector.  The multiplicative
 factor is the familiar g-weight of regression calibration.  G and its
 rank are computed once per sample and shared across all targets.
-No n x p design matrix is formed: totals and moments are ``block_sums``
-reductions, and G is block-diagonal by domain.
+No n x p design matrix is formed: totals are ``block_sums`` reductions,
+cell moments the same per-variable ``np.bincount`` keyed by (cell, domain),
+and G is block-diagonal by domain.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError
-from .frame import CalibrationSpec, SampleSet, block_sums
+from .frame import CalibrationSpec, CellRows, SampleSet, block_sums
 
 # A pivot below p * max(diag G) * 2^-50 is treated as numerically zero.
 _PIVOT_RELATIVE_TOL = 2.0 ** -50
@@ -212,20 +213,37 @@ def calibrate(
     )
 
 
+def cell_weighted_moments(sample: SampleSet, cells: CellRows) -> np.ndarray:
+    """Each cell's moment vector sum_{i in c} value_i w_i y_i, G x p: one
+    ``np.bincount`` per variable keyed by (cell, domain), which adds each
+    key's terms in row order, as a bincount over the cell alone does."""
+    G, V, D = cells.n_cells, sample.calibration.n_variables, sample.calibration.n_domains
+    key = cells.cell * D + sample.domain_idx[cells.rows]
+    scale = sample.weights[cells.rows] * cells.values
+    sums = [
+        np.bincount(key, sample.calib[cells.rows, v] * scale, minlength=G * D).reshape(G, D)
+        for v in range(V)
+    ]
+    return np.stack(sums, axis=1).reshape(G, -1)
+
+
 def cell_weighted_moment(sample: SampleSet, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's ``rows``."""
-    return block_sums(sample, sample.weights[rows] * values[rows], rows)
+    """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's
+    ``rows`` (positions or a mask): ``cell_weighted_moments`` of one cell."""
+    rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+    return cell_weighted_moments(sample, CellRows.of([(rows, values[rows])]))[0]
 
 
 def replicate_direction(gram: GramMatrix, cell_weighted_moment: np.ndarray) -> np.ndarray:
-    """Direction a_c solving G a_c = sum_{i in c} value_i w_i y_i.
+    """Direction a_c solving G a_c = sum_{i in c} value_i w_i y_i; given a
+    p x C moment matrix, one solve gives every cell's direction as a column.
 
     The replicate total of the cell is then an affine function of the target:
     fixed HT cell total plus (t - T_ht)' a_c.
     """
     moment = np.asarray(cell_weighted_moment, dtype=float)
-    if moment.shape != (gram.p,):
+    if moment.shape[:1] != (gram.p,) or moment.ndim > 2:
         raise DataError(
-            f"moment has shape {moment.shape}, expected ({gram.p},)"
+            f"moment has shape {moment.shape}, expected ({gram.p},) or ({gram.p}, C)"
         )
     return gram.solve(moment)

@@ -15,8 +15,10 @@ A store also names its ``calibration_attributes``, the attribute columns
 derived from calibration variables, which decide tier 2-CA over 2-NCA.
 A store keeps each attribute column only as codes, ``SampleSet.attribute_codes``
 (its levels, and each unit's position in them), and cell filters read those
-codes, so a cell costs one O(n) mask and every reduction after it reads only
-the cell's rows.
+codes.  ``evaluate_cells`` gives a run's cells their masks, each the AND of
+clause masks made once per run and shared among the cells, so every
+reduction after it reads only a cell's rows; ``CellRows`` concatenates a
+group of cells' rows for reductions keyed by cell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -147,13 +149,12 @@ def compact_codes(levels: Sequence, codes: np.ndarray) -> tuple[tuple, np.ndarra
     return tuple(levels), codes.astype(np.min_scalar_type(len(levels) - 1))
 
 
-def block_sums(sample: SampleSet, scale=None, rows=slice(None)) -> np.ndarray:
-    """The p-vector sum_i scale_i * y_i over ``rows`` (``scale`` 1 by default,
-    else given at those rows): entry v*D + d sums variable v over domain d,
-    one ``np.bincount`` per variable."""
-    idx, calib, D = sample.domain_idx[rows], sample.calib[rows], sample.calibration.n_domains
+def block_sums(sample: SampleSet, scale=None) -> np.ndarray:
+    """The p-vector sum_i scale_i * y_i (``scale`` 1 by default): entry
+    v*D + d sums variable v over domain d, one ``np.bincount`` per variable."""
+    idx, D = sample.domain_idx, sample.calibration.n_domains
     return np.concatenate(
-        [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in calib.T]
+        [np.bincount(idx, c if scale is None else c * scale, minlength=D) for c in sample.calib.T]
     )
 
 
@@ -346,35 +347,41 @@ class SampleSet:
             for name, (levels, codes) in self.attribute_codes.items()
         }
 
-    def stratum_mean_variance(self, values, rows=None) -> np.ndarray:
+    def stratum_mean_variance(self, values=None, cells: CellRows | None = None) -> np.ndarray:
         """Design variance of each stratum's sample mean of ``values``.
 
         Returns deff_h * (1 - f_h) * s2_h / n_h per stratum in frame order,
         where s2_h is the within-stratum sample variance (divisor n_h - 1)
         and f_h the sampling fraction; strata with n_h < 2 get 0.  Given
-        ``rows``, ``values`` are a cell's values there (0 elsewhere) and the
-        result is the H x D table for z_d, the values zeroed outside domain d,
-        keyed by (stratum, domain) pair k.  Squares are summed about each k's
-        largest value (an all-equal k gets exactly 0), plus n_k (n_h - n_k) /
-        n_h * mean_k^2 for the stratum's zeros outside k.
+        ``cells``, a group of cells, the values are each cell's summed
+        values at its rows (0 elsewhere) and the result is each cell's
+        H x D table for z_d, the values zeroed outside domain d, keyed by
+        (cell, stratum, domain) k; a key sums its terms in row order, as it
+        would for the cell alone.  Squares are summed about each k's largest
+        value (an all-equal k gets exactly 0), plus n_k (n_h - n_k) / n_h *
+        mean_k^2 for the stratum's zeros outside k.
         """
-        values = np.asarray(values, dtype=float)
-        H, D = len(self.strata), 1 if rows is None else self.calibration.n_domains
-        idx = self.stratum_idx if rows is None else self.stratum_idx[rows]
-        idx = idx if rows is None else idx * D + self.domain_idx[rows]
-        n_h = np.repeat(self.stratum_counts, D)
+        H, D, G = len(self.strata), self.calibration.n_domains, 1
+        if cells is None:
+            values, idx, D = np.asarray(values, dtype=float), self.stratum_idx, 1
+        else:
+            values, G = cells.values, cells.n_cells
+            idx = (cells.cell * H + self.stratum_idx[cells.rows]) * D + self.domain_idx[cells.rows]
+        K = G * H * D
+        n_h = np.tile(np.repeat(self.stratum_counts, D), G)
         n = np.maximum(n_h, 1)
-        n_k = np.bincount(idx, minlength=H * D)
-        anchor = np.full(H * D, -np.inf)
+        n_k = np.bincount(idx, minlength=K)
+        anchor = np.full(K, -np.inf)
         np.maximum.at(anchor, idx, values)
         centred = values - anchor[idx]
-        mean = np.bincount(idx, centred, minlength=H * D) / np.maximum(n_k, 1)
-        ss = np.bincount(idx, (centred - mean[idx]) ** 2, minlength=H * D)
+        mean = np.bincount(idx, centred, minlength=K) / np.maximum(n_k, 1)
+        centred -= mean[idx]
+        ss = np.bincount(idx, centred * centred, minlength=K)
         ss = ss + n_k * (n_h - n_k) / n * np.where(n_k > 0, anchor + mean, 0.0) ** 2
         s2 = np.where(n_h > 1, ss / np.maximum(n_h - 1, 1), 0.0)
-        fpc = 1.0 - np.repeat(self.sampling_fractions, D)
-        out = np.repeat(self.stratum_deff, D) * fpc * s2 / n
-        return out if rows is None else out.reshape(H, D)
+        fpc = 1.0 - np.tile(np.repeat(self.sampling_fractions, D), G)
+        out = np.tile(np.repeat(self.stratum_deff, D), G) * fpc * s2 / n
+        return out if cells is None else out.reshape(G, H, D)
 
 
 def _as_frozenset(value) -> frozenset:
@@ -450,56 +457,144 @@ class CellData:
         return self.rows.size
 
 
-def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.ndarray:
-    """Apply a cell filter to a sample's units.
+@dataclass(frozen=True)
+class CellRows:
+    """A group of cells' rows, concatenated cell by cell.
 
-    A census population is a ``SampleSet`` too, so sample cells and
-    population truths go through this one predicate.
+    ``rows`` are record positions, ``values`` the summed value of each in
+    its cell and ``counts`` each cell's row count.  A per-cell reduction
+    over the group is one ``np.bincount`` keyed by ``cell``, each entry's
+    position in the group; it adds each cell's terms in row order, as a
+    reduction over that cell alone does.
     """
+
+    rows: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def of(cells: Sequence[tuple[np.ndarray, np.ndarray]]) -> "CellRows":
+        """The group of ``cells``, each given as its rows and its summed
+        values at those rows."""
+        rows, values = zip(*cells)
+        if len(cells) == 1:  # no copies of a lone cell's arrays
+            return CellRows(rows[0], values[0], np.array([rows[0].size]))
+        return CellRows(np.concatenate(rows), np.concatenate(values), np.array([r.size for r in rows]))
+
+    @staticmethod
+    def one(cell: CellData) -> "CellRows":
+        return CellRows.of([(cell.rows, cell.values[cell.rows])])
+
+    @property
+    def n_cells(self) -> int:
+        return self.counts.size
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_cells), self.counts)
+
+    def select(self, keep: np.ndarray) -> "CellRows":
+        """The group of the cells where ``keep`` is true."""
+        if keep.all():
+            return self
+        entries = keep[self.cell]
+        return CellRows(self.rows[entries], self.values[entries], self.counts[keep])
+
+
+def _clause_mask(clause: tuple, sample: SampleSet, cell_name: str) -> np.ndarray:
+    """The mask of one filter clause: ``("domains", ids)``, ``("attribute",
+    name, levels)`` or ``("range", variable, (lo, hi))``."""
     spec = sample.calibration
-    mask = np.ones(sample.n, dtype=bool)
-    if f.domains is not None:
-        unknown = f.domains - set(spec.domain_order)
+    kind, *args = clause
+    if kind == "domains":
+        (domains,) = args
+        unknown = domains - set(spec.domain_order)
         if unknown:
             raise DataError(
                 f"cell {cell_name!r}: filter references unknown domains "
                 f"{sorted(unknown)}"
             )
-        allowed = np.array(
-            [d in f.domains for d in spec.domain_order], dtype=bool
-        )
-        mask &= allowed[sample.domain_idx]
-    for attr, levels in f.attribute_levels:
+        allowed = np.array([d in domains for d in spec.domain_order], dtype=bool)
+        return allowed[sample.domain_idx]
+    if kind == "attribute":
+        attr, levels = args
         if attr not in sample.attribute_codes:
             raise DataError(
                 f"cell {cell_name!r}: filter references unknown attribute "
                 f"{attr!r}"
             )
         present, codes = sample.attribute_codes[attr]
-        mask &= np.array([level in levels for level in present], dtype=bool)[codes]
-    for var, (lo, hi) in f.value_ranges:
-        if var not in spec.variable_names:
-            raise DataError(
-                f"cell {cell_name!r}: interval filter references "
-                f"{var!r}, which is not a calibration variable"
-            )
-        column = sample.column(var)
-        if lo is not None:
-            mask &= column >= lo
-        if hi is not None:
-            mask &= column <= hi
+        return np.array([level in levels for level in present], dtype=bool)[codes]
+    var, (lo, hi) = args
+    if var not in spec.variable_names:
+        raise DataError(
+            f"cell {cell_name!r}: interval filter references "
+            f"{var!r}, which is not a calibration variable"
+        )
+    column = sample.column(var)
+    mask = np.ones(sample.n, dtype=bool)
+    if lo is not None:
+        mask &= column >= lo
+    if hi is not None:
+        mask &= column <= hi
     return mask
+
+
+def _clauses(f: CellFilter) -> list[tuple]:
+    """The clauses of a filter, each as the key of its mask."""
+    return [
+        *((("domains", f.domains),) if f.domains is not None else ()),
+        *(("attribute", attr, levels) for attr, levels in f.attribute_levels),
+        *(("range", var, bounds) for var, bounds in f.value_ranges),
+    ]
+
+
+def filter_mask(
+    f: CellFilter, sample: SampleSet, cell_name: str = "?", clauses: dict | None = None
+) -> np.ndarray:
+    """Apply a cell filter to a sample's units: the AND of its clause masks.
+
+    A census population is a ``SampleSet`` too, so sample cells and
+    population truths go through this one predicate.  ``clauses`` keeps
+    each clause's mask, read-only, for the other cells of a run on the
+    same units: the 25 default cells of a simulation use 13 distinct
+    clauses.
+    """
+    clauses = {} if clauses is None else clauses
+    mask = None
+    for key in _clauses(f):
+        if key not in clauses:
+            clauses[key] = _clause_mask(key, sample, cell_name)
+            clauses[key].flags.writeable = False
+        mask = clauses[key] if mask is None else mask & clauses[key]
+    return np.ones(sample.n, dtype=bool) if mask is None else mask
+
+
+def evaluate_cells(
+    queries: Iterable[CellQuery], sample: SampleSet, spec: CalibrationSpec
+) -> Iterator[CellData]:
+    """Evaluate each cell's membership and summed values against a sample,
+    in order, sharing clause masks among the cells; a clause's mask is
+    dropped after the last cell that reads it.
+
+    A mask depends only on record attributes, domains, and calibration
+    values; it is independent of weights, draws, and record order.
+    """
+    sample.check_spec(spec)
+    queries = tuple(queries)
+    last_use = {key: k for k, query in enumerate(queries) for key in _clauses(query.filter)}
+    clauses: dict = {}
+    for k, query in enumerate(queries):
+        values = sample.column(query.summed_variable, query.name)
+        mask = filter_mask(query.filter, sample, query.name, clauses)
+        for key in _clauses(query.filter):
+            if last_use[key] == k:  # no later cell reads this clause
+                del clauses[key]
+        yield CellData(mask=mask, values=values)
 
 
 def evaluate_cell(
     query: CellQuery, sample: SampleSet, spec: CalibrationSpec
 ) -> CellData:
-    """Evaluate cell membership and summed values against a sample.
-
-    The mask depends only on record attributes, domains, and calibration
-    values; it is independent of weights, draws, and record order.
-    """
-    sample.check_spec(spec)
-    values = sample.column(query.summed_variable, query.name)
-    mask = filter_mask(query.filter, sample, query.name)
-    return CellData(mask=mask, values=values)
+    """``evaluate_cells`` of one cell."""
+    return next(evaluate_cells((query,), sample, spec))

@@ -9,9 +9,9 @@ replications x variables x chains, and each replication then passes its own
 R-hat gate and cell layer.  With ``threads`` > 1 worker processes run whole
 chunks.  The population is a census ``SampleSet`` (every unit, each weight
 1), so its truths and the samples' cells go through the same
-``evaluate_cell``.  Seeds are split hierarchically (master seed, replication,
-stage, chain), so runs are reproducible under parallel execution and
-replication order.
+``evaluate_cells``, which shares clause masks among a run's cells.  Seeds
+are split hierarchically (master seed, replication, stage, chain), so runs
+are reproducible under parallel execution and replication order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .frame import (
     StratumSpec,
     block_sums,
     compact_codes,
-    evaluate_cell,
+    evaluate_cells,
 )
 from .hb import PosteriorDraws, chain_rng, gelman_rubin
 from .io import BandRule, derive_bands
@@ -59,13 +59,18 @@ class SurveyFrame(SampleSet):
         self.spec = spec
         self.covariates = covariates
 
-    def cell_truth(self, query: CellQuery) -> float:
-        """Exhaustive population total of the cell's summed variable."""
-        cell = evaluate_cell(query, self, self.calibration)
-        return float(cell.values[cell.mask].sum())
-
     def truth_table(self, cells) -> dict[str, float]:
-        return {query.name: self.cell_truth(query) for query in cells}
+        """Exhaustive population total of each cell's summed variable, the
+        cells sharing their clause masks."""
+        evaluated = evaluate_cells(cells, self, self.calibration)
+        return {
+            query.name: float(cell.values[cell.rows].sum())
+            for query, cell in zip(cells, evaluated)
+        }
+
+    def cell_truth(self, query: CellQuery) -> float:
+        """``truth_table`` of one cell."""
+        return self.truth_table((query,))[query.name]
 
     def calibration_truth_vector(self) -> np.ndarray:
         """Population domain totals of the calibration variables."""

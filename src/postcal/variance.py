@@ -10,10 +10,10 @@ variable,
   Taylor-linearised variance of the calibrated cell shares.  With z_d the
   cell-masked values zeroed outside d, total_d^2 * Var(share_d) =
   sum_h N_h^2 * deff_h * (1 - f_h) * s2_h(z_d) / n_h over the strata h;
-  the stratum factors of every domain come from one pass of
-  ``SampleSet.stratum_mean_variance`` over the cell's rows keyed by
-  (stratum, domain), the kernel that also gives the Gaussian model's
-  sampling variances psi_h;
+  the stratum factors of every domain of a group of cells come from one
+  pass of ``SampleSet.stratum_mean_variance`` over the group's rows keyed
+  by (cell, stratum, domain), the kernel that also gives the Gaussian
+  model's sampling variances psi_h;
 * component 2 = sum_d share_d^2 * V_d, the model-based variance of the
   domain totals, where V_d is the diagonal entry of the draw covariance
   ``PosteriorDraws.covariance``, computed once per draw set and shared with
@@ -23,18 +23,25 @@ around the point estimate with the normal multiplier z of the report level
 (``cbi_z``, 1.96 at 0.95).  For cells summing a non-calibration outcome, the
 share is formed against the calibration variable most correlated with the
 outcome (the linking variable), giving a ratio-type interval.
+
+Each quantity is computed for a group of cells at once (``domain_sums``,
+``domain_shares``, ``components``, ``link_correlations``,
+``cells_diagnostics``); the per-cell entry points are those kernels on one
+cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
 
 import numpy as np
 
 from .calibration import CalibratedWeights
 from .errors import DataError, LinkSelectionError
-from .frame import CellData, SampleSet
+from .frame import CellData, CellRows, SampleSet
 from .hb import PosteriorDraws
 
 
@@ -57,7 +64,8 @@ WEAK_LINK_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class DomainShares:
-    """A cell's share of each domain total, in block order.
+    """A cell's share of each domain total, in block order (D), or each of a
+    group's cells' (G x D).
 
     ``excluded`` marks the domains the cell meets whose denominator total is
     zero; their share and share variance are 0.
@@ -133,6 +141,109 @@ class CellDiagnostics:
     orthogonality_flag: bool
 
 
+def domain_sums(
+    sample: SampleSet, cells: CellRows, weights: CalibratedWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's reductions per domain d, G x D: its total within d under
+    the posterior-mean ``weights`` (the share numerator), whether it has
+    records in d, and sum_h N_h^2 times the stratum kernel of z_d, the
+    cell-masked summed values zeroed outside d, over the whole stratum
+    sample (so strata spanning domains are covered too).  Two
+    ``np.bincount`` calls keyed by (cell, domain) and one pass of
+    ``SampleSet.stratum_mean_variance`` over the group."""
+    G, D = cells.n_cells, sample.calibration.n_domains
+    key = cells.cell * D + sample.domain_idx[cells.rows]
+    numerator = np.bincount(key, cells.values * weights.weights[cells.rows], minlength=G * D)
+    met = np.bincount(key, minlength=G * D) > 0
+    variance = sample.stratum_sizes**2 @ sample.stratum_mean_variance(cells=cells)
+    return numerator.reshape(G, D), met.reshape(G, D), variance
+
+
+def denominator_positions(names: Sequence[str], denominators) -> np.ndarray:
+    """Each denominator variable's position among the calibration variables
+    ``names``."""
+    for name in denominators:
+        if name not in names:
+            raise DataError(f"denominator {name!r} is not a calibration variable")
+    return np.array([names.index(name) for name in denominators], dtype=np.intp)
+
+
+def domain_shares(
+    sample: SampleSet, sums: tuple, positions: np.ndarray, posterior_mean: np.ndarray
+) -> tuple[DomainShares, list[tuple[str, ...]]]:
+    """Calibrated cell shares per domain with Taylor-linearised variances,
+    G x D, and each cell's warnings, from the cells' ``domain_sums``; cell c
+    is shared out over the domain totals of calibration variable
+    ``positions[c]``.
+
+    The share of domain d is the calibrated cell total within d divided by
+    the posterior-mean domain total of the denominator variable; shares are
+    computed once and held fixed across draws.  The denominator is a
+    calibration constant, so the share variance is the design variance of
+    the numerator total scaled by 1/total^2.
+
+    Domains whose denominator total is zero are excluded with a warning when
+    the cell intersects them; singleton strata touching a domain with a
+    non-zero total contribute zero with a warning, in domain order.
+    """
+    spec = sample.calibration
+    V, D = spec.n_variables, spec.n_domains
+    numerator, met, variance = sums
+    total = np.asarray(posterior_mean, dtype=float).reshape(V, D)[positions]
+    zero = total == 0.0
+    kept = ~zero
+    shares = DomainShares(
+        share=np.divide(numerator, total, out=np.zeros(total.shape), where=kept),
+        share_variance=np.divide(variance, total**2, out=np.zeros(total.shape), where=kept),
+        domain_total=total,
+        excluded=zero & met,
+    )
+
+    # a singleton stratum has one record, so it touches exactly one domain
+    singletons = sample.stratum_domain_pairs & (sample.stratum_counts == 1)[:, None]
+    singleton_warnings = [
+        [
+            f"stratum {sample.strata[h].id!r}: singleton, share-variance "
+            f"contribution set to 0"
+            for h in np.flatnonzero(singletons[:, d])
+        ]
+        for d in range(D)
+    ]
+    warnings = []
+    for v, cell_zero, cell_met in zip(positions, zero.tolist(), met.tolist()):
+        cell_warnings: list[str] = []
+        for d in range(D):
+            if cell_zero[d] and cell_met[d]:
+                cell_warnings.append(
+                    f"domain {spec.domain_order[d]!r} excluded: zero "
+                    f"denominator total for {spec.variable_names[v]!r}"
+                )
+            elif not cell_zero[d]:
+                cell_warnings.extend(singleton_warnings[d])
+        warnings.append(tuple(cell_warnings))
+    return shares, warnings
+
+
+def components(
+    shares: DomainShares, positions, draws: PosteriorDraws
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component 1, component 2 and the posterior variances V_d (0 for
+    excluded domains) of shares over the domain totals of the calibration
+    variables at ``positions``, for one cell or each of a group."""
+    kept = ~shares.excluded
+    posterior_variance = np.zeros(kept.shape)
+    if kept.any():
+        if draws.n_draws < 2:
+            raise DataError("need at least 2 draws for a posterior variance")
+        column_variances = np.diagonal(draws.covariance).reshape(-1, kept.shape[-1])[positions]
+        posterior_variance = np.where(kept, column_variances, 0.0)
+    return (
+        np.sum(shares.domain_total**2 * shares.share_variance, axis=-1),
+        np.sum(shares.share**2 * posterior_variance, axis=-1),
+        posterior_variance,
+    )
+
+
 def share_and_variance(
     sample: SampleSet,
     cell: CellData,
@@ -140,58 +251,11 @@ def share_and_variance(
     denominator_variable: str,
     posterior_mean: np.ndarray,
 ) -> tuple[DomainShares, tuple[str, ...]]:
-    """Calibrated cell shares per domain with Taylor-linearised variances.
-
-    The share of domain d is the calibrated cell total within d divided by
-    the posterior-mean domain total of the denominator variable; shares are
-    computed once and held fixed across draws.  The denominator is a
-    calibration constant, so the share variance is the design variance of
-    the numerator total scaled by 1/total^2: sum_h N_h^2 times the stratum
-    kernel of z_d, the cell-masked summed values zeroed outside d, over the
-    whole stratum sample (so strata spanning domains are covered too).
-
-    Domains whose denominator total is zero are excluded with a warning when
-    the cell intersects them; singleton strata touching a domain with a
-    non-zero total contribute zero with a warning, in domain order.
-    """
-    spec = sample.calibration
-    if denominator_variable not in spec.variable_names:
-        raise DataError(
-            f"denominator {denominator_variable!r} is not a calibration variable"
-        )
-    v = spec.variable_names.index(denominator_variable)
-    D = spec.n_domains
-    values, domain = cell.values[cell.rows], sample.domain_idx[cell.rows]
-    total = np.asarray(posterior_mean, dtype=float)[v * D : (v + 1) * D]
-    numerator = np.bincount(domain, values * weights.weights[cell.rows], minlength=D)
-    met = np.bincount(domain, minlength=D) > 0
-    zero = total == 0.0
-
-    # a singleton stratum has one record, so it touches exactly one domain
-    singletons = sample.stratum_domain_pairs & (sample.stratum_counts == 1)[:, None]
-    warnings: list[str] = []
-    for d in range(D):
-        if zero[d] and met[d]:
-            warnings.append(
-                f"domain {spec.domain_order[d]!r} excluded: zero "
-                f"denominator total for {denominator_variable!r}"
-            )
-        elif not zero[d]:
-            warnings.extend(
-                f"stratum {sample.strata[h].id!r}: singleton, share-variance "
-                f"contribution set to 0"
-                for h in np.flatnonzero(singletons[:, d])
-            )
-
-    variance = sample.stratum_sizes**2 @ sample.stratum_mean_variance(values, cell.rows)
-    kept = ~zero
-    shares = DomainShares(
-        share=np.divide(numerator, total, out=np.zeros(D), where=kept),
-        share_variance=np.divide(variance, total**2, out=np.zeros(D), where=kept),
-        domain_total=total,
-        excluded=zero & met,
-    )
-    return shares, tuple(warnings)
+    """``domain_shares`` of one cell."""
+    positions = denominator_positions(sample.calibration.variable_names, [denominator_variable])
+    sums = domain_sums(sample, CellRows.one(cell), weights)
+    shares, warnings = domain_shares(sample, sums, positions, posterior_mean)
+    return DomainShares(*(getattr(shares, f.name)[0] for f in fields(shares))), warnings[0]
 
 
 def variance_components(
@@ -206,18 +270,11 @@ def variance_components(
     shares, warnings = share_and_variance(
         sample, cell, weights, denominator_variable, posterior_mean
     )
-    spec = sample.calibration
-    v, D = spec.variable_names.index(denominator_variable), spec.n_domains
-    kept = ~shares.excluded
-    posterior_variance = np.zeros(D)
-    if kept.any():
-        if draws.n_draws < 2:
-            raise DataError("need at least 2 draws for a posterior variance")
-        column_variances = np.diagonal(draws.covariance)[v * D : (v + 1) * D]
-        posterior_variance[kept] = column_variances[kept]
+    v = sample.calibration.variable_names.index(denominator_variable)
+    component1, component2, posterior_variance = components(shares, v, draws)
     return VarianceComponents(
-        component1=float(np.sum(shares.domain_total**2 * shares.share_variance)),
-        component2=float(np.sum(shares.share**2 * posterior_variance)),
+        component1=float(component1),
+        component2=float(component2),
         shares=shares,
         posterior_variance=posterior_variance,
         warnings=warnings,
@@ -244,43 +301,59 @@ def cbi(
     )
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    if x.size < 2:
-        return None
-    sx = float(np.std(x))
-    sy = float(np.std(y))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+def link_correlations(sample: SampleSet, cells: CellRows) -> np.ndarray:
+    """Pearson correlation of each cell's outcome with each calibration
+    variable over the cell's records, G x V; NaN marks a variable constant
+    within the cell (or a cell of fewer than 2 records), which cannot serve
+    as a ratio denominator, and an outcome constant within the cell gives 0.
 
-
-def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
-    """Pick the calibration variable most correlated with the cell outcome.
-
-    Correlations are plain Pearson over the sampled records in the cell.
-    Candidates structurally constant within the cell cannot serve as ratio
-    denominators and are excluded regardless of formal correlation; ties
-    break by declaration order.
+    A group's rows are contiguous per cell, so each per-cell sum is one
+    ``reduceat`` over the group, a variable at a time; constancy is decided
+    exactly, by each cell's largest and smallest values.
     """
-    idx = cell.rows
-    u = cell.values[idx]
+    G, V = cells.n_cells, sample.calibration.n_variables
+    rho = np.full((G, V), np.nan)
+    met = cells.counts > 0
+    if not met.any():
+        return rho
+    n = cells.counts[met]
+    starts = np.cumsum(n) - n
+
+    def constant(x):
+        return np.maximum.reduceat(x, starts) == np.minimum.reduceat(x, starts)
+
+    def centred(x):
+        return x - np.repeat(np.add.reduceat(x, starts) / n, n)
+
+    def root_mean_square(x):
+        return np.sqrt(np.add.reduceat(x * x, starts) / n)
+
+    du = centred(cells.values)
+    su = root_mean_square(du)
+    outcome_constant = constant(cells.values)
+    for v in range(V):
+        column = sample.calib[cells.rows, v]
+        dc = centred(column)
+        sc = root_mean_square(dc)
+        informative = ~outcome_constant & (sc != 0.0)
+        covariance = np.add.reduceat(du * dc, starts) / n
+        within = np.divide(covariance, su * sc, out=np.zeros(n.size), where=informative)
+        within[(n < 2) | constant(column)] = np.nan
+        rho[met, v] = within
+    return rho
+
+
+def ratio_link(names: Sequence[str], correlations: np.ndarray) -> RatioLink:
+    """The ratio link of one cell from its ``link_correlations`` row: the
+    admissible variable of largest |rho|, ties going to declaration order."""
     candidates = []
     best_name = None
     best_rho = None
-    for v, name in enumerate(sample.calibration.variable_names):
-        col = sample.calib[idx, v]
-        constant = idx.size < 2 or float(np.ptp(col)) == 0.0
-        if constant:
-            candidates.append(
-                LinkCandidate(name=name, correlation=None, admissible=False)
-            )
+    for name, rho in zip(names, correlations.tolist()):
+        if math.isnan(rho):
+            candidates.append(LinkCandidate(name=name, correlation=None, admissible=False))
             continue
-        rho = _pearson(u, col)
-        if rho is None:
-            rho = 0.0  # outcome constant in the cell; no informative link
-        candidates.append(
-            LinkCandidate(name=name, correlation=rho, admissible=True)
-        )
+        candidates.append(LinkCandidate(name=name, correlation=rho, admissible=True))
         if best_rho is None or abs(rho) > abs(best_rho):
             best_name, best_rho = name, rho
     if best_name is None:
@@ -297,12 +370,72 @@ def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
     )
 
 
+def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
+    """Pick the calibration variable most correlated with the cell outcome.
+
+    Correlations are plain Pearson over the sampled records in the cell.
+    Candidates structurally constant within the cell cannot serve as ratio
+    denominators and are excluded regardless of formal correlation; ties
+    break by declaration order.
+    """
+    correlations = link_correlations(sample, CellRows.one(cell))[0]
+    return ratio_link(sample.calibration.variable_names, correlations)
+
+
 def coefficient_of_variation(width: float, point: float, z: float = CBI_Z) -> float:
     """Interval width divided by 2z (3.92 at 95%), as a fraction of the point
     estimate."""
     if point == 0.0:
         return float("nan")
     return (width / (2.0 * z)) / abs(point)
+
+
+def cells_diagnostics(
+    directions: np.ndarray,
+    posterior_mean: np.ndarray,
+    ht: np.ndarray,
+    draws: PosteriorDraws,
+    cri_widths,
+    cbi_widths,
+    points,
+    level: float = 0.95,
+) -> list[CellDiagnostics]:
+    """Alignment and scale diagnostics of each cell whose direction is a
+    column of p x C ``directions``; ``cbi_widths`` holds None for a cell
+    without a CBI.
+
+    The replicate variance is the quadratic form a' Cov(draws) a, which must
+    agree with the empirical variance of the replicate totals.  The CVs take
+    the interval widths at ``level`` over 2 ``cbi_z(level)``.
+    """
+    z = cbi_z(level)
+    a_norm = np.linalg.norm(directions, axis=0)
+    residual = posterior_mean - ht
+    r_norm = float(np.linalg.norm(residual))
+    aligned = residual @ directions
+    replicate_variance = np.sum(directions * (draws.covariance @ directions), axis=0)
+    out = []
+    for a, dot, variance, cri_width, cbi_width, point in zip(
+        a_norm.tolist(), aligned.tolist(), replicate_variance.tolist(), cri_widths, cbi_widths, points
+    ):
+        cos_theta = None if a == 0.0 or r_norm == 0.0 else dot / (a * r_norm)
+        out.append(
+            CellDiagnostics(
+                a_norm=a,
+                cos_theta=cos_theta,
+                replicate_variance=variance,
+                cv_cri=coefficient_of_variation(cri_width, point, z),
+                cv_cbi=(
+                    coefficient_of_variation(cbi_width, point, z)
+                    if cbi_width is not None
+                    else None
+                ),
+                orthogonality_flag=(
+                    cos_theta is not None and abs(cos_theta) < ORTHOGONALITY_COS_THRESHOLD
+                ),
+            )
+        )
+    return out
 
 
 def cell_diagnostics(
@@ -315,32 +448,15 @@ def cell_diagnostics(
     point: float,
     level: float = 0.95,
 ) -> CellDiagnostics:
-    """Alignment and scale diagnostics explaining the propagation width.
-
-    The replicate variance is the quadratic form a' Cov(draws) a, which must
-    agree with the empirical variance of the replicate totals.  The CVs take
-    the interval widths at ``level`` over 2 ``cbi_z(level)``.
-    """
-    z = cbi_z(level)
-    a_norm = float(np.linalg.norm(direction))
-    residual = posterior_mean - ht
-    r_norm = float(np.linalg.norm(residual))
-    if a_norm == 0.0 or r_norm == 0.0:
-        cos_theta = None
-    else:
-        cos_theta = float(direction @ residual / (a_norm * r_norm))
-    replicate_variance = float(direction @ draws.covariance @ direction)
-    return CellDiagnostics(
-        a_norm=a_norm,
-        cos_theta=cos_theta,
-        replicate_variance=replicate_variance,
-        cv_cri=coefficient_of_variation(cri_width, point, z),
-        cv_cbi=(
-            coefficient_of_variation(cbi_width, point, z)
-            if cbi_width is not None
-            else None
-        ),
-        orthogonality_flag=(
-            cos_theta is not None and abs(cos_theta) < ORTHOGONALITY_COS_THRESHOLD
-        ),
+    """``cells_diagnostics`` of one cell."""
+    (diagnostics,) = cells_diagnostics(
+        np.asarray(direction, dtype=float)[:, None],
+        posterior_mean,
+        ht,
+        draws,
+        [cri_width],
+        [cbi_width],
+        [point],
+        level,
     )
+    return diagnostics

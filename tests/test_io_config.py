@@ -239,6 +239,30 @@ class TestIngestion:
         with pytest.raises(DataError, match=r"records\.csv:6: byte 0xff is not UTF-8$"):
             read_sample(records, strata, roles())
 
+    @pytest.mark.parametrize("block_rows", [1, 2, postcal_io.BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("r4,s2,d2", "3 fields, header has 8"),
+            ("r4,s2,d2,3.0,1,abc,managers,2000", "'abc' is not a finite number"),
+            ("r1,s2,d2,3.0,1,45,managers,2000", "duplicate record id 'r1' (first on line 2)"),
+        ],
+        ids=["ragged", "bad-number", "duplicate"],
+    )
+    def test_fault_after_a_field_spanning_lines_is_named_by_its_line(
+        self, tmp_path, monkeypatch, block_rows, row, message
+    ):
+        # data row 2 holds a label over three lines, so data row 4 starts on line 7
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        records, strata = write_inputs(tmp_path)
+        header, *rows = RECORDS_CSV.splitlines()
+        rows = [f"r{i + 1},{fields}" for i, fields in enumerate(rows)]
+        rows[1] = rows[1].replace("trades", '"tra\ndes\nmen"')
+        rows[3] = row
+        records.write_text("\n".join([f"id,{header}", *rows]) + "\n")
+        with pytest.raises(DataError, match=rf"records\.csv:7: {re.escape(message)}$"):
+            read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+
     def test_attributes_are_stored_as_codes_in_order_of_first_appearance(self, tmp_path):
         records, strata = write_inputs(tmp_path)
         sample = read_sample(records, strata, roles()).sample
@@ -402,6 +426,21 @@ class TestReadTable:
             monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
             with pytest.raises(DataError, match=rf"table\.csv:{line}: byte 0xff is not UTF-8$"):
                 _read_table(path)
+
+
+    @pytest.mark.parametrize("block_rows", [1, 2, postcal_io.BLOCK_ROWS])
+    def test_a_row_after_a_field_spanning_lines_is_named_by_its_first_line(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "table.csv"
+        path.write_text('a,b\n"x\ny",1\n3,z\n')
+        columns, lines = _read_table(path)
+        assert columns == {"a": ["x\ny", "3"], "b": ["1", "z"]}
+        assert lines == [2, 4]
+        path.write_text('a,b\n"x\ny",1\n2\n')
+        with pytest.raises(DataError, match=r"table\.csv:4: 1 fields, header has 2$"):
+            _read_table(path)
 
 
 class TestDrawsRoundTrip:

@@ -1,5 +1,7 @@
 """Invariants checked as properties over random columnar samples."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,14 +19,17 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
+    CellRows,
     SampleSet,
     StratumSpec,
     TierLabel,
     evaluate_cell,
 )
+from postcal import replicate, report
 from postcal.hb import PosteriorDraws
 from postcal.io import BandRule
 from postcal.replicate import classify_cell, recalibration_oracle, replicate_totals
+from postcal.report import analyze_cell, build_artifacts, build_run_report
 from postcal.simulate import SurveyFrame
 from postcal.variance import variance_components
 
@@ -298,7 +303,7 @@ def test_variance_components_match_the_loop_form(data):
         )
         np.testing.assert_allclose([got.component1, got.component2], [c1, c2], rtol=1e-12, atol=0)
     # the whole-sample cell c2: `still` adds exactly 0 to every domain
-    kernel = still_sample.stratum_mean_variance(cell.values[cell.rows], cell.rows)
+    kernel = still_sample.stratum_mean_variance(cells=CellRows.one(cell))[0]
     assert kernel[still].tolist() == [0.0] * spec.n_domains
 
 
@@ -411,3 +416,83 @@ def test_pivoted_cholesky_rank_matches_lapack_dpstrf(data):
     assert rank == want_rank
     assert sorted(order[rank:].tolist()) == sorted((piv[want_rank:] - 1).tolist())
     assert sorted(order.tolist()) == list(range(p))
+
+
+def assert_rows_match(got, want):
+    """Report rows agree: floats to 1e-12 of their size, or of the row's
+    totals where those cancel to near 0, everything else exactly."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        scale = max(abs(w.point), abs(w.cri_lower), abs(w.cri_upper), 1.0)
+        for f in fields(g):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            if f.name in ("cv_cri", "cv_cbi") and a is not None:
+                # a CV is a width over the point, which may cancel to near 0
+                a, b = a * abs(g.point), b * abs(w.point)
+            if isinstance(a, float):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * scale), (g.name, f.name)
+            else:
+                assert a == b, (g.name, f.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_report_matches_per_cell_analysis_in_any_grouping(data):
+    # a singleton stratum, zero posterior-mean domain totals, and cells that
+    # take every branch of the cell layer, reduced in groups of any size
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    D = data.draw(st.integers(1, 3), label="domains")
+    H = data.draw(st.integers(1, 3), label="strata")
+    n = data.draw(st.integers(6 * D, 60), label="n")
+    stratum_idx = np.append(rng.integers(0, H, n - 1), H)
+    counts = np.bincount(stratum_idx)
+    strata = tuple(
+        StratumSpec(f"s{h + 1}", max(int(c + rng.integers(0, 5)), 1), deff=float(rng.uniform(0.5, 3.0)))
+        for h, c in enumerate(counts)
+    )
+    spec = CalibrationSpec(("v1", "v2"), tuple(f"d{j + 1}" for j in range(D)))
+    sample = SampleSet(
+        strata,
+        spec,
+        stratum_idx,
+        np.arange(n) % D,
+        rng.uniform(1.0, 5.0, n),
+        np.column_stack([(rng.random(n) < 0.6).astype(float), rng.uniform(0.5, 40.0, n)]),
+        attributes={"group": rng.choice(["a", "b", "c"], n)},
+        outcomes={"u": rng.uniform(1.0, 20.0, n)},
+    )
+    assume(compute_gram(sample, spec).full_rank)
+    B = data.draw(st.integers(2, 30), label="draws")
+    mean = ht_totals(sample, spec) * rng.uniform(0.8, 1.2, spec.p)
+    mean[rng.random(spec.p) < 0.25] = 0.0  # zero denominator totals
+    draws = PosteriorDraws(mean * rng.normal(1.0, 0.05, (B, spec.p)), np.zeros(B, dtype=int))
+    art = build_artifacts(sample, draws, level=0.9)
+
+    names = st.sampled_from(("v1", "v2", "u"))
+    cells = []
+    for k in range(data.draw(st.integers(0, 6), label="cells")):
+        summed = data.draw(names, label="summed")
+        # an outcome has no CBI but as a ratio: its tier is 3-NCV
+        tiers = [TierLabel.TIER_3NCV] if summed == "u" else list(TierLabel)
+        override = data.draw(st.none() | st.sampled_from(tiers), label="override")
+        link = data.draw(st.none() | names, label="link")
+        cells.append(CellQuery(f"c{k}", summed, random_filter(data, spec), override, link))
+    cells += [
+        # empty, so no variable is an admissible link
+        CellQuery("empty", "u", CellFilter.build(attributes={"group": "zz"})),
+        CellQuery("override", "v2", CellFilter.build(domains="d1"), TierLabel.TIER_2NCA),
+        # v1 is constant in the cell: a named link of correlation 0, so weak
+        CellQuery("weak", "u", CellFilter.build(ranges={"v1": (1.0, 1.0)}), link_variable="v1"),
+        # meets every domain and stratum: zero totals and the singleton
+        CellQuery("whole", "v1"),
+    ]
+    cells = data.draw(st.permutations(cells), label="order")
+
+    want = [analyze_cell(query, art) for query in cells]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "CELL_GROUP_ROWS", data.draw(st.sampled_from([1, 7, 10**9])))
+        patch.setattr(replicate, "TOTALS_GROUP_BYTES", data.draw(st.sampled_from([1, 24 * B, 10**9])))
+        got = build_run_report(art, tuple(cells)).rows
+        backwards = build_run_report(art, tuple(cells[::-1])).rows
+    assert_rows_match(got, want)
+    assert_rows_match(backwards, want[::-1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from postcal.frame import (
     CalibrationSpec,
     CellFilter,
     CellQuery,
+    SampleSet,
     StratumSpec,
     TierLabel,
     evaluate_cell,
@@ -20,7 +23,7 @@ from postcal.replicate import (
     recalibration_oracle,
     replicate_totals,
 )
-from postcal.report import analyze_cell, build_artifacts
+from postcal.report import analyze_cell, build_artifacts, build_run_report
 
 from conftest import make_random_sample, sample_from_rows
 
@@ -373,3 +376,45 @@ class TestAnalyzeCell:
         else:
             assert row.link_rho == rho
         assert row.warnings == warnings
+
+
+def test_run_report_holds_one_group_of_rows_and_of_totals_at_a_time():
+    # eight times the cells may at most double the memory the cell layer
+    # frees again (its peak above what it retains); holding every cell's
+    # rows, or every cell's totals over 8,000 draws, at once is 8 or 6 times
+    rng = np.random.default_rng(3)
+    n, B = 16_000, 8_000
+    spec = CalibrationSpec(("v1", "v2"), ("d1", "d2"))
+    sample = SampleSet(
+        (StratumSpec("s1", 10 * n), StratumSpec("s2", 10 * n)),
+        spec,
+        np.arange(n) % 2,
+        np.arange(n) // 2 % 2,
+        rng.uniform(1.0, 5.0, n),
+        np.column_stack([(rng.random(n) < 0.6).astype(float), rng.uniform(0.5, 40.0, n)]),
+        attributes={"group": rng.choice(["a", "b"], n)},
+        outcomes={"u": rng.normal(10.0, 3.0, n)},
+    )
+    draws = PosteriorDraws(
+        ht_totals(sample, spec) * rng.normal(1.0, 0.02, (B, spec.p)), np.zeros(B, dtype=int)
+    )
+    art = build_artifacts(sample, draws, level=0.95)
+    filters = [
+        CellFilter.build(attributes={"group": "a"}),
+        CellFilter.build(attributes={"group": "b"}),
+        CellFilter.build(domains="d1"),
+        CellFilter.build(),
+    ]
+    cells = tuple(CellQuery(f"c{k}", ("v2", "u", "v1")[k % 3], filters[k % 4]) for k in range(64))
+    build_run_report(art, cells[:1])  # the draws' cached centring and covariance
+
+    def transient(count):
+        tracemalloc.start()
+        try:
+            build_run_report(art, cells[:count])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - retained
+
+    assert transient(64) <= 2 * transient(8)

@@ -268,6 +268,16 @@ class TestLinkSelection:
         link = select_linking_variable(sample, cell)
         assert link.weak
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    def test_constant_outcome_links_with_correlation_exactly_zero(self, n):
+        # the mean of n copies of 0.1 leaves a rounding residue; constancy
+        # is decided by the values themselves, not by a spread computed
+        # about that mean
+        sample, spec = link_fixture(lambda h, rng: 0.1, n=n)
+        cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
+        link = select_linking_variable(sample, cell)
+        assert (link.variable, link.correlation, link.weak) == ("hours", 0.0, True)
+
     def test_no_admissible_candidate(self):
         spec = CalibrationSpec(("employed", "hours"), ("d1",))
         strata = (StratumSpec("s1", 100),)

@@ -234,6 +234,13 @@ def integer(value) -> int:
     return int(value)
 
 
+def string(value) -> str:
+    """``value`` if it is a ``str``, else a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def positive(value) -> float:
     """``float(value)`` that is > 0: zero, a negative value and NaN are a
     ValueError."""
@@ -333,7 +340,7 @@ def _cell(entry: dict, calibration: tuple[str, ...], where: str) -> CellQuery:
     attributes = {}
     ranges = {}
     for key, value in _section(entry, "where", f"{where}.where").items():
-        path = f"{where}.where.{key}"
+        path = f"{where}.where.{_convert(key, string, f'{where}.where (cell {name!r})')}"
         if key == "domain":
             domains = _as_tuple(value)
         elif key in calibration:
@@ -403,7 +410,7 @@ def parse_config(
             outcomes=tuple(_as_tuple(columns.get("outcomes"))),
             record_id=columns.get("id"),
         )
-        paths = [(base / _require(sample, key, "sample")).resolve() for key in ("records", "strata")]
+        paths = [(base / _typed(sample, key, string, "sample")).resolve() for key in ("records", "strata")]
         for p in paths:
             if not p.exists():
                 raise ConfigError(f"input file not found: {p}")

@@ -30,10 +30,14 @@ the chain's state:
   (only when the variance is free).
 
 Proposal scales change only at window ends, so the per-window arithmetic
-(log-uniforms, proposal increments, the m * shift terms of the binomial
-coefficient steps, the Gaussian coefficient noise) is done once per window;
-the binary sampler's per-iteration arithmetic runs in buffers allocated
-once per fit.  Every
+(log-uniforms, proposal increments, the m * shift and m * step terms of the
+binomial steps, the Gaussian coefficient noise) is done once per window, and
+a window's variates are held iteration-major, ``(width, lanes, ...)``, so
+that each iteration reads contiguous slices.  The binary sampler's
+per-iteration arithmetic runs in buffers allocated once per fit: its state
+is the rows eta, n * softplus(eta), v and v^2 of one ``(4, lanes, H)``
+array, so an accepted coefficient is one masked copy of two rows and an
+accepted effects step one masked copy of all four.  Every
 per-lane product is the same BLAS call a lone chain makes, so the draws do
 not depend on the chain count or on the batch: a 2-chain fit is bit for bit
 the first two chains of a 3-chain fit, and a model fitted alone draws what
@@ -357,14 +361,15 @@ def _run_lanes(
     Lanes are models x chains, model-major: lane (j, c) reads
     ``chain_rng(seed, *spawn_keys[j], c)``.  ``draw(rng, width)`` returns one
     lane's variates for a window of ``width`` iterations, a dict of blocks
-    in stream-contract order.  Stacked over lanes into ``(lanes, width,
-    ...)`` arrays they go to ``window(blocks, scales, accepted)``, which
+    in stream-contract order.  Stacked over lanes in iteration-major order,
+    ``(width, lanes, ...)`` arrays so that iteration i's operands are
+    contiguous slices, they go to ``window(blocks, scales, accepted)``, which
     returns ``step(i)``: advance every lane through iteration i of the
     window and return the stratum values, coefficients and variances as
     ``(lanes, H)``, ``(lanes, k)`` and ``(lanes,)`` arrays.  ``proposals``
     maps each random walk to its proposals per iteration; ``scales[name]``
     holds its per-lane scales, fixed within a window, and ``step`` sets its
-    accept flags in ``accepted[name][:, i]``.  ``link`` maps the kept
+    accept flags in ``accepted[name][i]``.  ``link`` maps the kept
     stratum values in place.
     """
     C, burnin, iterations = config.chains, config.burnin, config.iterations
@@ -386,10 +391,10 @@ def _run_lanes(
         for lane, rng in enumerate(rngs):
             for kind, values in draw(rng, width).items():
                 if kind not in buffers:  # the first window is the widest
-                    buffers[kind] = np.empty((L, *values.shape))
-                buffers[kind][lane, :width] = values
-        blocks = {kind: buffer[:, :width] for kind, buffer in buffers.items()}
-        accepted = {name: np.zeros((L, width, size), bool) for name, size in proposals.items()}
+                    buffers[kind] = np.empty((width, L, *values.shape[1:]))
+                buffers[kind][:width, lane] = values
+        blocks = {kind: buffer[:width] for kind, buffer in buffers.items()}
+        accepted = {name: np.zeros((width, L, size), bool) for name, size in proposals.items()}
         step = window(blocks, scales, accepted)
         for i in range(width):
             stratum, beta, sigma2 = step(i)
@@ -402,9 +407,9 @@ def _run_lanes(
         # burn-in adapts the scales toward the acceptance band
         burning = max(burnin - start, 0)
         for name, flags in accepted.items():
-            kept_accepted[name] += flags[:, burning:].sum(axis=(1, 2))
+            kept_accepted[name] += flags[burning:].sum(axis=(0, 2))
             if burning >= _ADAPT_WINDOW:
-                rate = flags.sum(axis=1) / _ADAPT_WINDOW
+                rate = flags.sum(axis=0) / _ADAPT_WINDOW
                 scale = scales[name]
                 scale[rate < _ACCEPT_LOW] *= 0.7
                 scale[rate > _ACCEPT_HIGH] *= 1.4
@@ -481,16 +486,22 @@ def fit_binary_hb(
     sigma2 = np.full(len(beta), model.prior_scale if free_sigma else model.fixed_sigma2)
 
     eta = _lanes([Z @ start for start in beta0], C) + v
-    # state: eta and nsp = n * softplus(eta) per stratum, and nsp's lane sums;
-    # a proposal changes the log-likelihood m * eta - nsp by
-    # m * (eta' - eta) - (nsp' - nsp), so only the finiteness check forms it
-    eta_prop, nsp_prop, v_prop, gain_h, prior, tmp = (np.empty_like(eta) for _ in range(6))
-    shifts = np.empty((len(eta), k, H))
-    sum_prop, gain = np.empty(len(eta)), np.empty(len(eta))
-    nsp = _scaled_softplus(n, eta, np.empty_like(eta), tmp)
+    # state: the rows eta, nsp = n * softplus(eta), v and v^2 of one array,
+    # so that an accepted proposal is one masked copy; a proposal changes
+    # the log-likelihood m * eta - nsp by m * (eta' - eta) - (nsp' - nsp), so
+    # only the finiteness check forms it
+    state = np.stack([eta, np.empty_like(eta), v, np.square(v)])
+    eta, nsp, v, v_sq = state
+    prop = np.empty_like(state)
+    eta_prop, nsp_prop, v_prop, v_sq_prop = prop
+    gain_h, prior, tmp = (np.empty_like(eta) for _ in range(3))
+    shifts = np.empty((k, *eta.shape))
+    sum_prop, gain, two_sigma2 = np.empty(len(eta)), np.empty(len(eta)), np.empty((len(eta), 1))
+    _scaled_softplus(n, eta, nsp, tmp)
     _check_loglik(m, eta, nsp, C, "at initial state", tmp)
     nsp_sum = nsp.sum(axis=1)
     m_z = (m[:, None, :] @ Z)[:, 0]  # (lanes, k): column j is sum_h m_h Z_hj
+    z_t = Z.T[:, None, :]
 
     def draw(rng, width):
         # ``random`` is ``uniform`` on [0, 1) without the affine map
@@ -504,50 +515,47 @@ def fit_binary_hb(
 
     def window(block, scales, accepted):
         # the scales are fixed within a window, so every proposal increment,
-        # the m * shift term of its log-likelihood change and the log-uniform
-        # it is tested against are known before the window's first iteration
-        # (computed in place of the draws)
-        beta_steps = np.multiply(block["z_beta"], scales["beta"][:, None], out=block["z_beta"])
-        m_beta = beta_steps * m_z[:, None, :]
+        # the m * shift and m * step terms of its log-likelihood change and
+        # the log-uniform it is tested against are known before the window's
+        # first iteration (computed in place of the draws)
+        beta_steps = np.multiply(block["z_beta"], scales["beta"], out=block["z_beta"])
+        m_beta = beta_steps * m_z
         log_u_beta = np.log(block["u_beta"], out=block["u_beta"])
         if use_effects:
-            v_steps = np.multiply(block["z_v"], scales["effects"][:, None], out=block["z_v"])
+            v_steps = np.multiply(block["z_v"], scales["effects"], out=block["z_v"])
+            m_v = v_steps * m
             log_u_v = np.log(block["u_v"], out=block["u_v"])
         beta_flags, v_flags = accepted["beta"], accepted["effects"]
 
         def step(i):
             # regression coefficients: coordinate-wise random walk; the
             # log-likelihood change is m * shift - (sum nsp' - sum nsp)
-            np.multiply(beta_steps[:, i, :, None], Z.T, out=shifts)
+            np.multiply(beta_steps[i].T[:, :, None], z_t, out=shifts)
             for j in range(k):
-                np.add(eta, shifts[:, j], out=eta_prop)
+                np.add(eta, shifts[j], out=eta_prop)
                 np.add.reduce(_scaled_softplus(n, eta_prop, nsp_prop, tmp), axis=1, out=sum_prop)
                 np.subtract(sum_prop, nsp_sum, out=gain)
-                np.subtract(m_beta[:, i, j], gain, out=gain)
-                accept = np.less(log_u_beta[:, i, j], gain, out=beta_flags[:, i, j])
-                np.add(beta[:, j], beta_steps[:, i, j], out=beta[:, j], where=accept)
-                np.copyto(eta, eta_prop, where=accept[:, None])
-                np.copyto(nsp, nsp_prop, where=accept[:, None])
+                np.subtract(m_beta[i, :, j], gain, out=gain)
+                accept = np.less(log_u_beta[i, :, j], gain, out=beta_flags[i, :, j])
+                np.add(beta[:, j], beta_steps[i, :, j], out=beta[:, j], where=accept)
+                np.copyto(state[:2], prop[:2], where=accept[:, None])
                 np.copyto(nsp_sum, sum_prop, where=accept)
             # stratum effects: simultaneous independent random walks, each
             # tested on m * step - (nsp' - nsp) - (v'^2 - v^2) / (2 sigma2)
             if use_effects:
-                np.add(v, v_steps[:, i], out=v_prop)
-                np.add(eta, v_steps[:, i], out=eta_prop)
+                np.add(v, v_steps[i], out=v_prop)
+                np.add(eta, v_steps[i], out=eta_prop)
                 _scaled_softplus(n, eta_prop, nsp_prop, tmp)
-                np.multiply(m, v_steps[:, i], out=gain_h)
-                np.subtract(gain_h, np.subtract(nsp_prop, nsp, out=tmp), out=gain_h)
-                np.square(v_prop, out=prior)
-                np.subtract(prior, np.square(v, out=tmp), out=prior)
-                np.divide(prior, (2.0 * sigma2)[:, None], out=prior)
+                np.subtract(m_v[i], np.subtract(nsp_prop, nsp, out=tmp), out=gain_h)
+                np.square(v_prop, out=v_sq_prop)
+                np.subtract(v_sq_prop, v_sq, out=prior)
+                np.divide(prior, np.multiply(sigma2[:, None], 2.0, out=two_sigma2), out=prior)
                 np.subtract(gain_h, prior, out=gain_h)
-                accept = np.less(log_u_v[:, i], gain_h, out=v_flags[:, i])
-                np.copyto(v, v_prop, where=accept)
-                np.copyto(eta, eta_prop, where=accept)
-                np.copyto(nsp, nsp_prop, where=accept)
+                accept = np.less(log_u_v[i], gain_h, out=v_flags[i])
+                np.copyto(state, prop, where=accept)
                 np.add.reduce(nsp, axis=1, out=nsp_sum)
             if free_sigma:
-                sigma2[:] = _sigma2_draws(v, block["chisq"][:, i], model)
+                sigma2[:] = _sigma2_draws(v, block["chisq"][i], model)
             _check_loglik(m, eta, nsp, C, "during sampling", tmp)
             return eta, beta, sigma2
 
@@ -625,11 +633,11 @@ def fit_gaussian_fh(
             nonlocal beta
             prec = prec_data + 1.0 / sigma2[:, None]
             mean = (est_prec + synthetic(beta) / sigma2[:, None]) / prec
-            theta = mean + block["z_theta"][:, i] / np.sqrt(prec)
+            theta = mean + block["z_theta"][i] / np.sqrt(prec)
             beta_hat = (projection @ theta[:, :, None])[:, :, 0]
-            beta = beta_hat + np.sqrt(sigma2)[:, None] * noise[:, i]
+            beta = beta_hat + np.sqrt(sigma2)[:, None] * noise[i]
             if free_sigma:
-                sigma2[:] = _sigma2_draws(theta - synthetic(beta), block["chisq"][:, i], model)
+                sigma2[:] = _sigma2_draws(theta - synthetic(beta), block["chisq"][i], model)
             return theta, beta, sigma2
 
         return step

@@ -154,17 +154,20 @@ def _kept_lines(fh, path: Path, numbers: list[int], not_utf8: list[str]) -> Iter
 def _row_starts(path: Path, stop: int) -> list[int]:
     """The file line on which each of the first ``stop`` data rows starts,
     counted by reading the file again: a quoted field may span lines, so a
-    row's line is the first of those its reader consumed."""
+    row's line is the first of those its reader consumed.  A row the csv
+    module cannot parse ends them, with its own line."""
     numbers: list[int] = []
     starts: list[int] = []
     with _open(path) as fh:
         reader = csv.reader(_kept_lines(fh, path, numbers, []))
-        next(reader)  # the header
-        consumed = reader.line_num
-        for _ in islice(reader, stop):
+        consumed = 0
+        try:
+            for _ in islice(reader, stop + 1):  # the header, then the rows
+                starts.append(numbers[consumed])
+                consumed = reader.line_num
+        except csv.Error:
             starts.append(numbers[consumed])
-            consumed = reader.line_num
-    return starts
+    return starts[1:]
 
 
 class _RowLines:
@@ -191,52 +194,60 @@ def _row_blocks(path: Path) -> Iterator:
     and its rows' file lines (``_RowLines``).
 
     One ``csv.reader`` runs over the kept lines.  A row with the wrong field
-    count, or a line with a byte that is not UTF-8, ends the rows: its block
-    is cut before it and the fault is raised when the next block is asked
-    for, so a consumer that checks every block it gets reports the first
-    fault in file order.
+    count or that the csv module cannot parse (an unmatched quote whose field
+    runs past its size limit), or a line with a byte that is not UTF-8, ends
+    the rows: its block is cut before it and the fault is raised when the
+    next block is asked for, so a consumer that checks every block it gets
+    reports the first fault in file order.
     """
     numbers: list[int] = []
     not_utf8: list[str] = []
     with _open(path) as fh:
         reader = csv.reader(_kept_lines(fh, path, numbers, not_utf8))
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DataError(f"{path}:{numbers[0]}: {exc}") from None
         k = len(header or ())
         numbers.clear()
-        flat, ragged = _next_block(reader, k)
-        if not flat and ragged is None:
+        flat, fault = _next_block(reader, k)
+        if not flat and fault is None:
             raise DataError(not_utf8[0] if not_utf8 else f"{path}: no data rows")
         yield header
         first = 0  # the data row that opens the block
-        while flat or ragged is not None:
+        while flat or fault is not None:
             n = len(flat) // k
-            # the lines of the block's rows, and of the ragged row that ends it
-            lines = _RowLines(path, numbers.copy(), first, n + (ragged is not None))
+            # the lines of the block's rows, and of the faulty row that ends it
+            lines = _RowLines(path, numbers.copy(), first, n + (fault is not None))
             numbers.clear()
             if flat:
                 columns = {name: flat[j::k] for j, name in enumerate(header)}
                 flat = None  # only one block's fields are alive at a time
                 yield columns, lines
                 columns = None
-            if ragged is not None:
-                raise DataError(f"{path}:{lines[n]}: {ragged} fields, header has {k}")
+            if fault is not None:
+                raise DataError(f"{path}:{lines[n]}: {fault}")
             first += n
-            flat, ragged = _next_block(reader, k)
+            flat, fault = _next_block(reader, k)
         if not_utf8:
             raise DataError(not_utf8[0])
 
 
-def _next_block(reader, k: int) -> tuple[list[str], int | None]:
+def _next_block(reader, k: int) -> tuple[list[str], str | None]:
     """The fields of the next ``BLOCK_ROWS`` rows of ``k`` fields on one flat
-    list, so that column j is ``flat[j::k]``, and the field count of a row
-    with another count, which ends the block.  Each row's list is dropped
-    as soon as it is parsed: a block of them alive would make the cyclic
-    garbage collector scan them over and over."""
+    list, so that column j is ``flat[j::k]``, and the fault of a row with
+    another field count or that the reader cannot parse, which ends the
+    block.  Each row's list is dropped as soon as it is parsed: a block of
+    them alive would make the cyclic garbage collector scan them over and
+    over."""
     flat: list[str] = []
-    for row in islice(reader, BLOCK_ROWS):
-        if len(row) != k:
-            return flat, len(row)
-        flat.extend(row)
+    try:
+        for row in islice(reader, BLOCK_ROWS):
+            if len(row) != k:
+                return flat, f"{len(row)} fields, header has {k}"
+            flat.extend(row)
+    except csv.Error as exc:
+        return flat, str(exc)
     return flat, None
 
 
@@ -441,6 +452,21 @@ def read_sample(
     return IngestedSample(sample=sample, record_ids=record_ids, strata_covariates=covariates)
 
 
+# A field is quoted, as the csv module's default dialect quotes it, only when
+# it holds one of these.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _formatted(first_format: str, first, columns) -> Iterator[str]:
+    """Rows of ``first`` (tags or csv-ready ids) then the float ``columns``
+    as text, in blocks of ``BLOCK_ROWS``: what csv.writer writes for
+    ``format_machine`` fields, but one ``%`` over ``tolist()`` floats per row."""
+    line = first_format + f",{MACHINE_FLOAT}" * len(columns) + "\r\n"
+    for start in range(0, len(first), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        yield "".join([line % row for row in zip(first[block], *(c[block].tolist() for c in columns))])
+
+
 def write_draws(
     path: str | Path,
     draws: PosteriorDraws,
@@ -453,15 +479,8 @@ def write_draws(
         raise DataError(
             f"draw matrix width {draws.p} does not match layout p={len(labels)}"
         )
-    write_table(
-        path,
-        ("chain",) + labels,
-        (
-            [str(int(tag))] + [format_machine(x) for x in row]
-            for tag, row in zip(draws.chain_tags, draws.draws)
-        ),
-        metadata=metadata,
-    )
+    text = _formatted("%d", draws.chain_tags.tolist(), draws.draws.T)
+    write_table(path, ("chain",) + labels, (), metadata, text)
 
 
 def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
@@ -498,31 +517,23 @@ def write_weights(
     metadata: dict | None = None,
 ) -> None:
     """Posterior-mean calibrated weight export."""
-    write_table(
-        path,
-        ["record_id", "design_weight", "g_factor", "calibrated_weight"],
-        (
-            [rid, format_machine(w), format_machine(g), format_machine(wc)]
-            for rid, w, g, wc in zip(record_ids, design_weights, g_factors, calibrated)
-        ),
-        metadata=metadata,
-    )
+    if _QUOTED.search("".join(record_ids)):
+        record_ids = ['"' + x.replace('"', '""') + '"' if _QUOTED.search(x) else x for x in record_ids]
+    header = ["record_id", "design_weight", "g_factor", "calibrated_weight"]
+    text = _formatted("%s", record_ids, (design_weights, g_factors, calibrated))
+    write_table(path, header, (), metadata, text)
 
 
-def write_table(
-    path: str | Path,
-    header,
-    rows,
-    metadata: dict | None = None,
-) -> None:
+def write_table(path: str | Path, header, rows, metadata: dict | None = None, text=()) -> None:
     """Generic delimited table writer, the metadata first as ``# key=value``
-    comment lines in key order."""
+    comment lines in key order; ``text`` is rows already formatted."""
     metadata = metadata or {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

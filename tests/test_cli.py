@@ -20,7 +20,7 @@ from postcal import simulate
 from postcal.report import CellReportRow
 from postcal.simulate import draw_stratified_sample, generate_population, run_chunk
 
-from test_golden import run_demo, run_simulate
+from test_golden import DEMO_CONFIG, run_demo, run_simulate
 from test_simulate import run_config, small_spec
 
 SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
@@ -730,6 +730,16 @@ MALFORMED_INPUTS = [
         ]
     ),
     pytest.param(break_yaml, "config.yaml", id="yaml-syntax-error"),
+    # the input paths must be strings, a cell filter's keys too
+    *(
+        pytest.param(set_config(f"sample.{key}", value), f"sample.{key}: expected string", id=f"{key}-{value}")
+        for key, value in [("records", None), ("strata", None), ("records", 5), ("strata", ["a.csv"])]
+    ),
+    pytest.param(
+        set_config("cells.0.where", {1: "x", "domain": "d1"}),
+        "cells[0].where (cell 'hours_d1'): expected string, got 1",
+        id="cell-filter-integer-key",
+    ),
     *(
         pytest.param(set_config(key, value), f"{key}: expected a mapping", id=f"{key}-not-a-mapping")
         for key, value in [
@@ -865,6 +875,19 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
+
+    def test_unmatched_quote_in_a_demo_draw_file_names_its_line(self, tmp_path, capsys):
+        # the quoted field runs on past the csv module's field size limit
+        config = ["--config", str(DEMO_CONFIG), "--out", str(tmp_path)]
+        assert main(["fit", *config]) == 0
+        path = tmp_path / "draws.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith(b"chain,")) + 100
+        lines[row] = lines[row].replace(b",", b',"', 1)
+        path.write_bytes(b"".join(lines))
+        cause = f"draws.csv:{row + 1}: field larger than field limit ({csv.field_size_limit()})"
+        for command in ("infer", "calibrate", "diagnose"):
+            assert_exit_2_naming(capsys, [command, *config, "--draws", str(path)], cause)
 
     def test_one_draw_file_is_too_few_for_diagnose_but_enough_for_calibrate(self, tmp_path, capsys):
         write_sample_files(tmp_path)

@@ -33,6 +33,7 @@ from postcal.io import (
     BandRule,
     ColumnRoles,
     _read_table,
+    format_machine,
     read_draws,
     read_sample,
     write_draws,
@@ -443,6 +444,32 @@ class TestReadTable:
             _read_table(path)
 
 
+    @pytest.mark.parametrize("block_rows", [1, 2, postcal_io.BLOCK_ROWS])
+    def test_unmatched_quote_is_named_by_the_line_its_row_starts_on(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # the quoted field runs on past the csv module's field size limit; a
+        # field spanning lines ahead of it makes the reader count the rows'
+        # lines again
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        records, strata = write_inputs(tmp_path)
+        write_records(records, 2_000)
+        lines = records.read_bytes().decode().split("\r\n")
+        lines[1] = lines[1].replace("managers", '"mana\r\ngers"')
+        lines[5] = lines[5].replace(",s", ',"s', 1)  # data row 4, file line 7
+        assert len("\r\n".join(lines[5:])) > csv.field_size_limit()
+        records.write_text("\r\n".join(lines), newline="")
+        limit = rf"field larger than field limit \({csv.field_size_limit()}\)$"
+        with pytest.raises(DataError, match=rf"records\.csv:7: {limit}"):
+            read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+
+    def test_unmatched_quote_in_the_header_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text('# seed=1\n\n"a,b\n' + "1,2\n" * 40_000)
+        with pytest.raises(DataError, match=r"table\.csv:3: field larger than field limit"):
+            _read_table(path)
+
+
 class TestDrawsRoundTrip:
     def test_exact_float_round_trip(self, tmp_path):
         spec = CalibrationSpec(("a", "b"), ("d1", "d2"))
@@ -483,6 +510,66 @@ class TestDrawsRoundTrip:
         assert lines[0] == "# seed=7"
         assert lines[1] == "record_id,design_weight,g_factor,calibrated_weight"
         assert lines[2].startswith("r1,2,1.1")
+
+
+def reference_table(path, header, rows, metadata):
+    """The writers' former form: csv.writer rows of ``format_machine`` fields."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# ids that csv.writer quotes, and the empty id, which it does not
+QUOTED_IDS = st.sampled_from(["", ",", '"', "\r", "\n", 'a"b', "a,b", "x\r\ny", '""', " q "])
+MACHINE_VALUES = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, 3.0, -12.0, 2.0**53])
+
+
+class TestRowFormattedWriters:
+    """``write_draws`` and ``write_weights`` write byte for byte what
+    csv.writer writes for the same rows of ``format_machine`` fields."""
+
+    @staticmethod
+    def rows(data, monkeypatch, width):
+        """Drawn (id, values) rows repeated to a count on either side of a
+        block boundary, at block sizes 1, 2, 3 and the real ``BLOCK_ROWS``."""
+        block_rows = data.draw(st.sampled_from([1, 2, 3, postcal_io.BLOCK_ROWS]), label="block_rows")
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        row = st.tuples(
+            st.text(max_size=5) | QUOTED_IDS, st.lists(MACHINE_VALUES, min_size=width, max_size=width)
+        )
+        drawn = data.draw(st.lists(row, min_size=1, max_size=7), label="rows")
+        n = data.draw(st.sampled_from([len(drawn), block_rows - 1, block_rows, block_rows + 1]), label="n")
+        rows = [drawn[i % len(drawn)] for i in range(n)]
+        return [rid for rid, _ in rows], np.array([v for _, v in rows], dtype=float).reshape(n, width)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_weights_match_csv_writer(self, tmp_path_factory, monkeypatch, data):
+        ids, values = self.rows(data, monkeypatch, 3)
+        metadata = {"seed": 7, "config_hash": "ab"}
+        got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
+        write_weights(got, ids, *values.T, metadata=metadata)
+        header = ["record_id", "design_weight", "g_factor", "calibrated_weight"]
+        rows = ([rid, *map(format_machine, row)] for rid, row in zip(ids, values))
+        reference_table(want, header, rows, metadata)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_draws_match_csv_writer(self, tmp_path_factory, monkeypatch, data):
+        spec = CalibrationSpec(("a", "b"), ("d1", "d2"))
+        _, values = self.rows(data, monkeypatch, spec.p)
+        values[~np.isfinite(values)] = 0.0  # a draw matrix holds finite values
+        n = len(values)
+        tags = data.draw(st.lists(st.integers(-3, 2**40), min_size=n, max_size=n), label="tags")
+        draws = PosteriorDraws(draws=values, chain_tags=np.array(tags, dtype=int))
+        got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
+        write_draws(got, draws, spec, metadata={"seed": 1})
+        rows = ([str(int(t)), *map(format_machine, row)] for t, row in zip(draws.chain_tags, draws.draws))
+        reference_table(want, ("chain",) + spec.block_labels(), rows, {"seed": 1})
+        assert got.read_bytes() == want.read_bytes()
 
 
 BASE_CONFIG = {

@@ -307,6 +307,15 @@ def _names(section: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(_name(v, path) for path, v in _entries(section, key, where))
 
 
+def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
+    """``section[key]``, a name or a list of them, as names; absent or null
+    is none."""
+    value = section.get(key)
+    if isinstance(value, list):
+        return _names(section, key, where)
+    return () if value is None else (_name(value, f"{where}.{key}"),)
+
+
 def _bound(interval: dict, key: str, where: str) -> float | None:
     value = interval.get(key)
     return None if value is None else _convert(value, float, f"{where}.{key}")
@@ -333,16 +342,34 @@ def _band_rules(section: dict, where: str) -> tuple[BandRule, ...]:
     return tuple(rules)
 
 
+def _check_json(value, where: str) -> None:
+    """A ConfigError for the first mapping key in ``value`` that is not a
+    string, or the first leaf that JSON cannot hold (a YAML date), each
+    named by its key path: ``config_hash`` writes the document as JSON with
+    sorted keys."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else str(key)
+            _convert(key, string, path)
+            _check_json(item, path)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_json(item, f"{where}[{i}]")
+    elif not isinstance(value, (str, int, float, type(None))):
+        raise ConfigError(f"{where}: expected a string, number, boolean or null, got {value!r}")
+
+
 def _cell(entry: dict, calibration: tuple[str, ...], where: str) -> CellQuery:
     name = _name(_require(entry, "name", where), f"{where}.name")
     summed = _name(_require(entry, "sum", where), f"{where}.sum")
     domains = None
     attributes = {}
     ranges = {}
-    for key, value in _section(entry, "where", f"{where}.where").items():
+    filters = _section(entry, "where", f"{where}.where")
+    for key, value in filters.items():
         path = f"{where}.where.{_convert(key, string, f'{where}.where (cell {name!r})')}"
         if key == "domain":
-            domains = _as_tuple(value)
+            domains = _name_or_names(filters, key, f"{where}.where")
         elif key in calibration:
             if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
                 raise ConfigError(
@@ -398,23 +425,24 @@ def parse_config(
     sample = _section(raw, "sample", "sample")
     calibration: tuple[str, ...] = ()
     if sample:
-        columns = _mapping(_require(sample, "columns", "sample"), "sample.columns")
-        _require(columns, "calibration", "sample.columns")
-        calibration = _names(columns, "calibration", "sample.columns")
+        where = "sample.columns"
+        columns = _mapping(_require(sample, "columns", "sample"), where)
+        _require(columns, "calibration", where)
+        calibration = _names(columns, "calibration", where)
         found["roles"] = ColumnRoles(
-            stratum=_require(columns, "stratum", "sample.columns"),
-            domain=_require(columns, "domain", "sample.columns"),
-            weight=_require(columns, "weight", "sample.columns"),
+            stratum=_name(_require(columns, "stratum", where), f"{where}.stratum"),
+            domain=_name(_require(columns, "domain", where), f"{where}.domain"),
+            weight=_name(_require(columns, "weight", where), f"{where}.weight"),
             calibration=calibration,
-            attributes=tuple(_as_tuple(columns.get("attributes"))),
-            outcomes=tuple(_as_tuple(columns.get("outcomes"))),
-            record_id=columns.get("id"),
+            attributes=_name_or_names(columns, "attributes", where),
+            outcomes=_name_or_names(columns, "outcomes", where),
+            record_id=None if columns.get("id") is None else _name(columns["id"], f"{where}.id"),
         )
-        paths = [(base / _typed(sample, key, string, "sample")).resolve() for key in ("records", "strata")]
-        for p in paths:
+        paths = {key: (base / _typed(sample, key, string, "sample")).resolve() for key in ("records", "strata")}
+        for key, p in paths.items():
             if not p.exists():
-                raise ConfigError(f"input file not found: {p}")
-        found["records_path"], found["strata_path"] = paths
+                raise ConfigError(f"sample.{key}: input file not found: {p}")
+        found["records_path"], found["strata_path"] = paths.values()
         found["domain_order"] = _names(sample, "domain_order", "sample") or None
 
     models = {}
@@ -464,6 +492,7 @@ def parse_config(
         raise ConfigError(f"duplicate cell names: {dupes}")
 
     found.update(_given(_section(raw, "report", "report"), "report", level=float))
+    _check_json(raw, "")
     return RunConfig(
         seed=seed,
         raw=raw,

@@ -12,6 +12,17 @@ of ``BLOCK_ROWS`` rows: a block's fields are held as strings only while its
 columns are parsed and coded, and of several faults in a file the first in
 file order is reported.  Numeric values are written with 17 significant
 digits so that re-reading reproduces the float64 values exactly.
+
+A block takes one of two paths.  After the header, the lines are read
+``BLOCK_ROWS`` at a time, and a *plain* chunk is split with one
+``str.split``: it has no quote, NUL or byte that is not UTF-8, no line that
+is blank, a '#' line or starts with whitespace, none longer than the csv
+module's field size limit, one line end throughout (all LF or all CRLF),
+and as many fields on every line as the header has.  The csv module reads
+such a line as exactly those fields on every supported Python.  From the
+first chunk that is not plain, the rest of the file goes through
+``csv.reader`` over the kept lines, so quoted fields, comments, ragged rows
+and every fault's ``file:line`` come out as the csv module makes them.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 import re
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -137,11 +148,14 @@ def _open(path: Path):
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
-def _kept_lines(fh, path: Path, numbers: list[int], not_utf8: list[str]) -> Iterator[str]:
-    """The lines of ``fh`` that are neither blank nor '#' lines, each one's
-    file line appended to ``numbers``; a line with a byte that is not UTF-8
-    ends them, its fault appended to ``not_utf8``."""
-    for number, line in enumerate(fh, 1):
+def _kept_lines(
+    fh, path: Path, numbers: list[int], not_utf8: list[str], start: int = 1
+) -> Iterator[str]:
+    """The lines of ``fh``, the first of them file line ``start``, that are
+    neither blank nor '#' lines, each one's file line appended to
+    ``numbers``; a line with a byte that is not UTF-8 ends them, its fault
+    appended to ``not_utf8``."""
+    for number, line in enumerate(fh, start):
         byte = not line.isascii() and _NOT_UTF8.search(line)
         if byte:
             not_utf8.append(f"{path}:{number}: byte {ord(byte[0]) - 0xDC00:#04x} is not UTF-8")
@@ -149,6 +163,48 @@ def _kept_lines(fh, path: Path, numbers: list[int], not_utf8: list[str]) -> Iter
         if line.strip() and not line.startswith("#"):
             numbers.append(number)
             yield line
+
+
+# A line that starts blank, with whitespace or with '#', after the first
+_SKIPPED_START = re.compile(r"\n[\s#]")
+
+
+def _plain_fields(lines: list[str], k: int) -> list[str] | None:
+    """The fields of a plain chunk of lines (see the module docstring; the
+    last line of the file may lack its end) on one flat list, so that
+    column j is ``flat[j::k]``; None when the chunk is empty or not plain."""
+    if not lines:
+        return None
+    end = "\r\n" if lines[0].endswith("\r\n") else "\n"
+    text = "".join(lines)
+    if not text.endswith(("\r", "\n")):
+        text += end
+    if (
+        '"' in text
+        or "\0" in text
+        or (end == "\n" and "\r" in text)
+        or (not text.isascii() and _NOT_UTF8.search(text))
+        or text[0].isspace()
+        or text[0] == "#"
+        or _SKIPPED_START.search(text)
+    ):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    # every line end stays on the last field of its line, so the lines have
+    # k fields each exactly when every k-th field holds one; replacing "\n"
+    # alone takes less than half the time of replacing "\r\n"
+    flat = text.replace("\n", "\n,").split(",")
+    flat.pop()
+    n = len(lines)
+    if len(flat) != n * k:
+        return None
+    last = "".join(flat[k - 1 :: k])
+    if last.count(end) != n:
+        return None
+    flat[k - 1 :: k] = last.split(end)[:-1]
+    return flat
 
 
 def _row_starts(path: Path, stop: int) -> list[int]:
@@ -191,14 +247,17 @@ class _RowLines:
 def _row_blocks(path: Path) -> Iterator:
     """The header of a delimited file, then its data rows in blocks of
     ``BLOCK_ROWS``, each as its columns by header name (lists of fields)
-    and its rows' file lines (``_RowLines``).
+    and its rows' file lines (a ``range`` or ``_RowLines``).
 
-    One ``csv.reader`` runs over the kept lines.  A row with the wrong field
-    count or that the csv module cannot parse (an unmatched quote whose field
-    runs past its size limit), or a line with a byte that is not UTF-8, ends
-    the rows: its block is cut before it and the fault is raised when the
-    next block is asked for, so a consumer that checks every block it gets
-    reports the first fault in file order.
+    After a header the csv module parsed cleanly, the lines are read in
+    chunks of ``BLOCK_ROWS``, and a plain chunk (``_plain_fields``) is one
+    block of as many rows.  From the first chunk that is not plain, one
+    ``csv.reader`` runs over the kept lines of the rest of the file.  A row
+    with the wrong field count or that the csv module cannot parse (an
+    unmatched quote whose field runs past its size limit), or a line with a
+    byte that is not UTF-8, ends the rows: its block is cut before it and
+    the fault is raised when the next block is asked for, so a consumer
+    that checks every block it gets reports the first fault in file order.
     """
     numbers: list[int] = []
     not_utf8: list[str] = []
@@ -209,17 +268,35 @@ def _row_blocks(path: Path) -> Iterator:
         except csv.Error as exc:
             raise DataError(f"{path}:{numbers[0]}: {exc}") from None
         k = len(header or ())
-        numbers.clear()
-        flat, fault = _next_block(reader, k)
+        # the file line that opens the next chunk, while the chunks are plain
+        line = numbers[-1] + 1 if header and not not_utf8 else None
+        first = 0  # the data row that opens the block
+
+        def next_block() -> tuple[list[str], Sequence[int], str | None]:
+            nonlocal reader, line, first
+            if line is not None:
+                chunk = list(islice(fh, BLOCK_ROWS))
+                flat = _plain_fields(chunk, k)
+                if flat is not None:
+                    first += len(chunk)
+                    line += len(chunk)
+                    return flat, range(line - len(chunk), line), None
+                reader = csv.reader(_kept_lines(chain(chunk, fh), path, numbers, not_utf8, line))
+                line = None
+            numbers.clear()
+            flat, fault = _next_block(reader, k)
+            n = len(flat) // k if flat else 0  # k is 0 in a file with no header
+            # the lines of the block's rows, and of the faulty row that ends it
+            lines = _RowLines(path, numbers.copy(), first, n + (fault is not None))
+            first += n
+            return flat, lines, fault
+
+        flat, lines, fault = next_block()
         if not flat and fault is None:
             raise DataError(not_utf8[0] if not_utf8 else f"{path}: no data rows")
         yield header
-        first = 0  # the data row that opens the block
         while flat or fault is not None:
             n = len(flat) // k
-            # the lines of the block's rows, and of the faulty row that ends it
-            lines = _RowLines(path, numbers.copy(), first, n + (fault is not None))
-            numbers.clear()
             if flat:
                 columns = {name: flat[j::k] for j, name in enumerate(header)}
                 flat = None  # only one block's fields are alive at a time
@@ -227,8 +304,7 @@ def _row_blocks(path: Path) -> Iterator:
                 columns = None
             if fault is not None:
                 raise DataError(f"{path}:{lines[n]}: {fault}")
-            first += n
-            flat, fault = _next_block(reader, k)
+            flat, lines, fault = next_block()
         if not_utf8:
             raise DataError(not_utf8[0])
 

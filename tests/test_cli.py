@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import filecmp
 import json
 import math
@@ -740,6 +741,28 @@ MALFORMED_INPUTS = [
         "cells[0].where (cell 'hours_d1'): expected string, got 1",
         id="cell-filter-integer-key",
     ),
+    # a column name or a cell's domain that is a mapping or list cannot be hashed
+    *(
+        pytest.param(set_config(key, value), f"{path}: expected a name, got", id=f"{key}-{type(value).__name__}")
+        for key, path, value in [
+            ("sample.columns.stratum", "sample.columns.stratum", {"a": 1}),
+            ("sample.columns.id", "sample.columns.id", ["id"]),
+            ("sample.columns.outcomes", "sample.columns.outcomes[0]", [{"a": 1}]),
+            ("sample.columns.attributes", "sample.columns.attributes", {"a": 1}),
+            ("cells.0.where.domain", "cells[0].where.domain", {"a": 1}),
+        ]
+    ),
+    pytest.param(set_config("sample.records", "absent.csv"), "sample.records: input file not found", id="records-absent"),
+    # the config hash writes the document as JSON with sorted keys
+    *(
+        pytest.param(set_config(key, value), f"{key}: expected string, got 1", id=f"integer-key-{key}")
+        for key, value in [("mcmc.1", 5), ("1", "x"), ("models.1", {"kind": "binary"})]
+    ),
+    pytest.param(
+        set_config("notes", datetime.date(2020, 1, 1)),
+        "notes: expected a string, number, boolean or null, got datetime.date(2020, 1, 1)",
+        id="date-value",
+    ),
     *(
         pytest.param(set_config(key, value), f"{key}: expected a mapping", id=f"{key}-not-a-mapping")
         for key, value in [
@@ -898,6 +921,14 @@ class TestMalformedInput:
         assert_exit_2_naming(capsys, ["diagnose", *argv], f"{draws}: 1 draw; diagnose needs at least 2")
         assert main(["calibrate", *argv]) == 0
         assert (tmp_path / "out" / "weights.csv").exists()
+
+    def test_integer_key_stops_fit_before_it_samples(self, tmp_path, capsys, monkeypatch):
+        # the config hash is written only after the fit; the key is refused before it
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        set_config("mcmc.1", 5)(tmp_path)
+        monkeypatch.setattr("postcal.cli.fit_all_variables", lambda *a, **k: pytest.fail("fit ran"))
+        assert_exit_2_naming(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")], "mcmc.1")
 
     @pytest.mark.parametrize("command", ["fit", "calibrate", "infer", "diagnose", "simulate"])
     def test_one_retained_draw_is_refused_by_key_where_intervals_need_two(

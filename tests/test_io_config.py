@@ -327,9 +327,23 @@ def reference_read_table(path):
     return dict(zip(header, zip(*rows))), lines[1:]
 
 
-# labels with the characters that force csv quoting; no 'r', so no label
-# can equal a field of the ragged row below
+def csv_reads_nul():
+    """Whether this Python's csv module reads a NUL as a character (3.11 on)
+    rather than raising "line contains NUL" (3.10)."""
+    try:
+        return list(csv.reader(["a\0b"])) == [["a\0b"]]
+    except csv.Error:
+        return False
+
+
+# labels with the characters that force csv quoting, and the alphabets of
+# plain ones (one with a NUL where the csv module reads one), so that a table
+# may open with plain lines and go on with lines only the csv module reads;
+# no 'r', so no label can equal a field of the ragged row below
 LABELS = st.text(alphabet='ab ,"', max_size=6).filter(lambda s: s == "" or s.strip())
+PLAIN_ALPHABETS = st.sampled_from(["ab", "ab "] + ["ab\0"] * csv_reads_nul())
+# two of them make a line longer than the csv module's field size limit
+LONG_LABEL = "a" * (csv.field_size_limit() // 2 + 1)
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 NOISE_LINES = st.sampled_from(["", "   ", "\t", "# run metadata", "#a,b,\"c", "# "])
 
@@ -337,10 +351,17 @@ NOISE_LINES = st.sampled_from(["", "   ", "\t", "# run metadata", "#a,b,\"c", "#
 @st.composite
 def delimited_tables(draw):
     """A csv.writer table as a list of lines without their ends, with blank
-    and '#' lines at random positions, and the index of its header line."""
+    and '#' lines at random positions, and the index of its header line.
+    Its rows are some of plain labels, then some of any labels; one of them
+    may hold two ``LONG_LABEL``s."""
     k = draw(st.integers(1, 4), label="columns")
     header = draw(st.lists(LABELS.filter(bool), min_size=k, max_size=k, unique=True))
-    rows = draw(st.lists(st.lists(LABELS, min_size=k, max_size=k), min_size=1, max_size=8))
+    plain = st.text(alphabet=draw(PLAIN_ALPHABETS), max_size=6).filter(lambda s: s == "" or s.strip())
+    rows = draw(st.lists(st.lists(plain, min_size=k, max_size=k), max_size=8), label="plain rows")
+    if not rows or draw(st.booleans(), label="any rows after"):
+        rows += draw(st.lists(st.lists(LABELS, min_size=k, max_size=k), min_size=1, max_size=8))
+    if k > 1 and draw(st.integers(0, 3), label="long line") == 0:
+        rows[draw(st.integers(0, len(rows) - 1))][:2] = [LONG_LABEL] * 2
     lines = []
     for row in [header, *rows]:
         out = io.StringIO()
@@ -353,7 +374,9 @@ def delimited_tables(draw):
 
 
 def join_lines(draw, lines):
-    return "".join(line + draw(LINE_ENDS) for line in lines)
+    """The lines, each with one line end for them all or each its own."""
+    end = draw(st.one_of(st.none(), LINE_ENDS), label="one line end")
+    return "".join(line + (end or draw(LINE_ENDS)) for line in lines)
 
 
 # Block sizes the reader is checked at: at 1, 2 and 3 rows a block boundary
@@ -469,6 +492,95 @@ class TestReadTable:
         with pytest.raises(DataError, match=r"table\.csv:3: field larger than field limit"):
             _read_table(path)
 
+
+# what breaks a line of an input file when put into it: a quote, a NUL, a
+# byte that is not UTF-8, a field separator, a line end, a leading space, '#'
+BREAKS = st.sampled_from(['"', "\0", "\udcff", ",", "\r", "\n", " ", "#"])
+# what a field may be swapped for; the last is longer than the csv module's field size limit
+FAULTY_FIELDS = st.sampled_from(["nan", "1e400", "", "x", "9" * (csv.field_size_limit() + 1)])
+
+
+@st.composite
+def broken_files(draw, header, row):
+    """The text of a file with ``header`` and rows drawn from ``row`` (which
+    get the row number as their first field), with blank and '#' lines and
+    line ends as ``join_lines`` draws them; a row may be repeated, a field
+    swapped for a faulty one, and a line broken at a random place."""
+    rows = [[str(i), *draw(row)] for i in range(draw(st.integers(1, 12), label="rows"))]
+    if draw(st.booleans(), label="repeat a row"):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    if draw(st.booleans(), label="swap a field"):
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(FAULTY_FIELDS)
+    lines = [",".join(fields) for fields in [header, *rows]]
+    if draw(st.booleans(), label="break a line"):
+        at = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + draw(BREAKS) + lines[at][cut:]
+    for _ in range(draw(st.integers(0, 2), label="noise")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NOISE_LINES))
+    return join_lines(draw, lines)
+
+
+def _number(low, high):
+    return st.floats(low, high).map(format_machine)
+
+
+# a record of write_records' columns after the id, and a draw's columns after its chain tag
+RECORD_ROWS = st.tuples(
+    st.sampled_from(["s1", "s2"]),
+    st.sampled_from(["d1", "d2"]),
+    _number(1, 5),
+    st.sampled_from(["0", "1"]),
+    _number(0, 60),
+    st.sampled_from(["managers", "trades", "é", "a b"]),
+    _number(-1e3, 1e4),
+)
+RECORD_HEADER = ("id", "stratum", "domain", "weight", "employed", "hours", "occupation", "income")
+DRAW_SPEC = CalibrationSpec(("a", "b"), ("d1", "d2"))
+DRAW_ROWS = st.tuples(*[_number(-1e6, 1e6)] * 4)
+
+
+def read_outcome(read):
+    """What ``read()`` returns as bytes, names and level orders, or the
+    text of the DataError it raises."""
+    try:
+        result = read()
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, PosteriorDraws):
+        return result.draws.tobytes(), result.chain_tags.tobytes()
+    sample = result.sample
+    arrays = (sample.stratum_idx, sample.domain_idx, sample.weights, sample.calib, *sample.outcomes.values())
+    return (
+        result.record_ids,
+        sample.calibration.domain_order,
+        [(a.dtype.str, a.tobytes()) for a in arrays],
+        {name: (levels, codes.dtype.str, codes.tobytes()) for name, (levels, codes) in sample.attribute_codes.items()},
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    records=broken_files(RECORD_HEADER, RECORD_ROWS),
+    draws=broken_files(("chain",) + DRAW_SPEC.block_labels(), DRAW_ROWS),
+)
+def test_plain_blocks_read_as_the_csv_module_reads_them(tmp_path_factory, monkeypatch, records, draws):
+    base = tmp_path_factory.getbasetemp()
+    strata = base / "strata.csv"
+    strata.write_text("id,population_size\ns1,100000\ns2,100000\n")
+    for name, text in (("records.csv", records), ("draws.csv", draws)):
+        (base / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    reads = (
+        lambda: read_sample(base / "records.csv", strata, dataclasses.replace(roles(), record_id="id")),
+        lambda: read_draws(base / "draws.csv", DRAW_SPEC),
+    )
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        both = [read_outcome(read) for read in reads]
+        with monkeypatch.context() as csv_only:
+            csv_only.setattr(postcal_io, "_plain_fields", lambda lines, k: None)
+            assert [read_outcome(read) for read in reads] == both
 
 class TestDrawsRoundTrip:
     def test_exact_float_round_trip(self, tmp_path):

@@ -1,0 +1,136 @@
+"""A seeded mutation fuzz of the demo inputs through the CLI.
+
+Each case breaks one thing in a copy of the demo ``records.csv``,
+``strata.csv``, a ``draws.csv`` fitted from them, or ``config.yaml``: it
+drops, repeats or truncates a line, swaps a field for a faulty token, or
+swaps the type of a config leaf.  It then runs ``calibrate``, ``infer`` and
+``diagnose`` with ``--draws`` in-process.  Every run must end with a
+documented exit code and no traceback, and a refusal (exit 2) must name
+where its cause is: a key path, the cell or band rule that holds it, or the
+file, with its line where a row is at fault.  The cases are drawn once from
+fixed seeds, so every run checks the same ones.
+"""
+
+import random
+import re
+import shutil
+
+import pytest
+import yaml
+
+from postcal.cli import main
+
+from test_golden import DEMO_CONFIG
+
+SEED = 2026
+CASES_PER_FILE = 30
+# what a field is swapped for: each is refused, or read as text
+TOKENS = (b"nan", b"1e400", b'"', b"", b"\0", b"\xff")
+# a number, a string, null, a list and a mapping
+SWAPS = (7, "x", None, [1], {"a": 1})
+DEMO = yaml.safe_load(DEMO_CONFIG.read_text())
+
+NAMED_CAUSE = re.compile(
+    r"^error: (?:"
+    r"\S+\.(?:csv|yaml)(?::\d+)?: "  # a file, with the line of a faulty row
+    rf"|(?:{'|'.join(DEMO)})\b[\w.\[\]]*[: ]"  # a key path
+    r"|(?:cell|band rule) '[^']*': "  # the cell or band rule that holds the key
+    r")",
+    re.MULTILINE,
+)
+
+
+def leaves(node, path=()):
+    """The key path of every scalar in a YAML document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, (*path, i))
+    else:
+        yield path
+
+
+def mutate_line(data: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """``data`` with one line dropped, repeated, truncated or with a field
+    swapped for one of ``TOKENS``, and what was done."""
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    body = line.rstrip(b"\r\n")
+    op = rng.choice(("drop", "repeat", "truncate", "swap"))
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, line)
+    elif op == "truncate":
+        lines[i] = line[: rng.randrange(len(line))]
+    else:
+        fields = body.split(b",")
+        token = rng.choice(TOKENS)
+        fields[rng.randrange(len(fields))] = token
+        lines[i] = b",".join(fields) + line[len(body) :]
+        op = f"field swapped for {token!r}"
+    return b"".join(lines), f"line {i + 1}: {op}"
+
+
+def yaml_type(value) -> type:
+    """The type of a YAML value, with integers and floats one type."""
+    return float if isinstance(value, int) else type(value)
+
+
+def swap_leaf(raw: dict, path: tuple, rng: random.Random) -> str:
+    """Swap the leaf at ``path`` for a value of another type; what was done."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    value = rng.choice([v for v in SWAPS if yaml_type(v) is not yaml_type(node[path[-1]])])
+    node[path[-1]] = value
+    return f"{'.'.join(map(str, path))} = {value!r}"
+
+
+CASES = [
+    *(
+        pytest.param(name, f"{SEED}:{name}:{i}", id=f"{name}-{i}")
+        for name in ("records.csv", "strata.csv", "draws.csv")
+        for i in range(CASES_PER_FILE)
+    ),
+    *(
+        pytest.param("config.yaml", path, id="config-" + ".".join(map(str, path)))
+        for path in leaves(DEMO)
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def demo_inputs(tmp_path_factory):
+    """The demo config and sample, and a draw file fitted from them."""
+    inputs = tmp_path_factory.mktemp("demo")
+    for name in ("config.yaml", "records.csv", "strata.csv"):
+        shutil.copy(DEMO_CONFIG.parent / name, inputs / name)
+    assert main(["fit", "--config", str(inputs / "config.yaml"), "--out", str(inputs)]) == 0
+    return inputs
+
+
+@pytest.mark.parametrize("name,case", CASES)
+def test_mutated_input_exits_cleanly_and_names_the_cause(demo_inputs, tmp_path, capsys, name, case):
+    for input_name in ("config.yaml", "records.csv", "strata.csv", "draws.csv"):
+        shutil.copy(demo_inputs / input_name, tmp_path / input_name)
+    path = tmp_path / name
+    if name == "config.yaml":
+        raw = yaml.safe_load(path.read_text())
+        done = swap_leaf(raw, case, random.Random(f"{SEED}:{case}"))
+        path.write_text(yaml.safe_dump(raw))
+    else:
+        data, done = mutate_line(path.read_bytes(), random.Random(case))
+        path.write_bytes(data)
+    capsys.readouterr()
+    for command in ("calibrate", "infer", "diagnose"):
+        argv = ["--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "out")]
+        code = main([command, *argv, "--draws", str(tmp_path / "draws.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), f"{name} {done}: {command} exit {code}: {err}"
+        assert "Traceback" not in err, f"{name} {done}: {command}: {err}"
+        if code == 2:
+            assert NAMED_CAUSE.search(err), f"{name} {done}: {command} names no cause: {err}"

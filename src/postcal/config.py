@@ -241,10 +241,18 @@ def string(value) -> str:
     return value
 
 
+def real(value) -> float:
+    """``float(value)`` that does not read a boolean: 2, 2.5 and "2.5" are
+    2.0 and 2.5; true is a ValueError (``float(True)`` would be 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def positive(value) -> float:
-    """``float(value)`` that is > 0: zero, a negative value and NaN are a
+    """``real(value)`` that is > 0: zero, a negative value and NaN are a
     ValueError."""
-    value = float(value)
+    value = real(value)
     if not value > 0:
         raise ValueError(value)
     return value
@@ -271,10 +279,10 @@ def _given(section: dict, where: str, **kinds) -> dict:
 
 
 def _pair(value, where: str, open_ended=False) -> tuple:
-    """``value`` as two floats; ``open_ended`` lets either be null."""
+    """``value`` as two reals; ``open_ended`` lets either be null."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: expected [low, high], got {value!r}")
-    return tuple(None if v is None and open_ended else _convert(v, float, where) for v in value)
+    return tuple(None if v is None and open_ended else _convert(v, real, where) for v in value)
 
 
 def _as_tuple(value) -> tuple:
@@ -318,15 +326,21 @@ def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
 
 def _bound(interval: dict, key: str, where: str) -> float | None:
     value = interval.get(key)
-    return None if value is None else _convert(value, float, f"{where}.{key}")
+    return None if value is None else _convert(value, real, f"{where}.{key}")
 
 
-def _band_rules(section: dict, where: str) -> tuple[BandRule, ...]:
-    """The band rules listed under ``section['derived']``."""
+def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[BandRule, ...]:
+    """The band rules listed under ``section['derived']``; a source outside
+    ``numeric`` (None: not known here) is a ConfigError naming its path."""
     rules = []
     for path, entry in _entries(section, "derived", where):
         name = _name(_require(entry, "name", path), f"{path}.name")
         source = _name(_require(entry, "source", path), f"{path}.source")
+        if numeric is not None and source not in numeric:
+            raise ConfigError(
+                f"{path}.source: {source!r} is not a numeric column "
+                f"(a calibration variable or an outcome)"
+            )
         _require(entry, "bands", path)
         bands = tuple(
             (
@@ -359,17 +373,32 @@ def _check_json(value, where: str) -> None:
         raise ConfigError(f"{where}: expected a string, number, boolean or null, got {value!r}")
 
 
-def _cell(entry: dict, calibration: tuple[str, ...], where: str) -> CellQuery:
+def _cell(
+    entry: dict,
+    calibration: tuple[str, ...],
+    where: str,
+    numeric: frozenset | None = None,
+    domains: tuple[str, ...] | None = None,
+) -> CellQuery:
+    """One cell; a summed variable outside ``numeric`` or a domain outside
+    ``domains`` (None: not known here) is a ConfigError naming its path."""
     name = _name(_require(entry, "name", where), f"{where}.name")
     summed = _name(_require(entry, "sum", where), f"{where}.sum")
-    domains = None
+    if numeric is not None and summed not in numeric:
+        raise ConfigError(
+            f"{where}.sum: variable {summed!r} is neither a calibration variable nor an outcome"
+        )
+    cell_domains = None
     attributes = {}
     ranges = {}
     filters = _section(entry, "where", f"{where}.where")
     for key, value in filters.items():
         path = f"{where}.where.{_convert(key, string, f'{where}.where (cell {name!r})')}"
         if key == "domain":
-            domains = _name_or_names(filters, key, f"{where}.where")
+            cell_domains = _name_or_names(filters, key, f"{where}.where")
+            unknown = [] if domains is None else sorted(set(cell_domains) - set(domains))
+            if unknown:
+                raise ConfigError(f"{path}: unknown domains {unknown}; declared {list(domains)}")
         elif key in calibration:
             if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
                 raise ConfigError(
@@ -391,7 +420,7 @@ def _cell(entry: dict, calibration: tuple[str, ...], where: str) -> CellQuery:
     return CellQuery(
         name=name,
         summed_variable=summed,
-        filter=CellFilter.build(domains=domains, attributes=attributes, ranges=ranges),
+        filter=CellFilter.build(domains=cell_domains, attributes=attributes, ranges=ranges),
         tier_override=tier_override,
         link_variable=None if link is None else _name(link, f"{where}.link"),
     )
@@ -455,13 +484,13 @@ def parse_config(
             kind=kind,
             covariates=tuple(_as_tuple(spec.get("covariates"))),
             fixed_sigma2=(
-                None if fixed_sigma2 is None else _convert(fixed_sigma2, float, f"{where}.fixed_sigma2")
+                None if fixed_sigma2 is None else _convert(fixed_sigma2, real, f"{where}.fixed_sigma2")
             ),
-            **_given(spec, where, prior_df=float, prior_scale=float),
+            **_given(spec, where, prior_df=real, prior_scale=real),
         )
 
     mcmc = _section(raw, "mcmc", "mcmc")
-    found.update(_given(mcmc, "mcmc", rhat_threshold=float))
+    found.update(_given(mcmc, "mcmc", rhat_threshold=real))
     # the sampler's bounds, checked here so that the error names the key
     counts = {
         key: _typed(mcmc, key, integer, where="mcmc", minimum=low)
@@ -477,27 +506,37 @@ def parse_config(
         found["simulate"] = SimulateConfig(
             population=population_spec_from_config(population, seed),
             **_given(
-                mc, "simulate.mc", replications=integer, sampling_fraction=float, target_mode=str
+                mc, "simulate.mc", replications=integer, sampling_fraction=real, target_mode=str
             ),
         )
-        if not sample:  # a simulation-only config filters on the generated variables
-            calibration = tuple(v.name for v in found["simulate"].population.variables)
+    # the numeric columns that cells sum and band rules read, and the domains
+    # that cells filter on where they are declared: the sample's, or a
+    # simulation-only config's generated variables, outcomes and domains
+    numeric = domains = None
+    if sample:
+        numeric = frozenset((*calibration, *found["roles"].outcomes))
+        domains = found["domain_order"]
+    elif simulate:
+        generated = found["simulate"].population
+        calibration = tuple(v.name for v in generated.variables)
+        numeric = frozenset((*calibration, *(o.name for o in generated.outcomes)))
+        domains = tuple(map(str, generated.domains))
 
     cells = tuple(
-        _cell(entry, calibration, path) for path, entry in _entries(raw, "cells", "")
+        _cell(entry, calibration, path, numeric, domains) for path, entry in _entries(raw, "cells", "")
     )
     names = [c.name for c in cells]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate cell names: {dupes}")
 
-    found.update(_given(_section(raw, "report", "report"), "report", level=float))
+    found.update(_given(_section(raw, "report", "report"), "report", level=real))
     _check_json(raw, "")
     return RunConfig(
         seed=seed,
         raw=raw,
         # simulation-only configs carry band rules without a sample section
-        band_rules=_band_rules(sample, "sample") + _band_rules(simulate, "simulate"),
+        band_rules=_band_rules(sample, "sample", numeric) + _band_rules(simulate, "simulate", numeric),
         models=models,
         cells=cells,
         **found,
@@ -524,7 +563,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     population_size=_typed(
                         entry, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
                     ),
-                    **_given(entry, path, covariate=float, deff=float),
+                    **_given(entry, path, covariate=real, deff=real),
                 )
             )
     else:
@@ -535,7 +574,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         )
         span = strata_cfg.get("covariate_range")  # null spans [-1, 1], as when absent
         lo, hi = (-1.0, 1.0) if span is None else _pair(span, f"{path}.covariate_range")
-        deff = _given(strata_cfg, path, deff=float)
+        deff = _given(strata_cfg, path, deff=real)
         covariates = np.linspace(lo, hi, per_domain * len(domains))
         width = len(str(covariates.size))
         for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
@@ -558,9 +597,9 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
             variables.append(
                 BinaryVariableModel(
                     name=name,
-                    intercept=_typed(entry, "intercept", float, where=path),
+                    intercept=_typed(entry, "intercept", real, where=path),
                     exclusive_with=entry.get("exclusive_with"),
-                    **_given(entry, path, slope=float, stratum_sd=float),
+                    **_given(entry, path, slope=real, stratum_sd=real),
                 )
             )
         elif kind == "continuous":
@@ -568,10 +607,10 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
             variables.append(
                 ContinuousVariableModel(
                     name=name,
-                    mean=_typed(entry, "mean", float, where=path),
-                    unit_sd=_typed(entry, "unit_sd", float, where=path),
+                    mean=_typed(entry, "mean", real, where=path),
+                    unit_sd=_typed(entry, "unit_sd", real, where=path),
                     gated_by=entry.get("gated_by"),
-                    **_given(entry, path, slope=float, stratum_sd=float),
+                    **_given(entry, path, slope=real, stratum_sd=real),
                     **({} if clip is None else {"clip": _pair(clip, f"{path}.clip", open_ended=True)}),
                 )
             )
@@ -584,12 +623,12 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         AttributeModel(
             name=str(_require(entry, "name", path)),
             levels=tuple(
-                (str(label), _convert(prob, float, f"{path}.levels.{label}"))
+                (str(label), _convert(prob, real, f"{path}.levels.{label}"))
                 for label, prob in _mapping(
                     _require(entry, "levels", path), f"{path}.levels"
                 ).items()
             ),
-            **_given(entry, path, domain_tilt=float),
+            **_given(entry, path, domain_tilt=real),
         )
         for path, entry in _entries(section, "attributes", where)
     )
@@ -597,8 +636,8 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         OutcomeModel(
             name=str(_require(entry, "name", path)),
             link=str(_require(entry, "link", path)),
-            rho=_typed(entry, "rho", float, where=path),
-            **_given(entry, path, loc=float, scale=float),
+            rho=_typed(entry, "rho", real, where=path),
+            **_given(entry, path, loc=real, scale=real),
         )
         for path, entry in _entries(section, "outcomes", where)
     )

@@ -30,18 +30,24 @@ the chain's state:
   (only when the variance is free).
 
 Proposal scales change only at window ends, so the per-window arithmetic
-(log-uniforms, proposal increments, the m * shift and m * step terms of the
-binomial steps, the Gaussian coefficient noise) is done once per window, and
-a window's variates are held iteration-major, ``(width, lanes, ...)``, so
-that each iteration reads contiguous slices.  The binary sampler's
-per-iteration arithmetic runs in buffers allocated once per fit: its state
-is the rows eta, n * softplus(eta), v and v^2 of one ``(4, lanes, H)``
-array, so an accepted coefficient is one masked copy of two rows and an
-accepted effects step one masked copy of all four.  Every
-per-lane product is the same BLAS call a lone chain makes, so the draws do
-not depend on the chain count or on the batch: a 2-chain fit is bit for bit
-the first two chains of a 3-chain fit, and a model fitted alone draws what
-it draws in any position of a batch.
+(log-uniforms, proposal increments and the shifts of eta they cause, the
+m * shift and m * step terms of the binomial steps, the Gaussian coefficient
+noise) is done once per window, and a window's variates are held
+iteration-major, ``(width, lanes, ...)``, so that each iteration reads
+contiguous slices.  Both samplers' per-iteration arithmetic runs through
+``out=`` in buffers allocated once per fit, so an iteration allocates
+nothing.  The binary state is the rows eta, n * softplus(eta), v and v^2 of
+one ``(4, lanes, H)`` array, so an accepted coefficient is one masked copy
+of two rows and an accepted effects step one masked copy of all four; the
+coordinate walk reads its terms through ``(width, k, lanes)`` views and
+adds the accepted coefficient steps with one masked add at its end.  The
+Gaussian sampler carries Z beta, formed for the sigma2 draw, into the next
+iteration's conditional mean, and forms the terms of sigma2 alone (the theta
+precision, its root and sqrt(sigma2)) once per draw.  Every per-lane
+product is the same BLAS call a lone chain makes, so the draws do not depend
+on the chain count or on the batch: a 2-chain fit is bit for bit the first
+two chains of a 3-chain fit, and a model fitted alone draws what it draws in
+any position of a batch.
 
 Stratum-level draws are aggregated to domain totals in the block layout of
 the calibration system; externally produced draw matrices are accepted as a
@@ -282,13 +288,6 @@ def _scaled_softplus(n: np.ndarray, eta: np.ndarray, out: np.ndarray, tmp: np.nd
     return np.multiply(out, n, out=out)
 
 
-def _check_loglik(m, eta, nsp, chains: int, when: str, buffer: np.ndarray) -> None:
-    np.multiply(m, eta, out=buffer)
-    np.subtract(buffer, nsp, out=buffer)
-    if not np.isfinite(buffer).all():
-        raise _non_finite(buffer, chains, when)
-
-
 _P_FLOOR = np.nextafter(0.0, 1.0)
 _P_CEIL = np.nextafter(1.0, 0.0)
 
@@ -306,13 +305,26 @@ def _expit_open(eta: np.ndarray) -> None:
     np.clip(tail, _P_FLOOR, _P_CEIL, out=tail)
 
 
-def _sigma2_draws(effects: np.ndarray, chisq: np.ndarray, model) -> np.ndarray:
-    # scaled-inverse-chi-square posterior given iid N(0, sigma2) effects, one
-    # per lane: post_df * post_scale / chisq with chisq ~ chi2(df + H), and
-    # post_df * post_scale = df * scale + sum of squares; the stacked product
-    # is one BLAS dot per lane
-    sum_sq = (effects[:, None, :] @ effects[:, :, None])[:, 0, 0]
-    return (model.prior_df * model.prior_scale + sum_sq) / chisq
+def _sigma2_sampler(effects: np.ndarray, prior_ss: float, sigma2: np.ndarray):
+    """``draw(chisq)`` sets ``sigma2`` in place from the current ``effects``.
+
+    Scaled-inverse-chi-square posterior given iid N(0, sigma2) effects, one
+    per lane: post_df * post_scale / chisq with chisq ~ chi2(df + H), and
+    post_df * post_scale = ``prior_ss`` (df * scale) + sum of squares.  The
+    stacked product is one BLAS dot per lane; views and buffers are made
+    once, so a draw allocates nothing.
+    """
+    rows, cols = effects[:, None, :], effects[:, :, None]
+    sum_sq = np.empty((len(effects), 1, 1))
+    flat = sum_sq[:, 0, 0]
+    matmul, add, divide = np.matmul, np.add, np.divide
+
+    def draw(chisq: np.ndarray) -> None:
+        matmul(rows, cols, out=sum_sq)
+        add(prior_ss, flat, out=flat)
+        divide(flat, chisq, out=sigma2)
+
+    return draw
 
 
 def _non_finite(loglik: np.ndarray, chains: int, when: str) -> NumericalError:
@@ -494,11 +506,29 @@ def fit_binary_hb(
     eta, nsp, v, v_sq = state
     prop = np.empty_like(state)
     eta_prop, nsp_prop, v_prop, v_sq_prop = prop
-    gain_h, prior, tmp = (np.empty_like(eta) for _ in range(3))
-    shifts = np.empty((k, *eta.shape))
-    sum_prop, gain, two_sigma2 = np.empty(len(eta)), np.empty(len(eta)), np.empty((len(eta), 1))
+    # a coefficient moves rows eta and nsp, an effects step rows eta and v
+    # (nsp and v^2 follow from them)
+    coef_rows, coef_rows_prop = state[:2], prop[:2]
+    step_rows, step_rows_prop = state[::2], prop[::2]
+    gain_h, prior, tmp, loglik = (np.empty_like(eta) for _ in range(4))
+    finite = np.empty(eta.shape, dtype=bool)
+    L = len(eta)
+    sum_prop, gain = np.empty(L), np.empty(L)
+    shift_buffer = np.empty((_ADAPT_WINDOW, k, L, H))
+    sigma2_col = sigma2[:, None]
+    two_sigma2 = np.multiply(sigma2_col, 2.0)
+    draw_sigma2 = _sigma2_sampler(v, model.prior_df * model.prior_scale, sigma2)
+    multiply, subtract, less, copyto = np.multiply, np.subtract, np.less, np.copyto
+    add, reduce, square, divide, isfinite = np.add, np.add.reduce, np.square, np.divide, np.isfinite
+
+    def check(when):
+        multiply(m, eta, out=loglik)
+        subtract(loglik, nsp, out=loglik)
+        if not isfinite(loglik, out=finite).all():
+            raise _non_finite(loglik, C, when)
+
     _scaled_softplus(n, eta, nsp, tmp)
-    _check_loglik(m, eta, nsp, C, "at initial state", tmp)
+    check("at initial state")
     nsp_sum = nsp.sum(axis=1)
     m_z = (m[:, None, :] @ Z)[:, 0]  # (lanes, k): column j is sum_h m_h Z_hj
     z_t = Z.T[:, None, :]
@@ -515,48 +545,58 @@ def fit_binary_hb(
 
     def window(block, scales, accepted):
         # the scales are fixed within a window, so every proposal increment,
-        # the m * shift and m * step terms of its log-likelihood change and
-        # the log-uniform it is tested against are known before the window's
-        # first iteration (computed in place of the draws)
+        # its shift of eta, the m * shift and m * step terms of its
+        # log-likelihood change and the log-uniform it is tested against are
+        # known before the window's first iteration (computed in place of the
+        # draws); the coefficient terms are read through (width, k, lanes)
+        # views, one row per coordinate
         beta_steps = np.multiply(block["z_beta"], scales["beta"], out=block["z_beta"])
-        m_beta = beta_steps * m_z
-        log_u_beta = np.log(block["u_beta"], out=block["u_beta"])
+        steps_t = beta_steps.transpose(0, 2, 1)
+        shifts = multiply(steps_t[..., None], z_t, out=shift_buffer[: len(beta_steps)])
+        m_beta = (beta_steps * m_z).transpose(0, 2, 1)
+        log_u_beta = np.log(block["u_beta"], out=block["u_beta"]).transpose(0, 2, 1)
+        beta_flags = accepted["beta"]
+        flags_t = beta_flags.transpose(0, 2, 1)
+        flag_cols = flags_t[..., None]
         if use_effects:
             v_steps = np.multiply(block["z_v"], scales["effects"], out=block["z_v"])
             m_v = v_steps * m
             log_u_v = np.log(block["u_v"], out=block["u_v"])
-        beta_flags, v_flags = accepted["beta"], accepted["effects"]
+            v_flags = accepted["effects"]
+        chisq = block.get("chisq")
 
         def step(i):
             # regression coefficients: coordinate-wise random walk; the
-            # log-likelihood change is m * shift - (sum nsp' - sum nsp)
-            np.multiply(beta_steps[i].T[:, :, None], z_t, out=shifts)
-            for j in range(k):
-                np.add(eta, shifts[j], out=eta_prop)
-                np.add.reduce(_scaled_softplus(n, eta_prop, nsp_prop, tmp), axis=1, out=sum_prop)
-                np.subtract(sum_prop, nsp_sum, out=gain)
-                np.subtract(m_beta[i, :, j], gain, out=gain)
-                accept = np.less(log_u_beta[i, :, j], gain, out=beta_flags[i, :, j])
-                np.add(beta[:, j], beta_steps[i, :, j], out=beta[:, j], where=accept)
-                np.copyto(state[:2], prop[:2], where=accept[:, None])
-                np.copyto(nsp_sum, sum_prop, where=accept)
+            # log-likelihood change is m * shift - (sum nsp' - sum nsp), and
+            # each coefficient's own step is added where its flag is set
+            # once the walk is done
+            for shift, m_shift, log_u, flag, flag_col in zip(
+                shifts[i], m_beta[i], log_u_beta[i], flags_t[i], flag_cols[i]
+            ):
+                add(eta, shift, out=eta_prop)
+                reduce(_scaled_softplus(n, eta_prop, nsp_prop, tmp), axis=1, out=sum_prop)
+                subtract(sum_prop, nsp_sum, out=gain)
+                subtract(m_shift, gain, out=gain)
+                less(log_u, gain, out=flag)
+                copyto(coef_rows, coef_rows_prop, where=flag_col)
+                copyto(nsp_sum, sum_prop, where=flag)
+            add(beta, beta_steps[i], out=beta, where=beta_flags[i])
             # stratum effects: simultaneous independent random walks, each
             # tested on m * step - (nsp' - nsp) - (v'^2 - v^2) / (2 sigma2)
             if use_effects:
-                np.add(v, v_steps[i], out=v_prop)
-                np.add(eta, v_steps[i], out=eta_prop)
+                add(step_rows, v_steps[i], out=step_rows_prop)
                 _scaled_softplus(n, eta_prop, nsp_prop, tmp)
-                np.subtract(m_v[i], np.subtract(nsp_prop, nsp, out=tmp), out=gain_h)
-                np.square(v_prop, out=v_sq_prop)
-                np.subtract(v_sq_prop, v_sq, out=prior)
-                np.divide(prior, np.multiply(sigma2[:, None], 2.0, out=two_sigma2), out=prior)
-                np.subtract(gain_h, prior, out=gain_h)
-                accept = np.less(log_u_v[i], gain_h, out=v_flags[i])
-                np.copyto(state, prop, where=accept)
-                np.add.reduce(nsp, axis=1, out=nsp_sum)
+                subtract(m_v[i], subtract(nsp_prop, nsp, out=tmp), out=gain_h)
+                square(v_prop, out=v_sq_prop)
+                subtract(v_sq_prop, v_sq, out=prior)
+                divide(prior, two_sigma2, out=prior)
+                subtract(gain_h, prior, out=gain_h)
+                copyto(state, prop, where=less(log_u_v[i], gain_h, out=v_flags[i]))
+                reduce(nsp, axis=1, out=nsp_sum)
             if free_sigma:
-                sigma2[:] = _sigma2_draws(v, block["chisq"][i], model)
-            _check_loglik(m, eta, nsp, C, "during sampling", tmp)
+                draw_sigma2(chisq[i])
+                multiply(sigma2_col, 2.0, out=two_sigma2)
+            check("during sampling")
             return eta, beta, sigma2
 
         return step
@@ -615,6 +655,31 @@ def fit_gaussian_fh(
     psi = _lanes([each.sampling_variances for each in models], C)
     prec_data, est_prec = 1.0 / psi, est / psi
 
+    # per-iteration buffers; stacked products run the same BLAS call per lane
+    # as a single chain, and Z beta, formed for the sigma2 draw, is carried
+    # into the next iteration's conditional mean
+    theta, mean, prec, prec_sd, resid = (np.empty_like(est) for _ in range(5))
+    sigma2_col = sigma2[:, None]
+    inv_sigma2, sigma2_sd = np.empty_like(sigma2_col), np.empty_like(sigma2_col)
+    # (lanes, n, 1) products and their (lanes, n) views
+    beta_hat = np.empty((*beta.shape, 1))
+    synthetic = np.matmul(Z, beta[:, :, None])
+    theta_col, beta_col = theta[:, :, None], beta[:, :, None]
+    beta_hat_row, synthetic_row = beta_hat[:, :, 0], synthetic[:, :, 0]
+    draw_sigma2 = _sigma2_sampler(resid, model.prior_df * model.prior_scale, sigma2)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, matmul = np.sqrt, np.matmul
+
+    def set_sigma2_terms():
+        # the theta precision 1/psi + 1/sigma2, its root and sqrt(sigma2),
+        # which change only with sigma2
+        divide(1.0, sigma2_col, out=inv_sigma2)
+        add(prec_data, inv_sigma2, out=prec)
+        sqrt(prec, out=prec_sd)
+        sqrt(sigma2_col, out=sigma2_sd)
+
+    set_sigma2_terms()
+
     def draw(rng, width):
         block = {"z_theta": rng.standard_normal((width, H))}
         block["z_beta"] = rng.standard_normal((width, k))
@@ -622,22 +687,24 @@ def fit_gaussian_fh(
             block["chisq"] = rng.chisquare(post_df, width)
         return block
 
-    # stacked products run the same BLAS call per lane as a single chain
-    def synthetic(beta):
-        return (Z @ beta[:, :, None])[:, :, 0]
-
     def window(block, scales, accepted):
         noise = (ztz_inv_chol @ block["z_beta"][..., None])[..., 0]
+        z_theta, chisq = block["z_theta"], block.get("chisq")
 
         def step(i):
-            nonlocal beta
-            prec = prec_data + 1.0 / sigma2[:, None]
-            mean = (est_prec + synthetic(beta) / sigma2[:, None]) / prec
-            theta = mean + block["z_theta"][i] / np.sqrt(prec)
-            beta_hat = (projection @ theta[:, :, None])[:, :, 0]
-            beta = beta_hat + np.sqrt(sigma2)[:, None] * noise[i]
+            divide(synthetic_row, sigma2_col, out=mean)
+            add(est_prec, mean, out=mean)
+            divide(mean, prec, out=mean)
+            divide(z_theta[i], prec_sd, out=theta)
+            add(mean, theta, out=theta)
+            matmul(projection, theta_col, out=beta_hat)
+            multiply(sigma2_sd, noise[i], out=beta)
+            add(beta_hat_row, beta, out=beta)
+            matmul(Z, beta_col, out=synthetic)
             if free_sigma:
-                sigma2[:] = _sigma2_draws(theta - synthetic(beta), block["chisq"][i], model)
+                subtract(theta, synthetic_row, out=resid)
+                draw_sigma2(chisq[i])
+                set_sigma2_terms()
             return theta, beta, sigma2
 
         return step

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -478,6 +477,10 @@ def run_simulation(
     chunks = replication_chunks(cfg.simulate.replications, threads)
     workers = min(threads, len(chunks))
     if workers > 1:
+        # imported here: the process pool loads multiprocessing, socket and
+        # subprocess, which a one-worker run and every other command skip
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, initializer=_serve, initargs=(frame, cfg)) as pool:
             parts = list(pool.map(_run_served_chunk, chunks))
     else:

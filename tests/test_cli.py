@@ -594,6 +594,12 @@ def draws_as_directory(tmp_path):
     (tmp_path / "draws.csv").mkdir()
 
 
+def filter_on_undeclared_domain(tmp_path):
+    """Declare the sample's domains and filter a cell on one outside them."""
+    set_config("sample.domain_order", ["d1", "d2"])(tmp_path)
+    set_config("cells.0.where.domain", "d9")(tmp_path)
+
+
 def break_yaml(tmp_path):
     with open(tmp_path / "config.yaml", "a") as fh:
         fh.write("cells: [unclosed\n")
@@ -715,6 +721,39 @@ MALFORMED_INPUTS = [
             ("seed", 2.5),
         ]
     ),
+    # a real-valued key does not read a boolean as 1.0 or 0.0
+    *(
+        pytest.param(set_config(key, value), cause, id=f"{key}-{value}")
+        for key, value, cause in [
+            ("mcmc.rhat_threshold", True, "mcmc.rhat_threshold: expected real, got True"),
+            ("models.employed.prior_scale", True, "models.employed.prior_scale: expected real, got True"),
+            ("report.level", False, "report.level: expected real, got False"),
+            ("mcmc.proposal_sd", True, "mcmc.proposal_sd: expected positive, got True"),
+            ("cells.0.where.hours", {"min": True}, "cells[0].where.hours.min: expected real, got True"),
+        ]
+    ),
+    # a summed variable, a band source or a declared cell domain that the
+    # sample lacks is named by its key path when the config is parsed
+    pytest.param(
+        set_config("cells.2.sum", "x"),
+        "cells[2].sum: variable 'x' is neither a calibration variable nor an outcome",
+        id="cell-sum-unknown",
+    ),
+    pytest.param(
+        set_config("sample.derived.0.source", 2.5),
+        "sample.derived[0].source: '2.5' is not a numeric column",
+        id="band-source-unknown",
+    ),
+    pytest.param(
+        set_config("sample.derived.0.source", "occ"),
+        "sample.derived[0].source: 'occ' is not a numeric column",
+        id="band-source-attribute",
+    ),
+    pytest.param(
+        filter_on_undeclared_domain,
+        "cells[0].where.domain: unknown domains ['d9']; declared ['d1', 'd2']",
+        id="cell-domain-undeclared",
+    ),
     # a pinned stratum-effect variance: >= 0 for the binary model (0 switches
     # the effects off), > 0 for the Gaussian one; NaN for neither
     *(
@@ -826,6 +865,7 @@ SIMULATE_MALFORMED = [
         for key, value in [
             ("simulate.mc.replications", 2.5),
             ("simulate.mc.replications", True),
+            (f"{POPULATION}.strata.covariate_range", [True, 1.0]),
             ("simulate.mc.sampling_fraction", 1.5),
             ("simulate.mc.sampling_fraction", 0),
         ]
@@ -898,6 +938,19 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
+
+    def test_fit_refuses_an_unknown_cell_variable_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("fit sampled")
+
+        monkeypatch.setattr("postcal.fitting.fit_binary_hb", no_sampling)
+        monkeypatch.setattr("postcal.fitting.fit_gaussian_fh", no_sampling)
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        set_config("cells.2.sum", "x")(tmp_path)
+        argv = ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_exit_2_naming(capsys, argv, "cells[2].sum: variable 'x'")
+        assert not (tmp_path / "out" / "draws.csv").exists()
 
     def test_unmatched_quote_in_a_demo_draw_file_names_its_line(self, tmp_path, capsys):
         # the quoted field runs on past the csv module's field size limit

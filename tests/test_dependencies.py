@@ -1,9 +1,13 @@
-"""No command path loads SciPy.
+"""No command path loads SciPy, and only a multi-worker simulate loads the
+process pool.
 
 SciPy is a test-time dependency only: the runtime needs numpy and PyYAML.
 Each command runs in a fresh interpreter whose import system refuses any
 ``scipy`` module, so a module-level import fails the command and a lazy
 import is recorded even where the caller would catch the ``ImportError``.
+``multiprocessing`` (with socket and subprocess) costs every command's
+start-up if imported at module level; the demo commands and a one-worker
+simulate must not load it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ for command in ("infer", "calibrate", "diagnose"):
 codes["simulate"] = main(
     ["simulate", "--config", smoke, "--out", f"{out}/simulate_smoke", "--keep-replications"]
 )
+# only a simulate run with more than one worker starts a process pool
+pool_loaded = "multiprocessing" in sys.modules
 
 Z = np.column_stack([np.ones(5), np.arange(5.0), 2.0 * np.arange(5.0)])
 try:
@@ -63,7 +69,17 @@ except DataError as exc:
     collinear = str(exc)
 
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "collinear": collinear, "refused": refused, "loaded": loaded}))
+print(
+    json.dumps(
+        {
+            "codes": codes,
+            "collinear": collinear,
+            "refused": refused,
+            "loaded": loaded,
+            "pool_loaded": pool_loaded,
+        }
+    )
+)
 """
 
 
@@ -88,6 +104,7 @@ def test_no_command_path_loads_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["refused"] == []
     assert result["loaded"] == []
+    assert result["pool_loaded"] is False
     assert result["codes"] == dict.fromkeys(
         ("fit", "infer", "calibrate", "diagnose", "simulate"), 0
     ), proc.stderr

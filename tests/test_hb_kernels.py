@@ -239,6 +239,21 @@ def test_non_finite_log_posterior_names_its_model():
         fit_binary_hb([model, huge, model], config, spawn_keys=[(0,), (1,), (2,)])
     assert caught.value.models == (1,)
 
+
+def test_non_finite_log_posterior_during_sampling_names_its_model():
+    # with no successes the likelihood does not bound eta from below, so a
+    # huge coefficient step toward -inf is accepted and m * eta = 0 * -inf;
+    # the per-iteration check catches it for the second model only
+    config = McmcConfig(burnin=200, iterations=50, chains=2, seed=1, proposal_sd=1e307)
+    model = BinaryHBInput(**_BINARY)
+    zero = BinaryHBInput(**{**_BINARY, "successes": np.zeros(5)})
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as caught:
+            fit_binary_hb([model, zero], config, spawn_keys=[(0,), (1,)])
+    assert str(caught.value) == "non-finite log-posterior during sampling"
+    assert caught.value.models == (1,)
+
+
 class RecordingRng:
     """A generator that logs each call's method and the shape it returns."""
 

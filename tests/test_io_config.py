@@ -859,6 +859,32 @@ class TestSimulateSection:
         with pytest.raises(ConfigError, match=r"simulate\.population\.strata\.per_domain"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "change,cause",
+        [
+            (("cells", 2, "sum", "wages"), "cells[2].sum: variable 'wages' is neither"),
+            (("cells", 0, "where", "domain", "d9"), "cells[0].where.domain: unknown domains ['d9']"),
+            (
+                ("simulate", "derived", [{"name": "band", "source": "occupation", "bands": [{"label": "x"}]}]),
+                "simulate.derived[0].source: 'occupation' is not a numeric column",
+            ),
+        ],
+        ids=["cell-sum", "cell-domain", "band-source"],
+    )
+    def test_simulation_only_config_checks_cells_and_bands_against_the_population(
+        self, change, cause
+    ):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        *keys, last, value = change
+        section = raw
+        for key in keys:
+            section = section[key]
+        section[last] = value
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw)
+
     def test_shipped_smoke_config_parses_to_typed_values(self):
         cfg = load_config(SMOKE_CONFIG, seed_override=3)
         assert (cfg.simulate.replications, cfg.simulate.sampling_fraction) == (5, 0.1)

@@ -34,7 +34,6 @@ NAMED_CAUSE = re.compile(
     r"^error: (?:"
     r"\S+\.(?:csv|yaml)(?::\d+)?: "  # a file, with the line of a faulty row
     rf"|(?:{'|'.join(DEMO)})\b[\w.\[\]]*[: ]"  # a key path
-    r"|(?:cell|band rule) '[^']*': "  # the cell or band rule that holds the key
     r")",
     re.MULTILINE,
 )

@@ -10,8 +10,8 @@ vectors and T_ht the Horvitz-Thompson total vector.  The multiplicative
 factor is the familiar g-weight of regression calibration.  G and its
 rank are computed once per sample and shared across all targets.
 No n x p design matrix is formed: totals are ``block_sums`` reductions,
-cell moments the same per-variable ``np.bincount`` keyed by (cell, domain),
-and G is block-diagonal by domain.
+cell moments sums of the per-atom moments of ``frame.CellAtoms`` keyed by
+(cell, domain), and G is block-diagonal by domain.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError
-from .frame import CalibrationSpec, CellRows, SampleSet, block_sums
+from .frame import CalibrationSpec, CellData, CellPairs, SampleSet, block_sums
 
 # A pivot below p * max(diag G) * 2^-50 is treated as numerically zero.
 _PIVOT_RELATIVE_TOL = 2.0 ** -50
@@ -213,25 +213,24 @@ def calibrate(
     )
 
 
-def cell_weighted_moments(sample: SampleSet, cells: CellRows) -> np.ndarray:
+def cell_weighted_moments(pairs: CellPairs) -> np.ndarray:
     """Each cell's moment vector sum_{i in c} value_i w_i y_i, G x p: one
-    ``np.bincount`` per variable keyed by (cell, domain), which adds each
-    key's terms in row order, as a bincount over the cell alone does."""
-    G, V, D = cells.n_cells, sample.calibration.n_variables, sample.calibration.n_domains
-    key = cells.cell * D + sample.domain_idx[cells.rows]
-    scale = sample.weights[cells.rows] * cells.values
-    sums = [
-        np.bincount(key, sample.calib[cells.rows, v] * scale, minlength=G * D).reshape(G, D)
-        for v in range(V)
-    ]
-    return np.stack(sums, axis=1).reshape(G, -1)
+    ``np.bincount`` of the atoms' moments keyed by (variable, cell,
+    domain)."""
+    atoms = pairs.atoms
+    V, D = atoms.sample.calibration.n_variables, atoms.sample.calibration.n_domains
+    G = pairs.n_cells
+    key = pairs.cell * D + atoms.domain[pairs.atom] + G * D * np.arange(V)[:, None]
+    sums = np.bincount(key.ravel(), pairs.take(atoms.moments).ravel(), minlength=V * G * D)
+    return sums.reshape(V, G, D).transpose(1, 0, 2).reshape(G, -1)
 
 
 def cell_weighted_moment(sample: SampleSet, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's
     ``rows`` (positions or a mask): ``cell_weighted_moments`` of one cell."""
-    rows = np.flatnonzero(rows) if rows.dtype == bool else rows
-    return cell_weighted_moments(sample, CellRows.of([(rows, values[rows])]))[0]
+    mask = np.zeros(sample.n, dtype=bool)
+    mask[rows] = True
+    return cell_weighted_moments(CellPairs.one(CellData(mask, values), sample))[0]
 
 
 def replicate_direction(gram: GramMatrix, cell_weighted_moment: np.ndarray) -> np.ndarray:

@@ -532,6 +532,8 @@ def parse_config(
 
     found.update(_given(_section(raw, "report", "report"), "report", level=real))
     _check_json(raw, "")
+    if models and (sample or simulate):
+        _check_models(models, calibration)
     return RunConfig(
         seed=seed,
         raw=raw,
@@ -541,6 +543,19 @@ def parse_config(
         cells=cells,
         **found,
     )
+
+
+def _check_models(models: dict, calibration: tuple[str, ...]) -> None:
+    """One model entry for each calibration variable and for nothing else."""
+    for variable in models:
+        if variable not in calibration:
+            raise ConfigError(
+                f"models.{variable}: not a calibration variable; the calibration "
+                f"variables are {list(calibration)}"
+            )
+    missing = [v for v in calibration if v not in models]
+    if missing:
+        raise ConfigError(f"models: no model for calibration variables {missing}")
 
 
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:

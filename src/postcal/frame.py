@@ -15,10 +15,12 @@ A store also names its ``calibration_attributes``, the attribute columns
 derived from calibration variables, which decide tier 2-CA over 2-NCA.
 A store keeps each attribute column only as codes, ``SampleSet.attribute_codes``
 (its levels, and each unit's position in them), and cell filters read those
-codes.  ``evaluate_cells`` gives a run's cells their masks, each the AND of
-clause masks made once per run and shared among the cells, so every
-reduction after it reads only a cell's rows; ``CellRows`` concatenates a
-group of cells' rows for reductions keyed by cell.
+codes.  ``CellAtoms`` groups a run's records into atoms, the records that
+share their stratum, domain and membership of every distinct clause of the
+run's cells, and takes per-atom statistics once; every per-cell reduction
+after it reads a cell's atoms (``CellPairs``), not its records.
+``evaluate_cell`` gives one cell its mask, which ``CellAtoms.one`` turns
+into a table of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -347,41 +349,36 @@ class SampleSet:
             for name, (levels, codes) in self.attribute_codes.items()
         }
 
-    def stratum_mean_variance(self, values=None, cells: CellRows | None = None) -> np.ndarray:
+    def stratum_mean_variance(self, values) -> np.ndarray:
         """Design variance of each stratum's sample mean of ``values``.
 
         Returns deff_h * (1 - f_h) * s2_h / n_h per stratum in frame order,
         where s2_h is the within-stratum sample variance (divisor n_h - 1)
-        and f_h the sampling fraction; strata with n_h < 2 get 0.  Given
-        ``cells``, a group of cells, the values are each cell's summed
-        values at its rows (0 elsewhere) and the result is each cell's
-        H x D table for z_d, the values zeroed outside domain d, keyed by
-        (cell, stratum, domain) k; a key sums its terms in row order, as it
-        would for the cell alone.  Squares are summed about each k's largest
-        value (an all-equal k gets exactly 0), plus n_k (n_h - n_k) / n_h *
-        mean_k^2 for the stratum's zeros outside k.
+        and f_h the sampling fraction; strata with n_h < 2 get 0.  Squares
+        are summed in row order about each stratum's largest value, so a
+        stratum of equal values gets exactly 0.
         """
-        H, D, G = len(self.strata), self.calibration.n_domains, 1
-        if cells is None:
-            values, idx, D = np.asarray(values, dtype=float), self.stratum_idx, 1
-        else:
-            values, G = cells.values, cells.n_cells
-            idx = (cells.cell * H + self.stratum_idx[cells.rows]) * D + self.domain_idx[cells.rows]
-        K = G * H * D
-        n_h = np.tile(np.repeat(self.stratum_counts, D), G)
-        n = np.maximum(n_h, 1)
-        n_k = np.bincount(idx, minlength=K)
-        anchor = np.full(K, -np.inf)
-        np.maximum.at(anchor, idx, values)
+        values = np.asarray(values, dtype=float)
+        idx, H = self.stratum_idx, len(self.strata)
+        sampled = self.stratum_counts > 0
+        starts = np.cumsum(self.stratum_counts) - self.stratum_counts
+        anchor = np.zeros(H)
+        ordered = values[np.concatenate(self.stratum_rows)]
+        anchor[sampled] = np.maximum.reduceat(ordered, starts[sampled])
         centred = values - anchor[idx]
-        mean = np.bincount(idx, centred, minlength=K) / np.maximum(n_k, 1)
+        mean = np.bincount(idx, centred, minlength=H) / np.maximum(self.stratum_counts, 1)
         centred -= mean[idx]
-        ss = np.bincount(idx, centred * centred, minlength=K)
-        ss = ss + n_k * (n_h - n_k) / n * np.where(n_k > 0, anchor + mean, 0.0) ** 2
+        ss = np.bincount(idx, centred * centred, minlength=H)
+        return self.mean_variance(np.arange(H), ss)
+
+    def mean_variance(self, strata: np.ndarray, ss: np.ndarray) -> np.ndarray:
+        """deff_h * (1 - f_h) * s2_h / n_h of each entry of ``strata``, s2_h
+        its sum of squares ``ss`` over the stratum sample divided by n_h - 1;
+        0 where n_h < 2."""
+        n_h = self.stratum_counts[strata]
         s2 = np.where(n_h > 1, ss / np.maximum(n_h - 1, 1), 0.0)
-        fpc = 1.0 - np.tile(np.repeat(self.sampling_fractions, D), G)
-        out = np.tile(np.repeat(self.stratum_deff, D), G) * fpc * s2 / n
-        return out if cells is None else out.reshape(G, H, D)
+        fpc = 1.0 - self.sampling_fractions[strata]
+        return self.stratum_deff[strata] * fpc * s2 / np.maximum(n_h, 1)
 
 
 def _as_frozenset(value) -> frozenset:
@@ -457,53 +454,302 @@ class CellData:
         return self.rows.size
 
 
-@dataclass(frozen=True)
-class CellRows:
-    """A group of cells' rows, concatenated cell by cell.
+# Most (cell, atom) pairs a group of cells reduces at once, which bounds the
+# per-pair arrays a group holds; a cell with more atoms forms a group alone.
+# On the benchmark's infer-large sample (26,800 pairs), one group of 32,768
+# pairs takes the peak RSS of ``infer`` from 53.6 to 55.0 MiB.
+CELL_GROUP_PAIRS = 1 << 13
 
-    ``rows`` are record positions, ``values`` the summed value of each in
-    its cell and ``counts`` each cell's row count.  A per-cell reduction
-    over the group is one ``np.bincount`` keyed by ``cell``, each entry's
-    position in the group; it adds each cell's terms in row order, as a
-    reduction over that cell alone does.
+# Most bytes of column values in atom order that a table reduces at once:
+# its per-atom statistics are taken over blocks of columns of this size,
+# all of a 5,000-record sample's columns together and one column at a time
+# of a 50,000-record one.
+COLUMN_BLOCK_BYTES = 1 << 18
+
+
+class Spread(NamedTuple):
+    """Per column and atom: largest and smallest value, mean less the
+    largest value (``offset``), and sum of squared deviations from the mean
+    (``m2``)."""
+
+    top: np.ndarray
+    bottom: np.ndarray
+    offset: np.ndarray
+    m2: np.ndarray
+
+
+class CellAtoms:
+    """A run's records grouped into atoms for per-cell reductions.
+
+    An atom is the set of records that share their stratum, their domain
+    and their membership of each of the run's distinct clauses, so
+    every cell holds either all of an atom or none of it.  Atoms come in
+    stratum, domain, then membership-pattern order, and ``order`` puts the
+    records in atom order, so a statistic of every atom is one ``reduceat``
+    over a block of columns so ordered (``COLUMN_BLOCK_BYTES``).  A cell's
+    statistic is then a reduction over its (cell, atom) pairs (``groups``),
+    which combines centred sums by the pairwise updates of Chan, Golub &
+    LeVeque (1983).  A clause is ``(codes, table)``, its mask
+    ``table[codes]``; columns are the calibration variables, in their
+    order, then any other summed column; each cell is its clause positions
+    and its column.  ``sample`` may be None for totals alone, as if one
+    stratum and domain.
     """
 
-    rows: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
+    def __init__(self, clauses: Sequence[tuple[np.ndarray, np.ndarray]],
+                 cells: Sequence[tuple[tuple[int, ...], int]], columns: Sequence[np.ndarray],
+                 sample: SampleSet | None = None):
+        self.sample, self.cells, self.columns = sample, tuple(cells), tuple(columns)
+        n = self.columns[0].size
+        if sample is None:
+            key, span = np.zeros(n, dtype=np.intp), 1
+        else:
+            D = sample.calibration.n_domains
+            key, span = sample.stratum_idx * D + sample.domain_idx, len(sample.strata) * D
+        # the clauses on one codes column (an attribute, a range's flags) are
+        # a function of its codes: each code's pattern over them, numbered
+        factors: dict[int, tuple[np.ndarray, list]] = {}
+        for codes, table in clauses:
+            factors.setdefault(id(codes), (codes, []))[1].append(table)
+        for codes, tables in factors.values():
+            if sample is not None and codes is sample.domain_idx:
+                continue  # the key holds the domain
+            patterns = [code.tobytes() for code in np.array(tables).T]
+            rank = {pattern: r for r, pattern in enumerate(sorted(set(patterns)))}
+            if span * len(rank) > 1 << 16:
+                key, span = _dense(key, span)
+            key = key * len(rank) + np.array([rank[pattern] for pattern in patterns])[codes]
+            span *= len(rank)
+        if span > 1 << 16:
+            key, span = _dense(key, span)
+        # a key that fits 16 bits sorts by radix
+        self.order = np.argsort(key.astype(np.uint16) if span <= 1 << 16 else key, kind="stable")
+        ordered = key[self.order]
+        new = np.empty(n, dtype=bool)
+        new[0], new[1:] = True, ordered[1:] != ordered[:-1]
+        self.starts = np.flatnonzero(new)
+        self.count = np.diff(np.append(self.starts, n))
+        first = self.order[self.starts]
+        self.pattern = np.array(
+            [table[codes[first]] for codes, table in clauses], dtype=bool
+        ).reshape(-1, first.size)
+        zeros = np.zeros(first.size, dtype=np.intp)
+        self.stratum = zeros if sample is None else sample.stratum_idx[first]
+        self.domain = zeros if sample is None else sample.domain_idx[first]
+        self.used = sorted({column for _, column in self.cells})
+        self._comoments: tuple[np.ndarray, set] | None = None
 
     @staticmethod
-    def of(cells: Sequence[tuple[np.ndarray, np.ndarray]]) -> "CellRows":
-        """The group of ``cells``, each given as its rows and its summed
-        values at those rows."""
-        rows, values = zip(*cells)
-        if len(cells) == 1:  # no copies of a lone cell's arrays
-            return CellRows(rows[0], values[0], np.array([rows[0].size]))
-        return CellRows(np.concatenate(rows), np.concatenate(values), np.array([r.size for r in rows]))
+    def of(sample: SampleSet, queries: Sequence[CellQuery]) -> "CellAtoms":
+        """The atoms of a run's cells, each distinct clause read once."""
+        names = sample.calibration.variable_names
+        positions: dict = {}
+        clauses, cells, columns = [], [], {name: v for v, name in enumerate(names)}
+        for query in queries:
+            sample.column(query.summed_variable, query.name)  # rejects an unknown variable
+            keys = _clauses(query.filter)
+            for key in keys:
+                if key not in positions:
+                    positions[key] = len(clauses)
+                    clauses.append(_clause_table(key, sample, query.name))
+            column = columns.setdefault(query.summed_variable, len(columns))
+            cells.append((tuple(positions[key] for key in keys), column))
+        values = [*sample.calib.T, *(sample.outcomes[name] for name in list(columns)[len(names):])]
+        return CellAtoms(clauses, cells, values, sample)
 
     @staticmethod
-    def one(cell: CellData) -> "CellRows":
-        return CellRows.of([(cell.rows, cell.values[cell.rows])])
+    def one(cell: CellData, sample: SampleSet | None = None) -> "CellAtoms":
+        """The atoms of one evaluated cell: its mask the only clause."""
+        columns = [] if sample is None else list(sample.calib.T)
+        clause = (np.asarray(cell.mask, dtype=bool).view(np.uint8), np.array([False, True]))
+        return CellAtoms([clause], [((0,), len(columns))], [*columns, cell.values], sample)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.starts.size
+
+    def groups(self, cells: Iterable[int]) -> Iterator[tuple[np.ndarray, CellPairs]]:
+        """The ``cells`` (positions) in order, cut into groups of at most
+        ``CELL_GROUP_PAIRS`` pairs: each group's positions and pairs."""
+        group: list[int] = []
+        atoms: list[np.ndarray] = []
+        size = 0
+        for c in cells:
+            clauses, _ = self.cells[c]
+            members = np.flatnonzero(np.logical_and.reduce(self.pattern[list(clauses)]))
+            if group and size + members.size > CELL_GROUP_PAIRS:
+                yield np.array(group), CellPairs.of(self, group, atoms)
+                group, atoms, size = [], [], 0
+            group.append(c)
+            atoms.append(members)
+            size += members.size
+        if group:
+            yield np.array(group), CellPairs.of(self, group, atoms)
+
+    def _blocks(self, columns) -> Iterator[list[int]]:
+        """``columns`` in blocks of at most ``COLUMN_BLOCK_BYTES`` of values."""
+        columns = list(columns)
+        width = max(1, COLUMN_BLOCK_BYTES // (8 * self.order.size))
+        for start in range(0, len(columns), width):
+            yield columns[start : start + width]
+
+    def _ordered(self, columns: Sequence[int]) -> np.ndarray:
+        """The ``columns`` with the records in atom order, one row each."""
+        out = np.empty((len(columns), self.order.size))
+        for row, j in zip(out, columns):
+            self.columns[j].take(self.order, out=row)
+        return out
+
+    def _sums(self, x: np.ndarray) -> np.ndarray:
+        """The sums over each atom of each row of ``x``, records in atom order."""
+        return np.add.reduceat(x, self.starts, axis=-1)
+
+    def totals(self, weights: np.ndarray) -> np.ndarray:
+        """S x A: each summed column's weighted total over each atom."""
+        weights = weights[self.order]
+        out = np.zeros((len(self.columns), self.n_atoms))
+        for block in self._blocks(self.used):
+            out[block] = self._sums(self._ordered(block) * weights)
+        return out
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """V x S x A: each summed column's sum of value w y_v over each
+        atom, y_v calibration variable v and w the design weight."""
+        V = self.sample.calibration.n_variables
+        weights = self.sample.weights[self.order]
+        out = np.zeros((V, len(self.columns), self.n_atoms))
+        for block in self._blocks(self.used):
+            scale = weights * self._ordered(block)
+            for v in range(V):
+                out[v, block] = self._sums(self._ordered([v]) * scale)
+        return out
+
+    @cached_property
+    def spread(self) -> Spread:
+        """The ``Spread`` of each column over each atom, S x A each."""
+        table = np.empty((4, len(self.columns), self.n_atoms))
+        for block in self._blocks(range(len(self.columns))):
+            x = self._ordered(block)
+            table[0, block] = np.maximum.reduceat(x, self.starts, axis=1)
+            table[1, block] = np.minimum.reduceat(x, self.starts, axis=1)
+            x -= np.repeat(table[0, block], self.count, axis=1)
+            table[2, block] = self._sums(x) / self.count
+            x -= np.repeat(table[2, block], self.count, axis=1)
+            table[3, block] = self._sums(x * x)
+        return Spread(*table)
+
+    def _deviations(self, block: Sequence[int]) -> np.ndarray:
+        """The ``block`` columns less their atom means, records in atom order."""
+        x = self._ordered(block)
+        x -= np.repeat(self.spread.top[block], self.count, axis=1)
+        x -= np.repeat(self.spread.offset[block], self.count, axis=1)
+        return x
+
+    def comoments(self, columns) -> np.ndarray:
+        """V x S x A: per atom, the sum of products of the deviations of
+        calibration variable v and of a column from their atom means,
+        computed for ``columns`` on first request."""
+        V = self.sample.calibration.n_variables
+        if self._comoments is None:
+            self._comoments = np.zeros((V, len(self.columns), self.n_atoms)), set()
+        table, done = self._comoments
+        for block in self._blocks(sorted(set(columns) - done)):
+            deviations = self._deviations(block)
+            for v in range(V):
+                table[v, block] = self._sums(deviations * self._deviations([v]))
+            done.update(block)
+        return table
+
+
+def _dense(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """``key``, each entry below ``span``, renumbered 0, 1, ... in the same
+    order, and its new span: by a table of the span when it is at most 4n,
+    else by sorting."""
+    if span > 4 * key.size:
+        levels, rank = np.unique(key, return_inverse=True)
+        return rank.reshape(-1), levels.size
+    present = np.zeros(span, dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present) - 1
+    return rank[key], int(rank[-1]) + 1
+
+
+@dataclass(frozen=True)
+class CellPairs:
+    """A group of cells' (cell, atom) pairs, cell by cell, each cell's atoms
+    in table order.
+
+    ``atom`` holds the atom positions, ``columns`` each cell's summed column
+    and ``sizes`` each cell's pair count.  A per-cell reduction is one
+    ``np.bincount`` keyed by ``cell``, each pair's position in the group;
+    ``take`` reads a per-atom table at each pair's column and atom.
+    """
+
+    atoms: CellAtoms
+    atom: np.ndarray
+    columns: np.ndarray
+    sizes: np.ndarray
+
+    @staticmethod
+    def of(atoms: CellAtoms, cells: Sequence[int], members: Sequence[np.ndarray]) -> "CellPairs":
+        sizes = np.array([m.size for m in members])
+        columns = np.array([atoms.cells[c][1] for c in cells])
+        return CellPairs(atoms, np.concatenate(members), columns, sizes)
+
+    @staticmethod
+    def one(cell: CellData, sample: SampleSet | None = None) -> "CellPairs":
+        """The pairs of one evaluated cell over ``CellAtoms.one``."""
+        ((_, pairs),) = CellAtoms.one(cell, sample).groups([0])
+        return pairs
 
     @property
     def n_cells(self) -> int:
-        return self.counts.size
+        return self.sizes.size
 
     @cached_property
     def cell(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_cells), self.counts)
+        return np.repeat(np.arange(self.n_cells), self.sizes)
 
-    def select(self, keep: np.ndarray) -> "CellRows":
-        """The group of the cells where ``keep`` is true."""
+    @property
+    def used(self) -> list[int]:
+        """The columns that the group's cells sum."""
+        return sorted(set(self.columns.tolist()))
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        """Each pair's atom record count, as floats."""
+        return self.atoms.count[self.atom].astype(float)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each cell's record count."""
+        return np.bincount(self.cell, self.count, minlength=self.n_cells).astype(np.intp)
+
+    def select(self, keep: np.ndarray) -> "CellPairs":
+        """The pairs of the cells where ``keep`` is true."""
         if keep.all():
             return self
         entries = keep[self.cell]
-        return CellRows(self.rows[entries], self.values[entries], self.counts[keep])
+        return CellPairs(self.atoms, self.atom[entries], self.columns[keep], self.sizes[keep])
+
+    @cached_property
+    def _entry(self) -> np.ndarray:
+        return np.repeat(self.columns * self.atoms.n_atoms, self.sizes) + self.atom
+
+    def take(self, table: np.ndarray) -> np.ndarray:
+        """Entry [..., column, atom] of a ... x S x A table at each pair:
+        ... x P."""
+        return table.reshape(*table.shape[:-2], -1).take(self._entry, axis=-1)
 
 
-def _clause_mask(clause: tuple, sample: SampleSet, cell_name: str) -> np.ndarray:
-    """The mask of one filter clause: ``("domains", ids)``, ``("attribute",
-    name, levels)`` or ``("range", variable, (lo, hi))``."""
+def _clause_table(
+    clause: tuple, sample: SampleSet, cell_name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """One filter clause, ``("domains", ids)``, ``("attribute", name,
+    levels)`` or ``("range", variable, (lo, hi))``, as ``(codes, table)``:
+    its mask is ``table[codes]``, ``codes`` each unit's domain position,
+    attribute code or, for a range, in-range flag."""
     spec = sample.calibration
     kind, *args = clause
     if kind == "domains":
@@ -514,8 +760,7 @@ def _clause_mask(clause: tuple, sample: SampleSet, cell_name: str) -> np.ndarray
                 f"cell {cell_name!r}: filter references unknown domains "
                 f"{sorted(unknown)}"
             )
-        allowed = np.array([d in domains for d in spec.domain_order], dtype=bool)
-        return allowed[sample.domain_idx]
+        return sample.domain_idx, np.array([d in domains for d in spec.domain_order], dtype=bool)
     if kind == "attribute":
         attr, levels = args
         if attr not in sample.attribute_codes:
@@ -524,7 +769,7 @@ def _clause_mask(clause: tuple, sample: SampleSet, cell_name: str) -> np.ndarray
                 f"{attr!r}"
             )
         present, codes = sample.attribute_codes[attr]
-        return np.array([level in levels for level in present], dtype=bool)[codes]
+        return codes, np.array([level in levels for level in present], dtype=bool)
     var, (lo, hi) = args
     if var not in spec.variable_names:
         raise DataError(
@@ -537,7 +782,7 @@ def _clause_mask(clause: tuple, sample: SampleSet, cell_name: str) -> np.ndarray
         mask &= column >= lo
     if hi is not None:
         mask &= column <= hi
-    return mask
+    return mask.view(np.uint8), np.array([False, True])
 
 
 def _clauses(f: CellFilter) -> list[tuple]:
@@ -549,52 +794,25 @@ def _clauses(f: CellFilter) -> list[tuple]:
     ]
 
 
-def filter_mask(
-    f: CellFilter, sample: SampleSet, cell_name: str = "?", clauses: dict | None = None
-) -> np.ndarray:
+def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.ndarray:
     """Apply a cell filter to a sample's units: the AND of its clause masks.
 
     A census population is a ``SampleSet`` too, so sample cells and
-    population truths go through this one predicate.  ``clauses`` keeps
-    each clause's mask, read-only, for the other cells of a run on the
-    same units: the 25 default cells of a simulation use 13 distinct
-    clauses.
+    population truths go through this one predicate.  A mask depends only
+    on record attributes, domains, and calibration values; it is
+    independent of weights, draws, and record order.
     """
-    clauses = {} if clauses is None else clauses
-    mask = None
+    mask = np.ones(sample.n, dtype=bool)
     for key in _clauses(f):
-        if key not in clauses:
-            clauses[key] = _clause_mask(key, sample, cell_name)
-            clauses[key].flags.writeable = False
-        mask = clauses[key] if mask is None else mask & clauses[key]
-    return np.ones(sample.n, dtype=bool) if mask is None else mask
-
-
-def evaluate_cells(
-    queries: Iterable[CellQuery], sample: SampleSet, spec: CalibrationSpec
-) -> Iterator[CellData]:
-    """Evaluate each cell's membership and summed values against a sample,
-    in order, sharing clause masks among the cells; a clause's mask is
-    dropped after the last cell that reads it.
-
-    A mask depends only on record attributes, domains, and calibration
-    values; it is independent of weights, draws, and record order.
-    """
-    sample.check_spec(spec)
-    queries = tuple(queries)
-    last_use = {key: k for k, query in enumerate(queries) for key in _clauses(query.filter)}
-    clauses: dict = {}
-    for k, query in enumerate(queries):
-        values = sample.column(query.summed_variable, query.name)
-        mask = filter_mask(query.filter, sample, query.name, clauses)
-        for key in _clauses(query.filter):
-            if last_use[key] == k:  # no later cell reads this clause
-                del clauses[key]
-        yield CellData(mask=mask, values=values)
+        codes, table = _clause_table(key, sample, cell_name)
+        mask &= table[codes]
+    return mask
 
 
 def evaluate_cell(
     query: CellQuery, sample: SampleSet, spec: CalibrationSpec
 ) -> CellData:
-    """``evaluate_cells`` of one cell."""
-    return next(evaluate_cells((query,), sample, spec))
+    """Evaluate one cell's membership and summed values against a sample."""
+    sample.check_spec(spec)
+    values = sample.column(query.summed_variable, query.name)
+    return CellData(mask=filter_mask(query.filter, sample, query.name), values=values)

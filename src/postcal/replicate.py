@@ -31,7 +31,7 @@ from .frame import (
     CalibrationSpec,
     CellData,
     CellQuery,
-    CellRows,
+    CellPairs,
     SampleSet,
     TierLabel,
     evaluate_cell,
@@ -107,11 +107,10 @@ def total_columns(
         yield columns, totals
 
 
-def cell_totals(cells: CellRows, weights: np.ndarray) -> np.ndarray:
-    """Each cell's weighted total sum_{i in c} value_i weights_i."""
-    return np.bincount(
-        cells.cell, cells.values * weights[cells.rows], minlength=cells.n_cells
-    )
+def cell_totals(pairs: CellPairs, sums: np.ndarray) -> np.ndarray:
+    """Each cell's weighted total sum_{i in c} value_i weights_i, from the
+    atoms' totals ``sums = CellAtoms.totals(weights)``."""
+    return np.bincount(pairs.cell, pairs.take(sums), minlength=pairs.n_cells)
 
 
 def replicate_totals(
@@ -126,14 +125,15 @@ def replicate_totals(
     one-cell case of ``cell_weighted_moment``, ``replicate_direction``,
     ``cell_totals`` and ``total_columns``.
 
-    Cost is O(n_c V + p^2) once per cell, n_c its records, plus O(B p)
-    across draws, centred on T_ht once per draw set.
+    Cost is O(n V + p^2) once per cell, for the cell's table over the n
+    records, plus O(B p) across draws, centred on T_ht once per draw set.
     """
     sample.check_spec(spec)
     check_draws(draws, spec)
     moment = cell_weighted_moment(sample, cell.rows, cell.values)
     direction = replicate_direction(gram, moment)
-    fixed_ht = cell_totals(CellRows.one(cell), sample.weights)
+    pairs = CellPairs.one(cell, sample)
+    fixed_ht = cell_totals(pairs, pairs.atoms.totals(sample.weights))
     (_, values), = total_columns(draws, ht, direction[:, None], fixed_ht)
     return ReplicateTotals(values=values[:, 0], fixed_ht=float(fixed_ht[0]), direction=direction)
 
@@ -184,7 +184,8 @@ def empirical_quantile_ci(
 def point_estimate(cell: CellData, weights: CalibratedWeights) -> float:
     """Weighted cell total under the posterior-mean calibrated weights:
     ``cell_totals`` of one cell."""
-    return float(cell_totals(CellRows.one(cell), weights.weights)[0])
+    pairs = CellPairs.one(cell)
+    return float(cell_totals(pairs, pairs.atoms.totals(weights.weights))[0])
 
 
 def recalibration_oracle(

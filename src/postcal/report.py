@@ -2,19 +2,21 @@
 
 One artifact bundle (Gram factorization, HT totals, posterior-mean weights)
 is computed per run and shared read-only across cells.  ``build_run_report``
-then infers every cell in three stages.  Reductions over records run on
-groups of cells whose rows are concatenated (``CELL_GROUP_ROWS``), each a
-``np.bincount`` keyed by cell, and leave O(p + H D) numbers a cell; the
-masks come from clause masks shared among the cells.  One solve gives
-every cell's direction, and the draw axis is reduced in column groups of
-the replicate totals (``replicate.TOTALS_GROUP_BYTES``).  The rows are
-assembled last.  ``analyze_cell`` is the same pass over one cell.
+then infers every cell in three stages.  Reductions over records run once
+per atom (``frame.CellAtoms``: the records that share their stratum, domain
+and clause-membership pattern), and each cell's statistics are reductions
+over its atoms, in groups of cells of at most ``frame.CELL_GROUP_PAIRS``
+(cell, atom) pairs, each a ``np.bincount`` keyed by cell; only O(p + H D)
+numbers a cell outlive its group.  One solve gives every cell's direction,
+and the draw axis is reduced in column groups of the replicate totals
+(``replicate.TOTALS_GROUP_BYTES``).  The rows are assembled last.
+``analyze_cell`` is the same pass over a table of one cell.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -26,16 +28,7 @@ from . import calibration as cal
 from . import replicate as rep
 from . import variance as var
 from .errors import LinkSelectionError, RankDeficiencyError
-from .frame import (
-    CalibrationSpec,
-    CellData,
-    CellQuery,
-    CellRows,
-    SampleSet,
-    TierLabel,
-    evaluate_cell,
-    evaluate_cells,
-)
+from .frame import CalibrationSpec, CellAtoms, CellQuery, SampleSet, TierLabel, evaluate_cell
 from .hb import PosteriorDraws
 from .io import MACHINE_FLOAT, format_machine, write_json, write_table
 
@@ -121,36 +114,17 @@ class RunReport:
     metadata: dict
 
 
-# Most record rows a group of cells concatenates for its reductions, which
-# bounds what a group holds at once; a cell with more rows forms a group
-# alone.  On the benchmark's 50,000-record sample, groups of 65,536 rows
-# take the peak RSS of ``infer`` from 56.0 to 58.3 MiB.
-CELL_GROUP_ROWS = 8192
-
-
-def _cell_groups(cells: Iterable[CellData]) -> Iterator[CellRows]:
-    """The cells in order, cut into groups of at most ``CELL_GROUP_ROWS``
-    rows; only a cell's rows and summed values outlive its mask."""
-    group, size = [], 0
-    for cell in cells:
-        if group and size + cell.count > CELL_GROUP_ROWS:
-            yield CellRows.of(group)
-            group, size = [], 0
-        group.append((cell.rows, cell.values[cell.rows]))
-        size += cell.count
-    if group:
-        yield CellRows.of(group)
-
-
 def _analyze_cells(
-    queries: Sequence[CellQuery], cells: Iterable[CellData], art: InferenceArtifacts
+    queries: Sequence[CellQuery], art: InferenceArtifacts, atoms: CellAtoms | None = None
 ) -> list[CellReportRow]:
     """The tier-appropriate inference of every cell, in one pass.
 
-    Reductions over records run per group of cells (``_cell_groups``) and
-    leave O(p + D + V) numbers a cell; one solve gives every direction, the
-    draw axis is reduced in the column groups of ``rep.total_columns``, and
-    the rows are assembled last, each with its warnings in a fixed order.
+    Reductions over records run once per atom of ``atoms`` (by default the
+    table of ``queries``), and per cell over its atoms, in groups of cells
+    (``CellAtoms.groups``) that leave O(p + D + V) numbers a cell; one solve
+    gives every direction, the draw axis is reduced in the column groups of
+    ``rep.total_columns``, and the rows are assembled last, each with its
+    warnings in a fixed order.
     """
     sample, draws = art.sample, art.draws
     spec = sample.calibration
@@ -160,26 +134,24 @@ def _analyze_cells(
     tiers = [query.tier_override or auto for query, auto in zip(queries, autos)]
     needs_cbi = np.array([tier is not TierLabel.TIER_1E for tier in tiers], dtype=bool)
     needs_link = np.array([tier is TierLabel.TIER_3NCV for tier in tiers], dtype=bool)
+    atoms = CellAtoms.of(sample, queries) if atoms is None else atoms
 
     counts = np.zeros(C, dtype=np.intp)
     moments, fixed_ht, points = np.zeros((C, spec.p)), np.zeros(C), np.zeros(C)
     numerator, variance, met = np.zeros((C, D)), np.zeros((C, D)), np.zeros((C, D), dtype=bool)
     correlations = np.full((C, V), np.nan)
-    start = 0
-    for group in _cell_groups(cells):
-        at = slice(start, start + group.n_cells)
-        start = at.stop
-        counts[at] = group.counts
-        moments[at] = cal.cell_weighted_moments(sample, group)
-        fixed_ht[at] = rep.cell_totals(group, sample.weights)
-        points[at] = rep.cell_totals(group, art.mean_weights.weights)
-        cbi, link = needs_cbi[at], needs_link[at]
-        if cbi.any():
-            sums = var.domain_sums(sample, group.select(cbi), art.mean_weights)
-            for out, part in zip((numerator, met, variance), sums):
-                out[at][cbi] = part
-        if link.any():
-            correlations[at][link] = var.link_correlations(sample, group.select(link))
+    ht_sums, mean_sums = atoms.totals(sample.weights), atoms.totals(art.mean_weights.weights)
+    for at, pairs in atoms.groups(range(C)):
+        counts[at] = pairs.counts
+        moments[at] = cal.cell_weighted_moments(pairs)
+        fixed_ht[at] = rep.cell_totals(pairs, ht_sums)
+        points[at] = rep.cell_totals(pairs, mean_sums)
+        cbi, link = at[needs_cbi[at]], at[needs_link[at]]
+        if cbi.size:
+            sums = var.domain_sums(pairs.select(needs_cbi[at]), mean_sums)
+            numerator[cbi], met[cbi], variance[cbi] = sums
+        if link.size:
+            correlations[link] = var.link_correlations(pairs.select(needs_link[at]))
 
     points = points.tolist()  # Python floats, as the rows carry them
     directions = cal.replicate_direction(art.gram, moments.T)
@@ -271,7 +243,7 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     """Run the full tier-appropriate inference for one cell: the one-cell
     case of ``build_run_report``'s pass."""
     cell = evaluate_cell(query, art.sample, art.sample.calibration)
-    (row,) = _analyze_cells((query,), (cell,), art)
+    (row,) = _analyze_cells((query,), art, CellAtoms.one(cell, art.sample))
     return row
 
 
@@ -308,8 +280,7 @@ def build_run_report(
 ) -> RunReport:
     """Every cell's report row in one pass (``_analyze_cells``), with the
     run metadata."""
-    sample = art.sample
-    rows = _analyze_cells(cells, evaluate_cells(cells, sample, sample.calibration), art)
+    rows = _analyze_cells(cells, art)
     meta = {
         "n_records": art.sample.n,
         "p": art.sample.calibration.p,

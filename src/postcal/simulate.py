@@ -8,10 +8,10 @@ samples are fitted together, one sampler call per model setting with lanes =
 replications x variables x chains, and each replication then passes its own
 R-hat gate and cell layer.  With ``threads`` > 1 worker processes run whole
 chunks.  The population is a census ``SampleSet`` (every unit, each weight
-1), so its truths and the samples' cells go through the same
-``evaluate_cells``, which shares clause masks among a run's cells.  Seeds
-are split hierarchically (master seed, replication, stage, chain), so runs
-are reproducible under parallel execution and replication order.
+1), so its truths and the samples' cells go through the same atom table,
+``frame.CellAtoms``.  Seeds are split hierarchically (master seed,
+replication, stage, chain), so runs are reproducible under parallel
+execution and replication order.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ from .errors import ConfigError, DataError
 from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
+    CellAtoms,
     CellQuery,
     SampleSet,
     StratumSpec,
     block_sums,
     compact_codes,
-    evaluate_cells,
 )
 from .hb import PosteriorDraws, chain_rng, gelman_rubin
 from .io import BandRule, derive_bands
+from .replicate import cell_totals
 from .report import CellReportRow, build_artifacts, build_run_report
 
 
@@ -59,13 +60,13 @@ class SurveyFrame(SampleSet):
         self.covariates = covariates
 
     def truth_table(self, cells) -> dict[str, float]:
-        """Exhaustive population total of each cell's summed variable, the
-        cells sharing their clause masks."""
-        evaluated = evaluate_cells(cells, self, self.calibration)
-        return {
-            query.name: float(cell.values[cell.rows].sum())
-            for query, cell in zip(cells, evaluated)
-        }
+        """Exhaustive population total of each cell's summed variable, over
+        the cells' atoms as in a report."""
+        atoms = CellAtoms.of(self, cells)
+        sums, truths = atoms.totals(self.weights), np.zeros(len(cells))
+        for at, pairs in atoms.groups(range(len(cells))):
+            truths[at] = cell_totals(pairs, sums)
+        return {query.name: float(truth) for query, truth in zip(cells, truths.tolist())}
 
     def cell_truth(self, query: CellQuery) -> float:
         """``truth_table`` of one cell."""

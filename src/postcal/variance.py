@@ -11,8 +11,9 @@ variable,
   cell-masked values zeroed outside d, total_d^2 * Var(share_d) =
   sum_h N_h^2 * deff_h * (1 - f_h) * s2_h(z_d) / n_h over the strata h;
   the stratum factors of every domain of a group of cells come from one
-  pass of ``SampleSet.stratum_mean_variance`` over the group's rows keyed
-  by (cell, stratum, domain), the kernel that also gives the Gaussian
+  pass over their (cell, atom) pairs keyed by (cell, stratum, domain)
+  (``stratum_kernel``), which pools the atoms' centred sums of squares and
+  shares its finish, ``SampleSet.mean_variance``, with the Gaussian
   model's sampling variances psi_h;
 * component 2 = sum_d share_d^2 * V_d, the model-based variance of the
   domain totals, where V_d is the diagonal entry of the draw covariance
@@ -26,8 +27,9 @@ outcome (the linking variable), giving a ratio-type interval.
 
 Each quantity is computed for a group of cells at once (``domain_sums``,
 ``domain_shares``, ``components``, ``link_correlations``,
-``cells_diagnostics``); the per-cell entry points are those kernels on one
-cell.
+``cells_diagnostics``), the record-level ones from the per-atom statistics
+of ``frame.CellAtoms``; the per-cell entry points are those kernels on a
+table of one cell.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .calibration import CalibratedWeights
 from .errors import DataError, LinkSelectionError
-from .frame import CellData, CellRows, SampleSet
+from .frame import CellData, CellPairs, SampleSet
 from .hb import PosteriorDraws
 
 
@@ -141,22 +143,58 @@ class CellDiagnostics:
     orthogonality_flag: bool
 
 
+def stratum_kernel(pairs: CellPairs) -> tuple[np.ndarray, np.ndarray]:
+    """The stratum kernel deff_h * (1 - f_h) * s2_h(z_d) / n_h of each
+    (cell, stratum, domain) key k = (c H + h) D + d that a group's cells
+    meet, with the keys in ascending order; every other key's kernel is 0.
+    z_d is the cell-masked summed values zeroed outside domain d, over the
+    whole stratum sample (so strata spanning domains are covered too).
+
+    The atoms of a key are a run of the pairs, since atoms come in stratum
+    and domain order.  Their ``Spread`` is pooled about the key's largest
+    value, so an all-equal key has sum of squares exactly 0, to which the
+    stratum's zeros outside k add n_k (n_h - n_k) / n_h * mean_k^2.
+    """
+    atoms = pairs.atoms
+    sample = atoms.sample
+    H, D = len(sample.strata), sample.calibration.n_domains
+    if not pairs.atom.size:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    key = (pairs.cell * H + atoms.stratum[pairs.atom]) * D + atoms.domain[pairs.atom]
+    new = np.empty(key.size, dtype=bool)
+    new[0], new[1:] = True, key[1:] != key[:-1]
+    run, first = np.cumsum(new) - 1, np.flatnonzero(new)
+    top_a, _, offset_a, m2_a = (pairs.take(table) for table in atoms.spread)
+    top = np.maximum.reduceat(top_a, first)
+    n_k = np.bincount(run, pairs.count)
+    deviation = top_a - top[run] + offset_a
+    mean = np.bincount(run, pairs.count * deviation) / n_k
+    deviation -= mean[run]
+    ss = np.bincount(run, m2_a + pairs.count * deviation * deviation)
+    h = key[first] // D % H
+    n_h = sample.stratum_counts[h]
+    ss += n_k * (n_h - n_k) / n_h * (top + mean) ** 2
+    return key[first], sample.mean_variance(h, ss)
+
+
 def domain_sums(
-    sample: SampleSet, cells: CellRows, weights: CalibratedWeights
+    pairs: CellPairs, sums: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each cell's reductions per domain d, G x D: its total within d under
-    the posterior-mean ``weights`` (the share numerator), whether it has
-    records in d, and sum_h N_h^2 times the stratum kernel of z_d, the
-    cell-masked summed values zeroed outside d, over the whole stratum
-    sample (so strata spanning domains are covered too).  Two
-    ``np.bincount`` calls keyed by (cell, domain) and one pass of
-    ``SampleSet.stratum_mean_variance`` over the group."""
-    G, D = cells.n_cells, sample.calibration.n_domains
-    key = cells.cell * D + sample.domain_idx[cells.rows]
-    numerator = np.bincount(key, cells.values * weights.weights[cells.rows], minlength=G * D)
+    """Each cell's reductions per domain d, G x D: its total within d from
+    the atoms' totals ``sums`` under the posterior-mean weights (the share
+    numerator), whether it has records in d, and sum_h N_h^2 times its
+    ``stratum_kernel`` of z_d."""
+    sample = pairs.atoms.sample
+    G, H, D = pairs.n_cells, len(sample.strata), sample.calibration.n_domains
+    key = pairs.cell * D + pairs.atoms.domain[pairs.atom]
+    numerator = np.bincount(key, pairs.take(sums), minlength=G * D)
     met = np.bincount(key, minlength=G * D) > 0
-    variance = sample.stratum_sizes**2 @ sample.stratum_mean_variance(cells=cells)
-    return numerator.reshape(G, D), met.reshape(G, D), variance
+    keys, kernel = stratum_kernel(pairs)
+    cell_stratum, d = np.divmod(keys, D)
+    c, h = np.divmod(cell_stratum, H)
+    terms = sample.stratum_sizes[h] ** 2 * kernel
+    variance = np.bincount(c * D + d, terms, minlength=G * D)
+    return numerator.reshape(G, D), met.reshape(G, D), variance.reshape(G, D)
 
 
 def denominator_positions(names: Sequence[str], denominators) -> np.ndarray:
@@ -253,7 +291,8 @@ def share_and_variance(
 ) -> tuple[DomainShares, tuple[str, ...]]:
     """``domain_shares`` of one cell."""
     positions = denominator_positions(sample.calibration.variable_names, [denominator_variable])
-    sums = domain_sums(sample, CellRows.one(cell), weights)
+    pairs = CellPairs.one(cell, sample)
+    sums = domain_sums(pairs, pairs.atoms.totals(weights.weights))
     shares, warnings = domain_shares(sample, sums, positions, posterior_mean)
     return DomainShares(*(getattr(shares, f.name)[0] for f in fields(shares))), warnings[0]
 
@@ -301,45 +340,53 @@ def cbi(
     )
 
 
-def link_correlations(sample: SampleSet, cells: CellRows) -> np.ndarray:
+def link_correlations(pairs: CellPairs) -> np.ndarray:
     """Pearson correlation of each cell's outcome with each calibration
     variable over the cell's records, G x V; NaN marks a variable constant
     within the cell (or a cell of fewer than 2 records), which cannot serve
     as a ratio denominator, and an outcome constant within the cell gives 0.
 
-    A group's rows are contiguous per cell, so each per-cell sum is one
-    ``reduceat`` over the group, a variable at a time; constancy is decided
-    exactly, by each cell's largest and smallest values.
+    A cell's pairs are contiguous, so the atoms' means, sums of squares and
+    co-moments pool into the cell's by ``np.bincount`` keyed by (variable,
+    cell), the outcome and the calibration variables at once; constancy is
+    decided exactly, by each cell's largest and smallest values.
     """
-    G, V = cells.n_cells, sample.calibration.n_variables
+    atoms = pairs.atoms
+    G, V = pairs.n_cells, atoms.sample.calibration.n_variables
     rho = np.full((G, V), np.nan)
-    met = cells.counts > 0
+    met = pairs.sizes > 0
     if not met.any():
         return rho
-    n = cells.counts[met]
-    starts = np.cumsum(n) - n
+    cell, count = pairs.cell, pairs.count
+    n = np.bincount(cell, count, minlength=G)
+    starts = (np.cumsum(pairs.sizes) - pairs.sizes)[met]
+    comoments = pairs.take(atoms.comoments(pairs.used))
 
-    def constant(x):
-        return np.maximum.reduceat(x, starts) == np.minimum.reduceat(x, starts)
+    def per_cell(rows):
+        """Each row of a rows x P array summed over each cell, rows x G."""
+        R = rows.shape[0]
+        key = cell + G * np.arange(R)[:, None]
+        return np.bincount(key.ravel(), rows.ravel(), minlength=R * G).reshape(R, G)
 
-    def centred(x):
-        return x - np.repeat(np.add.reduceat(x, starts) / n, n)
-
-    def root_mean_square(x):
-        return np.sqrt(np.add.reduceat(x * x, starts) / n)
-
-    du = centred(cells.values)
-    su = root_mean_square(du)
-    outcome_constant = constant(cells.values)
-    for v in range(V):
-        column = sample.calib[cells.rows, v]
-        dc = centred(column)
-        sc = root_mean_square(dc)
-        informative = ~outcome_constant & (sc != 0.0)
-        covariance = np.add.reduceat(du * dc, starts) / n
-        within = np.divide(covariance, su * sc, out=np.zeros(n.size), where=informative)
-        within[(n < 2) | constant(column)] = np.nan
-        rho[met, v] = within
+    # row 0 the outcome, rows 1..V the calibration variables, at each pair
+    top, bottom, offset, m2 = (
+        np.vstack([pairs.take(table), np.take(table[:V], pairs.atom, axis=1)])
+        for table in atoms.spread
+    )
+    mean_a = top + offset
+    deviation = mean_a - (per_cell(count * mean_a) / np.maximum(n, 1))[:, cell]
+    pooled = per_cell(m2 + count * deviation * deviation)[:, met]
+    root_mean_square = np.sqrt(pooled / n[met])
+    constant = np.equal(
+        np.maximum.reduceat(top, starts, axis=1), np.minimum.reduceat(bottom, starts, axis=1)
+    )
+    products = comoments + count * deviation[0] * deviation[1:]
+    covariance = per_cell(products)[:, met] / n[met]
+    su, sc = root_mean_square[0], root_mean_square[1:]
+    informative = ~constant[0] & (sc != 0.0)
+    within = np.divide(covariance, su * sc, out=np.zeros(sc.shape), where=informative)
+    within[(n[met] < 2) | constant[1:]] = np.nan
+    rho[met] = within.T
     return rho
 
 
@@ -378,7 +425,7 @@ def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
     denominators and are excluded regardless of formal correlation; ties
     break by declaration order.
     """
-    correlations = link_correlations(sample, CellRows.one(cell))[0]
+    correlations = link_correlations(CellPairs.one(cell, sample))[0]
     return ratio_link(sample.calibration.variable_names, correlations)
 
 

@@ -562,6 +562,28 @@ def set_config(dotted_key, value):
     return corrupt
 
 
+def drop_config(dotted_key):
+    """Remove a config key by dotted path."""
+
+    def corrupt(tmp_path):
+        raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+        *parents, key = dotted_key.split(".")
+        section = raw
+        for name in parents:
+            section = section[name]
+        del section[key]
+        write_config(tmp_path, raw)
+
+    return corrupt
+
+
+def rename_model(tmp_path):
+    """Rename ``models.hours`` to ``models.hourz``."""
+    raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    raw["models"]["hourz"] = raw["models"].pop("hours")
+    write_config(tmp_path, raw)
+
+
 def drop_stratum(tmp_path, stratum="s2"):
     """Remove one stratum's row from the strata file; the records still name it."""
     path = tmp_path / "strata.csv"
@@ -753,6 +775,24 @@ MALFORMED_INPUTS = [
         filter_on_undeclared_domain,
         "cells[0].where.domain: unknown domains ['d9']; declared ['d1', 'd2']",
         id="cell-domain-undeclared",
+    ),
+    # one model entry per calibration variable, and none for anything else
+    pytest.param(
+        set_config("models.wages", {"kind": "gaussian"}),
+        "models.wages: not a calibration variable; the calibration variables are "
+        "['employed', 'hours']",
+        id="model-not-calibration",
+    ),
+    pytest.param(
+        set_config("models.income", {"kind": "gaussian"}),
+        "models.income: not a calibration variable",
+        id="model-for-outcome",
+    ),
+    pytest.param(rename_model, "models.hourz: not a calibration variable", id="model-renamed"),
+    pytest.param(
+        drop_config("models.hours"),
+        "models: no model for calibration variables ['hours']",
+        id="model-missing",
     ),
     # a pinned stratum-effect variance: >= 0 for the binary model (0 switches
     # the effects off), > 0 for the Gaussian one; NaN for neither

@@ -764,6 +764,24 @@ class TestConfig:
     def test_integer_key_takes_integral_forms(self, value):
         assert parse_config({"mcmc": {"chains": value}}).mcmc.chains == 3
 
+    @pytest.mark.parametrize(
+        "models,cause",
+        [
+            ({"wages": {"kind": "gaussian"}}, "models.wages: not a calibration variable"),
+            ({}, "models: no model for calibration variables ['hours']"),
+        ],
+    )
+    def test_simulation_models_match_its_generated_variables(self, models, cause):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        if models:
+            raw["models"].update(models)
+        else:
+            del raw["models"]["hours"]
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw)
+
     def test_absent_keys_leave_the_dataclass_defaults(self):
         population = {
             "domains": ["d1"],
@@ -777,7 +795,7 @@ class TestConfig:
         }
         raw = {
             "seed": 5,
-            "models": {"emp": {"kind": "binary"}},
+            "models": {"emp": {"kind": "binary"}, "hrs": {"kind": "gaussian"}},
             "simulate": {
                 "population": population,
                 "derived": [{"name": "band", "source": "hrs", "bands": [{"label": "x"}]}],
@@ -787,7 +805,7 @@ class TestConfig:
             seed=5,
             raw=raw,
             band_rules=(BandRule("band", "hrs", (("x", None, None),)),),
-            models={"emp": ModelConfig("emp", "binary")},
+            models={"emp": ModelConfig("emp", "binary"), "hrs": ModelConfig("hrs", "gaussian")},
             mcmc=McmcConfig(seed=5),
             simulate=SimulateConfig(
                 SyntheticPopulationSpec(

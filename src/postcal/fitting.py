@@ -15,9 +15,9 @@ from .hb import (
     GaussianFHInput,
     McmcConfig,
     PosteriorDraws,
-    StratumDraws,
     compute_psi,
-    draws_to_domain_totals,
+    domain_map,
+    draws_to_domain_totals,  # unused here; bench/tracing.py wraps it under this name
     fit_binary_hb,
     fit_gaussian_fh,
 )
@@ -119,17 +119,20 @@ def fit_all_variables(
     The samples share the strata of ``strata_covariates``; a lone
     ``SampleSet`` is fitted as a one-sample sequence and gives its own fit,
     whose warnings are prefixed with their variable's name.  Every model
-    input is built and validated first, sample by sample in spec order.
-    Variables whose model settings agree in all but the variable name (kind,
-    priors, covariates, fixed_sigma2) are then fitted in one sampler call
-    across all the samples, their chains advancing as one set of lanes.  Chain c of variable v of sample s reads
-    the stream (seed, *base_keys[s], v, c), so results are reproducible under
-    any grouping, batching or execution order.  Each call's stratum draws are
-    added into their samples' domain totals as soon as the call returns and
-    then freed, so a sample's fit is its domain totals, the acceptance rates
-    of each variable's random walks and the warnings.  With ``labels`` (one per
-    sample), a ``DataError`` or ``NumericalError`` raised for one sample's
-    variable names them, as in "replication 7, variable 'hours': ...".
+    input is built and validated first, sample by sample in spec order, and
+    carries its sample's ``domain_map``, which is checked then.  Variables
+    whose model settings agree in all but the variable name (kind, priors,
+    covariates, fixed_sigma2) are then fitted in one sampler call across all
+    the samples, their chains advancing as one set of lanes.  Chain c of
+    variable v of sample s reads the stream (seed, *base_keys[s], v, c), so
+    results are reproducible under any grouping, batching or execution
+    order.  The samplers fold their kept values into domain totals as they
+    go, so no call holds every kept stratum value, and each call's totals
+    are copied into their samples' draw matrices.  A sample's fit is its
+    domain totals, the acceptance rates of each variable's random walks and
+    the warnings.  With ``labels`` (one per sample), a ``DataError`` or
+    ``NumericalError`` raised for one sample's variable names them, as in
+    "replication 7, variable 'hours': ...".
     """
     if isinstance(samples, SampleSet):
         return fit_all_variables([samples], spec, models, strata_covariates, mcmc, base_keys)[0]
@@ -156,10 +159,15 @@ def fit_all_variables(
             except (DataError, NumericalError) as error:
                 name_in(error, [(s, v)])
                 raise
+        # every stratum is sampled; each must lie in one domain
+        domains = domain_map(sample)
+        for v in range(len(names)):
+            inputs[s, v] = replace(inputs[s, v], domains=domains)
     groups: dict[ModelConfig, list[tuple[int, int]]] = {}
     for s, v in inputs:
         groups.setdefault(replace(models[names[v]], variable=""), []).append((s, v))
-    totals: dict[int, PosteriorDraws] = {}
+    n_draws = mcmc.chains * mcmc.iterations
+    totals: dict[int, np.ndarray] = {}  # made as their first call returns
     acceptance: dict[tuple[int, int], dict[str, float]] = {}
     warnings: dict[tuple[int, int], tuple[str, ...]] = {}
     for setting, members in groups.items():
@@ -173,20 +181,17 @@ def fit_all_variables(
         except NumericalError as error:
             name_in(error, [members[j] for j in error.models])
             raise
-        # each sample's share of the totals is taken now, so that this
-        # call's kept draws are freed before the next call allocates its own
-        parts: dict[int, dict[str, StratumDraws]] = {}
         for (s, v), result in zip(members, results):
-            parts.setdefault(s, {})[names[v]] = result
+            if s not in totals:
+                totals[s] = np.empty((n_draws, len(names), spec.n_domains))
+            totals[s][:, v] = result.draws
             acceptance[s, v], warnings[s, v] = result.acceptance, result.warnings
-        del results, result
-        for s, part in parts.items():
-            totals[s] = draws_to_domain_totals(part, samples[s], totals.get(s), partial=True)
-        del parts, part
+        tags = result.chain_tags
+        del results, result  # this call's kept draws go before the next call's
 
     return [
         (
-            totals[s],
+            PosteriorDraws(draws=totals[s].reshape(n_draws, spec.p), chain_tags=tags),
             {name: acceptance[s, v] for v, name in enumerate(names)},
             tuple(f"{name}: {w}" for v, name in enumerate(names) for w in warnings[s, v]),
         )

@@ -49,9 +49,16 @@ on the chain count or on the batch: a 2-chain fit is bit for bit the first
 two chains of a 3-chain fit, and a model fitted alone draws what it draws in
 any position of a batch.
 
-Stratum-level draws are aggregated to domain totals in the block layout of
-the calibration system; externally produced draw matrices are accepted as a
-first-class alternative (see :mod:`postcal.io`).
+The driver keeps no array of every kept stratum value.  Each model carries
+a ``DomainMap``: the domain of each stratum and its weight, N_h when the
+values are aggregated to domain totals.  Kept stratum values wait in a block
+of at most ``FOLD_BLOCK_BYTES``; when it is full, and once at the end, the
+block is mapped to the model's scale (p_h for the binary model), weighted
+and added into the kept domain totals, each domain's strata in frame order,
+which is the order, and so the rounding, of adding them one by one.  A model
+fitted without a map keeps each stratum as its own domain with weight 1, so
+its draws are the stratum values.  Externally produced draw matrices are
+accepted as a first-class alternative (see :mod:`postcal.io`).
 """
 
 from __future__ import annotations
@@ -93,6 +100,103 @@ class McmcConfig:
             raise DataError("proposal_sd must be > 0")
 
 
+def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
+    # out = ((0 + terms[0]) + terms[1]) + ..., the rounding of adding the
+    # rows one by one: np.add.reduce adds the rows of a contiguous array in
+    # turn, except rows of a single value, which it sums pairwise from 8 up
+    if out.size > 1:
+        np.add.reduce(terms, axis=0, out=out, initial=0.0)
+    else:
+        out[...] = 0.0
+        for row in terms:
+            out += row
+
+
+@dataclass(frozen=True, eq=False)
+class DomainMap:
+    """Where a model's stratum values are added: stratum h goes into domain
+    ``positions[h]`` of ``n_domains`` with weight ``weights[h]``.
+
+    ``fold`` adds each domain's strata in frame order, so its totals are bit
+    for bit those of adding the weighted strata one at a time.
+    """
+
+    positions: np.ndarray
+    weights: np.ndarray
+    n_domains: int
+
+    def __post_init__(self):
+        positions = np.asarray(self.positions, dtype=np.intp)
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "weights", weights)
+        if positions.ndim != 1 or weights.shape != positions.shape:
+            raise DataError("domain positions and weights must be 1-d and aligned")
+        if positions.size and not (positions.min() >= 0 and positions.max() < self.n_domains):
+            raise DataError(f"domain positions must lie in [0, {self.n_domains})")
+
+    @classmethod
+    def identity(cls, n_strata: int) -> DomainMap:
+        """Each stratum its own domain, with weight 1."""
+        return cls(np.arange(n_strata), np.ones(n_strata), n_strata)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DomainMap)
+            and self.n_domains == other.n_domains
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        # the strata by domain, each domain's in frame order
+        return np.argsort(self.positions, kind="stable")
+
+    @cached_property
+    def _grouped(self) -> bool:
+        return np.array_equal(self._order, np.arange(self._order.size))
+
+    @cached_property
+    def _ordered_weights(self) -> np.ndarray:
+        return self.weights[self._order]
+
+    @cached_property
+    def _bounds(self) -> list[int]:
+        counts = np.bincount(self.positions, minlength=self.n_domains)
+        return [0, *np.cumsum(counts).tolist()]
+
+    def fold(self, values: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> None:
+        """Set ``out[d]`` to the sum of ``weights[h] * values[h]`` over the
+        strata h of domain d, in frame order.
+
+        ``values`` is ``(H, ...)`` and ``out`` ``(D, ...)``; either may be a
+        strided view.  The weighted values are gathered by domain into
+        ``work`` (at least ``values.size`` floats, allocated if not given),
+        so that each domain's terms are one contiguous run.
+        """
+        scaled = np.empty(values.shape) if work is None else work[: values.size].reshape(values.shape)
+        weights = self._ordered_weights.reshape(-1, *(1,) * (values.ndim - 1))
+        if self._grouped:  # frame order already runs domain by domain
+            np.multiply(values, weights, out=scaled)
+        else:
+            np.take(values, self._order, axis=0, out=scaled, mode="clip")
+            np.multiply(scaled, weights, out=scaled)
+        bounds = self._bounds
+        for d in range(self.n_domains):
+            _add_in_order(scaled[bounds[d] : bounds[d + 1]], out[d])
+
+
+def _set_domains(model, n_strata: int) -> None:
+    # an input without a map keeps its strata; a map must cover them
+    if model.domains is None:
+        object.__setattr__(model, "domains", DomainMap.identity(n_strata))
+    elif model.domains.positions.size != n_strata:
+        raise DataError(
+            f"domain map covers {model.domains.positions.size} strata, model has {n_strata}"
+        )
+
+
 @dataclass(frozen=True)
 class BinaryHBInput:
     """Per-stratum binomial counts with stratum-level covariates.
@@ -100,7 +204,8 @@ class BinaryHBInput:
     ``fixed_sigma2`` pins the stratum-effect variance instead of sampling it;
     zero disables the stratum effects entirely.  A single stratum is allowed
     only in that pinned mode, because the free hierarchical variance is not
-    identifiable from one stratum.
+    identifiable from one stratum.  ``domains`` folds the kept p_h into the
+    draws (``DomainMap.identity`` if not given: the p_h themselves).
     """
 
     successes: np.ndarray
@@ -109,6 +214,7 @@ class BinaryHBInput:
     prior_df: float = 1.0
     prior_scale: float = 1.0
     fixed_sigma2: float | None = None
+    domains: DomainMap | None = None
 
     def __post_init__(self):
         m = np.asarray(self.successes)
@@ -137,6 +243,7 @@ class BinaryHBInput:
             raise DataError(
                 "at least 2 strata are required unless fixed_sigma2 is given"
             )
+        _set_domains(self, m.shape[0])
 
     @property
     def n_strata(self) -> int:
@@ -145,7 +252,8 @@ class BinaryHBInput:
 
 @dataclass(frozen=True)
 class GaussianFHInput:
-    """Per-stratum direct estimates with known sampling variances."""
+    """Per-stratum direct estimates with known sampling variances;
+    ``domains`` folds the kept theta_h as in ``BinaryHBInput``."""
 
     estimates: np.ndarray
     sampling_variances: np.ndarray
@@ -153,6 +261,7 @@ class GaussianFHInput:
     prior_df: float = 1.0
     prior_scale: float = 1.0
     fixed_sigma2: float | None = None
+    domains: DomainMap | None = None
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)
@@ -180,6 +289,7 @@ class GaussianFHInput:
             raise DataError(
                 "at least 2 strata are required unless fixed_sigma2 is given"
             )
+        _set_domains(self, est.shape[0])
 
     @property
     def n_strata(self) -> int:
@@ -188,11 +298,13 @@ class GaussianFHInput:
 
 @dataclass(frozen=True)
 class StratumDraws:
-    """Retained post-burn-in draws of the stratum-level quantity.
+    """Retained post-burn-in draws of a model.
 
     ``draws`` has one row per retained draw (all chains concatenated) and one
-    column per stratum; rows carry p_h for the binary model and theta_h for
-    the Gaussian model.
+    column per domain of the model's ``DomainMap``: the weighted sum of the
+    domain's p_h for the binary model and of its theta_h for the Gaussian
+    model.  Under the identity map the columns are the strata and the rows
+    carry the p_h or theta_h themselves.
     """
 
     draws: np.ndarray
@@ -351,11 +463,24 @@ def _shared_setting(models: Sequence, spawn_keys: Sequence[tuple[int, ...]]):
     for model in models[1:]:
         if not np.array_equal(model.covariates, first.covariates):
             raise DataError("models fitted together must share the covariate matrix")
+        if model.domains != first.domains:
+            raise DataError("models fitted together must share the domain map")
         if (model.prior_df, model.prior_scale, model.fixed_sigma2) != setting:
             raise DataError(
                 "models fitted together must share prior_df, prior_scale and fixed_sigma2"
             )
     return first
+
+
+# Most bytes of kept stratum values that ``_run_lanes`` holds before it
+# folds them into the domain totals; the fold's weighted copy takes as much
+# again.  Each fold has a fixed cost, so a smaller block costs time: on 2
+# vCPUs, simulate-1w (a 24-lane binary call over 40 strata) peaked at 55.1,
+# 55.4 and 56.0 MiB with cycles of 112.8, 111.0 and 109.6 ms at 32, 64 and
+# 128 KiB, against 59.0 MiB and 111.1 ms with every kept value held, and
+# demo-cli at 45.34, 45.34 and 45.49 MiB against 45.55 (medians of 3 and 4
+# runs).
+FOLD_BLOCK_BYTES = 1 << 16
 
 
 def _run_lanes(
@@ -364,6 +489,7 @@ def _run_lanes(
     shape: tuple[int, int],
     draw,
     window,
+    domains: DomainMap,
     proposals: dict[str, int] | None = None,
     link=None,
 ) -> list[StratumDraws]:
@@ -381,8 +507,12 @@ def _run_lanes(
     ``(lanes, H)``, ``(lanes, k)`` and ``(lanes,)`` arrays.  ``proposals``
     maps each random walk to its proposals per iteration; ``scales[name]``
     holds its per-lane scales, fixed within a window, and ``step`` sets its
-    accept flags in ``accepted[name][i]``.  ``link`` maps the kept
-    stratum values in place.
+    accept flags in ``accepted[name][i]``.
+
+    The kept stratum values are copied into a block of at most
+    ``FOLD_BLOCK_BYTES``, iteration-major.  When it is full, and once at the
+    end, ``link`` maps the block in place and ``domains`` folds it into the
+    kept ``(lanes, iterations, D)`` domain totals, which are the draws.
     """
     C, burnin, iterations = config.chains, config.burnin, config.iterations
     J = len(spawn_keys)
@@ -390,9 +520,13 @@ def _run_lanes(
     H, k = shape
     proposals = proposals or {}
     rngs = [chain_rng(config.seed, *key, c) for key in spawn_keys for c in range(C)]
-    kept_stratum = np.empty((L, iterations, H))
+    kept_totals = np.empty((L, iterations, domains.n_domains))
+    totals_by_domain = kept_totals.transpose(2, 1, 0)
     kept_beta = np.empty((L, iterations, k))
     kept_sigma2 = np.empty((L, iterations))
+    block = np.empty((min(max(FOLD_BLOCK_BYTES // (8 * L * H), 1), iterations), L, H))
+    work = np.empty(block.size)
+    held = 0  # kept iterations in the block
     scales = {name: np.full((L, size), config.proposal_sd) for name, size in proposals.items()}
     kept_accepted = {name: np.zeros(L, dtype=int) for name in proposals}
 
@@ -412,7 +546,15 @@ def _run_lanes(
             stratum, beta, sigma2 = step(i)
             keep = start + i - burnin
             if keep >= 0:
-                kept_stratum[:, keep] = stratum
+                block[held] = stratum
+                held += 1
+                if held == len(block) or keep == iterations - 1:
+                    filled = block[:held]
+                    if link is not None:
+                        link(filled)
+                    kept = totals_by_domain[:, keep + 1 - held : keep + 1]
+                    domains.fold(filled.transpose(2, 0, 1), kept, work)
+                    held = 0
                 kept_beta[:, keep] = beta
                 kept_sigma2[:, keep] = sigma2
         # iterations of this window still in burn-in; a window wholly inside
@@ -426,17 +568,14 @@ def _run_lanes(
                 scale[rate < _ACCEPT_LOW] *= 0.7
                 scale[rate > _ACCEPT_HIGH] *= 1.4
         del blocks, accepted, step  # free this window's arrays before the next
-        kept_from, kept_to = max(start - burnin, 0), start + width - burnin
-        if link is not None and kept_to > kept_from:
-            link(kept_stratum[:, kept_from:kept_to])
 
-    kept_stratum = kept_stratum.reshape(J, C * iterations, H)
+    kept_totals = kept_totals.reshape(J, C * iterations, domains.n_domains)
     kept_beta = kept_beta.reshape(J, C * iterations, k)
     kept_sigma2 = kept_sigma2.reshape(J, C * iterations)
     kept_accepted = {name: counts.reshape(J, C) for name, counts in kept_accepted.items()}
     return [
         StratumDraws(
-            draws=kept_stratum[j],
+            draws=kept_totals[j],
             chain_tags=np.repeat(np.arange(C), iterations),
             beta_draws=kept_beta[j],
             sigma2_draws=kept_sigma2[j],
@@ -607,6 +746,7 @@ def fit_binary_hb(
         (H, k),
         draw,
         window,
+        model.domains,
         proposals={"beta": k, "effects": H},
         link=_expit_open,
     )
@@ -709,7 +849,7 @@ def fit_gaussian_fh(
 
         return step
 
-    return _run_lanes(config, spawn_keys, (H, k), draw, window)
+    return _run_lanes(config, spawn_keys, (H, k), draw, window, model.domains)
 
 
 def compute_psi(sample: SampleSet, variable: str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -763,56 +903,45 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
     }
 
 
-def draws_to_domain_totals(
-    stratum_draws: dict[str, StratumDraws],
-    sample: SampleSet,
-    running: PosteriorDraws | None = None,
-    partial: bool = False,
-) -> PosteriorDraws:
+def domain_map(sample: SampleSet) -> DomainMap:
+    """The map that folds a sample's stratum values into its domain totals:
+    each stratum's domain, weighted by its population size N_h.  Errors as
+    ``stratum_domain_map`` if a stratum does not lie in exactly one domain.
+    """
+    stratum_domain_map(sample)
+    return DomainMap(
+        sample.stratum_domain_pairs.argmax(axis=1),
+        sample.stratum_sizes,
+        sample.calibration.n_domains,
+    )
+
+
+def draws_to_domain_totals(stratum_draws: dict[str, StratumDraws], sample: SampleSet) -> PosteriorDraws:
     """Aggregate stratum draws into the p-vector of domain-total draws.
 
     Binary draws (p_h) and Gaussian draws of stratum means (theta_h) both
-    scale by the stratum population size: the domain total draw is
-    sum over strata in the domain of N_h * draw_h, added stratum by stratum
-    in frame order.
-
-    A sample whose variables are fitted in several sampler calls can be
-    aggregated call by call, so that each call's stratum draws can be freed
-    before the next call allocates its own.  With ``partial``,
-    ``stratum_draws`` may lack variables; its variables are added onto
-    ``running``, an earlier call's result for the same sample, if given, and
-    must share its chain layout.  The caller adds each variable once.
+    scale by the stratum population size: the domain total draw is the sum
+    over strata in the domain of N_h * draw_h, in frame order, folded by
+    ``domain_map(sample)`` as the samplers fold their kept values.
     """
     spec = sample.calibration
     missing = [v for v in spec.variable_names if v not in stratum_draws]
-    if len(missing) == spec.n_variables or (missing and not partial):
+    if missing:
         raise DataError(f"missing stratum draws for variables {missing}")
-    stratum_domain_map(sample)  # each stratum lies in exactly one domain
-    domain_pos = sample.stratum_domain_pairs.argmax(axis=1)
-    H = len(sample.strata)
-    names = [v for v in spec.variable_names if v in stratum_draws]
-
-    if running is not None:
-        tags, n_draws = running.chain_tags, running.n_draws
-    else:
-        tags, n_draws = stratum_draws[names[0]].chain_tags, stratum_draws[names[0]].draws.shape[0]
-    for name in names:
+    domains = domain_map(sample)
+    first = stratum_draws[spec.variable_names[0]]
+    tags, n_draws = first.chain_tags, first.draws.shape[0]
+    totals = np.empty((n_draws, spec.n_variables, spec.n_domains))
+    for v, name in enumerate(spec.variable_names):
         d = stratum_draws[name]
-        if d.draws.shape[1] != H:
+        if d.draws.shape[1] != len(sample.strata):
             raise DataError(
                 f"variable {name!r}: draws cover {d.draws.shape[1]} strata, "
-                f"sample has {H}"
+                f"sample has {len(sample.strata)}"
             )
         if d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
             raise DataError("stratum draws disagree on chain layout")
-
-    shape = (n_draws, spec.n_variables, spec.n_domains)
-    totals = np.zeros(shape) if running is None else running.draws.reshape(shape).copy()
-    for name in names:
-        v = spec.variable_names.index(name)
-        scaled = stratum_draws[name].draws * sample.stratum_sizes[None, :]
-        for h, d in enumerate(domain_pos):
-            totals[:, v, d] += scaled[:, h]
+        domains.fold(d.draws.T, totals[:, v].T)
     return PosteriorDraws(draws=totals.reshape(n_draws, spec.p), chain_tags=tags)
 
 

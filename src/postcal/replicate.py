@@ -23,7 +23,8 @@ import numpy as np
 from .calibration import (
     CalibratedWeights,
     GramMatrix,
-    cell_weighted_moment,
+    cell_weighted_moment,  # unused here; bench/tracing.py wraps it under this name
+    cell_weighted_moments,
     replicate_direction,
 )
 from .errors import DataError, NumericalError
@@ -122,17 +123,16 @@ def replicate_totals(
     spec: CalibrationSpec,
 ) -> ReplicateTotals:
     """Replicate cell totals via the affine propagation identity: the
-    one-cell case of ``cell_weighted_moment``, ``replicate_direction``,
-    ``cell_totals`` and ``total_columns``.
+    one-cell case of ``cell_weighted_moments``, ``replicate_direction``,
+    ``cell_totals`` and ``total_columns``, over one atom table.
 
     Cost is O(n V + p^2) once per cell, for the cell's table over the n
     records, plus O(B p) across draws, centred on T_ht once per draw set.
     """
     sample.check_spec(spec)
     check_draws(draws, spec)
-    moment = cell_weighted_moment(sample, cell.rows, cell.values)
-    direction = replicate_direction(gram, moment)
     pairs = CellPairs.one(cell, sample)
+    direction = replicate_direction(gram, cell_weighted_moments(pairs)[0])
     fixed_ht = cell_totals(pairs, pairs.atoms.totals(sample.weights))
     (_, values), = total_columns(draws, ht, direction[:, None], fixed_ht)
     return ReplicateTotals(values=values[:, 0], fixed_ht=float(fixed_ht[0]), direction=direction)

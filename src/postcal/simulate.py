@@ -245,13 +245,16 @@ class ReplicationResult:
 
 # Most replications per chunk.  A chunk's fits run as one sampler call per
 # model setting, lanes = replications x variables x chains, and each call has
-# a large fixed cost: on 2 vCPUs, fitting 1, 4, 8 and 16 default replications
-# together takes 107, 201, 311 and 550 ms.  A chunk holds its samples and
-# one sampler call's kept draws at once, and the worker's peak RSS grows by
-# about 1.8 MiB per replication: the 200-replication default run at two
-# workers peaks at 50.0, 58.6 and 73.0 MiB per worker in chunks of 3, 8 and
-# 16, and takes 8.4-9.7, 6.6-7.0 and 6.2-6.6 s.
-REPLICATION_CHUNK = 8
+# a large fixed cost, so larger chunks run faster.  A chunk holds its samples
+# and one call's kept domain totals at once (the samplers fold their stratum
+# values as they go), and the worker's peak RSS grows by about 1.1 MiB per
+# replication: the 200-replication default run at two workers peaks at
+# 51.4-51.6, 55.9-56.1, 56.2-56.4, 58.2-58.4 and 60.7-61.8 MiB per worker
+# in chunks of 8, 12, 13, 14 and 16 (2 vCPUs), and takes 2.16-2.17,
+# 2.09-2.12, 2.06-2.09, 2.04-2.07 and 2.04-2.09 s.  13 is the largest chunk
+# that stays within the 57.3-57.6 MiB that chunks of 8 took when the
+# samplers kept every stratum value.
+REPLICATION_CHUNK = 13
 
 
 def replication_chunks(replications: int, threads: int) -> list[range]:

@@ -992,6 +992,22 @@ class TestMalformedInput:
         assert_exit_2_naming(capsys, argv, "cells[2].sum: variable 'x'")
         assert not (tmp_path / "out" / "draws.csv").exists()
 
+    def test_fit_refuses_a_stratum_in_two_domains_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("fit sampled")
+
+        monkeypatch.setattr("postcal.fitting.fit_binary_hb", no_sampling)
+        monkeypatch.setattr("postcal.fitting.fit_gaussian_fh", no_sampling)
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        records = tmp_path / "records.csv"
+        rows = records.read_text().splitlines()[1:]
+        first = next(i for i, line in enumerate(rows) if line.startswith("s1,d1,"))
+        set_csv_field(records, "domain", "d2", row=first)
+        argv = ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_exit_2_naming(capsys, argv, "stratum 's1' spans multiple domains ['d1', 'd2']")
+        assert not (tmp_path / "out" / "draws.csv").exists()
+
     def test_unmatched_quote_in_a_demo_draw_file_names_its_line(self, tmp_path, capsys):
         # the quoted field runs on past the csv module's field size limit
         config = ["--config", str(DEMO_CONFIG), "--out", str(tmp_path)]

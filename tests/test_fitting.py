@@ -2,14 +2,15 @@
 
 ``fit_all_variables`` builds and validates every variable's input first, then
 groups the variables by model setting (kind, priors, covariates,
-fixed_sigma2) and fits each group as one set of lanes.  It returns domain
-totals, not stratum draws, so the tests read the stratum draws off the
-sampler calls.
+fixed_sigma2) and fits each group as one set of lanes.  Each input carries
+its sample's domain map, so each sampler call returns every variable's
+domain-total draws, which the tests read off the calls; refitting an input
+without its map gives its stratum draws.
 """
 
 from __future__ import annotations
 
-import weakref
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,8 +26,10 @@ from postcal.config import (
     load_config,
 )
 from postcal.errors import DataError, NumericalError
-from postcal.hb import McmcConfig, chain_rng
+from postcal.hb import McmcConfig, chain_rng, domain_map, fit_binary_hb, fit_gaussian_fh
 from postcal.simulate import draw_stratified_sample, generate_population
+
+from test_hb import added_one_by_one, assert_same_bits
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_default.yaml"
 MCMC = McmcConfig(burnin=20, iterations=30, chains=2, seed=3)
@@ -63,12 +66,14 @@ def default_models():
 
 
 class Calls(list):
-    """(kind, batch size) of every sampler call, in call order, and the
-    ``StratumDraws`` each call returned, by spawn key."""
+    """(kind, batch size) of every sampler call, in call order, and by spawn
+    key the model input of each call and the ``StratumDraws`` (domain
+    totals) it returned."""
 
     def __init__(self):
         super().__init__()
         self.drawn = {}
+        self.inputs = {}
 
 
 @pytest.fixture
@@ -81,6 +86,7 @@ def calls(monkeypatch):
             log.append((kind, len(models)))
             results = original(models, config, spawn_keys=spawn_keys)
             log.drawn.update(zip(spawn_keys, results))
+            log.inputs.update(zip(spawn_keys, models))
             return results
 
         monkeypatch.setattr(fitting, name, recording)
@@ -163,31 +169,52 @@ def test_samples_fitted_together_draw_what_they_draw_alone(frame, default_models
     assert not np.array_equal(together[0][0].draws, together[1][0].draws)
 
 
-def test_binary_draws_are_freed_before_the_gaussian_call(frame, default_models, monkeypatch):
-    # each binary StratumDraws and the kept array its draws are a view of
-    # must be gone once their share of the domain totals is taken
-    fit_binary, fit_gaussian = fitting.fit_binary_hb, fitting.fit_gaussian_fh
-    refs, alive_at_gaussian_call = [], []
-
-    def binary(models, config, spawn_keys):
-        results = fit_binary(models, config, spawn_keys=spawn_keys)
-        for result in results:
-            refs.extend((weakref.ref(result), weakref.ref(result.draws.base)))
-        return results
-
-    def gaussian(models, config, spawn_keys):
-        alive_at_gaussian_call.append(sum(ref() is not None for ref in refs))
-        return fit_gaussian(models, config, spawn_keys=spawn_keys)
-
-    monkeypatch.setattr(fitting, "fit_binary_hb", binary)
-    monkeypatch.setattr(fitting, "fit_gaussian_fh", gaussian)
-    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
-    fits = fitting.fit_all_variables(
-        samples, frame.calibration, default_models, frame.covariates, MCMC,
-        base_keys=[(0, 1), (1, 1)],
+def test_totals_are_the_stratum_draws_added_one_by_one(frame, default_models, calls):
+    # each variable's columns of the totals are its sampler call's fold,
+    # bit for bit the stratum draws of the same input fitted without a map,
+    # weighted by N_h and added into their domains in frame order
+    sample = draw_stratified_sample(frame, 0.2, chain_rng(5, 0))
+    totals, _, _ = fitting.fit_all_variables(
+        sample, frame.calibration, default_models, frame.covariates, MCMC, base_keys=[(0, 1)]
     )
-    assert len(refs) == 8 and len(fits) == 2
-    assert alive_at_gaussian_call == [0]
+    domains = domain_map(sample)
+    D = frame.calibration.n_domains
+    for v, name in enumerate(frame.calibration.variable_names):
+        key = (0, 1, v)
+        model = calls.inputs[key]
+        assert model.domains == domains
+        fit = fit_binary_hb if default_models[name].kind == "binary" else fit_gaussian_fh
+        (strata,) = fit([replace(model, domains=None)], MCMC, spawn_keys=[key])
+        assert strata.draws.shape == (MCMC.chains * MCMC.iterations, len(frame.strata))
+        want = added_one_by_one(strata.draws, domains)
+        assert_same_bits(calls.drawn[key].draws, want)
+        assert_same_bits(totals.draws[:, v * D : (v + 1) * D], want)
+        assert np.array_equal(totals.chain_tags, strata.chain_tags)
+
+
+def test_fit_holds_no_array_of_every_kept_stratum_value():
+    # a 4-replication chunk of the default experiment: its binary call's
+    # kept stratum values alone, (lanes, iterations, H), would outweigh the
+    # whole fit's peak
+    cfg = load_config(DEFAULT_CONFIG)
+    frame = generate_population(cfg.simulate.population, cfg.band_rules)
+    samples = [
+        draw_stratified_sample(frame, cfg.simulate.sampling_fraction, chain_rng(cfg.seed, i, 0))
+        for i in range(4)
+    ]
+    binary = sum(model.kind == "binary" for model in cfg.models.values())
+    stratum_bytes = 8 * len(samples) * binary * cfg.mcmc.chains * cfg.mcmc.iterations * len(frame.strata)
+    tracemalloc.start()
+    try:
+        fits = fitting.fit_all_variables(
+            samples, frame.calibration, cfg.models, frame.covariates, cfg.mcmc,
+            base_keys=[(i, 1) for i in range(4)],
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fits) == 4
+    assert peak < stratum_bytes, (peak, stratum_bytes)
 
 
 def test_every_sample_needs_its_stream_key(frame, default_models):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from postcal import hb
 from postcal.errors import DataError
 from postcal.frame import (
     CalibrationSpec,
@@ -10,11 +13,13 @@ from postcal.frame import (
 )
 from postcal.hb import (
     BinaryHBInput,
+    DomainMap,
     GaussianFHInput,
     McmcConfig,
     PosteriorDraws,
     StratumDraws,
     compute_psi,
+    domain_map,
     draws_to_domain_totals,
     fit_binary_hb,
     fit_gaussian_fh,
@@ -298,19 +303,60 @@ class TestStratumDomainMap:
             stratum_domain_map(sample_from_rows(records, strata, spec))
 
 
+def folded(sample, values):
+    """(B, H) stratum values folded into (B, D) domain totals by the
+    sample's ``domain_map``, as the samplers fold their kept values."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty((sample.calibration.n_domains, values.shape[0]))
+    domain_map(sample).fold(values.T, out)
+    return out.T
+
+
+def added_one_by_one(values, domains):
+    """The reference fold: zeros, then each weighted stratum added into its
+    domain's column in frame order."""
+    scaled = values * domains.weights
+    totals = np.zeros((values.shape[0], domains.n_domains))
+    for h, d in enumerate(domains.positions):
+        totals[:, d] += scaled[:, h]
+    return totals
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def domain_maps(draw):
+    """Maps of up to 30 strata; one domain holds 8 or more, interleaved
+    with the others, since NumPy sums 8 or more terms pairwise where it can."""
+    n_domains = draw(st.integers(1, 5), label="domains")
+    crowded = draw(st.integers(8, 12), label="crowded")
+    others = draw(st.lists(st.integers(0, n_domains - 1), max_size=18), label="others")
+    positions = draw(st.permutations([0] * crowded + others), label="positions")
+    weights = draw(
+        st.lists(st.integers(1, 5000), min_size=len(positions), max_size=len(positions)),
+        label="weights",
+    )
+    return DomainMap(positions, np.array(weights, dtype=float), n_domains)
+
+
+def spread_values(rng, shape):
+    # magnitudes over 16 decades and some signed zeros, so that any other
+    # order of addition rounds differently
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    values[rng.random(shape) < 0.05] = -0.0
+    return values
+
+
 class TestDomainAggregation:
     def test_hand_computed_totals(self):
         sample, spec = aggregation_fixture()
-        draws = StratumDraws(
-            draws=np.array([[0.5, 0.2, 0.1], [0.4, 0.3, 0.2]]),
-            chain_tags=np.array([0, 0]),
-            beta_draws=np.zeros((2, 1)),
-            sigma2_draws=np.ones(2),
-        )
-        totals = draws_to_domain_totals({"v1": draws}, sample)
+        totals = folded(sample, [[0.5, 0.2, 0.1], [0.4, 0.3, 0.2]])
         # dA: 100*p1 + 200*p2 ; dB: 300*p3
-        assert totals.draws[0].tolist() == [100 * 0.5 + 200 * 0.2, 300 * 0.1]
-        assert totals.draws[1].tolist() == [100 * 0.4 + 200 * 0.3, 300 * 0.2]
+        assert totals[0].tolist() == [100 * 0.5 + 200 * 0.2, 300 * 0.1]
+        assert totals[1].tolist() == [100 * 0.4 + 200 * 0.3, 300 * 0.2]
 
     def test_single_stratum_direct_product(self):
         spec = CalibrationSpec(("v1",), ("dA",))
@@ -319,24 +365,12 @@ class TestDomainAggregation:
             (StratumSpec("s1", 100),),
             spec,
         )
-        draws = StratumDraws(
-            draws=np.array([[0.5]]),
-            chain_tags=np.array([0]),
-            beta_draws=np.zeros((1, 1)),
-            sigma2_draws=np.ones(1),
-        )
-        totals = draws_to_domain_totals({"v1": draws}, sample)
-        assert totals.draws[0, 0] == 50.0
+        assert folded(sample, [[0.5]])[0, 0] == 50.0
 
     def test_linear_in_population_sizes(self):
         sample, spec = aggregation_fixture()
-        draws = StratumDraws(
-            draws=np.array([[0.5, 0.2, 0.1]]),
-            chain_tags=np.array([0]),
-            beta_draws=np.zeros((1, 1)),
-            sigma2_draws=np.ones(1),
-        )
-        base = draws_to_domain_totals({"v1": draws}, sample).draws
+        draws = [[0.5, 0.2, 0.1]]
+        base = folded(sample, draws)
         scaled_sample = SampleSet(
             tuple(
                 StratumSpec(s.id, s.population_size * 3, s.deff)
@@ -348,7 +382,7 @@ class TestDomainAggregation:
             sample.weights,
             sample.calib,
         )
-        scaled = draws_to_domain_totals({"v1": draws}, scaled_sample).draws
+        scaled = folded(scaled_sample, draws)
         assert np.allclose(scaled, 3.0 * base, rtol=1e-14)
 
     def test_stratum_spanning_domains_rejected(self):
@@ -358,23 +392,17 @@ class TestDomainAggregation:
             ("s1", "dB", 1.0, (1.0,)),
         ]
         sample = sample_from_rows(records, (StratumSpec("s1", 10),), spec)
-        draws = StratumDraws(
-            draws=np.array([[0.5]]),
-            chain_tags=np.array([0]),
-            beta_draws=np.zeros((1, 1)),
-            sigma2_draws=np.ones(1),
-        )
         with pytest.raises(DataError, match="multiple domains"):
-            draws_to_domain_totals({"v1": draws}, sample)
+            domain_map(sample)
 
     def test_missing_variable_rejected(self):
         sample, spec = aggregation_fixture()
         with pytest.raises(DataError, match="missing stratum draws"):
             draws_to_domain_totals({}, sample)
 
-    def test_parts_add_up_to_the_whole(self):
-        # three variables added in two parts give the totals of one call,
-        # bit for bit, and a part must keep the chain layout of the first
+    def test_variables_fold_into_their_own_columns(self):
+        # draws_to_domain_totals puts each variable's fold, bit for bit, in
+        # its block of columns, and the variables must share a chain layout
         spec = CalibrationSpec(("v1", "v2", "v3"), ("dA", "dB"))
         sample = sample_from_rows(
             [("s1", "dA", 1.0, (1.0, 0.0, 5.0)), ("s2", "dA", 1.0, (0.0, 1.0, 7.0)),
@@ -390,17 +418,94 @@ class TestDomainAggregation:
 
         stratum_draws = {name: draws() for name in ("v1", "v2", "v3")}
         whole = draws_to_domain_totals(stratum_draws, sample)
+        for v, name in enumerate(spec.variable_names):
+            assert_same_bits(whole.draws[:, 2 * v : 2 * v + 2], folded(sample, stratum_draws[name].draws))
+        assert np.array_equal(whole.chain_tags, tags)
         with pytest.raises(DataError, match=r"missing stratum draws for variables \['v2'\]"):
             draws_to_domain_totals({"v1": stratum_draws["v1"], "v3": stratum_draws["v3"]}, sample)
-        first = draws_to_domain_totals(
-            {"v1": stratum_draws["v1"], "v3": stratum_draws["v3"]}, sample, partial=True
-        )
-        assert not first.draws[:, 2:4].any()
-        both = draws_to_domain_totals({"v2": stratum_draws["v2"]}, sample, first, partial=True)
-        assert np.array_equal(both.draws, whole.draws)
-        assert np.array_equal(both.chain_tags, whole.chain_tags)
+        stratum_draws["v2"] = draws(np.array([0, 1, 0, 1]))
         with pytest.raises(DataError, match="disagree on chain layout"):
-            draws_to_domain_totals({"v2": draws(np.array([0, 1, 0, 1]))}, sample, first, partial=True)
+            draws_to_domain_totals(stratum_draws, sample)
+
+
+class TestDomainFold:
+    @settings(max_examples=60, deadline=None)
+    @given(domains=domain_maps(), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_fold_adds_the_strata_one_by_one(self, domains, rows, seed):
+        # one row is the case NumPy would otherwise sum pairwise
+        values = spread_values(np.random.default_rng(seed), (rows, domains.positions.size))
+        out = np.empty((domains.n_domains, rows))
+        domains.fold(values.T, out)
+        assert_same_bits(out.T, added_one_by_one(values, domains))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        domains=domain_maps(),
+        models=st.integers(1, 3),
+        chains=st.integers(1, 3),
+        burnin=st.integers(0, 60),
+        iterations=st.integers(1, 40),
+        block=st.integers(1, 7),
+        link=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_driver_folds_its_kept_values_in_blocks(
+        self, domains, models, chains, burnin, iterations, block, link, seed
+    ):
+        # the driver's blocks of ``block`` iterations (a partial last one when
+        # ``block`` does not divide ``iterations``) give the totals of adding
+        # every kept stratum value one by one
+        H, L = domains.positions.size, models * chains
+        kept = []
+
+        def draw(rng, width):
+            return {"values": spread_values(rng, (width, H)) if not link else rng.normal(0, 5, (width, H))}
+
+        def window(blocks, scales, accepted):
+            def step(i):
+                kept.append(blocks["values"][i].copy())
+                return blocks["values"][i], np.zeros((L, 1)), np.zeros(L)
+
+            return step
+
+        config = McmcConfig(burnin=burnin, iterations=iterations, chains=chains, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hb, "FOLD_BLOCK_BYTES", 8 * L * H * block)
+            results = hb._run_lanes(
+                config, [(m,) for m in range(models)], (H, 1), draw, window, domains,
+                link=hb._expit_open if link else None,
+            )
+        values = np.stack(kept[burnin:], axis=1)  # (lanes, iterations, H)
+        if link:
+            hb._expit_open(values)
+        for j, result in enumerate(results):
+            lanes = values[j * chains : (j + 1) * chains].reshape(chains * iterations, H)
+            assert_same_bits(result.draws, added_one_by_one(lanes, domains))
+
+    def test_identity_map_keeps_the_stratum_values(self):
+        values = spread_values(np.random.default_rng(2), (5, 9))
+        out = np.empty((9, 5))
+        DomainMap.identity(9).fold(values.T, out)
+        assert_same_bits(out.T, values + 0.0)
+
+    def test_map_must_fit_its_domains_and_the_model(self):
+        domains = DomainMap([0, 1, 0], [1.0, 2.0, 3.0], 2)
+        with pytest.raises(DataError, match=r"domain positions must lie in \[0, 2\)"):
+            DomainMap([0, 2], [1.0, 1.0], 2)
+        with pytest.raises(DataError, match="domain map covers 3 strata, model has 2"):
+            GaussianFHInput([1.0, 2.0], [1.0, 1.0], np.ones((2, 1)), domains=domains)
+
+    def test_batch_must_share_the_domain_map(self):
+        config = McmcConfig(burnin=5, iterations=5, chains=1)
+        inputs = dict(estimates=[1.0, 2.0, 3.0], sampling_variances=[1.0, 1.0, 1.0], covariates=np.ones((3, 1)))
+        one = GaussianFHInput(**inputs, domains=DomainMap([0, 1, 0], [1.0, 2.0, 3.0], 2))
+        for other in (
+            GaussianFHInput(**inputs),
+            GaussianFHInput(**inputs, domains=DomainMap([0, 1, 1], [1.0, 2.0, 3.0], 2)),
+            GaussianFHInput(**inputs, domains=DomainMap([0, 1, 0], [1.0, 2.0, 4.0], 2)),
+        ):
+            with pytest.raises(DataError, match="must share the domain map"):
+                fit_gaussian_fh([one, other], config, spawn_keys=[(0,), (1,)])
 
 
 class TestPosteriorDraws:

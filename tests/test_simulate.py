@@ -426,10 +426,10 @@ class TestAccumulation:
 class TestParallelExecution:
     @pytest.mark.parametrize(
         "replications, threads, sizes",
-        [(4, 1, [4]), (5, 2, [3, 2]), (17, 2, [8, 8, 1]), (200, 2, [8] * 25)],
+        [(4, 1, [4]), (5, 2, [3, 2]), (17, 2, [9, 8]), (200, 2, [13] * 15 + [5])],
     )
     def test_chunks_are_each_workers_share_up_to_the_cap(self, replications, threads, sizes):
-        assert REPLICATION_CHUNK == 8
+        assert REPLICATION_CHUNK == 13
         chunks = replication_chunks(replications, threads)
         assert [len(chunk) for chunk in chunks] == sizes
         assert [i for chunk in chunks for i in chunk] == list(range(replications))

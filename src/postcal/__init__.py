@@ -33,13 +33,11 @@ from .frame import (
 from .hb import (
     BinaryHBInput,
     ConvergenceReport,
-    DomainMap,
     GaussianFHInput,
     McmcConfig,
     PosteriorDraws,
     StratumDraws,
     compute_psi,
-    domain_map,
     draws_to_domain_totals,
     fit_binary_hb,
     fit_gaussian_fh,

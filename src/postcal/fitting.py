@@ -12,6 +12,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .frame import CalibrationSpec, SampleSet
 from .hb import (
     BinaryHBInput,
+    DomainMap,
     GaussianFHInput,
     McmcConfig,
     PosteriorDraws,
@@ -57,15 +58,15 @@ def model_input(
     sample: SampleSet,
     model: ModelConfig,
     strata_covariates: dict[str, np.ndarray],
+    domains: DomainMap,
 ) -> BinaryHBInput | GaussianFHInput:
-    """The validated per-stratum input of one calibration variable's model."""
+    """The validated per-stratum input of one calibration variable's model,
+    folded by ``domains``, the sample's ``domain_map`` (which checks that
+    every stratum is sampled)."""
     if model.variable not in sample.calibration.variable_names:
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
         )
-    empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
-    if empty:
-        raise DataError(f"strata without sampled records: {empty}")
     column = sample.column(model.variable)
     Z = _covariate_matrix(sample, model, strata_covariates)
     # stratum sums of 0/1 values are exact integers in any summation order
@@ -86,6 +87,7 @@ def model_input(
             prior_df=model.prior_df,
             prior_scale=model.prior_scale,
             fixed_sigma2=model.fixed_sigma2,
+            domains=domains,
         )
 
     psi, degenerate = compute_psi(sample, model.variable)
@@ -101,6 +103,7 @@ def model_input(
         prior_df=model.prior_df,
         prior_scale=model.prior_scale,
         fixed_sigma2=model.fixed_sigma2,
+        domains=domains,
     )
 
 
@@ -120,7 +123,8 @@ def fit_all_variables(
     ``SampleSet`` is fitted as a one-sample sequence and gives its own fit,
     whose warnings are prefixed with their variable's name.  Every model
     input is built and validated first, sample by sample in spec order, and
-    carries its sample's ``domain_map``, which is checked then.  Variables
+    carries its sample's ``domain_map``, checked before the sample's first
+    input is built.  Variables
     whose model settings agree in all but the variable name (kind, priors,
     covariates, fixed_sigma2) are then fitted in one sampler call across all
     the samples, their chains advancing as one set of lanes.  Chain c of
@@ -155,14 +159,12 @@ def fit_all_variables(
     for s, sample in enumerate(samples):
         for v, name in enumerate(names):
             try:
-                inputs[s, v] = model_input(sample, models[name], strata_covariates)
+                if v == 0:  # the sample's strata are checked with its first variable
+                    domains = domain_map(sample)
+                inputs[s, v] = model_input(sample, models[name], strata_covariates, domains)
             except (DataError, NumericalError) as error:
                 name_in(error, [(s, v)])
                 raise
-        # every stratum is sampled; each must lie in one domain
-        domains = domain_map(sample)
-        for v in range(len(names)):
-            inputs[s, v] = replace(inputs[s, v], domains=domains)
     groups: dict[ModelConfig, list[tuple[int, int]]] = {}
     for s, v in inputs:
         groups.setdefault(replace(models[names[v]], variable=""), []).append((s, v))

@@ -154,10 +154,6 @@ class DomainMap:
         return np.argsort(self.positions, kind="stable")
 
     @cached_property
-    def _grouped(self) -> bool:
-        return np.array_equal(self._order, np.arange(self._order.size))
-
-    @cached_property
     def _ordered_weights(self) -> np.ndarray:
         return self.weights[self._order]
 
@@ -177,11 +173,8 @@ class DomainMap:
         """
         scaled = np.empty(values.shape) if work is None else work[: values.size].reshape(values.shape)
         weights = self._ordered_weights.reshape(-1, *(1,) * (values.ndim - 1))
-        if self._grouped:  # frame order already runs domain by domain
-            np.multiply(values, weights, out=scaled)
-        else:
-            np.take(values, self._order, axis=0, out=scaled, mode="clip")
-            np.multiply(scaled, weights, out=scaled)
+        np.take(values, self._order, axis=0, out=scaled, mode="clip")
+        np.multiply(scaled, weights, out=scaled)
         bounds = self._bounds
         for d in range(self.n_domains):
             _add_in_order(scaled[bounds[d] : bounds[d + 1]], out[d])
@@ -905,9 +898,13 @@ def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
 
 def domain_map(sample: SampleSet) -> DomainMap:
     """The map that folds a sample's stratum values into its domain totals:
-    each stratum's domain, weighted by its population size N_h.  Errors as
-    ``stratum_domain_map`` if a stratum does not lie in exactly one domain.
+    each stratum's domain, weighted by its population size N_h.  Errors if a
+    stratum has no sampled record, and as ``stratum_domain_map`` if a
+    stratum does not lie in exactly one domain.
     """
+    empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
+    if empty:
+        raise DataError(f"strata without sampled records: {empty}")
     stratum_domain_map(sample)
     return DomainMap(
         sample.stratum_domain_pairs.argmax(axis=1),

@@ -26,6 +26,7 @@ from postcal.config import (
     load_config,
 )
 from postcal.errors import DataError, NumericalError
+from postcal.frame import SampleSet
 from postcal.hb import McmcConfig, chain_rng, domain_map, fit_binary_hb, fit_gaussian_fh
 from postcal.simulate import draw_stratified_sample, generate_population
 
@@ -223,6 +224,31 @@ def test_every_sample_needs_its_stream_key(frame, default_models):
         fitting.fit_all_variables(
             samples, frame.calibration, default_models, frame.covariates, MCMC
         )
+
+
+def test_domain_map_error_names_the_sample(frame, default_models, calls):
+    # one record of the second sample's first stratum is moved to another
+    # domain; the map is checked with the sample's first variable
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
+    moved = samples[1]
+    domain_idx = moved.domain_idx.copy()
+    i = np.flatnonzero(moved.stratum_idx == 0)[0]
+    domain_idx[i] = (domain_idx[i] + 1) % frame.calibration.n_domains
+    samples[1] = SampleSet(
+        moved.strata, moved.calibration, moved.stratum_idx, domain_idx, moved.weights,
+        moved.calib, outcomes=moved.outcomes, attribute_codes=moved.attribute_codes,
+        calibration_attributes=moved.calibration_attributes,
+    )
+    first = frame.calibration.variable_names[0]
+    with pytest.raises(
+        DataError,
+        match=rf"^replication 9, variable '{first}': stratum '{moved.strata[0].id}' spans multiple domains",
+    ):
+        fitting.fit_all_variables(
+            samples, frame.calibration, default_models, frame.covariates, MCMC,
+            base_keys=[(4, 1), (9, 1)], labels=["replication 4", "replication 9"],
+        )
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -27,7 +27,6 @@ from .frame import (
     StratumSpec,
     TierLabel,
     block_sums,
-    build_design_vector,
     evaluate_cell,
 )
 from .hb import (
@@ -48,7 +47,6 @@ from .replicate import (
     ReplicateTotals,
     classify_cell,
     empirical_quantile_ci,
-    point_estimate,
     replicate_totals,
 )
 from .report import InferenceArtifacts, RunReport, analyze_cell, build_artifacts, build_run_report

@@ -394,20 +394,22 @@ def _cell(
     filters = _section(entry, "where", f"{where}.where")
     for key, value in filters.items():
         path = f"{where}.where.{_convert(key, string, f'{where}.where (cell {name!r})')}"
-        if key == "domain":
-            cell_domains = _name_or_names(filters, key, f"{where}.where")
-            unknown = [] if domains is None else sorted(set(cell_domains) - set(domains))
-            if unknown:
-                raise ConfigError(f"{path}: unknown domains {unknown}; declared {list(domains)}")
-        elif key in calibration:
+        if key in calibration and key != "domain":
             if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
                 raise ConfigError(
                     f"{path}: filter on calibration variable {key!r} must be "
                     f"an interval with 'min'/'max'"
                 )
             ranges[key] = (_bound(value, "min", path), _bound(value, "max", path))
+        elif value is None or value == []:  # either would match no record
+            raise ConfigError(f"{path}: expected a name or a list of names, got {value!r}")
+        elif key == "domain":
+            cell_domains = _name_or_names(filters, key, f"{where}.where")
+            unknown = [] if domains is None else sorted(set(cell_domains) - set(domains))
+            if unknown:
+                raise ConfigError(f"{path}: unknown domains {unknown}; declared {list(domains)}")
         else:
-            attributes[key] = tuple(str(v) for v in _as_tuple(value))
+            attributes[key] = _name_or_names(filters, key, f"{where}.where")
     tier = entry.get("tier")
     try:
         tier_override = TierLabel(tier) if tier is not None else None

@@ -10,7 +10,7 @@ single constraint vector of length p = V * D.  Block order is variable-major:
 variable v occupies 0-based positions v*D .. v*D + D - 1, and a record's
 design vector y_i holds its value of variable v at v*D + d_i, d_i its domain.
 ``block_sums`` reduces over that layout without forming design vectors;
-``build_design_vector`` and ``SampleSet.design_matrix`` are test references.
+``SampleSet.design_matrix``, which forms them, is a test reference.
 A store also names its ``calibration_attributes``, the attribute columns
 derived from calibration variables, which decide tier 2-CA over 2-NCA.
 A store keeps each attribute column only as codes, ``SampleSet.attribute_codes``
@@ -94,13 +94,6 @@ class CalibrationSpec:
     def p(self) -> int:
         return self.n_variables * self.n_domains
 
-    def domain_position(self, domain_id: str) -> int:
-        """0-based position of a domain id in the block layout."""
-        try:
-            return self.domain_order.index(domain_id)
-        except ValueError:
-            raise DataError(f"unknown domain {domain_id!r}") from None
-
     def block_labels(self) -> tuple[str, ...]:
         """Column labels in block order: v1_d1, v1_d2, ..., vV_dD."""
         return tuple(
@@ -113,28 +106,6 @@ class CalibrationSpec:
         """Human-readable name of a 0-based block position."""
         v, d = divmod(position, self.n_domains)
         return f"({self.variable_names[v]}, {self.domain_order[d]})"
-
-
-def build_design_vector(
-    domain: str, calib_values, spec: CalibrationSpec
-) -> np.ndarray:
-    """Stack one record's calibration values into its p-length design vector.
-
-    Entry (v, d) carries the record's value for variable v when the record
-    belongs to domain d, zero otherwise; at most V entries are non-zero.
-    A test reference only: production code reduces over the layout with
-    ``block_sums`` and never forms design vectors.
-    """
-    if len(calib_values) != spec.n_variables:
-        raise DataError(
-            f"record has {len(calib_values)} calibration values, "
-            f"spec declares {spec.n_variables}"
-        )
-    d = spec.domain_position(domain)
-    y = np.zeros(spec.p)
-    for v, value in enumerate(calib_values):
-        y[v * spec.n_domains + d] = value
-    return y
 
 
 def code_labels(labels: Sequence, levels: dict) -> np.ndarray:
@@ -343,7 +314,8 @@ class SampleSet:
     def attributes(self) -> dict[str, np.ndarray]:
         """Label view of ``attribute_codes``: per attribute, each unit's
         level as an object array, built on first access.  Cell filters read
-        the codes; no command reads this view."""
+        the codes; no command reads this view, but the benchmark's workload
+        writer does."""
         return {
             name: np.fromiter(levels, object, len(levels))[codes]
             for name, (levels, codes) in self.attribute_codes.items()
@@ -439,19 +411,10 @@ class CellQuery:
 
 @dataclass(frozen=True)
 class CellData:
-    """Evaluated cell membership: boolean mask (``rows``, its positions) plus
-    per-record summed values."""
+    """Evaluated cell membership: boolean mask plus per-record summed values."""
 
     mask: np.ndarray
     values: np.ndarray
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    @property
-    def count(self) -> int:
-        return self.rows.size
 
 
 # Most (cell, atom) pairs a group of cells reduces at once, which bounds the
@@ -492,27 +455,23 @@ class CellAtoms:
     LeVeque (1983).  A clause is ``(codes, table)``, its mask
     ``table[codes]``; columns are the calibration variables, in their
     order, then any other summed column; each cell is its clause positions
-    and its column.  ``sample`` may be None for totals alone, as if one
-    stratum and domain.
+    and its column.
     """
 
     def __init__(self, clauses: Sequence[tuple[np.ndarray, np.ndarray]],
                  cells: Sequence[tuple[tuple[int, ...], int]], columns: Sequence[np.ndarray],
-                 sample: SampleSet | None = None):
+                 sample: SampleSet):
         self.sample, self.cells, self.columns = sample, tuple(cells), tuple(columns)
         n = self.columns[0].size
-        if sample is None:
-            key, span = np.zeros(n, dtype=np.intp), 1
-        else:
-            D = sample.calibration.n_domains
-            key, span = sample.stratum_idx * D + sample.domain_idx, len(sample.strata) * D
+        D = sample.calibration.n_domains
+        key, span = sample.stratum_idx * D + sample.domain_idx, len(sample.strata) * D
         # the clauses on one codes column (an attribute, a range's flags) are
         # a function of its codes: each code's pattern over them, numbered
         factors: dict[int, tuple[np.ndarray, list]] = {}
         for codes, table in clauses:
             factors.setdefault(id(codes), (codes, []))[1].append(table)
         for codes, tables in factors.values():
-            if sample is not None and codes is sample.domain_idx:
+            if codes is sample.domain_idx:
                 continue  # the key holds the domain
             patterns = [code.tobytes() for code in np.array(tables).T]
             rank = {pattern: r for r, pattern in enumerate(sorted(set(patterns)))}
@@ -533,9 +492,8 @@ class CellAtoms:
         self.pattern = np.array(
             [table[codes[first]] for codes, table in clauses], dtype=bool
         ).reshape(-1, first.size)
-        zeros = np.zeros(first.size, dtype=np.intp)
-        self.stratum = zeros if sample is None else sample.stratum_idx[first]
-        self.domain = zeros if sample is None else sample.domain_idx[first]
+        self.stratum = sample.stratum_idx[first]
+        self.domain = sample.domain_idx[first]
         self.used = sorted({column for _, column in self.cells})
         self._comoments: tuple[np.ndarray, set] | None = None
 
@@ -558,11 +516,11 @@ class CellAtoms:
         return CellAtoms(clauses, cells, values, sample)
 
     @staticmethod
-    def one(cell: CellData, sample: SampleSet | None = None) -> "CellAtoms":
+    def one(cell: CellData, sample: SampleSet) -> "CellAtoms":
         """The atoms of one evaluated cell: its mask the only clause."""
-        columns = [] if sample is None else list(sample.calib.T)
         clause = (np.asarray(cell.mask, dtype=bool).view(np.uint8), np.array([False, True]))
-        return CellAtoms([clause], [((0,), len(columns))], [*columns, cell.values], sample)
+        V = sample.calibration.n_variables
+        return CellAtoms([clause], [((0,), V)], [*sample.calib.T, cell.values], sample)
 
     @property
     def n_atoms(self) -> int:
@@ -698,7 +656,7 @@ class CellPairs:
         return CellPairs(atoms, np.concatenate(members), columns, sizes)
 
     @staticmethod
-    def one(cell: CellData, sample: SampleSet | None = None) -> "CellPairs":
+    def one(cell: CellData, sample: SampleSet) -> "CellPairs":
         """The pairs of one evaluated cell over ``CellAtoms.one``."""
         ((_, pairs),) = CellAtoms.one(cell, sample).groups([0])
         return pairs

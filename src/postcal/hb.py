@@ -180,14 +180,33 @@ class DomainMap:
             _add_in_order(scaled[bounds[d] : bounds[d + 1]], out[d])
 
 
-def _set_domains(model, n_strata: int) -> None:
-    # an input without a map keeps its strata; a map must cover them
+def _check_model(model, values: np.ndarray, kind: str, zero_sigma2: bool) -> None:
+    """The checks the two model inputs share, run after their own checks of
+    the 1-d per-stratum ``values``: the covariates as H x k (a k x H matrix
+    is transposed), finite covariates and values, the priors, a
+    ``fixed_sigma2`` above 0 (or at 0 too, with ``zero_sigma2``), 2 strata
+    unless it is given, and a domain map covering the strata
+    (``DomainMap.identity`` when none is given)."""
+    H = values.shape[0]
+    z = np.atleast_2d(np.asarray(model.covariates, dtype=float))
+    if z.shape[0] != H:
+        z = z.T
+    object.__setattr__(model, "covariates", z)
+    if z.shape[0] != H:
+        raise DataError("covariate rows must match the number of strata")
+    if not (np.isfinite(z).all() and np.isfinite(values).all()):
+        raise NumericalError("non-finite model inputs")
+    if not (model.prior_df > 0 and model.prior_scale > 0):
+        raise DataError("prior_df and prior_scale must be > 0")
+    s2 = model.fixed_sigma2
+    if s2 is not None and not (s2 >= 0 if zero_sigma2 else s2 > 0):
+        raise DataError(f"fixed_sigma2 must be {'>=' if zero_sigma2 else '>'} 0 for the {kind} model")
+    if s2 is None and H < 2:
+        raise DataError("at least 2 strata are required unless fixed_sigma2 is given")
     if model.domains is None:
-        object.__setattr__(model, "domains", DomainMap.identity(n_strata))
-    elif model.domains.positions.size != n_strata:
-        raise DataError(
-            f"domain map covers {model.domains.positions.size} strata, model has {n_strata}"
-        )
+        object.__setattr__(model, "domains", DomainMap.identity(H))
+    elif model.domains.positions.size != H:
+        raise DataError(f"domain map covers {model.domains.positions.size} strata, model has {H}")
 
 
 @dataclass(frozen=True)
@@ -210,33 +229,17 @@ class BinaryHBInput:
     domains: DomainMap | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.successes)
-        n = np.asarray(self.sizes)
-        z = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-        if z.shape[0] != m.shape[0]:
-            z = z.T
-        object.__setattr__(self, "successes", m.astype(float))
-        object.__setattr__(self, "sizes", n.astype(float))
-        object.__setattr__(self, "covariates", z)
+        m = np.asarray(self.successes, dtype=float)
+        n = np.asarray(self.sizes, dtype=float)
+        object.__setattr__(self, "successes", m)
+        object.__setattr__(self, "sizes", n)
         if m.shape != n.shape or m.ndim != 1:
             raise DataError("successes and sizes must be 1-d and aligned")
         if np.any(n < 1):
             raise DataError("every stratum needs sample size >= 1")
         if np.any((m < 0) | (m > n)):
             raise DataError("successes must satisfy 0 <= m_h <= n_h")
-        if z.shape[0] != m.shape[0]:
-            raise DataError("covariate rows must match the number of strata")
-        if not (np.isfinite(z).all() and np.isfinite(m).all()):
-            raise NumericalError("non-finite model inputs")
-        if not (self.prior_df > 0 and self.prior_scale > 0):
-            raise DataError("prior_df and prior_scale must be > 0")
-        if self.fixed_sigma2 is not None and not self.fixed_sigma2 >= 0:
-            raise DataError("fixed_sigma2 must be >= 0 for the binary model")
-        if self.fixed_sigma2 is None and m.shape[0] < 2:
-            raise DataError(
-                "at least 2 strata are required unless fixed_sigma2 is given"
-            )
-        _set_domains(self, m.shape[0])
+        _check_model(self, m, "binary", zero_sigma2=True)
 
     @property
     def n_strata(self) -> int:
@@ -259,30 +262,14 @@ class GaussianFHInput:
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)
         psi = np.asarray(self.sampling_variances, dtype=float)
-        z = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-        if z.shape[0] != est.shape[0]:
-            z = z.T
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "sampling_variances", psi)
-        object.__setattr__(self, "covariates", z)
         if est.shape != psi.shape or est.ndim != 1:
             raise DataError("estimates and sampling variances must align")
         if np.any(psi <= 0):
             bad = np.nonzero(psi <= 0)[0].tolist()
             raise DataError(f"sampling variances must be > 0 (strata {bad})")
-        if z.shape[0] != est.shape[0]:
-            raise DataError("covariate rows must match the number of strata")
-        if not (np.isfinite(z).all() and np.isfinite(est).all()):
-            raise NumericalError("non-finite model inputs")
-        if not (self.prior_df > 0 and self.prior_scale > 0):
-            raise DataError("prior_df and prior_scale must be > 0")
-        if self.fixed_sigma2 is not None and not self.fixed_sigma2 > 0:
-            raise DataError("fixed_sigma2 must be > 0 for the Gaussian model")
-        if self.fixed_sigma2 is None and est.shape[0] < 2:
-            raise DataError(
-                "at least 2 strata are required unless fixed_sigma2 is given"
-            )
-        _set_domains(self, est.shape[0])
+        _check_model(self, est, "Gaussian", zero_sigma2=False)
 
     @property
     def n_strata(self) -> int:
@@ -343,13 +330,6 @@ class PosteriorDraws:
     def covariance(self) -> np.ndarray:
         """p x p sample covariance of the draw columns (divisor B - 1)."""
         return np.atleast_2d(np.cov(self.draws, rowvar=False, ddof=1))
-
-    def centred(self, origin: np.ndarray) -> np.ndarray:
-        """draws - origin, kept for the last origin (a run's one T_ht)."""
-        if not np.array_equal(self.__dict__.get("_origin"), origin):
-            object.__setattr__(self, "_origin", np.array(origin, dtype=float))
-            object.__setattr__(self, "_centred", self.draws - origin)
-        return self._centred
 
 
 @dataclass(frozen=True)
@@ -874,40 +854,23 @@ def compute_psi(sample: SampleSet, variable: str) -> tuple[np.ndarray, tuple[str
     return psi, warnings
 
 
-def stratum_domain_map(sample: SampleSet) -> dict[str, str]:
-    """Domain of each sampled stratum; errors if a stratum is unassigned.
-
-    A stratum must contain records from exactly one domain to contribute to
-    domain totals.
-    """
-    present = sample.stratum_domain_pairs
-    spread = present.sum(axis=1)
-    domain_ids = sample.domain_ids
-    unassigned = np.flatnonzero(spread != 1)
-    if unassigned.size:
-        h = unassigned[0]
-        stratum_id = sample.strata[h].id
-        if not spread[h]:
-            raise DataError(f"stratum {stratum_id!r} has no domain assignment")
-        domains = sorted(domain_ids[d] for d in np.flatnonzero(present[h]))
-        raise DataError(f"stratum {stratum_id!r} spans multiple domains {domains}")
-    return {
-        s.id: domain_ids[d] for s, d in zip(sample.strata, present.argmax(axis=1))
-    }
-
-
 def domain_map(sample: SampleSet) -> DomainMap:
     """The map that folds a sample's stratum values into its domain totals:
     each stratum's domain, weighted by its population size N_h.  Errors if a
-    stratum has no sampled record, and as ``stratum_domain_map`` if a
-    stratum does not lie in exactly one domain.
+    stratum has no sampled record, or has records in more than one domain:
+    the first such stratum in frame order is named.
     """
     empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
     if empty:
         raise DataError(f"strata without sampled records: {empty}")
-    stratum_domain_map(sample)
+    present = sample.stratum_domain_pairs
+    spanning = np.flatnonzero(present.sum(axis=1) > 1)
+    if spanning.size:
+        h = spanning[0]
+        domains = sorted(sample.domain_ids[d] for d in np.flatnonzero(present[h]))
+        raise DataError(f"stratum {sample.strata[h].id!r} spans multiple domains {domains}")
     return DomainMap(
-        sample.stratum_domain_pairs.argmax(axis=1),
+        present.argmax(axis=1),
         sample.stratum_sizes,
         sample.calibration.n_domains,
     )

@@ -89,12 +89,6 @@ class BandRule:
         which = np.select(masks, range(B), B) if masks else np.full(column.shape, B)
         return compact_codes([label for label, _, _ in self.bands] + [self.else_label], which)
 
-    def labels(self, column: np.ndarray) -> np.ndarray:
-        """Label of every value as an object array, ``levels[codes]`` of
-        ``codes``: one shared str object per label."""
-        levels, codes = self.codes(column)
-        return np.array(levels, dtype=object)[codes]
-
 
 def derive_bands(
     rules, numeric: Mapping[str, np.ndarray], calibration: tuple[str, ...]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (
-    CalibratedWeights,
     GramMatrix,
     cell_weighted_moment,  # unused here; bench/tracing.py wraps it under this name
     cell_weighted_moments,
@@ -98,9 +97,10 @@ def total_columns(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Replicate totals fixed_ht_c + (t_b - T_ht)' a_c of the cells whose
     p x C ``directions`` are given, as (column slice, B x C_g totals) in
-    groups of at most ``TOTALS_GROUP_BYTES``: one matrix product a group."""
+    groups of at most ``TOTALS_GROUP_BYTES``: one matrix product a group,
+    the draws centred on ``ht`` once a call."""
     width = max(1, TOTALS_GROUP_BYTES // (8 * draws.n_draws))
-    centred = draws.centred(ht)
+    centred = draws.draws - ht
     for start in range(0, directions.shape[1], width):
         columns = slice(start, start + width)
         totals = centred @ directions[:, columns]
@@ -127,7 +127,7 @@ def replicate_totals(
     ``cell_totals`` and ``total_columns``, over one atom table.
 
     Cost is O(n V + p^2) once per cell, for the cell's table over the n
-    records, plus O(B p) across draws, centred on T_ht once per draw set.
+    records, plus O(B p) across draws, centred on T_ht once per call.
     """
     sample.check_spec(spec)
     check_draws(draws, spec)
@@ -179,13 +179,6 @@ def empirical_quantile_ci(
     return CredibleInterval(
         lower=float(lower[0]), upper=float(upper[0]), level=level, kind=kind
     )
-
-
-def point_estimate(cell: CellData, weights: CalibratedWeights) -> float:
-    """Weighted cell total under the posterior-mean calibrated weights:
-    ``cell_totals`` of one cell."""
-    pairs = CellPairs.one(cell)
-    return float(cell_totals(pairs, pairs.atoms.totals(weights.weights))[0])
 
 
 def recalibration_oracle(

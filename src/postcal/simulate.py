@@ -33,7 +33,6 @@ from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
     CellAtoms,
-    CellQuery,
     SampleSet,
     StratumSpec,
     block_sums,
@@ -67,10 +66,6 @@ class SurveyFrame(SampleSet):
         for at, pairs in atoms.groups(range(len(cells))):
             truths[at] = cell_totals(pairs, sums)
         return {query.name: float(truth) for query, truth in zip(cells, truths.tolist())}
-
-    def cell_truth(self, query: CellQuery) -> float:
-        """``truth_table`` of one cell."""
-        return self.truth_table((query,))[query.name]
 
     def calibration_truth_vector(self) -> np.ndarray:
         """Population domain totals of the calibration variables."""

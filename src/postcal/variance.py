@@ -282,21 +282,6 @@ def components(
     )
 
 
-def share_and_variance(
-    sample: SampleSet,
-    cell: CellData,
-    weights: CalibratedWeights,
-    denominator_variable: str,
-    posterior_mean: np.ndarray,
-) -> tuple[DomainShares, tuple[str, ...]]:
-    """``domain_shares`` of one cell."""
-    positions = denominator_positions(sample.calibration.variable_names, [denominator_variable])
-    pairs = CellPairs.one(cell, sample)
-    sums = domain_sums(pairs, pairs.atoms.totals(weights.weights))
-    shares, warnings = domain_shares(sample, sums, positions, posterior_mean)
-    return DomainShares(*(getattr(shares, f.name)[0] for f in fields(shares))), warnings[0]
-
-
 def variance_components(
     sample: SampleSet,
     cell: CellData,
@@ -305,18 +290,20 @@ def variance_components(
     posterior_mean: np.ndarray,
     draws: PosteriorDraws,
 ) -> VarianceComponents:
-    """Assemble both variance components for one cell."""
-    shares, warnings = share_and_variance(
-        sample, cell, weights, denominator_variable, posterior_mean
-    )
-    v = sample.calibration.variable_names.index(denominator_variable)
-    component1, component2, posterior_variance = components(shares, v, draws)
+    """Assemble both variance components for one cell, with its
+    ``domain_shares`` and their warnings."""
+    positions = denominator_positions(sample.calibration.variable_names, [denominator_variable])
+    pairs = CellPairs.one(cell, sample)
+    sums = domain_sums(pairs, pairs.atoms.totals(weights.weights))
+    group, warnings = domain_shares(sample, sums, positions, posterior_mean)
+    shares = DomainShares(*(getattr(group, f.name)[0] for f in fields(group)))
+    component1, component2, posterior_variance = components(shares, positions[0], draws)
     return VarianceComponents(
         component1=float(component1),
         component2=float(component2),
         shares=shares,
         posterior_variance=posterior_variance,
-        warnings=warnings,
+        warnings=warnings[0],
     )
 
 

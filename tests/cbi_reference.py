@@ -1,9 +1,9 @@
 """Per-domain, per-stratum loop form of the CBI variance components.
 
-The reference that ``postcal.variance.share_and_variance`` and
-``variance_components`` are checked against: every domain and every stratum
-touching it is visited in a Python loop, stratum members come from a scan of
-``stratum_idx`` and each stratum variance from ``np.var``.
+The reference that ``postcal.variance.variance_components`` is checked
+against: every domain and every stratum touching it is visited in a Python
+loop, stratum members come from a scan of ``stratum_idx`` and each stratum
+variance from ``np.var``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from conftest import domain_position
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def reference_variance_components(
         if term.excluded:
             completed.append(term)
             continue
-        d = spec.domain_position(term.domain)
+        d = domain_position(spec, term.domain)
         v_d = float(np.var(draws.draws[:, v * spec.n_domains + d], ddof=1))
         completed.append(
             ReferenceTerm(term.domain, term.share, term.share_variance, v_d, term.domain_total)

@@ -1,7 +1,36 @@
 import numpy as np
 import pytest
 
+from postcal.errors import DataError
 from postcal.frame import CalibrationSpec, SampleSet, StratumSpec
+
+
+def domain_position(spec: CalibrationSpec, domain_id: str) -> int:
+    """0-based position of a domain id in the block layout."""
+    try:
+        return spec.domain_order.index(domain_id)
+    except ValueError:
+        raise DataError(f"unknown domain {domain_id!r}") from None
+
+
+def build_design_vector(domain: str, calib_values, spec: CalibrationSpec) -> np.ndarray:
+    """Stack one record's calibration values into its p-length design vector.
+
+    Entry (v, d) carries the record's value for variable v when the record
+    belongs to domain d, zero otherwise; at most V entries are non-zero.
+    A per-record reference: the package reduces over the layout with
+    ``block_sums`` and never forms design vectors.
+    """
+    if len(calib_values) != spec.n_variables:
+        raise DataError(
+            f"record has {len(calib_values)} calibration values, "
+            f"spec declares {spec.n_variables}"
+        )
+    d = domain_position(spec, domain)
+    y = np.zeros(spec.p)
+    for v, value in enumerate(calib_values):
+        y[v * spec.n_domains + d] = value
+    return y
 
 
 def sample_from_rows(rows, strata, spec, attributes=None, outcomes=None, calibration_attributes=()):

@@ -14,11 +14,10 @@ from postcal.frame import (
     CellFilter,
     CellQuery,
     StratumSpec,
-    build_design_vector,
     evaluate_cell,
 )
 
-from conftest import make_random_sample, sample_from_rows
+from conftest import build_design_vector, make_random_sample, sample_from_rows
 
 
 def dense_gram_oracle(sample, spec):

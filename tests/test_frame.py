@@ -9,11 +9,10 @@ from postcal.frame import (
     SampleSet,
     StratumSpec,
     block_sums,
-    build_design_vector,
     evaluate_cell,
 )
 
-from conftest import make_random_sample, sample_from_rows, take_rows
+from conftest import build_design_vector, make_random_sample, sample_from_rows, take_rows
 
 
 def spec_vd(v, d):
@@ -150,7 +149,7 @@ class TestEvaluateCell:
         assert cell.mask.tolist() == [
             False, True, True, False, True, True, False, True, False, False,
         ]
-        assert cell.count == 5
+        assert np.count_nonzero(cell.mask) == 5
 
     def test_attribute_and_outcome_resolution(self):
         sample, spec = toy_ten_records()
@@ -159,7 +158,7 @@ class TestEvaluateCell:
             sample,
             spec,
         )
-        assert cell.count == 5
+        assert np.count_nonzero(cell.mask) == 5
         assert cell.values[2] == 200.0
 
     def test_order_independence(self):
@@ -168,7 +167,7 @@ class TestEvaluateCell:
         q = CellQuery("band", "employed", CellFilter.build(ranges={"hours": (35, 39)}))
         a = evaluate_cell(q, sample, spec)
         b = evaluate_cell(q, shuffled, spec)
-        assert a.count == b.count
+        assert np.count_nonzero(a.mask) == np.count_nonzero(b.mask)
         assert a.values[a.mask].sum() == b.values[b.mask].sum()
 
     def test_idempotent(self):

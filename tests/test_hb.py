@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from postcal import hb
-from postcal.errors import DataError
+from postcal.errors import DataError, NumericalError
 from postcal.frame import (
     CalibrationSpec,
     SampleSet,
@@ -24,7 +26,6 @@ from postcal.hb import (
     fit_binary_hb,
     fit_gaussian_fh,
     gelman_rubin,
-    stratum_domain_map,
 )
 
 from conftest import sample_from_rows
@@ -129,6 +130,46 @@ class TestBinarySampler:
         # a pinned 0 switches the stratum effects off; below it is no variance
         with pytest.raises(DataError, match="fixed_sigma2 must be >= 0"):
             BinaryHBInput(successes=[5], sizes=[10], covariates=[[1.0]], fixed_sigma2=sigma2)
+
+
+MODEL_DATA = [
+    (BinaryHBInput, {"successes": [1.0, 2.0], "sizes": [3.0, 4.0]}),
+    (GaussianFHInput, {"estimates": [1.0, 2.0], "sampling_variances": [0.5, 0.5]}),
+]
+
+
+@pytest.mark.parametrize("model,data", MODEL_DATA, ids=["binary", "gaussian"])
+@pytest.mark.parametrize(
+    "change,error,message",
+    [
+        ({"covariates": np.ones((3, 1))}, DataError, "covariate rows must match the number of strata"),
+        # a 1 x 2 matrix is read as the covariates of 2 strata
+        ({"covariates": [[1.0, np.nan]]}, NumericalError, "non-finite model inputs"),
+        ({"prior_scale": 0.0}, DataError, "prior_df and prior_scale must be > 0"),
+        ({"fixed_sigma2": -1.0}, DataError, "fixed_sigma2 must be"),
+        ({"domains": DomainMap.identity(3)}, DataError, "domain map covers 3 strata, model has 2"),
+        # of two faults, the one checked first is reported
+        ({"covariates": np.ones((3, 1)), "prior_df": 0.0}, DataError, "covariate rows"),
+        ({"prior_df": 0.0, "fixed_sigma2": -1.0}, DataError, "prior_df"),
+    ],
+    ids=["rows", "non-finite", "prior", "sigma2", "domains", "rows-first", "prior-first"],
+)
+def test_model_inputs_share_their_checks(model, data, change, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        model(**{"covariates": np.ones((2, 1)), **data, **change})
+
+
+@pytest.mark.parametrize(
+    "model,data,message",
+    [
+        (BinaryHBInput, {"successes": 3.0, "sizes": 5.0}, "successes and sizes must be 1-d"),
+        (GaussianFHInput, {"estimates": 3.0, "sampling_variances": 1.0}, "must align"),
+    ],
+    ids=["binary", "gaussian"],
+)
+def test_scalar_stratum_values_rejected(model, data, message):
+    with pytest.raises(DataError, match=message):
+        model(covariates=[1.0], **data)
 
 
 class TestGaussianSampler:
@@ -289,18 +330,19 @@ def aggregation_fixture():
 class TestStratumDomainMap:
     def test_each_stratum_maps_to_its_domain(self):
         sample, _ = aggregation_fixture()
-        assert stratum_domain_map(sample) == {"s1": "dA", "s2": "dA", "s3": "dB"}
+        domains = domain_map(sample)
+        assert [sample.domain_ids[d] for d in domains.positions] == ["dA", "dA", "dB"]
 
     def test_first_unassigned_stratum_in_frame_order_is_named(self):
         spec = CalibrationSpec(("v1",), ("dA", "dB"))
         strata = tuple(StratumSpec(f"s{k}", 100) for k in (1, 2, 3, 4))
         spans = [("s1", "dA"), ("s3", "dB"), ("s3", "dA"), ("s4", "dB")]
         records = [(s, d, 1.0, (1.0,)) for s, d in spans]
-        with pytest.raises(DataError, match="stratum 's2' has no domain assignment"):
-            stratum_domain_map(sample_from_rows(records, strata, spec))
+        with pytest.raises(DataError, match=re.escape("strata without sampled records: ['s2']")):
+            domain_map(sample_from_rows(records, strata, spec))
         records.append(("s2", "dA", 1.0, (1.0,)))
         with pytest.raises(DataError, match=r"'s3' spans multiple domains \['dA', 'dB'\]"):
-            stratum_domain_map(sample_from_rows(records, strata, spec))
+            domain_map(sample_from_rows(records, strata, spec))
 
 
 def folded(sample, values):

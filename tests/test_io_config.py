@@ -42,6 +42,7 @@ from postcal.io import (
 from postcal.simulate import generate_population
 
 SMOKE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_smoke.yaml"
+DEMO_CONFIG = SMOKE_CONFIG.parent / "demo" / "config.yaml"
 
 RECORDS_CSV = """stratum,domain,weight,employed,hours,occupation,income
 s1,d1,2.5,1,38,managers,1200
@@ -821,6 +822,35 @@ class TestConfig:
                 )
             ),
         )
+
+    @pytest.mark.parametrize(
+        "cell,where,cause",
+        [
+            (0, {"domain": None}, "cells[0].where.domain: expected a name or a list of names, got None"),
+            (0, {"domain": ["east", ["west"]]}, "cells[0].where.domain[1]: expected a name, got ['west']"),
+            (0, {"domain": []}, "cells[0].where.domain: expected a name or a list of names, got []"),
+            (5, {"occupation": None}, "cells[5].where.occupation: expected a name or a list of names"),
+            (5, {"occupation": []}, "cells[5].where.occupation: expected a name or a list of names, got []"),
+            (5, {"occupation": {"trades": 1}}, "cells[5].where.occupation: expected a name, got {'trades': 1}"),
+            (5, {"occupation": ["trades", ["sales"]]}, "cells[5].where.occupation[1]: expected a name"),
+        ],
+        ids=[
+            "domain-null",
+            "domain-nested-list",
+            "domain-empty-list",
+            "attribute-null",
+            "attribute-empty-list",
+            "attribute-mapping",
+            "attribute-nested-list",
+        ],
+    )
+    def test_malformed_where_value_is_named_not_an_empty_cell(self, cell, where, cause):
+        import yaml
+
+        raw = yaml.safe_load(DEMO_CONFIG.read_text())
+        raw["cells"][cell]["where"] = where
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw, base_dir=DEMO_CONFIG.parent)
 
     def test_bad_tier_rejected(self):
         raw = {"cells": [{"name": "x", "sum": "a", "tier": "9-Z"}]}

@@ -9,6 +9,7 @@ from postcal.errors import DataError, NumericalError
 from postcal.frame import (
     CalibrationSpec,
     CellFilter,
+    CellPairs,
     CellQuery,
     SampleSet,
     StratumSpec,
@@ -19,7 +20,6 @@ from postcal.hb import PosteriorDraws
 from postcal.replicate import (
     classify_cell,
     empirical_quantile_ci,
-    point_estimate,
     recalibration_oracle,
     replicate_totals,
 )
@@ -247,6 +247,13 @@ class TestQuantiles:
             empirical_quantile_ci(np.array([1.0]), 0.95)
 
 
+def point_estimate(cell, sample, weights):
+    """The cell's weighted total under ``weights``: ``cell_totals`` over the
+    cell's own atom table."""
+    pairs = CellPairs.one(cell, sample)
+    return float(replicate.cell_totals(pairs, pairs.atoms.totals(weights.weights))[0])
+
+
 class TestPointEstimate:
     def test_exact_cell_equals_posterior_mean_component(self):
         sample, spec = survey_sample()
@@ -256,7 +263,7 @@ class TestPointEstimate:
         weights = calibrate(sample, gram, ht, draws.posterior_mean)
         q = CellQuery("emp_d1", "employed", CellFilter.build(domains="d1"))
         cell = evaluate_cell(q, sample, spec)
-        point = point_estimate(cell, weights)
+        point = point_estimate(cell, sample, weights)
         assert point == pytest.approx(draws.posterior_mean[0], rel=1e-10)
 
     def test_empty_cell_is_zero(self):
@@ -268,7 +275,7 @@ class TestPointEstimate:
             "none", "employed", CellFilter.build(attributes={"occupation": "astronaut"})
         )
         cell = evaluate_cell(q, sample, spec)
-        assert point_estimate(cell, weights) == 0.0
+        assert point_estimate(cell, sample, weights) == 0.0
 
     def test_hand_weighted_sum(self):
         sample, spec = make_random_sample(10, 2, 2, seed=1)
@@ -284,7 +291,7 @@ class TestPointEstimate:
             )
             if group == "a"
         )
-        assert point_estimate(cell, weights) == pytest.approx(by_hand, rel=1e-12)
+        assert point_estimate(cell, sample, weights) == pytest.approx(by_hand, rel=1e-12)
 
 
 TRADES = CellFilter.build(attributes={"occupation": "trades"})
@@ -370,8 +377,8 @@ class TestAnalyzeCell:
         assert row.link_variable == link
         if rho == "pearson":
             cell = evaluate_cell(query, art.sample, art.sample.calibration)
-            income = cell.values[cell.rows]
-            hours = art.sample.column("hours")[cell.rows]
+            income = cell.values[cell.mask]
+            hours = art.sample.column("hours")[cell.mask]
             assert row.link_rho == pytest.approx(np.corrcoef(income, hours)[0, 1], rel=1e-12)
         else:
             assert row.link_rho == rho

@@ -18,7 +18,6 @@ from postcal.variance import (
     cell_diagnostics,
     coefficient_of_variation,
     select_linking_variable,
-    share_and_variance,
     variance_components,
 )
 
@@ -46,6 +45,14 @@ def two_stratum_fixture():
     return sample_from_rows(records, strata, spec, attributes={"g": groups}), spec
 
 
+def shares_and_warnings(sample, cell, weights, posterior_mean):
+    """The ``shares`` and ``warnings`` of the cell's ``variance_components``
+    over ``emp``, its draws two copies of ``posterior_mean``."""
+    draws = PosteriorDraws(np.vstack([posterior_mean, posterior_mean]), np.zeros(2, dtype=int))
+    components = variance_components(sample, cell, weights, "emp", posterior_mean, draws)
+    return components.shares, components.warnings
+
+
 class TestShareAndVariance:
     def test_hand_computed_two_stratum_variance(self):
         sample, spec = two_stratum_fixture()
@@ -55,9 +62,7 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        shares, warnings = share_and_variance(
-            sample, cell, weights, "emp", posterior_mean=ht
-        )
+        shares, warnings = shares_and_warnings(sample, cell, weights, ht)
         assert warnings == ()
         # numerator: one in-cell employed record at w=10 plus two at w=20
         assert shares.share[0] == pytest.approx(50.0 / 60.0, rel=1e-12)
@@ -76,7 +81,7 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("d1", "emp", CellFilter.build(domains="d1")), sample, spec
         )
-        shares, _ = share_and_variance(sample, cell, weights, "emp", target)
+        shares, _ = shares_and_warnings(sample, cell, weights, target)
         assert shares.share[0] == pytest.approx(1.0, rel=1e-12)
         # masked values equal the variable itself, so s2 is the stratum
         # variance of emp: 1/3 in both strata
@@ -93,7 +98,7 @@ class TestShareAndVariance:
             sample,
             spec,
         )
-        shares, warnings = share_and_variance(sample, cell, weights, "emp", ht)
+        shares, warnings = shares_and_warnings(sample, cell, weights, ht)
         assert shares.share[0] == 0.0
         assert shares.share_variance[0] == 0.0
         assert warnings == ()
@@ -106,9 +111,7 @@ class TestShareAndVariance:
         cell = evaluate_cell(
             CellQuery("a", "emp", CellFilter.build(attributes={"g": "a"})), sample, spec
         )
-        shares, warnings = share_and_variance(
-            sample, cell, weights, "emp", posterior_mean=np.zeros(1)
-        )
+        shares, warnings = shares_and_warnings(sample, cell, weights, np.zeros(1))
         assert shares.excluded[0]
         assert shares.share[0] == shares.share_variance[0] == 0.0
         assert any("zero denominator" in w for w in warnings)
@@ -126,7 +129,7 @@ class TestShareAndVariance:
         ht = ht_totals(sample, spec)
         weights = calibrate(sample, gram, ht, ht)
         cell = evaluate_cell(CellQuery("all", "emp", CellFilter()), sample, spec)
-        shares, warnings = share_and_variance(sample, cell, weights, "emp", ht)
+        shares, warnings = shares_and_warnings(sample, cell, weights, ht)
         assert any("singleton" in w for w in warnings)
         # only s2 contributes: 1 * 40^2 * (1 - 0.05) * 0.5 / 2 = 380
         assert shares.share_variance[0] == pytest.approx(380.0 / ht[0] ** 2, rel=1e-12)

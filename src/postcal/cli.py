@@ -14,7 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import ConfigError, DataError, NumericalError, PostcalError, RankDeficiencyError
+from .errors import (
+    ConfigError, ConvergenceError, DataError, NumericalError, PostcalError, RankDeficiencyError
+)
 from .fitting import CONTINUOUS_SCALE_NOTE, fit_all_variables
 from .hb import gelman_rubin
 from .io import IngestedSample, read_draws, read_sample, write_draws, write_json, write_weights
@@ -231,14 +233,19 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = None
-    if count is None or count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return count
+def _at_least(low: int):
+    """An argument type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help, func, draws=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="YAML configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_at_least(0), default=None, help="override config seed")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--verbose", action="store_true")
         if draws:
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("diagnose", "convergence and cell diagnostics only", cmd_diagnose, draws=True)
     p_sim = command("simulate", "repeated-sampling coverage experiment", cmd_simulate)
     p_sim.add_argument(
-        "--threads", type=_worker_count, default=1, help="replication worker processes"
+        "--threads", type=_at_least(1), default=1, help="replication worker processes"
     )
     p_sim.add_argument(
         "--keep-replications",
@@ -286,6 +293,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, load_config(args.config, seed_override=args.seed))
+    except ConvergenceError as exc:
+        print(f"convergence failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

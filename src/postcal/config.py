@@ -258,6 +258,15 @@ def positive(value) -> float:
     return value
 
 
+def nonnegative(value) -> float:
+    """``real(value)`` that is >= 0: a negative value and NaN are a
+    ValueError."""
+    value = real(value)
+    if not value >= 0:
+        raise ValueError(value)
+    return value
+
+
 def _typed(section: dict, key: str, kind, where: str = "", minimum=None):
     """``kind`` of ``section[key]``; a missing, mistyped or below-``minimum``
     value is a ConfigError naming ``where.key``."""
@@ -283,14 +292,6 @@ def _pair(value, where: str, open_ended=False) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: expected [low, high], got {value!r}")
     return tuple(None if v is None and open_ended else _convert(v, real, where) for v in value)
-
-
-def _as_tuple(value) -> tuple:
-    if value is None:
-        return ()
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
 
 
 def _entries(section: dict, key: str, where: str) -> list[tuple[str, object]]:
@@ -324,9 +325,16 @@ def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
     return () if value is None else (_name(value, f"{where}.{key}"),)
 
 
-def _bound(interval: dict, key: str, where: str) -> float | None:
-    value = interval.get(key)
-    return None if value is None else _convert(value, real, f"{where}.{key}")
+def _interval(interval: dict, where: str) -> tuple[float | None, float | None]:
+    """The 'min' and 'max' of ``interval`` as reals, null or absent for an
+    open end; a min above the max is a ConfigError naming ``where``."""
+    lo, hi = (
+        None if interval.get(key) is None else _convert(interval[key], real, f"{where}.{key}")
+        for key in ("min", "max")
+    )
+    if lo is not None and hi is not None and lo > hi:
+        raise ConfigError(f"{where}: min {lo} exceeds max {hi}")
+    return lo, hi
 
 
 def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[BandRule, ...]:
@@ -343,11 +351,7 @@ def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[B
             )
         _require(entry, "bands", path)
         bands = tuple(
-            (
-                _name(_require(band, "label", at), f"{at}.label"),
-                _bound(band, "min", at),
-                _bound(band, "max", at),
-            )
+            (_name(_require(band, "label", at), f"{at}.label"), *_interval(band, at))
             for at, band in _entries(entry, "bands", path)
         )
         rules.append(
@@ -400,7 +404,7 @@ def _cell(
                     f"{path}: filter on calibration variable {key!r} must be "
                     f"an interval with 'min'/'max'"
                 )
-            ranges[key] = (_bound(value, "min", path), _bound(value, "max", path))
+            ranges[key] = _interval(value, path)
         elif value is None or value == []:  # either would match no record
             raise ConfigError(f"{path}: expected a name or a list of names, got {value!r}")
         elif key == "domain":
@@ -450,7 +454,7 @@ def parse_config(
     if seed_override is not None:
         seed = seed_override
     else:
-        seed = _typed(raw, "seed", integer) if "seed" in raw else 0
+        seed = _typed(raw, "seed", integer, minimum=0) if "seed" in raw else 0
     found: dict = {}  # the optional RunConfig fields the document sets
 
     sample = _section(raw, "sample", "sample")
@@ -484,7 +488,7 @@ def parse_config(
         models[variable] = ModelConfig(
             variable=variable,
             kind=kind,
-            covariates=tuple(_as_tuple(spec.get("covariates"))),
+            covariates=_name_or_names(spec, "covariates", where),
             fixed_sigma2=(
                 None if fixed_sigma2 is None else _convert(fixed_sigma2, real, f"{where}.fixed_sigma2")
             ),
@@ -522,7 +526,7 @@ def parse_config(
         generated = found["simulate"].population
         calibration = tuple(v.name for v in generated.variables)
         numeric = frozenset((*calibration, *(o.name for o in generated.outcomes)))
-        domains = tuple(map(str, generated.domains))
+        domains = generated.domains
 
     cells = tuple(
         _cell(entry, calibration, path, numeric, domains) for path, entry in _entries(raw, "cells", "")
@@ -563,10 +567,10 @@ def _check_models(models: dict, calibration: tuple[str, ...]) -> None:
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
     """Build a population spec from the ``simulate.population`` section."""
     where = "simulate.population"
-    domains = _require(section, "domains", where)
-    if not isinstance(domains, list) or not domains:
-        raise ConfigError(f"{where}.domains: expected a non-empty list, got {domains!r}")
-    domains = tuple(domains)
+    _require(section, "domains", where)
+    domains = _names(section, "domains", where)
+    if not domains:
+        raise ConfigError(f"{where}.domains: expected a non-empty list, got {section['domains']!r}")
     strata_cfg = _require(section, "strata", where)
     plans: list[StratumPlan] = []
     if isinstance(strata_cfg, list):
@@ -616,7 +620,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     name=name,
                     intercept=_typed(entry, "intercept", real, where=path),
                     exclusive_with=entry.get("exclusive_with"),
-                    **_given(entry, path, slope=real, stratum_sd=real),
+                    **_given(entry, path, slope=real, stratum_sd=nonnegative),
                 )
             )
         elif kind == "continuous":
@@ -625,9 +629,9 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                 ContinuousVariableModel(
                     name=name,
                     mean=_typed(entry, "mean", real, where=path),
-                    unit_sd=_typed(entry, "unit_sd", real, where=path),
+                    unit_sd=_typed(entry, "unit_sd", nonnegative, where=path),
                     gated_by=entry.get("gated_by"),
-                    **_given(entry, path, slope=real, stratum_sd=real),
+                    **_given(entry, path, slope=real, stratum_sd=nonnegative),
                     **({} if clip is None else {"clip": _pair(clip, f"{path}.clip", open_ended=True)}),
                 )
             )

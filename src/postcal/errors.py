@@ -13,6 +13,10 @@ class DataError(PostcalError):
     """Input records or metadata violate a structural requirement."""
 
 
+class ConvergenceError(DataError):
+    """No fit passed the R-hat gate, so there is nothing to report."""
+
+
 class RankDeficiencyError(PostcalError):
     """The calibration cross-product matrix is rank deficient.
 

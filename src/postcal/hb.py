@@ -96,6 +96,8 @@ class McmcConfig:
             raise DataError("iterations must be >= 1")
         if self.chains < 1:
             raise DataError("chains must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if not self.proposal_sd > 0:
             raise DataError("proposal_sd must be > 0")
 

@@ -201,47 +201,10 @@ def _plain_fields(lines: list[str], k: int) -> list[str] | None:
     return flat
 
 
-def _row_starts(path: Path, stop: int) -> list[int]:
-    """The file line on which each of the first ``stop`` data rows starts,
-    counted by reading the file again: a quoted field may span lines, so a
-    row's line is the first of those its reader consumed.  A row the csv
-    module cannot parse ends them, with its own line."""
-    numbers: list[int] = []
-    starts: list[int] = []
-    with _open(path) as fh:
-        reader = csv.reader(_kept_lines(fh, path, numbers, []))
-        consumed = 0
-        try:
-            for _ in islice(reader, stop + 1):  # the header, then the rows
-                starts.append(numbers[consumed])
-                consumed = reader.line_num
-        except csv.Error:
-            starts.append(numbers[consumed])
-    return starts[1:]
-
-
-class _RowLines:
-    """The file lines of a block's ``n`` rows, by row position in the block.
-
-    They are the block's kept lines while each row took one line.  When a
-    quoted field spans lines there are more kept lines than rows, and the
-    rows' first lines are counted again by ``_row_starts``; only a fault, or
-    a whole-file read, asks for them.
-    """
-
-    def __init__(self, path: Path, kept: list[int], first: int, n: int):
-        self.path, self.kept, self.first, self.n = path, kept, first, n
-
-    def __getitem__(self, i: int) -> int:
-        if len(self.kept) != self.n:
-            self.kept = _row_starts(self.path, self.first + self.n)[self.first :]
-        return self.kept[i]
-
-
 def _row_blocks(path: Path) -> Iterator:
     """The header of a delimited file, then its data rows in blocks of
     ``BLOCK_ROWS``, each as its columns by header name (lists of fields)
-    and its rows' file lines (a ``range`` or ``_RowLines``).
+    and its rows' file lines (a ``range`` or a list).
 
     After a header the csv module parsed cleanly, the lines are read in
     chunks of ``BLOCK_ROWS``, and a plain chunk (``_plain_fields``) is one
@@ -264,61 +227,60 @@ def _row_blocks(path: Path) -> Iterator:
         k = len(header or ())
         # the file line that opens the next chunk, while the chunks are plain
         line = numbers[-1] + 1 if header and not not_utf8 else None
-        first = 0  # the data row that opens the block
 
         def next_block() -> tuple[list[str], Sequence[int], str | None]:
-            nonlocal reader, line, first
+            nonlocal reader, line
             if line is not None:
                 chunk = list(islice(fh, BLOCK_ROWS))
                 flat = _plain_fields(chunk, k)
                 if flat is not None:
-                    first += len(chunk)
                     line += len(chunk)
                     return flat, range(line - len(chunk), line), None
                 reader = csv.reader(_kept_lines(chain(chunk, fh), path, numbers, not_utf8, line))
                 line = None
-            numbers.clear()
-            flat, fault = _next_block(reader, k)
-            n = len(flat) // k if flat else 0  # k is 0 in a file with no header
-            # the lines of the block's rows, and of the faulty row that ends it
-            lines = _RowLines(path, numbers.copy(), first, n + (fault is not None))
-            first += n
-            return flat, lines, fault
+            return _next_block(reader, k, numbers)
 
         flat, lines, fault = next_block()
         if not flat and fault is None:
             raise DataError(not_utf8[0] if not_utf8 else f"{path}: no data rows")
         yield header
         while flat or fault is not None:
-            n = len(flat) // k
             if flat:
                 columns = {name: flat[j::k] for j, name in enumerate(header)}
                 flat = None  # only one block's fields are alive at a time
                 yield columns, lines
                 columns = None
             if fault is not None:
-                raise DataError(f"{path}:{lines[n]}: {fault}")
+                raise DataError(f"{path}:{lines[-1]}: {fault}")
             flat, lines, fault = next_block()
         if not_utf8:
             raise DataError(not_utf8[0])
 
 
-def _next_block(reader, k: int) -> tuple[list[str], str | None]:
+def _next_block(reader, k: int, numbers: list[int]) -> tuple[list[str], list[int], str | None]:
     """The fields of the next ``BLOCK_ROWS`` rows of ``k`` fields on one flat
-    list, so that column j is ``flat[j::k]``, and the fault of a row with
-    another field count or that the reader cannot parse, which ends the
-    block.  Each row's list is dropped as soon as it is parsed: a block of
-    them alive would make the cyclic garbage collector scan them over and
-    over."""
+    list, so that column j is ``flat[j::k]``, the file line each row starts
+    on, and the fault of a row with another field count or that the reader
+    cannot parse, which ends the block with its line last.  ``numbers``
+    gets the file line of each line the reader consumes; a row starts on
+    the first of those it took.  Each row's list is dropped as soon as it
+    is parsed: a block of them alive would make the cyclic garbage
+    collector scan them over and over."""
     flat: list[str] = []
+    lines: list[int] = []
+    numbers.clear()
+    start = base = reader.line_num
     try:
         for row in islice(reader, BLOCK_ROWS):
+            lines.append(numbers[start - base])
+            start = reader.line_num
             if len(row) != k:
-                return flat, f"{len(row)} fields, header has {k}"
+                return flat, lines, f"{len(row)} fields, header has {k}"
             flat.extend(row)
     except csv.Error as exc:
-        return flat, str(exc)
-    return flat, None
+        lines.append(numbers[start - base])
+        return flat, lines, str(exc)
+    return flat, lines, None
 
 
 def _read_table(path: Path) -> tuple[dict[str, list[str]], list[int]]:
@@ -372,22 +334,25 @@ def _wholes(raw: Sequence[str], what: str, faults: list) -> np.ndarray | None:
     return values
 
 
-def _add_ids(
-    block: Sequence[str], what: str, ids: list, seen: set, path: Path, lines: Sequence[int], faults: list
-) -> None:
-    """Append a block's ids to ``ids`` (``seen`` is their set); a fault
+def _add_ids(block: Sequence[str], what: str, ids: list, seen: set, tables: list, faults: list) -> None:
+    """Append a block's ids to ``ids`` (``seen`` is their set); ``tables``
+    holds the rows' file lines block by block, this block's last.  A fault
     names the first id that repeats one and the line of its first copy."""
     fresh = set(block)
     if len(fresh) != len(block) or not seen.isdisjoint(fresh):
         first: dict[str, int] = {}
         for i, x in enumerate(block):
             if x in seen:
-                line = _row_starts(path, ids.index(x) + 1)[-1]
+                row = ids.index(x)
             elif first.setdefault(x, i) != i:
-                line = lines[first[x]]
+                row = len(ids) + first[x]
             else:
                 continue
-            faults.append((i, f"duplicate {what} id {x!r} (first on line {line})"))
+            for table in tables:  # the row's block, and its place there
+                if row < len(table):
+                    break
+                row -= len(table)
+            faults.append((i, f"duplicate {what} id {x!r} (first on line {table[row]})"))
             break
     seen |= fresh
     ids.extend(block)
@@ -416,7 +381,7 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
     faults: list = []
-    _add_ids(columns["id"], "stratum", [], set(), path, lines, faults)
+    _add_ids(columns["id"], "stratum", [], set(), [lines], faults)
     sizes = _wholes(columns["population_size"], "population_size", faults)
     raw_deff = columns.get("deff", ("",) * len(lines))
     deff = _floats(tuple(x or "1" for x in raw_deff), faults)
@@ -465,18 +430,22 @@ def read_sample(
         codes: dict[str, tuple[dict, list]] = {name: ({}, []) for name in categorical}
         ids: list[str] = []
         seen: set[str] = set()
+        tables: list[Sequence[int]] = []  # each block's row lines
         for columns, lines in blocks:
             faults: list = []
             for name, parsed in floats.items():
                 parsed.append(_floats(columns[name], faults))
             if roles.record_id:
-                _add_ids(columns[roles.record_id], "record", ids, seen, records_path, lines, faults)
+                # a range where every row took one line
+                compact = lines[-1] - lines[0] == len(lines) - 1
+                tables.append(range(lines[0], lines[-1] + 1) if compact else lines)
+                _add_ids(columns[roles.record_id], "record", ids, seen, tables, faults)
             _raise_first(faults, records_path, lines)
             for name, (levels, coded) in codes.items():
                 coded.append(code_labels(columns[name], levels))
             # the next block is read while this one would still be alive
             del columns
-    del seen  # freed before the store is built
+    del seen, tables  # freed before the store is built
 
     strata, covariates = read_strata(strata_path)
     domain_levels = codes[roles.domain][0]

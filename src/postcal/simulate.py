@@ -28,7 +28,7 @@ from .config import (
     RunConfig,
     SyntheticPopulationSpec,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ConvergenceError, DataError
 from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
@@ -351,6 +351,14 @@ def _covered(lower: float, upper: float, truth: float) -> bool:
     return lower - tol <= truth <= upper + tol
 
 
+def _rate(hits: list[bool], nominal: float) -> tuple[float, float, bool]:
+    """The share of ``hits`` that are true, its Monte Carlo standard error,
+    and whether it lies more than two of them from ``nominal``."""
+    rate = float(np.mean(hits))
+    se = math.sqrt(rate * (1.0 - rate) / len(hits))
+    return rate, se, abs(rate - nominal) > 2.0 * se
+
+
 def accumulate_report(
     results: list[ReplicationResult],
     truths: dict[str, float],
@@ -361,65 +369,41 @@ def accumulate_report(
     Results are reduced in replication order regardless of arrival order, so
     the report is independent of scheduling.  Coverage differences from the
     nominal level beyond two Monte Carlo standard errors are annotated as
-    significant.
+    significant.  A cell's tier is the one of its last replication.
     """
     ordered = sorted(results, key=lambda r: r.index)
     used = [r for r in ordered if r.converged]
     if not used:
-        raise DataError("no converged replications to accumulate")
+        raise ConvergenceError(
+            f"no converged replications to accumulate: R-hat exceeds mcmc.rhat_threshold "
+            f"{cfg.rhat_threshold} in each of the {len(ordered)} replications"
+        )
     nominal = cfg.level
 
     cells: list[CellCoverage] = []
     for pos, query in enumerate(cfg.cells):
         truth = truths[query.name]
-        points: list[float] = []
-        ares: list[float] = []
-        n_cells: list[float] = []
-        cri_hits: list[bool] = []
-        cbi_hits: list[bool] = []
-        cv_cri: list[float] = []
-        cv_cbi: list[float] = []
-        tier = None
-        for r in used:
-            row = r.rows[pos]
-            tier = row.tier
-            points.append(row.point)
-            n_cells.append(row.n_cell)
-            if truth != 0.0:
-                ares.append(abs(row.point - truth) / abs(truth))
-            cri_hits.append(_covered(row.cri_lower, row.cri_upper, truth))
-            if row.cbi_lower is not None:
-                cbi_hits.append(_covered(row.cbi_lower, row.cbi_upper, truth))
-            if row.cv_cri is not None:
-                cv_cri.append(row.cv_cri)
-            if row.cv_cbi is not None:
-                cv_cbi.append(row.cv_cbi)
-        R = len(used)
-        cri_rate = float(np.mean(cri_hits))
-        cri_se = math.sqrt(cri_rate * (1.0 - cri_rate) / R)
-        if cbi_hits:
-            cbi_rate = float(np.mean(cbi_hits))
-            cbi_se = math.sqrt(cbi_rate * (1.0 - cbi_rate) / len(cbi_hits))
-            cbi_sig = abs(cbi_rate - nominal) > 2.0 * cbi_se
-        else:
-            cbi_rate = cbi_se = cbi_sig = None
+        rows = [r.rows[pos] for r in used]
+        cri = _rate([_covered(row.cri_lower, row.cri_upper, truth) for row in rows], nominal)
+        cbi_hits = [_covered(row.cbi_lower, row.cbi_upper, truth) for row in rows if row.cbi_lower is not None]
+        cbi = _rate(cbi_hits, nominal) if cbi_hits else (None, None, None)
         cells.append(
             CellCoverage(
                 name=query.name,
-                tier=tier.value if tier is not None else "",
+                tier=rows[-1].tier.value,
                 truth=truth,
-                replications=R,
-                mean_point=float(np.mean(points)),
-                mean_are=_mean_or_none(ares),
-                mean_n_cell=float(np.mean(n_cells)),
-                cri_coverage=cri_rate,
-                cri_mc_se=cri_se,
-                cri_outside_2se=abs(cri_rate - nominal) > 2.0 * cri_se,
-                cbi_coverage=cbi_rate,
-                cbi_mc_se=cbi_se,
-                cbi_outside_2se=cbi_sig,
-                mean_cv_cri=_mean_or_none(cv_cri),
-                mean_cv_cbi=_mean_or_none(cv_cbi),
+                replications=len(rows),
+                mean_point=float(np.mean([row.point for row in rows])),
+                mean_are=_mean_or_none([abs(row.point - truth) / abs(truth) for row in rows if truth != 0.0]),
+                mean_n_cell=float(np.mean([row.n_cell for row in rows])),
+                cri_coverage=cri[0],
+                cri_mc_se=cri[1],
+                cri_outside_2se=cri[2],
+                cbi_coverage=cbi[0],
+                cbi_mc_se=cbi[1],
+                cbi_outside_2se=cbi[2],
+                mean_cv_cri=_mean_or_none([row.cv_cri for row in rows if row.cv_cri is not None]),
+                mean_cv_cbi=_mean_or_none([row.cv_cbi for row in rows if row.cv_cbi is not None]),
             )
         )
     return CoverageReport(

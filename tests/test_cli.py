@@ -1075,6 +1075,25 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(SMOKE_CONFIG), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer of at least 0, got '-1'" in err
+        assert "Traceback" not in err
+
+    def test_simulate_without_a_converged_replication_exits_4(self, tmp_path, capsys):
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["simulate"]["mc"]["replications"] = 1
+        raw["mcmc"] = {"burnin": 5, "iterations": 10, "chains": 7}
+        cfg = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: no converged replications to accumulate: ")
+        assert "mcmc.rhat_threshold 1.2 in each of the 1 replications" in err
+
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
         base = ["--config", "c.yaml", "--out", str(tmp_path)]
         options = {

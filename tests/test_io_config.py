@@ -265,6 +265,23 @@ class TestIngestion:
         with pytest.raises(DataError, match=rf"records\.csv:7: {re.escape(message)}$"):
             read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
 
+    @pytest.mark.parametrize("block_rows", [1, 2, postcal_io.BLOCK_ROWS])
+    def test_duplicate_of_a_row_after_a_field_spanning_lines_names_its_first_line(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # data row 1 holds a label over three lines, so r2 starts on line 5;
+        # in blocks of 2 rows its line is on the first block's list [2, 5]
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        records, strata = write_inputs(tmp_path)
+        header, *rows = RECORDS_CSV.splitlines()
+        rows = [f"r{i + 1},{fields}" for i, fields in enumerate(rows)]
+        rows[0] = rows[0].replace("managers", '"mana\nger\ns"')
+        rows[3] = rows[3].replace("r4", "r2", 1)
+        records.write_text("\n".join([f"id,{header}", *rows]) + "\n")
+        message = "duplicate record id 'r2' (first on line 5)"
+        with pytest.raises(DataError, match=rf"records\.csv:7: {re.escape(message)}$"):
+            read_sample(records, strata, dataclasses.replace(roles(), record_id="id"))
+
     def test_attributes_are_stored_as_codes_in_order_of_first_appearance(self, tmp_path):
         records, strata = write_inputs(tmp_path)
         sample = read_sample(records, strata, roles()).sample
@@ -932,6 +949,68 @@ class TestSimulateSection:
         section[last] = value
         with pytest.raises(ConfigError, match=re.escape(cause)):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "change,cause",
+        [
+            (("seed", -1), "seed: expected at least 0, got -1"),
+            (("models", "employed", "covariates", [["z"]]), "models.employed.covariates[0]: expected a name, got ['z']"),
+            (("models", "hours", "covariates", {"z": 1}), "models.hours.covariates: expected a name, got {'z': 1}"),
+            (("simulate", "population", "domains", ["d1", ["d2"]]), "simulate.population.domains[1]: expected a name"),
+            (("simulate", "population", "domains", [{"d1": 1}, "d2"]), "simulate.population.domains[0]: expected a name"),
+            (
+                ("simulate", "population", "variables", 0, "stratum_sd", -0.15),
+                "simulate.population.variables[0].stratum_sd: expected nonnegative, got -0.15",
+            ),
+            (
+                ("simulate", "population", "variables", 1, "unit_sd", -10.0),
+                "simulate.population.variables[1].unit_sd: expected nonnegative, got -10.0",
+            ),
+            (("cells", 0, "where", {"hours": {"min": 40, "max": 30}}), "cells[0].where.hours: min 40.0 exceeds max 30.0"),
+            (
+                ("simulate", "derived", [{"name": "band", "source": "hours", "bands": [{"label": "x", "min": 4, "max": 3}]}]),
+                "simulate.derived[0].bands[0]: min 4.0 exceeds max 3.0",
+            ),
+        ],
+        ids=[
+            "seed-negative",
+            "covariate-list",
+            "covariates-mapping",
+            "domain-list",
+            "domain-mapping",
+            "stratum-sd-negative",
+            "unit-sd-negative",
+            "cell-interval-reversed",
+            "band-reversed",
+        ],
+    )
+    def test_value_that_would_fail_later_is_named_by_its_key(self, change, cause):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        *keys, last, value = change
+        section = raw
+        for key in keys:
+            section = section[key]
+        section[last] = value
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw)
+
+    def test_equal_bounds_and_zero_sds_stay_valid(self):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["cells"][0]["where"] = {"hours": {"min": 30, "max": 30}}
+        raw["simulate"]["derived"] = [{"name": "band", "source": "hours", "bands": [{"label": "x", "min": 3, "max": 3}]}]
+        raw["simulate"]["population"]["variables"][1].update(stratum_sd=0, unit_sd=0)
+        cfg = parse_config(raw)
+        assert dict(cfg.cells[0].filter.value_ranges)["hours"] == (30.0, 30.0)
+        assert cfg.band_rules[0].bands == (("x", 3.0, 3.0),)
+        assert cfg.simulate.population.variables[1].unit_sd == 0.0
+
+    def test_negative_sampler_seed_is_refused(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            McmcConfig(seed=-1)
 
     def test_shipped_smoke_config_parses_to_typed_values(self):
         cfg = load_config(SMOKE_CONFIG, seed_override=3)

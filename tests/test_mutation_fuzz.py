@@ -4,13 +4,19 @@ Each case breaks one thing in a copy of the demo ``records.csv``,
 ``strata.csv``, a ``draws.csv`` fitted from them, or ``config.yaml``: it
 drops, repeats or truncates a line, swaps a field for a faulty token, or
 swaps the type of a config leaf.  It then runs ``calibrate``, ``infer`` and
-``diagnose`` with ``--draws`` in-process.  Every run must end with a
-documented exit code and no traceback, and a refusal (exit 2) must name
-where its cause is: a key path, the cell or band rule that holds it, or the
-file, with its line where a row is at fault.  The cases are drawn once from
-fixed seeds, so every run checks the same ones.
+``diagnose`` with ``--draws`` in-process.  So that swapped ``models:``,
+``mcmc:`` and ``simulate:`` values reach a sampler too, each leaf of the
+demo config is also swapped on short chains and run through ``fit``, and
+each leaf of the smoke simulation config on short chains and one
+replication through ``simulate``.  Every run must end with a documented
+exit code and no traceback, and a refusal (exit 2) of any command but
+``simulate`` must name where its cause is: a key path, the cell or band
+rule that holds it, or the file, with its line where a row is at fault.
+The cases are drawn once from fixed seeds, so every run checks the same
+ones.
 """
 
+import copy
 import random
 import re
 import shutil
@@ -20,7 +26,7 @@ import yaml
 
 from postcal.cli import main
 
-from test_golden import DEMO_CONFIG
+from test_golden import DEMO_CONFIG, SMOKE_CONFIG
 
 SEED = 2026
 CASES_PER_FILE = 30
@@ -29,6 +35,14 @@ TOKENS = (b"nan", b"1e400", b'"', b"", b"\0", b"\xff")
 # a number, a string, null, a list and a mapping
 SWAPS = (7, "x", None, [1], {"a": 1})
 DEMO = yaml.safe_load(DEMO_CONFIG.read_text())
+# the configs that ``fit`` and ``simulate`` run, on chains short enough
+# that a run takes milliseconds
+SHORT_MCMC = {"burnin": 5, "iterations": 20, "chains": 2, "rhat_threshold": 100.0}
+SHORT = {
+    "fit": {**DEMO, "mcmc": SHORT_MCMC},
+    "simulate": yaml.safe_load(SMOKE_CONFIG.read_text()) | {"mcmc": SHORT_MCMC},
+}
+SHORT["simulate"]["simulate"]["mc"]["replications"] = 1
 
 NAMED_CAUSE = re.compile(
     r"^error: (?:"
@@ -133,3 +147,26 @@ def test_mutated_input_exits_cleanly_and_names_the_cause(demo_inputs, tmp_path, 
         assert "Traceback" not in err, f"{name} {done}: {command}: {err}"
         if code == 2:
             assert NAMED_CAUSE.search(err), f"{name} {done}: {command} names no cause: {err}"
+
+
+@pytest.mark.parametrize(
+    "command,path",
+    [
+        pytest.param(command, path, id=f"{command}-" + ".".join(map(str, path)))
+        for command, raw in SHORT.items()
+        for path in leaves(raw)
+    ],
+)
+def test_swapped_leaf_run_through_the_sampler_exits_cleanly(tmp_path, capsys, command, path):
+    for name in ("records.csv", "strata.csv"):
+        shutil.copy(DEMO_CONFIG.parent / name, tmp_path / name)
+    raw = copy.deepcopy(SHORT[command])
+    done = swap_leaf(raw, path, random.Random(f"{SEED}:{command}:{path}"))
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    code = main([command, "--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), f"{done}: {command} exit {code}: {err}"
+    assert "Traceback" not in err, f"{done}: {command}: {err}"
+    if code == 2 and command == "fit":
+        assert NAMED_CAUSE.search(err), f"{done}: {command} names no cause: {err}"

@@ -316,6 +316,32 @@ def _names(section: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(_name(v, path) for path, v in _entries(section, key, where))
 
 
+def _optional_name(entry: dict, key: str, where: str) -> str | None:
+    """``entry[key]`` as a name; absent or null is None."""
+    value = entry.get(key)
+    return None if value is None else _name(value, f"{where}.{key}")
+
+
+def check_references(spec: SyntheticPopulationSpec, prefix: str = "") -> None:
+    """Refuse the first name in ``spec`` that refers to no declared domain,
+    earlier (binary) variable or variable, by its key path after ``prefix``."""
+    names = [v.name for v in spec.variables]
+    strata = enumerate(spec.strata)
+    refs = [(f"strata[{i}].domain", s.domain, spec.domains, "a declared domain") for i, s in strata]
+    for i, v in enumerate(spec.variables):
+        if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
+            binary = [b.name for b in spec.variables[:i] if isinstance(b, BinaryVariableModel)]
+            what = "an earlier binary variable"
+            refs.append((f"variables[{i}].exclusive_with", v.exclusive_with, binary, what))
+        elif isinstance(v, ContinuousVariableModel) and v.gated_by is not None:
+            refs.append((f"variables[{i}].gated_by", v.gated_by, names[:i], "an earlier variable"))
+    outcomes = enumerate(spec.outcomes)
+    refs += [(f"outcomes[{i}].link", o.link, names, "a generated variable") for i, o in outcomes]
+    for path, name, allowed, what in refs:
+        if name not in allowed:
+            raise ConfigError(f"{prefix}{path}: {name!r} is not {what}")
+
+
 def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
     """``section[key]``, a name or a list of them, as names; absent or null
     is none."""
@@ -579,8 +605,8 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         for path, entry in _entries(section, "strata", where):
             plans.append(
                 StratumPlan(
-                    id=str(_require(entry, "id", path)),
-                    domain=str(_require(entry, "domain", path)),
+                    id=_name(_require(entry, "id", path), f"{path}.id"),
+                    domain=_name(_require(entry, "domain", path), f"{path}.domain"),
                     population_size=_typed(
                         entry, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
                     ),
@@ -612,14 +638,14 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
     _require(section, "variables", where)
     variables: list[BinaryVariableModel | ContinuousVariableModel] = []
     for path, entry in _entries(section, "variables", where):
-        name = str(_require(entry, "name", path))
+        name = _name(_require(entry, "name", path), f"{path}.name")
         kind = _require(entry, "kind", path)
         if kind == "binary":
             variables.append(
                 BinaryVariableModel(
                     name=name,
                     intercept=_typed(entry, "intercept", real, where=path),
-                    exclusive_with=entry.get("exclusive_with"),
+                    exclusive_with=_optional_name(entry, "exclusive_with", path),
                     **_given(entry, path, slope=real, stratum_sd=nonnegative),
                 )
             )
@@ -630,19 +656,17 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     name=name,
                     mean=_typed(entry, "mean", real, where=path),
                     unit_sd=_typed(entry, "unit_sd", nonnegative, where=path),
-                    gated_by=entry.get("gated_by"),
+                    gated_by=_optional_name(entry, "gated_by", path),
                     **_given(entry, path, slope=real, stratum_sd=nonnegative),
                     **({} if clip is None else {"clip": _pair(clip, f"{path}.clip", open_ended=True)}),
                 )
             )
         else:
-            raise ConfigError(
-                f"variable {name!r}: kind must be 'binary' or 'continuous'"
-            )
+            raise ConfigError(f"{path}.kind: expected 'binary' or 'continuous', got {kind!r}")
 
     attributes = tuple(
         AttributeModel(
-            name=str(_require(entry, "name", path)),
+            name=_name(_require(entry, "name", path), f"{path}.name"),
             levels=tuple(
                 (str(label), _convert(prob, real, f"{path}.levels.{label}"))
                 for label, prob in _mapping(
@@ -655,14 +679,14 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
     )
     outcomes = tuple(
         OutcomeModel(
-            name=str(_require(entry, "name", path)),
-            link=str(_require(entry, "link", path)),
+            name=_name(_require(entry, "name", path), f"{path}.name"),
+            link=_name(_require(entry, "link", path), f"{path}.link"),
             rho=_typed(entry, "rho", real, where=path),
             **_given(entry, path, loc=real, scale=real),
         )
         for path, entry in _entries(section, "outcomes", where)
     )
-    return SyntheticPopulationSpec(
+    spec = SyntheticPopulationSpec(
         domains=domains,
         strata=tuple(plans),
         variables=tuple(variables),
@@ -670,3 +694,5 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         outcomes=outcomes,
         seed=seed,
     )
+    check_references(spec, f"{where}.")
+    return spec

@@ -40,10 +40,7 @@ def _covariate_matrix(
     columns = [np.ones(H)]
     for name in model.covariates:
         if name not in strata_covariates:
-            raise ConfigError(
-                f"model for {model.variable!r} references unknown stratum "
-                f"covariate {name!r}"
-            )
+            raise ConfigError(f"models.{model.variable}.covariates: unknown stratum covariate {name!r}")
         column = np.asarray(strata_covariates[name], dtype=float)
         if column.shape != (H,):
             raise DataError(

@@ -111,9 +111,12 @@ class CalibrationSpec:
 def code_labels(labels: Sequence, levels: dict) -> np.ndarray:
     """Each label's position in ``levels``, a dict from level to position
     that first gains every new label in order of first appearance."""
-    for label in dict.fromkeys(labels):
-        levels.setdefault(label, len(levels))
-    return np.fromiter(map(levels.__getitem__, labels), np.uint32, len(labels))
+    try:
+        return np.fromiter(map(levels.__getitem__, labels), np.uint32, len(labels))
+    except KeyError:  # a new label: the one pass that adds them
+        for label in dict.fromkeys(labels):
+            levels.setdefault(label, len(levels))
+        return code_labels(labels, levels)
 
 
 def compact_codes(levels: Sequence, codes: np.ndarray) -> tuple[tuple, np.ndarray]:

@@ -23,6 +23,14 @@ such a line as exactly those fields on every supported Python.  From the
 first chunk that is not plain, the rest of the file goes through
 ``csv.reader`` over the kept lines, so quoted fields, comments, ragged rows
 and every fault's ``file:line`` come out as the csv module makes them.
+
+A plain chunk of a draw file, all numbers, goes to NumPy's C reader
+(``np.loadtxt``), which makes no string.  Where that reader refuses it
+(``1_0`` or non-ASCII digits, which ``float`` reads) or the chunk may hold a
+fault (a row of another width, a non-finite value, a chain tag that is not
+an integer below 2**53 in magnitude), its lines in hand go to the split,
+whose checks name every fault.  Record files keep the split: their labels
+need strings.  A header that repeats a name is refused.
 """
 
 from __future__ import annotations
@@ -163,10 +171,12 @@ def _kept_lines(
 _SKIPPED_START = re.compile(r"\n[\s#]")
 
 
-def _plain_fields(lines: list[str], k: int) -> list[str] | None:
-    """The fields of a plain chunk of lines (see the module docstring; the
-    last line of the file may lack its end) on one flat list, so that
-    column j is ``flat[j::k]``; None when the chunk is empty or not plain."""
+def _plain_text(lines: list[str]) -> tuple[str, str] | None:
+    """The lines of a plain chunk joined, by the checks that need no split
+    (see the module docstring), and its first line's end, which the text
+    gains where the file's last line lacks it; None when the chunk is empty
+    or fails one.  That a CRLF chunk has no other line end is for the
+    caller to check, as the split does in counting fields."""
     if not lines:
         return None
     end = "\r\n" if lines[0].endswith("\r\n") else "\n"
@@ -186,9 +196,18 @@ def _plain_fields(lines: list[str], k: int) -> list[str] | None:
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
+    return text, end
+
+
+def _plain_fields(lines: list[str], k: int) -> list[str] | None:
+    """The fields of a plain chunk of lines on one flat list, so that column
+    j is ``flat[j::k]``; None when the chunk is empty or not plain."""
+    if (plain := _plain_text(lines)) is None:
+        return None
+    text, end = plain
     # every line end stays on the last field of its line, so the lines have
-    # k fields each exactly when every k-th field holds one; replacing "\n"
-    # alone takes less than half the time of replacing "\r\n"
+    # k fields each, all ending in ``end``, exactly when every k-th field holds
+    # one; replacing "\n" alone takes less than half the time of "\r\n"
     flat = text.replace("\n", "\n,").split(",")
     flat.pop()
     n = len(lines)
@@ -201,20 +220,23 @@ def _plain_fields(lines: list[str], k: int) -> list[str] | None:
     return flat
 
 
-def _row_blocks(path: Path) -> Iterator:
+def _row_blocks(path: Path, parse=None) -> Iterator:
     """The header of a delimited file, then its data rows in blocks of
-    ``BLOCK_ROWS``, each as its columns by header name (lists of fields)
-    and its rows' file lines (a ``range`` or a list).
+    ``BLOCK_ROWS``, each as its columns by header name (lists of fields) or
+    as ``parse`` gives it, and its rows' file lines (a ``range`` or a list).
 
     After a header the csv module parsed cleanly, the lines are read in
-    chunks of ``BLOCK_ROWS``, and a plain chunk (``_plain_fields``) is one
-    block of as many rows.  From the first chunk that is not plain, one
+    chunks of ``BLOCK_ROWS``, and a chunk is one block: ``parse(lines, k)``,
+    if given and not None, or else, if the chunk is plain, its fields
+    (``_plain_fields``).  From the first chunk that is neither, one
     ``csv.reader`` runs over the kept lines of the rest of the file.  A row
     with the wrong field count or that the csv module cannot parse (an
     unmatched quote whose field runs past its size limit), or a line with a
     byte that is not UTF-8, ends the rows: its block is cut before it and
-    the fault is raised when the next block is asked for, so a consumer
-    that checks every block it gets reports the first fault in file order.
+    the fault is raised when the next block is asked for, so a consumer that
+    checks every block it gets reports the first fault in file order.  A
+    header that repeats a name is refused when the first block is asked for,
+    after the consumer's own checks of the header.
     """
     numbers: list[int] = []
     not_utf8: list[str] = []
@@ -225,34 +247,42 @@ def _row_blocks(path: Path) -> Iterator:
         except csv.Error as exc:
             raise DataError(f"{path}:{numbers[0]}: {exc}") from None
         k = len(header or ())
+        header_line = numbers[0] if header else None
         # the file line that opens the next chunk, while the chunks are plain
         line = numbers[-1] + 1 if header and not not_utf8 else None
 
-        def next_block() -> tuple[list[str], Sequence[int], str | None]:
+        def columns(flat: list[str]) -> dict[str, list[str]] | None:
+            return {name: flat[j::k] for j, name in enumerate(header)} if flat else None
+
+        def next_block() -> tuple[object, Sequence[int], str | None]:
             nonlocal reader, line
             if line is not None:
                 chunk = list(islice(fh, BLOCK_ROWS))
-                flat = _plain_fields(chunk, k)
-                if flat is not None:
+                block = parse(chunk, k) if parse else None
+                if block is None:
+                    block = columns(_plain_fields(chunk, k))
+                if block is not None:
                     line += len(chunk)
-                    return flat, range(line - len(chunk), line), None
+                    return block, range(line - len(chunk), line), None
                 reader = csv.reader(_kept_lines(chain(chunk, fh), path, numbers, not_utf8, line))
                 line = None
-            return _next_block(reader, k, numbers)
+            flat, lines, fault = _next_block(reader, k, numbers)
+            return columns(flat), lines, fault
 
-        flat, lines, fault = next_block()
-        if not flat and fault is None:
+        block, lines, fault = next_block()
+        if block is None and fault is None:
             raise DataError(not_utf8[0] if not_utf8 else f"{path}: no data rows")
         yield header
-        while flat or fault is not None:
-            if flat:
-                columns = {name: flat[j::k] for j, name in enumerate(header)}
-                flat = None  # only one block's fields are alive at a time
-                yield columns, lines
-                columns = None
+        if len(set(header)) != k:
+            name = next(name for j, name in enumerate(header) if name in header[:j])
+            raise DataError(f"{path}:{header_line}: header repeats column {name!r}")
+        while block is not None or fault is not None:
+            if block is not None:
+                yield block, lines
+                block = None  # only one block's fields are alive at a time
             if fault is not None:
                 raise DataError(f"{path}:{lines[-1]}: {fault}")
-            flat, lines, fault = next_block()
+            block, lines, fault = next_block()
         if not_utf8:
             raise DataError(not_utf8[0])
 
@@ -323,14 +353,20 @@ def _floats(raw: Sequence[str], faults: list) -> np.ndarray | None:
     return values
 
 
+def _not_whole(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` are not integers below 2**53 in magnitude, the ones
+    float64 holds each exactly (2**53 + 1 reads as 2**53)."""
+    return (values != np.trunc(values)) | (np.abs(values) >= 2.0**53)
+
+
 def _wholes(raw: Sequence[str], what: str, faults: list) -> np.ndarray | None:
-    """A numeric column whose entries must be integers."""
+    """A numeric column whose entries must be integers that read exactly."""
     values = _floats(raw, faults)
-    if values is not None:
-        fractional = np.flatnonzero(values != np.trunc(values))
-        if fractional.size:
-            i = fractional[0]
-            faults.append((i, f"{what} {raw[i]!r} is not an integer"))
+    wrong = () if values is None else np.flatnonzero(_not_whole(values))
+    if len(wrong):
+        i = wrong[0]
+        why = "not an integer" if values[i] % 1 else "not below 2**53 in magnitude"
+        faults.append((i, f"{what} {raw[i]!r} is {why}"))
     return values
 
 
@@ -338,11 +374,13 @@ def _add_ids(block: Sequence[str], what: str, ids: list, seen: set, tables: list
     """Append a block's ids to ``ids`` (``seen`` is their set); ``tables``
     holds the rows' file lines block by block, this block's last.  A fault
     names the first id that repeats one and the line of its first copy."""
-    fresh = set(block)
-    if len(fresh) != len(block) or not seen.isdisjoint(fresh):
+    size = len(seen)
+    seen.update(block)
+    if len(seen) - size != len(block):
+        earlier = set(ids)
         first: dict[str, int] = {}
         for i, x in enumerate(block):
-            if x in seen:
+            if x in earlier:
                 row = ids.index(x)
             elif first.setdefault(x, i) != i:
                 row = len(ids) + first[x]
@@ -354,7 +392,6 @@ def _add_ids(block: Sequence[str], what: str, ids: list, seen: set, tables: list
                 row -= len(table)
             faults.append((i, f"duplicate {what} id {x!r} (first on line {table[row]})"))
             break
-    seen |= fresh
     ids.extend(block)
 
 
@@ -499,11 +536,18 @@ _QUOTED = re.compile('[,"\r\n]')
 def _formatted(first_format: str, first, columns) -> Iterator[str]:
     """Rows of ``first`` (tags or csv-ready ids) then the float ``columns``
     as text, in blocks of ``BLOCK_ROWS``: what csv.writer writes for
-    ``format_machine`` fields, but one ``%`` over ``tolist()`` floats per row."""
+    ``format_machine`` fields, but one ``%`` per block over its fields,
+    interleaved row by row, with the floats from ``tolist()``."""
     line = first_format + f",{MACHINE_FLOAT}" * len(columns) + "\r\n"
+    width = 1 + len(columns)
     for start in range(0, len(first), BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        yield "".join([line % row for row in zip(first[block], *(c[block].tolist() for c in columns))])
+        ids = first[block]
+        fields = [None] * (len(ids) * width)
+        fields[::width] = ids
+        for j, column in enumerate(columns, 1):
+            fields[j::width] = column[block].tolist()
+        yield line * len(ids) % tuple(fields)
 
 
 def write_draws(
@@ -524,10 +568,10 @@ def write_draws(
 
 def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
     """Read a draw matrix, in blocks of ``BLOCK_ROWS`` rows, and validate it
-    against the calibration layout."""
+    against the calibration layout (see ``_draw_rows``)."""
     path = Path(path)
     expected = ("chain",) + spec.block_labels()
-    with closing(_row_blocks(path)) as blocks:
+    with closing(_row_blocks(path, _draw_rows)) as blocks:
         header = tuple(next(blocks))
         if header != expected:
             raise DataError(
@@ -535,16 +579,39 @@ def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
                 f"{expected}"
             )
         tags, values = [], []
-        for columns, lines in blocks:
-            faults: list = []
-            tags.append(_wholes(columns["chain"], "chain tag", faults))
-            block = [_floats(columns[c], faults) for c in expected[1:]]
-            _raise_first(faults, path, lines)
-            values.append(np.column_stack(block))
-            del columns
+        for block, lines in blocks:
+            if isinstance(block, dict):
+                faults: list = []
+                columns = [_wholes(block["chain"], "chain tag", faults)]
+                columns += [_floats(block[c], faults) for c in expected[1:]]
+                _raise_first(faults, path, lines)
+                block = np.column_stack(columns)
+            tags.append(block[:, 0])
+            values.append(block[:, 1:])
     return PosteriorDraws(
         draws=np.concatenate(values), chain_tags=np.concatenate(tags).astype(int)
     )
+
+
+def _draw_rows(lines: list[str], k: int) -> np.ndarray | None:
+    """A plain chunk of a draw file as an (n, k) array from NumPy's C reader;
+    None, for the split and ``_floats``, where the reader refuses a spelling
+    ``float`` reads (``1_0``, non-ASCII digits) or the chunk may hold a
+    fault: another shape, a non-finite value or a tag ``_wholes`` refuses."""
+    if (plain := _plain_text(lines)) is None:
+        return None
+    text, end = plain
+    # one line end throughout, and none of the ASCII controls NumPy strips as
+    # space and ``float`` does not (four ``in`` scans beat one regex search)
+    if end == "\r\n" and text.count(end) != len(lines) or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (len(lines), k) or not np.isfinite(rows).all() or _not_whole(rows[:, 0]).any():
+        return None
+    return rows
 
 
 def write_weights(

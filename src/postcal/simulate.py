@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    BinaryVariableModel,
-    ContinuousVariableModel,
-    RunConfig,
-    SyntheticPopulationSpec,
-)
+from .config import BinaryVariableModel, RunConfig, SyntheticPopulationSpec, check_references
 from .errors import ConfigError, ConvergenceError, DataError
 from .fitting import fit_all_variables
 from .frame import (
@@ -96,34 +91,13 @@ def generate_population(
     before the census store is built.  Generated and band attributes are
     kept as codes into their levels in declaration order.
     """
-    unknown = sorted({s.domain for s in spec.strata} - set(spec.domains))
-    if unknown:
-        raise ConfigError(f"strata reference unknown domains {unknown}")
     calibration = CalibrationSpec(tuple(v.name for v in spec.variables), tuple(spec.domains))
     names = calibration.variable_names
-    for v in spec.variables:
-        if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
-            earlier = spec.variables[: names.index(v.name)]
-            binary = [b.name for b in earlier if isinstance(b, BinaryVariableModel)]
-            if v.exclusive_with not in binary:
-                raise ConfigError(
-                    f"variable {v.name!r}: exclusive_with must reference an "
-                    f"earlier binary variable"
-                )
-        if isinstance(v, ContinuousVariableModel) and v.gated_by is not None:
-            if v.gated_by not in names[: names.index(v.name)]:
-                raise ConfigError(
-                    f"variable {v.name!r}: gated_by must reference an earlier "
-                    f"variable"
-                )
+    check_references(spec)
     for o in spec.outcomes:
         if not -1.0 <= o.rho <= 1.0:
             raise ConfigError(
                 f"outcome {o.name!r}: target correlation {o.rho} outside [-1, 1]"
-            )
-        if o.link not in names:
-            raise ConfigError(
-                f"outcome {o.name!r}: link {o.link!r} is not a generated variable"
             )
 
     rng = chain_rng(spec.seed, 0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from postcal.cli import main
 from postcal.config import (
     AttributeModel,
     BinaryVariableModel,
@@ -290,6 +291,23 @@ class TestIngestion:
         assert codes.tolist() == [0, 1, 1, 0]
         assert codes.dtype == np.uint8
         assert "attributes" not in vars(sample)
+
+    @pytest.mark.parametrize("block_rows", [1, postcal_io.BLOCK_ROWS])
+    def test_records_header_repeating_a_name_is_refused(self, tmp_path, monkeypatch, block_rows):
+        # the last column, income, named hours as well: it must not stand in for hours
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+        records, strata = write_inputs(tmp_path)
+        header, *rows = RECORDS_CSV.splitlines()
+        records.write_text("\n".join(["# run metadata", header.replace("income", "hours"), *rows]) + "\n")
+        no_income = dataclasses.replace(roles(), outcomes=())
+        with pytest.raises(DataError, match=r"records\.csv:2: header repeats column 'hours'$"):
+            read_sample(records, strata, no_income)
+
+    def test_strata_header_repeating_a_name_is_refused(self, tmp_path):
+        records, strata = write_inputs(tmp_path)
+        strata.write_text(STRATA_CSV.replace("deff,z", "z,z", 1))
+        with pytest.raises(DataError, match=r"strata\.csv:1: header repeats column 'z'$"):
+            read_sample(records, strata, roles())
 
 
 def write_records(path, n, seed=0):
@@ -598,6 +616,7 @@ def test_plain_blocks_read_as_the_csv_module_reads_them(tmp_path_factory, monkey
         both = [read_outcome(read) for read in reads]
         with monkeypatch.context() as csv_only:
             csv_only.setattr(postcal_io, "_plain_fields", lambda lines, k: None)
+            csv_only.setattr(postcal_io, "_draw_rows", lambda lines, k: None)
             assert [read_outcome(read) for read in reads] == both
 
 class TestDrawsRoundTrip:
@@ -640,6 +659,146 @@ class TestDrawsRoundTrip:
         assert lines[0] == "# seed=7"
         assert lines[1] == "record_id,design_weight,g_factor,calibrated_weight"
         assert lines[2].startswith("r1,2,1.1")
+
+
+DRAW_HEADER = ",".join(("chain",) + DRAW_SPEC.block_labels())
+# spellings of a float that ``float`` reads back to the same value
+SPELLINGS = (
+    format_machine,
+    repr,
+    "{:+.17g}".format,
+    "{:.16e}".format,
+    "{:030.17g}".format,
+    lambda x: f" {x!r}  ",
+)
+TAG_SPELLINGS = ("{:d}".format, "{:+d}".format, "{:d}.0".format, "{:d}e0".format, " {:d}".format)
+
+
+class TestDrawReader:
+    """``read_draws`` parses a plain chunk with NumPy's C reader and falls
+    back to the str path, which names faults, for anything else."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_values_read_as_float_reads_each_field(self, tmp_path_factory, monkeypatch, data):
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 7]), label="block_rows"))
+        value = st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPELLINGS))
+        tag = st.tuples(st.integers(-3, 3), st.sampled_from(TAG_SPELLINGS))
+        rows = data.draw(st.lists(st.tuples(tag, *[value] * 4), min_size=1, max_size=16), label="rows")
+        lines = [",".join(spell(x) for x, spell in row) for row in rows]
+        end = data.draw(st.sampled_from(["\n", "\r\n"]), label="end")
+        text = end.join(["# seed=1", DRAW_HEADER, *lines]) + data.draw(st.sampled_from([end, ""]), label="last")
+        path = tmp_path_factory.getbasetemp() / "draws.csv"
+        path.write_bytes(text.encode())
+        loaded = read_draws(path, DRAW_SPEC)
+        reference = np.array([[float(f) for f in line.split(",")] for line in lines])
+        assert loaded.draws.tobytes() == reference[:, 1:].tobytes()
+        assert loaded.chain_tags.tolist() == [int(t) for t in reference[:, 0]]
+
+    @pytest.mark.parametrize("column", [0, 2], ids=["tag", "value"])
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661", " 2"], ids=["underscore", "arabic-indic", "space-led"])
+    def test_spelling_numpy_refuses_is_read_by_the_str_path(self, tmp_path, monkeypatch, column, spelling):
+        arrays = []
+        real = postcal_io._draw_rows
+        monkeypatch.setattr(postcal_io, "_draw_rows", lambda *args: arrays.append(real(*args)) or arrays[-1])
+        fields = ["0", "1", "2", "3", "4"]
+        fields[column] = spelling
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join([DRAW_HEADER, ",".join(fields), "1,5,6,7,8"]) + "\n")
+        loaded = read_draws(path, DRAW_SPEC)
+        row = [loaded.chain_tags[0], *loaded.draws[0]]
+        assert row[column] == float(spelling)
+        if column == 0 or spelling != " 2":  # NumPy reads a padded value as float does
+            assert arrays == [None] * len(arrays)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "mixed"])
+    @pytest.mark.parametrize("column", [0, 2], ids=["tag", "value"])
+    @pytest.mark.parametrize(
+        "field", ["nan", "-inf", "1e400", "", "x", "0.5", "1e19", "\x1c3"], ids=repr
+    )
+    def test_faulty_field_in_a_plain_file_is_named_as_the_csv_module_does(
+        self, tmp_path, monkeypatch, end, column, field
+    ):
+        # the broken-file property reaches a plain chunk with a fault only rarely
+        rows = [["0", "1", "2", "3", "4"] for _ in range(4)]
+        rows[2][column] = field
+        lines = [DRAW_HEADER, *(",".join(r) for r in rows)]
+        ends = ["\n", "\r\n"] * 3 if end == "mixed" else [end] * 5
+        path = tmp_path / "draws.csv"
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+        read = lambda: read_draws(path, DRAW_SPEC)  # noqa: E731
+        for block_rows in (1, 3, postcal_io.BLOCK_ROWS):
+            monkeypatch.setattr(postcal_io, "BLOCK_ROWS", block_rows)
+            fast = read_outcome(read)
+            with monkeypatch.context() as csv_only:
+                csv_only.setattr(postcal_io, "_plain_fields", lambda lines, k: None)
+                csv_only.setattr(postcal_io, "_draw_rows", lambda lines, k: None)
+                assert read_outcome(read) == fast
+            if column == 0 or field not in ("0.5", "1e19"):  # a fault but in a tag
+                assert isinstance(fast, str) and "draws.csv:4: " in fast
+
+    def test_plain_draw_file_is_parsed_by_numpy_c_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", 8)
+        draws = PosteriorDraws(draws=np.random.default_rng(1).normal(size=(20, 4)), chain_tags=np.repeat([0, 1], 10))
+        path = tmp_path / "draws.csv"
+        write_draws(path, draws, DRAW_SPEC, metadata={"seed": 1})
+        calls = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        monkeypatch.setattr(postcal_io, "_floats", None)  # the str path would fail
+        loaded = read_draws(path, DRAW_SPEC)
+        assert len(calls) == 3
+        assert loaded.draws.tobytes() == draws.draws.tobytes()
+        assert loaded.chain_tags.tolist() == draws.chain_tags.tolist()
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "csv"])
+    @pytest.mark.parametrize(
+        "tags, bad",
+        [
+            (("0", "1e19", "2e19"), "1e19"),
+            (("9007199254740993", "9007199254740992"), "9007199254740993"),
+            (("1", "-9007199254740992"), "-9007199254740992"),
+        ],
+        ids=["1e19", "2**53-pair", "negative"],
+    )
+    def test_chain_tag_beyond_2_53_is_named_by_its_line(self, tmp_path, plain, tags, bad):
+        # such tags would merge once cast to integers
+        lines = [DRAW_HEADER, *(f"{t},1,2,3,4" for t in tags)]
+        if not plain:
+            lines.insert(2, '0,1,2,3,"4"')  # a quote: the rest goes through the csv module
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join(lines) + "\n")
+        line = lines.index(f"{bad},1,2,3,4") + 1
+        message = f"chain tag {bad!r} is not below 2**53 in magnitude"
+        with pytest.raises(DataError, match=rf"draws\.csv:{line}: {re.escape(message)}$"):
+            read_draws(path, DRAW_SPEC)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_add_ids_names_the_repeat_as_a_naive_scan_does(data):
+    n = data.draw(st.integers(1, 60), label="n")
+    ids = [f"r{i}" for i in range(n)]
+    at = data.draw(st.integers(1, n), label="at")
+    ids.insert(at, ids[data.draw(st.integers(0, at - 1), label="copied")])
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=len(ids), max_size=len(ids)), label="gaps")
+    lines = np.cumsum(gaps).tolist()  # the file line of each row
+    first = {}
+    for i, x in enumerate(ids):
+        if x in first:
+            expected = (i, f"duplicate record id {x!r} (first on line {lines[first[x]]})")
+            break
+        first[x] = i
+    block_rows = data.draw(st.sampled_from([1, 2, 7, 2048]), label="block_rows")
+    kept, seen, tables = [], set(), []
+    for start in range(0, len(ids), block_rows):
+        tables.append(lines[start : start + block_rows])
+        faults = []
+        postcal_io._add_ids(ids[start : start + block_rows], "record", kept, seen, tables, faults)
+        if faults:
+            i, message = min(faults)
+            break
+    assert (start + i, message) == expected
 
 
 def reference_table(path, header, rows, metadata):
@@ -995,6 +1154,47 @@ class TestSimulateSection:
         section[last] = value
         with pytest.raises(ConfigError, match=re.escape(cause)):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "change,cause",
+        [
+            (("variables", 0, "kind", [1]), "variables[0].kind: expected 'binary' or 'continuous', got [1]"),
+            (("variables", 1, "gated_by", "hours"), "variables[1].gated_by: 'hours' is not an earlier variable"),
+            (
+                ("variables", 0, "exclusive_with", "hours"),
+                "variables[0].exclusive_with: 'hours' is not an earlier binary variable",
+            ),
+            (("outcomes", 0, "link", [1]), "outcomes[0].link: expected a name, got [1]"),
+            (("outcomes", 0, "link", "wages"), "outcomes[0].link: 'wages' is not a generated variable"),
+            (("attributes", 0, "name", None), "attributes[0].name: expected a name, got None"),
+            (
+                ("strata", [{"id": "s1", "domain": "d9", "population_size": 10}]),
+                "strata[0].domain: 'd9' is not a declared domain",
+            ),
+        ],
+        ids=["kind", "gated-by", "exclusive-with", "link-list", "link-unknown", "attribute-null", "stratum-domain"],
+    )
+    def test_population_entry_is_named_by_its_key(self, change, cause):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        *keys, last, value = change
+        section = raw["simulate"]["population"]
+        for key in keys:
+            section = section[key]
+        section[last] = value
+        with pytest.raises(ConfigError, match=re.escape(f"simulate.population.{cause}")):
+            parse_config(raw)
+
+    def test_unknown_simulated_covariate_is_named_by_its_key(self, tmp_path, capsys):
+        import yaml
+
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["models"]["hours"]["covariates"] = [7]
+        raw["simulate"]["mc"]["replications"] = 1
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: models.hours.covariates: unknown stratum covariate '7'\n"
 
     def test_equal_bounds_and_zero_sds_stay_valid(self):
         import yaml

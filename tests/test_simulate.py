@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -521,6 +522,42 @@ class TestConfigBuilders:
             + (BinaryVariableModel("x", intercept=0.0, exclusive_with="hours"),),
         )
         with pytest.raises(ConfigError, match="exclusive_with"):
+            generate_population(spec)
+
+    @pytest.mark.parametrize(
+        "order,change,link,cause",
+        [
+            (
+                (0, 1),
+                {"exclusive_with": "employed"},
+                "hours",
+                "variables[0].exclusive_with: 'employed' is not an earlier binary variable",
+            ),
+            ((0, 1), {"gated_by": "hours"}, "hours", "variables[1].gated_by: 'hours' is not an earlier variable"),
+            ((1, 0), {}, "hours", "variables[0].gated_by: 'employed' is not an earlier variable"),
+            ((0, 1), {}, "wages", "outcomes[0].link: 'wages' is not a generated variable"),
+        ],
+        ids=["exclusive-with-itself", "gated-by-itself", "gated-by-later", "link-unknown"],
+    )
+    def test_hand_built_spec_references_are_checked(self, order, change, link, cause):
+        spec = small_spec()
+        employed, hours = spec.variables
+        if "exclusive_with" in change:
+            employed = replace(employed, **change)
+        else:
+            hours = replace(hours, **change)
+        spec = replace(
+            spec,
+            variables=tuple((employed, hours)[i] for i in order),
+            outcomes=(replace(spec.outcomes[0], link=link),),
+        )
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            generate_population(spec)
+
+    def test_hand_built_stratum_domain_is_checked(self):
+        spec = small_spec()
+        spec = replace(spec, strata=spec.strata[:1] + (replace(spec.strata[1], domain="d9"),) + spec.strata[2:])
+        with pytest.raises(ConfigError, match=re.escape("strata[1].domain: 'd9' is not a declared domain")):
             generate_population(spec)
 
     def test_band_rules_applied_to_frame(self):

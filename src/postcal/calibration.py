@@ -96,7 +96,7 @@ class GramMatrix:
         """Solve G x = rhs; G must have full rank."""
         if not self.full_rank:
             raise RankDeficiencyError(
-                f"cross-product matrix has rank {self.rank} < {self.p}; "
+                f"calibration cross-product has rank {self.rank} < {self.p}; "
                 f"deficient blocks: {list(self.deficient_blocks)}",
                 self.deficient_blocks,
             )

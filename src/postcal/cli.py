@@ -296,9 +296,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (RankDeficiencyError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,6 +22,8 @@ from .io import BandRule, ColumnRoles
 
 # a stratified draw takes at least 2 units from every stratum
 MIN_STRATUM_SIZE = 2
+# the one stratum covariate of a generated population
+SIMULATED_COVARIATE = "z"
 # libyaml's parser where PyYAML was built with it: the same dict, ~10x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -99,10 +101,14 @@ class AttributeModel:
 
     def __post_init__(self):
         probs = [p for _, p in self.levels]
-        if any(p < 0 or p > 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        # a domain's shares p * (1 +- tilt) stay >= 0 up to |tilt| = 1, where
+        # the odd or the even levels get 0 and the others must hold a share
+        t = abs(self.domain_tilt)
+        tilt_ok = t < 1 or t == 1 and any(probs[::2]) and any(probs[1::2])
+        if not all(0 <= p <= 1 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9 or not tilt_ok:
             raise ConfigError(
-                f"attribute {self.name!r}: level probabilities must lie in "
-                f"[0, 1] and sum to 1"
+                f"attribute {self.name!r}: level probabilities must lie in [0, 1] and sum to 1, "
+                f"and domain_tilt in [-1, 1] must leave every domain a level with a positive share"
             )
 
     def domain_probs(self, domain_position: int) -> np.ndarray:
@@ -242,15 +248,16 @@ def string(value) -> str:
 
 
 def real(value) -> float:
-    """``float(value)`` that does not read a boolean: 2, 2.5 and "2.5" are
-    2.0 and 2.5; true is a ValueError (``float(True)`` would be 1.0)."""
-    if isinstance(value, bool):
+    """``float(value)`` that is finite and does not read a boolean: 2, 2.5
+    and "2.5" are 2.0 and 2.5; NaN, an infinity and true are a ValueError
+    (``float(True)`` would be 1.0).  Null, not an infinity, is an open end."""
+    if isinstance(value, bool) or not np.isfinite(value := float(value)):
         raise ValueError(value)
-    return float(value)
+    return value
 
 
 def positive(value) -> float:
-    """``real(value)`` that is > 0: zero, a negative value and NaN are a
+    """``real(value)`` that is > 0: zero and a negative value are a
     ValueError."""
     value = real(value)
     if not value > 0:
@@ -259,12 +266,23 @@ def positive(value) -> float:
 
 
 def nonnegative(value) -> float:
-    """``real(value)`` that is >= 0: a negative value and NaN are a
-    ValueError."""
+    """``real(value)`` that is >= 0: a negative value is a ValueError."""
     value = real(value)
     if not value >= 0:
         raise ValueError(value)
     return value
+
+
+def within(lo: float, hi: float):
+    """The kind ``real`` in [lo, hi], named for the refusal it makes."""
+
+    def kind(value) -> float:
+        if not lo <= (value := real(value)) <= hi:
+            raise ValueError(value)
+        return value
+
+    kind.__name__ = f"a real in [{lo:g}, {hi:g}]"
+    return kind
 
 
 def _typed(section: dict, key: str, kind, where: str = "", minimum=None):
@@ -288,10 +306,19 @@ def _given(section: dict, where: str, **kinds) -> dict:
 
 
 def _pair(value, where: str, open_ended=False) -> tuple:
-    """``value`` as two reals; ``open_ended`` lets either be null."""
+    """``value`` as two reals; ``open_ended`` makes it an interval, either
+    end null or the low end at most the high end."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: expected [low, high], got {value!r}")
-    return tuple(None if v is None and open_ended else _convert(v, real, where) for v in value)
+    pair = tuple(None if v is None and open_ended else _convert(v, real, where) for v in value)
+    return _ordered(*pair, where) if open_ended else pair
+
+
+def _ordered(lo: float | None, hi: float | None, where: str) -> tuple[float | None, float | None]:
+    """``(lo, hi)``, None an open end; a ``lo`` above ``hi`` is refused."""
+    if lo is not None and hi is not None and lo > hi:
+        raise ConfigError(f"{where}: min {lo} exceeds max {hi}")
+    return lo, hi
 
 
 def _entries(section: dict, key: str, where: str) -> list[tuple[str, object]]:
@@ -358,9 +385,7 @@ def _interval(interval: dict, where: str) -> tuple[float | None, float | None]:
         None if interval.get(key) is None else _convert(interval[key], real, f"{where}.{key}")
         for key in ("min", "max")
     )
-    if lo is not None and hi is not None and lo > hi:
-        raise ConfigError(f"{where}: min {lo} exceeds max {hi}")
-    return lo, hi
+    return _ordered(lo, hi, where)
 
 
 def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[BandRule, ...]:
@@ -518,7 +543,7 @@ def parse_config(
             fixed_sigma2=(
                 None if fixed_sigma2 is None else _convert(fixed_sigma2, real, f"{where}.fixed_sigma2")
             ),
-            **_given(spec, where, prior_df=real, prior_scale=real),
+            **_given(spec, where, prior_df=positive, prior_scale=positive),
         )
 
     mcmc = _section(raw, "mcmc", "mcmc")
@@ -566,6 +591,10 @@ def parse_config(
     _check_json(raw, "")
     if models and (sample or simulate):
         _check_models(models, calibration)
+    # a generated population has the one stratum covariate
+    unknown = [(v, c) for v, m in models.items() for c in m.covariates if c != SIMULATED_COVARIATE]
+    if simulate and not sample and unknown:
+        raise ConfigError(f"models.{unknown[0][0]}.covariates: unknown stratum covariate {unknown[0][1]!r}")
     return RunConfig(
         seed=seed,
         raw=raw,
@@ -610,7 +639,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
                     population_size=_typed(
                         entry, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
                     ),
-                    **_given(entry, path, covariate=real, deff=real),
+                    **_given(entry, path, covariate=real, deff=positive),
                 )
             )
     else:
@@ -621,7 +650,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         )
         span = strata_cfg.get("covariate_range")  # null spans [-1, 1], as when absent
         lo, hi = (-1.0, 1.0) if span is None else _pair(span, f"{path}.covariate_range")
-        deff = _given(strata_cfg, path, deff=real)
+        deff = _given(strata_cfg, path, deff=positive)
         covariates = np.linspace(lo, hi, per_domain * len(domains))
         width = len(str(covariates.size))
         for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
@@ -668,12 +697,12 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         AttributeModel(
             name=_name(_require(entry, "name", path), f"{path}.name"),
             levels=tuple(
-                (str(label), _convert(prob, real, f"{path}.levels.{label}"))
+                (str(label), _convert(prob, within(0, 1), f"{path}.levels.{label}"))
                 for label, prob in _mapping(
                     _require(entry, "levels", path), f"{path}.levels"
                 ).items()
             ),
-            **_given(entry, path, domain_tilt=real),
+            **_given(entry, path, domain_tilt=within(-1, 1)),
         )
         for path, entry in _entries(section, "attributes", where)
     )
@@ -681,7 +710,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
         OutcomeModel(
             name=_name(_require(entry, "name", path), f"{path}.name"),
             link=_name(_require(entry, "link", path), f"{path}.link"),
-            rho=_typed(entry, "rho", real, where=path),
+            rho=_typed(entry, "rho", within(-1, 1), where=path),
             **_given(entry, path, loc=real, scale=real),
         )
         for path, entry in _entries(section, "outcomes", where)

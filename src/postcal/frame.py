@@ -479,11 +479,11 @@ class CellAtoms:
             patterns = [code.tobytes() for code in np.array(tables).T]
             rank = {pattern: r for r, pattern in enumerate(sorted(set(patterns)))}
             if span * len(rank) > 1 << 16:
-                key, span = _dense(key, span)
+                key, span = _dense(key)
             key = key * len(rank) + np.array([rank[pattern] for pattern in patterns])[codes]
             span *= len(rank)
         if span > 1 << 16:
-            key, span = _dense(key, span)
+            key, span = _dense(key)
         # a key that fits 16 bits sorts by radix
         self.order = np.argsort(key.astype(np.uint16) if span <= 1 << 16 else key, kind="stable")
         ordered = key[self.order]
@@ -623,17 +623,10 @@ class CellAtoms:
         return table
 
 
-def _dense(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """``key``, each entry below ``span``, renumbered 0, 1, ... in the same
-    order, and its new span: by a table of the span when it is at most 4n,
-    else by sorting."""
-    if span > 4 * key.size:
-        levels, rank = np.unique(key, return_inverse=True)
-        return rank.reshape(-1), levels.size
-    present = np.zeros(span, dtype=bool)
-    present[key] = True
-    rank = np.cumsum(present) - 1
-    return rank[key], int(rank[-1]) + 1
+def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """``key`` renumbered 0, 1, ... in the same order, and its new span."""
+    levels, rank = np.unique(key, return_inverse=True)
+    return rank.reshape(-1), levels.size
 
 
 @dataclass(frozen=True)
@@ -737,13 +730,18 @@ def _clause_table(
             f"cell {cell_name!r}: interval filter references "
             f"{var!r}, which is not a calibration variable"
         )
-    column = sample.column(var)
-    mask = np.ones(sample.n, dtype=bool)
+    return in_interval(sample.column(var), lo, hi).view(np.uint8), np.array([False, True])
+
+
+def in_interval(column: np.ndarray, lo: float | None, hi: float | None) -> np.ndarray:
+    """Where ``lo <= column <= hi``, the closed interval of a range clause
+    or a band; None is an open end."""
+    mask = np.ones(column.shape, dtype=bool)
     if lo is not None:
         mask &= column >= lo
     if hi is not None:
         mask &= column <= hi
-    return mask.view(np.uint8), np.array([False, True])
+    return mask
 
 
 def _clauses(f: CellFilter) -> list[tuple]:

@@ -728,12 +728,6 @@ def fit_binary_hb(
     return [replace(result, warnings=flags) for result, flags in zip(results, warnings)]
 
 
-def _collinear_columns(ztz: np.ndarray) -> list[int]:
-    # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
-    rank, order = pivoted_cholesky_rank(ztz)
-    return sorted(int(j) for j in order[rank:])
-
-
 def fit_gaussian_fh(
     models: Sequence[GaussianFHInput],
     config: McmcConfig,
@@ -753,10 +747,12 @@ def fit_gaussian_fh(
     C = config.chains
 
     ztz = Z.T @ Z
-    if np.linalg.matrix_rank(ztz) < k:
+    # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
+    rank, order = pivoted_cholesky_rank(ztz)
+    if rank < k:
         raise DataError(
             f"covariate cross-product is singular; collinear columns "
-            f"{_collinear_columns(ztz)}"
+            f"{sorted(int(j) for j in order[rank:])}"
         )
     ztz_inv = np.linalg.inv(ztz)
     ztz_inv_chol = np.linalg.cholesky(ztz_inv)

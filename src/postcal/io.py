@@ -13,24 +13,25 @@ columns are parsed and coded, and of several faults in a file the first in
 file order is reported.  Numeric values are written with 17 significant
 digits so that re-reading reproduces the float64 values exactly.
 
-A block takes one of two paths.  After the header, the lines are read
-``BLOCK_ROWS`` at a time, and a *plain* chunk is split with one
-``str.split``: it has no quote, NUL or byte that is not UTF-8, no line that
-is blank, a '#' line or starts with whitespace, none longer than the csv
-module's field size limit, one line end throughout (all LF or all CRLF),
-and as many fields on every line as the header has.  The csv module reads
-such a line as exactly those fields on every supported Python.  From the
-first chunk that is not plain, the rest of the file goes through
-``csv.reader`` over the kept lines, so quoted fields, comments, ragged rows
-and every fault's ``file:line`` come out as the csv module makes them.
-
-A plain chunk of a draw file, all numbers, goes to NumPy's C reader
-(``np.loadtxt``), which makes no string.  Where that reader refuses it
-(``1_0`` or non-ASCII digits, which ``float`` reads) or the chunk may hold a
-fault (a row of another width, a non-finite value, a chain tag that is not
-an integer below 2**53 in magnitude), its lines in hand go to the split,
-whose checks name every fault.  Record files keep the split: their labels
-need strings.  A header that repeats a name is refused.
+A chunk takes one of two paths.  After the header, the lines are read
+``BLOCK_ROWS`` at a time.  A *plain* chunk has no quote, NUL or byte that
+is not UTF-8, no line that is blank, a '#' line or starts with whitespace,
+and none longer than the csv module's field size limit.  A plain chunk of
+a record file is split with one ``str.split`` when it also has one line end
+throughout (all LF or all CRLF) and as many fields on every line as the
+header has: the csv module reads such a line as exactly those fields on
+every supported Python.  A plain chunk of a draw file, all numbers, goes to
+NumPy's C reader (``np.loadtxt``), which makes no string and reads LF, CRLF
+and CR line ends as the csv module does.  From the first chunk that its
+path refuses, the rest of the file goes through ``csv.reader`` over the
+kept lines, so quoted fields, comments, ragged rows and every fault's
+``file:line`` come out as the csv module makes them.  A draw chunk leaves
+NumPy's path where its reader refuses a spelling ``float`` reads (``1_0``,
+non-ASCII digits) or the chunk may hold a fault (a row of another width, a
+non-finite value, a chain tag that is not an integer below 2**53 in
+magnitude), so that the checks of the csv path name every fault.  Record
+files keep the split: their labels need strings.  A header that repeats a
+name is refused.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .frame import CalibrationSpec, SampleSet, StratumSpec, code_labels, compact_codes
+from .frame import CalibrationSpec, SampleSet, StratumSpec, code_labels, compact_codes, in_interval
 from .hb import PosteriorDraws
 
 MACHINE_FLOAT = "%.17g"
@@ -85,14 +86,7 @@ class BandRule:
         ``else_label``) and each value's position in them: the first band
         whose closed interval holds it, else ``else_label``."""
         column = np.asarray(column, dtype=float)
-        masks = []
-        for _, lo, hi in self.bands:
-            mask = np.ones(column.shape, dtype=bool)
-            if lo is not None:
-                mask &= column >= lo
-            if hi is not None:
-                mask &= column <= hi
-            masks.append(mask)
+        masks = [in_interval(column, lo, hi) for _, lo, hi in self.bands]
         B = len(self.bands)
         which = np.select(masks, range(B), B) if masks else np.full(column.shape, B)
         return compact_codes([label for label, _, _ in self.bands] + [self.else_label], which)
@@ -176,7 +170,7 @@ def _plain_text(lines: list[str]) -> tuple[str, str] | None:
     (see the module docstring), and its first line's end, which the text
     gains where the file's last line lacks it; None when the chunk is empty
     or fails one.  That a CRLF chunk has no other line end is for the
-    caller to check, as the split does in counting fields."""
+    split to check, in counting fields; NumPy's reader reads any mix."""
     if not lines:
         return None
     end = "\r\n" if lines[0].endswith("\r\n") else "\n"
@@ -226,17 +220,17 @@ def _row_blocks(path: Path, parse=None) -> Iterator:
     as ``parse`` gives it, and its rows' file lines (a ``range`` or a list).
 
     After a header the csv module parsed cleanly, the lines are read in
-    chunks of ``BLOCK_ROWS``, and a chunk is one block: ``parse(lines, k)``,
-    if given and not None, or else, if the chunk is plain, its fields
-    (``_plain_fields``).  From the first chunk that is neither, one
-    ``csv.reader`` runs over the kept lines of the rest of the file.  A row
-    with the wrong field count or that the csv module cannot parse (an
-    unmatched quote whose field runs past its size limit), or a line with a
-    byte that is not UTF-8, ends the rows: its block is cut before it and
-    the fault is raised when the next block is asked for, so a consumer that
-    checks every block it gets reports the first fault in file order.  A
-    header that repeats a name is refused when the first block is asked for,
-    after the consumer's own checks of the header.
+    chunks of ``BLOCK_ROWS``, and a chunk is one block: ``parse(lines, k)``
+    if given, else the fields of a plain chunk (``_plain_fields``).  From
+    the first chunk that gives None, one ``csv.reader`` runs over the kept
+    lines of the rest of the file.  A row with the wrong field count or
+    that the csv module cannot parse (an unmatched quote whose field runs
+    past its size limit), or a line with a byte that is not UTF-8, ends the
+    rows: its block is cut before it and the fault is raised when the next
+    block is asked for, so a consumer that checks every block it gets
+    reports the first fault in file order.  A header that repeats a name is
+    refused when the first block is asked for, after the consumer's own
+    checks of the header.
     """
     numbers: list[int] = []
     not_utf8: list[str] = []
@@ -258,9 +252,7 @@ def _row_blocks(path: Path, parse=None) -> Iterator:
             nonlocal reader, line
             if line is not None:
                 chunk = list(islice(fh, BLOCK_ROWS))
-                block = parse(chunk, k) if parse else None
-                if block is None:
-                    block = columns(_plain_fields(chunk, k))
+                block = parse(chunk, k) if parse else columns(_plain_fields(chunk, k))
                 if block is not None:
                     line += len(chunk)
                     return block, range(line - len(chunk), line), None
@@ -595,15 +587,14 @@ def read_draws(path: str | Path, spec: CalibrationSpec) -> PosteriorDraws:
 
 def _draw_rows(lines: list[str], k: int) -> np.ndarray | None:
     """A plain chunk of a draw file as an (n, k) array from NumPy's C reader;
-    None, for the split and ``_floats``, where the reader refuses a spelling
-    ``float`` reads (``1_0``, non-ASCII digits) or the chunk may hold a
-    fault: another shape, a non-finite value or a tag ``_wholes`` refuses."""
-    if (plain := _plain_text(lines)) is None:
-        return None
-    text, end = plain
-    # one line end throughout, and none of the ASCII controls NumPy strips as
-    # space and ``float`` does not (four ``in`` scans beat one regex search)
-    if end == "\r\n" and text.count(end) != len(lines) or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    None, for the csv module and ``_floats``, where the reader refuses a
+    spelling ``float`` reads (``1_0``, non-ASCII digits) or the chunk may
+    hold a fault: another shape, a non-finite value or a tag ``_wholes``
+    refuses.  NumPy reads LF, CRLF and CR line ends as the csv module does,
+    so a chunk may mix them."""
+    # none of the ASCII controls NumPy strips as space and ``float`` does not
+    # (four ``in`` scans beat one regex search)
+    if (plain := _plain_text(lines)) is None or any(c in plain[0] for c in "\x1c\x1d\x1e\x1f"):
         return None
     try:
         rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, quotechar=None, ndmin=2)

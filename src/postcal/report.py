@@ -27,7 +27,7 @@ import numpy as np
 from . import calibration as cal
 from . import replicate as rep
 from . import variance as var
-from .errors import LinkSelectionError, RankDeficiencyError
+from .errors import LinkSelectionError
 from .frame import CalibrationSpec, CellAtoms, CellQuery, SampleSet, TierLabel, evaluate_cell
 from .hb import PosteriorDraws
 from .io import MACHINE_FLOAT, format_machine, write_json, write_table
@@ -60,12 +60,6 @@ class InferenceArtifacts:
 def build_artifacts(sample: SampleSet, draws: PosteriorDraws, level: float) -> InferenceArtifacts:
     """Factorize the calibration system and calibrate to the posterior mean."""
     gram = cal.compute_gram(sample, sample.calibration)
-    if not gram.full_rank:
-        raise RankDeficiencyError(
-            f"calibration cross-product has rank {gram.rank} < {gram.p}; "
-            f"deficient blocks: {list(gram.deficient_blocks)}",
-            gram.deficient_blocks,
-        )
     ht = cal.ht_totals(sample, sample.calibration)
     mean_weights = cal.calibrate(sample, gram, ht, draws.posterior_mean)
     return InferenceArtifacts(
@@ -259,12 +253,7 @@ def _resolve_link(query: CellQuery, names: tuple[str, ...], correlations) -> var
     # one candidate per calibration variable, in declaration order
     candidate = auto.candidates[names.index(query.link_variable)]
     rho = candidate.correlation if candidate.correlation is not None else 0.0
-    return var.RatioLink(
-        variable=candidate.name,
-        correlation=rho,
-        candidates=auto.candidates,
-        weak=abs(rho) < var.WEAK_LINK_THRESHOLD,
-    )
+    return var.RatioLink(variable=candidate.name, correlation=rho, candidates=auto.candidates)
 
 
 def _none_if_nan(value: float | None) -> float | None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BinaryVariableModel, RunConfig, SyntheticPopulationSpec, check_references
+from .config import SIMULATED_COVARIATE, BinaryVariableModel, RunConfig, SyntheticPopulationSpec, check_references
 from .errors import ConfigError, ConvergenceError, DataError
 from .fitting import fit_all_variables
 from .frame import (
@@ -151,7 +151,7 @@ def generate_population(
     )
     return SurveyFrame(
         spec=spec,
-        covariates={"z": z},
+        covariates={SIMULATED_COVARIATE: z},
         strata=tuple(
             StratumSpec(id=s.id, population_size=s.population_size, deff=s.deff)
             for s in spec.strata

@@ -124,7 +124,11 @@ class RatioLink:
     variable: str
     correlation: float
     candidates: tuple[LinkCandidate, ...]
-    weak: bool
+
+    @property
+    def weak(self) -> bool:
+        """|rho| below ``WEAK_LINK_THRESHOLD``."""
+        return abs(self.correlation) < WEAK_LINK_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -396,12 +400,7 @@ def ratio_link(names: Sequence[str], correlations: np.ndarray) -> RatioLink:
             "constant within the cell; publish a design-based direct estimate "
             "for this cell instead"
         )
-    return RatioLink(
-        variable=best_name,
-        correlation=best_rho,
-        candidates=tuple(candidates),
-        weak=abs(best_rho) < WEAK_LINK_THRESHOLD,
-    )
+    return RatioLink(variable=best_name, correlation=best_rho, candidates=tuple(candidates))
 
 
 def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:

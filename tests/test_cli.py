@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from postcal.cli import build_parser, main
-from postcal.config import load_config
+from postcal.config import AttributeModel, load_config
+from postcal.errors import ConfigError
 from postcal.fitting import fit_all_variables
 from postcal.frame import SampleSet
 from postcal.hb import chain_rng
@@ -748,7 +749,7 @@ MALFORMED_INPUTS = [
         pytest.param(set_config(key, value), cause, id=f"{key}-{value}")
         for key, value, cause in [
             ("mcmc.rhat_threshold", True, "mcmc.rhat_threshold: expected real, got True"),
-            ("models.employed.prior_scale", True, "models.employed.prior_scale: expected real, got True"),
+            ("models.employed.prior_scale", True, "models.employed.prior_scale: expected positive, got True"),
             ("report.level", False, "report.level: expected real, got False"),
             ("mcmc.proposal_sd", True, "mcmc.proposal_sd: expected positive, got True"),
             ("cells.0.where.hours", {"min": True}, "cells[0].where.hours.min: expected real, got True"),
@@ -958,6 +959,31 @@ SIMULATE_MALFORMED = [
 ]
 
 
+# a value out of its key's range, or not finite, that once reached a
+# sampler or the population generator; null, not an infinity, is an open end
+OUT_OF_RANGE = [
+    pytest.param(key, value, re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", key) + f": {why}", id=f"{key}-{value}")
+    for key, value, why in [
+        (f"{POPULATION}.attributes.0.domain_tilt", 5, "expected a real in [-1, 1], got 5"),
+        (f"{POPULATION}.attributes.0.domain_tilt", -3, "expected a real in [-1, 1], got -3"),
+        (f"{POPULATION}.attributes.0.levels.b", math.nan, "expected a real in [0, 1], got nan"),
+        (f"{POPULATION}.variables.0.intercept", math.inf, "expected real, got inf"),
+        (f"{POPULATION}.outcomes.0.scale", math.nan, "expected real, got nan"),
+        (f"{POPULATION}.strata.covariate_range", [math.nan, 1], "expected real, got nan"),
+        (f"{POPULATION}.strata.deff", -1, "expected positive, got -1"),
+        (f"{POPULATION}.outcomes.0.rho", 7, "expected a real in [-1, 1], got 7"),
+        (f"{POPULATION}.variables.1.clip", [60, 1], "min 60.0 exceeds max 1.0"),
+        ("models.employed.prior_df", -1, "expected positive, got -1"),
+        ("models.hours.prior_scale", 0, "expected positive, got 0"),
+        ("models.employed.fixed_sigma2", math.inf, "expected real, got inf"),
+        ("mcmc.proposal_sd", math.inf, "expected positive, got inf"),
+        ("cells.0.where.hours.min", math.nan, "expected real, got nan"),
+        ("cells.0.where.hours.min", -math.inf, "expected real, got -inf"),
+        ("sample.derived.0.bands.0.max", math.inf, "expected real, got inf"),
+    ]
+]
+
+
 def assert_exit_2_naming(capsys, argv, cause):
     code = main(argv)
     err = capsys.readouterr().err
@@ -1061,6 +1087,28 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv, cause)
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize("key,value,cause", OUT_OF_RANGE)
+    def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value, cause):
+        write_sample_files(tmp_path)
+        cfg = write_config(tmp_path, simulate_config())
+        set_config(key, value)(tmp_path)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_exit_2_naming(capsys, argv, cause)
+
+    def test_attribute_model_refuses_what_the_parse_refuses(self):
+        for levels, tilt in [((("a", math.nan), ("b", 1.0)), 0.0), ((("a", 1.0),), 5.0), ((("a", 1.0),), 1.0)]:
+            with pytest.raises(ConfigError, match="attribute 'occ'"):
+                AttributeModel("occ", levels, domain_tilt=tilt)
+
+    def test_simulated_covariate_is_checked_before_the_population(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "generate_population", None)  # reaching it would fail
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["models"]["hours"]["covariates"] = [7]
+        cfg = write_config(tmp_path, raw)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_exit_2_naming(capsys, argv, "models.hours.covariates: unknown stratum covariate '7'")
 
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_simulate_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -676,7 +676,8 @@ TAG_SPELLINGS = ("{:d}".format, "{:+d}".format, "{:d}.0".format, "{:d}e0".format
 
 class TestDrawReader:
     """``read_draws`` parses a plain chunk with NumPy's C reader and falls
-    back to the str path, which names faults, for anything else."""
+    back to the csv module, whose rows' checks name faults, for anything
+    else."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -701,6 +702,7 @@ class TestDrawReader:
         arrays = []
         real = postcal_io._draw_rows
         monkeypatch.setattr(postcal_io, "_draw_rows", lambda *args: arrays.append(real(*args)) or arrays[-1])
+        monkeypatch.setattr(postcal_io, "_plain_fields", None)  # a draw chunk not NumPy's goes to the csv module
         fields = ["0", "1", "2", "3", "4"]
         fields[column] = spelling
         path = tmp_path / "draws.csv"
@@ -750,6 +752,26 @@ class TestDrawReader:
         assert len(calls) == 3
         assert loaded.draws.tobytes() == draws.draws.tobytes()
         assert loaded.chain_tags.tolist() == draws.chain_tags.tolist()
+
+    def test_mixed_line_ends_are_parsed_by_numpy_c_reader(self, tmp_path, monkeypatch):
+        # each chunk of three rows opens with CRLF, then an LF and a CR line
+        monkeypatch.setattr(postcal_io, "BLOCK_ROWS", 3)
+        values = np.random.default_rng(2).normal(size=(12, 4))
+        rows = [f"{i // 6}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        text = DRAW_HEADER + "\n" + "".join(map(str.__add__, rows, ["\r\n", "\n", "\r"] * 4))
+        path = tmp_path / "draws.csv"
+        path.write_bytes(text.encode())
+        with monkeypatch.context() as csv_only:
+            csv_only.setattr(postcal_io, "_draw_rows", lambda lines, k: None)
+            expected = read_draws(path, DRAW_SPEC)
+        calls = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        monkeypatch.setattr(postcal_io, "_floats", None)  # the csv path would fail
+        loaded = read_draws(path, DRAW_SPEC)
+        assert len(calls) == 4
+        assert loaded.draws.tobytes() == expected.draws.tobytes() == values.tobytes()
+        assert loaded.chain_tags.tolist() == expected.chain_tags.tolist() == [0] * 6 + [1] * 6
 
     @pytest.mark.parametrize("plain", [True, False], ids=["plain", "csv"])
     @pytest.mark.parametrize(

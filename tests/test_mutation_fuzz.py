@@ -8,15 +8,18 @@ swaps the type of a config leaf.  It then runs ``calibrate``, ``infer`` and
 ``mcmc:`` and ``simulate:`` values reach a sampler too, each leaf of the
 demo config is also swapped on short chains and run through ``fit``, and
 each leaf of the smoke simulation config on short chains and one
-replication through ``simulate``.  Every run must end with a documented
+replication through ``simulate``; each numeric leaf of the two is also
+swapped for NaN, an infinity, -7 and 7.  Every run must end with a documented
 exit code and no traceback, and a refusal (exit 2) must name where its
 cause is: a key path, the cell or band rule that holds it, or the file,
-with its line where a row is at fault.
+with its line where a row is at fault.  A swapped number may also leave
+``simulate`` a generated sample it refuses, which names its replication.
 The cases are drawn once from fixed seeds, so every run checks the same
 ones.
 """
 
 import copy
+import math
 import random
 import re
 import shutil
@@ -34,6 +37,8 @@ CASES_PER_FILE = 30
 TOKENS = (b"nan", b"1e400", b'"', b"", b"\0", b"\xff")
 # a number, a string, null, a list and a mapping
 SWAPS = (7, "x", None, [1], {"a": 1})
+# what a numeric leaf is swapped for: not finite, or out of a key's range
+VALUES = (math.nan, math.inf, -7.0, 7.0)
 DEMO = yaml.safe_load(DEMO_CONFIG.read_text())
 # the configs that ``fit`` and ``simulate`` run, on chains short enough
 # that a run takes milliseconds
@@ -43,6 +48,9 @@ SHORT = {
     "simulate": yaml.safe_load(SMOKE_CONFIG.read_text()) | {"mcmc": SHORT_MCMC},
 }
 SHORT["simulate"]["simulate"]["mc"]["replications"] = 1
+# two keys the smoke config leaves at their defaults, so that swaps reach them
+SHORT["simulate"]["simulate"]["population"]["attributes"][0]["domain_tilt"] = 0.05
+SHORT["simulate"]["simulate"]["population"]["strata"]["deff"] = 1.0
 
 NAMED_CAUSE = re.compile(
     r"^error: (?:"
@@ -51,6 +59,8 @@ NAMED_CAUSE = re.compile(
     r")",
     re.MULTILINE,
 )
+# a ``simulate`` refusal of a generated sample names its replication
+REPLICATION_CAUSE = re.compile(r"^error: replication \d+, ", re.MULTILINE)
 
 
 def leaves(node, path=()):
@@ -93,11 +103,17 @@ def yaml_type(value) -> type:
     return float if isinstance(value, int) else type(value)
 
 
-def swap_leaf(raw: dict, path: tuple, rng: random.Random) -> str:
-    """Swap the leaf at ``path`` for a value of another type; what was done."""
+def holder(raw: dict, path: tuple):
+    """The mapping or list that holds the leaf at ``path``."""
     node = raw
     for key in path[:-1]:
         node = node[key]
+    return node
+
+
+def swap_leaf(raw: dict, path: tuple, rng: random.Random) -> str:
+    """Swap the leaf at ``path`` for a value of another type; what was done."""
+    node = holder(raw, path)
     value = rng.choice([v for v in SWAPS if yaml_type(v) is not yaml_type(node[path[-1]])])
     node[path[-1]] = value
     return f"{'.'.join(map(str, path))} = {value!r}"
@@ -158,15 +174,42 @@ def test_mutated_input_exits_cleanly_and_names_the_cause(demo_inputs, tmp_path, 
     ],
 )
 def test_swapped_leaf_run_through_the_sampler_exits_cleanly(tmp_path, capsys, command, path):
-    for name in ("records.csv", "strata.csv"):
-        shutil.copy(DEMO_CONFIG.parent / name, tmp_path / name)
     raw = copy.deepcopy(SHORT[command])
     done = swap_leaf(raw, path, random.Random(f"{SEED}:{command}:{path}"))
+    code, err = run_short(tmp_path, capsys, command, raw, done)
+    if code == 2:
+        assert NAMED_CAUSE.search(err), f"{done}: {command} names no cause: {err}"
+
+
+@pytest.mark.parametrize(
+    "command,path,value",
+    [
+        pytest.param(command, path, value, id=f"{command}-" + ".".join(map(str, path)) + f"={value}")
+        for command, raw in SHORT.items()
+        for path in leaves(raw)
+        if yaml_type(holder(raw, path)[path[-1]]) is float
+        for value in VALUES
+    ],
+)
+def test_numeric_leaf_out_of_range_exits_cleanly(tmp_path, capsys, command, path, value):
+    raw = copy.deepcopy(SHORT[command])
+    holder(raw, path)[path[-1]] = value
+    done = f"{'.'.join(map(str, path))} = {value!r}"
+    code, err = run_short(tmp_path, capsys, command, raw, done)
+    if code == 2:
+        named = NAMED_CAUSE.search(err) or command == "simulate" and REPLICATION_CAUSE.search(err)
+        assert named, f"{done}: {command} names no cause: {err}"
+
+
+def run_short(tmp_path, capsys, command: str, raw: dict, done: str) -> tuple[int, str]:
+    """Run ``command`` on the demo sample and config ``raw``, which must end
+    with a documented exit code and no traceback; its code and stderr."""
+    for name in ("records.csv", "strata.csv"):
+        shutil.copy(DEMO_CONFIG.parent / name, tmp_path / name)
     (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
     capsys.readouterr()
     code = main([command, "--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), f"{done}: {command} exit {code}: {err}"
     assert "Traceback" not in err, f"{done}: {command}: {err}"
-    if code == 2:
-        assert NAMED_CAUSE.search(err), f"{done}: {command} names no cause: {err}"
+    return code, err

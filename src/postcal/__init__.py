@@ -33,6 +33,7 @@ from .hb import (
     BinaryHBInput,
     ConvergenceReport,
     GaussianFHInput,
+    HBPrior,
     McmcConfig,
     PosteriorDraws,
     StratumDraws,

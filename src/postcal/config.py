@@ -3,6 +3,12 @@
 This module owns every key path: each section, ``simulate:`` included, is
 parsed here into typed values, and every exit-2 message about a missing,
 mistyped or malformed key names its path (list entries as ``cells[0]``).
+The parse checks what is about YAML: the kinds integer, string and real,
+names, and the mapping and list shapes.  Each rule about a value's range
+lives in the type that holds the value (``HBPrior``, ``McmcConfig``,
+``StratumSpec`` and the ``simulate`` types here), whose constructor names
+the field; ``_build`` makes every spec and puts the key path in front, so
+a hand-built value gets the same words without the path.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .frame import CellFilter, CellQuery, TierLabel
-from .hb import McmcConfig
+from .errors import (
+    ConfigError, DataError, at_least, check_fields, checked, integer,
+    nonnegative, one_of, real, restricted, within,
+)
+from .frame import CellFilter, CellQuery, StratumSpec, TierLabel
+from .hb import HBPrior, McmcConfig
 from .io import BandRule, ColumnRoles
 
-# a stratified draw takes at least 2 units from every stratum
-MIN_STRATUM_SIZE = 2
 # the one stratum covariate of a generated population
 SIMULATED_COVARIATE = "z"
 # libyaml's parser where PyYAML was built with it: the same dict, ~10x faster
@@ -30,37 +37,16 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hierarchical model choice for one calibration variable."""
+    """Hierarchical model choice for one calibration variable: its kind and
+    prior, and the stratum covariates of its regression."""
 
     variable: str
-    kind: str  # "binary" or "gaussian"
-    prior_df: float = 1.0
-    prior_scale: float = 1.0
+    prior: HBPrior
     covariates: tuple[str, ...] = ()
-    fixed_sigma2: float | None = None
 
-    def __post_init__(self):
-        where = f"models.{self.variable}"
-        if self.kind not in ("binary", "gaussian"):
-            raise ConfigError(f"{where}: kind must be 'binary' or 'gaussian'")
-        # zero switches the binary stratum effects off; the Gaussian model needs a variance
-        s2 = self.fixed_sigma2
-        if s2 is not None and not (s2 > 0 or (s2 == 0 and self.kind == "binary")):
-            bound = ">= 0" if self.kind == "binary" else "> 0"
-            raise ConfigError(
-                f"{where}.fixed_sigma2: expected {bound} for the {self.kind} model, got {s2}"
-            )
-
-
-@dataclass(frozen=True)
-class StratumPlan:
-    """One population stratum: size, domain membership, model covariate."""
-
-    id: str
-    domain: str
-    population_size: int
-    covariate: float = 0.0
-    deff: float = 1.0
+    @property
+    def kind(self) -> str:
+        return self.prior.kind
 
 
 @dataclass(frozen=True)
@@ -77,6 +63,9 @@ class BinaryVariableModel:
     stratum_sd: float = 0.0
     exclusive_with: str | None = None
 
+    def __post_init__(self):
+        check_fields(self, ConfigError, stratum_sd=nonnegative)
+
 
 @dataclass(frozen=True)
 class ContinuousVariableModel:
@@ -90,6 +79,9 @@ class ContinuousVariableModel:
     clip: tuple[float | None, float | None] = (None, None)
     gated_by: str | None = None
 
+    def __post_init__(self):
+        check_fields(self, ConfigError, unit_sd=nonnegative, stratum_sd=nonnegative)
+
 
 @dataclass(frozen=True)
 class AttributeModel:
@@ -100,15 +92,18 @@ class AttributeModel:
     domain_tilt: float = 0.0
 
     def __post_init__(self):
-        probs = [p for _, p in self.levels]
+        share = within(0, 1)
+        levels = tuple((label, checked(p, share, f"levels.{label}", ConfigError)) for label, p in self.levels)
+        object.__setattr__(self, "levels", levels)
+        check_fields(self, ConfigError, domain_tilt=within(-1, 1))
+        probs = [p for _, p in levels]
+        if not abs(sum(probs) - 1.0) <= 1e-9:
+            raise ConfigError(f"levels: expected shares that sum to 1, got a sum of {sum(probs):g}")
         # a domain's shares p * (1 +- tilt) stay >= 0 up to |tilt| = 1, where
         # the odd or the even levels get 0 and the others must hold a share
-        t = abs(self.domain_tilt)
-        tilt_ok = t < 1 or t == 1 and any(probs[::2]) and any(probs[1::2])
-        if not all(0 <= p <= 1 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9 or not tilt_ok:
+        if abs(self.domain_tilt) == 1 and not (any(probs[::2]) and any(probs[1::2])):
             raise ConfigError(
-                f"attribute {self.name!r}: level probabilities must lie in [0, 1] and sum to 1, "
-                f"and domain_tilt in [-1, 1] must leave every domain a level with a positive share"
+                f"domain_tilt: {self.domain_tilt:g} leaves a domain no level with a positive share"
             )
 
     def domain_probs(self, domain_position: int) -> np.ndarray:
@@ -131,15 +126,41 @@ class OutcomeModel:
     loc: float = 0.0
     scale: float = 1.0
 
+    def __post_init__(self):
+        check_fields(self, ConfigError, rho=within(-1, 1))
+
 
 @dataclass(frozen=True)
 class SyntheticPopulationSpec:
+    """A generated population: its domains, strata (each with its domain and
+    covariate), variables, attributes and outcomes, and the seed it is
+    realized from."""
+
     domains: tuple[str, ...]
-    strata: tuple[StratumPlan, ...]
+    strata: tuple[StratumSpec, ...]
     variables: tuple[BinaryVariableModel | ContinuousVariableModel, ...]
     attributes: tuple[AttributeModel, ...] = ()
     outcomes: tuple[OutcomeModel, ...] = ()
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse the first name that refers to no declared domain, earlier
+        (binary) variable or variable, by its key path in the spec."""
+        names = [v.name for v in self.variables]
+        strata = enumerate(self.strata)
+        refs = [(f"strata[{i}].domain", s.domain, self.domains, "a declared domain") for i, s in strata]
+        for i, v in enumerate(self.variables):
+            if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
+                binary = [b.name for b in self.variables[:i] if isinstance(b, BinaryVariableModel)]
+                what = "an earlier binary variable"
+                refs.append((f"variables[{i}].exclusive_with", v.exclusive_with, binary, what))
+            elif isinstance(v, ContinuousVariableModel) and v.gated_by is not None:
+                refs.append((f"variables[{i}].gated_by", v.gated_by, names[:i], "an earlier variable"))
+        outcomes = enumerate(self.outcomes)
+        refs += [(f"outcomes[{i}].link", o.link, names, "a generated variable") for i, o in outcomes]
+        for path, name, allowed, what in refs:
+            if name not in allowed:
+                raise ConfigError(f"{path}: {name!r} is not {what}")
 
 
 @dataclass(frozen=True)
@@ -152,14 +173,13 @@ class SimulateConfig:
     target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("simulate.mc.replications must be >= 1")
-        if not 0.0 < self.sampling_fraction <= 1.0:
-            raise ConfigError(
-                f"simulate.mc.sampling_fraction must be in (0, 1], got {self.sampling_fraction}"
-            )
-        if self.target_mode not in ("hb", "truth"):
-            raise ConfigError("simulate.mc.target_mode must be 'hb' or 'truth'")
+        check_fields(
+            self,
+            ConfigError,
+            replications=at_least(1),
+            sampling_fraction=restricted(real, "a real in (0, 1]", lambda f: 0 < f <= 1),
+            target_mode=one_of("hb", "truth"),
+        )
 
 
 @dataclass
@@ -221,23 +241,13 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _convert(value, kind, where: str):
-    """``kind(value)``; a value of the wrong type is a ConfigError naming
-    ``where``."""
+def _build(spec, where: str, *args, **fields):
+    """``spec(*args, **fields)``, a refusal of which names the field after
+    the key path ``where`` (none: the field is a top-level key)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}: expected {kind.__name__}, got {value!r}"
-        ) from None
-
-
-def integer(value) -> int:
-    """``int(value)`` that neither truncates nor reads a boolean: 3, 3.0 and
-    "3" are 3; 2.9, NaN and true are a ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
+        return spec(*args, **fields)
+    except (ConfigError, DataError) as exc:
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
 def string(value) -> str:
@@ -247,61 +257,22 @@ def string(value) -> str:
     return value
 
 
-def real(value) -> float:
-    """``float(value)`` that is finite and does not read a boolean: 2, 2.5
-    and "2.5" are 2.0 and 2.5; NaN, an infinity and true are a ValueError
-    (``float(True)`` would be 1.0).  Null, not an infinity, is an open end."""
-    if isinstance(value, bool) or not np.isfinite(value := float(value)):
-        raise ValueError(value)
-    return value
-
-
-def positive(value) -> float:
-    """``real(value)`` that is > 0: zero and a negative value are a
-    ValueError."""
-    value = real(value)
-    if not value > 0:
-        raise ValueError(value)
-    return value
-
-
-def nonnegative(value) -> float:
-    """``real(value)`` that is >= 0: a negative value is a ValueError."""
-    value = real(value)
-    if not value >= 0:
-        raise ValueError(value)
-    return value
-
-
-def within(lo: float, hi: float):
-    """The kind ``real`` in [lo, hi], named for the refusal it makes."""
-
-    def kind(value) -> float:
-        if not lo <= (value := real(value)) <= hi:
-            raise ValueError(value)
-        return value
-
-    kind.__name__ = f"a real in [{lo:g}, {hi:g}]"
-    return kind
-
-
-def _typed(section: dict, key: str, kind, where: str = "", minimum=None):
-    """``kind`` of ``section[key]``; a missing, mistyped or below-``minimum``
-    value is a ConfigError naming ``where.key``."""
+def _typed(section: dict, key: str, kind, where: str = ""):
+    """``kind`` of ``section[key]``; a missing or mistyped value is a
+    ConfigError naming ``where.key``."""
     _require(section, key, where)
-    path = f"{where}.{key}" if where else key
-    value = _convert(section[key], kind, path)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: expected at least {minimum}, got {value}")
-    return value
+    return checked(section[key], kind, f"{where}.{key}" if where else key, ConfigError)
 
 
 def _given(section: dict, where: str, **kinds) -> dict:
     """``{key: kind(section[key])}`` for each key of ``kinds`` that
     ``section`` holds, as keyword arguments: an absent key leaves its default
-    to the dataclass, the one place it is declared."""
+    to the dataclass, the one place it is declared.  A kind of None passes
+    the value as it is, to the type that checks it."""
     return {
-        key: _typed(section, key, kind, where=where) for key, kind in kinds.items() if key in section
+        key: section[key] if kind is None else _typed(section, key, kind, where=where)
+        for key, kind in kinds.items()
+        if key in section
     }
 
 
@@ -310,7 +281,7 @@ def _pair(value, where: str, open_ended=False) -> tuple:
     end null or the low end at most the high end."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: expected [low, high], got {value!r}")
-    pair = tuple(None if v is None and open_ended else _convert(v, real, where) for v in value)
+    pair = tuple(None if v is None and open_ended else checked(v, real, where, ConfigError) for v in value)
     return _ordered(*pair, where) if open_ended else pair
 
 
@@ -349,26 +320,6 @@ def _optional_name(entry: dict, key: str, where: str) -> str | None:
     return None if value is None else _name(value, f"{where}.{key}")
 
 
-def check_references(spec: SyntheticPopulationSpec, prefix: str = "") -> None:
-    """Refuse the first name in ``spec`` that refers to no declared domain,
-    earlier (binary) variable or variable, by its key path after ``prefix``."""
-    names = [v.name for v in spec.variables]
-    strata = enumerate(spec.strata)
-    refs = [(f"strata[{i}].domain", s.domain, spec.domains, "a declared domain") for i, s in strata]
-    for i, v in enumerate(spec.variables):
-        if isinstance(v, BinaryVariableModel) and v.exclusive_with is not None:
-            binary = [b.name for b in spec.variables[:i] if isinstance(b, BinaryVariableModel)]
-            what = "an earlier binary variable"
-            refs.append((f"variables[{i}].exclusive_with", v.exclusive_with, binary, what))
-        elif isinstance(v, ContinuousVariableModel) and v.gated_by is not None:
-            refs.append((f"variables[{i}].gated_by", v.gated_by, names[:i], "an earlier variable"))
-    outcomes = enumerate(spec.outcomes)
-    refs += [(f"outcomes[{i}].link", o.link, names, "a generated variable") for i, o in outcomes]
-    for path, name, allowed, what in refs:
-        if name not in allowed:
-            raise ConfigError(f"{prefix}{path}: {name!r} is not {what}")
-
-
 def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
     """``section[key]``, a name or a list of them, as names; absent or null
     is none."""
@@ -382,7 +333,7 @@ def _interval(interval: dict, where: str) -> tuple[float | None, float | None]:
     """The 'min' and 'max' of ``interval`` as reals, null or absent for an
     open end; a min above the max is a ConfigError naming ``where``."""
     lo, hi = (
-        None if interval.get(key) is None else _convert(interval[key], real, f"{where}.{key}")
+        None if interval.get(key) is None else checked(interval[key], real, f"{where}.{key}", ConfigError)
         for key in ("min", "max")
     )
     return _ordered(lo, hi, where)
@@ -419,7 +370,7 @@ def _check_json(value, where: str) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
             path = f"{where}.{key}" if where else str(key)
-            _convert(key, string, path)
+            checked(key, string, path, ConfigError)
             _check_json(item, path)
     elif isinstance(value, list):
         for i, item in enumerate(value):
@@ -448,7 +399,7 @@ def _cell(
     ranges = {}
     filters = _section(entry, "where", f"{where}.where")
     for key, value in filters.items():
-        path = f"{where}.where.{_convert(key, string, f'{where}.where (cell {name!r})')}"
+        path = f"{where}.where.{checked(key, string, f'{where}.where (cell {name!r})', ConfigError)}"
         if key in calibration and key != "domain":
             if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
                 raise ConfigError(
@@ -505,7 +456,9 @@ def parse_config(
     if seed_override is not None:
         seed = seed_override
     else:
-        seed = _typed(raw, "seed", integer, minimum=0) if "seed" in raw else 0
+        seed = _typed(raw, "seed", integer) if "seed" in raw else 0
+    # McmcConfig holds the seed, a top-level key: one built from it alone names it so
+    _build(McmcConfig, "", seed=seed)
     found: dict = {}  # the optional RunConfig fields the document sets
 
     sample = _section(raw, "sample", "sample")
@@ -536,36 +489,24 @@ def parse_config(
         where = f"models.{variable}"
         kind = _require(spec, "kind", where)
         fixed_sigma2 = spec.get("fixed_sigma2")  # null samples the variance, as when absent
-        models[variable] = ModelConfig(
-            variable=variable,
-            kind=kind,
-            covariates=_name_or_names(spec, "covariates", where),
-            fixed_sigma2=(
-                None if fixed_sigma2 is None else _convert(fixed_sigma2, real, f"{where}.fixed_sigma2")
-            ),
-            **_given(spec, where, prior_df=positive, prior_scale=positive),
-        )
+        if fixed_sigma2 is not None:
+            fixed_sigma2 = checked(fixed_sigma2, real, f"{where}.fixed_sigma2", ConfigError)
+        given = _given(spec, where, prior_df=None, prior_scale=None)
+        prior = _build(HBPrior, where, kind, fixed_sigma2=fixed_sigma2, **given)
+        models[variable] = ModelConfig(variable, prior, _name_or_names(spec, "covariates", where))
 
     mcmc = _section(raw, "mcmc", "mcmc")
     found.update(_given(mcmc, "mcmc", rhat_threshold=real))
-    # the sampler's bounds, checked here so that the error names the key
-    counts = {
-        key: _typed(mcmc, key, integer, where="mcmc", minimum=low)
-        for key, low in (("burnin", 0), ("iterations", 1), ("chains", 1))
-        if key in mcmc
-    }
-    found["mcmc"] = McmcConfig(seed=seed, **counts, **_given(mcmc, "mcmc", proposal_sd=positive))
+    given = _given(mcmc, "mcmc", burnin=integer, iterations=integer, chains=integer, proposal_sd=None)
+    found["mcmc"] = _build(McmcConfig, "mcmc", seed=seed, **given)
 
     simulate = _section(raw, "simulate", "simulate")
     population = _section(simulate, "population", "simulate.population")
     mc = _section(simulate, "mc", "simulate.mc")
     if simulate:
-        found["simulate"] = SimulateConfig(
-            population=population_spec_from_config(population, seed),
-            **_given(
-                mc, "simulate.mc", replications=integer, sampling_fraction=real, target_mode=str
-            ),
-        )
+        generated = population_spec_from_config(population, seed)
+        given = _given(mc, "simulate.mc", replications=integer, sampling_fraction=real, target_mode=string)
+        found["simulate"] = _build(SimulateConfig, "simulate.mc", generated, **given)
     # the numeric columns that cells sum and band rules read, and the domains
     # that cells filter on where they are declared: the sample's, or a
     # simulation-only config's generated variables, outcomes and domains
@@ -627,101 +568,60 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
     if not domains:
         raise ConfigError(f"{where}.domains: expected a non-empty list, got {section['domains']!r}")
     strata_cfg = _require(section, "strata", where)
-    plans: list[StratumPlan] = []
+    strata: list[StratumSpec] = []
     if isinstance(strata_cfg, list):
         if not strata_cfg:
             raise ConfigError(f"{where}.strata: expected at least one stratum, got []")
         for path, entry in _entries(section, "strata", where):
-            plans.append(
-                StratumPlan(
-                    id=_name(_require(entry, "id", path), f"{path}.id"),
-                    domain=_name(_require(entry, "domain", path), f"{path}.domain"),
-                    population_size=_typed(
-                        entry, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
-                    ),
-                    **_given(entry, path, covariate=real, deff=positive),
-                )
-            )
+            stratum = {key: _name(_require(entry, key, path), f"{path}.{key}") for key in ("id", "domain")}
+            size = _typed(entry, "population_size", integer, where=path)
+            given = _given(entry, path, covariate=real, deff=None)
+            strata.append(_build(StratumSpec, path, population_size=size, **stratum, **given))
     else:
         path = f"{where}.strata"
-        per_domain = _typed(strata_cfg, "per_domain", integer, where=path, minimum=1)
-        size = _typed(
-            strata_cfg, "population_size", integer, where=path, minimum=MIN_STRATUM_SIZE
-        )
+        per_domain = _typed(strata_cfg, "per_domain", at_least(1), where=path)  # no type holds it
+        size = _typed(strata_cfg, "population_size", integer, where=path)
         span = strata_cfg.get("covariate_range")  # null spans [-1, 1], as when absent
         lo, hi = (-1.0, 1.0) if span is None else _pair(span, f"{path}.covariate_range")
-        deff = _given(strata_cfg, path, deff=positive)
+        deff = _given(strata_cfg, path, deff=None)
         covariates = np.linspace(lo, hi, per_domain * len(domains))
         width = len(str(covariates.size))
         for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
-            plans.append(
-                StratumPlan(
-                    id=f"s{k + 1:0{width}d}",
-                    domain=domain,
-                    population_size=size,
-                    covariate=float(covariates[k]),
-                    **deff,
-                )
-            )
+            stratum = {"id": f"s{k + 1:0{width}d}", "domain": domain, "covariate": float(covariates[k])}
+            strata.append(_build(StratumSpec, path, population_size=size, **stratum, **deff))
 
     _require(section, "variables", where)
     variables: list[BinaryVariableModel | ContinuousVariableModel] = []
     for path, entry in _entries(section, "variables", where):
         name = _name(_require(entry, "name", path), f"{path}.name")
         kind = _require(entry, "kind", path)
-        if kind == "binary":
-            variables.append(
-                BinaryVariableModel(
-                    name=name,
-                    intercept=_typed(entry, "intercept", real, where=path),
-                    exclusive_with=_optional_name(entry, "exclusive_with", path),
-                    **_given(entry, path, slope=real, stratum_sd=nonnegative),
-                )
-            )
-        elif kind == "continuous":
-            clip = entry.get("clip")  # null leaves both ends open, as when absent
-            variables.append(
-                ContinuousVariableModel(
-                    name=name,
-                    mean=_typed(entry, "mean", real, where=path),
-                    unit_sd=_typed(entry, "unit_sd", nonnegative, where=path),
-                    gated_by=_optional_name(entry, "gated_by", path),
-                    **_given(entry, path, slope=real, stratum_sd=nonnegative),
-                    **({} if clip is None else {"clip": _pair(clip, f"{path}.clip", open_ended=True)}),
-                )
-            )
-        else:
+        if kind not in ("binary", "continuous"):
             raise ConfigError(f"{path}.kind: expected 'binary' or 'continuous', got {kind!r}")
+        if kind == "binary":
+            intercept = _typed(entry, "intercept", real, where=path)
+            given = {"exclusive_with": _optional_name(entry, "exclusive_with", path)}
+            given |= _given(entry, path, slope=real, stratum_sd=None)
+            variables.append(_build(BinaryVariableModel, path, name, intercept, **given))
+        else:
+            mean = _typed(entry, "mean", real, where=path)
+            given = {"unit_sd": _require(entry, "unit_sd", path)}
+            given["gated_by"] = _optional_name(entry, "gated_by", path)
+            given |= _given(entry, path, slope=real, stratum_sd=None)
+            clip = entry.get("clip")  # null leaves both ends open, as when absent
+            if clip is not None:
+                given["clip"] = _pair(clip, f"{path}.clip", open_ended=True)
+            variables.append(_build(ContinuousVariableModel, path, name, mean, **given))
 
-    attributes = tuple(
-        AttributeModel(
-            name=_name(_require(entry, "name", path), f"{path}.name"),
-            levels=tuple(
-                (str(label), _convert(prob, within(0, 1), f"{path}.levels.{label}"))
-                for label, prob in _mapping(
-                    _require(entry, "levels", path), f"{path}.levels"
-                ).items()
-            ),
-            **_given(entry, path, domain_tilt=within(-1, 1)),
-        )
-        for path, entry in _entries(section, "attributes", where)
-    )
-    outcomes = tuple(
-        OutcomeModel(
-            name=_name(_require(entry, "name", path), f"{path}.name"),
-            link=_name(_require(entry, "link", path), f"{path}.link"),
-            rho=_typed(entry, "rho", within(-1, 1), where=path),
-            **_given(entry, path, loc=real, scale=real),
-        )
-        for path, entry in _entries(section, "outcomes", where)
-    )
-    spec = SyntheticPopulationSpec(
-        domains=domains,
-        strata=tuple(plans),
-        variables=tuple(variables),
-        attributes=attributes,
-        outcomes=outcomes,
-        seed=seed,
-    )
-    check_references(spec, f"{where}.")
-    return spec
+    attributes = []
+    for path, entry in _entries(section, "attributes", where):
+        name = _name(_require(entry, "name", path), f"{path}.name")
+        levels = _mapping(_require(entry, "levels", path), f"{path}.levels")
+        levels = tuple((str(label), share) for label, share in levels.items())
+        attributes.append(_build(AttributeModel, path, name, levels, **_given(entry, path, domain_tilt=None)))
+    outcomes = []
+    for path, entry in _entries(section, "outcomes", where):
+        name, link = (_name(_require(entry, key, path), f"{path}.{key}") for key in ("name", "link"))
+        given = _given(entry, path, loc=real, scale=real)
+        outcomes.append(_build(OutcomeModel, path, name, link, _require(entry, "rho", path), **given))
+    parts = (tuple(strata), tuple(variables), tuple(attributes), tuple(outcomes))
+    return _build(SyntheticPopulationSpec, where, domains, *parts, seed)

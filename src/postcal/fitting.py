@@ -81,9 +81,7 @@ def model_input(
             successes=stratum_sums,
             sizes=sample.stratum_counts.astype(float),
             covariates=Z,
-            prior_df=model.prior_df,
-            prior_scale=model.prior_scale,
-            fixed_sigma2=model.fixed_sigma2,
+            prior=model.prior,
             domains=domains,
         )
 
@@ -97,9 +95,7 @@ def model_input(
         estimates=stratum_sums / sample.stratum_counts,
         sampling_variances=psi,
         covariates=Z,
-        prior_df=model.prior_df,
-        prior_scale=model.prior_scale,
-        fixed_sigma2=model.fixed_sigma2,
+        prior=model.prior,
         domains=domains,
     )
 
@@ -121,10 +117,9 @@ def fit_all_variables(
     whose warnings are prefixed with their variable's name.  Every model
     input is built and validated first, sample by sample in spec order, and
     carries its sample's ``domain_map``, checked before the sample's first
-    input is built.  Variables
-    whose model settings agree in all but the variable name (kind, priors,
-    covariates, fixed_sigma2) are then fitted in one sampler call across all
-    the samples, their chains advancing as one set of lanes.  Chain c of
+    input is built.  Variables whose model settings agree in all but the
+    variable name (prior and covariates) are then fitted in one sampler call
+    across all the samples, their chains advancing as one set of lanes.  Chain c of
     variable v of sample s reads the stream (seed, *base_keys[s], v, c), so
     results are reproducible under any grouping, batching or execution
     order.  The samplers fold their kept values into domain totals as they

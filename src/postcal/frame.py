@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, at_least, check_fields, positive
 
 
 class TierLabel(Enum):
@@ -52,19 +52,28 @@ class TierLabel(Enum):
     TIER_3NCV = "3-NCV"
 
 
+# a stratified draw takes at least 2 units from every stratum
+MIN_STRATUM_SIZE = 2
+
+
 @dataclass(frozen=True)
 class StratumSpec:
-    """Design stratum: population count and known design effect."""
+    """Design stratum: population count and known design effect.
+
+    A stratum of a generated population also names its ``domain`` and holds
+    the value of its one ``covariate``; samples are drawn from it, so it
+    holds at least ``MIN_STRATUM_SIZE`` units.
+    """
 
     id: str
     population_size: int
     deff: float = 1.0
+    domain: str | None = None
+    covariate: float = 0.0
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise DataError(f"stratum {self.id!r}: population_size must be >= 1")
-        if not self.deff > 0:
-            raise DataError(f"stratum {self.id!r}: deff must be > 0")
+        least = 1 if self.domain is None else MIN_STRATUM_SIZE
+        check_fields(self, population_size=at_least(least), deff=positive)
 
 
 @dataclass(frozen=True)

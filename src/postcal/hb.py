@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .calibration import pivoted_cholesky_rank
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, at_least, check_fields, one_of, positive
 from .frame import SampleSet
 
 # Random-walk scales adapt toward this acceptance band during burn-in.
@@ -90,16 +90,35 @@ class McmcConfig:
     proposal_sd: float = 0.5
 
     def __post_init__(self):
-        if self.burnin < 0:
-            raise DataError("burnin must be >= 0")
-        if self.iterations < 1:
-            raise DataError("iterations must be >= 1")
-        if self.chains < 1:
-            raise DataError("chains must be >= 1")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
-        if not self.proposal_sd > 0:
-            raise DataError("proposal_sd must be > 0")
+        check_fields(
+            self,
+            burnin=at_least(0),
+            iterations=at_least(1),
+            chains=at_least(1),
+            seed=at_least(0),
+            proposal_sd=positive,
+        )
+
+
+@dataclass(frozen=True)
+class HBPrior:
+    """A model's kind and the prior of its stratum-effect variance sigma2:
+    scaled inverse chi-square with ``prior_df`` degrees of freedom and scale
+    ``prior_scale``, or ``fixed_sigma2`` pinned in its place.  A pinned 0
+    switches the binary model's stratum effects off; the Gaussian model
+    needs a variance."""
+
+    kind: str  # "binary" or "gaussian"
+    prior_df: float = 1.0
+    prior_scale: float = 1.0
+    fixed_sigma2: float | None = None
+
+    def __post_init__(self):
+        check_fields(self, kind=one_of("binary", "gaussian"), prior_df=positive, prior_scale=positive)
+        s2 = self.fixed_sigma2
+        if s2 is not None and not (s2 > 0 or (s2 == 0 and self.kind == "binary")):
+            bound = ">= 0" if self.kind == "binary" else "> 0"
+            raise DataError(f"fixed_sigma2: expected {bound} for the {self.kind} model, got {s2}")
 
 
 def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
@@ -182,13 +201,12 @@ class DomainMap:
             _add_in_order(scaled[bounds[d] : bounds[d + 1]], out[d])
 
 
-def _check_model(model, values: np.ndarray, kind: str, zero_sigma2: bool) -> None:
+def _check_model(model, values: np.ndarray, kind: str) -> None:
     """The checks the two model inputs share, run after their own checks of
     the 1-d per-stratum ``values``: the covariates as H x k (a k x H matrix
-    is transposed), finite covariates and values, the priors, a
-    ``fixed_sigma2`` above 0 (or at 0 too, with ``zero_sigma2``), 2 strata
-    unless it is given, and a domain map covering the strata
-    (``DomainMap.identity`` when none is given)."""
+    is transposed), finite covariates and values, a prior of the input's
+    ``kind``, 2 strata unless ``fixed_sigma2`` is given, and a domain map
+    covering the strata (``DomainMap.identity`` when none is given)."""
     H = values.shape[0]
     z = np.atleast_2d(np.asarray(model.covariates, dtype=float))
     if z.shape[0] != H:
@@ -198,12 +216,9 @@ def _check_model(model, values: np.ndarray, kind: str, zero_sigma2: bool) -> Non
         raise DataError("covariate rows must match the number of strata")
     if not (np.isfinite(z).all() and np.isfinite(values).all()):
         raise NumericalError("non-finite model inputs")
-    if not (model.prior_df > 0 and model.prior_scale > 0):
-        raise DataError("prior_df and prior_scale must be > 0")
-    s2 = model.fixed_sigma2
-    if s2 is not None and not (s2 >= 0 if zero_sigma2 else s2 > 0):
-        raise DataError(f"fixed_sigma2 must be {'>=' if zero_sigma2 else '>'} 0 for the {kind} model")
-    if s2 is None and H < 2:
+    if model.prior.kind != kind:
+        raise DataError(f"prior: a {kind} model needs a {kind} prior, got a {model.prior.kind} one")
+    if model.prior.fixed_sigma2 is None and H < 2:
         raise DataError("at least 2 strata are required unless fixed_sigma2 is given")
     if model.domains is None:
         object.__setattr__(model, "domains", DomainMap.identity(H))
@@ -215,19 +230,18 @@ def _check_model(model, values: np.ndarray, kind: str, zero_sigma2: bool) -> Non
 class BinaryHBInput:
     """Per-stratum binomial counts with stratum-level covariates.
 
-    ``fixed_sigma2`` pins the stratum-effect variance instead of sampling it;
-    zero disables the stratum effects entirely.  A single stratum is allowed
-    only in that pinned mode, because the free hierarchical variance is not
-    identifiable from one stratum.  ``domains`` folds the kept p_h into the
-    draws (``DomainMap.identity`` if not given: the p_h themselves).
+    The prior's ``fixed_sigma2`` pins the stratum-effect variance instead of
+    sampling it; zero disables the stratum effects entirely.  A single
+    stratum is allowed only in that pinned mode, because the free
+    hierarchical variance is not identifiable from one stratum.  ``domains``
+    folds the kept p_h into the draws (``DomainMap.identity`` if not given:
+    the p_h themselves).
     """
 
     successes: np.ndarray
     sizes: np.ndarray
     covariates: np.ndarray
-    prior_df: float = 1.0
-    prior_scale: float = 1.0
-    fixed_sigma2: float | None = None
+    prior: HBPrior = HBPrior("binary")
     domains: DomainMap | None = None
 
     def __post_init__(self):
@@ -241,7 +255,7 @@ class BinaryHBInput:
             raise DataError("every stratum needs sample size >= 1")
         if np.any((m < 0) | (m > n)):
             raise DataError("successes must satisfy 0 <= m_h <= n_h")
-        _check_model(self, m, "binary", zero_sigma2=True)
+        _check_model(self, m, "binary")
 
     @property
     def n_strata(self) -> int:
@@ -256,9 +270,7 @@ class GaussianFHInput:
     estimates: np.ndarray
     sampling_variances: np.ndarray
     covariates: np.ndarray
-    prior_df: float = 1.0
-    prior_scale: float = 1.0
-    fixed_sigma2: float | None = None
+    prior: HBPrior = HBPrior("gaussian")
     domains: DomainMap | None = None
 
     def __post_init__(self):
@@ -271,7 +283,7 @@ class GaussianFHInput:
         if np.any(psi <= 0):
             bad = np.nonzero(psi <= 0)[0].tolist()
             raise DataError(f"sampling variances must be > 0 (strata {bad})")
-        _check_model(self, est, "Gaussian", zero_sigma2=False)
+        _check_model(self, est, "gaussian")
 
     @property
     def n_strata(self) -> int:
@@ -434,16 +446,13 @@ def _shared_setting(models: Sequence, spawn_keys: Sequence[tuple[int, ...]]):
             f"{len(models)} models need as many spawn keys, got {len(spawn_keys)}"
         )
     first = models[0]
-    setting = (first.prior_df, first.prior_scale, first.fixed_sigma2)
     for model in models[1:]:
         if not np.array_equal(model.covariates, first.covariates):
             raise DataError("models fitted together must share the covariate matrix")
         if model.domains != first.domains:
             raise DataError("models fitted together must share the domain map")
-        if (model.prior_df, model.prior_scale, model.fixed_sigma2) != setting:
-            raise DataError(
-                "models fitted together must share prior_df, prior_scale and fixed_sigma2"
-            )
+        if model.prior != first.prior:
+            raise DataError("models fitted together must share the prior")
     return first
 
 
@@ -579,15 +588,16 @@ def fit_binary_hb(
     frozen afterwards.
     """
     model = _shared_setting(models, spawn_keys)
+    sigma_prior = model.prior
     Z = model.covariates
     H, k = Z.shape[0], Z.shape[1]
     C = config.chains
 
-    free_sigma = model.fixed_sigma2 is None
+    free_sigma = sigma_prior.fixed_sigma2 is None
     # the effect variance stays > 0 whenever the effects are on: pinned > 0,
     # or a scaled-inverse-chi-square draw
-    use_effects = free_sigma or model.fixed_sigma2 > 0
-    post_df = model.prior_df + H
+    use_effects = free_sigma or sigma_prior.fixed_sigma2 > 0
+    post_df = sigma_prior.prior_df + H
 
     # empirical-logit start values, per model, shared by its chains
     warnings, beta0, v0 = [], [], []
@@ -609,7 +619,7 @@ def fit_binary_hb(
     n = _lanes([each.sizes for each in models], C)
     beta = _lanes(beta0, C)
     v = _lanes(v0, C)
-    sigma2 = np.full(len(beta), model.prior_scale if free_sigma else model.fixed_sigma2)
+    sigma2 = np.full(len(beta), sigma_prior.prior_scale if free_sigma else sigma_prior.fixed_sigma2)
 
     eta = _lanes([Z @ start for start in beta0], C) + v
     # state: the rows eta, nsp = n * softplus(eta), v and v^2 of one array,
@@ -631,7 +641,7 @@ def fit_binary_hb(
     shift_buffer = np.empty((_ADAPT_WINDOW, k, L, H))
     sigma2_col = sigma2[:, None]
     two_sigma2 = np.multiply(sigma2_col, 2.0)
-    draw_sigma2 = _sigma2_sampler(v, model.prior_df * model.prior_scale, sigma2)
+    draw_sigma2 = _sigma2_sampler(v, sigma_prior.prior_df * sigma_prior.prior_scale, sigma2)
     multiply, subtract, less, copyto = np.multiply, np.subtract, np.less, np.copyto
     add, reduce, square, divide, isfinite = np.add, np.add.reduce, np.square, np.divide, np.isfinite
 
@@ -757,10 +767,11 @@ def fit_gaussian_fh(
     ztz_inv = np.linalg.inv(ztz)
     ztz_inv_chol = np.linalg.cholesky(ztz_inv)
 
-    free_sigma = model.fixed_sigma2 is None
-    post_df = model.prior_df + H
+    sigma_prior = model.prior
+    free_sigma = sigma_prior.fixed_sigma2 is None
+    post_df = sigma_prior.prior_df + H
     beta = _lanes([ztz_inv @ (Z.T @ each.estimates) for each in models], C)
-    sigma2 = np.full(len(beta), model.prior_scale if free_sigma else model.fixed_sigma2)
+    sigma2 = np.full(len(beta), sigma_prior.prior_scale if free_sigma else sigma_prior.fixed_sigma2)
     projection = ztz_inv @ Z.T
     est = _lanes([each.estimates for each in models], C)
     psi = _lanes([each.sampling_variances for each in models], C)
@@ -777,7 +788,7 @@ def fit_gaussian_fh(
     synthetic = np.matmul(Z, beta[:, :, None])
     theta_col, beta_col = theta[:, :, None], beta[:, :, None]
     beta_hat_row, synthetic_row = beta_hat[:, :, 0], synthetic[:, :, 0]
-    draw_sigma2 = _sigma2_sampler(resid, model.prior_df * model.prior_scale, sigma2)
+    draw_sigma2 = _sigma2_sampler(resid, sigma_prior.prior_df * sigma_prior.prior_scale, sigma2)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     sqrt, matmul = np.sqrt, np.matmul
 

@@ -425,7 +425,7 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
         try:
             strata.append(StratumSpec(id=sid, population_size=int(size), deff=d))
         except DataError as exc:
-            raise DataError(f"{path}:{line}: {exc}") from None
+            raise DataError(f"{path}:{line}: stratum {sid!r}: {exc}") from None
     return tuple(strata), covariates
 
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SIMULATED_COVARIATE, BinaryVariableModel, RunConfig, SyntheticPopulationSpec, check_references
+from .config import SIMULATED_COVARIATE, BinaryVariableModel, RunConfig, SyntheticPopulationSpec
 from .errors import ConfigError, ConvergenceError, DataError
 from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
     CellAtoms,
     SampleSet,
-    StratumSpec,
     block_sums,
     compact_codes,
 )
@@ -93,12 +92,6 @@ def generate_population(
     """
     calibration = CalibrationSpec(tuple(v.name for v in spec.variables), tuple(spec.domains))
     names = calibration.variable_names
-    check_references(spec)
-    for o in spec.outcomes:
-        if not -1.0 <= o.rho <= 1.0:
-            raise ConfigError(
-                f"outcome {o.name!r}: target correlation {o.rho} outside [-1, 1]"
-            )
 
     rng = chain_rng(spec.seed, 0)
     H = len(spec.strata)
@@ -152,10 +145,7 @@ def generate_population(
     return SurveyFrame(
         spec=spec,
         covariates={SIMULATED_COVARIATE: z},
-        strata=tuple(
-            StratumSpec(id=s.id, population_size=s.population_size, deff=s.deff)
-            for s in spec.strata
-        ),
+        strata=spec.strata,
         calibration=calibration,
         stratum_idx=stratum_idx,
         domain_idx=domain_idx,
@@ -327,10 +317,15 @@ def _covered(lower: float, upper: float, truth: float) -> bool:
 
 def _rate(hits: list[bool], nominal: float) -> tuple[float, float, bool]:
     """The share of ``hits`` that are true, its Monte Carlo standard error,
-    and whether it lies more than two of them from ``nominal``."""
+    and whether it lies more than two standard errors from ``nominal``.
+
+    The flag takes the standard error at ``nominal``, sqrt(nominal *
+    (1 - nominal) / R): the one at the share is 0 at 0/R and R/R, where any
+    departure would be flagged."""
+    R = len(hits)
     rate = float(np.mean(hits))
-    se = math.sqrt(rate * (1.0 - rate) / len(hits))
-    return rate, se, abs(rate - nominal) > 2.0 * se
+    se = math.sqrt(rate * (1.0 - rate) / R)
+    return rate, se, abs(rate - nominal) > 2.0 * math.sqrt(nominal * (1.0 - nominal) / R)
 
 
 def accumulate_report(

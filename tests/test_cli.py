@@ -12,11 +12,20 @@ import pytest
 import yaml
 
 from postcal.cli import build_parser, main
-from postcal.config import AttributeModel, load_config
-from postcal.errors import ConfigError
+from postcal.config import (
+    AttributeModel,
+    BinaryVariableModel,
+    ContinuousVariableModel,
+    OutcomeModel,
+    SimulateConfig,
+    SyntheticPopulationSpec,
+    load_config,
+    parse_config,
+)
+from postcal.errors import ConfigError, DataError
 from postcal.fitting import fit_all_variables
-from postcal.frame import SampleSet
-from postcal.hb import chain_rng
+from postcal.frame import SampleSet, StratumSpec
+from postcal.hb import HBPrior, McmcConfig, chain_rng
 from postcal.io import read_sample
 from postcal import simulate
 from postcal.report import CellReportRow
@@ -548,16 +557,22 @@ def repeat_record_id(tmp_path):
     set_config("sample.columns.id", "person_id")(tmp_path)
 
 
+def set_key(raw, dotted_key, value):
+    """Set a value of the config ``raw`` by dotted path; numeric parts index
+    lists."""
+    *parents, key = [int(k) if k.isdigit() else k for k in dotted_key.split(".")]
+    section = raw
+    for name in parents:
+        section = section[name] if isinstance(section, list) else section.setdefault(name, {})
+    section[key] = value
+
+
 def set_config(dotted_key, value):
-    """Set a config value by dotted path; numeric parts index lists."""
+    """``set_key`` on the config file."""
 
     def corrupt(tmp_path):
         raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
-        *parents, key = [int(k) if k.isdigit() else k for k in dotted_key.split(".")]
-        section = raw
-        for name in parents:
-            section = section[name] if isinstance(section, list) else section.setdefault(name, {})
-        section[key] = value
+        set_key(raw, dotted_key, value)
         write_config(tmp_path, raw)
 
     return corrupt
@@ -646,9 +661,9 @@ MALFORMED_INPUTS = [
             id=f"strata-{column}-{value}",
         )
         for column, value, rule in [
-            ("population_size", "0", "population_size must be >= 1"),
-            ("deff", "0", "deff must be > 0"),
-            ("deff", "-1.5", "deff must be > 0"),
+            ("population_size", "0", "population_size: expected at least 1, got 0"),
+            ("deff", "0", "deff: expected positive, got 0.0"),
+            ("deff", "-1.5", "deff: expected positive, got -1.5"),
         ]
     ),
     pytest.param(
@@ -981,6 +996,81 @@ OUT_OF_RANGE = [
         ("cells.0.where.hours.min", -math.inf, "expected real, got -inf"),
         ("sample.derived.0.bands.0.max", math.inf, "expected real, got inf"),
     ]
+] + [
+    # level shares that do not sum to 1 are refused by the attribute's levels
+    pytest.param(
+        f"{POPULATION}.attributes.0.levels.b",
+        0.2,
+        f"{POPULATION}.attributes[0].levels: expected shares that sum to 1, got a sum of 0.9",
+        id=f"{POPULATION}.attributes.0.levels.b-0.2",
+    ),
+    # an integer that no float holds
+    pytest.param(
+        "mcmc.proposal_sd", 10**400, f"mcmc.proposal_sd: expected positive, got {10**400}", id="mcmc.proposal_sd-1e400"
+    ),
+]
+
+
+def _population(**change):
+    """A one-stratum population spec, with ``change``."""
+    fields = {
+        "domains": ("d1",),
+        "strata": (StratumSpec("s1", 10, domain="d1"),),
+        "variables": (BinaryVariableModel("employed", 0.0),),
+    }
+    return SyntheticPopulationSpec(**{**fields, **change})
+
+
+# each range and reference rule a spec type holds: the config values that
+# break it, the key path the parse names, and a hand-built value that breaks
+# it and the type's error class; both refusals read the same after the path
+SPEC_RULES = [
+    pytest.param(changes, path, hand_built, error, id=id_)
+    for id_, changes, path, hand_built, error in [
+        ("rho", {f"{POPULATION}.outcomes.0.rho": 7}, f"{POPULATION}.outcomes[0]",
+         lambda: OutcomeModel("income", "hours", 7), ConfigError),
+        ("level-share", {f"{POPULATION}.attributes.0.levels.b": math.nan}, f"{POPULATION}.attributes[0]",
+         lambda: AttributeModel("occ", (("a", 0.5), ("b", math.nan), ("c", 0.2))), ConfigError),
+        ("level-sum", {f"{POPULATION}.attributes.0.levels.b": 0.2}, f"{POPULATION}.attributes[0]",
+         lambda: AttributeModel("occ", (("a", 0.5), ("b", 0.2), ("c", 0.2))), ConfigError),
+        ("domain_tilt", {f"{POPULATION}.attributes.0.domain_tilt": 5}, f"{POPULATION}.attributes[0]",
+         lambda: AttributeModel("occ", (("a", 1.0),), domain_tilt=5), ConfigError),
+        ("domain_tilt-one",
+         {f"{POPULATION}.attributes.0.levels": {"a": 1.0}, f"{POPULATION}.attributes.0.domain_tilt": -1},
+         f"{POPULATION}.attributes[0]", lambda: AttributeModel("occ", (("a", 1.0),), domain_tilt=-1), ConfigError),
+        ("stratum_sd", {f"{POPULATION}.variables.0.stratum_sd": -0.5}, f"{POPULATION}.variables[0]",
+         lambda: BinaryVariableModel("employed", 0.4, stratum_sd=-0.5), ConfigError),
+        ("unit_sd", {f"{POPULATION}.variables.1.unit_sd": -10}, f"{POPULATION}.variables[1]",
+         lambda: ContinuousVariableModel("hours", 38.0, -10), ConfigError),
+        ("link", {f"{POPULATION}.outcomes.0.link": "wages"}, POPULATION,
+         lambda: _population(outcomes=(OutcomeModel("income", "wages", 0.5),)), ConfigError),
+        ("stratum-domain", {f"{POPULATION}.strata": [{"id": "s1", "domain": "d9", "population_size": 10}]},
+         POPULATION, lambda: _population(strata=(StratumSpec("s1", 10, domain="d9"),)), ConfigError),
+        ("prior_df", {"models.employed.prior_df": -1}, "models.employed",
+         lambda: HBPrior("binary", prior_df=-1), DataError),
+        ("prior_scale", {"models.hours.prior_scale": 0}, "models.hours",
+         lambda: HBPrior("gaussian", prior_scale=0), DataError),
+        ("binary-fixed_sigma2", {"models.employed.fixed_sigma2": -1}, "models.employed",
+         lambda: HBPrior("binary", fixed_sigma2=-1.0), DataError),
+        ("gaussian-fixed_sigma2", {"models.hours.fixed_sigma2": 0}, "models.hours",
+         lambda: HBPrior("gaussian", fixed_sigma2=0.0), DataError),
+        ("kind", {"models.hours.kind": "poisson"}, "models.hours", lambda: HBPrior("poisson"), DataError),
+        ("burnin", {"mcmc.burnin": -1}, "mcmc", lambda: McmcConfig(burnin=-1), DataError),
+        ("iterations", {"mcmc.iterations": 0}, "mcmc", lambda: McmcConfig(iterations=0), DataError),
+        ("chains", {"mcmc.chains": 0}, "mcmc", lambda: McmcConfig(chains=0), DataError),
+        ("proposal_sd", {"mcmc.proposal_sd": 0}, "mcmc", lambda: McmcConfig(proposal_sd=0), DataError),
+        ("seed", {"seed": -1}, "", lambda: McmcConfig(seed=-1), DataError),
+        ("deff", {f"{POPULATION}.strata.deff": -1}, f"{POPULATION}.strata",
+         lambda: StratumSpec("s1", 300, deff=-1, domain="d1"), DataError),
+        ("population_size", {f"{POPULATION}.strata.population_size": 1}, f"{POPULATION}.strata",
+         lambda: StratumSpec("s1", 1, domain="d1"), DataError),
+        ("replications", {"simulate.mc.replications": 0}, "simulate.mc",
+         lambda: SimulateConfig(small_spec(), replications=0), ConfigError),
+        ("sampling_fraction", {"simulate.mc.sampling_fraction": 1.5}, "simulate.mc",
+         lambda: SimulateConfig(small_spec(), sampling_fraction=1.5), ConfigError),
+        ("target_mode", {"simulate.mc.target_mode": "x"}, "simulate.mc",
+         lambda: SimulateConfig(small_spec(), target_mode="x"), ConfigError),
+    ]
 ]
 
 
@@ -1097,10 +1187,17 @@ class TestMalformedInput:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv, cause)
 
-    def test_attribute_model_refuses_what_the_parse_refuses(self):
-        for levels, tilt in [((("a", math.nan), ("b", 1.0)), 0.0), ((("a", 1.0),), 5.0), ((("a", 1.0),), 1.0)]:
-            with pytest.raises(ConfigError, match="attribute 'occ'"):
-                AttributeModel("occ", levels, domain_tilt=tilt)
+    @pytest.mark.parametrize("changes,path,hand_built,error", SPEC_RULES)
+    def test_spec_type_refuses_what_the_parse_refuses(self, changes, path, hand_built, error):
+        raw = simulate_config()
+        del raw["sample"]  # a simulation-only config needs no sample files
+        for key, value in changes.items():
+            set_key(raw, key, value)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(raw)
+        with pytest.raises(error) as built:
+            hand_built()
+        assert str(parsed.value) == (f"{path}.{built.value}" if path else str(built.value))
 
     def test_simulated_covariate_is_checked_before_the_population(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "generate_population", None)  # reaching it would fail

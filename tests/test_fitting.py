@@ -21,13 +21,12 @@ from postcal import fitting
 from postcal.config import (
     BinaryVariableModel,
     ContinuousVariableModel,
-    StratumPlan,
     SyntheticPopulationSpec,
     load_config,
 )
 from postcal.errors import DataError, NumericalError
-from postcal.frame import SampleSet
-from postcal.hb import McmcConfig, chain_rng, domain_map, fit_binary_hb, fit_gaussian_fh
+from postcal.frame import SampleSet, StratumSpec
+from postcal.hb import HBPrior, McmcConfig, chain_rng, domain_map, fit_binary_hb, fit_gaussian_fh
 from postcal.simulate import draw_stratified_sample, generate_population
 
 from test_hb import added_one_by_one, assert_same_bits
@@ -39,7 +38,7 @@ MCMC = McmcConfig(burnin=20, iterations=30, chains=2, seed=3)
 @pytest.fixture(scope="module")
 def frame():
     strata = tuple(
-        StratumPlan(id=f"s{h + 1}", domain=f"d{h // 3 + 1}", population_size=300,
+        StratumSpec(id=f"s{h + 1}", domain=f"d{h // 3 + 1}", population_size=300,
                     covariate=-1.0 + 2.0 * h / 5)
         for h in range(6)
     )
@@ -117,7 +116,10 @@ def test_default_config_fits_both_binary_variables_in_one_call(frame, default_mo
 )
 def test_other_setting_gets_its_own_call(frame, default_models, calls, change):
     models = dict(default_models)
-    models["unemployed"] = replace(models["unemployed"], **change)
+    model = models["unemployed"]
+    if "covariates" not in change:
+        change = {"prior": replace(model.prior, **change)}
+    models["unemployed"] = replace(model, **change)
     fit(frame, models)
     assert calls == [("binary", 1), ("binary", 1), ("gaussian", 1)]
     alone = dict(calls.drawn)
@@ -130,7 +132,7 @@ def test_other_setting_gets_its_own_call(frame, default_models, calls, change):
 
 def test_later_invalid_input_fails_before_any_sampling(frame, default_models, calls):
     models = dict(default_models)
-    models["hours"] = replace(models["hours"], kind="binary")
+    models["hours"] = replace(models["hours"], prior=HBPrior("binary"))
     with pytest.raises(DataError, match="'hours' is not binary"):
         fit(frame, models)
     assert calls == []

@@ -17,6 +17,7 @@ from postcal.hb import (
     BinaryHBInput,
     DomainMap,
     GaussianFHInput,
+    HBPrior,
     McmcConfig,
     PosteriorDraws,
     StratumDraws,
@@ -43,7 +44,7 @@ class TestBinarySampler:
         # with the stratum effect pinned to zero the posterior is a smooth
         # 1-d density over the intercept; integrate it on a fine grid
         model = BinaryHBInput(
-            successes=[5], sizes=[10], covariates=[[1.0]], fixed_sigma2=0.0
+            successes=[5], sizes=[10], covariates=[[1.0]], prior=HBPrior("binary", fixed_sigma2=0.0)
         )
         config = McmcConfig(burnin=500, iterations=3000, chains=3, seed=11, proposal_sd=0.8)
         result = fit_binary_hb([model], config)[0]
@@ -61,8 +62,7 @@ class TestBinarySampler:
             successes=[0, 0, 0],
             sizes=[30, 30, 30],
             covariates=np.ones((3, 1)),
-            prior_df=1.0,
-            prior_scale=0.5,
+            prior=HBPrior("binary", prior_df=1.0, prior_scale=0.5),
         )
         result = fit_binary_hb([model], McmcConfig(burnin=300, iterations=800, chains=2, seed=3))[0]
         assert any("no successes" in w for w in result.warnings)
@@ -85,7 +85,7 @@ class TestBinarySampler:
             successes=[50, 50],
             sizes=[50, 50],
             covariates=np.ones((2, 1)),
-            fixed_sigma2=0.0,
+            prior=HBPrior("binary", fixed_sigma2=0.0),
         )
         result = fit_binary_hb(
             [model], McmcConfig(burnin=1000, iterations=3000, chains=1, seed=2, proposal_sd=2.0)
@@ -98,8 +98,7 @@ class TestBinarySampler:
             successes=[12, 12],
             sizes=[40, 40],
             covariates=np.ones((2, 1)),
-            prior_df=2.0,
-            prior_scale=0.3,
+            prior=HBPrior("binary", prior_df=2.0, prior_scale=0.3),
         )
         result = fit_binary_hb(
             [model], McmcConfig(burnin=400, iterations=2000, chains=3, seed=8)
@@ -123,13 +122,15 @@ class TestBinarySampler:
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(DataError, match="m_h"):
-            BinaryHBInput(successes=[11], sizes=[10], covariates=[[1.0]], fixed_sigma2=0.0)
+            BinaryHBInput(
+                successes=[11], sizes=[10], covariates=[[1.0]], prior=HBPrior("binary", fixed_sigma2=0.0)
+            )
 
     @pytest.mark.parametrize("sigma2", [-1.0, float("nan")])
     def test_pinned_variance_below_zero_or_nan_rejected(self, sigma2):
         # a pinned 0 switches the stratum effects off; below it is no variance
-        with pytest.raises(DataError, match="fixed_sigma2 must be >= 0"):
-            BinaryHBInput(successes=[5], sizes=[10], covariates=[[1.0]], fixed_sigma2=sigma2)
+        with pytest.raises(DataError, match="fixed_sigma2: expected >= 0 for the binary model"):
+            HBPrior("binary", fixed_sigma2=sigma2)
 
 
 MODEL_DATA = [
@@ -145,18 +146,36 @@ MODEL_DATA = [
         ({"covariates": np.ones((3, 1))}, DataError, "covariate rows must match the number of strata"),
         # a 1 x 2 matrix is read as the covariates of 2 strata
         ({"covariates": [[1.0, np.nan]]}, NumericalError, "non-finite model inputs"),
-        ({"prior_scale": 0.0}, DataError, "prior_df and prior_scale must be > 0"),
-        ({"fixed_sigma2": -1.0}, DataError, "fixed_sigma2 must be"),
+        ({"prior": "other"}, DataError, "prior: a {kind} model needs a {kind} prior, got a {other} one"),
         ({"domains": DomainMap.identity(3)}, DataError, "domain map covers 3 strata, model has 2"),
         # of two faults, the one checked first is reported
-        ({"covariates": np.ones((3, 1)), "prior_df": 0.0}, DataError, "covariate rows"),
-        ({"prior_df": 0.0, "fixed_sigma2": -1.0}, DataError, "prior_df"),
+        ({"covariates": np.ones((3, 1)), "prior": "other"}, DataError, "covariate rows"),
     ],
-    ids=["rows", "non-finite", "prior", "sigma2", "domains", "rows-first", "prior-first"],
+    ids=["rows", "non-finite", "prior", "domains", "rows-first"],
 )
 def test_model_inputs_share_their_checks(model, data, change, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+    kind, other = ("binary", "gaussian") if model is BinaryHBInput else ("gaussian", "binary")
+    if "prior" in change:
+        change = {**change, "prior": HBPrior(other)}
+    with pytest.raises(error, match=re.escape(message.format(kind=kind, other=other))):
         model(**{"covariates": np.ones((2, 1)), **data, **change})
+
+
+@pytest.mark.parametrize(
+    "prior,message",
+    [
+        ({"prior_scale": 0.0}, "prior_scale: expected positive, got 0.0"),
+        ({"prior_df": -1}, "prior_df: expected positive, got -1"),
+        ({"kind": "poisson"}, "kind: expected 'binary' or 'gaussian', got 'poisson'"),
+        ({"kind": "gaussian", "fixed_sigma2": 0.0}, "fixed_sigma2: expected > 0 for the gaussian model, got 0.0"),
+        # of two faults, the one checked first is reported
+        ({"prior_df": 0.0, "fixed_sigma2": -1.0}, "prior_df"),
+    ],
+    ids=["scale", "df", "kind", "gaussian-sigma2", "df-first"],
+)
+def test_prior_refuses_by_field(prior, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        HBPrior(**{"kind": "binary", **prior})
 
 
 @pytest.mark.parametrize(
@@ -181,7 +200,7 @@ class TestGaussianSampler:
             estimates=estimates,
             sampling_variances=psi,
             covariates=np.ones((6, 1)),
-            fixed_sigma2=sigma2,
+            prior=HBPrior("gaussian", fixed_sigma2=sigma2),
         )
         result = fit_gaussian_fh(
             [model], McmcConfig(burnin=500, iterations=4000, chains=3, seed=21)
@@ -208,7 +227,7 @@ class TestGaussianSampler:
             estimates=estimates,
             sampling_variances=psi,
             covariates=np.ones((4, 1)),
-            fixed_sigma2=1.0,
+            prior=HBPrior("gaussian", fixed_sigma2=1.0),
         )
         result = fit_gaussian_fh(
             [model], McmcConfig(burnin=500, iterations=3000, chains=2, seed=9)
@@ -223,8 +242,7 @@ class TestGaussianSampler:
             estimates=np.full(4, 7.0),
             sampling_variances=np.full(4, 1.0),
             covariates=np.ones((4, 1)),
-            prior_df=2.0,
-            prior_scale=1.0,
+            prior=HBPrior("gaussian", prior_df=2.0, prior_scale=1.0),
         )
         result = fit_gaussian_fh(
             [model], McmcConfig(burnin=400, iterations=3000, chains=2, seed=14)

@@ -30,6 +30,7 @@ from postcal.errors import DataError, NumericalError
 from postcal.hb import (
     BinaryHBInput,
     GaussianFHInput,
+    HBPrior,
     McmcConfig,
     fit_binary_hb,
     fit_gaussian_fh,
@@ -50,19 +51,25 @@ _GAUSSIAN = dict(
 # burn-in 120 crosses two adaptation windows and ends inside a third
 _MCMC = dict(burnin=120, iterations=30, seed=11, proposal_sd=0.5)
 
+
+def _pinned(sigma2):
+    """A binary model's prior with the effect variance pinned at ``sigma2``."""
+    return HBPrior("binary", fixed_sigma2=sigma2)
+
+
 CASES = {
     "binary-free": (fit_binary_hb, BinaryHBInput(**_BINARY), 3),
-    "binary-pinned": (fit_binary_hb, BinaryHBInput(**_BINARY, fixed_sigma2=0.3), 3),
-    "binary-no-effects": (fit_binary_hb, BinaryHBInput(**_BINARY, fixed_sigma2=0.0), 2),
+    "binary-pinned": (fit_binary_hb, BinaryHBInput(**_BINARY, prior=_pinned(0.3)), 3),
+    "binary-no-effects": (fit_binary_hb, BinaryHBInput(**_BINARY, prior=_pinned(0.0)), 2),
     "binary-single-stratum": (
         fit_binary_hb,
-        BinaryHBInput(successes=[4], sizes=[11], covariates=[[1.0]], fixed_sigma2=0.5),
+        BinaryHBInput(successes=[4], sizes=[11], covariates=[[1.0]], prior=_pinned(0.5)),
         2,
     ),
     "gaussian-free": (fit_gaussian_fh, GaussianFHInput(**_GAUSSIAN), 3),
     "gaussian-pinned": (
         fit_gaussian_fh,
-        GaussianFHInput(**_GAUSSIAN, fixed_sigma2=0.8),
+        GaussianFHInput(**_GAUSSIAN, prior=HBPrior("gaussian", fixed_sigma2=0.8)),
         2,
     ),
 }
@@ -114,7 +121,7 @@ def random_batch(data, size):
             models.append(
                 BinaryHBInput(
                     successes=rng.integers(0, sizes + 1), sizes=sizes, covariates=Z,
-                    fixed_sigma2=fixed,
+                    prior=HBPrior("binary", fixed_sigma2=fixed),
                 )
             )
         return fit_binary_hb, models
@@ -123,7 +130,7 @@ def random_batch(data, size):
             estimates=rng.normal(5.0, 2.0, size=H),
             sampling_variances=rng.uniform(0.1, 2.0, size=H),
             covariates=Z,
-            fixed_sigma2=fixed,
+            prior=HBPrior("gaussian", fixed_sigma2=fixed),
         )
         for _ in range(size)
     ]
@@ -210,16 +217,16 @@ def test_batch_must_share_one_setting():
     shifted = BinaryHBInput(**{**_BINARY, "covariates": _Z5 + 1.0})
     for other in (
         shifted,
-        BinaryHBInput(**_BINARY, prior_df=2.0),
-        BinaryHBInput(**_BINARY, prior_scale=2.0),
-        BinaryHBInput(**_BINARY, fixed_sigma2=0.3),
+        BinaryHBInput(**_BINARY, prior=HBPrior("binary", prior_df=2.0)),
+        BinaryHBInput(**_BINARY, prior=HBPrior("binary", prior_scale=2.0)),
+        BinaryHBInput(**_BINARY, prior=HBPrior("binary", fixed_sigma2=0.3)),
     ):
         with pytest.raises(DataError, match="fitted together must share"):
             fit_binary_hb([model, other], config, spawn_keys=[(0,), (1,)])
     gaussian = GaussianFHInput(**_GAUSSIAN)
     with pytest.raises(DataError, match="fitted together must share"):
         fit_gaussian_fh(
-            [gaussian, GaussianFHInput(**_GAUSSIAN, fixed_sigma2=0.8)],
+            [gaussian, GaussianFHInput(**_GAUSSIAN, prior=HBPrior("gaussian", fixed_sigma2=0.8))],
             config,
             spawn_keys=[(0,), (1,)],
         )

@@ -20,15 +20,14 @@ from postcal.config import (
     OutcomeModel,
     RunConfig,
     SimulateConfig,
-    StratumPlan,
     SyntheticPopulationSpec,
     config_hash,
     load_config,
     parse_config,
 )
 from postcal.errors import ConfigError, DataError
-from postcal.frame import CalibrationSpec, TierLabel
-from postcal.hb import McmcConfig, PosteriorDraws
+from postcal.frame import CalibrationSpec, StratumSpec, TierLabel
+from postcal.hb import HBPrior, McmcConfig, PosteriorDraws
 import postcal.io as postcal_io
 from postcal.io import (
     BandRule,
@@ -930,7 +929,7 @@ class TestConfig:
         cfg = load_config(cfg_path)
         assert cfg.seed == 99
         assert cfg.mcmc.iterations == 20
-        assert cfg.models["hours"].prior_scale == 2.0
+        assert cfg.models["hours"].prior.prior_scale == 2.0
         assert len(cfg.cells) == 3
         assert cfg.cells[0].filter.single_domain() == "d1"
         assert cfg.cells[1].tier_override is TierLabel.TIER_2CA
@@ -1004,12 +1003,12 @@ class TestConfig:
             seed=5,
             raw=raw,
             band_rules=(BandRule("band", "hrs", (("x", None, None),)),),
-            models={"emp": ModelConfig("emp", "binary"), "hrs": ModelConfig("hrs", "gaussian")},
+            models={"emp": ModelConfig("emp", HBPrior("binary")), "hrs": ModelConfig("hrs", HBPrior("gaussian"))},
             mcmc=McmcConfig(seed=5),
             simulate=SimulateConfig(
                 SyntheticPopulationSpec(
                     domains=("d1",),
-                    strata=(StratumPlan("s1", "d1", 10),),
+                    strata=(StratumSpec("s1", 10, domain="d1"),),
                     variables=(
                         BinaryVariableModel("emp", 0.0),
                         ContinuousVariableModel("hrs", 1.0, 1.0),
@@ -1231,7 +1230,7 @@ class TestSimulateSection:
         assert cfg.simulate.population.variables[1].unit_sd == 0.0
 
     def test_negative_sampler_seed_is_refused(self):
-        with pytest.raises(DataError, match="seed must be >= 0"):
+        with pytest.raises(DataError, match="seed: expected at least 0, got -1"):
             McmcConfig(seed=-1)
 
     def test_shipped_smoke_config_parses_to_typed_values(self):

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from postcal.config import (
     BinaryVariableModel,
     ContinuousVariableModel,
     OutcomeModel,
-    StratumPlan,
     SyntheticPopulationSpec,
     parse_config,
     population_spec_from_config,
 )
 from postcal.errors import ConfigError, DataError, NumericalError
-from postcal.frame import CellFilter, CellQuery, TierLabel
+from postcal.frame import CellFilter, CellQuery, StratumSpec, TierLabel
 from postcal.hb import McmcConfig, chain_rng
 from postcal.io import BandRule
 from postcal.replicate import classify_cell
@@ -23,6 +23,7 @@ from postcal.report import build_artifacts, build_run_report
 from postcal.simulate import (
     REPLICATION_CHUNK,
     ReplicationResult,
+    _rate,
     accumulate_report,
     build_simulation,
     draw_stratified_sample,
@@ -35,7 +36,7 @@ from postcal.simulate import (
 
 def small_spec(seed=7, n_strata=4, size=250):
     strata = tuple(
-        StratumPlan(
+        StratumSpec(
             id=f"s{k + 1}",
             domain="d1" if k < n_strata // 2 else "d2",
             population_size=size,
@@ -133,7 +134,7 @@ class TestGeneratePopulation:
     def test_binary_prevalence_concentrates(self):
         spec = SyntheticPopulationSpec(
             domains=("d1",),
-            strata=(StratumPlan("s1", "d1", population_size=10_000, covariate=0.0),),
+            strata=(StratumSpec("s1", domain="d1", population_size=10_000, covariate=0.0),),
             variables=(BinaryVariableModel("employed", intercept=0.4),),
             seed=5,
         )
@@ -163,22 +164,13 @@ class TestGeneratePopulation:
         assert abs(rho - 0.6) < 0.05
 
     def test_infeasible_rho_rejected(self):
-        spec = small_spec()
-        bad = SyntheticPopulationSpec(
-            domains=spec.domains,
-            strata=spec.strata,
-            variables=spec.variables,
-            attributes=spec.attributes,
-            outcomes=(OutcomeModel("u", link="hours", rho=1.5),),
-            seed=1,
-        )
-        with pytest.raises(ConfigError, match="outside"):
-            generate_population(bad)
+        with pytest.raises(ConfigError, match=re.escape("rho: expected a real in [-1, 1], got 1.5")):
+            OutcomeModel("u", link="hours", rho=1.5)
 
     def test_constant_link_rejected(self):
         spec = SyntheticPopulationSpec(
             domains=("d1",),
-            strata=(StratumPlan("s1", "d1", population_size=100),),
+            strata=(StratumSpec("s1", domain="d1", population_size=100),),
             variables=(
                 ContinuousVariableModel("flat", mean=5.0, unit_sd=0.0),
             ),
@@ -198,7 +190,7 @@ class TestGeneratePopulation:
     def test_exclusive_binary(self):
         spec = SyntheticPopulationSpec(
             domains=("d1",),
-            strata=(StratumPlan("s1", "d1", population_size=5000),),
+            strata=(StratumSpec("s1", domain="d1", population_size=5000),),
             variables=(
                 BinaryVariableModel("employed", intercept=0.4),
                 BinaryVariableModel("unemployed", intercept=-1.0, exclusive_with="employed"),
@@ -401,6 +393,17 @@ class TestAccumulation:
         assert report.cells[0].cri_coverage == 1.0
         assert report.cells[0].cri_mc_se == 0.0
 
+    @pytest.mark.parametrize("nominal", [0.95, 0.9, 0.8])
+    def test_flag_takes_the_standard_error_at_the_nominal_rate(self, nominal):
+        # |k/R - nominal| > 2 sqrt(nominal (1 - nominal) / R), squared and in
+        # exact arithmetic; the standard error at k/R is 0 at 0/R and R/R
+        p = Fraction(nominal)
+        for R in range(1, 41):
+            for k in range(R + 1):
+                rate, se, flag = _rate([True] * k + [False] * (R - k), nominal)
+                assert flag == ((Fraction(k, R) - p) ** 2 > 4 * p * (1 - p) / R), (k, R)
+                assert se == np.sqrt(rate * (1.0 - rate) / R)  # the reported SE is at k/R
+
     def test_order_independence(self):
         mc = run_config(0, 50, 0.1, cells=[{"name": "c", "sum": "employed"}])
         results = self._fake_results(50, 37)
@@ -516,13 +519,12 @@ class TestConfigBuilders:
 
     def test_exclusive_with_must_name_a_binary_variable(self):
         spec = small_spec()
-        spec = replace(
-            spec,
-            variables=spec.variables
-            + (BinaryVariableModel("x", intercept=0.0, exclusive_with="hours"),),
-        )
         with pytest.raises(ConfigError, match="exclusive_with"):
-            generate_population(spec)
+            replace(
+                spec,
+                variables=spec.variables
+                + (BinaryVariableModel("x", intercept=0.0, exclusive_with="hours"),),
+            )
 
     @pytest.mark.parametrize(
         "order,change,link,cause",
@@ -546,19 +548,18 @@ class TestConfigBuilders:
             employed = replace(employed, **change)
         else:
             hours = replace(hours, **change)
-        spec = replace(
-            spec,
-            variables=tuple((employed, hours)[i] for i in order),
-            outcomes=(replace(spec.outcomes[0], link=link),),
-        )
         with pytest.raises(ConfigError, match=re.escape(cause)):
-            generate_population(spec)
+            replace(
+                spec,
+                variables=tuple((employed, hours)[i] for i in order),
+                outcomes=(replace(spec.outcomes[0], link=link),),
+            )
 
     def test_hand_built_stratum_domain_is_checked(self):
         spec = small_spec()
-        spec = replace(spec, strata=spec.strata[:1] + (replace(spec.strata[1], domain="d9"),) + spec.strata[2:])
+        strata = spec.strata[:1] + (replace(spec.strata[1], domain="d9"),) + spec.strata[2:]
         with pytest.raises(ConfigError, match=re.escape("strata[1].domain: 'd9' is not a declared domain")):
-            generate_population(spec)
+            replace(spec, strata=strata)
 
     def test_band_rules_applied_to_frame(self):
         frame = generate_population(

@@ -257,10 +257,6 @@ class BinaryHBInput:
             raise DataError("successes must satisfy 0 <= m_h <= n_h")
         _check_model(self, m, "binary")
 
-    @property
-    def n_strata(self) -> int:
-        return self.successes.shape[0]
-
 
 @dataclass(frozen=True)
 class GaussianFHInput:
@@ -284,10 +280,6 @@ class GaussianFHInput:
             bad = np.nonzero(psi <= 0)[0].tolist()
             raise DataError(f"sampling variances must be > 0 (strata {bad})")
         _check_model(self, est, "gaussian")
-
-    @property
-    def n_strata(self) -> int:
-        return self.estimates.shape[0]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ over its atoms, in groups of cells of at most ``frame.CELL_GROUP_PAIRS``
 (cell, atom) pairs, each a ``np.bincount`` keyed by cell; only O(p + H D)
 numbers a cell outlive its group.  One solve gives every cell's direction,
 and the draw axis is reduced in column groups of the replicate totals
-(``replicate.TOTALS_GROUP_BYTES``).  The rows are assembled last.
+(``replicate.TOTALS_GROUP_BYTES``).  Links, CBI bounds and diagnostics are
+columns over all cells (``variance.ratio_links``, ``cbi_bounds``,
+``cells_diagnostics``), from which each row is built once.
 ``analyze_cell`` is the same pass over a table of one cell.
 """
 
@@ -27,7 +29,6 @@ import numpy as np
 from . import calibration as cal
 from . import replicate as rep
 from . import variance as var
-from .errors import LinkSelectionError
 from .frame import CalibrationSpec, CellAtoms, CellQuery, SampleSet, TierLabel, evaluate_cell
 from .hb import PosteriorDraws
 from .io import MACHINE_FLOAT, format_machine, write_json, write_table
@@ -117,8 +118,8 @@ def _analyze_cells(
     table of ``queries``), and per cell over its atoms, in groups of cells
     (``CellAtoms.groups``) that leave O(p + D + V) numbers a cell; one solve
     gives every direction, the draw axis is reduced in the column groups of
-    ``rep.total_columns``, and the rows are assembled last, each with its
-    warnings in a fixed order.
+    ``rep.total_columns``, and each row is built once from columns of links,
+    CBIs and diagnostics over all cells, with its warnings in a fixed order.
     """
     sample, draws = art.sample, art.draws
     spec = sample.calibration
@@ -147,90 +148,81 @@ def _analyze_cells(
         if link.size:
             correlations[link] = var.link_correlations(pairs.select(needs_link[at]))
 
-    points = points.tolist()  # Python floats, as the rows carry them
     directions = cal.replicate_direction(art.gram, moments.T)
     lower, upper = np.zeros(C), np.zeros(C)
     for columns, totals in rep.total_columns(draws, art.ht, directions, fixed_ht):
         lower[columns], upper[columns] = rep.quantile_bounds(totals, art.level)
 
+    # a 2-CA or 2-NCA cell's CBI shares it out over the domain totals of its
+    # summed variable, a 3-NCV cell's over those of its ratio link; -1 and NaN
+    # mark a position and a value that a cell has none of
+    names = spec.variable_names
+    denominators, links, link_rho = np.full(C, -1), np.full(C, -1), np.full(C, np.nan)
+    two, linked = np.flatnonzero(needs_cbi & ~needs_link), np.flatnonzero(needs_link)
+    denominators[two] = var.denominator_positions(names, [queries[c].summed_variable for c in two])
+    links[linked], link_rho[linked], refusals = var.ratio_links(
+        names, correlations[linked], [queries[c] for c in linked]
+    )
+    denominators[linked] = links[linked]
+    at = np.flatnonzero(denominators >= 0)
+    sums = numerator[at], met[at], variance[at]
+    shares, share_warnings = var.domain_shares(sample, sums, denominators[at], draws.posterior_mean)
+    component1, component2 = np.full((2, C), np.nan)
+    component1[at], component2[at], _ = var.components(shares, denominators[at], draws)
+    cbi_lower, cbi_upper = var.cbi_bounds(points, component1, component2, art.level)
+    a_norm, cos_theta, _, cv_cri, cv_cbi, orthogonal = var.cells_diagnostics(
+        directions, draws.posterior_mean, art.ht, draws,
+        upper - lower, cbi_upper - cbi_lower, points, art.level,
+    )
+
     warnings: list[list[str]] = [[] for _ in queries]
-    links: list[var.RatioLink | None] = [None] * C
-    denominators: dict[int, str] = {}
-    for c, (query, auto, tier) in enumerate(zip(queries, autos, tiers)):
+    for c, (auto, tier) in enumerate(zip(autos, tiers)):
         if tier is not auto:
             warnings[c].append(
                 f"tier override {tier.value} replaces automatic classification {auto.value}"
             )
         if counts[c] == 0:
             warnings[c].append("empty cell: no sampled records match the filter")
-        if tier is TierLabel.TIER_3NCV:
-            try:
-                links[c] = _resolve_link(query, spec.variable_names, correlations[c])
-            except LinkSelectionError as exc:
-                warnings[c].append(str(exc))
-                continue
-            denominators[c] = links[c].variable
-            if links[c].weak:
-                warnings[c].append(
-                    f"weak ratio link |rho|={abs(links[c].correlation):.3f} < "
-                    f"{var.WEAK_LINK_THRESHOLD}; design-based direct "
-                    f"estimation is the recommended primary interval"
-                )
-        elif tier is not TierLabel.TIER_1E:
-            denominators[c] = query.summed_variable
-
-    intervals: list[var.CbiInterval | None] = [None] * C
-    if denominators:
-        at = np.fromiter(denominators, np.intp, len(denominators))
-        positions = var.denominator_positions(spec.variable_names, denominators.values())
-        sums = numerator[at], met[at], variance[at]
-        shares, share_warnings = var.domain_shares(sample, sums, positions, draws.posterior_mean)
-        component1, component2, _ = var.components(shares, positions, draws)
-        for c, c1, c2, cell_warnings in zip(
-            at.tolist(), component1.tolist(), component2.tolist(), share_warnings
-        ):
-            warnings[c].extend(cell_warnings)
-            components = var.VarianceComponents(c1, c2, warnings=cell_warnings)
-            intervals[c] = var.cbi(points[c], components, art.level)
-
-    diagnostics = var.cells_diagnostics(
-        directions,
-        draws.posterior_mean,
-        art.ht,
-        draws,
-        (upper - lower).tolist(),
-        [cbi.width if cbi is not None else None for cbi in intervals],
-        points,
-        art.level,
-    )
-    rows = []
-    for c, (query, tier, link, cbi, diag) in enumerate(
-        zip(queries, tiers, links, intervals, diagnostics)
-    ):
-        rows.append(
-            CellReportRow(
-                name=query.name,
-                tier=tier,
-                n_cell=int(counts[c]),
-                point=points[c],
-                cri_lower=float(lower[c]),
-                cri_upper=float(upper[c]),
-                cri_kind="posterior" if tier is TierLabel.TIER_1E else "quasi-posterior",
-                cbi_lower=cbi.lower if cbi else None,
-                cbi_upper=cbi.upper if cbi else None,
-                component1=cbi.components.component1 if cbi else None,
-                component2=cbi.components.component2 if cbi else None,
-                a_norm=diag.a_norm,
-                cos_theta=diag.cos_theta,
-                orthogonality_flag=diag.orthogonality_flag,
-                cv_cri=_none_if_nan(diag.cv_cri),
-                cv_cbi=_none_if_nan(diag.cv_cbi),
-                link_variable=link.variable if link else None,
-                link_rho=link.correlation if link else None,
-                warnings=tuple(warnings[c]),
+    for c, refusal, rho in zip(linked.tolist(), refusals, link_rho[linked].tolist()):
+        if refusal is not None:
+            warnings[c].append(refusal)
+        elif abs(rho) < var.WEAK_LINK_THRESHOLD:
+            warnings[c].append(
+                f"weak ratio link |rho|={abs(rho):.3f} < {var.WEAK_LINK_THRESHOLD}; design-based "
+                f"direct estimation is the recommended primary interval"
             )
-        )
-    return rows
+    for c, cell_warnings in zip(at.tolist(), share_warnings):
+        warnings[c].extend(cell_warnings)
+
+    columns = {
+        "name": [query.name for query in queries],
+        "tier": tiers,
+        "n_cell": counts.tolist(),
+        "point": points.tolist(),
+        "cri_lower": lower.tolist(),
+        "cri_upper": upper.tolist(),
+        "cri_kind": [
+            "posterior" if tier is TierLabel.TIER_1E else "quasi-posterior" for tier in tiers
+        ],
+        "cbi_lower": _optional(cbi_lower),
+        "cbi_upper": _optional(cbi_upper),
+        "component1": _optional(component1),
+        "component2": _optional(component2),
+        "a_norm": a_norm.tolist(),
+        "cos_theta": _optional(cos_theta),
+        "orthogonality_flag": orthogonal.tolist(),
+        "cv_cri": _optional(cv_cri),
+        "cv_cbi": _optional(cv_cbi),
+        "link_variable": [names[v] if v >= 0 else None for v in links.tolist()],
+        "link_rho": _optional(link_rho),
+        "warnings": [tuple(cell_warnings) for cell_warnings in warnings],
+    }
+    return [CellReportRow(**dict(zip(columns, row))) for row in zip(*columns.values())]
+
+
+def _optional(column: np.ndarray) -> list[float | None]:
+    """A float column as the rows carry it, None where NaN."""
+    return [None if math.isnan(value) else value for value in column.tolist()]
 
 
 def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
@@ -239,27 +231,6 @@ def analyze_cell(query: CellQuery, art: InferenceArtifacts) -> CellReportRow:
     cell = evaluate_cell(query, art.sample, art.sample.calibration)
     (row,) = _analyze_cells((query,), art, CellAtoms.one(cell, art.sample))
     return row
-
-
-def _resolve_link(query: CellQuery, names: tuple[str, ...], correlations) -> var.RatioLink:
-    if query.link_variable is not None and query.link_variable not in names:
-        raise LinkSelectionError(
-            f"cell {query.name!r}: linking variable "
-            f"{query.link_variable!r} is not a calibration variable"
-        )
-    auto = var.ratio_link(names, correlations)
-    if query.link_variable is None:
-        return auto
-    # one candidate per calibration variable, in declaration order
-    candidate = auto.candidates[names.index(query.link_variable)]
-    rho = candidate.correlation if candidate.correlation is not None else 0.0
-    return var.RatioLink(variable=candidate.name, correlation=rho, candidates=auto.candidates)
-
-
-def _none_if_nan(value: float | None) -> float | None:
-    if value is None or math.isnan(value):
-        return None
-    return value
 
 
 def build_run_report(

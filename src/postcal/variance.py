@@ -25,11 +25,12 @@ around the point estimate with the normal multiplier z of the report level
 share is formed against the calibration variable most correlated with the
 outcome (the linking variable), giving a ratio-type interval.
 
-Each quantity is computed for a group of cells at once (``domain_sums``,
-``domain_shares``, ``components``, ``link_correlations``,
-``cells_diagnostics``), the record-level ones from the per-atom statistics
-of ``frame.CellAtoms``; the per-cell entry points are those kernels on a
-table of one cell.
+Each quantity is a column over a group of cells (``domain_sums``,
+``domain_shares``, ``components``, ``cbi_bounds``, ``link_correlations``,
+``ratio_links``, ``cells_diagnostics``), the record-level ones from the
+per-atom statistics of ``frame.CellAtoms``; ``variance_components``,
+``cbi``, ``select_linking_variable`` and ``cell_diagnostics`` wrap them for
+one cell.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .calibration import CalibratedWeights
 from .errors import DataError, LinkSelectionError
-from .frame import CellData, CellPairs, SampleSet
+from .frame import CellData, CellPairs, CellQuery, SampleSet
 from .hb import PosteriorDraws
 
 
@@ -311,24 +312,24 @@ def variance_components(
     )
 
 
-def cbi(
-    point: float, components: VarianceComponents, level: float = 0.95
-) -> CbiInterval:
-    """Calibrated Bayes interval: point +/- z sqrt(comp1 + comp2), with
-    z = cbi_z(level)."""
-    warnings = list(components.warnings)
+def cbi_bounds(points, component1, component2, level: float = 0.95):
+    """Calibrated Bayes interval bounds of each cell: point -/+
+    z sqrt(comp1 + comp2), with z = cbi_z(level), elementwise."""
+    half = cbi_z(level) * np.sqrt(component1 + component2)
+    return points - half, points + half
+
+
+def cbi(point: float, components: VarianceComponents, level: float = 0.95) -> CbiInterval:
+    """``cbi_bounds`` of one cell; a negative component (possible only in
+    hand-built ``components``) is clamped to 0 with a warning."""
     c1, c2 = components.component1, components.component2
     if c1 < 0 or c2 < 0:
-        warnings.append("negative variance component clamped to 0")
-        c1, c2 = max(c1, 0.0), max(c2, 0.0)
+        warnings = (*components.warnings, "negative variance component clamped to 0")
         components = replace(
-            components, component1=c1, component2=c2, warnings=tuple(warnings)
+            components, component1=max(c1, 0.0), component2=max(c2, 0.0), warnings=warnings
         )
-    z = cbi_z(level)
-    half = z * float(np.sqrt(c1 + c2))
-    return CbiInterval(
-        lower=point - half, upper=point + half, z=z, components=components
-    )
+    lower, upper = cbi_bounds(point, components.component1, components.component2, level)
+    return CbiInterval(float(lower), float(upper), cbi_z(level), components)
 
 
 def link_correlations(pairs: CellPairs) -> np.ndarray:
@@ -381,94 +382,101 @@ def link_correlations(pairs: CellPairs) -> np.ndarray:
     return rho
 
 
-def ratio_link(names: Sequence[str], correlations: np.ndarray) -> RatioLink:
-    """The ratio link of one cell from its ``link_correlations`` row: the
-    admissible variable of largest |rho|, ties going to declaration order."""
-    candidates = []
-    best_name = None
-    best_rho = None
-    for name, rho in zip(names, correlations.tolist()):
-        if math.isnan(rho):
-            candidates.append(LinkCandidate(name=name, correlation=None, admissible=False))
-            continue
-        candidates.append(LinkCandidate(name=name, correlation=rho, admissible=True))
-        if best_rho is None or abs(rho) > abs(best_rho):
-            best_name, best_rho = name, rho
-    if best_name is None:
-        raise LinkSelectionError(
-            "no admissible linking variable: every calibration variable is "
-            "constant within the cell; publish a design-based direct estimate "
-            "for this cell instead"
-        )
-    return RatioLink(variable=best_name, correlation=best_rho, candidates=tuple(candidates))
+def ratio_links(
+    names: Sequence[str], correlations: np.ndarray, cells: Sequence[CellQuery]
+) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """The ratio link of each of G cells from its row of G x V
+    ``link_correlations``: its position among ``names``, its rho (0 for a
+    variable constant in the cell) and no refusal text, or -1, NaN and one.
+
+    A cell's named ``link_variable`` is taken if it is a calibration
+    variable and refused otherwise; a cell that names none takes the
+    admissible variable of largest |rho|, the first in declaration order on
+    a tie, and is refused when no variable is admissible.
+    """
+    admissible = ~np.isnan(correlations)
+    positions = np.argmax(np.where(admissible, np.abs(correlations), -1.0), axis=1)
+    refusals: list[str | None] = [None] * len(cells)
+    for c, cell in enumerate(cells):
+        if cell.link_variable in names:
+            positions[c] = names.index(cell.link_variable)
+        elif cell.link_variable is not None:
+            refusals[c] = (
+                f"cell {cell.name!r}: linking variable "
+                f"{cell.link_variable!r} is not a calibration variable"
+            )
+        elif not admissible[c].any():
+            refusals[c] = (
+                "no admissible linking variable: every calibration variable is constant within "
+                "the cell; publish a design-based direct estimate for this cell instead"
+            )
+    rho = np.where(admissible, correlations, 0.0)[np.arange(len(cells)), positions]
+    refused = np.array([refusal is not None for refusal in refusals], dtype=bool)
+    positions[refused], rho[refused] = -1, np.nan
+    return positions, rho, refusals
 
 
 def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
-    """Pick the calibration variable most correlated with the cell outcome.
+    """Pick the calibration variable most correlated with the cell outcome
+    (``ratio_links`` of one cell that names no link).
 
     Correlations are plain Pearson over the sampled records in the cell.
     Candidates structurally constant within the cell cannot serve as ratio
     denominators and are excluded regardless of formal correlation; ties
     break by declaration order.
     """
-    correlations = link_correlations(CellPairs.one(cell, sample))[0]
-    return ratio_link(sample.calibration.variable_names, correlations)
+    names = sample.calibration.variable_names
+    correlations = link_correlations(CellPairs.one(cell, sample))
+    (position,), (rho,), (refusal,) = ratio_links(names, correlations, [CellQuery("", "")])
+    if refusal is not None:
+        raise LinkSelectionError(refusal)
+    candidates = tuple(
+        LinkCandidate(name, None if math.isnan(r) else r, not math.isnan(r))
+        for name, r in zip(names, correlations[0].tolist())
+    )
+    return RatioLink(variable=names[position], correlation=float(rho), candidates=candidates)
 
 
-def coefficient_of_variation(width: float, point: float, z: float = CBI_Z) -> float:
+def coefficient_of_variation(width, point, z: float = CBI_Z):
     """Interval width divided by 2z (3.92 at 95%), as a fraction of the point
-    estimate."""
-    if point == 0.0:
-        return float("nan")
-    return (width / (2.0 * z)) / abs(point)
+    estimate, elementwise; NaN where the point is 0 or the width is NaN."""
+    point = np.asarray(point, dtype=float)
+    cv = np.full(point.shape, np.nan)
+    np.divide(np.divide(width, 2.0 * z), np.abs(point), out=cv, where=point != 0.0)
+    return cv[()]
 
 
 def cells_diagnostics(
-    directions: np.ndarray,
-    posterior_mean: np.ndarray,
-    ht: np.ndarray,
-    draws: PosteriorDraws,
-    cri_widths,
-    cbi_widths,
-    points,
-    level: float = 0.95,
-) -> list[CellDiagnostics]:
+    directions: np.ndarray, posterior_mean: np.ndarray, ht: np.ndarray, draws: PosteriorDraws,
+    cri_widths, cbi_widths, points, level: float = 0.95,
+) -> tuple[np.ndarray, ...]:
     """Alignment and scale diagnostics of each cell whose direction is a
-    column of p x C ``directions``; ``cbi_widths`` holds None for a cell
-    without a CBI.
+    column of p x C ``directions``: the columns a_norm, cos_theta,
+    replicate_variance, cv_cri, cv_cbi and orthogonal.  ``cbi_widths`` is
+    NaN for a cell without a CBI, and so is its cv_cbi.
 
-    The replicate variance is the quadratic form a' Cov(draws) a, which must
-    agree with the empirical variance of the replicate totals.  The CVs take
-    the interval widths at ``level`` over 2 ``cbi_z(level)``.
+    cos_theta is NaN, and the cell not orthogonal, where the direction or
+    the posterior-mean residual is a zero vector: alignment is then
+    undefined rather than zero.  The replicate variance is the quadratic
+    form a' Cov(draws) a, which must agree with the empirical variance of
+    the replicate totals.  The CVs take the interval widths at ``level``
+    over 2 ``cbi_z(level)``.
     """
     z = cbi_z(level)
     a_norm = np.linalg.norm(directions, axis=0)
     residual = posterior_mean - ht
     r_norm = float(np.linalg.norm(residual))
-    aligned = residual @ directions
-    replicate_variance = np.sum(directions * (draws.covariance @ directions), axis=0)
-    out = []
-    for a, dot, variance, cri_width, cbi_width, point in zip(
-        a_norm.tolist(), aligned.tolist(), replicate_variance.tolist(), cri_widths, cbi_widths, points
-    ):
-        cos_theta = None if a == 0.0 or r_norm == 0.0 else dot / (a * r_norm)
-        out.append(
-            CellDiagnostics(
-                a_norm=a,
-                cos_theta=cos_theta,
-                replicate_variance=variance,
-                cv_cri=coefficient_of_variation(cri_width, point, z),
-                cv_cbi=(
-                    coefficient_of_variation(cbi_width, point, z)
-                    if cbi_width is not None
-                    else None
-                ),
-                orthogonality_flag=(
-                    cos_theta is not None and abs(cos_theta) < ORTHOGONALITY_COS_THRESHOLD
-                ),
-            )
-        )
-    return out
+    cos_theta = np.full(a_norm.shape, np.nan)
+    defined = (a_norm != 0.0) & (r_norm != 0.0)
+    np.divide(residual @ directions, a_norm * r_norm, out=cos_theta, where=defined)
+    return (
+        a_norm,
+        cos_theta,
+        np.sum(directions * (draws.covariance @ directions), axis=0),
+        coefficient_of_variation(cri_widths, points, z),
+        coefficient_of_variation(cbi_widths, points, z),
+        np.abs(cos_theta) < ORTHOGONALITY_COS_THRESHOLD,
+    )
 
 
 def cell_diagnostics(
@@ -481,15 +489,14 @@ def cell_diagnostics(
     point: float,
     level: float = 0.95,
 ) -> CellDiagnostics:
-    """``cells_diagnostics`` of one cell."""
-    (diagnostics,) = cells_diagnostics(
-        np.asarray(direction, dtype=float)[:, None],
-        posterior_mean,
-        ht,
-        draws,
-        [cri_width],
-        [cbi_width],
-        [point],
-        level,
+    """``cells_diagnostics`` of one cell; an undefined cos_theta is None, and
+    so is cv_cbi without a CBI."""
+    columns = cells_diagnostics(
+        np.asarray(direction, dtype=float)[:, None], posterior_mean, ht, draws,
+        [cri_width], [np.nan if cbi_width is None else cbi_width], [point], level,
     )
-    return diagnostics
+    a_norm, cos_theta, variance, cv_cri, cv_cbi, orthogonal = (c.item() for c in columns)
+    return CellDiagnostics(
+        a_norm, None if math.isnan(cos_theta) else cos_theta, variance, cv_cri,
+        None if cbi_width is None else cv_cbi, orthogonal,
+    )

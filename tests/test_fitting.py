@@ -261,7 +261,7 @@ def test_sampler_error_names_the_sample_and_variable(frame, default_models, monk
 
     def crafted(models, config, spawn_keys):
         models = list(models)
-        H = models[3].n_strata
+        H = len(models[3].successes)
         models[3] = replace(models[3], successes=np.full(H, 9e307), sizes=np.full(H, 1e308))
         return original(models, config, spawn_keys=spawn_keys)
 

@@ -6,7 +6,8 @@ machine outputs with the files under ``tests/golden/``.  Strings and
 integers must match exactly, floats to a relative 1e-9.
 
 A change that is meant to move the outputs re-baselines them with
-``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which rewrites, and names,
+only the goldens that the new outputs fail, and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -147,16 +149,48 @@ def test_comparison_catches_a_moved_float(demo_out, tmp_path):
         assert_matches_golden(path, GOLDEN / "demo" / "report.json")
 
 
+def test_regeneration_rewrites_only_a_moved_golden(demo_out, tmp_path, monkeypatch):
+    golden = tmp_path / "demo"
+    shutil.copytree(GOLDEN / "demo", golden)
+    moved = json.loads((golden / "report.json").read_text())
+    moved["cells"][0]["point"] *= 1 + 1e-7
+    (golden / "report.json").write_text(json.dumps(moved))
+    before = {name: (golden / name).read_bytes() for name in DEMO_FILES}
+
+    def run_again(*args):
+        raise AssertionError("regeneration re-ran a command")
+
+    monkeypatch.setattr(sys.modules[__name__], "main", run_again)
+    assert rewrite_moved(demo_out, golden, DEMO_FILES) == ["report.json"]
+    before["report.json"] = (demo_out / "report.json").read_bytes()
+    assert {name: (golden / name).read_bytes() for name in DEMO_FILES} == before
+
+
+def rewrite_moved(out: Path, golden: Path, files) -> list[str]:
+    """Copy each of ``files`` from ``out`` over its golden under ``golden``
+    where the golden is missing or ``assert_matches_golden`` fails; return
+    the names copied."""
+    golden.mkdir(parents=True, exist_ok=True)
+    moved = []
+    for name in files:
+        try:
+            assert_matches_golden(out / name, golden / name)
+        except (AssertionError, FileNotFoundError):
+            shutil.copyfile(out / name, golden / name)
+            moved.append(name)
+    return moved
+
+
 def regenerate(scratch: Path) -> None:
-    """Rewrite the goldens from the current code."""
+    """Rewrite the goldens that the current code's outputs fail, printing
+    each one's path."""
     for name, run, files in (
         ("demo", run_demo, DEMO_FILES),
         ("simulate_smoke", run_simulate, SIMULATE_FILES),
     ):
         run(scratch / name)
-        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
-        for f in files:
-            shutil.copyfile(scratch / name / f, GOLDEN / name / f)
+        for f in rewrite_moved(scratch / name, GOLDEN / name, files):
+            print(GOLDEN / name / f)
 
 
 if __name__ == "__main__":

@@ -344,6 +344,17 @@ ANALYZE_CASES = [
          "constant within the cell; publish a design-based direct estimate "
          "for this cell instead",),
     ),
+    (
+        # the same cell with a named link: a calibration variable is honoured
+        # even where no variable is admissible
+        CellQuery(
+            "named_no_link", "income", CellFilter.build(ranges={"hours": (None, 0.0)}),
+            link_variable="hours",
+        ),
+        TierLabel.TIER_3NCV, True, "hours", 0.0,
+        ("weak ratio link |rho|=0.000 < 0.1; design-based direct estimation is "
+         "the recommended primary interval",),
+    ),
 ]
 
 

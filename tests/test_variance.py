@@ -1,5 +1,10 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from postcal.calibration import calibrate, cell_weighted_moment, compute_gram, ht_totals, replicate_direction
 from postcal.errors import LinkSelectionError
@@ -17,6 +22,7 @@ from postcal.variance import (
     cbi,
     cell_diagnostics,
     coefficient_of_variation,
+    ratio_links,
     select_linking_variable,
     variance_components,
 )
@@ -305,6 +311,56 @@ class TestLinkSelection:
         assert again.correlation == pytest.approx(base.correlation, rel=1e-9)
 
 
+def reference_link(names, row, cell):
+    """One cell's link, position, rho and refusal, by a plain loop."""
+    if cell.link_variable is not None:
+        if cell.link_variable not in names:
+            return -1, math.nan, (
+                f"cell {cell.name!r}: linking variable "
+                f"{cell.link_variable!r} is not a calibration variable"
+            )
+        v = names.index(cell.link_variable)
+        return v, 0.0 if math.isnan(row[v]) else row[v], None
+    best = None
+    for v, rho in enumerate(row):
+        if not math.isnan(rho) and (best is None or abs(rho) > abs(row[best])):
+            best = v
+    if best is None:
+        return -1, math.nan, (
+            "no admissible linking variable: every calibration variable is constant "
+            "within the cell; publish a design-based direct estimate for this cell instead"
+        )
+    return best, row[best], None
+
+
+# exact |rho| ties, signed zeros and NaN (a constant variable) come often
+correlation_values = st.sampled_from([math.nan, 0.0, -0.0, 0.5, -0.5, 0.25]) | st.floats(-1, 1)
+
+
+@given(data=st.data())
+def test_ratio_links_match_a_per_cell_reference(data):
+    V = data.draw(st.integers(1, 4), label="V")
+    G = data.draw(st.integers(0, 5), label="G")
+    names = tuple(f"v{k}" for k in range(V))
+    correlations = np.array(
+        data.draw(
+            st.lists(st.lists(correlation_values, min_size=V, max_size=V), min_size=G, max_size=G),
+            label="correlations",
+        ),
+        dtype=float,
+    ).reshape(G, V)
+    named = st.none() | st.sampled_from(names) | st.just("income")
+    cells = [
+        CellQuery(f"c{c}", "income", link_variable=data.draw(named, label="link"))
+        for c in range(G)
+    ]
+    positions, rho, refusals = ratio_links(names, correlations, cells)
+    expected = [reference_link(names, row, cell) for row, cell in zip(correlations.tolist(), cells)]
+    assert positions.tolist() == [e[0] for e in expected]
+    np.testing.assert_array_equal(rho, [e[1] for e in expected])
+    assert refusals == [e[2] for e in expected]
+
+
 def orthogonality_fixture():
     """p = 2 fixture; the cell is the first constraint with direction e1."""
     spec = CalibrationSpec(("y",), ("d1", "d2"))
@@ -383,6 +439,41 @@ class TestDiagnostics:
         )
         assert diag.cos_theta is None
         assert not diag.orthogonality_flag
+
+    @pytest.mark.parametrize(
+        "direction,ht,cbi_width,point,expected",
+        [
+            (
+                [0.0, 0.0], [0.0, 0.0], 2.0, 1.0,
+                (0.0, None, 0.0, 0.25510204081632654, 0.5102040816326531, False),
+            ),
+            (
+                [1.0, -2.0], [2.0, 3.0], 2.0, 1.0,
+                (2.23606797749979, None, 2.0, 0.25510204081632654, 0.5102040816326531, False),
+            ),
+            (
+                [1.0, -2.0], [0.0, 0.0], 2.0, 0.0,
+                (2.23606797749979, -0.49613893835683387, 2.0, math.nan, math.nan, False),
+            ),
+            (
+                [1.0, -2.0], [0.0, 0.0], None, 4.0,
+                (2.23606797749979, -0.49613893835683387, 2.0, 0.06377551020408163, None, False),
+            ),
+        ],
+        ids=["zero_direction", "zero_residual", "zero_point", "no_cbi"],
+    )
+    def test_degenerate_inputs(self, direction, ht, cbi_width, point, expected):
+        # exact values and types, NaN and None kept apart; the residual is
+        # the posterior mean (2, 3) less ``ht``
+        draws = PosteriorDraws(
+            draws=np.array([[1.0, 2.0], [3.0, 4.0]]), chain_tags=np.array([0, 0])
+        )
+        diag = cell_diagnostics(
+            np.array(direction), draws.posterior_mean, np.array(ht), draws, 1.0, cbi_width, point
+        )
+        for got, want in zip(astuple(diag), expected):
+            assert type(got) is type(want)
+            assert got == want or (math.isnan(want) and math.isnan(got))
 
     def test_cv_definition(self):
         assert coefficient_of_variation(3.92, 100.0) == pytest.approx(0.01, rel=1e-14)

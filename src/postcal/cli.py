@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (
-    ConfigError, ConvergenceError, DataError, NumericalError, PostcalError, RankDeficiencyError
+    ConfigError, ConvergenceError, DataError, NumericalError, PostcalError, RankDeficiencyError, at_least
 )
 from .fitting import CONTINUOUS_SCALE_NOTE, fit_all_variables
 from .hb import gelman_rubin
@@ -120,13 +120,9 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         )
     write_json(out / "fit.json", payload)
 
-    if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
-        print(
-            f"convergence failure: rhat_max {convergence.rhat_max:.4f} exceeds "
-            f"{cfg.rhat_threshold}",
-            file=sys.stderr,
-        )
-        return EXIT_CONVERGENCE
+    threshold = cfg.mcmc.rhat_threshold
+    if convergence.exceeds(threshold):
+        raise ConvergenceError(f"rhat_max {convergence.rhat_max:.4f} exceeds {threshold}")
     return EXIT_OK
 
 
@@ -154,6 +150,7 @@ def _artifacts(args, cfg: RunConfig, min_draws: int = 1):
         raise ConfigError(
             "no --draws file given and no 'models' section to fit in-run"
         )
+    _say(args, f"{draws.n_draws} draws from {args.draws or 'the in-run fit'}")
     art = build_artifacts(ingested.sample, draws, level=cfg.level)
     return out, ingested, draws, art
 
@@ -235,15 +232,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 def _at_least(low: int):
     """An argument type: an integer of at least ``low``."""
+    kind = at_least(low)
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            return kind(text)
         except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected an integer of {kind.__name__}, got {text!r}") from None
 
     return parse
 

@@ -2,13 +2,17 @@
 
 This module owns every key path: each section, ``simulate:`` included, is
 parsed here into typed values, and every exit-2 message about a missing,
-mistyped or malformed key names its path (list entries as ``cells[0]``).
-The parse checks what is about YAML: the kinds integer, string and real,
-names, and the mapping and list shapes.  Each rule about a value's range
-lives in the type that holds the value (``HBPrior``, ``McmcConfig``,
-``StratumSpec`` and the ``simulate`` types here), whose constructor names
-the field; ``_build`` makes every spec and puts the key path in front, so
-a hand-built value gets the same words without the path.
+mistyped, malformed or unknown key names its path (list entries as
+``cells[0]``).  Each mapping with a fixed set of keys is declared once
+below, with each key's kind and the keys it requires, and ``_read`` reads
+every such mapping; only the ``models:`` variables, ``where:`` clauses and
+``levels:`` labels are free-form.  The parse checks what is about YAML:
+the kinds integer, string and real, names, and the mapping and list
+shapes.  Each rule about a value's range lives in the type that holds the
+value (``HBPrior``, ``McmcConfig``, ``StratumSpec``, ``RunConfig`` and the
+``simulate`` types here), whose constructor names the field; ``_build``
+makes every spec and puts the key path in front, so a hand-built value
+gets the same words without the path.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import yaml
 
 from .errors import (
     ConfigError, DataError, at_least, check_fields, checked, integer,
-    nonnegative, one_of, real, restricted, within,
+    nominal_level, nonnegative, one_of, real, restricted, sampling_fraction, within,
 )
 from .frame import CellFilter, CellQuery, StratumSpec, TierLabel
 from .hb import HBPrior, McmcConfig
@@ -177,7 +181,7 @@ class SimulateConfig:
             self,
             ConfigError,
             replications=at_least(1),
-            sampling_fraction=restricted(real, "a real in (0, 1]", lambda f: 0 < f <= 1),
+            sampling_fraction=sampling_fraction,
             target_mode=one_of("hb", "truth"),
         )
 
@@ -195,19 +199,12 @@ class RunConfig:
     band_rules: tuple[BandRule, ...] = ()
     models: dict[str, ModelConfig] = field(default_factory=dict)
     mcmc: McmcConfig = McmcConfig()
-    rhat_threshold: float = 1.2
     cells: tuple[CellQuery, ...] = ()
     level: float = 0.95
     simulate: SimulateConfig | None = None
 
     def __post_init__(self):
-        # R-hat is floored at 1: a lower threshold fails every fit, NaN none
-        if not 1.0 <= self.rhat_threshold < np.inf:
-            raise ConfigError(
-                f"mcmc.rhat_threshold: expected a finite value >= 1.0, got {self.rhat_threshold}"
-            )
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("report.level must be in (0, 1)")
+        check_fields(self, ConfigError, level=nominal_level)
 
     @property
     def config_hash(self) -> str:
@@ -221,26 +218,6 @@ def config_hash(raw: dict, seed: int) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _mapping(value, where: str) -> dict:
-    """``value`` as a section: null is empty, a non-mapping a ConfigError."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
-    return value
-
-
-def _section(parent: dict, key: str, where: str) -> dict:
-    """The sub-mapping ``parent[key]``, empty when absent or null."""
-    return _mapping(parent.get(key), where)
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in _mapping(section, where):
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return section[key]
-
-
 def _build(spec, where: str, *args, **fields):
     """``spec(*args, **fields)``, a refusal of which names the field after
     the key path ``where`` (none: the field is a top-level key)."""
@@ -250,6 +227,11 @@ def _build(spec, where: str, *args, **fields):
         raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
+class _Part(ConfigError):
+    """A kind's refusal of a part of its value, in words that go on from the
+    value's key path: ``[1]: expected a name, got ['west']``."""
+
+
 def string(value) -> str:
     """``value`` if it is a ``str``, else a TypeError."""
     if not isinstance(value, str):
@@ -257,108 +239,172 @@ def string(value) -> str:
     return value
 
 
-def _typed(section: dict, key: str, kind, where: str = ""):
-    """``kind`` of ``section[key]``; a missing or mistyped value is a
-    ConfigError naming ``where.key``."""
-    _require(section, key, where)
-    return checked(section[key], kind, f"{where}.{key}" if where else key, ConfigError)
-
-
-def _given(section: dict, where: str, **kinds) -> dict:
-    """``{key: kind(section[key])}`` for each key of ``kinds`` that
-    ``section`` holds, as keyword arguments: an absent key leaves its default
-    to the dataclass, the one place it is declared.  A kind of None passes
-    the value as it is, to the type that checks it."""
-    return {
-        key: section[key] if kind is None else _typed(section, key, kind, where=where)
-        for key, kind in kinds.items()
-        if key in section
-    }
-
-
-def _pair(value, where: str, open_ended=False) -> tuple:
-    """``value`` as two reals; ``open_ended`` makes it an interval, either
-    end null or the low end at most the high end."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where}: expected [low, high], got {value!r}")
-    pair = tuple(None if v is None and open_ended else checked(v, real, where, ConfigError) for v in value)
-    return _ordered(*pair, where) if open_ended else pair
-
-
-def _ordered(lo: float | None, hi: float | None, where: str) -> tuple[float | None, float | None]:
-    """``(lo, hi)``, None an open end; a ``lo`` above ``hi`` is refused."""
-    if lo is not None and hi is not None and lo > hi:
-        raise ConfigError(f"{where}: min {lo} exceeds max {hi}")
-    return lo, hi
-
-
-def _entries(section: dict, key: str, where: str) -> list[tuple[str, object]]:
-    """The list ``section[key]`` as (key path, entry) pairs; absent or null
-    is empty, anything else but a list a ConfigError naming the path."""
-    path = f"{where}.{key}" if where else key
-    value = section.get(key) or []
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    return [(f"{path}[{i}]", entry) for i, entry in enumerate(value)]
-
-
-def _name(value, where: str) -> str:
-    """A scalar as a name; a list, mapping or null is a ConfigError naming
-    ``where``."""
+def name(value) -> str:
+    """A scalar as a name; a list, mapping or null is refused."""
     if value is None or isinstance(value, (list, dict)):
-        raise ConfigError(f"{where}: expected a name, got {value!r}")
+        raise TypeError(value)
     return str(value)
 
 
-def _names(section: dict, key: str, where: str) -> tuple[str, ...]:
-    return tuple(_name(v, path) for path, v in _entries(section, key, where))
+def names(value) -> tuple[str, ...]:
+    """A list of names; null is none."""
+    return tuple(checked(v, name, f"[{i}]", _Part) for i, v in enumerate(entries(value)))
 
 
-def _optional_name(entry: dict, key: str, where: str) -> str | None:
-    """``entry[key]`` as a name; absent or null is None."""
-    value = entry.get(key)
-    return None if value is None else _name(value, f"{where}.{key}")
+def name_or_names(value) -> tuple[str, ...]:
+    """A name or a list of them; null is none."""
+    return names(value) if isinstance(value, list) else () if value is None else (name(value),)
 
 
-def _name_or_names(section: dict, key: str, where: str) -> tuple[str, ...]:
-    """``section[key]``, a name or a list of them, as names; absent or null
-    is none."""
-    value = section.get(key)
-    if isinstance(value, list):
-        return _names(section, key, where)
-    return () if value is None else (_name(value, f"{where}.{key}"),)
+# a refusal reads "expected <the kind's name>"
+name.__name__, names.__name__, name_or_names.__name__ = "a name", "a list", "a name"
+# a section, null for none; a list, null (or another falsy value) for none
+mapping = restricted(lambda v: {} if v is None else v, "a mapping", lambda v: isinstance(v, dict))
+entries = restricted(lambda v: v or [], "a list", lambda v: isinstance(v, list))
 
 
-def _interval(interval: dict, where: str) -> tuple[float | None, float | None]:
-    """The 'min' and 'max' of ``interval`` as reals, null or absent for an
-    open end; a min above the max is a ConfigError naming ``where``."""
-    lo, hi = (
-        None if interval.get(key) is None else checked(interval[key], real, f"{where}.{key}", ConfigError)
-        for key in ("min", "max")
-    )
-    return _ordered(lo, hi, where)
+def optional(kind):
+    """The kind ``kind`` that reads null as None."""
+    return restricted(lambda v: None if v is None else kind(v), kind.__name__, lambda v: True)
+
+
+def _pair(open_ended: bool):
+    """The kind of two reals; ``open_ended`` makes it an interval, null or
+    either end null for an open end, the low end at most the high end."""
+    end = optional(real) if open_ended else real
+
+    def pair(value) -> tuple:
+        if open_ended and value is None:
+            return None, None
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise TypeError(value)
+        lo, hi = (checked(v, end, "", _Part) for v in value)
+        return _ordered(lo, hi, "", _Part) if open_ended else (lo, hi)
+
+    pair.__name__ = "[low, high]"
+    return pair
+
+
+def _ordered(lo: float | None, hi: float | None, where: str, error=ConfigError) -> tuple:
+    """``(lo, hi)``, None an open end; a ``lo`` above ``hi`` is refused."""
+    if lo is not None and hi is not None and lo > hi:
+        raise error(f"{where}: min {lo} exceeds max {hi}")
+    return lo, hi
+
+
+# Each mapping with a fixed set of keys, as ``_read`` takes it: each key's
+# kind, in the order they are checked (None passes the value as it is, to
+# the type that checks it), and the keys it must hold.
+_TOP = (
+    {"seed": None, "sample": mapping, "models": mapping, "mcmc": None, "simulate": mapping, "cells": entries,
+     "report": None},
+    (),
+)
+_SAMPLE = (
+    {"columns": mapping, "records": string, "strata": string, "domain_order": names, "derived": entries},
+    ("columns", "records", "strata"),
+)
+_COLUMNS = (
+    {"calibration": names, "stratum": name, "domain": name, "weight": name, "attributes": name_or_names,
+     "outcomes": name_or_names, "id": optional(name)},
+    ("calibration", "stratum", "domain", "weight"),
+)
+_BAND_RULE = {"name": name, "source": name, "bands": entries, "else_label": str}, ("name", "source", "bands")
+_BAND = {"label": name, "min": optional(real), "max": optional(real)}, ("label",)
+_INTERVAL = {"min": optional(real), "max": optional(real)}, ()
+_MODEL = (
+    {"kind": None, "fixed_sigma2": optional(real), "prior_df": None, "prior_scale": None,
+     "covariates": name_or_names},
+    ("kind",),
+)
+_MCMC = {"rhat_threshold": real, "burnin": integer, "iterations": integer, "chains": integer, "proposal_sd": None}, ()
+_REPORT = {"level": real}, ()
+_CELL = {"name": name, "sum": name, "where": mapping, "tier": None, "link": optional(name)}, ("name", "sum")
+_SIMULATE = {"population": mapping, "mc": mapping, "derived": entries}, ()
+_MC = {"replications": integer, "sampling_fraction": real, "target_mode": string}, ()
+_POPULATION = (
+    {"domains": names, "strata": None, "variables": entries, "attributes": entries, "outcomes": entries},
+    ("domains", "strata", "variables"),
+)
+_STRATUM = (
+    {"id": name, "domain": name, "population_size": integer, "covariate": real, "deff": None},
+    ("id", "domain", "population_size"),
+)
+_GRID = (
+    {"per_domain": at_least(1), "population_size": integer, "covariate_range": optional(_pair(False)),
+     "deff": None},
+    ("per_domain", "population_size"),
+)
+# a variable's kind picks its keys; an entry without one is read for the keys of either
+_VARIABLE = {"name": name, "kind": one_of("binary", "continuous")}
+_BINARY = (
+    {**_VARIABLE, "intercept": real, "exclusive_with": optional(name), "slope": real, "stratum_sd": None},
+    ("name", "kind", "intercept"),
+)
+_CONTINUOUS = (
+    {**_VARIABLE, "mean": real, "unit_sd": None, "gated_by": optional(name), "slope": real,
+     "stratum_sd": None, "clip": _pair(True)},
+    ("name", "kind", "mean", "unit_sd"),
+)
+_VARIABLES = {"binary": _BINARY, "continuous": _CONTINUOUS, None: ({**_BINARY[0], **_CONTINUOUS[0]}, ("name", "kind"))}
+_ATTRIBUTE = {"name": name, "levels": mapping, "domain_tilt": None}, ("name", "levels")
+_OUTCOME = {"name": name, "link": name, "rho": None, "loc": real, "scale": real}, ("name", "link", "rho")
+
+
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _kind(value, kind, where: str):
+    """``kind(value)``; a refusal names ``where``, and after it the part of
+    the value at fault."""
+    try:
+        return checked(value, kind, where, ConfigError)
+    except _Part as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
+
+def _read(value, where: str, kinds: dict, required: tuple, what: str = "") -> dict:
+    """The mapping ``value`` (null is empty) as ``{key: kind(value[key])}``
+    for each key of ``kinds`` that it holds, as keyword arguments: an absent
+    key leaves its default to the dataclass, the one place it is declared.
+    A key it does not declare (which ``what`` may say more of), a key of
+    ``required`` it lacks and a value that a kind refuses are each a
+    ConfigError naming the key path."""
+    section = checked(value, mapping, where, ConfigError)
+    for key in section:
+        if key not in kinds:
+            raise ConfigError(f"{_path(where, key)}: unknown key{what}; expected one of {list(kinds)}")
+    read = {}
+    for key, kind in kinds.items():
+        if key in section:
+            read[key] = section[key] if kind is None else _kind(section[key], kind, _path(where, key))
+        elif key in required:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return read
+
+
+def _listed(items: list, where: str) -> list[tuple[str, object]]:
+    """The list ``items`` at ``where`` as (key path, entry) pairs."""
+    return [(f"{where}[{i}]", entry) for i, entry in enumerate(items)]
 
 
 def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[BandRule, ...]:
     """The band rules listed under ``section['derived']``; a source outside
     ``numeric`` (None: not known here) is a ConfigError naming its path."""
     rules = []
-    for path, entry in _entries(section, "derived", where):
-        name = _name(_require(entry, "name", path), f"{path}.name")
-        source = _name(_require(entry, "source", path), f"{path}.source")
-        if numeric is not None and source not in numeric:
+    for path, entry in _listed(section.get("derived", ()), f"{where}.derived"):
+        rule = _read(entry, path, *_BAND_RULE)
+        if numeric is not None and rule["source"] not in numeric:
             raise ConfigError(
-                f"{path}.source: {source!r} is not a numeric column "
+                f"{path}.source: {rule['source']!r} is not a numeric column "
                 f"(a calibration variable or an outcome)"
             )
-        _require(entry, "bands", path)
-        bands = tuple(
-            (_name(_require(band, "label", at), f"{at}.label"), *_interval(band, at))
-            for at, band in _entries(entry, "bands", path)
-        )
-        rules.append(
-            BandRule(name=name, source=source, bands=bands, **_given(entry, path, else_label=str))
-        )
+        bands = []
+        for at, band in _listed(rule["bands"], f"{path}.bands"):
+            band = _read(band, at, *_BAND)
+            bands.append((band["label"], *_ordered(band.get("min"), band.get("max"), at)))
+        rules.append(BandRule(**rule | {"bands": tuple(bands)}))
     return tuple(rules)
 
 
@@ -369,7 +415,7 @@ def _check_json(value, where: str) -> None:
     sorted keys."""
     if isinstance(value, dict):
         for key, item in value.items():
-            path = f"{where}.{key}" if where else str(key)
+            path = _path(where, key)
             checked(key, string, path, ConfigError)
             _check_json(item, path)
     elif isinstance(value, list):
@@ -385,38 +431,45 @@ def _cell(
     where: str,
     numeric: frozenset | None = None,
     domains: tuple[str, ...] | None = None,
+    attributes: tuple[str, ...] | None = None,
 ) -> CellQuery:
-    """One cell; a summed variable outside ``numeric`` or a domain outside
-    ``domains`` (None: not known here) is a ConfigError naming its path."""
-    name = _name(_require(entry, "name", where), f"{where}.name")
-    summed = _name(_require(entry, "sum", where), f"{where}.sum")
+    """One cell; a summed variable outside ``numeric``, a domain outside
+    ``domains`` or an attribute outside ``attributes`` (None: not known
+    here) is a ConfigError naming its path, as is a 2-CA or 2-NCA tier on a
+    cell that sums no calibration variable: its CBI shares the cell out over
+    the domain totals of the summed variable."""
+    cell = _read(entry, where, *_CELL)
+    summed = cell["sum"]
     if numeric is not None and summed not in numeric:
         raise ConfigError(
             f"{where}.sum: variable {summed!r} is neither a calibration variable nor an outcome"
         )
     cell_domains = None
-    attributes = {}
+    levels = {}
     ranges = {}
-    filters = _section(entry, "where", f"{where}.where")
-    for key, value in filters.items():
-        path = f"{where}.where.{checked(key, string, f'{where}.where (cell {name!r})', ConfigError)}"
+    for key, value in cell.get("where", {}).items():
+        checked(key, string, f"{where}.where (cell {cell['name']!r})", ConfigError)
+        path = f"{where}.where.{key}"
         if key in calibration and key != "domain":
-            if not isinstance(value, dict) or not set(value) <= {"min", "max"}:
+            if not isinstance(value, dict):
                 raise ConfigError(
                     f"{path}: filter on calibration variable {key!r} must be "
                     f"an interval with 'min'/'max'"
                 )
-            ranges[key] = _interval(value, path)
+            bounds = _read(value, path, *_INTERVAL, what=" of an interval")
+            ranges[key] = _ordered(bounds.get("min"), bounds.get("max"), path)
         elif value is None or value == []:  # either would match no record
             raise ConfigError(f"{path}: expected a name or a list of names, got {value!r}")
         elif key == "domain":
-            cell_domains = _name_or_names(filters, key, f"{where}.where")
+            cell_domains = _kind(value, name_or_names, path)
             unknown = [] if domains is None else sorted(set(cell_domains) - set(domains))
             if unknown:
                 raise ConfigError(f"{path}: unknown domains {unknown}; declared {list(domains)}")
+        elif attributes is not None and key not in attributes:
+            raise ConfigError(f"{path}: unknown attribute {key!r}; declared {list(attributes)}")
         else:
-            attributes[key] = _name_or_names(filters, key, f"{where}.where")
-    tier = entry.get("tier")
+            levels[key] = _kind(value, name_or_names, path)
+    tier = cell.get("tier")
     try:
         tier_override = TierLabel(tier) if tier is not None else None
     except ValueError:
@@ -424,13 +477,14 @@ def _cell(
             f"{where}.tier: unknown tier {tier!r}; expected one of "
             f"{[t.value for t in TierLabel]}"
         ) from None
-    link = entry.get("link")
+    if tier_override in (TierLabel.TIER_2CA, TierLabel.TIER_2NCA) and numeric and summed not in calibration:
+        raise ConfigError(f"{where}.tier: {tier!r} needs a summed calibration variable; {summed!r} is an outcome")
     return CellQuery(
-        name=name,
+        name=cell["name"],
         summed_variable=summed,
-        filter=CellFilter.build(domains=cell_domains, attributes=attributes, ranges=ranges),
+        filter=CellFilter.build(domains=cell_domains, attributes=levels, ranges=ranges),
         tier_override=tier_override,
-        link_variable=None if link is None else _name(link, f"{where}.link"),
+        link_variable=cell.get("link"),
     )
 
 
@@ -453,82 +507,68 @@ def parse_config(
     raw: dict, base_dir: Path | None = None, seed_override: int | None = None
 ) -> RunConfig:
     base = base_dir or Path(".")
-    if seed_override is not None:
-        seed = seed_override
-    else:
-        seed = _typed(raw, "seed", integer) if "seed" in raw else 0
+    top = _read(raw, "", *_TOP)
+    seed = checked(top.get("seed", 0), integer, "seed", ConfigError) if seed_override is None else seed_override
     # McmcConfig holds the seed, a top-level key: one built from it alone names it so
     _build(McmcConfig, "", seed=seed)
     found: dict = {}  # the optional RunConfig fields the document sets
 
-    sample = _section(raw, "sample", "sample")
+    sample = top.get("sample")
     calibration: tuple[str, ...] = ()
     if sample:
-        where = "sample.columns"
-        columns = _mapping(_require(sample, "columns", "sample"), where)
-        _require(columns, "calibration", where)
-        calibration = _names(columns, "calibration", where)
-        found["roles"] = ColumnRoles(
-            stratum=_name(_require(columns, "stratum", where), f"{where}.stratum"),
-            domain=_name(_require(columns, "domain", where), f"{where}.domain"),
-            weight=_name(_require(columns, "weight", where), f"{where}.weight"),
-            calibration=calibration,
-            attributes=_name_or_names(columns, "attributes", where),
-            outcomes=_name_or_names(columns, "outcomes", where),
-            record_id=None if columns.get("id") is None else _name(columns["id"], f"{where}.id"),
-        )
-        paths = {key: (base / _typed(sample, key, string, "sample")).resolve() for key in ("records", "strata")}
+        sample = _read(sample, "sample", *_SAMPLE)
+        columns = _read(sample["columns"], "sample.columns", *_COLUMNS)
+        calibration = columns["calibration"]
+        found["roles"] = ColumnRoles(record_id=columns.pop("id", None), **columns)
+        paths = {key: (base / sample[key]).resolve() for key in ("records", "strata")}
         for key, p in paths.items():
             if not p.exists():
                 raise ConfigError(f"sample.{key}: input file not found: {p}")
         found["records_path"], found["strata_path"] = paths.values()
-        found["domain_order"] = _names(sample, "domain_order", "sample") or None
+        found["domain_order"] = sample.get("domain_order") or None
 
     models = {}
-    for variable, spec in _section(raw, "models", "models").items():
+    for variable, spec in top.get("models", {}).items():
         where = f"models.{variable}"
-        kind = _require(spec, "kind", where)
-        fixed_sigma2 = spec.get("fixed_sigma2")  # null samples the variance, as when absent
-        if fixed_sigma2 is not None:
-            fixed_sigma2 = checked(fixed_sigma2, real, f"{where}.fixed_sigma2", ConfigError)
-        given = _given(spec, where, prior_df=None, prior_scale=None)
-        prior = _build(HBPrior, where, kind, fixed_sigma2=fixed_sigma2, **given)
-        models[variable] = ModelConfig(variable, prior, _name_or_names(spec, "covariates", where))
+        model = _read(spec, where, *_MODEL)
+        covariates = model.pop("covariates", ())
+        models[variable] = ModelConfig(variable, _build(HBPrior, where, **model), covariates)
 
-    mcmc = _section(raw, "mcmc", "mcmc")
-    found.update(_given(mcmc, "mcmc", rhat_threshold=real))
-    given = _given(mcmc, "mcmc", burnin=integer, iterations=integer, chains=integer, proposal_sd=None)
-    found["mcmc"] = _build(McmcConfig, "mcmc", seed=seed, **given)
+    found["mcmc"] = _build(McmcConfig, "mcmc", seed=seed, **_read(top.get("mcmc"), "mcmc", *_MCMC))
 
-    simulate = _section(raw, "simulate", "simulate")
-    population = _section(simulate, "population", "simulate.population")
-    mc = _section(simulate, "mc", "simulate.mc")
+    simulate = top.get("simulate")
     if simulate:
-        generated = population_spec_from_config(population, seed)
-        given = _given(mc, "simulate.mc", replications=integer, sampling_fraction=real, target_mode=string)
-        found["simulate"] = _build(SimulateConfig, "simulate.mc", generated, **given)
+        simulate = _read(simulate, "simulate", *_SIMULATE)
+        generated = population_spec_from_config(simulate.get("population"), seed)
+        mc = _read(simulate.get("mc"), "simulate.mc", *_MC)
+        found["simulate"] = _build(SimulateConfig, "simulate.mc", generated, **mc)
     # the numeric columns that cells sum and band rules read, and the domains
     # that cells filter on where they are declared: the sample's, or a
     # simulation-only config's generated variables, outcomes and domains
-    numeric = domains = None
+    numeric = domains = attributes = None
     if sample:
         numeric = frozenset((*calibration, *found["roles"].outcomes))
-        domains = found["domain_order"]
+        domains, attributes = found["domain_order"], found["roles"].attributes
     elif simulate:
         generated = found["simulate"].population
         calibration = tuple(v.name for v in generated.variables)
         numeric = frozenset((*calibration, *(o.name for o in generated.outcomes)))
-        domains = generated.domains
+        domains, attributes = generated.domains, tuple(a.name for a in generated.attributes)
+    # simulation-only configs carry band rules without a sample section
+    band_rules = _band_rules(sample or {}, "sample", numeric) + _band_rules(simulate or {}, "simulate", numeric)
+    if attributes is not None:  # a cell filters on the attributes and the bands
+        attributes += tuple(rule.name for rule in band_rules)
 
     cells = tuple(
-        _cell(entry, calibration, path, numeric, domains) for path, entry in _entries(raw, "cells", "")
+        _cell(entry, calibration, path, numeric, domains, attributes)
+        for path, entry in _listed(top.get("cells", ()), "cells")
     )
-    names = [c.name for c in cells]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+    cell_names = [c.name for c in cells]
+    if len(set(cell_names)) != len(cell_names):
+        dupes = sorted({n for n in cell_names if cell_names.count(n) > 1})
         raise ConfigError(f"duplicate cell names: {dupes}")
 
-    found.update(_given(_section(raw, "report", "report"), "report", level=real))
+    found.update(_read(top.get("report"), "report", *_REPORT))
     _check_json(raw, "")
     if models and (sample or simulate):
         _check_models(models, calibration)
@@ -536,15 +576,8 @@ def parse_config(
     unknown = [(v, c) for v, m in models.items() for c in m.covariates if c != SIMULATED_COVARIATE]
     if simulate and not sample and unknown:
         raise ConfigError(f"models.{unknown[0][0]}.covariates: unknown stratum covariate {unknown[0][1]!r}")
-    return RunConfig(
-        seed=seed,
-        raw=raw,
-        # simulation-only configs carry band rules without a sample section
-        band_rules=_band_rules(sample, "sample", numeric) + _band_rules(simulate, "simulate", numeric),
-        models=models,
-        cells=cells,
-        **found,
-    )
+    # RunConfig checks one value, the level under report:
+    return _build(RunConfig, "report", seed=seed, raw=raw, band_rules=band_rules, models=models, cells=cells, **found)
 
 
 def _check_models(models: dict, calibration: tuple[str, ...]) -> None:
@@ -563,65 +596,44 @@ def _check_models(models: dict, calibration: tuple[str, ...]) -> None:
 def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulationSpec:
     """Build a population spec from the ``simulate.population`` section."""
     where = "simulate.population"
-    _require(section, "domains", where)
-    domains = _names(section, "domains", where)
+    population = _read(section, where, *_POPULATION)
+    domains = population["domains"]
     if not domains:
         raise ConfigError(f"{where}.domains: expected a non-empty list, got {section['domains']!r}")
-    strata_cfg = _require(section, "strata", where)
+    grid = population["strata"]
     strata: list[StratumSpec] = []
-    if isinstance(strata_cfg, list):
-        if not strata_cfg:
+    if isinstance(grid, list):
+        if not grid:
             raise ConfigError(f"{where}.strata: expected at least one stratum, got []")
-        for path, entry in _entries(section, "strata", where):
-            stratum = {key: _name(_require(entry, key, path), f"{path}.{key}") for key in ("id", "domain")}
-            size = _typed(entry, "population_size", integer, where=path)
-            given = _given(entry, path, covariate=real, deff=None)
-            strata.append(_build(StratumSpec, path, population_size=size, **stratum, **given))
+        for path, entry in _listed(grid, f"{where}.strata"):
+            strata.append(_build(StratumSpec, path, **_read(entry, path, *_STRATUM)))
     else:
         path = f"{where}.strata"
-        per_domain = _typed(strata_cfg, "per_domain", at_least(1), where=path)  # no type holds it
-        size = _typed(strata_cfg, "population_size", integer, where=path)
-        span = strata_cfg.get("covariate_range")  # null spans [-1, 1], as when absent
-        lo, hi = (-1.0, 1.0) if span is None else _pair(span, f"{path}.covariate_range")
-        deff = _given(strata_cfg, path, deff=None)
+        grid = _read(grid, path, *_GRID)
+        per_domain = grid.pop("per_domain")  # no type holds it
+        lo, hi = grid.pop("covariate_range", None) or (-1.0, 1.0)  # null spans [-1, 1], as when absent
         covariates = np.linspace(lo, hi, per_domain * len(domains))
         width = len(str(covariates.size))
         for k, domain in enumerate(d for d in domains for _ in range(per_domain)):
             stratum = {"id": f"s{k + 1:0{width}d}", "domain": domain, "covariate": float(covariates[k])}
-            strata.append(_build(StratumSpec, path, population_size=size, **stratum, **deff))
+            strata.append(_build(StratumSpec, path, **stratum, **grid))
 
-    _require(section, "variables", where)
     variables: list[BinaryVariableModel | ContinuousVariableModel] = []
-    for path, entry in _entries(section, "variables", where):
-        name = _name(_require(entry, "name", path), f"{path}.name")
-        kind = _require(entry, "kind", path)
-        if kind not in ("binary", "continuous"):
-            raise ConfigError(f"{path}.kind: expected 'binary' or 'continuous', got {kind!r}")
-        if kind == "binary":
-            intercept = _typed(entry, "intercept", real, where=path)
-            given = {"exclusive_with": _optional_name(entry, "exclusive_with", path)}
-            given |= _given(entry, path, slope=real, stratum_sd=None)
-            variables.append(_build(BinaryVariableModel, path, name, intercept, **given))
-        else:
-            mean = _typed(entry, "mean", real, where=path)
-            given = {"unit_sd": _require(entry, "unit_sd", path)}
-            given["gated_by"] = _optional_name(entry, "gated_by", path)
-            given |= _given(entry, path, slope=real, stratum_sd=None)
-            clip = entry.get("clip")  # null leaves both ends open, as when absent
-            if clip is not None:
-                given["clip"] = _pair(clip, f"{path}.clip", open_ended=True)
-            variables.append(_build(ContinuousVariableModel, path, name, mean, **given))
+    for path, entry in _listed(population["variables"], f"{where}.variables"):
+        section = checked(entry, mapping, path, ConfigError)
+        kind = _kind(section["kind"], _VARIABLE["kind"], f"{path}.kind") if "kind" in section else None
+        given = _read(section, path, *_VARIABLES[kind])
+        del given["kind"]
+        variables.append(_build(BinaryVariableModel if kind == "binary" else ContinuousVariableModel, path, **given))
 
     attributes = []
-    for path, entry in _entries(section, "attributes", where):
-        name = _name(_require(entry, "name", path), f"{path}.name")
-        levels = _mapping(_require(entry, "levels", path), f"{path}.levels")
-        levels = tuple((str(label), share) for label, share in levels.items())
-        attributes.append(_build(AttributeModel, path, name, levels, **_given(entry, path, domain_tilt=None)))
-    outcomes = []
-    for path, entry in _entries(section, "outcomes", where):
-        name, link = (_name(_require(entry, key, path), f"{path}.{key}") for key in ("name", "link"))
-        given = _given(entry, path, loc=real, scale=real)
-        outcomes.append(_build(OutcomeModel, path, name, link, _require(entry, "rho", path), **given))
+    for path, entry in _listed(population.get("attributes", ()), f"{where}.attributes"):
+        attribute = _read(entry, path, *_ATTRIBUTE)
+        levels = tuple((str(label), share) for label, share in attribute.pop("levels").items())
+        attributes.append(_build(AttributeModel, path, levels=levels, **attribute))
+    outcomes = [
+        _build(OutcomeModel, path, **_read(entry, path, *_OUTCOME))
+        for path, entry in _listed(population.get("outcomes", ()), f"{where}.outcomes")
+    ]
     parts = (tuple(strata), tuple(variables), tuple(attributes), tuple(outcomes))
     return _build(SyntheticPopulationSpec, where, domains, *parts, seed)

@@ -85,6 +85,9 @@ def restricted(base, name: str, test):
 
 positive = restricted(real, "positive", lambda v: v > 0)
 nonnegative = restricted(real, "nonnegative", lambda v: v >= 0)
+# an interval's nominal level, and the share of each stratum a sample draws
+nominal_level = restricted(real, "a real in (0, 1)", lambda v: 0 < v < 1)
+sampling_fraction = restricted(real, "a real in (0, 1]", lambda v: 0 < v <= 1)
 
 
 def within(lo: float, hi: float):

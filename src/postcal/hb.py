@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .calibration import pivoted_cholesky_rank
-from .errors import DataError, NumericalError, at_least, check_fields, one_of, positive
+from .errors import DataError, NumericalError, at_least, check_fields, one_of, positive, real, restricted
 from .frame import SampleSet
 
 # Random-walk scales adapt toward this acceptance band during burn-in.
@@ -81,13 +81,15 @@ _ADAPT_WINDOW = 50
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain layout and seeding; B = chains * iterations draws are retained."""
+    """Chain layout, seeding and the R-hat threshold a fit must not exceed;
+    B = chains * iterations draws are retained."""
 
     burnin: int = 1000
     iterations: int = 5000
     chains: int = 3
     seed: int = 0
     proposal_sd: float = 0.5
+    rhat_threshold: float = 1.2
 
     def __post_init__(self):
         check_fields(
@@ -97,6 +99,8 @@ class McmcConfig:
             chains=at_least(1),
             seed=at_least(0),
             proposal_sd=positive,
+            # R-hat is floored at 1: a lower threshold fails every fit
+            rhat_threshold=restricted(real, "a finite value >= 1.0", lambda v: v >= 1.0),
         )
 
 
@@ -346,6 +350,11 @@ class ConvergenceReport:
     rhat: np.ndarray | None = None
     rhat_max: float | None = None
     reason: str = ""
+
+    def exceeds(self, threshold: float) -> bool:
+        """Whether R-hat is available and above ``threshold``: a fit that
+        fails the gate."""
+        return self.available and self.rhat_max > threshold
 
 
 def chain_rng(seed: int, *key: int) -> np.random.Generator:

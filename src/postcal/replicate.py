@@ -26,7 +26,7 @@ from .calibration import (
     cell_weighted_moments,
     replicate_direction,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, checked, nominal_level
 from .frame import (
     CalibrationSpec,
     CellData,
@@ -152,8 +152,7 @@ def quantile_bounds(totals: np.ndarray, level: float) -> tuple[np.ndarray, np.nd
     first column holding a non-finite total is named by its count."""
     if totals.shape[0] < 2:
         raise DataError("need at least 2 replicate values")
-    if not 0.0 < level < 1.0:
-        raise DataError(f"level must be in (0, 1), got {level}")
+    checked(level, nominal_level, "level")
     bad = np.count_nonzero(~np.isfinite(totals), axis=0)
     if bad.any():
         raise NumericalError(f"{bad[bad > 0][0]} non-finite replicate values")

@@ -31,7 +31,7 @@ from . import replicate as rep
 from . import variance as var
 from .frame import CalibrationSpec, CellAtoms, CellQuery, SampleSet, TierLabel, evaluate_cell
 from .hb import PosteriorDraws
-from .io import MACHINE_FLOAT, format_machine, write_json, write_table
+from .io import MACHINE_FLOAT, write_json, write_table
 
 HUMAN_FLOAT = "%.6g"
 
@@ -410,12 +410,8 @@ def write_rows(
 def write_convergence(path: str | Path, spec: CalibrationSpec, convergence, metadata: dict) -> None:
     """R-hat per draw column, no rows when the diagnostic is unavailable."""
     rows = zip(spec.block_labels(), convergence.rhat) if convergence.available else ()
-    write_table(
-        path,
-        ["parameter", "rhat"],
-        ([label, format_machine(float(value))] for label, value in rows),
-        metadata=metadata,
-    )
+    rows = (SimpleNamespace(parameter=label, rhat=float(value)) for label, value in rows)
+    write_rows(path, ("parameter", "rhat"), rows, metadata, float_format=MACHINE_FLOAT)
 
 
 def write_report_tables(out_dir: str | Path, report: RunReport) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SIMULATED_COVARIATE, BinaryVariableModel, RunConfig, SyntheticPopulationSpec
-from .errors import ConfigError, ConvergenceError, DataError
+from .errors import ConfigError, ConvergenceError, DataError, checked, sampling_fraction
 from .fitting import fit_all_variables
 from .frame import (
     CalibrationSpec,
@@ -166,8 +166,7 @@ def draw_stratified_sample(
     ascending population index; the sample keeps the frame's
     ``calibration_attributes`` and its attribute levels.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise DataError(f"sampling fraction must be in (0, 1], got {fraction}")
+    checked(fraction, sampling_fraction, "sampling_fraction")
     chosen = []
     weights = []
     for stratum, members in zip(frame.strata, frame.stratum_rows):
@@ -263,12 +262,12 @@ def run_replication(
 ) -> ReplicationResult:
     """Replication ``index``'s convergence gate and cell layer.
 
-    Draws whose R-hat exceeds ``cfg.rhat_threshold`` are flagged as not
+    Draws whose R-hat exceeds ``cfg.mcmc.rhat_threshold`` are flagged as not
     converged and carry no rows; truth targets (one draw per chain) have no
     R-hat and pass.
     """
     convergence = gelman_rubin(draws)
-    if convergence.available and convergence.rhat_max > cfg.rhat_threshold:
+    if convergence.exceeds(cfg.mcmc.rhat_threshold):
         return ReplicationResult(index=index, converged=False)
     report = build_run_report(build_artifacts(sample, draws, level=cfg.level), cfg.cells)
     return ReplicationResult(index=index, converged=True, rows=report.rows)
@@ -345,7 +344,7 @@ def accumulate_report(
     if not used:
         raise ConvergenceError(
             f"no converged replications to accumulate: R-hat exceeds mcmc.rhat_threshold "
-            f"{cfg.rhat_threshold} in each of the {len(ordered)} replications"
+            f"{cfg.mcmc.rhat_threshold} in each of the {len(ordered)} replications"
         )
     nominal = cfg.level
 

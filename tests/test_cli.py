@@ -131,6 +131,26 @@ def same_tree(a, b, names):
         assert filecmp.cmp(a / name, b / name, shallow=False), f"{name} differs"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "infer", "diagnose"])
+def test_verbose_writes_only_to_stderr_and_changes_no_output(tmp_path, capsys, command):
+    write_sample_files(tmp_path)
+    cfg = write_config(tmp_path, base_config())
+    draws = tmp_path / "draws.csv"
+    draws.write_text("chain,v1_d1,v1_d2,v2_d1,v2_d2\n" + "".join(f"{c},30,40,900,1100\n" for c in (0, 0, 1, 1)))
+    streams = {}
+    for flags in ([], ["--verbose"]):
+        capsys.readouterr()
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / f"out{len(flags)}"), "--draws", str(draws)]
+        assert main(argv + flags) == 0
+        streams[bool(flags)] = capsys.readouterr()
+    assert streams[False].out == streams[True].out == ""
+    assert f"4 draws from {draws}\n" in streams[True].err
+    assert "draws from" not in streams[False].err
+    names = sorted(p.name for p in (tmp_path / "out0").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "out1").iterdir())
+    same_tree(tmp_path / "out0", tmp_path / "out1", names)
+
+
 class TestFit:
     def test_outputs_and_determinism(self, tmp_path):
         write_sample_files(tmp_path)
@@ -848,15 +868,24 @@ MALFORMED_INPUTS = [
         ]
     ),
     pytest.param(set_config("sample.records", "absent.csv"), "sample.records: input file not found", id="records-absent"),
-    # the config hash writes the document as JSON with sorted keys
+    # a key that a fixed-key mapping does not declare is refused by its path
     *(
-        pytest.param(set_config(key, value), f"{key}: expected string, got 1", id=f"integer-key-{key}")
-        for key, value in [("mcmc.1", 5), ("1", "x"), ("models.1", {"kind": "binary"})]
+        pytest.param(set_config(key, value), f"{key}: unknown key; expected one of [{first!r},", id=id)
+        for id, key, value, first in [
+            ("integer-key-mcmc.1", "mcmc.1", 5, "rhat_threshold"),
+            ("integer-key-1", "1", "x", "seed"),
+            ("date-value", "notes", datetime.date(2020, 1, 1), "seed"),
+        ]
+    ),
+    # the config hash writes the document as JSON with sorted keys: a free-form
+    # mapping's key must be a string, and no leaf may be a YAML date
+    pytest.param(
+        set_config("models.1", {"kind": "binary"}), "models.1: expected string, got 1", id="integer-key-models.1"
     ),
     pytest.param(
-        set_config("notes", datetime.date(2020, 1, 1)),
-        "notes: expected a string, number, boolean or null, got datetime.date(2020, 1, 1)",
-        id="date-value",
+        set_config("cells.2.where.occ", datetime.date(2020, 1, 1)),
+        "cells[2].where.occ: expected a string, number, boolean or null, got datetime.date(2020, 1, 1)",
+        id="date-value-in-where",
     ),
     *(
         pytest.param(set_config(key, value), f"{key}: expected a mapping", id=f"{key}-not-a-mapping")

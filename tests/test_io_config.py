@@ -1049,6 +1049,51 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(cause)):
             parse_config(raw, base_dir=DEMO_CONFIG.parent)
 
+    @pytest.mark.parametrize(
+        "config,change,cause",
+        [
+            (DEMO_CONFIG, lambda raw: raw["cells"][0].update(wher=raw["cells"][0].pop("where")),
+             "cells[0].wher: unknown key; expected one of ['name', 'sum', 'where', 'tier', 'link']"),
+            (DEMO_CONFIG, lambda raw: raw["mcmc"].update(iteratons=2000), "mcmc.iteratons: unknown key"),
+            (DEMO_CONFIG, lambda raw: raw["cells"][0]["where"].update(hours={"mn": 1}),
+             "cells[0].where.hours.mn: unknown key of an interval; expected one of ['min', 'max']"),
+            (DEMO_CONFIG, lambda raw: raw["cells"][5].update(where={"occuptaion": "trades"}),
+             "cells[5].where.occuptaion: unknown attribute 'occuptaion'; declared ['occupation', 'hours_band']"),
+            (DEMO_CONFIG, lambda raw: raw["cells"][7].update(where={"income": 5}),
+             "cells[7].where.income: unknown attribute 'income'"),
+            (SMOKE_CONFIG, lambda raw: raw["cells"][1].update(where={"occupaton": "trades"}),
+             "cells[1].where.occupaton: unknown attribute 'occupaton'; declared ['occupation']"),
+            *(
+                (config, lambda raw, tier=tier: raw["cells"][-1].update(tier=tier),
+                 f"cells[{last}].tier: {tier!r} needs a summed calibration variable; 'income' is an outcome")
+                for config, last in [(DEMO_CONFIG, 8), (SMOKE_CONFIG, 2)]
+                for tier in ("2-CA", "2-NCA")
+            ),
+        ],
+        ids=[
+            "cell-key", "mcmc-key", "interval-key", "attribute", "outcome-as-attribute", "simulated-attribute",
+            "tier-2CA-outcome", "tier-2NCA-outcome", "simulated-tier-2CA-outcome", "simulated-tier-2NCA-outcome",
+        ],
+    )
+    def test_config_fault_is_refused_at_parse_by_its_path(self, config, change, cause):
+        import yaml
+
+        raw = yaml.safe_load(config.read_text())
+        change(raw)
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw, base_dir=config.parent)
+
+    @pytest.mark.parametrize(
+        "cell,tier",
+        [(7, "1-E"), (7, "3-NCV"), (5, "2-CA"), (5, "2-NCA"), (0, "3-NCV")],
+    )
+    def test_tier_override_on_a_fitting_sum_is_kept(self, cell, tier):
+        import yaml
+
+        raw = yaml.safe_load(DEMO_CONFIG.read_text())
+        raw["cells"][cell]["tier"] = tier
+        assert parse_config(raw, base_dir=DEMO_CONFIG.parent).cells[cell].tier_override.value == tier
+
     def test_bad_tier_rejected(self):
         raw = {"cells": [{"name": "x", "sum": "a", "tier": "9-Z"}]}
         with pytest.raises(ConfigError, match="9-Z"):

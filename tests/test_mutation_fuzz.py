@@ -9,7 +9,10 @@ swaps the type of a config leaf.  It then runs ``calibrate``, ``infer`` and
 demo config is also swapped on short chains and run through ``fit``, and
 each leaf of the smoke simulation config on short chains and one
 replication through ``simulate``; each numeric leaf of the two is also
-swapped for NaN, an infinity, -7 and 7.  Every run must end with a documented
+swapped for NaN, an infinity, -7 and 7, and each key of the two is renamed
+with a suffix: a key of a mapping with a fixed set of keys must be refused
+by its path, and a name in a ``models:``, ``where:`` or ``levels:`` mapping
+may end as any run does.  Every run must end with a documented
 exit code and no traceback, and a refusal (exit 2) must name where its
 cause is: a key path, the cell or band rule that holds it, or the file,
 with its line where a row is at fault.  A swapped number may also leave
@@ -37,6 +40,8 @@ CASES_PER_FILE = 30
 TOKENS = (b"nan", b"1e400", b'"', b"", b"\0", b"\xff")
 # a number, a string, null, a list and a mapping
 SWAPS = (7, "x", None, [1], {"a": 1})
+# what a key is renamed to: its name with this suffix
+RENAME_SUFFIX = "_x"
 # what a numeric leaf is swapped for: not finite, or out of a key's range
 VALUES = (math.nan, math.inf, -7.0, 7.0)
 DEMO = yaml.safe_load(DEMO_CONFIG.read_text())
@@ -199,6 +204,43 @@ def test_numeric_leaf_out_of_range_exits_cleanly(tmp_path, capsys, command, path
     if code == 2:
         named = NAMED_CAUSE.search(err) or command == "simulate" and REPLICATION_CAUSE.search(err)
         assert named, f"{done}: {command} names no cause: {err}"
+
+
+def keys(node, path=()):
+    """The key path of every mapping key in a YAML document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from keys(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from keys(value, (*path, i))
+
+
+def free_form(path: tuple) -> bool:
+    """Whether the key at ``path`` is one of a mapping whose keys are names:
+    a ``models:`` variable, a ``where:`` clause or a ``levels:`` label."""
+    return path[:-1] == ("models",) or path[-2:-1] in (("where",), ("levels",))
+
+
+@pytest.mark.parametrize(
+    "command,path",
+    [
+        pytest.param(command, path, id=f"{command}-" + ".".join(map(str, path)))
+        for command, raw in SHORT.items()
+        for path in keys(raw)
+    ],
+)
+def test_renamed_key_is_refused_by_its_path(tmp_path, capsys, command, path):
+    raw = copy.deepcopy(SHORT[command])
+    node = holder(raw, path)
+    renamed = f"{path[-1]}{RENAME_SUFFIX}"
+    node[renamed] = node.pop(path[-1])
+    done = f"{'.'.join(map(str, path))} renamed {renamed}"
+    code, err = run_short(tmp_path, capsys, command, raw, done)
+    if not free_form(path):
+        where = re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", ".".join(map(str, (*path[:-1], renamed))))
+        assert code == 2 and f"error: {where}: unknown key" in err, f"{done}: {command} exit {code}: {err}"
 
 
 def run_short(tmp_path, capsys, command: str, raw: dict, done: str) -> tuple[int, str]:

@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from .errors import (
-    ConfigError, DataError, at_least, check_fields, checked, integer,
+    ConfigError, DataError, at_least, check_fields, checked, distinct, integer,
     nominal_level, nonnegative, one_of, real, restricted, sampling_fraction, within,
 )
 from .frame import CellFilter, CellQuery, StratumSpec, TierLabel
@@ -148,9 +148,18 @@ class SyntheticPopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse the first name that refers to no declared domain, earlier
-        (binary) variable or variable, by its key path in the spec."""
+        """Refuse the first name that repeats one of its list, then the first
+        that refers to no declared domain, earlier (binary) variable or
+        variable, by its key path in the spec."""
         names = [v.name for v in self.variables]
+        for where, key, values in (
+            ("domains", "", self.domains),
+            ("strata", ".id", [s.id for s in self.strata]),
+            ("variables", ".name", names),
+            ("attributes", ".name", [a.name for a in self.attributes]),
+            ("outcomes", ".name", [o.name for o in self.outcomes]),
+        ):
+            distinct(values, where, key=key)
         strata = enumerate(self.strata)
         refs = [(f"strata[{i}].domain", s.domain, self.domains, "a declared domain") for i, s in strata]
         for i, v in enumerate(self.variables):
@@ -247,8 +256,10 @@ def name(value) -> str:
 
 
 def names(value) -> tuple[str, ...]:
-    """A list of names; null is none."""
-    return tuple(checked(v, name, f"[{i}]", _Part) for i, v in enumerate(entries(value)))
+    """A list of distinct names; null is none."""
+    listed = tuple(checked(v, name, f"[{i}]", _Part) for i, v in enumerate(entries(value)))
+    distinct(listed, "", _Part)
+    return listed
 
 
 def name_or_names(value) -> tuple[str, ...]:
@@ -309,7 +320,7 @@ _COLUMNS = (
      "outcomes": name_or_names, "id": optional(name)},
     ("calibration", "stratum", "domain", "weight"),
 )
-_BAND_RULE = {"name": name, "source": name, "bands": entries, "else_label": str}, ("name", "source", "bands")
+_BAND_RULE = {"name": name, "source": name, "bands": entries, "else_label": name}, ("name", "source", "bands")
 _BAND = {"label": name, "min": optional(real), "max": optional(real)}, ("label",)
 _INTERVAL = {"min": optional(real), "max": optional(real)}, ()
 _MODEL = (
@@ -389,12 +400,17 @@ def _listed(items: list, where: str) -> list[tuple[str, object]]:
     return [(f"{where}[{i}]", entry) for i, entry in enumerate(items)]
 
 
-def _band_rules(section: dict, where: str, numeric: frozenset | None) -> tuple[BandRule, ...]:
-    """The band rules listed under ``section['derived']``; a source outside
-    ``numeric`` (None: not known here) is a ConfigError naming its path."""
+def _band_rules(section: dict, where: str, numeric: frozenset | None, taken: dict) -> tuple[BandRule, ...]:
+    """The band rules listed under ``section['derived']``.  A name already
+    in ``taken``, which says what holds each name and gains each band's, or
+    a source outside ``numeric`` (None: not known here) is a ConfigError
+    naming its path."""
     rules = []
     for path, entry in _listed(section.get("derived", ()), f"{where}.derived"):
         rule = _read(entry, path, *_BAND_RULE)
+        if rule["name"] in taken:
+            raise ConfigError(f"{path}.name: {rule['name']!r} {taken[rule['name']]}")
+        taken[rule["name"]] = f"repeats {path}"
         if numeric is not None and rule["source"] not in numeric:
             raise ConfigError(
                 f"{path}.source: {rule['source']!r} is not a numeric column "
@@ -554,8 +570,13 @@ def parse_config(
         calibration = tuple(v.name for v in generated.variables)
         numeric = frozenset((*calibration, *(o.name for o in generated.outcomes)))
         domains, attributes = generated.domains, tuple(a.name for a in generated.attributes)
-    # simulation-only configs carry band rules without a sample section
-    band_rules = _band_rules(sample or {}, "sample", numeric) + _band_rules(simulate or {}, "simulate", numeric)
+    # simulation-only configs carry band rules without a sample section; a
+    # band takes a name that no column or other band holds
+    taken = dict.fromkeys(numeric or (), "is a numeric column")
+    taken |= dict.fromkeys(attributes or (), "is an attribute")
+    band_rules = _band_rules(sample or {}, "sample", numeric, taken) + _band_rules(
+        simulate or {}, "simulate", numeric, taken
+    )
     if attributes is not None:  # a cell filters on the attributes and the bands
         attributes += tuple(rule.name for rule in band_rules)
 
@@ -563,10 +584,7 @@ def parse_config(
         _cell(entry, calibration, path, numeric, domains, attributes)
         for path, entry in _listed(top.get("cells", ()), "cells")
     )
-    cell_names = [c.name for c in cells]
-    if len(set(cell_names)) != len(cell_names):
-        dupes = sorted({n for n in cell_names if cell_names.count(n) > 1})
-        raise ConfigError(f"duplicate cell names: {dupes}")
+    distinct([c.name for c in cells], "cells", key=".name")
 
     found.update(_read(top.get("report"), "report", *_REPORT))
     _check_json(raw, "")

@@ -114,6 +114,16 @@ def checked(value, kind, where: str, error: type[PostcalError] = DataError):
         raise error(f"{where}: expected {kind.__name__}, got {value!r}") from None
 
 
+def distinct(values, where: str, error: type[PostcalError] = ConfigError, key: str = "") -> None:
+    """An ``error`` for the first of ``values`` that repeats an earlier one,
+    naming its entry of the list ``where``: ``domains[1]: 'd1' repeats [0]``,
+    or with ``key`` ``.id``, ``strata[1].id: 's1' repeats [0]``."""
+    first: dict = {}
+    for i, value in enumerate(values):
+        if first.setdefault(value, i) != i:
+            raise error(f"{where}[{i}]{key}: {value!r} repeats [{first[value]}]")
+
+
 def check_fields(spec, error: type[PostcalError] = DataError, **kinds) -> None:
     """Set each field of the (frozen) dataclass ``spec`` that ``kinds``
     names to its kind of the value it holds; the first value refused is an

@@ -55,10 +55,6 @@ from .hb import PosteriorDraws
 MACHINE_FLOAT = "%.17g"
 
 
-def format_machine(value: float) -> str:
-    return MACHINE_FLOAT % value
-
-
 @dataclass(frozen=True)
 class ColumnRoles:
     """Declares which columns of the record file play which role."""
@@ -93,24 +89,27 @@ class BandRule:
 
 
 def derive_bands(
-    rules, numeric: Mapping[str, np.ndarray], calibration: tuple[str, ...]
+    rules, numeric: Mapping[str, np.ndarray], calibration: tuple[str, ...], attributes: Mapping
 ) -> tuple[dict[str, tuple[tuple, np.ndarray]], tuple[str, ...]]:
-    """Band attribute columns, as ``(levels, codes)``, from the ``numeric``
-    columns by name, and the names of the bands whose source is a
-    ``calibration`` variable.
+    """The ``attributes`` columns, as ``(levels, codes)`` by name, then the
+    band columns derived from the ``numeric`` columns by name; and the names
+    of the bands whose source is a ``calibration`` variable.  A band that
+    takes the name of a column or an earlier band is a ConfigError.
 
     Bands are derived before a unit store is built, so sample records and
     population truths see identical attribute values.
     """
-    bands = {}
+    columns = dict(attributes)
     for rule in rules:
+        if rule.name in columns or rule.name in numeric:
+            raise ConfigError(f"band rule {rule.name!r}: the name of a column or an earlier band")
         if rule.source not in numeric:
             raise ConfigError(
                 f"band rule {rule.name!r}: source {rule.source!r} is not a "
                 f"numeric column"
             )
-        bands[rule.name] = rule.codes(numeric[rule.source])
-    return bands, tuple(rule.name for rule in rules if rule.source in calibration)
+        columns[rule.name] = rule.codes(numeric[rule.source])
+    return columns, tuple(rule.name for rule in rules if rule.source in calibration)
 
 
 @dataclass
@@ -498,13 +497,13 @@ def read_sample(
         floats[name] = np.concatenate(parsed)
     calib = {c: floats[c] for c in roles.calibration}
     outcomes = {o: floats[o] for o in roles.outcomes}
-    bands, calibration_attributes = derive_bands(
-        band_rules, {**outcomes, **calib}, roles.calibration
-    )
     attributes = {}
     for name in roles.attributes:
         levels, coded = codes[name]
         attributes[name] = compact_codes(levels, np.concatenate(coded))
+    attributes, calibration_attributes = derive_bands(
+        band_rules, {**outcomes, **calib}, roles.calibration, attributes
+    )
     sample = SampleSet(
         strata=strata,
         calibration=spec,
@@ -514,7 +513,7 @@ def read_sample(
         calib=np.column_stack(list(calib.values())),
         outcomes=outcomes,
         calibration_attributes=calibration_attributes,
-        attribute_codes={**attributes, **bands},
+        attribute_codes=attributes,
     )
     record_ids = tuple(ids) if roles.record_id else tuple(str(i + 1) for i in range(sample.n))
     return IngestedSample(sample=sample, record_ids=record_ids, strata_covariates=covariates)
@@ -528,7 +527,7 @@ _QUOTED = re.compile('[,"\r\n]')
 def _formatted(first_format: str, first, columns) -> Iterator[str]:
     """Rows of ``first`` (tags or csv-ready ids) then the float ``columns``
     as text, in blocks of ``BLOCK_ROWS``: what csv.writer writes for
-    ``format_machine`` fields, but one ``%`` per block over its fields,
+    ``MACHINE_FLOAT`` fields, but one ``%`` per block over its fields,
     interleaved row by row, with the floats from ``tolist()``."""
     line = first_format + f",{MACHINE_FLOAT}" * len(columns) + "\r\n"
     width = 1 + len(columns)

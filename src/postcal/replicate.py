@@ -173,7 +173,7 @@ def empirical_quantile_ci(
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
-        raise DataError("need at least 2 replicate values")
+        raise DataError(f"expected a 1-d array of replicate values, got shape {values.shape}")
     lower, upper = quantile_bounds(values[:, None], level)
     return CredibleInterval(
         lower=float(lower[0]), upper=float(upper[0]), level=level, kind=kind

@@ -336,23 +336,30 @@ DIAGNOSE_COLUMNS = (
     "cos_theta",
     ("orthogonal", "orthogonality_flag"),
 )
-COVERAGE_CELL_COLUMNS = (
-    ("cell", "name"),
-    "tier",
-    "truth",
-    "replications",
-    "mean_point",
-    "mean_are",
-    "mean_n_cell",
-    "cri_coverage",
-    "cri_mc_se",
-    "cri_outside_2se",
-    "cbi_coverage",
-    "cbi_mc_se",
-    "cbi_outside_2se",
-    "mean_cv_cri",
-    "mean_cv_cbi",
-)
+
+
+@dataclass
+class CellCoverage:
+    """Accumulated repeated-sampling performance of one cell."""
+
+    name: str
+    tier: str
+    truth: float
+    replications: int
+    mean_point: float
+    mean_are: float | None
+    mean_n_cell: float
+    cri_coverage: float
+    cri_mc_se: float
+    cri_outside_2se: bool
+    cbi_coverage: float | None
+    cbi_mc_se: float | None
+    cbi_outside_2se: bool | None
+    mean_cv_cri: float | None
+    mean_cv_cbi: float | None
+
+
+COVERAGE_CELL_COLUMNS = (("cell", "name"), *(f.name for f in fields(CellCoverage)[1:]))
 COVERAGE_TIER_COLUMNS = (
     "tier",
     "cells",

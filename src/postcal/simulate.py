@@ -35,7 +35,7 @@ from .frame import (
 from .hb import PosteriorDraws, chain_rng, gelman_rubin
 from .io import BandRule, derive_bands
 from .replicate import cell_totals
-from .report import CellReportRow, build_artifacts, build_run_report
+from .report import CellCoverage, CellReportRow, build_artifacts, build_run_report
 
 
 class SurveyFrame(SampleSet):
@@ -139,8 +139,8 @@ def generate_population(
         model.name: _outcome_column(model, calib[:, names.index(model.link)], rng)
         for model in spec.outcomes
     }
-    bands, calibration_attributes = derive_bands(
-        band_rules, {**outcomes, **dict(zip(names, calib.T))}, names
+    attributes, calibration_attributes = derive_bands(
+        band_rules, {**outcomes, **dict(zip(names, calib.T))}, names, attributes
     )
     return SurveyFrame(
         spec=spec,
@@ -152,7 +152,7 @@ def generate_population(
         calib=calib,
         outcomes=outcomes,
         calibration_attributes=calibration_attributes,
-        attribute_codes={**attributes, **bands},
+        attribute_codes=attributes,
     )
 
 
@@ -271,27 +271,6 @@ def run_replication(
         return ReplicationResult(index=index, converged=False)
     report = build_run_report(build_artifacts(sample, draws, level=cfg.level), cfg.cells)
     return ReplicationResult(index=index, converged=True, rows=report.rows)
-
-
-@dataclass
-class CellCoverage:
-    """Accumulated repeated-sampling performance of one cell."""
-
-    name: str
-    tier: str
-    truth: float
-    replications: int
-    mean_point: float
-    mean_are: float | None
-    mean_n_cell: float
-    cri_coverage: float
-    cri_mc_se: float
-    cri_outside_2se: bool
-    cbi_coverage: float | None
-    cbi_mc_se: float | None
-    cbi_outside_2se: bool | None
-    mean_cv_cri: float | None
-    mean_cv_cbi: float | None
 
 
 @dataclass
@@ -415,7 +394,7 @@ def _run_served_chunk(indexes: Sequence[int]) -> list[ReplicationResult]:
 def run_simulation(
     frame: SurveyFrame,
     cfg: RunConfig,
-    truths: dict[str, float] | None = None,
+    truths: dict[str, float],
     threads: int = 1,
 ) -> tuple[CoverageReport, list[ReplicationResult]]:
     """Run all replications in the chunks of ``replication_chunks`` and
@@ -424,7 +403,6 @@ def run_simulation(
     With ``threads`` > 1 the chunks run in that many worker processes (no
     more than there are chunks), each sent the frame once.
     """
-    truths = truths if truths is not None else frame.truth_table(cfg.cells)
     chunks = replication_chunks(cfg.simulate.replications, threads)
     workers = min(threads, len(chunks))
     if workers > 1:

@@ -29,15 +29,15 @@ Each quantity is a column over a group of cells (``domain_sums``,
 ``domain_shares``, ``components``, ``cbi_bounds``, ``link_correlations``,
 ``ratio_links``, ``cells_diagnostics``), the record-level ones from the
 per-atom statistics of ``frame.CellAtoms``; ``variance_components``,
-``cbi``, ``select_linking_variable`` and ``cell_diagnostics`` wrap them for
-one cell.
+``select_linking_variable`` and ``cell_diagnostics`` wrap them for one
+cell.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -95,20 +95,6 @@ class VarianceComponents:
     shares: DomainShares | None = None
     posterior_variance: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class CbiInterval:
-    """Symmetric normal-multiplier interval around the point estimate."""
-
-    lower: float
-    upper: float
-    z: float
-    components: VarianceComponents
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -317,19 +303,6 @@ def cbi_bounds(points, component1, component2, level: float = 0.95):
     z sqrt(comp1 + comp2), with z = cbi_z(level), elementwise."""
     half = cbi_z(level) * np.sqrt(component1 + component2)
     return points - half, points + half
-
-
-def cbi(point: float, components: VarianceComponents, level: float = 0.95) -> CbiInterval:
-    """``cbi_bounds`` of one cell; a negative component (possible only in
-    hand-built ``components``) is clamped to 0 with a warning."""
-    c1, c2 = components.component1, components.component2
-    if c1 < 0 or c2 < 0:
-        warnings = (*components.warnings, "negative variance component clamped to 0")
-        components = replace(
-            components, component1=max(c1, 0.0), component2=max(c2, 0.0), warnings=warnings
-        )
-    lower, upper = cbi_bounds(point, components.component1, components.component2, level)
-    return CbiInterval(float(lower), float(upper), cbi_z(level), components)
 
 
 def link_correlations(pairs: CellPairs) -> np.ndarray:

@@ -865,6 +865,9 @@ MALFORMED_INPUTS = [
             ("sample.columns.outcomes", "sample.columns.outcomes[0]", [{"a": 1}]),
             ("sample.columns.attributes", "sample.columns.attributes", {"a": 1}),
             ("cells.0.where.domain", "cells[0].where.domain", {"a": 1}),
+            # null once made a band level named 'None', and a list its repr
+            ("sample.derived.0.else_label", "sample.derived[0].else_label", None),
+            ("sample.derived.0.else_label", "sample.derived[0].else_label", ["x"]),
         ]
     ),
     pytest.param(set_config("sample.records", "absent.csv"), "sample.records: input file not found", id="records-absent"),
@@ -1040,6 +1043,9 @@ OUT_OF_RANGE = [
 ]
 
 
+D12 = ("d1", "d2")
+
+
 def _population(**change):
     """A one-stratum population spec, with ``change``."""
     fields = {
@@ -1099,6 +1105,17 @@ SPEC_RULES = [
          lambda: SimulateConfig(small_spec(), sampling_fraction=1.5), ConfigError),
         ("target_mode", {"simulate.mc.target_mode": "x"}, "simulate.mc",
          lambda: SimulateConfig(small_spec(), target_mode="x"), ConfigError),
+        ("domain-repeat", {f"{POPULATION}.domains": ["d1", "d1"]}, POPULATION,
+         lambda: _population(domains=("d1", "d1")), ConfigError),
+        ("stratum-repeat", {f"{POPULATION}.strata": [{"id": "s1", "domain": d, "population_size": 10} for d in D12]},
+         POPULATION, lambda: _population(domains=D12, strata=tuple(StratumSpec("s1", 10, domain=d) for d in D12)),
+         ConfigError),
+        ("variable-repeat", {f"{POPULATION}.variables.1.name": "employed"}, POPULATION,
+         lambda: _population(variables=(BinaryVariableModel("employed", 0.0),) * 2), ConfigError),
+        ("attribute-repeat", {f"{POPULATION}.attributes": [{"name": "occ", "levels": {"a": 1.0}}] * 2}, POPULATION,
+         lambda: _population(attributes=(AttributeModel("occ", (("a", 1.0),)),) * 2), ConfigError),
+        ("outcome-repeat", {f"{POPULATION}.outcomes": [{"name": "income", "link": "employed", "rho": 0.5}] * 2},
+         POPULATION, lambda: _population(outcomes=(OutcomeModel("income", "employed", 0.5),) * 2), ConfigError),
     ]
 ]
 

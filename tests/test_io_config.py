@@ -30,10 +30,10 @@ from postcal.frame import CalibrationSpec, StratumSpec, TierLabel
 from postcal.hb import HBPrior, McmcConfig, PosteriorDraws
 import postcal.io as postcal_io
 from postcal.io import (
+    MACHINE_FLOAT,
     BandRule,
     ColumnRoles,
     _read_table,
-    format_machine,
     read_draws,
     read_sample,
     write_draws,
@@ -108,6 +108,18 @@ class TestIngestion:
             read_sample(records, strata, roles(), band_rules=rule)
         with pytest.raises(ConfigError, match=message):
             generate_population(load_config(SMOKE_CONFIG).simulate.population, rule)
+
+    @pytest.mark.parametrize(
+        "names", [("occupation",), ("hours",), ("income",), ("band", "band")], ids=["attribute", "calibration", "outcome", "band"]
+    )
+    def test_band_taking_a_column_or_band_name_is_refused_in_sample_and_population(self, tmp_path, names):
+        records, strata = write_inputs(tmp_path)
+        rules = tuple(BandRule(name, "hours", (("low", None, 29.0),)) for name in names)
+        message = f"band rule {names[-1]!r}: the name of a column or an earlier band"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_sample(records, strata, roles(), band_rules=rules)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            generate_population(load_config(SMOKE_CONFIG).simulate.population, rules)
 
     def test_missing_column_rejected(self, tmp_path):
         records, strata = write_inputs(tmp_path)
@@ -558,7 +570,7 @@ def broken_files(draw, header, row):
 
 
 def _number(low, high):
-    return st.floats(low, high).map(format_machine)
+    return st.floats(low, high).map(lambda x: MACHINE_FLOAT % x)
 
 
 # a record of write_records' columns after the id, and a draw's columns after its chain tag
@@ -663,7 +675,7 @@ class TestDrawsRoundTrip:
 DRAW_HEADER = ",".join(("chain",) + DRAW_SPEC.block_labels())
 # spellings of a float that ``float`` reads back to the same value
 SPELLINGS = (
-    format_machine,
+    lambda x: MACHINE_FLOAT % x,
     repr,
     "{:+.17g}".format,
     "{:.16e}".format,
@@ -823,7 +835,7 @@ def test_add_ids_names_the_repeat_as_a_naive_scan_does(data):
 
 
 def reference_table(path, header, rows, metadata):
-    """The writers' former form: csv.writer rows of ``format_machine`` fields."""
+    """The writers' former form: csv.writer rows of ``MACHINE_FLOAT`` fields."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
         writer = csv.writer(fh)
@@ -838,7 +850,7 @@ MACHINE_VALUES = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, 3.
 
 class TestRowFormattedWriters:
     """``write_draws`` and ``write_weights`` write byte for byte what
-    csv.writer writes for the same rows of ``format_machine`` fields."""
+    csv.writer writes for the same rows of ``MACHINE_FLOAT`` fields."""
 
     @staticmethod
     def rows(data, monkeypatch, width):
@@ -862,7 +874,7 @@ class TestRowFormattedWriters:
         got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
         write_weights(got, ids, *values.T, metadata=metadata)
         header = ["record_id", "design_weight", "g_factor", "calibrated_weight"]
-        rows = ([rid, *map(format_machine, row)] for rid, row in zip(ids, values))
+        rows = ([rid, *(MACHINE_FLOAT % v for v in row)] for rid, row in zip(ids, values))
         reference_table(want, header, rows, metadata)
         assert got.read_bytes() == want.read_bytes()
 
@@ -877,7 +889,7 @@ class TestRowFormattedWriters:
         draws = PosteriorDraws(draws=values, chain_tags=np.array(tags, dtype=int))
         got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
         write_draws(got, draws, spec, metadata={"seed": 1})
-        rows = ([str(int(t)), *map(format_machine, row)] for t, row in zip(draws.chain_tags, draws.draws))
+        rows = ([str(int(t)), *(MACHINE_FLOAT % v for v in row)] for t, row in zip(draws.chain_tags, draws.draws))
         reference_table(want, ("chain",) + spec.block_labels(), rows, {"seed": 1})
         assert got.read_bytes() == want.read_bytes()
 
@@ -955,7 +967,7 @@ class TestConfig:
                 {"name": "x", "sum": "b"},
             ]
         }
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match=re.escape("cells[1].name: 'x' repeats [0]")):
             parse_config(raw)
 
     @pytest.mark.parametrize("value", [3, 3.0, "3"])
@@ -1069,10 +1081,28 @@ class TestConfig:
                 for config, last in [(DEMO_CONFIG, 8), (SMOKE_CONFIG, 2)]
                 for tier in ("2-CA", "2-NCA")
             ),
+            # a band that took an attribute's name once replaced the attribute's
+            # column, so its cells were empty; a repeated band kept the last
+            *(
+                (DEMO_CONFIG, lambda raw, name=name: raw["sample"]["derived"][0].update(name=name),
+                 f"sample.derived[0].name: {name!r} is {what}")
+                for name, what in [("occupation", "an attribute"), ("hours", "a numeric column"),
+                                   ("income", "a numeric column")]
+            ),
+            (DEMO_CONFIG, lambda raw: raw["sample"]["derived"].append(raw["sample"]["derived"][0]),
+             "sample.derived[1].name: 'hours_band' repeats sample.derived[0]"),
+            (SMOKE_CONFIG, lambda raw: raw["simulate"].update(derived=[{"name": "occupation", "source": "hours",
+                                                                       "bands": []}]),
+             "simulate.derived[0].name: 'occupation' is an attribute"),
+            (SMOKE_CONFIG, lambda raw: raw["simulate"]["population"]["attributes"].append(
+                raw["simulate"]["population"]["attributes"][0]),
+             "simulate.population.attributes[1].name: 'occupation' repeats [0]"),
         ],
         ids=[
             "cell-key", "mcmc-key", "interval-key", "attribute", "outcome-as-attribute", "simulated-attribute",
             "tier-2CA-outcome", "tier-2NCA-outcome", "simulated-tier-2CA-outcome", "simulated-tier-2NCA-outcome",
+            "band-attribute", "band-calibration", "band-outcome", "band-repeat", "simulated-band-attribute",
+            "simulated-attribute-repeat",
         ],
     )
     def test_config_fault_is_refused_at_parse_by_its_path(self, config, change, cause):

@@ -12,13 +12,14 @@ replication through ``simulate``; each numeric leaf of the two is also
 swapped for NaN, an infinity, -7 and 7, and each key of the two is renamed
 with a suffix: a key of a mapping with a fixed set of keys must be refused
 by its path, and a name in a ``models:``, ``where:`` or ``levels:`` mapping
-may end as any run does.  Every run must end with a documented
-exit code and no traceback, and a refusal (exit 2) must name where its
-cause is: a key path, the cell or band rule that holds it, or the file,
-with its line where a row is at fault.  A swapped number may also leave
-``simulate`` a generated sample it refuses, which names its replication.
-The cases are drawn once from fixed seeds, so every run checks the same
-ones.
+may end as any run does.  A name repeated in a list of names, or of
+entries keyed by a name, must be refused by the repeat's path.  Every run
+must end with a documented exit code and no traceback, and a refusal
+(exit 2) must name where its cause is: a key path, the cell or band rule
+that holds it, or the file, with its line where a row is at fault.  A
+swapped number may also leave ``simulate`` a generated sample it refuses,
+which names its replication.  The cases are drawn once from fixed seeds,
+so every run checks the same ones.
 """
 
 import copy
@@ -241,6 +242,43 @@ def test_renamed_key_is_refused_by_its_path(tmp_path, capsys, command, path):
     if not free_form(path):
         where = re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", ".".join(map(str, (*path[:-1], renamed))))
         assert code == 2 and f"error: {where}: unknown key" in err, f"{done}: {command} exit {code}: {err}"
+
+
+# each list of the two configs whose entries are names, or hold one under a
+# key: its key path and that key (None for a list of names)
+POPULATION = ("simulate", "population")
+NAMED_LISTS = [
+    ("fit", ("sample", "derived"), "name"),
+    ("fit", ("sample", "domain_order"), None),
+    *(("fit", ("sample", "columns", roles), None) for roles in ("calibration", "attributes", "outcomes")),
+    ("fit", ("cells",), "name"),
+    ("simulate", (*POPULATION, "domains"), None),
+    ("simulate", (*POPULATION, "strata"), "id"),
+    *(("simulate", (*POPULATION, part), "name") for part in ("variables", "attributes", "outcomes")),
+    ("simulate", ("cells",), "name"),
+]
+# the smoke config's strata grid as a list, so that an id can repeat
+LISTED_STRATA = [{"id": f"s{d}", "domain": f"d{d}", "population_size": 800} for d in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "command,path,key",
+    [pytest.param(*case, id=f"{case[0]}-" + ".".join(case[1])) for case in NAMED_LISTS],
+)
+def test_repeated_name_is_refused_by_its_path(tmp_path, capsys, command, path, key):
+    raw = copy.deepcopy(SHORT[command])
+    if path[-1] == "strata":
+        holder(raw, path)["strata"] = LISTED_STRATA
+    items = holder(raw, path)[path[-1]]
+    if len(items) < 2:  # a copy of the one entry
+        items.append(copy.deepcopy(items[0]))
+    elif key is None:  # the second name is the first's
+        items[1] = items[0]
+    else:
+        items[1][key] = items[0][key]
+    where = ".".join(path) + "[1]" + ("" if key is None else f".{key}")
+    code, err = run_short(tmp_path, capsys, command, raw, f"{where} repeated")
+    assert code == 2 and f"error: {where}: " in err and " repeats " in err, f"{where}: {command} exit {code}: {err}"
 
 
 def run_short(tmp_path, capsys, command: str, raw: dict, done: str) -> tuple[int, str]:

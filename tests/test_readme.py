@@ -4,6 +4,7 @@ relative 1e-12."""
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -44,3 +45,16 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
             want = cli_rows[name][field]
             assert getattr(row, field) == pytest.approx(want, rel=1e-12, abs=0.0), (name, field)
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_package_root_binds_the_version_and_the_names_the_block_imports_from_it():
+    # every other name is imported from the module that defines it
+    tree = ast.parse((ROOT / "src" / "postcal" / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets}
+    readme = re.search(r"^from postcal import (.+)$", library_use_block(), re.M).group(1)
+    assert bound == {"__version__", *readme.split(", ")}

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,11 @@ class TestQuantiles:
     def test_needs_two_values(self):
         with pytest.raises(DataError, match="at least 2"):
             empirical_quantile_ci(np.array([1.0]), 0.95)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), ()])
+    def test_a_values_array_not_1d_is_named_by_its_shape(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"expected a 1-d array of replicate values, got shape {shape}")):
+            empirical_quantile_ci(np.zeros(shape), 0.95)
 
 
 def point_estimate(cell, sample, weights):

@@ -18,8 +18,8 @@ from postcal.frame import (
 from postcal.hb import PosteriorDraws
 from postcal.variance import (
     CBI_Z,
-    VarianceComponents,
-    cbi,
+    cbi_bounds,
+    cbi_z,
     cell_diagnostics,
     coefficient_of_variation,
     ratio_links,
@@ -172,40 +172,30 @@ class TestPosteriorDomainVariance:
 
 class TestCbi:
     def test_arithmetic_example(self):
-        components = VarianceComponents(component1=4.0, component2=0.0)
-        interval = cbi(100.0, components)
-        assert interval.lower == pytest.approx(96.08, abs=1e-12)
-        assert interval.upper == pytest.approx(103.92, abs=1e-12)
+        lower, upper = cbi_bounds(100.0, 4.0, 0.0)
+        assert lower == pytest.approx(96.08, abs=1e-12)
+        assert upper == pytest.approx(103.92, abs=1e-12)
 
     def test_degenerate(self):
-        components = VarianceComponents(component1=0.0, component2=0.0)
-        interval = cbi(5.0, components)
-        assert interval.lower == interval.upper == 5.0
-
-    def test_negative_component_clamped_with_warning(self):
-        components = VarianceComponents(component1=-1e-9, component2=1.0)
-        interval = cbi(0.0, components)
-        assert any("clamped" in w for w in interval.components.warnings)
-        assert interval.upper == pytest.approx(CBI_Z, rel=1e-12)
+        lower, upper = cbi_bounds(5.0, 0.0, 0.0)
+        assert lower == upper == 5.0
 
     def test_wider_than_domain_component_alone(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             c1, c2 = rng.uniform(0.0, 10.0, size=2)
-            components = VarianceComponents(component1=c1, component2=c2)
-            interval = cbi(0.0, components)
-            assert interval.width >= 2.0 * CBI_Z * np.sqrt(c2) - 1e-12
+            lower, upper = cbi_bounds(0.0, c1, c2)
+            assert upper - lower >= 2.0 * CBI_Z * np.sqrt(c2) - 1e-12
 
     @pytest.mark.parametrize("level,z", [(0.80, 1.28), (0.90, 1.64), (0.95, 1.96)])
     def test_half_width_is_the_level_multiplier(self, level, z):
-        components = VarianceComponents(component1=4.0, component2=5.0)
-        interval = cbi(10.0, components, level)
-        assert interval.z == z
-        assert interval.upper - 10.0 == pytest.approx(z * 3.0, rel=1e-14)
-        assert 10.0 - interval.lower == pytest.approx(z * 3.0, rel=1e-14)
+        lower, upper = cbi_bounds(10.0, 4.0, 5.0, level)
+        assert cbi_z(level) == z
+        assert upper - 10.0 == pytest.approx(z * 3.0, rel=1e-14)
+        assert 10.0 - lower == pytest.approx(z * 3.0, rel=1e-14)
         draws = PosteriorDraws(np.array([[1.0], [2.0]]), np.array([0, 0]))
         diag = cell_diagnostics(
-            np.ones(1), draws.posterior_mean, np.zeros(1), draws, 1.0, interval.width, 10.0, level
+            np.ones(1), draws.posterior_mean, np.zeros(1), draws, 1.0, upper - lower, 10.0, level
         )
         assert diag.cv_cbi == pytest.approx(3.0 / 10.0, rel=1e-14)
         assert diag.cv_cri == pytest.approx(1.0 / (2.0 * z) / 10.0, rel=1e-14)
@@ -224,9 +214,9 @@ class TestCbi:
         comp = variance_components(sample, cell, weights, "emp", ht, draws)
         assert comp.component1 == pytest.approx(850.0, rel=1e-12)
         assert comp.component2 == pytest.approx((50.0 / 60.0) ** 2 * 8.0, rel=1e-12)
-        interval = cbi(50.0, comp)
+        _, upper = cbi_bounds(50.0, comp.component1, comp.component2)
         half = CBI_Z * np.sqrt(comp.component1 + comp.component2)
-        assert interval.upper - 50.0 == pytest.approx(half, rel=1e-14)
+        assert upper - 50.0 == pytest.approx(half, rel=1e-14)
 
 
 def link_fixture(outcome_fn, n=40, seed=3):

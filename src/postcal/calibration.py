@@ -97,8 +97,7 @@ class GramMatrix:
         if not self.full_rank:
             raise RankDeficiencyError(
                 f"calibration cross-product has rank {self.rank} < {self.p}; "
-                f"deficient blocks: {list(self.deficient_blocks)}",
-                self.deficient_blocks,
+                f"deficient blocks: {list(self.deficient_blocks)}"
             )
         return np.linalg.solve(self.g, rhs)
 
@@ -114,7 +113,6 @@ class CalibratedWeights:
 
     weights: np.ndarray
     g_factors: np.ndarray
-    target: np.ndarray
     negative_count: int
 
 
@@ -208,7 +206,6 @@ def calibrate(
     return CalibratedWeights(
         weights=weights,
         g_factors=g_factors,
-        target=target.copy(),
         negative_count=int(np.sum(weights < 0)),
     )
 

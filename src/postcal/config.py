@@ -148,18 +148,15 @@ class SyntheticPopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse the first name that repeats one of its list, then the first
-        that refers to no declared domain, earlier (binary) variable or
-        variable, by its key path in the spec."""
+        """Refuse the first name that repeats one of its list or, among the
+        variables, attributes and outcomes, that an earlier list holds, then
+        the first that refers to no declared domain, earlier (binary)
+        variable or variable, by its key path in the spec."""
         names = [v.name for v in self.variables]
-        for where, key, values in (
-            ("domains", "", self.domains),
-            ("strata", ".id", [s.id for s in self.strata]),
-            ("variables", ".name", names),
-            ("attributes", ".name", [a.name for a in self.attributes]),
-            ("outcomes", ".name", [o.name for o in self.outcomes]),
-        ):
-            distinct(values, where, key=key)
+        distinct(self.domains, "domains")
+        distinct([s.id for s in self.strata], "strata", key=".id")
+        attributes, outcomes = [a.name for a in self.attributes], [o.name for o in self.outcomes]
+        _namespace("", {"variables": names, "attributes": attributes, "outcomes": outcomes}, ".name")
         strata = enumerate(self.strata)
         refs = [(f"strata[{i}].domain", s.domain, self.domains, "a declared domain") for i, s in strata]
         for i, v in enumerate(self.variables):
@@ -183,7 +180,6 @@ class SimulateConfig:
     population: SyntheticPopulationSpec
     replications: int = 200
     sampling_fraction: float = 0.05
-    target_mode: str = "hb"  # "hb" or "truth" (bypass fitting, pin to truth)
 
     def __post_init__(self):
         check_fields(
@@ -191,7 +187,6 @@ class SimulateConfig:
             ConfigError,
             replications=at_least(1),
             sampling_fraction=sampling_fraction,
-            target_mode=one_of("hb", "truth"),
         )
 
 
@@ -225,6 +220,16 @@ def config_hash(raw: dict, seed: int) -> str:
         {"config": raw, "seed": seed}, sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _namespace(where: str, lists: dict, key: str = "") -> dict:
+    """What holds each name that calibration variables, attributes and
+    outcomes share, ``lists`` their names by their keys under ``where`` in
+    that order; a name that repeats its list or one before is refused."""
+    taken: dict = {}
+    for (part, values), what in zip(lists.items(), ("is a calibration variable", "is an attribute", "is an outcome")):
+        distinct(values, where + part, key=key, taken=taken, what=what)
+    return taken
 
 
 def _build(spec, where: str, *args, **fields):
@@ -332,7 +337,7 @@ _MCMC = {"rhat_threshold": real, "burnin": integer, "iterations": integer, "chai
 _REPORT = {"level": real}, ()
 _CELL = {"name": name, "sum": name, "where": mapping, "tier": None, "link": optional(name)}, ("name", "sum")
 _SIMULATE = {"population": mapping, "mc": mapping, "derived": entries}, ()
-_MC = {"replications": integer, "sampling_fraction": real, "target_mode": string}, ()
+_MC = {"replications": integer, "sampling_fraction": real}, ()
 _POPULATION = (
     {"domains": names, "strata": None, "variables": entries, "attributes": entries, "outcomes": entries},
     ("domains", "strata", "variables"),
@@ -562,18 +567,22 @@ def parse_config(
     # that cells filter on where they are declared: the sample's, or a
     # simulation-only config's generated variables, outcomes and domains
     numeric = domains = attributes = None
+    taken: dict = {}  # what holds each name of the columns, and then of the bands
     if sample:
-        numeric = frozenset((*calibration, *found["roles"].outcomes))
+        outcomes = found["roles"].outcomes
+        numeric = frozenset((*calibration, *outcomes))
         domains, attributes = found["domain_order"], found["roles"].attributes
+        lists = {"calibration": calibration, "attributes": attributes, "outcomes": outcomes}
+        taken = _namespace("sample.columns.", lists)
     elif simulate:
         generated = found["simulate"].population
         calibration = tuple(v.name for v in generated.variables)
-        numeric = frozenset((*calibration, *(o.name for o in generated.outcomes)))
+        outcomes = tuple(o.name for o in generated.outcomes)
+        numeric = frozenset((*calibration, *outcomes))
         domains, attributes = generated.domains, tuple(a.name for a in generated.attributes)
-    # simulation-only configs carry band rules without a sample section; a
-    # band takes a name that no column or other band holds
-    taken = dict.fromkeys(numeric or (), "is a numeric column")
-    taken |= dict.fromkeys(attributes or (), "is an attribute")
+        lists = {"variables": calibration, "attributes": attributes, "outcomes": outcomes}
+        taken = _namespace("simulate.population.", lists, ".name")  # the spec has refused its repeats
+    # simulation-only configs carry band rules without a sample section
     band_rules = _band_rules(sample or {}, "sample", numeric, taken) + _band_rules(
         simulate or {}, "simulate", numeric, taken
     )

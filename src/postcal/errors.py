@@ -27,15 +27,9 @@ class ConvergenceError(DataError):
 
 
 class RankDeficiencyError(PostcalError):
-    """The calibration cross-product matrix is rank deficient.
-
-    ``deficient_blocks`` names the (variable, domain) constraint blocks that
-    could not be pivoted, typically empty variable-by-domain cells.
-    """
-
-    def __init__(self, message: str, deficient_blocks=()):
-        super().__init__(message)
-        self.deficient_blocks = tuple(deficient_blocks)
+    """The calibration cross-product matrix is rank deficient; the message
+    names the (variable, domain) constraint blocks that could not be
+    pivoted, typically empty variable-by-domain cells."""
 
 
 class NumericalError(PostcalError):
@@ -114,14 +108,19 @@ def checked(value, kind, where: str, error: type[PostcalError] = DataError):
         raise error(f"{where}: expected {kind.__name__}, got {value!r}") from None
 
 
-def distinct(values, where: str, error: type[PostcalError] = ConfigError, key: str = "") -> None:
+def distinct(values, where: str, error: type[PostcalError] = ConfigError, key: str = "", taken=None, what="") -> None:
     """An ``error`` for the first of ``values`` that repeats an earlier one,
     naming its entry of the list ``where``: ``domains[1]: 'd1' repeats [0]``,
-    or with ``key`` ``.id``, ``strata[1].id: 's1' repeats [0]``."""
-    first: dict = {}
+    or with ``key`` ``.id``, ``strata[1].id: 's1' repeats [0]``; or that
+    ``taken`` holds, which says what holds each name of the lists before
+    (``outcomes[0].name: 'hours' is a calibration variable``) and gains
+    ``values`` as ``what``."""
+    taken = {} if taken is None else taken
     for i, value in enumerate(values):
-        if first.setdefault(value, i) != i:
-            raise error(f"{where}[{i}]{key}: {value!r} repeats [{first[value]}]")
+        if value in taken:
+            raise error(f"{where}[{i}]{key}: {value!r} {taken[value]}")
+        taken[value] = f"repeats [{i}]"
+    taken.update(dict.fromkeys(values, what))
 
 
 def check_fields(spec, error: type[PostcalError] = DataError, **kinds) -> None:

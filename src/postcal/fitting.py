@@ -85,15 +85,9 @@ def model_input(
             domains=domains,
         )
 
-    psi, degenerate = compute_psi(sample, model.variable)
-    if degenerate:
-        raise DataError(
-            f"variable {model.variable!r}: zero sampling variance is not "
-            f"usable in the measurement-error model ({'; '.join(degenerate)})"
-        )
     return GaussianFHInput(
         estimates=stratum_sums / sample.stratum_counts,
-        sampling_variances=psi,
+        sampling_variances=compute_psi(sample, model.variable),
         covariates=Z,
         prior=model.prior,
         domains=domains,

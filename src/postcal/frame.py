@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, at_least, check_fields, positive
+from .errors import DataError, at_least, check_fields, distinct, positive
 
 
 class TierLabel(Enum):
@@ -161,9 +161,9 @@ class SampleSet:
     ``calibration_attributes`` names the attributes derived from calibration
     variables (for example banded hours): the filter predicate alone cannot
     prove that relationship, so the store declares it.  Validates the frame
-    invariants at construction (positions in range, weights positive, sample
-    counts within population sizes, declared attributes present).  Instances
-    are safe for concurrent read.
+    invariants at construction (one column per name, positions in range,
+    weights positive, sample counts within population sizes, declared
+    attributes present).  Instances are safe for concurrent read.
     """
 
     def __init__(
@@ -196,6 +196,10 @@ class SampleSet:
                 f"calibration values of shape {self.calib.shape} do not form an "
                 f"n x V matrix for V = {calibration.n_variables} variables"
             )
+        # one namespace: a name in two of these is refused by its later entry
+        taken = dict.fromkeys(calibration.variable_names, "is a calibration variable")
+        for where, names in (("attributes", attributes), ("attribute_codes", attribute_codes), ("outcomes", outcomes)):
+            distinct(names or {}, where, DataError, taken=taken, what=f"is in {where}")
         self.attribute_codes: dict[str, tuple[tuple, np.ndarray]] = {}
         for name, column in (attributes or {}).items():
             labels = np.asarray(column, dtype=object)

@@ -835,33 +835,34 @@ def fit_gaussian_fh(
     return _run_lanes(config, spawn_keys, (H, k), draw, window, model.domains)
 
 
-def compute_psi(sample: SampleSet, variable: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Known sampling variances deff * (1 - f) * S^2 / n per sampled stratum.
-
-    Returns (psi values, degeneracy warnings) for the strata present in the
-    sample, in frame order; the values are
-    ``SampleSet.stratum_mean_variance`` of the variable's column.  A stratum
-    with one record is an error, since S^2 needs n_h >= 2.
+def compute_psi(sample: SampleSet, variable: str) -> np.ndarray:
+    """Known sampling variances deff * (1 - f) * S^2 / n per stratum, in
+    frame order: ``SampleSet.stratum_mean_variance`` of the variable's
+    column.  A stratum with fewer than two records is an error, since S^2
+    needs n_h >= 2, and so is a zero value (a census stratum or a constant
+    variable), which the measurement-error model cannot use.
     """
     column = sample.column(variable)
 
     counts = sample.stratum_counts
-    too_small = [sample.strata[h].id for h in np.flatnonzero(counts == 1)]
+    too_small = [sample.strata[h].id for h in np.flatnonzero(counts < 2)]
     if too_small:
         raise DataError(
             f"variable {variable!r}: sampling variance needs n_h >= 2 in "
             f"strata {too_small}"
         )
-    sampled = np.flatnonzero(counts > 0)
-    psi = sample.stratum_mean_variance(column)[sampled]
-    census = sample.sampling_fractions[sampled] == 1.0
-    warnings = tuple(
+    psi = sample.stratum_mean_variance(column)
+    degenerate = "; ".join(
         f"stratum {sample.strata[h].id!r}: degenerate sampling variance "
-        f"({'census stratum' if is_census else 'constant variable'})"
-        for h, value, is_census in zip(sampled, psi, census)
-        if value == 0.0
+        f"({'census stratum' if sample.sampling_fractions[h] == 1.0 else 'constant variable'})"
+        for h in np.flatnonzero(psi == 0.0)
     )
-    return psi, warnings
+    if degenerate:
+        raise DataError(
+            f"variable {variable!r}: zero sampling variance is not "
+            f"usable in the measurement-error model ({degenerate})"
+        )
+    return psi
 
 
 def domain_map(sample: SampleSet) -> DomainMap:

@@ -186,7 +186,7 @@ def _analyze_cells(
     for c, refusal, rho in zip(linked.tolist(), refusals, link_rho[linked].tolist()):
         if refusal is not None:
             warnings[c].append(refusal)
-        elif abs(rho) < var.WEAK_LINK_THRESHOLD:
+        elif var.weak_link(rho):
             warnings[c].append(
                 f"weak ratio link |rho|={abs(rho):.3f} < {var.WEAK_LINK_THRESHOLD}; design-based "
                 f"direct estimation is the recommended primary interval"

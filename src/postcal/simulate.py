@@ -233,27 +233,21 @@ def run_chunk(frame: SurveyFrame, cfg: RunConfig, indexes: Sequence[int]) -> lis
     Replication i owns the generator streams addressed by (seed, i, ...): its
     sample reads (seed, i, 0) and chain c of variable v reads
     (seed, i, 1, v, c), so its result does not depend on the chunk it runs
-    in.  The fits run on ``cfg.mcmc`` as parsed, which carries ``cfg.seed``;
-    with truth targets the domain totals are the population's.
+    in.  The fits run on ``cfg.mcmc`` as parsed, which carries ``cfg.seed``.
     """
     fraction = cfg.simulate.sampling_fraction
     samples = [draw_stratified_sample(frame, fraction, chain_rng(cfg.seed, i, 0)) for i in indexes]
-    if cfg.simulate.target_mode == "truth":
-        truth = np.tile(frame.calibration_truth_vector(), (2, 1))
-        draws = [PosteriorDraws(draws=truth, chain_tags=np.array([0, 1])) for _ in indexes]
-    else:
-        fits = fit_all_variables(
-            samples,
-            frame.calibration,
-            cfg.models,
-            frame.covariates,
-            cfg.mcmc,
-            base_keys=[(i, 1) for i in indexes],
-            labels=[f"replication {i}" for i in indexes],
-        )
-        draws = [totals for totals, _, _ in fits]
+    fits = fit_all_variables(
+        samples,
+        frame.calibration,
+        cfg.models,
+        frame.covariates,
+        cfg.mcmc,
+        base_keys=[(i, 1) for i in indexes],
+        labels=[f"replication {i}" for i in indexes],
+    )
     return [
-        run_replication(sample, each, cfg, i) for i, sample, each in zip(indexes, samples, draws)
+        run_replication(sample, draws, cfg, i) for i, sample, (draws, _, _) in zip(indexes, samples, fits)
     ]
 
 
@@ -263,8 +257,7 @@ def run_replication(
     """Replication ``index``'s convergence gate and cell layer.
 
     Draws whose R-hat exceeds ``cfg.mcmc.rhat_threshold`` are flagged as not
-    converged and carry no rows; truth targets (one draw per chain) have no
-    R-hat and pass.
+    converged and carry no rows.
     """
     convergence = gelman_rubin(draws)
     if convergence.exceeds(cfg.mcmc.rhat_threshold):

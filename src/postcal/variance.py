@@ -65,6 +65,11 @@ ORTHOGONALITY_COS_THRESHOLD = 0.01
 WEAK_LINK_THRESHOLD = 0.1
 
 
+def weak_link(rho: float) -> bool:
+    """Whether a link of correlation ``rho`` is weak: |rho| below ``WEAK_LINK_THRESHOLD``."""
+    return abs(rho) < WEAK_LINK_THRESHOLD
+
+
 @dataclass(frozen=True)
 class DomainShares:
     """A cell's share of each domain total, in block order (D), or each of a
@@ -98,24 +103,16 @@ class VarianceComponents:
 
 
 @dataclass(frozen=True)
-class LinkCandidate:
-    name: str
-    correlation: float | None
-    admissible: bool
-
-
-@dataclass(frozen=True)
 class RatioLink:
     """Chosen ratio denominator for a non-calibration outcome cell."""
 
     variable: str
     correlation: float
-    candidates: tuple[LinkCandidate, ...]
 
     @property
     def weak(self) -> bool:
-        """|rho| below ``WEAK_LINK_THRESHOLD``."""
-        return abs(self.correlation) < WEAK_LINK_THRESHOLD
+        """``weak_link`` of the correlation."""
+        return weak_link(self.correlation)
 
 
 @dataclass(frozen=True)
@@ -403,11 +400,7 @@ def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
     (position,), (rho,), (refusal,) = ratio_links(names, correlations, [CellQuery("", "")])
     if refusal is not None:
         raise LinkSelectionError(refusal)
-    candidates = tuple(
-        LinkCandidate(name, None if math.isnan(r) else r, not math.isnan(r))
-        for name, r in zip(names, correlations[0].tolist())
-    )
-    return RatioLink(variable=names[position], correlation=float(rho), candidates=candidates)
+    return RatioLink(variable=names[position], correlation=float(rho))
 
 
 def coefficient_of_variation(width, point, z: float = CBI_Z):

@@ -933,7 +933,6 @@ SIMULATE_MALFORMED = [
     for key, value in [
         ("simulate.mc.replications", "abc"),
         ("simulate.mc.sampling_fraction", "tenth"),
-        ("simulate.mc.target_mode", None),
         (f"{POPULATION}.strata.per_domain", "two"),
         (f"{POPULATION}.strata.population_size", "big"),
         (f"{POPULATION}.strata.covariate_range", 3),
@@ -1103,8 +1102,6 @@ SPEC_RULES = [
          lambda: SimulateConfig(small_spec(), replications=0), ConfigError),
         ("sampling_fraction", {"simulate.mc.sampling_fraction": 1.5}, "simulate.mc",
          lambda: SimulateConfig(small_spec(), sampling_fraction=1.5), ConfigError),
-        ("target_mode", {"simulate.mc.target_mode": "x"}, "simulate.mc",
-         lambda: SimulateConfig(small_spec(), target_mode="x"), ConfigError),
         ("domain-repeat", {f"{POPULATION}.domains": ["d1", "d1"]}, POPULATION,
          lambda: _population(domains=("d1", "d1")), ConfigError),
         ("stratum-repeat", {f"{POPULATION}.strata": [{"id": "s1", "domain": d, "population_size": 10} for d in D12]},
@@ -1116,6 +1113,13 @@ SPEC_RULES = [
          lambda: _population(attributes=(AttributeModel("occ", (("a", 1.0),)),) * 2), ConfigError),
         ("outcome-repeat", {f"{POPULATION}.outcomes": [{"name": "income", "link": "employed", "rho": 0.5}] * 2},
          POPULATION, lambda: _population(outcomes=(OutcomeModel("income", "employed", 0.5),) * 2), ConfigError),
+        ("attribute-takes-variable", {f"{POPULATION}.attributes.0.name": "employed"}, POPULATION,
+         lambda: _population(attributes=(AttributeModel("employed", (("a", 1.0),)),)), ConfigError),
+        ("outcome-takes-variable", {f"{POPULATION}.outcomes.0.name": "employed"}, POPULATION,
+         lambda: _population(outcomes=(OutcomeModel("employed", "employed", 0.5),)), ConfigError),
+        ("outcome-takes-attribute", {f"{POPULATION}.outcomes.0.name": "occ"}, POPULATION,
+         lambda: _population(attributes=(AttributeModel("occ", (("a", 1.0),)),),
+                             outcomes=(OutcomeModel("occ", "employed", 0.5),)), ConfigError),
     ]
 ]
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,29 @@ class TestSampleSetValidation:
             one_stratum_sample(
                 n=2, attributes={"band": ["lo", "hi"]}, calibration_attributes=["band", "hours_band"]
             )
+
+    @pytest.mark.parametrize(
+        "columns,cause",
+        [
+            ({"outcomes": {"v1": [1.0, 2.0]}}, "outcomes[0]: 'v1' is a calibration variable"),
+            ({"attributes": {"v1": ["x", "y"]}}, "attributes[0]: 'v1' is a calibration variable"),
+            ({"attribute_codes": {"v1": (("z",), [0, 0])}}, "attribute_codes[0]: 'v1' is a calibration variable"),
+            ({"attributes": {"g": ["x", "y"]}, "outcomes": {"g": [1.0, 2.0]}}, "outcomes[0]: 'g' is in attributes"),
+            (
+                {"attribute_codes": {"g": (("z",), [0, 0])}, "outcomes": {"g": [1.0, 2.0]}},
+                "outcomes[0]: 'g' is in attribute_codes",
+            ),
+            # the codes were once kept over the labels without a word
+            (
+                {"attributes": {"g": ["x", "y"]}, "attribute_codes": {"g": (("z",), [0, 0])}},
+                "attribute_codes[0]: 'g' is in attributes",
+            ),
+        ],
+        ids=["outcome", "attribute", "coded-attribute", "outcome-attribute", "outcome-coded", "attribute-twice"],
+    )
+    def test_a_name_holds_one_column(self, columns, cause):
+        with pytest.raises(DataError, match=re.escape(cause)):
+            one_stratum_sample(n=2, **columns)
 
     def test_calibration_values_must_be_a_matrix(self):
         with pytest.raises(DataError, match="n x V"):

@@ -292,39 +292,41 @@ class TestComputePsi:
     def test_hand_arithmetic(self):
         # S^2 of {1,2,3} is 1; psi = (1 - 3/30) * 1 / 3 = 0.3
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30])
-        psi, warnings = compute_psi(sample, "y")
+        psi = compute_psi(sample, "y")
         assert psi.shape == (1,)
         assert psi[0] == pytest.approx(0.3, abs=1e-12)
-        assert warnings == ()
 
     def test_census_stratum_zero_via_fpc(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [3])
-        psi, warnings = compute_psi(sample, "y")
-        assert psi[0] == 0.0
-        assert any("census" in w for w in warnings)
+        with pytest.raises(DataError, match=re.escape("stratum 's1': degenerate sampling variance (census stratum)")):
+            compute_psi(sample, "y")
 
     def test_constant_variable_flagged(self):
         sample, spec = psi_sample([[5.0, 5.0, 5.0]], [30])
-        psi, warnings = compute_psi(sample, "y")
-        assert psi[0] == 0.0
-        assert any("constant" in w for w in warnings)
+        with pytest.raises(DataError, match="constant variable"):
+            compute_psi(sample, "y")
 
     @pytest.mark.parametrize("n", [10, 60, 125])
     def test_constant_column_is_exactly_zero(self, n):
         # np.var of 0.1 repeated 60 times is about 1.8e-33, not 0
         sample, spec = psi_sample([[0.1] * n], [10 * n])
-        psi, warnings = compute_psi(sample, "y")
-        assert psi[0] == 0.0
-        assert warnings == ("stratum 's1': degenerate sampling variance (constant variable)",)
+        assert sample.stratum_mean_variance(sample.column("y"))[0] == 0.0
+        with pytest.raises(DataError) as refusal:
+            compute_psi(sample, "y")
+        assert str(refusal.value) == (
+            "variable 'y': zero sampling variance is not usable in the measurement-error model "
+            "(stratum 's1': degenerate sampling variance (constant variable))"
+        )
 
     def test_deff_multiplies(self):
         sample, spec = psi_sample([[1.0, 2.0, 3.0]], [30], deff=2.5)
-        psi, _ = compute_psi(sample, "y")
+        psi = compute_psi(sample, "y")
         assert psi[0] == pytest.approx(0.75, abs=1e-12)
 
-    def test_singleton_stratum_rejected(self):
-        sample, spec = psi_sample([[1.0, 2.0], [7.0]], [20, 20])
-        with pytest.raises(DataError, match="s2"):
+    @pytest.mark.parametrize("second", [[7.0], []], ids=["singleton", "empty"])
+    def test_singleton_stratum_rejected(self, second):
+        sample, spec = psi_sample([[1.0, 2.0], second], [20, 20])
+        with pytest.raises(DataError, match=re.escape("sampling variance needs n_h >= 2 in strata ['s2']")):
             compute_psi(sample, "y")
 
 

@@ -1086,8 +1086,8 @@ class TestConfig:
             *(
                 (DEMO_CONFIG, lambda raw, name=name: raw["sample"]["derived"][0].update(name=name),
                  f"sample.derived[0].name: {name!r} is {what}")
-                for name, what in [("occupation", "an attribute"), ("hours", "a numeric column"),
-                                   ("income", "a numeric column")]
+                for name, what in [("occupation", "an attribute"), ("hours", "a calibration variable"),
+                                   ("income", "an outcome")]
             ),
             (DEMO_CONFIG, lambda raw: raw["sample"]["derived"].append(raw["sample"]["derived"][0]),
              "sample.derived[1].name: 'hours_band' repeats sample.derived[0]"),
@@ -1311,7 +1311,6 @@ class TestSimulateSection:
     def test_shipped_smoke_config_parses_to_typed_values(self):
         cfg = load_config(SMOKE_CONFIG, seed_override=3)
         assert (cfg.simulate.replications, cfg.simulate.sampling_fraction) == (5, 0.1)
-        assert cfg.simulate.target_mode == "hb"
         population = cfg.simulate.population
         assert population.seed == 3
         assert [s.id for s in population.strata] == [f"s{k}" for k in range(1, 9)]

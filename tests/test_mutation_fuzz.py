@@ -259,26 +259,61 @@ NAMED_LISTS = [
 ]
 # the smoke config's strata grid as a list, so that an id can repeat
 LISTED_STRATA = [{"id": f"s{d}", "domain": f"d{d}", "population_size": 800} for d in (1, 2)]
+# the lists of the one namespace that calibration variables, attributes,
+# outcomes and bands share, in the order they are checked, each with what
+# holds its names; a name of an earlier list is refused in a later one
+NAMESPACE = {
+    "fit": [
+        *((("sample", "columns", part), None, what) for part, what in (
+            ("calibration", "is a calibration variable"), ("attributes", "is an attribute"),
+            ("outcomes", "is an outcome"),
+        )),
+        (("sample", "derived"), "name", None),
+    ],
+    "simulate": [
+        ((*POPULATION, part), "name", what) for part, what in (
+            ("variables", "is a calibration variable"), ("attributes", "is an attribute"),
+            ("outcomes", "is an outcome"),
+        )
+    ],
+}
+# (command, list, its key, the earlier list whose first name an appended entry takes, what holds it)
+TAKEN_NAMES = [
+    (command, path, key, earlier, what)
+    for command, lists in NAMESPACE.items()
+    for j, (path, key, _) in enumerate(lists)
+    for earlier, _, what in lists[:j]
+]
 
 
 @pytest.mark.parametrize(
-    "command,path,key",
-    [pytest.param(*case, id=f"{case[0]}-" + ".".join(case[1])) for case in NAMED_LISTS],
+    "command,path,key,earlier,what",
+    [pytest.param(*case, None, None, id=f"{case[0]}-" + ".".join(case[1])) for case in NAMED_LISTS]
+    + [
+        pytest.param(*case, id=f"{case[0]}-" + ".".join(case[1]) + "-takes-" + case[3][-1])
+        for case in TAKEN_NAMES
+    ],
 )
-def test_repeated_name_is_refused_by_its_path(tmp_path, capsys, command, path, key):
+def test_repeated_name_is_refused_by_its_path(tmp_path, capsys, command, path, key, earlier, what):
     raw = copy.deepcopy(SHORT[command])
     if path[-1] == "strata":
         holder(raw, path)["strata"] = LISTED_STRATA
     items = holder(raw, path)[path[-1]]
-    if len(items) < 2:  # a copy of the one entry
+    at, cause = 1, "repeats"
+    if earlier is not None:  # a copy of the first entry, named as the earlier list's first
+        first = holder(raw, earlier)[earlier[-1]][0]
+        name = first if isinstance(first, str) else first["name"]
+        items.append(name if key is None else {**items[0], key: name})
+        at, cause = len(items) - 1, f"{name!r} {what}"
+    elif len(items) < 2:  # a copy of the one entry
         items.append(copy.deepcopy(items[0]))
     elif key is None:  # the second name is the first's
         items[1] = items[0]
     else:
         items[1][key] = items[0][key]
-    where = ".".join(path) + "[1]" + ("" if key is None else f".{key}")
+    where = ".".join(path) + f"[{at}]" + ("" if key is None else f".{key}")
     code, err = run_short(tmp_path, capsys, command, raw, f"{where} repeated")
-    assert code == 2 and f"error: {where}: " in err and " repeats " in err, f"{where}: {command} exit {code}: {err}"
+    assert code == 2 and f"error: {where}: " in err and f" {cause}" in err, f"{where}: {command} exit {code}: {err}"
 
 
 def run_short(tmp_path, capsys, command: str, raw: dict, done: str) -> tuple[int, str]:

@@ -270,7 +270,7 @@ def test_variance_components_match_the_loop_form(data):
     draws = PosteriorDraws(
         posterior_mean + rng.normal(0.0, 10.0, (B, spec.p)), np.zeros(B, dtype=int)
     )
-    weights = CalibratedWeights(sample.weights, np.ones(sample.n), posterior_mean, 0)
+    weights = CalibratedWeights(sample.weights, np.ones(sample.n), 0)
     # a copy where stratum `still` lies wholly in one domain, its outcome constant there
     still = int(rng.integers(len(sample.strata)))
     in_still = sample.stratum_idx == still

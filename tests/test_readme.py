@@ -1,11 +1,12 @@
 """The README's *Library use* block runs as written against a fitted demo
 and reproduces the rows ``infer`` writes for the same cells, floats to a
-relative 1e-12."""
+relative 1e-12, and its fuzz paragraph counts the cases each arm runs."""
 
 from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -58,3 +59,15 @@ def test_package_root_binds_the_version_and_the_names_the_block_imports_from_it(
             bound |= {target.id for target in node.targets}
     readme = re.search(r"^from postcal import (.+)$", library_use_block(), re.M).group(1)
     assert bound == {"__version__", *readme.split(", ")}
+
+
+def test_fuzz_paragraph_counts_the_cases_each_arm_collects():
+    import test_mutation_fuzz
+
+    # each arm is one test function, in definition order, with one parametrize mark
+    arms = [test for name, test in vars(test_mutation_fuzz).items() if name.startswith("test_")]
+    collected = [math.prod(len(mark.args[1]) for mark in arm.pytestmark if mark.name == "parametrize") for arm in arms]
+    readme = (ROOT / "README.md").read_text().split("\n\n")
+    paragraph = next(p for p in readme if p.startswith("`tests/test_mutation_fuzz.py`"))
+    counts = [int(n) for n in re.findall(r"\b(\d+)\s+(?:seeded\s+|more\s+)?cases\b", paragraph)]
+    assert counts == [sum(collected), *collected]

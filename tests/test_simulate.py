@@ -16,7 +16,7 @@ from postcal.config import (
 )
 from postcal.errors import ConfigError, DataError, NumericalError
 from postcal.frame import CellFilter, CellQuery, StratumSpec, TierLabel
-from postcal.hb import McmcConfig, chain_rng
+from postcal.hb import McmcConfig, PosteriorDraws, chain_rng
 from postcal.io import BandRule
 from postcal.replicate import classify_cell
 from postcal.report import build_artifacts, build_run_report
@@ -30,6 +30,7 @@ from postcal.simulate import (
     generate_population,
     replication_chunks,
     run_chunk,
+    run_replication,
     run_simulation,
 )
 
@@ -96,7 +97,7 @@ DEFAULT_CELLS = [
 ]
 
 
-def run_config(seed, replications, fraction, mcmc=None, cells=DEFAULT_CELLS, **mc):
+def run_config(seed, replications, fraction, mcmc=None, cells=DEFAULT_CELLS):
     """A parsed experiment on the small population, binary and Gaussian
     models on the stratum covariate ``z``."""
     return parse_config(
@@ -110,10 +111,17 @@ def run_config(seed, replications, fraction, mcmc=None, cells=DEFAULT_CELLS, **m
             "cells": cells,
             "simulate": {
                 "population": SMALL_POPULATION,
-                "mc": {"replications": replications, "sampling_fraction": fraction, **mc},
+                "mc": {"replications": replications, "sampling_fraction": fraction},
             },
         }
     )
+
+
+def truth_targeted(frame, cfg):
+    """Replication 0's sample and, for draws, two chains of one draw each
+    pinned to the population's domain totals."""
+    draws = PosteriorDraws(np.tile(frame.calibration_truth_vector(), (2, 1)), [0, 1])
+    return draw_stratified_sample(frame, cfg.simulate.sampling_fraction, chain_rng(cfg.seed, 0, 0)), draws
 
 
 class TestGeneratePopulation:
@@ -296,13 +304,11 @@ class TestStratifiedSampling:
 
 class TestReplication:
     def test_truth_targets_make_exact_cells_degenerate(self):
-        mc = run_config(
-            31, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2}, target_mode="truth"
-        )
+        mc = run_config(31, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2})
         assert mc.simulate.population == small_spec(seed=31)
         frame = generate_population(mc.simulate.population)
         truths = frame.truth_table(mc.cells)
-        result = run_chunk(frame, mc, [0])[0]
+        result = run_replication(*truth_targeted(frame, mc), mc, 0)
         assert result.converged
         row = result.rows[0]  # hours_d1 is the exact constraint cell
         assert row.tier.value == "1-E"
@@ -573,11 +579,9 @@ class TestConfigBuilders:
 
     def test_interval_cell_in_a_simulation_only_config(self):
         cell = {"name": "emp_long_hours", "sum": "employed", "where": {"hours": {"min": 40}}}
-        cfg = run_config(
-            5, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2}, cells=[cell], target_mode="truth"
-        )
+        cfg = run_config(5, 1, 0.2, {"burnin": 10, "iterations": 20, "chains": 2}, cells=[cell])
         frame, cfg, truths = build_simulation(cfg)
         long_hours = frame.column("hours") >= 40
         assert truths["emp_long_hours"] == frame.column("employed")[long_hours].sum()
-        [row] = run_chunk(frame, cfg, [0])[0].rows
+        [row] = run_replication(*truth_targeted(frame, cfg), cfg, 0).rows
         assert row.tier is TierLabel.TIER_2CA

@@ -11,6 +11,7 @@ from postcal.errors import LinkSelectionError
 from postcal.frame import (
     CalibrationSpec,
     CellFilter,
+    CellPairs,
     CellQuery,
     StratumSpec,
     evaluate_cell,
@@ -18,13 +19,16 @@ from postcal.frame import (
 from postcal.hb import PosteriorDraws
 from postcal.variance import (
     CBI_Z,
+    RatioLink,
     cbi_bounds,
     cbi_z,
     cell_diagnostics,
     coefficient_of_variation,
+    link_correlations,
     ratio_links,
     select_linking_variable,
     variance_components,
+    weak_link,
 )
 
 from conftest import sample_from_rows
@@ -245,10 +249,8 @@ class TestLinkSelection:
         # employed is 1 for every record, so it cannot be a denominator
         sample, spec = link_fixture(lambda h, rng: 2.0 * h)
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
-        link = select_linking_variable(sample, cell)
-        employed = next(c for c in link.candidates if c.name == "employed")
-        assert not employed.admissible
-        assert employed.correlation is None
+        employed = sample.calibration.variable_names.index("employed")
+        assert math.isnan(link_correlations(CellPairs.one(cell, sample))[0, employed])
 
     def test_engineered_moderate_correlation(self):
         def outcome(h, rng):
@@ -266,6 +268,11 @@ class TestLinkSelection:
         cell = evaluate_cell(CellQuery("all", "u", CellFilter()), sample, spec)
         link = select_linking_variable(sample, cell)
         assert link.weak
+
+    @pytest.mark.parametrize("rho,weak", [(0.0999, True), (-0.0999, True), (0.1, False), (-0.1, False)])
+    def test_one_weak_link_rule(self, rho, weak):
+        # the report's warning and RatioLink.weak read one predicate
+        assert weak_link(rho) is RatioLink("hours", rho).weak is weak
 
     @pytest.mark.parametrize("n", [2, 3, 7, 10])
     def test_constant_outcome_links_with_correlation_exactly_zero(self, n):

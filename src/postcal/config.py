@@ -26,8 +26,8 @@ import numpy as np
 import yaml
 
 from .errors import (
-    ConfigError, DataError, at_least, check_fields, checked, distinct, integer,
-    nominal_level, nonnegative, one_of, real, restricted, sampling_fraction, within,
+    ConfigError, DataError, at_least, between, check_fields, checked, distinct, integer,
+    nominal_level, nonnegative, one_of, real, restricted, sampling_fraction,
 )
 from .frame import CellFilter, CellQuery, StratumSpec, TierLabel
 from .hb import HBPrior, McmcConfig
@@ -96,10 +96,10 @@ class AttributeModel:
     domain_tilt: float = 0.0
 
     def __post_init__(self):
-        share = within(0, 1)
+        share = between(0, 1)
         levels = tuple((label, checked(p, share, f"levels.{label}", ConfigError)) for label, p in self.levels)
         object.__setattr__(self, "levels", levels)
-        check_fields(self, ConfigError, domain_tilt=within(-1, 1))
+        check_fields(self, ConfigError, domain_tilt=between(-1, 1))
         probs = [p for _, p in levels]
         if not abs(sum(probs) - 1.0) <= 1e-9:
             raise ConfigError(f"levels: expected shares that sum to 1, got a sum of {sum(probs):g}")
@@ -131,7 +131,7 @@ class OutcomeModel:
     scale: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, ConfigError, rho=within(-1, 1))
+        check_fields(self, ConfigError, rho=between(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,7 @@ def _build(spec, where: str, *args, **fields):
     try:
         return spec(*args, **fields)
     except (ConfigError, DataError) as exc:
-        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
-
-
-class _Part(ConfigError):
-    """A kind's refusal of a part of its value, in words that go on from the
-    value's key path: ``[1]: expected a name, got ['west']``."""
+        raise ConfigError(exc.cause, *exc.where).within(where and f"{where}.") from None
 
 
 def string(value) -> str:
@@ -262,8 +257,8 @@ def name(value) -> str:
 
 def names(value) -> tuple[str, ...]:
     """A list of distinct names; null is none."""
-    listed = tuple(checked(v, name, f"[{i}]", _Part) for i, v in enumerate(entries(value)))
-    distinct(listed, "", _Part)
+    listed = tuple(checked(v, name, f"[{i}]", ConfigError) for i, v in enumerate(entries(value)))
+    distinct(listed, "")
     return listed
 
 
@@ -294,17 +289,17 @@ def _pair(open_ended: bool):
             return None, None
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise TypeError(value)
-        lo, hi = (checked(v, end, "", _Part) for v in value)
-        return _ordered(lo, hi, "", _Part) if open_ended else (lo, hi)
+        lo, hi = (checked(v, end, "", ConfigError) for v in value)
+        return _ordered(lo, hi, "") if open_ended else (lo, hi)
 
     pair.__name__ = "[low, high]"
     return pair
 
 
-def _ordered(lo: float | None, hi: float | None, where: str, error=ConfigError) -> tuple:
+def _ordered(lo: float | None, hi: float | None, where: str) -> tuple:
     """``(lo, hi)``, None an open end; a ``lo`` above ``hi`` is refused."""
     if lo is not None and hi is not None and lo > hi:
-        raise error(f"{where}: min {lo} exceeds max {hi}")
+        raise ConfigError(f"min {lo} exceeds max {hi}", f"{where}: ")
     return lo, hi
 
 
@@ -371,15 +366,6 @@ def _path(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
-def _kind(value, kind, where: str):
-    """``kind(value)``; a refusal names ``where``, and after it the part of
-    the value at fault."""
-    try:
-        return checked(value, kind, where, ConfigError)
-    except _Part as exc:
-        raise ConfigError(f"{where}{exc}") from None
-
-
 def _read(value, where: str, kinds: dict, required: tuple, what: str = "") -> dict:
     """The mapping ``value`` (null is empty) as ``{key: kind(value[key])}``
     for each key of ``kinds`` that it holds, as keyword arguments: an absent
@@ -394,7 +380,7 @@ def _read(value, where: str, kinds: dict, required: tuple, what: str = "") -> di
     read = {}
     for key, kind in kinds.items():
         if key in section:
-            read[key] = section[key] if kind is None else _kind(section[key], kind, _path(where, key))
+            read[key] = section[key] if kind is None else checked(section[key], kind, _path(where, key), ConfigError)
         elif key in required:
             raise ConfigError(f"{where}: missing required key {key!r}")
     return read
@@ -482,14 +468,14 @@ def _cell(
         elif value is None or value == []:  # either would match no record
             raise ConfigError(f"{path}: expected a name or a list of names, got {value!r}")
         elif key == "domain":
-            cell_domains = _kind(value, name_or_names, path)
+            cell_domains = checked(value, name_or_names, path, ConfigError)
             unknown = [] if domains is None else sorted(set(cell_domains) - set(domains))
             if unknown:
                 raise ConfigError(f"{path}: unknown domains {unknown}; declared {list(domains)}")
         elif attributes is not None and key not in attributes:
             raise ConfigError(f"{path}: unknown attribute {key!r}; declared {list(attributes)}")
         else:
-            levels[key] = _kind(value, name_or_names, path)
+            levels[key] = checked(value, name_or_names, path, ConfigError)
     tier = cell.get("tier")
     try:
         tier_override = TierLabel(tier) if tier is not None else None
@@ -648,7 +634,7 @@ def population_spec_from_config(section: dict, seed: int) -> SyntheticPopulation
     variables: list[BinaryVariableModel | ContinuousVariableModel] = []
     for path, entry in _listed(population["variables"], f"{where}.variables"):
         section = checked(entry, mapping, path, ConfigError)
-        kind = _kind(section["kind"], _VARIABLE["kind"], f"{path}.kind") if "kind" in section else None
+        kind = checked(section["kind"], _VARIABLE["kind"], f"{path}.kind", ConfigError) if "kind" in section else None
         given = _read(section, path, *_VARIABLES[kind])
         del given["kind"]
         variables.append(_build(BinaryVariableModel if kind == "binary" else ContinuousVariableModel, path, **given))

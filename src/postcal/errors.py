@@ -1,6 +1,11 @@
 """Exception types shared across the package, and the one checker of a
 value's kind and range.
 
+An error holds a bare cause and ``where``, the parts that place it,
+outermost first, each with its separator (``"replication 0, "``); it reads
+as the parts, then the cause.  A layer adds what it knows with
+``error.within``, which skips a part the error holds, so none is said twice.
+
 A kind returns its value converted (``real`` makes 2 and "2" 2.0) or raises
 a ValueError or TypeError, and is named for what it accepts.  Each spec type
 checks the values it holds with ``check_fields`` in its constructor, so a
@@ -11,7 +16,21 @@ import math
 
 
 class PostcalError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors: a ``cause`` and the context parts
+    ``where``, outermost first."""
+
+    def __init__(self, cause: str, *where: str):
+        super().__init__(cause)
+        self.cause, self.where = cause, where
+
+    def within(self, *parts: str) -> "PostcalError":
+        """This error, ``parts`` put in front of its context, outermost
+        first; a part that it holds already or that is empty is left out."""
+        self.where = tuple(p for p in parts if p and p not in self.where) + self.where
+        return self
+
+    def __str__(self) -> str:
+        return "".join(self.where) + self.cause
 
 
 class ConfigError(PostcalError):
@@ -39,8 +58,8 @@ class NumericalError(PostcalError):
     batched sampler call raises it.
     """
 
-    def __init__(self, message: str, models=()):
-        super().__init__(message)
+    def __init__(self, cause: str, *where: str, models=()):
+        super().__init__(cause, *where)
         self.models = tuple(models)
 
 
@@ -84,7 +103,7 @@ nominal_level = restricted(real, "a real in (0, 1)", lambda v: 0 < v < 1)
 sampling_fraction = restricted(real, "a real in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def within(lo: float, hi: float):
+def between(lo: float, hi: float):
     """The kind ``real`` in [lo, hi]."""
     return restricted(real, f"a real in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
 
@@ -101,11 +120,14 @@ def one_of(*choices):
 
 def checked(value, kind, where: str, error: type[PostcalError] = DataError):
     """``kind(value)``; a value that ``kind`` refuses is an ``error`` naming
-    ``where``, an integer too large for a float among them."""
+    ``where``, an integer too large for a float among them; a package error
+    that a kind raises for a part of it (``[1]: ``) gains ``where`` in front."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{where}: expected {kind.__name__}, got {value!r}") from None
+        raise error(f"expected {kind.__name__}, got {value!r}", f"{where}: ") from None
+    except PostcalError as exc:
+        raise exc.within(where)
 
 
 def distinct(values, where: str, error: type[PostcalError] = ConfigError, key: str = "", taken=None, what="") -> None:
@@ -118,7 +140,7 @@ def distinct(values, where: str, error: type[PostcalError] = ConfigError, key: s
     taken = {} if taken is None else taken
     for i, value in enumerate(values):
         if value in taken:
-            raise error(f"{where}[{i}]{key}: {value!r} {taken[value]}")
+            raise error(f"{value!r} {taken[value]}", f"{where}[{i}]{key}: ")
         taken[value] = f"repeats [{i}]"
     taken.update(dict.fromkeys(values, what))
 

@@ -136,10 +136,11 @@ def fit_all_variables(
     names = spec.variable_names
 
     def name_in(error: DataError | NumericalError, members) -> None:
-        # prefix the labelled (sample, variable) pairs at fault to the message
+        # the labelled (sample, variable) pairs at fault; compute_psi's refusal names its variable
         if labels:
-            where = "; ".join(f"{labels[s]}, variable {names[v]!r}" for s, v in members)
-            error.args = (f"{where}: {error.args[0]}", *error.args[1:])
+            *others, (s, v) = members
+            earlier = "".join(f"{labels[t]}, variable {names[u]!r}; " for t, u in others)
+            error.within(f"{earlier}{labels[s]}, ", f"variable {names[v]!r}: ")
 
     inputs: dict[tuple[int, int], BinaryHBInput | GaussianFHInput] = {}
     for s, sample in enumerate(samples):

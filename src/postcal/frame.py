@@ -286,17 +286,13 @@ class SampleSet:
                 f"calibration spec {spec}"
             )
 
-    def column(self, name: str, cell: str | None = None) -> np.ndarray:
-        """Per-unit values of a calibration variable or outcome by name;
-        ``cell`` names the cell asking, for the error message."""
+    def column(self, name: str) -> np.ndarray:
+        """Per-unit values of a calibration variable or outcome by name."""
         if name in self.calibration.variable_names:
             return self.calib[:, self.calibration.variable_names.index(name)]
         if name in self.outcomes:
             return self.outcomes[name]
-        where = f"cell {cell!r}: " if cell is not None else ""
-        raise DataError(
-            f"{where}variable {name!r} is neither a calibration variable nor an outcome"
-        )
+        raise DataError(f"variable {name!r} is neither a calibration variable nor an outcome")
 
     def design_matrix(self, spec: CalibrationSpec) -> np.ndarray:
         """n x p dense design matrix, row i the design vector y_i.
@@ -520,12 +516,15 @@ class CellAtoms:
         positions: dict = {}
         clauses, cells, columns = [], [], {name: v for v, name in enumerate(names)}
         for query in queries:
-            sample.column(query.summed_variable, query.name)  # rejects an unknown variable
             keys = _clauses(query.filter)
-            for key in keys:
-                if key not in positions:
-                    positions[key] = len(clauses)
-                    clauses.append(_clause_table(key, sample, query.name))
+            try:
+                sample.column(query.summed_variable)  # rejects an unknown variable
+                for key in keys:
+                    if key not in positions:
+                        positions[key] = len(clauses)
+                        clauses.append(_clause_table(key, sample))
+            except DataError as error:
+                raise error.within(f"cell {query.name!r}: ")
             column = columns.setdefault(query.summed_variable, len(columns))
             cells.append((tuple(positions[key] for key in keys), column))
         values = [*sample.calib.T, *(sample.outcomes[name] for name in list(columns)[len(names):])]
@@ -710,9 +709,7 @@ class CellPairs:
         return table.reshape(*table.shape[:-2], -1).take(self._entry, axis=-1)
 
 
-def _clause_table(
-    clause: tuple, sample: SampleSet, cell_name: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _clause_table(clause: tuple, sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """One filter clause, ``("domains", ids)``, ``("attribute", name,
     levels)`` or ``("range", variable, (lo, hi))``, as ``(codes, table)``:
     its mask is ``table[codes]``, ``codes`` each unit's domain position,
@@ -723,26 +720,17 @@ def _clause_table(
         (domains,) = args
         unknown = domains - set(spec.domain_order)
         if unknown:
-            raise DataError(
-                f"cell {cell_name!r}: filter references unknown domains "
-                f"{sorted(unknown)}"
-            )
+            raise DataError(f"filter references unknown domains {sorted(unknown)}")
         return sample.domain_idx, np.array([d in domains for d in spec.domain_order], dtype=bool)
     if kind == "attribute":
         attr, levels = args
         if attr not in sample.attribute_codes:
-            raise DataError(
-                f"cell {cell_name!r}: filter references unknown attribute "
-                f"{attr!r}"
-            )
+            raise DataError(f"filter references unknown attribute {attr!r}")
         present, codes = sample.attribute_codes[attr]
         return codes, np.array([level in levels for level in present], dtype=bool)
     var, (lo, hi) = args
     if var not in spec.variable_names:
-        raise DataError(
-            f"cell {cell_name!r}: interval filter references "
-            f"{var!r}, which is not a calibration variable"
-        )
+        raise DataError(f"interval filter references {var!r}, which is not a calibration variable")
     return in_interval(sample.column(var), lo, hi).view(np.uint8), np.array([False, True])
 
 
@@ -766,7 +754,7 @@ def _clauses(f: CellFilter) -> list[tuple]:
     ]
 
 
-def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.ndarray:
+def filter_mask(f: CellFilter, sample: SampleSet) -> np.ndarray:
     """Apply a cell filter to a sample's units: the AND of its clause masks.
 
     A census population is a ``SampleSet`` too, so sample cells and
@@ -776,7 +764,7 @@ def filter_mask(f: CellFilter, sample: SampleSet, cell_name: str = "?") -> np.nd
     """
     mask = np.ones(sample.n, dtype=bool)
     for key in _clauses(f):
-        codes, table = _clause_table(key, sample, cell_name)
+        codes, table = _clause_table(key, sample)
         mask &= table[codes]
     return mask
 
@@ -786,5 +774,7 @@ def evaluate_cell(
 ) -> CellData:
     """Evaluate one cell's membership and summed values against a sample."""
     sample.check_spec(spec)
-    values = sample.column(query.summed_variable, query.name)
-    return CellData(mask=filter_mask(query.filter, sample, query.name), values=values)
+    try:
+        return CellData(values=sample.column(query.summed_variable), mask=filter_mask(query.filter, sample))
+    except DataError as error:
+        raise error.within(f"cell {query.name!r}: ")

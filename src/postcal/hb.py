@@ -847,10 +847,7 @@ def compute_psi(sample: SampleSet, variable: str) -> np.ndarray:
     counts = sample.stratum_counts
     too_small = [sample.strata[h].id for h in np.flatnonzero(counts < 2)]
     if too_small:
-        raise DataError(
-            f"variable {variable!r}: sampling variance needs n_h >= 2 in "
-            f"strata {too_small}"
-        )
+        raise DataError(f"sampling variance needs n_h >= 2 in strata {too_small}", f"variable {variable!r}: ")
     psi = sample.stratum_mean_variance(column)
     degenerate = "; ".join(
         f"stratum {sample.strata[h].id!r}: degenerate sampling variance "
@@ -858,10 +855,8 @@ def compute_psi(sample: SampleSet, variable: str) -> np.ndarray:
         for h in np.flatnonzero(psi == 0.0)
     )
     if degenerate:
-        raise DataError(
-            f"variable {variable!r}: zero sampling variance is not "
-            f"usable in the measurement-error model ({degenerate})"
-        )
+        cause = f"zero sampling variance is not usable in the measurement-error model ({degenerate})"
+        raise DataError(cause, f"variable {variable!r}: ")
     return psi
 
 

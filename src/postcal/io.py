@@ -423,8 +423,8 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
     for sid, size, d, line in zip(columns["id"], sizes.tolist(), deff.tolist(), lines):
         try:
             strata.append(StratumSpec(id=sid, population_size=int(size), deff=d))
-        except DataError as exc:
-            raise DataError(f"{path}:{line}: stratum {sid!r}: {exc}") from None
+        except DataError as error:
+            raise error.within(f"{path}:{line}: ", f"stratum {sid!r}: ")
     return tuple(strata), covariates
 
 
@@ -504,17 +504,20 @@ def read_sample(
     attributes, calibration_attributes = derive_bands(
         band_rules, {**outcomes, **calib}, roles.calibration, attributes
     )
-    sample = SampleSet(
-        strata=strata,
-        calibration=spec,
-        stratum_idx=_positions(*codes[roles.stratum], stratum_pos),
-        domain_idx=_positions(*codes[roles.domain], {d: i for i, d in enumerate(order)}),
-        weights=floats[roles.weight],
-        calib=np.column_stack(list(calib.values())),
-        outcomes=outcomes,
-        calibration_attributes=calibration_attributes,
-        attribute_codes=attributes,
-    )
+    try:
+        sample = SampleSet(
+            strata=strata,
+            calibration=spec,
+            stratum_idx=_positions(*codes[roles.stratum], stratum_pos),
+            domain_idx=_positions(*codes[roles.domain], {d: i for i, d in enumerate(order)}),
+            weights=floats[roles.weight],
+            calib=np.column_stack(list(calib.values())),
+            outcomes=outcomes,
+            calibration_attributes=calibration_attributes,
+            attribute_codes=attributes,
+        )
+    except DataError as error:  # a refusal of the records as a whole
+        raise error.within(f"{records_path}: ")
     record_ids = tuple(ids) if roles.record_id else tuple(str(i + 1) for i in range(sample.n))
     return IngestedSample(sample=sample, record_ids=record_ids, strata_covariates=covariates)
 

@@ -73,7 +73,10 @@ def classify_cell(query: CellQuery, sample: SampleSet) -> TierLabel:
     reads is one of ``sample.calibration_attributes``; interval clauses on
     calibration values always are.
     """
-    sample.column(query.summed_variable, query.name)  # rejects an unknown variable
+    try:
+        sample.column(query.summed_variable)  # rejects an unknown variable
+    except DataError as error:
+        raise error.within(f"cell {query.name!r}: ")
     if query.summed_variable not in sample.calibration.variable_names:
         return TierLabel.TIER_3NCV
     f = query.filter

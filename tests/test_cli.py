@@ -735,6 +735,17 @@ MALFORMED_INPUTS = [
         "records.csv: records reference unknown strata: ['s2']",
         id="records-unknown-stratum",
     ),
+    # a refusal of the records as a whole names the records file
+    pytest.param(
+        lambda t: set_csv_field(t / "records.csv", "weight", "-3"),
+        "records.csv: record in stratum 's1': design weight must be > 0",
+        id="records-negative-weight",
+    ),
+    pytest.param(
+        lambda t: set_csv_field(t / "strata.csv", "population_size", "10"),
+        "records.csv: sample count exceeds population size in strata: ['s1']",
+        id="records-exceed-population",
+    ),
     pytest.param(
         lambda t: (t / "draws.csv").unlink(),
         "draws.csv: cannot read (No such file or directory)",
@@ -1288,6 +1299,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("convergence failure: no converged replications to accumulate: ")
         assert "mcmc.rhat_threshold 1.2 in each of the 1 replications" in err
+
+    def test_replication_refusal_names_its_variable_once_at_any_thread_count(self, tmp_path, capsys):
+        # no one is employed, so every stratum's hours are 0: a constant variable
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["simulate"]["mc"]["replications"] = 2
+        raw["simulate"]["population"]["variables"][0]["intercept"] = -7
+        cfg = write_config(tmp_path, raw)
+        errs = []
+        for threads in ("1", "2"):
+            argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / threads), "--threads", threads]
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: replication 0, variable 'hours': zero sampling variance is not usable")
+        assert errs[0].count("variable 'hours'") == 1
 
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
         base = ["--config", "c.yaml", "--out", str(tmp_path)]

@@ -275,3 +275,33 @@ def test_sampler_error_names_the_sample_and_variable(frame, default_models, monk
             samples, frame.calibration, default_models, frame.covariates, MCMC,
             base_keys=[(4, 1), (9, 1)], labels=["replication 4", "replication 9"],
         )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "bad,where",
+    [
+        ((1, 3), "replication 4, variable 'unemployed'; replication 9, variable 'unemployed'"),
+        ((2, 3), "replication 9, variable 'employed'; replication 9, variable 'unemployed'"),
+    ],
+)
+def test_batch_sampler_error_names_each_model_at_fault(frame, default_models, monkeypatch, bad, where):
+    # the binary call fits (sample, variable) (0, employed), (0, unemployed),
+    # (1, employed) and (1, unemployed); the inputs at ``bad`` overflow
+    original = fitting.fit_binary_hb
+
+    def crafted(models, config, spawn_keys):
+        models = list(models)
+        for j in bad:
+            H = len(models[j].successes)
+            models[j] = replace(models[j], successes=np.full(H, 9e307), sizes=np.full(H, 1e308))
+        return original(models, config, spawn_keys=spawn_keys)
+
+    monkeypatch.setattr(fitting, "fit_binary_hb", crafted)
+    samples = [draw_stratified_sample(frame, 0.2, chain_rng(5, s)) for s in range(2)]
+    with pytest.raises(NumericalError) as refused:
+        fitting.fit_all_variables(
+            samples, frame.calibration, default_models, frame.covariates, MCMC,
+            base_keys=[(4, 1), (9, 1)], labels=["replication 4", "replication 9"],
+        )
+    assert str(refused.value) == f"{where}: non-finite log-posterior at initial state"

@@ -6,6 +6,7 @@ import pytest
 from postcal.errors import DataError
 from postcal.frame import (
     CalibrationSpec,
+    CellAtoms,
     CellFilter,
     CellQuery,
     SampleSet,
@@ -313,13 +314,15 @@ class TestSampleSetValidation:
             sample.check_spec(CalibrationSpec(("v1", "v2"), ("d2", "d1")))
 
     def test_column_by_name(self):
-        sample, _ = toy_ten_records()
+        sample, spec = toy_ten_records()
         assert np.array_equal(sample.column("hours"), sample.calib[:, 1])
         assert sample.column("income") is sample.outcomes["income"]
         with pytest.raises(DataError, match="^variable 'wages' is neither"):
             sample.column("wages")
-        with pytest.raises(DataError, match="^cell 'c': variable 'wages'"):
-            sample.column("wages", "c")
+        query = CellQuery("c", "wages")
+        for ask in (lambda: evaluate_cell(query, sample, spec), lambda: CellAtoms.of(sample, [query])):
+            with pytest.raises(DataError, match="^cell 'c': variable 'wages' is neither"):
+                ask()
 
     def test_sample_larger_than_population_rejected(self):
         with pytest.raises(DataError, match="exceeds"):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -21,11 +22,13 @@ from postcal.config import (
     RunConfig,
     SimulateConfig,
     SyntheticPopulationSpec,
+    _pair,
     config_hash,
     load_config,
+    names,
     parse_config,
 )
-from postcal.errors import ConfigError, DataError
+from postcal.errors import ConfigError, DataError, NumericalError, checked, distinct, positive
 from postcal.frame import CalibrationSpec, StratumSpec, TierLabel
 from postcal.hb import HBPrior, McmcConfig, PosteriorDraws
 import postcal.io as postcal_io
@@ -1315,3 +1318,47 @@ class TestSimulateSection:
         assert population.seed == 3
         assert [s.id for s in population.strata] == [f"s{k}" for k in range(1, 9)]
         assert population.variables[1].clip == (1.0, 60.0)
+
+
+class TestErrorContext:
+    """An error holds its cause and its context parts, outermost first, and
+    reads as the parts and then the cause."""
+
+    @pytest.mark.parametrize(
+        "held,parts,where",
+        [
+            ((), ("a: ",), ("a: ",)),
+            (("b: ",), ("a: ", "", "ab: "), ("a: ", "ab: ", "b: ")),
+            # a replication's label goes in front of the variable its input names
+            (("variable 'v': ",), ("replication 0, ", "variable 'v': "), ("replication 0, ", "variable 'v': ")),
+            (("replication 0, ", "variable 'v': "), ("replication 0, ",), ("replication 0, ", "variable 'v': ")),
+        ],
+    )
+    def test_within_puts_parts_in_front_once(self, held, parts, where):
+        error = DataError("cause", *held)
+        assert error.within(*parts) is error
+        assert (error.cause, error.where, str(error)) == ("cause", where, "".join(where) + "cause")
+
+    @pytest.mark.parametrize(
+        "refuse,text",
+        [
+            (lambda: checked(-1, positive, "prior_df"), "prior_df: expected positive, got -1"),
+            (lambda: checked(["a", ["b"]], names, "domains", ConfigError), "domains[1]: expected a name, got ['b']"),
+            (lambda: checked(["a", "a"], names, "domains", ConfigError), "domains[1]: 'a' repeats [0]"),
+            (lambda: checked([1, "x"], _pair(False), "range", ConfigError), "range: expected real, got 'x'"),
+            (lambda: checked([2, 1], _pair(True), "clip", ConfigError), "clip: min 2.0 exceeds max 1.0"),
+            (lambda: distinct(["s1", "s1"], "strata", key=".id"), "strata[1].id: 's1' repeats [0]"),
+        ],
+    )
+    def test_text_is_the_parts_then_the_cause(self, refuse, text):
+        with pytest.raises((ConfigError, DataError)) as refused:
+            refuse()
+        assert str(refused.value) == text == "".join(refused.value.where) + refused.value.cause
+
+    def test_pickled_error_keeps_its_context(self):
+        # a worker process's refusal reaches the parent through pickle
+        error = NumericalError("non-finite log-posterior", "variable 'v': ", models=[1, 3]).within("replication 0, ")
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is NumericalError
+        assert (back.cause, back.where, back.models) == (error.cause, ("replication 0, ", "variable 'v': "), (1, 3))
+        assert str(back) == "replication 0, variable 'v': non-finite log-posterior"

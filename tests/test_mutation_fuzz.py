@@ -18,8 +18,9 @@ must end with a documented exit code and no traceback, and a refusal
 (exit 2) must name where its cause is: a key path, the cell or band rule
 that holds it, or the file, with its line where a row is at fault.  A
 swapped number may also leave ``simulate`` a generated sample it refuses,
-which names its replication.  The cases are drawn once from fixed seeds,
-so every run checks the same ones.
+which names its replication; no refusal names a part of its context
+twice in a row.  The cases are drawn once from fixed seeds, so every run
+checks the same ones.
 """
 
 import copy
@@ -67,6 +68,8 @@ NAMED_CAUSE = re.compile(
 )
 # a ``simulate`` refusal of a generated sample names its replication
 REPLICATION_CAUSE = re.compile(r"^error: replication \d+, ", re.MULTILINE)
+# a context part said twice in a row: each layer names what it adds once
+REPEATED_PART = re.compile(r"(variable '[^']*': |replication \d+, |cell '[^']*': |stratum '[^']*': )\1")
 
 
 def leaves(node, path=()):
@@ -327,4 +330,5 @@ def run_short(tmp_path, capsys, command: str, raw: dict, done: str) -> tuple[int
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), f"{done}: {command} exit {code}: {err}"
     assert "Traceback" not in err, f"{done}: {command}: {err}"
+    assert not REPEATED_PART.search(err), f"{done}: {command} names a part twice: {err}"
     return code, err

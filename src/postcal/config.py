@@ -29,7 +29,7 @@ from .errors import (
     ConfigError, DataError, at_least, between, check_fields, checked, distinct, integer,
     nominal_level, nonnegative, one_of, real, restricted, sampling_fraction,
 )
-from .frame import CellFilter, CellQuery, StratumSpec, TierLabel
+from .frame import CellFilter, CellQuery, StratumSpec
 from .hb import HBPrior, McmcConfig
 from .io import BandRule, ColumnRoles
 
@@ -330,7 +330,7 @@ _MODEL = (
 )
 _MCMC = {"rhat_threshold": real, "burnin": integer, "iterations": integer, "chains": integer, "proposal_sd": None}, ()
 _REPORT = {"level": real}, ()
-_CELL = {"name": name, "sum": name, "where": mapping, "tier": None, "link": optional(name)}, ("name", "sum")
+_CELL = {"name": name, "sum": name, "where": mapping, "link": optional(name)}, ("name", "sum")
 _SIMULATE = {"population": mapping, "mc": mapping, "derived": entries}, ()
 _MC = {"replications": integer, "sampling_fraction": real}, ()
 _POPULATION = (
@@ -442,9 +442,8 @@ def _cell(
 ) -> CellQuery:
     """One cell; a summed variable outside ``numeric``, a domain outside
     ``domains`` or an attribute outside ``attributes`` (None: not known
-    here) is a ConfigError naming its path, as is a 2-CA or 2-NCA tier on a
-    cell that sums no calibration variable: its CBI shares the cell out over
-    the domain totals of the summed variable."""
+    here) is a ConfigError naming its path.  Its tier follows from its
+    filter and the sample alone (``replicate.classify_cell``)."""
     cell = _read(entry, where, *_CELL)
     summed = cell["sum"]
     if numeric is not None and summed not in numeric:
@@ -476,21 +475,10 @@ def _cell(
             raise ConfigError(f"{path}: unknown attribute {key!r}; declared {list(attributes)}")
         else:
             levels[key] = checked(value, name_or_names, path, ConfigError)
-    tier = cell.get("tier")
-    try:
-        tier_override = TierLabel(tier) if tier is not None else None
-    except ValueError:
-        raise ConfigError(
-            f"{where}.tier: unknown tier {tier!r}; expected one of "
-            f"{[t.value for t in TierLabel]}"
-        ) from None
-    if tier_override in (TierLabel.TIER_2CA, TierLabel.TIER_2NCA) and numeric and summed not in calibration:
-        raise ConfigError(f"{where}.tier: {tier!r} needs a summed calibration variable; {summed!r} is an outcome")
     return CellQuery(
         name=cell["name"],
         summed_variable=summed,
         filter=CellFilter.build(domains=cell_domains, attributes=levels, ranges=ranges),
-        tier_override=tier_override,
         link_variable=cell.get("link"),
     )
 

@@ -59,7 +59,7 @@ def model_input(
 ) -> BinaryHBInput | GaussianFHInput:
     """The validated per-stratum input of one calibration variable's model,
     folded by ``domains``, the sample's ``domain_map`` (which checks that
-    every stratum is sampled)."""
+    every stratum is sampled); a refusal of the input names the variable."""
     if model.variable not in sample.calibration.variable_names:
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
@@ -77,21 +77,18 @@ def model_input(
                 f"variable {model.variable!r} is not binary; found values "
                 f"outside {{0, 1}}"
             )
-        return BinaryHBInput(
-            successes=stratum_sums,
-            sizes=sample.stratum_counts.astype(float),
-            covariates=Z,
-            prior=model.prior,
-            domains=domains,
-        )
-
-    return GaussianFHInput(
-        estimates=stratum_sums / sample.stratum_counts,
-        sampling_variances=compute_psi(sample, model.variable),
-        covariates=Z,
-        prior=model.prior,
-        domains=domains,
-    )
+        kind = BinaryHBInput
+        data = {"successes": stratum_sums, "sizes": sample.stratum_counts.astype(float)}
+    else:
+        kind = GaussianFHInput
+        data = {
+            "estimates": stratum_sums / sample.stratum_counts,
+            "sampling_variances": compute_psi(sample, model.variable),
+        }
+    try:
+        return kind(**data, covariates=Z, prior=model.prior, domains=domains)
+    except (DataError, NumericalError) as error:
+        raise error.within(f"variable {model.variable!r}: ")
 
 
 def fit_all_variables(

@@ -38,8 +38,9 @@ from .errors import DataError, at_least, check_fields, distinct, positive
 class TierLabel(Enum):
     """Inferential tier of a cross-tabulation cell.
 
-    TIER_1E      exact constraint cell: calibration variable summed over one
-                 whole domain.
+    TIER_1E      exact constraint cell: calibration variable summed over whole
+                 domains (one, several, or all with no filter), so its
+                 replicate totals are sums of calibrated domain totals.
     TIER_2CA     calibration variable summed under a filter derived from the
                  calibration variables themselves.
     TIER_2NCA    calibration variable summed under any other filter.
@@ -398,17 +399,6 @@ class CellFilter:
             value_ranges=tuple(sorted((ranges or {}).items())),
         )
 
-    def single_domain(self) -> str | None:
-        """The domain id when the filter is exactly one domain, else None."""
-        if (
-            self.domains is not None
-            and len(self.domains) == 1
-            and not self.attribute_levels
-            and not self.value_ranges
-        ):
-            return next(iter(self.domains))
-        return None
-
 
 @dataclass(frozen=True)
 class CellQuery:
@@ -417,7 +407,6 @@ class CellQuery:
     name: str
     summed_variable: str
     filter: CellFilter = CellFilter()
-    tier_override: TierLabel | None = None
     link_variable: str | None = None
 
 

@@ -208,9 +208,11 @@ class DomainMap:
 def _check_model(model, values: np.ndarray, kind: str) -> None:
     """The checks the two model inputs share, run after their own checks of
     the 1-d per-stratum ``values``: the covariates as H x k (a k x H matrix
-    is transposed), finite covariates and values, a prior of the input's
-    ``kind``, 2 strata unless ``fixed_sigma2`` is given, and a domain map
-    covering the strata (``DomainMap.identity`` when none is given)."""
+    is transposed), finite covariates and values, covariates of full column
+    rank (under the flat beta prior either model's posterior is improper
+    otherwise), a prior of the input's ``kind``, 2 strata unless
+    ``fixed_sigma2`` is given, and a domain map covering the strata
+    (``DomainMap.identity`` when none is given)."""
     H = values.shape[0]
     z = np.atleast_2d(np.asarray(model.covariates, dtype=float))
     if z.shape[0] != H:
@@ -220,6 +222,13 @@ def _check_model(model, values: np.ndarray, kind: str) -> None:
         raise DataError("covariate rows must match the number of strata")
     if not (np.isfinite(z).all() and np.isfinite(values).all()):
         raise NumericalError("non-finite model inputs")
+    # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
+    rank, order = pivoted_cholesky_rank(z.T @ z)
+    if rank < z.shape[1]:
+        raise DataError(
+            f"covariate cross-product is singular; collinear columns "
+            f"{sorted(int(j) for j in order[rank:])}"
+        )
     if model.prior.kind != kind:
         raise DataError(f"prior: a {kind} model needs a {kind} prior, got a {model.prior.kind} one")
     if model.prior.fixed_sigma2 is None and H < 2:
@@ -757,15 +766,7 @@ def fit_gaussian_fh(
     H, k = Z.shape[0], Z.shape[1]
     C = config.chains
 
-    ztz = Z.T @ Z
-    # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
-    rank, order = pivoted_cholesky_rank(ztz)
-    if rank < k:
-        raise DataError(
-            f"covariate cross-product is singular; collinear columns "
-            f"{sorted(int(j) for j in order[rank:])}"
-        )
-    ztz_inv = np.linalg.inv(ztz)
+    ztz_inv = np.linalg.inv(Z.T @ Z)
     ztz_inv_chol = np.linalg.cholesky(ztz_inv)
 
     sigma_prior = model.prior

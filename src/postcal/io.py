@@ -397,11 +397,12 @@ def _positions(levels: dict, blocks: list[np.ndarray], position: Mapping) -> np.
     return np.array([position[x] for x in levels], dtype=np.intp)[np.concatenate(blocks)]
 
 
-def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np.ndarray]]:
+def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np.ndarray], list[int]]:
     """Stratum metadata file: id, population_size, optional deff, covariates.
 
-    Any additional numeric column is returned as a stratum-level covariate.
-    An empty deff entry means 1.
+    Any additional numeric column is returned as a stratum-level covariate,
+    and each stratum's file line is returned with them.  An empty deff entry
+    means 1.
     """
     path = Path(path)
     columns, lines = _read_table(path)
@@ -425,7 +426,7 @@ def read_strata(path: str | Path) -> tuple[tuple[StratumSpec, ...], dict[str, np
             strata.append(StratumSpec(id=sid, population_size=int(size), deff=d))
         except DataError as error:
             raise error.within(f"{path}:{line}: ", f"stratum {sid!r}: ")
-    return tuple(strata), covariates
+    return tuple(strata), covariates, lines
 
 
 def read_sample(
@@ -463,6 +464,10 @@ def read_sample(
             faults: list = []
             for name, parsed in floats.items():
                 parsed.append(_floats(columns[name], faults))
+            weights = floats[roles.weight][-1]
+            if weights is not None and not (weights > 0).all():
+                i = int(np.argmin(weights > 0))
+                faults.append((i, f"design weight {columns[roles.weight][i]!r} is not > 0"))
             if roles.record_id:
                 # a range where every row took one line
                 compact = lines[-1] - lines[0] == len(lines) - 1
@@ -475,7 +480,7 @@ def read_sample(
             del columns
     del seen, tables  # freed before the store is built
 
-    strata, covariates = read_strata(strata_path)
+    strata, covariates, strata_lines = read_strata(strata_path)
     domain_levels = codes[roles.domain][0]
     order = tuple(domain_order) if domain_order else tuple(sorted(domain_levels))
     unknown = set(domain_levels) - set(order)
@@ -490,6 +495,14 @@ def read_sample(
         raise DataError(
             f"{records_path}: records reference unknown strata: {sorted(unknown)}"
         )
+    stratum_idx = _positions(*codes[roles.stratum], stratum_pos)
+    counts = np.bincount(stratum_idx, minlength=len(strata)).tolist()
+    for stratum, n_h, line in zip(strata, counts, strata_lines):
+        if n_h > stratum.population_size:
+            raise DataError(
+                f"{n_h} sampled records exceed the population size {stratum.population_size}",
+                f"{strata_path}:{line}: ", f"stratum {stratum.id!r}: ",
+            )
     spec = CalibrationSpec(
         variable_names=tuple(roles.calibration), domain_order=order
     )
@@ -508,7 +521,7 @@ def read_sample(
         sample = SampleSet(
             strata=strata,
             calibration=spec,
-            stratum_idx=_positions(*codes[roles.stratum], stratum_pos),
+            stratum_idx=stratum_idx,
             domain_idx=_positions(*codes[roles.domain], {d: i for i, d in enumerate(order)}),
             weights=floats[roles.weight],
             calib=np.column_stack(list(calib.values())),

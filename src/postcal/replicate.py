@@ -69,7 +69,10 @@ class CredibleInterval:
 def classify_cell(query: CellQuery, sample: SampleSet) -> TierLabel:
     """Assign the inferential tier of a cell; classification is total.
 
-    A filter on attributes is calibration-derived when every attribute it
+    A calibration variable summed under no attribute and no interval clause
+    is 1-E, over one domain, several or all: calibration reproduces each
+    domain's total, so every replicate total is a sum of draw columns.  A
+    filter on attributes is calibration-derived when every attribute it
     reads is one of ``sample.calibration_attributes``; interval clauses on
     calibration values always are.
     """
@@ -80,7 +83,7 @@ def classify_cell(query: CellQuery, sample: SampleSet) -> TierLabel:
     if query.summed_variable not in sample.calibration.variable_names:
         return TierLabel.TIER_3NCV
     f = query.filter
-    if f.single_domain() is not None:
+    if not (f.attribute_levels or f.value_ranges):
         return TierLabel.TIER_1E
     if all(attr in sample.calibration_attributes for attr, _ in f.attribute_levels):
         return TierLabel.TIER_2CA

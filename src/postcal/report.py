@@ -125,8 +125,7 @@ def _analyze_cells(
     spec = sample.calibration
     rep.check_draws(draws, spec)
     C, V, D = len(queries), spec.n_variables, spec.n_domains
-    autos = [rep.classify_cell(query, sample) for query in queries]
-    tiers = [query.tier_override or auto for query, auto in zip(queries, autos)]
+    tiers = [rep.classify_cell(query, sample) for query in queries]
     needs_cbi = np.array([tier is not TierLabel.TIER_1E for tier in tiers], dtype=bool)
     needs_link = np.array([tier is TierLabel.TIER_3NCV for tier in tiers], dtype=bool)
     atoms = CellAtoms.of(sample, queries) if atoms is None else atoms
@@ -176,13 +175,8 @@ def _analyze_cells(
     )
 
     warnings: list[list[str]] = [[] for _ in queries]
-    for c, (auto, tier) in enumerate(zip(autos, tiers)):
-        if tier is not auto:
-            warnings[c].append(
-                f"tier override {tier.value} replaces automatic classification {auto.value}"
-            )
-        if counts[c] == 0:
-            warnings[c].append("empty cell: no sampled records match the filter")
+    for c in np.flatnonzero(counts == 0).tolist():
+        warnings[c].append("empty cell: no sampled records match the filter")
     for c, refusal, rho in zip(linked.tolist(), refusals, link_rho[linked].tolist()):
         if refusal is not None:
             warnings[c].append(refusal)

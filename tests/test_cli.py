@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from postcal.config import (
 )
 from postcal.errors import ConfigError, DataError
 from postcal.fitting import fit_all_variables
-from postcal.frame import SampleSet, StratumSpec
+from postcal.frame import CalibrationSpec, SampleSet, StratumSpec
 from postcal.hb import HBPrior, McmcConfig, chain_rng
-from postcal.io import read_sample
+from postcal.io import read_draws, read_sample
 from postcal import simulate
 from postcal.report import CellReportRow
 from postcal.simulate import draw_stratified_sample, generate_population, run_chunk
@@ -272,6 +273,33 @@ class TestInfer:
         assert meta["seed"] == 4242
         assert meta["gram_rank"] == 4
         assert "rhat_max" in meta and "config_hash" in meta
+
+    def test_whole_domain_cells_of_the_demo_are_exact(self, tmp_path):
+        # a calibration variable summed over all domains (no where:) or over
+        # both listed is 1-E: its CrI is the quantiles of its summed draw
+        # columns, and it has no CBI
+        shutil.copytree(DEMO_CONFIG.parent, tmp_path, dirs_exist_ok=True)
+        raw = yaml.safe_load(DEMO_CONFIG.read_text())
+        raw["cells"] += [
+            {"name": "hours_all", "sum": "hours"},
+            {"name": "employed_both", "sum": "employed", "where": {"domain": ["east", "west"]}},
+        ]
+        config = ["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]
+        assert main(["fit", *config]) == 0
+        assert main(["infer", *config, "--draws", str(tmp_path / "out" / "draws.csv")]) == 0
+        rows = {row["name"]: row for row in json.loads((tmp_path / "out" / "report.json").read_text())["cells"]}
+        spec = CalibrationSpec(tuple(raw["sample"]["columns"]["calibration"]), ("east", "west"))
+        draws = read_draws(tmp_path / "out" / "draws.csv", spec).draws
+        for name, v in (("hours_all", spec.variable_names.index("hours")),
+                        ("employed_both", spec.variable_names.index("employed"))):
+            row = rows[name]
+            assert (row["tier"], row["cri_kind"], row["cbi_lower"], row["cbi_upper"]) == (
+                "1-E", "posterior", None, None
+            )
+            summed = draws[:, 2 * v] + draws[:, 2 * v + 1]
+            np.testing.assert_allclose(
+                [row["cri_lower"], row["cri_upper"]], np.quantile(summed, [0.025, 0.975]), rtol=1e-9
+            )
 
     def test_report_cells_are_the_row_fields(self, tmp_path):
         write_sample_files(tmp_path)
@@ -735,15 +763,15 @@ MALFORMED_INPUTS = [
         "records.csv: records reference unknown strata: ['s2']",
         id="records-unknown-stratum",
     ),
-    # a refusal of the records as a whole names the records file
+    # a weight is named by its records line, a stratum's size by its strata line
     pytest.param(
-        lambda t: set_csv_field(t / "records.csv", "weight", "-3"),
-        "records.csv: record in stratum 's1': design weight must be > 0",
+        lambda t: set_csv_field(t / "records.csv", "weight", "-3", row=4),
+        "records.csv:6: design weight '-3' is not > 0",
         id="records-negative-weight",
     ),
     pytest.param(
         lambda t: set_csv_field(t / "strata.csv", "population_size", "10"),
-        "records.csv: sample count exceeds population size in strata: ['s1']",
+        "strata.csv:2: stratum 's1': 30 sampled records exceed the population size 10",
         id="records-exceed-population",
     ),
     pytest.param(
@@ -817,6 +845,12 @@ MALFORMED_INPUTS = [
         set_config("sample.derived.0.source", "occ"),
         "sample.derived[0].source: 'occ' is not a numeric column",
         id="band-source-attribute",
+    ),
+    # a cell's tier follows from its filter and the sample; no key sets it
+    pytest.param(
+        set_config("cells.0.tier", "2-CA"),
+        "cells[0].tier: unknown key; expected one of ['name', 'sum', 'where', 'link']",
+        id="cell-tier-key",
     ),
     pytest.param(
         filter_on_undeclared_domain,
@@ -1155,6 +1189,20 @@ class TestMalformedInput:
         corrupt(tmp_path)
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
+
+    @pytest.mark.parametrize("variable", ["employed", "hours"], ids=["binary", "gaussian"])
+    def test_collinear_covariates_exit_2_naming_the_variable(self, tmp_path, capsys, variable):
+        # under the flat beta prior either model's posterior is improper
+        write_sample_files(tmp_path)
+        path = tmp_path / "strata.csv"
+        header, *rows = path.read_text().splitlines()
+        doubled = [f"{row},{2 * float(row.split(',')[3])!r}" for row in rows]
+        path.write_text("\n".join([f"{header},z2", *doubled]) + "\n")
+        cfg = write_config(tmp_path, base_config())
+        set_config(f"models.{variable}.covariates", ["z", "z2"])(tmp_path)
+        argv = ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        cause = f"error: variable {variable!r}: covariate cross-product is singular; collinear columns ["
+        assert_exit_2_naming(capsys, argv, cause)
 
     def test_fit_refuses_an_unknown_cell_variable_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -148,10 +148,13 @@ MODEL_DATA = [
         ({"covariates": [[1.0, np.nan]]}, NumericalError, "non-finite model inputs"),
         ({"prior": "other"}, DataError, "prior: a {kind} model needs a {kind} prior, got a {other} one"),
         ({"domains": DomainMap.identity(3)}, DataError, "domain map covers 3 strata, model has 2"),
+        # the flat beta prior makes either posterior improper
+        ({"covariates": [[1.0, 0.0], [1.0, 0.0]]}, DataError,
+         "covariate cross-product is singular; collinear columns [1]"),
         # of two faults, the one checked first is reported
         ({"covariates": np.ones((3, 1)), "prior": "other"}, DataError, "covariate rows"),
     ],
-    ids=["rows", "non-finite", "prior", "domains", "rows-first"],
+    ids=["rows", "non-finite", "prior", "domains", "collinear", "rows-first"],
 )
 def test_model_inputs_share_their_checks(model, data, change, error, message):
     kind, other = ("binary", "gaussian") if model is BinaryHBInput else ("gaussian", "binary")

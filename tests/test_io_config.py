@@ -29,7 +29,7 @@ from postcal.config import (
     parse_config,
 )
 from postcal.errors import ConfigError, DataError, NumericalError, checked, distinct, positive
-from postcal.frame import CalibrationSpec, StratumSpec, TierLabel
+from postcal.frame import CalibrationSpec, StratumSpec
 from postcal.hb import HBPrior, McmcConfig, PosteriorDraws
 import postcal.io as postcal_io
 from postcal.io import (
@@ -922,7 +922,6 @@ BASE_CONFIG = {
             "name": "emp_band",
             "sum": "employed",
             "where": {"hours": {"min": 35, "max": 39}},
-            "tier": "2-CA",
         },
         {
             "name": "inc_mgr",
@@ -946,8 +945,7 @@ class TestConfig:
         assert cfg.mcmc.iterations == 20
         assert cfg.models["hours"].prior.prior_scale == 2.0
         assert len(cfg.cells) == 3
-        assert cfg.cells[0].filter.single_domain() == "d1"
-        assert cfg.cells[1].tier_override is TierLabel.TIER_2CA
+        assert cfg.cells[0].filter.domains == frozenset({"d1"})
         assert dict(cfg.cells[1].filter.value_ranges)["hours"] == (35, 39)
         assert cfg.cells[2].link_variable == "hours"
 
@@ -1068,7 +1066,7 @@ class TestConfig:
         "config,change,cause",
         [
             (DEMO_CONFIG, lambda raw: raw["cells"][0].update(wher=raw["cells"][0].pop("where")),
-             "cells[0].wher: unknown key; expected one of ['name', 'sum', 'where', 'tier', 'link']"),
+             "cells[0].wher: unknown key; expected one of ['name', 'sum', 'where', 'link']"),
             (DEMO_CONFIG, lambda raw: raw["mcmc"].update(iteratons=2000), "mcmc.iteratons: unknown key"),
             (DEMO_CONFIG, lambda raw: raw["cells"][0]["where"].update(hours={"mn": 1}),
              "cells[0].where.hours.mn: unknown key of an interval; expected one of ['min', 'max']"),
@@ -1080,7 +1078,7 @@ class TestConfig:
              "cells[1].where.occupaton: unknown attribute 'occupaton'; declared ['occupation']"),
             *(
                 (config, lambda raw, tier=tier: raw["cells"][-1].update(tier=tier),
-                 f"cells[{last}].tier: {tier!r} needs a summed calibration variable; 'income' is an outcome")
+                 f"cells[{last}].tier: unknown key; expected one of ['name', 'sum', 'where', 'link']")
                 for config, last in [(DEMO_CONFIG, 8), (SMOKE_CONFIG, 2)]
                 for tier in ("2-CA", "2-NCA")
             ),
@@ -1103,7 +1101,7 @@ class TestConfig:
         ],
         ids=[
             "cell-key", "mcmc-key", "interval-key", "attribute", "outcome-as-attribute", "simulated-attribute",
-            "tier-2CA-outcome", "tier-2NCA-outcome", "simulated-tier-2CA-outcome", "simulated-tier-2NCA-outcome",
+            "tier-2CA-key", "tier-2NCA-key", "simulated-tier-2CA-key", "simulated-tier-2NCA-key",
             "band-attribute", "band-calibration", "band-outcome", "band-repeat", "simulated-band-attribute",
             "simulated-attribute-repeat",
         ],
@@ -1118,19 +1116,17 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "cell,tier",
-        [(7, "1-E"), (7, "3-NCV"), (5, "2-CA"), (5, "2-NCA"), (0, "3-NCV")],
+        [(7, "1-E"), (7, "3-NCV"), (5, "2-CA"), (5, "2-NCA"), (0, "3-NCV"), (0, "9-Z")],
     )
-    def test_tier_override_on_a_fitting_sum_is_kept(self, cell, tier):
+    def test_a_cell_takes_no_tier(self, cell, tier):
+        # a tier follows from the cell and the sample alone, whatever it names
         import yaml
 
         raw = yaml.safe_load(DEMO_CONFIG.read_text())
         raw["cells"][cell]["tier"] = tier
-        assert parse_config(raw, base_dir=DEMO_CONFIG.parent).cells[cell].tier_override.value == tier
-
-    def test_bad_tier_rejected(self):
-        raw = {"cells": [{"name": "x", "sum": "a", "tier": "9-Z"}]}
-        with pytest.raises(ConfigError, match="9-Z"):
-            parse_config(raw)
+        cause = f"cells[{cell}].tier: unknown key; expected one of ['name', 'sum', 'where', 'link']"
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            parse_config(raw, base_dir=DEMO_CONFIG.parent)
 
     @pytest.mark.parametrize(
         "path",

@@ -201,11 +201,47 @@ def test_tier_classification_is_total_and_ignores_clause_order(data):
     shuffled = [dict(data.draw(st.permutations(list(d.items())))) for d in (attributes, ranges)]
     assert tier(*shuffled) is got
     calibrated = summed in spec.variable_names
-    bare_domain = domains is not None and len(domains) == 1 and not attributes and not ranges
+    whole_domains = not attributes and not ranges
     assert (got is TierLabel.TIER_3NCV) == (not calibrated)
-    assert (got is TierLabel.TIER_1E) == (calibrated and bare_domain)
+    assert (got is TierLabel.TIER_1E) == (calibrated and whole_domains)
     assert (got is TierLabel.TIER_2CA) == (
-        calibrated and not bare_domain and set(attributes) <= derived
+        calibrated and not whole_domains and set(attributes) <= derived
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_whole_domain_cell_is_exact(data):
+    # a calibration variable summed over any set of whole domains, or over
+    # all of them with no filter, is 1-E: calibration reproduces each
+    # domain's total, so every replicate total is the sum of its domains'
+    # draw columns and the CrI is their quantiles, with no CBI
+    sample, spec = random_sample(data, min_n=6)
+    gram = compute_gram(sample, spec)
+    assume(gram.full_rank and gram.condition_estimate < 1e6)
+    ht = ht_totals(sample, spec)
+    rng = np.random.default_rng(data.draw(seeds, label="draws"))
+    B = data.draw(st.integers(2, 30), label="B")
+    draws = PosteriorDraws(ht * rng.uniform(0.7, 1.3, (B, spec.p)), np.zeros(B, dtype=int))
+    v = data.draw(st.integers(0, spec.n_variables - 1), label="variable")
+    domains = data.draw(
+        st.none() | st.sets(st.sampled_from(spec.domain_order), min_size=1), label="domains"
+    )
+    query = CellQuery("whole", spec.variable_names[v], CellFilter.build(domains=domains))
+    assert classify_cell(query, sample) is TierLabel.TIER_1E
+
+    chosen = spec.domain_order if domains is None else domains
+    columns = [v * spec.n_domains + spec.domain_order.index(d) for d in chosen]
+    want = draws.draws[:, columns].sum(axis=1)
+    cell = evaluate_cell(query, sample, spec)
+    got = replicate_totals(cell, draws, gram, ht, sample, spec).values
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    (row,) = build_run_report(build_artifacts(sample, draws, level=0.9), (query,)).rows
+    assert (row.tier, row.cri_kind, row.cbi_lower, row.cbi_upper) == (
+        TierLabel.TIER_1E, "posterior", None, None
+    )
+    np.testing.assert_allclose(
+        [row.cri_lower, row.cri_upper], np.quantile(want, [0.05, 0.95]), rtol=1e-9, atol=0
     )
 
 
@@ -478,19 +514,18 @@ def test_run_report_matches_per_cell_analysis_in_any_grouping(data):
     cells = []
     for k in range(data.draw(st.integers(0, 6), label="cells")):
         summed = data.draw(names, label="summed")
-        # an outcome has no CBI but as a ratio: its tier is 3-NCV
-        tiers = [TierLabel.TIER_3NCV] if summed == "u" else list(TierLabel)
-        override = data.draw(st.none() | st.sampled_from(tiers), label="override")
         link = data.draw(st.none() | names, label="link")
-        cells.append(CellQuery(f"c{k}", summed, random_filter(data, spec), override, link))
+        cells.append(CellQuery(f"c{k}", summed, random_filter(data, spec), link))
     cells += [
         # empty, so no variable is an admissible link
         CellQuery("empty", "u", CellFilter.build(attributes={"group": "zz"})),
-        CellQuery("override", "v2", CellFilter.build(domains="d1"), TierLabel.TIER_2NCA),
+        # every domain listed: 1-E, with no CBI
+        CellQuery("all_domains", "v2", CellFilter.build(domains=spec.domain_order)),
         # v1 is constant in the cell: a named link of correlation 0, so weak
         CellQuery("weak", "u", CellFilter.build(ranges={"v1": (1.0, 1.0)}), link_variable="v1"),
-        # meets every domain and stratum: zero totals and the singleton
-        CellQuery("whole", "v1"),
+        # an open interval meets every domain and stratum, yet is a clause,
+        # so the CBI meets zero totals and the singleton
+        CellQuery("whole", "v1", CellFilter.build(ranges={"v2": (None, None)})),
     ]
     cells = data.draw(st.permutations(cells), label="order")
 

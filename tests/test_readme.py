@@ -1,6 +1,7 @@
 """The README's *Library use* block runs as written against a fitted demo
 and reproduces the rows ``infer`` writes for the same cells, floats to a
-relative 1e-12, and its fuzz paragraph counts the cases each arm runs."""
+relative 1e-12, its fuzz paragraph counts the cases each arm runs, and its
+unknown-key example is the parser's refusal."""
 
 from __future__ import annotations
 
@@ -71,3 +72,18 @@ def test_fuzz_paragraph_counts_the_cases_each_arm_collects():
     paragraph = next(p for p in readme if p.startswith("`tests/test_mutation_fuzz.py`"))
     counts = [int(n) for n in re.findall(r"\b(\d+)\s+(?:seeded\s+|more\s+)?cases\b", paragraph)]
     assert counts == [sum(collected), *collected]
+
+
+def test_unknown_key_example_is_what_the_parser_prints():
+    import yaml
+
+    from postcal.config import parse_config
+    from postcal.errors import ConfigError
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"`(cells\[0\]\.wher: unknown key; expected one of \[[^`]*\])`", text).group(1)
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    raw["cells"][0]["wher"] = raw["cells"][0].pop("where")
+    with pytest.raises(ConfigError) as refused:
+        parse_config(raw, base_dir=DEMO_CONFIG.parent)
+    assert str(refused.value) == quoted

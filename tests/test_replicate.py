@@ -1,11 +1,15 @@
+import importlib.util
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from postcal import replicate
 from postcal.calibration import calibrate, compute_gram, ht_totals
+from postcal.config import load_config, parse_config
 from postcal.errors import DataError, NumericalError
 from postcal.frame import (
     CalibrationSpec,
@@ -18,6 +22,7 @@ from postcal.frame import (
     evaluate_cell,
 )
 from postcal.hb import PosteriorDraws
+from postcal.io import read_sample
 from postcal.replicate import (
     classify_cell,
     empirical_quantile_ci,
@@ -25,6 +30,7 @@ from postcal.replicate import (
     replicate_totals,
 )
 from postcal.report import analyze_cell, build_artifacts, build_run_report
+from postcal.simulate import generate_population
 
 from conftest import make_random_sample, sample_from_rows
 
@@ -103,12 +109,13 @@ class TestClassification:
         )
         assert classify_cell(q, sample) is TierLabel.TIER_3NCV
 
-    def test_multi_domain_filter_is_not_exact(self):
+    @pytest.mark.parametrize("domains", [("d1", "d2"), ("d1", "d2", "d3"), None])
+    def test_whole_domains_filter_is_exact(self, domains):
+        # a sum over several whole domains, or all of them with no filter,
+        # reproduces the sum of their calibrated totals
         sample, spec = survey_sample()
-        q = CellQuery(
-            "hours_d12", "hours", CellFilter.build(domains=("d1", "d2"))
-        )
-        assert classify_cell(q, sample) is TierLabel.TIER_2CA
+        q = CellQuery("hours_whole", "hours", CellFilter.build(domains=domains))
+        assert classify_cell(q, sample) is TierLabel.TIER_1E
 
     def test_mixed_filter_falls_to_nca(self):
         sample, spec = survey_sample()
@@ -120,6 +127,53 @@ class TestClassification:
             ),
         )
         assert classify_cell(q, sample) is TierLabel.TIER_2NCA
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def default_population():
+    cfg = load_config(ROOT / "configs" / "simulate_default.yaml")
+    return cfg, generate_population(cfg.simulate.population, cfg.band_rules)
+
+
+@pytest.mark.parametrize("case", ["demo", "simulate_default", "infer-large"])
+def test_classifier_agrees_with_the_benchmark_checks(case, default_population):
+    # the benchmark checks every report row's tier against its own rule; a
+    # classifier change that it does not follow shows here first
+    workloads = bench_workloads()
+    if case == "demo":
+        raw = yaml.safe_load((ROOT / "configs" / "demo" / "config.yaml").read_text())
+        cfg = parse_config(raw, base_dir=ROOT / "configs" / "demo")
+        sample = read_sample(
+            cfg.records_path, cfg.strata_path, cfg.roles, cfg.domain_order, cfg.band_rules
+        ).sample
+        rules = raw["sample"].get("derived")
+    else:
+        default, sample = default_population
+        raw = yaml.safe_load((ROOT / "configs" / "simulate_default.yaml").read_text())
+        rules = raw["simulate"].get("derived")
+        if case == "infer-large":
+            levels = {a["name"]: list(a["levels"]) for a in raw["simulate"]["population"]["attributes"]}
+            raw["cells"] = workloads._large_cells(
+                sample.domain_ids, levels["occupation"], levels["sex"],
+                [band["label"] for band in rules[0]["bands"]],
+            )
+        cfg = parse_config(raw)
+    calibration = sample.calibration.variable_names
+    derived = workloads._derived_from(rules, calibration)
+    assert len(cfg.cells) == len(raw["cells"]) > 0
+    for query, cell in zip(cfg.cells, raw["cells"]):
+        want = workloads.expected_tier(cell, calibration, derived)
+        assert classify_cell(query, sample).value == want, query.name
 
 
 class TestReplicateTotals:
@@ -306,16 +360,19 @@ MANAGERS = CellFilter.build(attributes={"occupation": "managers"})
 # (query, tier, CBI built, link variable, link rho, warnings)
 ANALYZE_CASES = [
     (
-        CellQuery("same", "employed", MANAGERS, tier_override=TierLabel.TIER_2NCA),
+        CellQuery("managers", "employed", MANAGERS),
         TierLabel.TIER_2NCA, True, None, None, (),
     ),
     (
-        CellQuery("override", "employed", MANAGERS, tier_override=TierLabel.TIER_2CA),
-        TierLabel.TIER_2CA, True, None, None,
-        ("tier override 2-CA replaces automatic classification 2-NCA",),
+        CellQuery("exact", "hours", CellFilter.build(domains="d1")),
+        TierLabel.TIER_1E, False, None, None, (),
     ),
     (
-        CellQuery("exact", "hours", CellFilter.build(domains="d1")),
+        CellQuery("two_domains", "employed", CellFilter.build(domains=("d1", "d3"))),
+        TierLabel.TIER_1E, False, None, None, (),
+    ),
+    (
+        CellQuery("every_domain", "hours"),
         TierLabel.TIER_1E, False, None, None, (),
     ),
     (

@@ -219,7 +219,7 @@ def cell_weighted_moments(pairs: CellPairs) -> np.ndarray:
     G = pairs.n_cells
     key = pairs.cell * D + atoms.domain[pairs.atom] + G * D * np.arange(V)[:, None]
     sums = np.bincount(key.ravel(), pairs.take(atoms.moments).ravel(), minlength=V * G * D)
-    return sums.reshape(V, G, D).transpose(1, 0, 2).reshape(G, -1)
+    return sums.reshape(V, G, D).transpose(1, 0, 2).reshape(G, V * D)
 
 
 def cell_weighted_moment(sample: SampleSet, rows: np.ndarray, values: np.ndarray) -> np.ndarray:

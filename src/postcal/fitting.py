@@ -36,6 +36,8 @@ def _covariate_matrix(
     model: ModelConfig,
     strata_covariates: dict[str, np.ndarray],
 ) -> np.ndarray:
+    """The H x k covariates of ``model``: a column of ones, named
+    ``(intercept)`` in a refusal, then each named stratum covariate."""
     H = len(sample.strata)
     columns = [np.ones(H)]
     for name in model.covariates:
@@ -86,7 +88,8 @@ def model_input(
             "sampling_variances": compute_psi(sample, model.variable),
         }
     try:
-        return kind(**data, covariates=Z, prior=model.prior, domains=domains)
+        names = ("(intercept)", *model.covariates)
+        return kind(**data, covariates=Z, prior=model.prior, domains=domains, covariate_names=names)
     except (DataError, NumericalError) as error:
         raise error.within(f"variable {model.variable!r}: ")
 

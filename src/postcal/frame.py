@@ -418,12 +418,6 @@ class CellData:
     values: np.ndarray
 
 
-# Most (cell, atom) pairs a group of cells reduces at once, which bounds the
-# per-pair arrays a group holds; a cell with more atoms forms a group alone.
-# On the benchmark's infer-large sample (26,800 pairs), one group of 32,768
-# pairs takes the peak RSS of ``infer`` from 53.6 to 55.0 MiB.
-CELL_GROUP_PAIRS = 1 << 13
-
 # Most bytes of column values in atom order that a table reduces at once:
 # its per-atom statistics are taken over blocks of columns of this size,
 # all of a 5,000-record sample's columns together and one column at a time
@@ -451,7 +445,7 @@ class CellAtoms:
     stratum, domain, then membership-pattern order, and ``order`` puts the
     records in atom order, so a statistic of every atom is one ``reduceat``
     over a block of columns so ordered (``COLUMN_BLOCK_BYTES``).  A cell's
-    statistic is then a reduction over its (cell, atom) pairs (``groups``),
+    statistic is then a reduction over its (cell, atom) pairs (``pairs``),
     which combines centred sums by the pairwise updates of Chan, Golub &
     LeVeque (1983).  A clause is ``(codes, table)``, its mask
     ``table[codes]``; columns are the calibration variables, in their
@@ -496,7 +490,6 @@ class CellAtoms:
         self.stratum = sample.stratum_idx[first]
         self.domain = sample.domain_idx[first]
         self.used = sorted({column for _, column in self.cells})
-        self._comoments: tuple[np.ndarray, set] | None = None
 
     @staticmethod
     def of(sample: SampleSet, queries: Sequence[CellQuery]) -> "CellAtoms":
@@ -530,23 +523,18 @@ class CellAtoms:
     def n_atoms(self) -> int:
         return self.starts.size
 
-    def groups(self, cells: Iterable[int]) -> Iterator[tuple[np.ndarray, CellPairs]]:
-        """The ``cells`` (positions) in order, cut into groups of at most
-        ``CELL_GROUP_PAIRS`` pairs: each group's positions and pairs."""
-        group: list[int] = []
-        atoms: list[np.ndarray] = []
-        size = 0
-        for c in cells:
-            clauses, _ = self.cells[c]
-            members = np.flatnonzero(np.logical_and.reduce(self.pattern[list(clauses)]))
-            if group and size + members.size > CELL_GROUP_PAIRS:
-                yield np.array(group), CellPairs.of(self, group, atoms)
-                group, atoms, size = [], [], 0
-            group.append(c)
-            atoms.append(members)
-            size += members.size
-        if group:
-            yield np.array(group), CellPairs.of(self, group, atoms)
+    def pairs(self, cells: Sequence[int]) -> CellPairs:
+        """The (cell, atom) pairs of the ``cells`` (positions), in order; the
+        arrays are typed so that no cells give empty pairs."""
+        members = [
+            np.flatnonzero(np.logical_and.reduce(self.pattern[list(self.cells[c][0])])) for c in cells
+        ]
+        return CellPairs(
+            self,
+            np.concatenate([np.zeros(0, np.intp), *members]),
+            np.array([self.cells[c][1] for c in cells], dtype=np.intp),
+            np.array([m.size for m in members], dtype=np.intp),
+        )
 
     def _blocks(self, columns) -> Iterator[list[int]]:
         """``columns`` in blocks of at most ``COLUMN_BLOCK_BYTES`` of values."""
@@ -610,17 +598,14 @@ class CellAtoms:
 
     def comoments(self, columns) -> np.ndarray:
         """V x S x A: per atom, the sum of products of the deviations of
-        calibration variable v and of a column from their atom means,
-        computed for ``columns`` on first request."""
+        calibration variable v and of a column from their atom means, for
+        the ``columns`` (0 for every other)."""
         V = self.sample.calibration.n_variables
-        if self._comoments is None:
-            self._comoments = np.zeros((V, len(self.columns), self.n_atoms)), set()
-        table, done = self._comoments
-        for block in self._blocks(sorted(set(columns) - done)):
+        table = np.zeros((V, len(self.columns), self.n_atoms))
+        for block in self._blocks(sorted(set(columns))):
             deviations = self._deviations(block)
             for v in range(V):
                 table[v, block] = self._sums(deviations * self._deviations([v]))
-            done.update(block)
         return table
 
 
@@ -632,12 +617,12 @@ def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class CellPairs:
-    """A group of cells' (cell, atom) pairs, cell by cell, each cell's atoms
-    in table order.
+    """Some cells' (cell, atom) pairs, cell by cell, each cell's atoms in
+    table order.
 
     ``atom`` holds the atom positions, ``columns`` each cell's summed column
     and ``sizes`` each cell's pair count.  A per-cell reduction is one
-    ``np.bincount`` keyed by ``cell``, each pair's position in the group;
+    ``np.bincount`` keyed by ``cell``, each pair's position among the cells;
     ``take`` reads a per-atom table at each pair's column and atom.
     """
 
@@ -647,16 +632,9 @@ class CellPairs:
     sizes: np.ndarray
 
     @staticmethod
-    def of(atoms: CellAtoms, cells: Sequence[int], members: Sequence[np.ndarray]) -> "CellPairs":
-        sizes = np.array([m.size for m in members])
-        columns = np.array([atoms.cells[c][1] for c in cells])
-        return CellPairs(atoms, np.concatenate(members), columns, sizes)
-
-    @staticmethod
     def one(cell: CellData, sample: SampleSet) -> "CellPairs":
         """The pairs of one evaluated cell over ``CellAtoms.one``."""
-        ((_, pairs),) = CellAtoms.one(cell, sample).groups([0])
-        return pairs
+        return CellAtoms.one(cell, sample).pairs([0])
 
     @property
     def n_cells(self) -> int:
@@ -665,11 +643,6 @@ class CellPairs:
     @cached_property
     def cell(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_cells), self.sizes)
-
-    @property
-    def used(self) -> list[int]:
-        """The columns that the group's cells sum."""
-        return sorted(set(self.columns.tolist()))
 
     @cached_property
     def count(self) -> np.ndarray:

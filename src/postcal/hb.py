@@ -210,7 +210,8 @@ def _check_model(model, values: np.ndarray, kind: str) -> None:
     the 1-d per-stratum ``values``: the covariates as H x k (a k x H matrix
     is transposed), finite covariates and values, covariates of full column
     rank (under the flat beta prior either model's posterior is improper
-    otherwise), a prior of the input's ``kind``, 2 strata unless
+    otherwise; dependent columns are named by ``covariate_names``, or by
+    position if it is empty), a prior of the input's ``kind``, 2 strata unless
     ``fixed_sigma2`` is given, and a domain map covering the strata
     (``DomainMap.identity`` when none is given)."""
     H = values.shape[0]
@@ -220,6 +221,9 @@ def _check_model(model, values: np.ndarray, kind: str) -> None:
     object.__setattr__(model, "covariates", z)
     if z.shape[0] != H:
         raise DataError("covariate rows must match the number of strata")
+    names = model.covariate_names or range(z.shape[1])
+    if len(names) != z.shape[1]:
+        raise DataError(f"{len(names)} covariate names for {z.shape[1]} covariate columns")
     if not (np.isfinite(z).all() and np.isfinite(values).all()):
         raise NumericalError("non-finite model inputs")
     # pivoted Cholesky of Z'Z: columns beyond the numerical rank are the dependent ones
@@ -227,7 +231,7 @@ def _check_model(model, values: np.ndarray, kind: str) -> None:
     if rank < z.shape[1]:
         raise DataError(
             f"covariate cross-product is singular; collinear columns "
-            f"{sorted(int(j) for j in order[rank:])}"
+            f"{[names[j] for j in sorted(order[rank:].tolist())]}"
         )
     if model.prior.kind != kind:
         raise DataError(f"prior: a {kind} model needs a {kind} prior, got a {model.prior.kind} one")
@@ -248,7 +252,8 @@ class BinaryHBInput:
     stratum is allowed only in that pinned mode, because the free
     hierarchical variance is not identifiable from one stratum.  ``domains``
     folds the kept p_h into the draws (``DomainMap.identity`` if not given:
-    the p_h themselves).
+    the p_h themselves).  ``covariate_names`` labels the covariate columns
+    in a refusal.
     """
 
     successes: np.ndarray
@@ -256,6 +261,7 @@ class BinaryHBInput:
     covariates: np.ndarray
     prior: HBPrior = HBPrior("binary")
     domains: DomainMap | None = None
+    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         m = np.asarray(self.successes, dtype=float)
@@ -274,13 +280,14 @@ class BinaryHBInput:
 @dataclass(frozen=True)
 class GaussianFHInput:
     """Per-stratum direct estimates with known sampling variances;
-    ``domains`` folds the kept theta_h as in ``BinaryHBInput``."""
+    ``domains`` (of theta_h) and ``covariate_names`` as in ``BinaryHBInput``."""
 
     estimates: np.ndarray
     sampling_variances: np.ndarray
     covariates: np.ndarray
     prior: HBPrior = HBPrior("gaussian")
     domains: DomainMap | None = None
+    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)

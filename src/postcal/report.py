@@ -5,9 +5,8 @@ is computed per run and shared read-only across cells.  ``build_run_report``
 then infers every cell in three stages.  Reductions over records run once
 per atom (``frame.CellAtoms``: the records that share their stratum, domain
 and clause-membership pattern), and each cell's statistics are reductions
-over its atoms, in groups of cells of at most ``frame.CELL_GROUP_PAIRS``
-(cell, atom) pairs, each a ``np.bincount`` keyed by cell; only O(p + H D)
-numbers a cell outlive its group.  One solve gives every cell's direction,
+over its atoms, one ``frame.CellPairs`` of every cell's (cell, atom) pairs,
+each a ``np.bincount`` keyed by cell.  One solve gives every cell's direction,
 and the draw axis is reduced in column groups of the replicate totals
 (``replicate.TOTALS_GROUP_BYTES``).  Links, CBI bounds and diagnostics are
 columns over all cells (``variance.ratio_links``, ``cbi_bounds``,
@@ -115,39 +114,28 @@ def _analyze_cells(
     """The tier-appropriate inference of every cell, in one pass.
 
     Reductions over records run once per atom of ``atoms`` (by default the
-    table of ``queries``), and per cell over its atoms, in groups of cells
-    (``CellAtoms.groups``) that leave O(p + D + V) numbers a cell; one solve
-    gives every direction, the draw axis is reduced in the column groups of
-    ``rep.total_columns``, and each row is built once from columns of links,
-    CBIs and diagnostics over all cells, with its warnings in a fixed order.
+    table of ``queries``), and per cell over its atoms (``CellAtoms.pairs``);
+    one solve gives every direction, the draw axis is reduced in the column
+    groups of ``rep.total_columns``, the domain sums of a CBI are taken once
+    its denominator is known, and each row is built once from columns of
+    links, CBIs and diagnostics over all cells, with its warnings in a fixed
+    order.
     """
     sample, draws = art.sample, art.draws
     spec = sample.calibration
     rep.check_draws(draws, spec)
-    C, V, D = len(queries), spec.n_variables, spec.n_domains
+    C = len(queries)
     tiers = [rep.classify_cell(query, sample) for query in queries]
     needs_cbi = np.array([tier is not TierLabel.TIER_1E for tier in tiers], dtype=bool)
     needs_link = np.array([tier is TierLabel.TIER_3NCV for tier in tiers], dtype=bool)
     atoms = CellAtoms.of(sample, queries) if atoms is None else atoms
+    pairs = atoms.pairs(range(C))
+    counts = pairs.counts
+    mean_sums = atoms.totals(art.mean_weights.weights)
+    fixed_ht = rep.cell_totals(pairs, atoms.totals(sample.weights))
+    points = rep.cell_totals(pairs, mean_sums)
 
-    counts = np.zeros(C, dtype=np.intp)
-    moments, fixed_ht, points = np.zeros((C, spec.p)), np.zeros(C), np.zeros(C)
-    numerator, variance, met = np.zeros((C, D)), np.zeros((C, D)), np.zeros((C, D), dtype=bool)
-    correlations = np.full((C, V), np.nan)
-    ht_sums, mean_sums = atoms.totals(sample.weights), atoms.totals(art.mean_weights.weights)
-    for at, pairs in atoms.groups(range(C)):
-        counts[at] = pairs.counts
-        moments[at] = cal.cell_weighted_moments(pairs)
-        fixed_ht[at] = rep.cell_totals(pairs, ht_sums)
-        points[at] = rep.cell_totals(pairs, mean_sums)
-        cbi, link = at[needs_cbi[at]], at[needs_link[at]]
-        if cbi.size:
-            sums = var.domain_sums(pairs.select(needs_cbi[at]), mean_sums)
-            numerator[cbi], met[cbi], variance[cbi] = sums
-        if link.size:
-            correlations[link] = var.link_correlations(pairs.select(needs_link[at]))
-
-    directions = cal.replicate_direction(art.gram, moments.T)
+    directions = cal.replicate_direction(art.gram, cal.cell_weighted_moments(pairs).T)
     lower, upper = np.zeros(C), np.zeros(C)
     for columns, totals in rep.total_columns(draws, art.ht, directions, fixed_ht):
         lower[columns], upper[columns] = rep.quantile_bounds(totals, art.level)
@@ -160,11 +148,11 @@ def _analyze_cells(
     two, linked = np.flatnonzero(needs_cbi & ~needs_link), np.flatnonzero(needs_link)
     denominators[two] = var.denominator_positions(names, [queries[c].summed_variable for c in two])
     links[linked], link_rho[linked], refusals = var.ratio_links(
-        names, correlations[linked], [queries[c] for c in linked]
+        names, var.link_correlations(pairs.select(needs_link)), [queries[c] for c in linked]
     )
     denominators[linked] = links[linked]
     at = np.flatnonzero(denominators >= 0)
-    sums = numerator[at], met[at], variance[at]
+    sums = var.domain_sums(pairs.select(denominators >= 0), mean_sums)
     shares, share_warnings = var.domain_shares(sample, sums, denominators[at], draws.posterior_mean)
     component1, component2 = np.full((2, C), np.nan)
     component1[at], component2[at], _ = var.components(shares, denominators[at], draws)

@@ -56,9 +56,7 @@ class SurveyFrame(SampleSet):
         """Exhaustive population total of each cell's summed variable, over
         the cells' atoms as in a report."""
         atoms = CellAtoms.of(self, cells)
-        sums, truths = atoms.totals(self.weights), np.zeros(len(cells))
-        for at, pairs in atoms.groups(range(len(cells))):
-            truths[at] = cell_totals(pairs, sums)
+        truths = cell_totals(atoms.pairs(range(len(cells))), atoms.totals(self.weights))
         return {query.name: float(truth) for query, truth in zip(cells, truths.tolist())}
 
     def calibration_truth_vector(self) -> np.ndarray:

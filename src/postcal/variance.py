@@ -10,7 +10,7 @@ variable,
   Taylor-linearised variance of the calibrated cell shares.  With z_d the
   cell-masked values zeroed outside d, total_d^2 * Var(share_d) =
   sum_h N_h^2 * deff_h * (1 - f_h) * s2_h(z_d) / n_h over the strata h;
-  the stratum factors of every domain of a group of cells come from one
+  the stratum factors of every domain of a set of cells come from one
   pass over their (cell, atom) pairs keyed by (cell, stratum, domain)
   (``stratum_kernel``), which pools the atoms' centred sums of squares and
   shares its finish, ``SampleSet.mean_variance``, with the Gaussian
@@ -25,7 +25,7 @@ around the point estimate with the normal multiplier z of the report level
 share is formed against the calibration variable most correlated with the
 outcome (the linking variable), giving a ratio-type interval.
 
-Each quantity is a column over a group of cells (``domain_sums``,
+Each quantity is a column over a set of cells (``domain_sums``,
 ``domain_shares``, ``components``, ``cbi_bounds``, ``link_correlations``,
 ``ratio_links``, ``cells_diagnostics``), the record-level ones from the
 per-atom statistics of ``frame.CellAtoms``; ``variance_components``,
@@ -73,7 +73,7 @@ def weak_link(rho: float) -> bool:
 @dataclass(frozen=True)
 class DomainShares:
     """A cell's share of each domain total, in block order (D), or each of a
-    group's cells' (G x D).
+    set of G cells' (G x D).
 
     ``excluded`` marks the domains the cell meets whose denominator total is
     zero; their share and share variance are 0.
@@ -133,7 +133,7 @@ class CellDiagnostics:
 
 def stratum_kernel(pairs: CellPairs) -> tuple[np.ndarray, np.ndarray]:
     """The stratum kernel deff_h * (1 - f_h) * s2_h(z_d) / n_h of each
-    (cell, stratum, domain) key k = (c H + h) D + d that a group's cells
+    (cell, stratum, domain) key k = (c H + h) D + d that the pairs' cells
     meet, with the keys in ascending order; every other key's kernel is 0.
     z_d is the cell-masked summed values zeroed outside domain d, over the
     whole stratum sample (so strata spanning domains are covered too).
@@ -255,7 +255,7 @@ def components(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component 1, component 2 and the posterior variances V_d (0 for
     excluded domains) of shares over the domain totals of the calibration
-    variables at ``positions``, for one cell or each of a group."""
+    variables at ``positions``, for one cell or each of a set."""
     kept = ~shares.excluded
     posterior_variance = np.zeros(kept.shape)
     if kept.any():
@@ -322,7 +322,7 @@ def link_correlations(pairs: CellPairs) -> np.ndarray:
     cell, count = pairs.cell, pairs.count
     n = np.bincount(cell, count, minlength=G)
     starts = (np.cumsum(pairs.sizes) - pairs.sizes)[met]
-    comoments = pairs.take(atoms.comoments(pairs.used))
+    comoments = pairs.take(atoms.comoments(pairs.columns.tolist()))
 
     def per_cell(rows):
         """Each row of a rows x P array summed over each cell, rows x G."""

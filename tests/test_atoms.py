@@ -86,28 +86,19 @@ def random_cells(data, spec, rng) -> list[CellQuery]:
 def atom_statistics(sample, cells, weights) -> dict:
     """Every per-cell statistic of the cell layer over the atom table."""
     spec = sample.calibration
-    C, H, D, V = len(cells), len(sample.strata), spec.n_domains, spec.n_variables
+    C, H, D = len(cells), len(sample.strata), spec.n_domains
     atoms = CellAtoms.of(sample, cells)
+    pairs = atoms.pairs(range(C))
     out = {
-        "count": np.zeros(C, dtype=np.intp),
-        "moment": np.zeros((C, spec.p)),
-        "ht": np.zeros(C),
-        "numerator": np.zeros((C, D)),
-        "met": np.zeros((C, D), dtype=bool),
-        "variance": np.zeros((C, D)),
+        "count": pairs.counts,
+        "moment": cell_weighted_moments(pairs),
+        "ht": cell_totals(pairs, atoms.totals(sample.weights)),
+        "rho": link_correlations(pairs),
         "kernel": np.zeros((C, H, D)),
-        "rho": np.full((C, V), np.nan),
     }
-    ht, sums = atoms.totals(sample.weights), atoms.totals(weights)
-    for at, pairs in atoms.groups(range(C)):
-        out["count"][at] = pairs.counts
-        out["moment"][at] = cell_weighted_moments(pairs)
-        out["ht"][at] = cell_totals(pairs, ht)
-        out["numerator"][at], out["met"][at], out["variance"][at] = domain_sums(pairs, sums)
-        out["rho"][at] = link_correlations(pairs)
-        keys, kernel = stratum_kernel(pairs)
-        local, hd = np.divmod(keys, H * D)
-        out["kernel"].reshape(C, H * D)[at[local], hd] = kernel
+    out["numerator"], out["met"], out["variance"] = domain_sums(pairs, atoms.totals(weights))
+    keys, kernel = stratum_kernel(pairs)
+    out["kernel"].reshape(-1)[keys] = kernel
     return out
 
 
@@ -171,13 +162,15 @@ def test_atom_table_matches_per_cell_records(data):
     sample, spec, rng = random_sample(data)
     cells = random_cells(data, spec, rng)
     weights = sample.weights * rng.uniform(0.5, 1.5, sample.n)
+    # a column a block, two columns a block, or every column in one
+    width = data.draw(st.sampled_from([1, 2, None]), label="columns a block")
     with pytest.MonkeyPatch.context() as patch:
-        bound = data.draw(st.sampled_from([1, 7, 10**9]), label="pair bound")
-        patch.setattr("postcal.frame.CELL_GROUP_PAIRS", bound)
+        patch.setattr("postcal.frame.COLUMN_BLOCK_BYTES", 8 * sample.n * width if width else 10**9)
         got = atom_statistics(sample, cells, weights)
+        patch.setattr("postcal.frame.COLUMN_BLOCK_BYTES", 10**9)
+        whole = atom_statistics(sample, cells, weights)
     want = reference_statistics(sample, cells, weights)
-    # one group of every cell gives the same bits as any other grouping
-    whole = atom_statistics(sample, cells, weights)
+    # one block of every column gives the same bits as any other blocking
     for key in got:
         np.testing.assert_array_equal(got[key], whole[key], err_msg=key)
 

@@ -1190,18 +1190,20 @@ class TestMalformedInput:
         argv = ["infer", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert_exit_2_naming(capsys, argv + ["--draws", str(tmp_path / "draws.csv")], cause)
 
+    @pytest.mark.parametrize("covariates", [["z", "z2"], ["z2", "z"]], ids=["z-first", "z2-first"])
     @pytest.mark.parametrize("variable", ["employed", "hours"], ids=["binary", "gaussian"])
-    def test_collinear_covariates_exit_2_naming_the_variable(self, tmp_path, capsys, variable):
-        # under the flat beta prior either model's posterior is improper
+    def test_collinear_covariates_exit_2_naming_the_variable(self, tmp_path, capsys, variable, covariates):
+        # under the flat beta prior either model's posterior is improper; the
+        # pivot keeps z2 = 2 z, the larger, so z is named in either order
         write_sample_files(tmp_path)
         path = tmp_path / "strata.csv"
         header, *rows = path.read_text().splitlines()
         doubled = [f"{row},{2 * float(row.split(',')[3])!r}" for row in rows]
         path.write_text("\n".join([f"{header},z2", *doubled]) + "\n")
         cfg = write_config(tmp_path, base_config())
-        set_config(f"models.{variable}.covariates", ["z", "z2"])(tmp_path)
+        set_config(f"models.{variable}.covariates", covariates)(tmp_path)
         argv = ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        cause = f"error: variable {variable!r}: covariate cross-product is singular; collinear columns ["
+        cause = f"error: variable {variable!r}: covariate cross-product is singular; collinear columns ['z']"
         assert_exit_2_naming(capsys, argv, cause)
 
     def test_fit_refuses_an_unknown_cell_variable_before_sampling(self, tmp_path, capsys, monkeypatch):

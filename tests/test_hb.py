@@ -151,10 +151,14 @@ MODEL_DATA = [
         # the flat beta prior makes either posterior improper
         ({"covariates": [[1.0, 0.0], [1.0, 0.0]]}, DataError,
          "covariate cross-product is singular; collinear columns [1]"),
+        # named columns are named; the pivot keeps the larger column c
+        ({"covariates": [[1.0, 5.0], [1.0, 5.0]], "covariate_names": ("(intercept)", "c")}, DataError,
+         "covariate cross-product is singular; collinear columns ['(intercept)']"),
+        ({"covariate_names": ("a", "b")}, DataError, "2 covariate names for 1 covariate columns"),
         # of two faults, the one checked first is reported
         ({"covariates": np.ones((3, 1)), "prior": "other"}, DataError, "covariate rows"),
     ],
-    ids=["rows", "non-finite", "prior", "domains", "collinear", "rows-first"],
+    ids=["rows", "non-finite", "prior", "domains", "collinear", "collinear-named", "names", "rows-first"],
 )
 def test_model_inputs_share_their_checks(model, data, change, error, message):
     kind, other = ("binary", "gaussian") if model is BinaryHBInput else ("gaussian", "binary")

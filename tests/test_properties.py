@@ -481,7 +481,8 @@ def assert_rows_match(got, want, totals=None):
 @given(data=st.data())
 def test_run_report_matches_per_cell_analysis_in_any_grouping(data):
     # a singleton stratum, zero posterior-mean domain totals, and cells that
-    # take every branch of the cell layer, reduced in groups of any size
+    # take every branch of the cell layer, the draw axis reduced in column
+    # groups of any size
     rng = np.random.default_rng(data.draw(seeds, label="seed"))
     D = data.draw(st.integers(1, 3), label="domains")
     H = data.draw(st.integers(1, 3), label="strata")
@@ -531,7 +532,6 @@ def test_run_report_matches_per_cell_analysis_in_any_grouping(data):
 
     want = [analyze_cell(query, art) for query in cells]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("postcal.frame.CELL_GROUP_PAIRS", data.draw(st.sampled_from([1, 7, 10**9])))
         patch.setattr(replicate, "TOTALS_GROUP_BYTES", data.draw(st.sampled_from([1, 24 * B, 10**9])))
         got = build_run_report(art, tuple(cells)).rows
         backwards = build_run_report(art, tuple(cells[::-1])).rows
@@ -541,3 +541,10 @@ def test_run_report_matches_per_cell_analysis_in_any_grouping(data):
         totals[query.name] = float(np.abs(sample.weights * cell.values)[cell.mask].sum())
     assert_rows_match(got, want, totals)
     assert_rows_match(backwards, want[::-1], totals)
+
+
+def test_a_run_of_no_cells_has_no_rows():
+    spec = CalibrationSpec(("v1",), ("d1",))
+    sample = SampleSet((StratumSpec("s1", 10),), spec, [0] * 4, [0] * 4, np.ones(4), np.arange(4.0)[:, None])
+    draws = PosteriorDraws(np.full((3, 1), 6.0), np.zeros(3, dtype=int))
+    assert build_run_report(build_artifacts(sample, draws, level=0.9), ()).rows == []

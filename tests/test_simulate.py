@@ -1,9 +1,15 @@
+import json
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+
+from postcal.cli import main
 
 from postcal.config import (
     AttributeModel,
@@ -585,3 +591,17 @@ class TestConfigBuilders:
         assert truths["emp_long_hours"] == frame.column("employed")[long_hours].sum()
         [row] = run_replication(*truth_targeted(frame, cfg), cfg, 0).rows
         assert row.tier is TierLabel.TIER_2CA
+
+
+SMALL_AREA_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_small_area.yaml"
+
+
+def test_small_area_config_runs(tmp_path):
+    # the shipped config cut to 3 replications: its 75 cells in all four tiers
+    raw = yaml.safe_load(SMALL_AREA_CONFIG.read_text())
+    raw["simulate"]["mc"]["replications"] = 3
+    config = tmp_path / "small_area.yaml"
+    config.write_text(yaml.safe_dump(raw, sort_keys=False))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    cells = json.loads((tmp_path / "out" / "coverage.json").read_text())["cells"]
+    assert Counter(cell["tier"] for cell in cells) == {"1-E": 8, "2-CA": 4, "2-NCA": 15, "3-NCV": 48}

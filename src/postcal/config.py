@@ -441,14 +441,19 @@ def _cell(
     attributes: tuple[str, ...] | None = None,
 ) -> CellQuery:
     """One cell; a summed variable outside ``numeric``, a domain outside
-    ``domains`` or an attribute outside ``attributes`` (None: not known
-    here) is a ConfigError naming its path.  Its tier follows from its
-    filter and the sample alone (``replicate.classify_cell``)."""
+    ``domains``, an attribute outside ``attributes`` (None: not known
+    here) or a link on a cell that sums a calibration variable is a
+    ConfigError naming its path.  Its tier follows from its filter and the
+    sample alone (``replicate.classify_cell``)."""
     cell = _read(entry, where, *_CELL)
     summed = cell["sum"]
     if numeric is not None and summed not in numeric:
         raise ConfigError(
             f"{where}.sum: variable {summed!r} is neither a calibration variable nor an outcome"
+        )
+    if cell.get("link") is not None and summed in calibration:
+        raise ConfigError(
+            f"{where}.link: a link applies to a cell that sums an outcome; {summed!r} is a calibration variable"
         )
     cell_domains = None
     levels = {}

@@ -1,4 +1,5 @@
-"""Builds per-stratum model inputs from a sample and runs all variable fits."""
+"""Turns a sample into the samplers' per-stratum inputs (``compute_psi``,
+``domain_map``), runs all variable fits and folds draws into domain totals."""
 
 from __future__ import annotations
 
@@ -16,9 +17,7 @@ from .hb import (
     GaussianFHInput,
     McmcConfig,
     PosteriorDraws,
-    compute_psi,
-    domain_map,
-    draws_to_domain_totals,  # unused here; bench/tracing.py wraps it under this name
+    StratumDraws,
     fit_binary_hb,
     fit_gaussian_fh,
 )
@@ -53,15 +52,57 @@ def _covariate_matrix(
     return np.column_stack(columns)
 
 
+def compute_psi(sample: SampleSet, variable: str) -> np.ndarray:
+    """Known sampling variances deff * (1 - f) * S^2 / n per stratum, in
+    frame order: ``SampleSet.stratum_mean_variance`` of the variable's
+    column.  A stratum with fewer than two records is an error, since S^2
+    needs n_h >= 2, and so is a zero value (a census stratum or a constant
+    variable), which the measurement-error model cannot use.
+    """
+    column = sample.column(variable)
+    counts = sample.stratum_counts
+    too_small = [sample.strata[h].id for h in np.flatnonzero(counts < 2)]
+    if too_small:
+        raise DataError(f"sampling variance needs n_h >= 2 in strata {too_small}", f"variable {variable!r}: ")
+    psi = sample.stratum_mean_variance(column)
+    degenerate = "; ".join(
+        f"stratum {sample.strata[h].id!r}: degenerate sampling variance "
+        f"({'census stratum' if sample.sampling_fractions[h] == 1.0 else 'constant variable'})"
+        for h in np.flatnonzero(psi == 0.0)
+    )
+    if degenerate:
+        cause = f"zero sampling variance is not usable in the measurement-error model ({degenerate})"
+        raise DataError(cause, f"variable {variable!r}: ")
+    return psi
+
+
+def domain_map(sample: SampleSet) -> DomainMap:
+    """The map that folds a sample's stratum values into its domain totals:
+    each stratum's domain, weighted by its population size N_h.  Errors if a
+    stratum has no sampled record, or has records in more than one domain:
+    the first such stratum in frame order is named.
+    """
+    empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
+    if empty:
+        raise DataError(f"strata without sampled records: {empty}")
+    present = sample.stratum_domain_pairs
+    spanning = np.flatnonzero(present.sum(axis=1) > 1)
+    if spanning.size:
+        h = spanning[0]
+        domains = sorted(sample.domain_ids[d] for d in np.flatnonzero(present[h]))
+        raise DataError(f"stratum {sample.strata[h].id!r} spans multiple domains {domains}")
+    return DomainMap(present.argmax(axis=1), sample.stratum_sizes, sample.calibration.n_domains)
+
+
 def model_input(
     sample: SampleSet,
     model: ModelConfig,
     strata_covariates: dict[str, np.ndarray],
-    domains: DomainMap,
 ) -> BinaryHBInput | GaussianFHInput:
     """The validated per-stratum input of one calibration variable's model,
-    folded by ``domains``, the sample's ``domain_map`` (which checks that
-    every stratum is sampled); a refusal of the input names the variable."""
+    folded by the sample's ``domain_map``, built first, which checks that
+    every stratum is sampled; a refusal of the input names the variable."""
+    domains = domain_map(sample)
     if model.variable not in sample.calibration.variable_names:
         raise ConfigError(
             f"model variable {model.variable!r} is not a calibration variable"
@@ -110,8 +151,8 @@ def fit_all_variables(
     ``SampleSet`` is fitted as a one-sample sequence and gives its own fit,
     whose warnings are prefixed with their variable's name.  Every model
     input is built and validated first, sample by sample in spec order, and
-    carries its sample's ``domain_map``, checked before the sample's first
-    input is built.  Variables whose model settings agree in all but the
+    carries its sample's ``domain_map``, so that a refusal of the map names
+    the sample's first variable.  Variables whose model settings agree in all but the
     variable name (prior and covariates) are then fitted in one sampler call
     across all the samples, their chains advancing as one set of lanes.  Chain c of
     variable v of sample s reads the stream (seed, *base_keys[s], v, c), so
@@ -146,9 +187,7 @@ def fit_all_variables(
     for s, sample in enumerate(samples):
         for v, name in enumerate(names):
             try:
-                if v == 0:  # the sample's strata are checked with its first variable
-                    domains = domain_map(sample)
-                inputs[s, v] = model_input(sample, models[name], strata_covariates, domains)
+                inputs[s, v] = model_input(sample, models[name], strata_covariates)
             except (DataError, NumericalError) as error:
                 name_in(error, [(s, v)])
                 raise
@@ -186,3 +225,32 @@ def fit_all_variables(
         )
         for s in range(len(samples))
     ]
+
+
+def draws_to_domain_totals(stratum_draws: dict[str, StratumDraws], sample: SampleSet) -> PosteriorDraws:
+    """Aggregate stratum draws into the p-vector of domain-total draws.
+
+    Binary draws (p_h) and Gaussian draws of stratum means (theta_h) both
+    scale by the stratum population size: the domain total draw is the sum
+    over strata in the domain of N_h * draw_h, in frame order, folded by
+    ``domain_map(sample)`` as the samplers fold their kept values.
+    """
+    spec = sample.calibration
+    missing = [v for v in spec.variable_names if v not in stratum_draws]
+    if missing:
+        raise DataError(f"missing stratum draws for variables {missing}")
+    domains = domain_map(sample)
+    first = stratum_draws[spec.variable_names[0]]
+    tags, n_draws = first.chain_tags, first.draws.shape[0]
+    totals = np.empty((n_draws, spec.n_variables, spec.n_domains))
+    for v, name in enumerate(spec.variable_names):
+        d = stratum_draws[name]
+        if d.draws.shape[1] != len(sample.strata):
+            raise DataError(
+                f"variable {name!r}: draws cover {d.draws.shape[1]} strata, "
+                f"sample has {len(sample.strata)}"
+            )
+        if d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
+            raise DataError("stratum draws disagree on chain layout")
+        domains.fold(d.draws.T, totals[:, v].T)
+    return PosteriorDraws(draws=totals.reshape(n_draws, spec.p), chain_tags=tags)

@@ -50,14 +50,15 @@ two chains of a 3-chain fit, and a model fitted alone draws what it draws in
 any position of a batch.
 
 The driver keeps no array of every kept stratum value.  Each model carries
-a ``DomainMap``: the domain of each stratum and its weight, N_h when the
-values are aggregated to domain totals.  Kept stratum values wait in a block
-of at most ``FOLD_BLOCK_BYTES``; when it is full, and once at the end, the
-block is mapped to the model's scale (p_h for the binary model), weighted
-and added into the kept domain totals, each domain's strata in frame order,
-which is the order, and so the rounding, of adding them one by one.  A model
-fitted without a map keeps each stratum as its own domain with weight 1, so
-its draws are the stratum values.  Externally produced draw matrices are
+a ``DomainMap`` (``fitting.domain_map`` builds a sample's): the domain of
+each stratum and its weight, N_h when the values are aggregated to domain
+totals.  Kept stratum values wait in a block of at most
+``FOLD_BLOCK_BYTES``; when it is full, and once at the end, the block is
+mapped to the model's scale (p_h for the binary model), weighted and added
+into the kept domain totals, each domain's strata in frame order, which is
+the order, and so the rounding, of adding them one by one.  A model fitted
+without a map keeps each stratum as its own domain with weight 1, so its
+draws are the stratum values.  Externally produced draw matrices are
 accepted as a first-class alternative (see :mod:`postcal.io`).
 """
 
@@ -71,7 +72,6 @@ import numpy as np
 
 from .calibration import pivoted_cholesky_rank
 from .errors import DataError, NumericalError, at_least, check_fields, one_of, positive, real, restricted
-from .frame import SampleSet
 
 # Random-walk scales adapt toward this acceptance band during burn-in.
 _ACCEPT_LOW = 0.2
@@ -207,19 +207,17 @@ class DomainMap:
 
 def _check_model(model, values: np.ndarray, kind: str) -> None:
     """The checks the two model inputs share, run after their own checks of
-    the 1-d per-stratum ``values``: the covariates as H x k (a k x H matrix
-    is transposed), finite covariates and values, covariates of full column
-    rank (under the flat beta prior either model's posterior is improper
-    otherwise; dependent columns are named by ``covariate_names``, or by
-    position if it is empty), a prior of the input's ``kind``, 2 strata unless
+    the 1-d per-stratum ``values``: the covariates as an H x k matrix, finite
+    covariates and values, covariates of full column rank (under the flat
+    beta prior either model's posterior is improper otherwise; dependent
+    columns are named by ``covariate_names``, or by position if it is
+    empty), a prior of the input's ``kind``, 2 strata unless
     ``fixed_sigma2`` is given, and a domain map covering the strata
     (``DomainMap.identity`` when none is given)."""
     H = values.shape[0]
-    z = np.atleast_2d(np.asarray(model.covariates, dtype=float))
-    if z.shape[0] != H:
-        z = z.T
+    z = np.asarray(model.covariates, dtype=float)
     object.__setattr__(model, "covariates", z)
-    if z.shape[0] != H:
+    if z.ndim != 2 or z.shape[0] != H:
         raise DataError("covariate rows must match the number of strata")
     names = model.covariate_names or range(z.shape[1])
     if len(names) != z.shape[1]:
@@ -841,82 +839,6 @@ def fit_gaussian_fh(
         return step
 
     return _run_lanes(config, spawn_keys, (H, k), draw, window, model.domains)
-
-
-def compute_psi(sample: SampleSet, variable: str) -> np.ndarray:
-    """Known sampling variances deff * (1 - f) * S^2 / n per stratum, in
-    frame order: ``SampleSet.stratum_mean_variance`` of the variable's
-    column.  A stratum with fewer than two records is an error, since S^2
-    needs n_h >= 2, and so is a zero value (a census stratum or a constant
-    variable), which the measurement-error model cannot use.
-    """
-    column = sample.column(variable)
-
-    counts = sample.stratum_counts
-    too_small = [sample.strata[h].id for h in np.flatnonzero(counts < 2)]
-    if too_small:
-        raise DataError(f"sampling variance needs n_h >= 2 in strata {too_small}", f"variable {variable!r}: ")
-    psi = sample.stratum_mean_variance(column)
-    degenerate = "; ".join(
-        f"stratum {sample.strata[h].id!r}: degenerate sampling variance "
-        f"({'census stratum' if sample.sampling_fractions[h] == 1.0 else 'constant variable'})"
-        for h in np.flatnonzero(psi == 0.0)
-    )
-    if degenerate:
-        cause = f"zero sampling variance is not usable in the measurement-error model ({degenerate})"
-        raise DataError(cause, f"variable {variable!r}: ")
-    return psi
-
-
-def domain_map(sample: SampleSet) -> DomainMap:
-    """The map that folds a sample's stratum values into its domain totals:
-    each stratum's domain, weighted by its population size N_h.  Errors if a
-    stratum has no sampled record, or has records in more than one domain:
-    the first such stratum in frame order is named.
-    """
-    empty = [s.id for s, n_h in zip(sample.strata, sample.stratum_counts) if n_h == 0]
-    if empty:
-        raise DataError(f"strata without sampled records: {empty}")
-    present = sample.stratum_domain_pairs
-    spanning = np.flatnonzero(present.sum(axis=1) > 1)
-    if spanning.size:
-        h = spanning[0]
-        domains = sorted(sample.domain_ids[d] for d in np.flatnonzero(present[h]))
-        raise DataError(f"stratum {sample.strata[h].id!r} spans multiple domains {domains}")
-    return DomainMap(
-        present.argmax(axis=1),
-        sample.stratum_sizes,
-        sample.calibration.n_domains,
-    )
-
-
-def draws_to_domain_totals(stratum_draws: dict[str, StratumDraws], sample: SampleSet) -> PosteriorDraws:
-    """Aggregate stratum draws into the p-vector of domain-total draws.
-
-    Binary draws (p_h) and Gaussian draws of stratum means (theta_h) both
-    scale by the stratum population size: the domain total draw is the sum
-    over strata in the domain of N_h * draw_h, in frame order, folded by
-    ``domain_map(sample)`` as the samplers fold their kept values.
-    """
-    spec = sample.calibration
-    missing = [v for v in spec.variable_names if v not in stratum_draws]
-    if missing:
-        raise DataError(f"missing stratum draws for variables {missing}")
-    domains = domain_map(sample)
-    first = stratum_draws[spec.variable_names[0]]
-    tags, n_draws = first.chain_tags, first.draws.shape[0]
-    totals = np.empty((n_draws, spec.n_variables, spec.n_domains))
-    for v, name in enumerate(spec.variable_names):
-        d = stratum_draws[name]
-        if d.draws.shape[1] != len(sample.strata):
-            raise DataError(
-                f"variable {name!r}: draws cover {d.draws.shape[1]} strata, "
-                f"sample has {len(sample.strata)}"
-            )
-        if d.draws.shape[0] != n_draws or not np.array_equal(d.chain_tags, tags):
-            raise DataError("stratum draws disagree on chain layout")
-        domains.fold(d.draws.T, totals[:, v].T)
-    return PosteriorDraws(draws=totals.reshape(n_draws, spec.p), chain_tags=tags)
 
 
 def gelman_rubin(draws: PosteriorDraws) -> ConvergenceReport:

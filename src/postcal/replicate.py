@@ -5,10 +5,11 @@ total of a cell under the weights calibrated to draw b is
 
     T_c(b) = sum_{i in c} value_i w_i  +  (t_b - T_ht)' a_c,
 
-with a_c solving G a_c = sum_{i in c} value_i w_i y_i.  This identity is the
-computational path: replicate weight sets are never materialized, yet the
-result is algebraically identical to recalibrating the weights at every draw
-and summing over the cell.  A run's cells share one solve for all their
+with a_c solving G a_c = sum_{i in c} value_i w_i y_i, the cell's moments
+(``cell_weighted_moments``).  This identity is the computational path:
+replicate weight sets are never materialized, yet the result is
+algebraically identical to recalibrating the weights at every draw and
+summing over the cell.  A run's cells share one solve for all their
 directions, and their totals are formed and reduced to intervals a column
 group at a time (``total_columns``, ``quantile_bounds``).
 """
@@ -20,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
-    GramMatrix,
-    cell_weighted_moment,  # unused here; bench/tracing.py wraps it under this name
-    cell_weighted_moments,
-    replicate_direction,
-)
+from .calibration import GramMatrix, replicate_direction
 from .errors import DataError, NumericalError, checked, nominal_level
 from .frame import (
     CalibrationSpec,
@@ -112,6 +108,26 @@ def total_columns(
         totals = centred @ directions[:, columns]
         totals += fixed_ht[columns]
         yield columns, totals
+
+
+def cell_weighted_moments(pairs: CellPairs) -> np.ndarray:
+    """Each cell's moment vector sum_{i in c} value_i w_i y_i, G x p: one
+    ``np.bincount`` of the atoms' moments keyed by (variable, cell,
+    domain)."""
+    atoms = pairs.atoms
+    V, D = atoms.sample.calibration.n_variables, atoms.sample.calibration.n_domains
+    G = pairs.n_cells
+    key = pairs.cell * D + atoms.domain[pairs.atom] + G * D * np.arange(V)[:, None]
+    sums = np.bincount(key.ravel(), pairs.take(atoms.moments).ravel(), minlength=V * G * D)
+    return sums.reshape(V, G, D).transpose(1, 0, 2).reshape(G, V * D)
+
+
+def cell_weighted_moment(sample: SampleSet, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Cell moment vector sum_{i in c} value_i w_i y_i over the cell's
+    ``rows`` (positions or a mask): ``cell_weighted_moments`` of one cell."""
+    mask = np.zeros(sample.n, dtype=bool)
+    mask[rows] = True
+    return cell_weighted_moments(CellPairs.one(CellData(mask, values), sample))[0]
 
 
 def cell_totals(pairs: CellPairs, sums: np.ndarray) -> np.ndarray:

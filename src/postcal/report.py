@@ -135,7 +135,7 @@ def _analyze_cells(
     fixed_ht = rep.cell_totals(pairs, atoms.totals(sample.weights))
     points = rep.cell_totals(pairs, mean_sums)
 
-    directions = cal.replicate_direction(art.gram, cal.cell_weighted_moments(pairs).T)
+    directions = cal.replicate_direction(art.gram, rep.cell_weighted_moments(pairs).T)
     lower, upper = np.zeros(C), np.zeros(C)
     for columns, totals in rep.total_columns(draws, art.ht, directions, fixed_ht):
         lower[columns], upper[columns] = rep.quantile_bounds(totals, art.level)

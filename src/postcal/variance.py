@@ -54,8 +54,6 @@ def cbi_z(level: float) -> float:
     return round(NormalDist().inv_cdf((1.0 + level) / 2.0), 2)
 
 
-CBI_Z = cbi_z(0.95)
-
 # Operational cutoff for "the direction is essentially orthogonal to the
 # posterior correction": below this the propagation interval collapses.
 ORTHOGONALITY_COS_THRESHOLD = 0.01
@@ -63,6 +61,12 @@ ORTHOGONALITY_COS_THRESHOLD = 0.01
 # Linking correlations weaker than this make the ratio link uninformative;
 # design-based direct estimation is the recommended primary interval.
 WEAK_LINK_THRESHOLD = 0.1
+
+# Candidate links whose |rho| lie this close are tied: rounding decides the
+# order of |rho| values equal in exact arithmetic (every variable that varies
+# in a two-record cell has |rho| = 1), and it differs between one cell's
+# reductions and a run's.
+LINK_TIE_TOLERANCE = 1e-12
 
 
 def weak_link(rho: float) -> bool:
@@ -295,7 +299,7 @@ def variance_components(
     )
 
 
-def cbi_bounds(points, component1, component2, level: float = 0.95):
+def cbi_bounds(points, component1, component2, level: float):
     """Calibrated Bayes interval bounds of each cell: point -/+
     z sqrt(comp1 + comp2), with z = cbi_z(level), elementwise."""
     half = cbi_z(level) * np.sqrt(component1 + component2)
@@ -362,10 +366,12 @@ def ratio_links(
     A cell's named ``link_variable`` is taken if it is a calibration
     variable and refused otherwise; a cell that names none takes the
     admissible variable of largest |rho|, the first in declaration order on
-    a tie, and is refused when no variable is admissible.
+    a tie (within ``LINK_TIE_TOLERANCE``), and is refused when no variable
+    is admissible.
     """
     admissible = ~np.isnan(correlations)
-    positions = np.argmax(np.where(admissible, np.abs(correlations), -1.0), axis=1)
+    score = np.where(admissible, np.abs(correlations), -1.0)
+    positions = np.argmax(score >= score.max(axis=1, keepdims=True) - LINK_TIE_TOLERANCE, axis=1)
     refusals: list[str | None] = [None] * len(cells)
     for c, cell in enumerate(cells):
         if cell.link_variable in names:
@@ -403,7 +409,7 @@ def select_linking_variable(sample: SampleSet, cell: CellData) -> RatioLink:
     return RatioLink(variable=names[position], correlation=float(rho))
 
 
-def coefficient_of_variation(width, point, z: float = CBI_Z):
+def coefficient_of_variation(width, point, z: float):
     """Interval width divided by 2z (3.92 at 95%), as a fraction of the point
     estimate, elementwise; NaN where the point is 0 or the width is NaN."""
     point = np.asarray(point, dtype=float)
@@ -414,7 +420,7 @@ def coefficient_of_variation(width, point, z: float = CBI_Z):
 
 def cells_diagnostics(
     directions: np.ndarray, posterior_mean: np.ndarray, ht: np.ndarray, draws: PosteriorDraws,
-    cri_widths, cbi_widths, points, level: float = 0.95,
+    cri_widths, cbi_widths, points, level: float,
 ) -> tuple[np.ndarray, ...]:
     """Alignment and scale diagnostics of each cell whose direction is a
     column of p x C ``directions``: the columns a_norm, cos_theta,

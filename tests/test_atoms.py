@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postcal.calibration import cell_weighted_moments
 from postcal.frame import (
     CalibrationSpec,
     CellAtoms,
@@ -22,7 +21,7 @@ from postcal.frame import (
     StratumSpec,
     evaluate_cell,
 )
-from postcal.replicate import cell_totals
+from postcal.replicate import cell_totals, cell_weighted_moments
 from postcal.variance import domain_sums, link_correlations, stratum_kernel
 
 seeds = st.integers(0, 2**32 - 1)

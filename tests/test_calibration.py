@@ -3,7 +3,6 @@ import pytest
 
 from postcal.calibration import (
     calibrate,
-    cell_weighted_moment,
     compute_gram,
     ht_totals,
     replicate_direction,
@@ -16,6 +15,7 @@ from postcal.frame import (
     StratumSpec,
     evaluate_cell,
 )
+from postcal.replicate import cell_weighted_moment
 
 from conftest import build_design_vector, make_random_sample, sample_from_rows
 

@@ -1,10 +1,11 @@
-"""No command path loads SciPy, and only a multi-worker simulate loads the
-process pool.
+"""No command path loads SciPy, hypothesis or pytest, and only a
+multi-worker simulate loads the process pool.
 
-SciPy is a test-time dependency only: the runtime needs numpy and PyYAML.
-Each command runs in a fresh interpreter whose import system refuses any
-``scipy`` module, so a module-level import fails the command and a lazy
-import is recorded even where the caller would catch the ``ImportError``.
+The three are test-time dependencies only: the runtime needs numpy and
+PyYAML.  Each command runs in a fresh interpreter whose import system
+refuses any module of theirs, so a module-level import fails the command
+and a lazy import is recorded even where the caller would catch the
+``ImportError``.
 ``multiprocessing`` (with socket and subprocess) costs every command's
 start-up if imported at module level; the demo commands and a one-worker
 simulate must not load it.
@@ -28,17 +29,22 @@ import json
 import sys
 
 refused = []
+TEST_ONLY = ("scipy", "hypothesis", "pytest")
 
 
-class RefuseScipy:
+def test_only(name):
+    return name.split(".")[0] in TEST_ONLY
+
+
+class RefuseTestOnly:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if test_only(name):
             refused.append(name)
-            raise ImportError(f"scipy import refused: {name}")
+            raise ImportError(f"test-only import refused: {name}")
         return None
 
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, RefuseTestOnly())
 
 import numpy as np
 
@@ -68,7 +74,7 @@ try:
 except DataError as exc:
     collinear = str(exc)
 
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if test_only(m))
 print(
     json.dumps(
         {

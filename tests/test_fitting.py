@@ -25,8 +25,9 @@ from postcal.config import (
     load_config,
 )
 from postcal.errors import DataError, NumericalError
+from postcal.fitting import domain_map
 from postcal.frame import SampleSet, StratumSpec
-from postcal.hb import HBPrior, McmcConfig, chain_rng, domain_map, fit_binary_hb, fit_gaussian_fh
+from postcal.hb import HBPrior, McmcConfig, chain_rng, fit_binary_hb, fit_gaussian_fh
 from postcal.simulate import draw_stratified_sample, generate_population
 
 from test_hb import added_one_by_one, assert_same_bits

@@ -8,6 +8,7 @@ from scipy import stats
 
 from postcal import hb
 from postcal.errors import DataError, NumericalError
+from postcal.fitting import compute_psi, domain_map, draws_to_domain_totals
 from postcal.frame import (
     CalibrationSpec,
     SampleSet,
@@ -21,9 +22,6 @@ from postcal.hb import (
     McmcConfig,
     PosteriorDraws,
     StratumDraws,
-    compute_psi,
-    domain_map,
-    draws_to_domain_totals,
     fit_binary_hb,
     fit_gaussian_fh,
     gelman_rubin,
@@ -144,8 +142,8 @@ MODEL_DATA = [
     "change,error,message",
     [
         ({"covariates": np.ones((3, 1))}, DataError, "covariate rows must match the number of strata"),
-        # a 1 x 2 matrix is read as the covariates of 2 strata
-        ({"covariates": [[1.0, np.nan]]}, NumericalError, "non-finite model inputs"),
+        ({"covariates": [1.0, 1.0]}, DataError, "covariate rows must match the number of strata"),
+        ({"covariates": [[1.0], [np.nan]]}, NumericalError, "non-finite model inputs"),
         ({"prior": "other"}, DataError, "prior: a {kind} model needs a {kind} prior, got a {other} one"),
         ({"domains": DomainMap.identity(3)}, DataError, "domain map covers 3 strata, model has 2"),
         # the flat beta prior makes either posterior improper
@@ -158,7 +156,7 @@ MODEL_DATA = [
         # of two faults, the one checked first is reported
         ({"covariates": np.ones((3, 1)), "prior": "other"}, DataError, "covariate rows"),
     ],
-    ids=["rows", "non-finite", "prior", "domains", "collinear", "collinear-named", "names", "rows-first"],
+    ids=["rows", "rows-1d", "non-finite", "prior", "domains", "collinear", "collinear-named", "names", "rows-first"],
 )
 def test_model_inputs_share_their_checks(model, data, change, error, message):
     kind, other = ("binary", "gaussian") if model is BinaryHBInput else ("gaussian", "binary")
@@ -166,6 +164,23 @@ def test_model_inputs_share_their_checks(model, data, change, error, message):
         change = {**change, "prior": HBPrior(other)}
     with pytest.raises(error, match=re.escape(message.format(kind=kind, other=other))):
         model(**{"covariates": np.ones((2, 1)), **data, **change})
+
+
+@pytest.mark.parametrize(
+    "model,data",
+    [
+        (BinaryHBInput, {"successes": [1.0, 2.0, 3.0], "sizes": [4.0, 5.0, 6.0]}),
+        (GaussianFHInput, {"estimates": [1.0, 2.0, 3.0], "sampling_variances": [0.5, 0.5, 0.5]}),
+    ],
+    ids=["binary", "gaussian"],
+)
+def test_covariates_are_read_as_strata_by_columns(model, data):
+    # a k x H matrix was transposed when k != H and read as given when k == H,
+    # which fits another model; only H x k is read
+    with pytest.raises(DataError, match="covariate rows must match the number of strata"):
+        model(**data, covariates=[[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
+    z = [[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert np.array_equal(model(**data, covariates=z).covariates, z)
 
 
 @pytest.mark.parametrize(

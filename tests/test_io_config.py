@@ -1076,6 +1076,12 @@ class TestConfig:
              "cells[7].where.income: unknown attribute 'income'"),
             (SMOKE_CONFIG, lambda raw: raw["cells"][1].update(where={"occupaton": "trades"}),
              "cells[1].where.occupaton: unknown attribute 'occupaton'; declared ['occupation']"),
+            # a link on a cell that sums a calibration variable was ignored
+            *(
+                (DEMO_CONFIG, lambda raw, link=link: raw["cells"][5].update(link=link),
+                 "cells[5].link: a link applies to a cell that sums an outcome; 'employed' is a calibration variable")
+                for link in ("hours", "nosuch")
+            ),
             *(
                 (config, lambda raw, tier=tier: raw["cells"][-1].update(tier=tier),
                  f"cells[{last}].tier: unknown key; expected one of ['name', 'sum', 'where', 'link']")
@@ -1101,6 +1107,7 @@ class TestConfig:
         ],
         ids=[
             "cell-key", "mcmc-key", "interval-key", "attribute", "outcome-as-attribute", "simulated-attribute",
+            "calibration-link", "calibration-link-unknown",
             "tier-2CA-key", "tier-2NCA-key", "simulated-tier-2CA-key", "simulated-tier-2NCA-key",
             "band-attribute", "band-calibration", "band-outcome", "band-repeat", "simulated-band-attribute",
             "simulated-attribute-repeat",

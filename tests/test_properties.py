@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from postcal.calibration import (
     CalibratedWeights,
     calibrate,
-    cell_weighted_moment,
     compute_gram,
     ht_totals,
     pivoted_cholesky_rank,
@@ -28,7 +27,7 @@ from postcal.frame import (
 from postcal import replicate
 from postcal.hb import PosteriorDraws
 from postcal.io import BandRule
-from postcal.replicate import classify_cell, recalibration_oracle, replicate_totals
+from postcal.replicate import cell_weighted_moment, classify_cell, recalibration_oracle, replicate_totals
 from postcal.report import analyze_cell, build_artifacts, build_run_report
 from postcal.simulate import SurveyFrame
 from postcal.variance import stratum_kernel, variance_components

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from postcal.calibration import calibrate, cell_weighted_moment, compute_gram, ht_totals, replicate_direction
+from postcal.calibration import calibrate, compute_gram, ht_totals, replicate_direction
 from postcal.errors import LinkSelectionError
 from postcal.frame import (
     CalibrationSpec,
@@ -17,8 +17,9 @@ from postcal.frame import (
     evaluate_cell,
 )
 from postcal.hb import PosteriorDraws
+from postcal.replicate import cell_weighted_moment
 from postcal.variance import (
-    CBI_Z,
+    LINK_TIE_TOLERANCE,
     RatioLink,
     cbi_bounds,
     cbi_z,
@@ -176,20 +177,20 @@ class TestPosteriorDomainVariance:
 
 class TestCbi:
     def test_arithmetic_example(self):
-        lower, upper = cbi_bounds(100.0, 4.0, 0.0)
+        lower, upper = cbi_bounds(100.0, 4.0, 0.0, 0.95)
         assert lower == pytest.approx(96.08, abs=1e-12)
         assert upper == pytest.approx(103.92, abs=1e-12)
 
     def test_degenerate(self):
-        lower, upper = cbi_bounds(5.0, 0.0, 0.0)
+        lower, upper = cbi_bounds(5.0, 0.0, 0.0, 0.95)
         assert lower == upper == 5.0
 
     def test_wider_than_domain_component_alone(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             c1, c2 = rng.uniform(0.0, 10.0, size=2)
-            lower, upper = cbi_bounds(0.0, c1, c2)
-            assert upper - lower >= 2.0 * CBI_Z * np.sqrt(c2) - 1e-12
+            lower, upper = cbi_bounds(0.0, c1, c2, 0.95)
+            assert upper - lower >= 2.0 * cbi_z(0.95) * np.sqrt(c2) - 1e-12
 
     @pytest.mark.parametrize("level,z", [(0.80, 1.28), (0.90, 1.64), (0.95, 1.96)])
     def test_half_width_is_the_level_multiplier(self, level, z):
@@ -218,8 +219,8 @@ class TestCbi:
         comp = variance_components(sample, cell, weights, "emp", ht, draws)
         assert comp.component1 == pytest.approx(850.0, rel=1e-12)
         assert comp.component2 == pytest.approx((50.0 / 60.0) ** 2 * 8.0, rel=1e-12)
-        _, upper = cbi_bounds(50.0, comp.component1, comp.component2)
-        half = CBI_Z * np.sqrt(comp.component1 + comp.component2)
+        _, upper = cbi_bounds(50.0, comp.component1, comp.component2, 0.95)
+        half = cbi_z(0.95) * np.sqrt(comp.component1 + comp.component2)
         assert upper - 50.0 == pytest.approx(half, rel=1e-14)
 
 
@@ -318,9 +319,10 @@ def reference_link(names, row, cell):
             )
         v = names.index(cell.link_variable)
         return v, 0.0 if math.isnan(row[v]) else row[v], None
+    admissible = [abs(rho) for rho in row if not math.isnan(rho)]
     best = None
     for v, rho in enumerate(row):
-        if not math.isnan(rho) and (best is None or abs(rho) > abs(row[best])):
+        if best is None and not math.isnan(rho) and abs(rho) >= max(admissible) - LINK_TIE_TOLERANCE:
             best = v
     if best is None:
         return -1, math.nan, (
@@ -356,6 +358,15 @@ def test_ratio_links_match_a_per_cell_reference(data):
     assert positions.tolist() == [e[0] for e in expected]
     np.testing.assert_array_equal(rho, [e[1] for e in expected])
     assert refusals == [e[2] for e in expected]
+
+
+def test_a_link_tie_in_rounding_goes_to_the_first_variable():
+    # in a two-record cell every variable that varies has |rho| = 1, which a
+    # run's reductions may round to 1.0000000000000002 and one cell's to 1.0
+    cells = [CellQuery("c", "income")] * 2
+    positions, rho, _ = ratio_links(("v1", "v2"), np.array([[-1.0, -1.0000000000000002], [0.5, 0.6]]), cells)
+    assert positions.tolist() == [0, 1]
+    assert rho.tolist() == [-1.0, 0.6]
 
 
 def orthogonality_fixture():
@@ -473,8 +484,8 @@ class TestDiagnostics:
             assert got == want or (math.isnan(want) and math.isnan(got))
 
     def test_cv_definition(self):
-        assert coefficient_of_variation(3.92, 100.0) == pytest.approx(0.01, rel=1e-14)
-        assert np.isnan(coefficient_of_variation(1.0, 0.0))
+        assert coefficient_of_variation(3.92, 100.0, 1.96) == pytest.approx(0.01, rel=1e-14)
+        assert np.isnan(coefficient_of_variation(1.0, 0.0, 1.96))
 
 
 class TestComponentTwoAgreement:

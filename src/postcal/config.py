@@ -324,7 +324,7 @@ _BAND_RULE = {"name": name, "source": name, "bands": entries, "else_label": name
 _BAND = {"label": name, "min": optional(real), "max": optional(real)}, ("label",)
 _INTERVAL = {"min": optional(real), "max": optional(real)}, ()
 _MODEL = (
-    {"kind": None, "fixed_sigma2": optional(real), "prior_df": None, "prior_scale": None,
+    {"kind": None, "fixed_sigma2": None, "prior_df": None, "prior_scale": None,
      "covariates": name_or_names},
     ("kind",),
 )

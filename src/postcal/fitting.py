@@ -154,7 +154,8 @@ def fit_all_variables(
     carries its sample's ``domain_map``, so that a refusal of the map names
     the sample's first variable.  Variables whose model settings agree in all but the
     variable name (prior and covariates) are then fitted in one sampler call
-    across all the samples, their chains advancing as one set of lanes.  Chain c of
+    across all the samples: binary chains advance as one set of lanes, and
+    Gaussian models are drawn exactly, one after another.  Chain c of
     variable v of sample s reads the stream (seed, *base_keys[s], v, c), so
     results are reproducible under any grouping, batching or execution
     order.  The samplers fold their kept values into domain totals as they

@@ -1,65 +1,43 @@
 """Hierarchical Bayes samplers for stratum-level small area models.
 
-Two models are fitted with bespoke samplers:
-
-* a logit-normal binomial model for binary variables, sampled by
+* Binary variables: a logit-normal binomial model, sampled by
   Metropolis-within-Gibbs (random-walk proposals on the regression
   coefficients and stratum effects, conjugate scaled-inverse-chi-square
-  update for the effect variance), and
-* a Gaussian measurement-error model for continuous variables with known
-  per-stratum sampling variances, sampled by full-conditional Gibbs.
+  update for the effect variance) on a lane-batched driver.
+* Continuous variables: a Gaussian measurement-error model with known
+  per-stratum sampling variances, drawn exactly and i.i.d. with no chain
+  (``fit_gaussian_fh``).
 
-Both samplers run on one lane-batched driver.  One call fits a batch of
-models that share the covariate matrix, the priors and the variance mode
-(one per calibration variable); their chains are the lanes of ``(lanes,
-...)`` state arrays, lanes = models x chains in model-major order, that
-advance together, one numpy pass per iteration, with per-lane model data,
-proposal scales and acceptance counts.  Each model keeps its own start
-values and warnings, and one ``StratumDraws`` comes back per model.
+One call fits a batch of models that share the covariate matrix, the
+priors and the variance mode, and returns one ``StratumDraws`` per model.
+The binary chains are the lanes of ``(lanes, ...)`` state arrays, lanes =
+models x chains in model-major order, that advance together, one numpy pass
+per iteration, each model with its own start values and warnings.
 
-Stream contract (v2): chain c of variable v reads only the generator
-``chain_rng(seed, *key, v, c)``, whichever batch the variable is fitted in.
-The driver draws one adaptation window (W = 50 iterations, fewer in a short
-last window) at a time, with one call per variate kind per window, whatever
-the chain's state:
-
-* binary model: W x k normals, W x k uniforms, then W x H normals and
-  W x H uniforms (only when the effects are on), then W chi-square draws
-  (only when the variance is free);
-* Gaussian model: W x H normals, W x k normals, then W chi-square draws
-  (only when the variance is free).
+Binary stream contract (v2): chain c of variable v reads only the generator
+``chain_rng(seed, *key, v, c)``, whichever batch the variable is fitted in,
+one adaptation window (W = 50 iterations, fewer in a short last window) at
+a time and one call per variate kind per window, whatever the chain's
+state: W x k normals, W x k uniforms, then W x H normals and W x H uniforms
+(only when the effects are on), then W chi-square draws (only when the
+variance is free).  The Gaussian model reads contract v3.
 
 Proposal scales change only at window ends, so the per-window arithmetic
-(log-uniforms, proposal increments and the shifts of eta they cause, the
-m * shift and m * step terms of the binomial steps, the Gaussian coefficient
-noise) is done once per window, and a window's variates are held
-iteration-major, ``(width, lanes, ...)``, so that each iteration reads
-contiguous slices.  Both samplers' per-iteration arithmetic runs through
-``out=`` in buffers allocated once per fit, so an iteration allocates
-nothing.  The binary state is the rows eta, n * softplus(eta), v and v^2 of
-one ``(4, lanes, H)`` array, so an accepted coefficient is one masked copy
-of two rows and an accepted effects step one masked copy of all four; the
-coordinate walk reads its terms through ``(width, k, lanes)`` views and
-adds the accepted coefficient steps with one masked add at its end.  The
-Gaussian sampler carries Z beta, formed for the sigma2 draw, into the next
-iteration's conditional mean, and forms the terms of sigma2 alone (the theta
-precision, its root and sqrt(sigma2)) once per draw.  Every per-lane
-product is the same BLAS call a lone chain makes, so the draws do not depend
-on the chain count or on the batch: a 2-chain fit is bit for bit the first
-two chains of a 3-chain fit, and a model fitted alone draws what it draws in
-any position of a batch.
+is done once per window, on variates held iteration-major, ``(width, lanes,
+...)``, and an iteration allocates nothing (see ``fit_binary_hb``).  Every
+per-lane product is the same BLAS call a lone chain makes, and every
+Gaussian product is row-wise, so the draws do not depend on the chain count
+or on the batch: a 2-chain fit is bit for bit the first two chains of a
+3-chain fit, and a model fitted alone draws what it draws in any position
+of a batch.
 
-The driver keeps no array of every kept stratum value.  Each model carries
-a ``DomainMap`` (``fitting.domain_map`` builds a sample's): the domain of
-each stratum and its weight, N_h when the values are aggregated to domain
-totals.  Kept stratum values wait in a block of at most
-``FOLD_BLOCK_BYTES``; when it is full, and once at the end, the block is
-mapped to the model's scale (p_h for the binary model), weighted and added
-into the kept domain totals, each domain's strata in frame order, which is
-the order, and so the rounding, of adding them one by one.  A model fitted
-without a map keeps each stratum as its own domain with weight 1, so its
-draws are the stratum values.  Externally produced draw matrices are
-accepted as a first-class alternative (see :mod:`postcal.io`).
+Stratum values wait in a block of at most ``FOLD_BLOCK_BYTES``, then are
+mapped to the model's scale (p_h for the binary model) and folded by the
+model's ``DomainMap`` (``fitting.domain_map`` builds a sample's) into its
+domain totals, which are the draws: each stratum weighted (N_h for domain
+totals) and added into its domain in frame order, the rounding of adding
+them one by one.  No sampler holds every kept stratum value.  Without a
+map, each stratum is its own domain with weight 1.
 """
 
 from __future__ import annotations
@@ -119,10 +97,11 @@ class HBPrior:
 
     def __post_init__(self):
         check_fields(self, kind=one_of("binary", "gaussian"), prior_df=positive, prior_scale=positive)
-        s2 = self.fixed_sigma2
-        if s2 is not None and not (s2 > 0 or (s2 == 0 and self.kind == "binary")):
-            bound = ">= 0" if self.kind == "binary" else "> 0"
-            raise DataError(f"fixed_sigma2: expected {bound} for the {self.kind} model, got {s2}")
+        if self.fixed_sigma2 is not None:
+            check_fields(self, fixed_sigma2=real)
+            if self.fixed_sigma2 < 0 or (self.fixed_sigma2 == 0 and self.kind == "gaussian"):
+                bound = ">= 0" if self.kind == "binary" else "> 0"
+                raise DataError(f"fixed_sigma2: expected {bound} for the {self.kind} model, got {self.fixed_sigma2}")
 
 
 def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
@@ -302,7 +281,7 @@ class GaussianFHInput:
 
 @dataclass(frozen=True)
 class StratumDraws:
-    """Retained post-burn-in draws of a model.
+    """Retained draws of a model (after burn-in, for the binary chains).
 
     ``draws`` has one row per retained draw (all chains concatenated) and one
     column per domain of the model's ``DomainMap``: the weighted sum of the
@@ -419,28 +398,6 @@ def _expit_open(eta: np.ndarray) -> None:
     np.clip(tail, _P_FLOOR, _P_CEIL, out=tail)
 
 
-def _sigma2_sampler(effects: np.ndarray, prior_ss: float, sigma2: np.ndarray):
-    """``draw(chisq)`` sets ``sigma2`` in place from the current ``effects``.
-
-    Scaled-inverse-chi-square posterior given iid N(0, sigma2) effects, one
-    per lane: post_df * post_scale / chisq with chisq ~ chi2(df + H), and
-    post_df * post_scale = ``prior_ss`` (df * scale) + sum of squares.  The
-    stacked product is one BLAS dot per lane; views and buffers are made
-    once, so a draw allocates nothing.
-    """
-    rows, cols = effects[:, None, :], effects[:, :, None]
-    sum_sq = np.empty((len(effects), 1, 1))
-    flat = sum_sq[:, 0, 0]
-    matmul, add, divide = np.matmul, np.add, np.divide
-
-    def draw(chisq: np.ndarray) -> None:
-        matmul(rows, cols, out=sum_sq)
-        add(prior_ss, flat, out=flat)
-        divide(flat, chisq, out=sigma2)
-
-    return draw
-
-
 def _non_finite(loglik: np.ndarray, chains: int, when: str) -> NumericalError:
     # the error names the batch positions of the models with a non-finite lane
     bad = np.flatnonzero(~np.isfinite(loglik).all(axis=1)) // chains
@@ -471,8 +428,8 @@ def _shared_setting(models: Sequence, spawn_keys: Sequence[tuple[int, ...]]):
     return first
 
 
-# Most bytes of kept stratum values that ``_run_lanes`` holds before it
-# folds them into the domain totals; the fold's weighted copy takes as much
+# Most bytes of kept stratum values that a sampler holds before it folds
+# them into the domain totals; the fold's weighted copy takes as much
 # again.  Each fold has a fixed cost, so a smaller block costs time: on 2
 # vCPUs, simulate-1w (a 24-lane binary call over 40 strata) peaked at 55.1,
 # 55.4 and 56.0 MiB with cycles of 112.8, 111.0 and 109.6 ms at 32, 64 and
@@ -489,8 +446,7 @@ def _run_lanes(
     draw,
     window,
     domains: DomainMap,
-    proposals: dict[str, int] | None = None,
-    link=None,
+    proposals: dict[str, int],
 ) -> list[StratumDraws]:
     """Advance all chains of all models together and keep their post-burn-in
     draws, one ``StratumDraws`` per spawn key.
@@ -510,14 +466,13 @@ def _run_lanes(
 
     The kept stratum values are copied into a block of at most
     ``FOLD_BLOCK_BYTES``, iteration-major.  When it is full, and once at the
-    end, ``link`` maps the block in place and ``domains`` folds it into the
-    kept ``(lanes, iterations, D)`` domain totals, which are the draws.
+    end, the block is mapped to p_h in place and ``domains`` folds it into
+    the kept ``(lanes, iterations, D)`` domain totals, which are the draws.
     """
     C, burnin, iterations = config.chains, config.burnin, config.iterations
     J = len(spawn_keys)
     L = J * C
     H, k = shape
-    proposals = proposals or {}
     rngs = [chain_rng(config.seed, *key, c) for key in spawn_keys for c in range(C)]
     kept_totals = np.empty((L, iterations, domains.n_domains))
     totals_by_domain = kept_totals.transpose(2, 1, 0)
@@ -549,8 +504,7 @@ def _run_lanes(
                 held += 1
                 if held == len(block) or keep == iterations - 1:
                     filled = block[:held]
-                    if link is not None:
-                        link(filled)
+                    _expit_open(filled)
                     kept = totals_by_domain[:, keep + 1 - held : keep + 1]
                     domains.fold(filled.transpose(2, 0, 1), kept, work)
                     held = 0
@@ -656,7 +610,11 @@ def fit_binary_hb(
     shift_buffer = np.empty((_ADAPT_WINDOW, k, L, H))
     sigma2_col = sigma2[:, None]
     two_sigma2 = np.multiply(sigma2_col, 2.0)
-    draw_sigma2 = _sigma2_sampler(v, sigma_prior.prior_df * sigma_prior.prior_scale, sigma2)
+    # sigma2 | v is (df * scale + v'v) / chi2(df + H): v'v is one stacked
+    # BLAS dot per lane
+    prior_ss = sigma_prior.prior_df * sigma_prior.prior_scale
+    v_rows, v_cols, sum_sq = v[:, None, :], v[:, :, None], np.empty((L, 1, 1))
+    sum_sq_flat = sum_sq[:, 0, 0]
     multiply, subtract, less, copyto = np.multiply, np.subtract, np.less, np.copyto
     add, reduce, square, divide, isfinite = np.add, np.add.reduce, np.square, np.divide, np.isfinite
 
@@ -733,24 +691,72 @@ def fit_binary_hb(
                 copyto(state, prop, where=less(log_u_v[i], gain_h, out=v_flags[i]))
                 reduce(nsp, axis=1, out=nsp_sum)
             if free_sigma:
-                draw_sigma2(chisq[i])
+                np.matmul(v_rows, v_cols, out=sum_sq)
+                add(prior_ss, sum_sq_flat, out=sum_sq_flat)
+                divide(sum_sq_flat, chisq[i], out=sigma2)
                 multiply(sigma2_col, 2.0, out=two_sigma2)
             check("during sampling")
             return eta, beta, sigma2
 
         return step
 
-    results = _run_lanes(
-        config,
-        spawn_keys,
-        (H, k),
-        draw,
-        window,
-        model.domains,
-        proposals={"beta": k, "effects": H},
-        link=_expit_open,
-    )
+    results = _run_lanes(config, spawn_keys, (H, k), draw, window, model.domains, {"beta": k, "effects": H})
     return [replace(result, warnings=flags) for result, flags in zip(results, warnings)]
+
+
+# The Gaussian model's sigma2 is drawn by inverse CDF on 1,024 points of
+# log sigma2 that span its density down to e^-40 of the peak, sought within
+# e^+-200 of the data's scale.
+_GRID_POINTS, _GRID_DROP, _GRID_REACH = 1024, 40.0, 200.0
+
+
+def _gls(Z: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (Z'WZ)^-1 and the GLS coefficients for each row of weights w, by
+    # row-wise sums and stacked products, so that no row depends on another
+    k = Z.shape[1]
+    gram, zwy = np.empty((len(w), k, k)), np.empty((len(w), k, 1))
+    for a in range(k):
+        zwy[:, a, 0] = (w * (Z[:, a] * y)).sum(axis=1)
+        for b in range(a + 1):
+            gram[:, a, b] = gram[:, b, a] = (w * (Z[:, a] * Z[:, b])).sum(axis=1)
+    cov = np.linalg.inv(gram)
+    return cov, (cov @ zwy)[..., 0]
+
+
+def _fitted(Z: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # Z beta for each row of beta, column by column
+    return sum(beta[:, a, None] * Z[:, a] for a in range(Z.shape[1]))
+
+
+def _sigma2_grid(model: GaussianFHInput, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points t of log sigma2 and the CDF there (trapezoid rule) of p(t | y),
+    proportional to p(sigma2) |V|^-1/2 |Z'V^-1 Z|^-1/2 exp(-y'Py / 2) times
+    the Jacobian sigma2, V = diag(psi + sigma2).  A first grid of 128 points
+    spans e^+-200 of the data's scale (mean psi plus the variance of y);
+    each next one spans the points within e^40 of the peak and their two
+    neighbours, until those fill half of it.  A mass that reaches an end of
+    the first grid is not bracketed: a ``NumericalError`` naming batch
+    position ``j``.
+    """
+    Z, y, psi, prior = model.covariates, model.estimates, model.sampling_variances, model.prior
+    center = np.log(psi.mean() + y.var())
+    t = np.linspace(center - _GRID_REACH, center + _GRID_REACH, _GRID_POINTS // 8)
+    while True:
+        w = 1.0 / (psi + np.exp(t)[:, None])
+        cov, beta = _gls(Z, y, w)
+        quad = (w * np.square(y - _fitted(Z, beta))).sum(axis=1)
+        log_prior = -prior.prior_df * (t + prior.prior_scale * np.exp(-t))
+        log_density = 0.5 * (np.log(w).sum(axis=1) + np.linalg.slogdet(cov)[1] - quad + log_prior)
+        # empty when the peak is not finite
+        inside = np.flatnonzero(log_density > log_density.max() - _GRID_DROP)
+        ends = inside.size == 0 or inside[0] == 0 or inside[-1] == len(t) - 1
+        if ends and len(t) < _GRID_POINTS:
+            raise NumericalError("sigma2 posterior is not bracketed on the log-sigma2 grid", models=[j])
+        if len(t) == _GRID_POINTS and (ends or inside[-1] - inside[0] >= _GRID_POINTS // 2):
+            density = np.exp(log_density - log_density.max())
+            cdf = np.cumsum(np.concatenate([[0.0], density[1:] + density[:-1]]))
+            return t, cdf / cdf[-1]
+        t = np.linspace(t[inside[0] - 1], t[inside[-1] + 1], _GRID_POINTS)
 
 
 def fit_gaussian_fh(
@@ -758,87 +764,46 @@ def fit_gaussian_fh(
     config: McmcConfig,
     spawn_keys: Sequence[tuple[int, ...]] = ((),),
 ) -> list[StratumDraws]:
-    """Gibbs sampler for the Gaussian measurement-error model.
+    """Independent draws from the Gaussian measurement-error model, batched
+    as in ``fit_binary_hb``: sigma2 | y by inverse CDF on ``_sigma2_grid``
+    (unless pinned), beta | sigma2, y from N(beta_hat, (Z'V^-1 Z)^-1), and
+    theta_h | beta, sigma2, y from the Gaussian of precision 1/psi_h +
+    1/sigma2 and mean (y_h/psi_h + z_h' beta/sigma2) / precision.  With no
+    chain, ``burnin`` and ``proposal_sd`` are not read, and each "chain" of
+    ``iterations`` draws keeps its tag.
 
-    Full conditionals: theta_h is Gaussian with precision 1/psi_h + 1/sigma2
-    (the shrinkage form), beta is Gaussian under a flat prior, and sigma2 is
-    scaled-inverse-chi-square.  Batching follows ``fit_binary_hb``: one
-    setting per call, one stream key and one ``StratumDraws`` per model, and
-    each model's chains start from its own least-squares fit.
+    Stream contract (v3): chain c of model j reads ``chain_rng(seed,
+    *spawn_keys[j], c)``: ``iterations`` uniforms (free sigma2 only), then
+    ``iterations`` x k normals, then ``iterations`` x H normals in blocks of
+    rows of at most ``FOLD_BLOCK_BYTES``, each folded as it is drawn.
     """
     model = _shared_setting(models, spawn_keys)
-    Z = model.covariates
-    H, k = Z.shape[0], Z.shape[1]
-    C = config.chains
-
-    ztz_inv = np.linalg.inv(Z.T @ Z)
-    ztz_inv_chol = np.linalg.cholesky(ztz_inv)
-
-    sigma_prior = model.prior
-    free_sigma = sigma_prior.fixed_sigma2 is None
-    post_df = sigma_prior.prior_df + H
-    beta = _lanes([ztz_inv @ (Z.T @ each.estimates) for each in models], C)
-    sigma2 = np.full(len(beta), sigma_prior.prior_scale if free_sigma else sigma_prior.fixed_sigma2)
-    projection = ztz_inv @ Z.T
-    est = _lanes([each.estimates for each in models], C)
-    psi = _lanes([each.sampling_variances for each in models], C)
-    prec_data, est_prec = 1.0 / psi, est / psi
-
-    # per-iteration buffers; stacked products run the same BLAS call per lane
-    # as a single chain, and Z beta, formed for the sigma2 draw, is carried
-    # into the next iteration's conditional mean
-    theta, mean, prec, prec_sd, resid = (np.empty_like(est) for _ in range(5))
-    sigma2_col = sigma2[:, None]
-    inv_sigma2, sigma2_sd = np.empty_like(sigma2_col), np.empty_like(sigma2_col)
-    # (lanes, n, 1) products and their (lanes, n) views
-    beta_hat = np.empty((*beta.shape, 1))
-    synthetic = np.matmul(Z, beta[:, :, None])
-    theta_col, beta_col = theta[:, :, None], beta[:, :, None]
-    beta_hat_row, synthetic_row = beta_hat[:, :, 0], synthetic[:, :, 0]
-    draw_sigma2 = _sigma2_sampler(resid, sigma_prior.prior_df * sigma_prior.prior_scale, sigma2)
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    sqrt, matmul = np.sqrt, np.matmul
-
-    def set_sigma2_terms():
-        # the theta precision 1/psi + 1/sigma2, its root and sqrt(sigma2),
-        # which change only with sigma2
-        divide(1.0, sigma2_col, out=inv_sigma2)
-        add(prec_data, inv_sigma2, out=prec)
-        sqrt(prec, out=prec_sd)
-        sqrt(sigma2_col, out=sigma2_sd)
-
-    set_sigma2_terms()
-
-    def draw(rng, width):
-        block = {"z_theta": rng.standard_normal((width, H))}
-        block["z_beta"] = rng.standard_normal((width, k))
-        if free_sigma:
-            block["chisq"] = rng.chisquare(post_df, width)
-        return block
-
-    def window(block, scales, accepted):
-        noise = (ztz_inv_chol @ block["z_beta"][..., None])[..., 0]
-        z_theta, chisq = block["z_theta"], block.get("chisq")
-
-        def step(i):
-            divide(synthetic_row, sigma2_col, out=mean)
-            add(est_prec, mean, out=mean)
-            divide(mean, prec, out=mean)
-            divide(z_theta[i], prec_sd, out=theta)
-            add(mean, theta, out=theta)
-            matmul(projection, theta_col, out=beta_hat)
-            multiply(sigma2_sd, noise[i], out=beta)
-            add(beta_hat_row, beta, out=beta)
-            matmul(Z, beta_col, out=synthetic)
-            if free_sigma:
-                subtract(theta, synthetic_row, out=resid)
-                draw_sigma2(chisq[i])
-                set_sigma2_terms()
-            return theta, beta, sigma2
-
-        return step
-
-    return _run_lanes(config, spawn_keys, (H, k), draw, window, model.domains)
+    Z, pinned = model.covariates, model.prior.fixed_sigma2
+    (H, k), C, n = Z.shape, config.chains, config.iterations
+    rows = min(max(FOLD_BLOCK_BYTES // (8 * H), 1), n)
+    results = []
+    for j, (each, key) in enumerate(zip(models, spawn_keys)):
+        y, psi = each.estimates, each.sampling_variances
+        rngs = [chain_rng(config.seed, *key, c) for c in range(C)]
+        if pinned is None:
+            t, cdf = _sigma2_grid(each, j)
+            sigma2 = np.exp(np.interp(np.concatenate([rng.random(n) for rng in rngs]), cdf, t))
+        else:
+            sigma2 = np.full(C * n, pinned)
+        noise = np.concatenate([rng.standard_normal((n, k)) for rng in rngs])[..., None]
+        totals, beta = np.empty((C * n, each.domains.n_domains)), np.empty((C * n, k))
+        for c, rng in enumerate(rngs):
+            for start in range(c * n, (c + 1) * n, rows):
+                block = slice(start, min(start + rows, (c + 1) * n))
+                s2 = sigma2[block, None]
+                cov, beta_hat = _gls(Z, y, 1.0 / (psi + s2))
+                beta[block] = beta_hat + (np.linalg.cholesky(cov) @ noise[block])[..., 0]
+                precision = 1.0 / psi + 1.0 / s2
+                theta = (y / psi + _fitted(Z, beta[block]) / s2) / precision
+                theta += rng.standard_normal(theta.shape) / np.sqrt(precision)
+                each.domains.fold(theta.T, totals[block].T)
+        results.append(StratumDraws(totals, np.repeat(np.arange(C), n), beta, sigma2))
+    return results
 
 
 def gelman_rubin(draws: PosteriorDraws) -> ConvergenceReport:

@@ -219,7 +219,7 @@ class TestFit:
             ingested.sample, ingested.spec, cfg.models, ingested.strata_covariates, cfg.mcmc
         )
         assert written == acceptance
-        assert written["hours"] == {}  # the Gibbs model has no proposals
+        assert written["hours"] == {}  # the Gaussian model has no proposals
         assert sorted(written["employed"]) == ["beta", "effects"]
         assert all(0.0 <= rate <= 1.0 for rate in written["employed"].values())
 
@@ -1364,6 +1364,19 @@ class TestMalformedInput:
         assert errs[0] == errs[1]
         assert errs[0].startswith("error: replication 0, variable 'hours': zero sampling variance is not usable")
         assert errs[0].count("variable 'hours'") == 1
+
+    def test_unbracketed_sigma2_exits_3_naming_its_variable(self, tmp_path, capsys):
+        # a prior scale this small is, in effect, the improper prior 1/sigma2:
+        # the density of log sigma2 does not fall toward sigma2 = 0
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["simulate"]["mc"]["replications"] = 1
+        raw["models"]["hours"]["prior_scale"] = 1e-100
+        cfg = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: replication 0, variable 'hours': "
+            "sigma2 posterior is not bracketed on the log-sigma2 grid\n"
+        )
 
     def test_threads_is_a_simulate_option_only(self, tmp_path, capsys):
         base = ["--config", "c.yaml", "--out", str(tmp_path)]

@@ -2,7 +2,7 @@
 
 ``fit_all_variables`` builds and validates every variable's input first, then
 groups the variables by model setting (kind, priors, covariates,
-fixed_sigma2) and fits each group as one set of lanes.  Each input carries
+fixed_sigma2) and fits each group in one sampler call.  Each input carries
 its sample's domain map, so each sampler call returns every variable's
 domain-total draws, which the tests read off the calls; refitting an input
 without its map gives its stratum draws.

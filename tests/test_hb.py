@@ -28,13 +28,7 @@ from postcal.hb import (
 )
 
 from conftest import sample_from_rows
-
-
-def batch_mcse(draws, n_batches=30):
-    """Batch-means Monte Carlo standard error of the mean."""
-    usable = len(draws) // n_batches * n_batches
-    batches = draws[:usable].reshape(n_batches, -1).mean(axis=1)
-    return batches.std(ddof=1) / np.sqrt(n_batches)
+from hb_reference import batch_mcse
 
 
 class TestBinarySampler:
@@ -124,11 +118,10 @@ class TestBinarySampler:
                 successes=[11], sizes=[10], covariates=[[1.0]], prior=HBPrior("binary", fixed_sigma2=0.0)
             )
 
-    @pytest.mark.parametrize("sigma2", [-1.0, float("nan")])
-    def test_pinned_variance_below_zero_or_nan_rejected(self, sigma2):
+    def test_pinned_variance_below_zero_rejected(self):
         # a pinned 0 switches the stratum effects off; below it is no variance
         with pytest.raises(DataError, match="fixed_sigma2: expected >= 0 for the binary model"):
-            HBPrior("binary", fixed_sigma2=sigma2)
+            HBPrior("binary", fixed_sigma2=-1.0)
 
 
 MODEL_DATA = [
@@ -190,10 +183,14 @@ def test_covariates_are_read_as_strata_by_columns(model, data):
         ({"prior_df": -1}, "prior_df: expected positive, got -1"),
         ({"kind": "poisson"}, "kind: expected 'binary' or 'gaussian', got 'poisson'"),
         ({"kind": "gaussian", "fixed_sigma2": 0.0}, "fixed_sigma2: expected > 0 for the gaussian model, got 0.0"),
+        # a pinned variance is a finite real: a fit would otherwise draw NaN
+        ({"kind": "gaussian", "fixed_sigma2": float("inf")}, "fixed_sigma2: expected real, got inf"),
+        ({"fixed_sigma2": float("nan")}, "fixed_sigma2: expected real, got nan"),
+        ({"fixed_sigma2": True}, "fixed_sigma2: expected real, got True"),
         # of two faults, the one checked first is reported
         ({"prior_df": 0.0, "fixed_sigma2": -1.0}, "prior_df"),
     ],
-    ids=["scale", "df", "kind", "gaussian-sigma2", "df-first"],
+    ids=["scale", "df", "kind", "gaussian-sigma2", "inf", "nan", "true", "df-first"],
 )
 def test_prior_refuses_by_field(prior, message):
     with pytest.raises(DataError, match=re.escape(message)):
@@ -530,20 +527,17 @@ class TestDomainFold:
         burnin=st.integers(0, 60),
         iterations=st.integers(1, 40),
         block=st.integers(1, 7),
-        link=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_driver_folds_its_kept_values_in_blocks(
-        self, domains, models, chains, burnin, iterations, block, link, seed
-    ):
+    def test_driver_folds_its_kept_values_in_blocks(self, domains, models, chains, burnin, iterations, block, seed):
         # the driver's blocks of ``block`` iterations (a partial last one when
         # ``block`` does not divide ``iterations``) give the totals of adding
-        # every kept stratum value one by one
+        # every kept p_h one by one
         H, L = domains.positions.size, models * chains
         kept = []
 
         def draw(rng, width):
-            return {"values": spread_values(rng, (width, H)) if not link else rng.normal(0, 5, (width, H))}
+            return {"values": rng.normal(0, 5, (width, H))}
 
         def window(blocks, scales, accepted):
             def step(i):
@@ -555,16 +549,22 @@ class TestDomainFold:
         config = McmcConfig(burnin=burnin, iterations=iterations, chains=chains, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hb, "FOLD_BLOCK_BYTES", 8 * L * H * block)
-            results = hb._run_lanes(
-                config, [(m,) for m in range(models)], (H, 1), draw, window, domains,
-                link=hb._expit_open if link else None,
-            )
+            results = hb._run_lanes(config, [(m,) for m in range(models)], (H, 1), draw, window, domains, {})
         values = np.stack(kept[burnin:], axis=1)  # (lanes, iterations, H)
-        if link:
-            hb._expit_open(values)
+        hb._expit_open(values)
         for j, result in enumerate(results):
             lanes = values[j * chains : (j + 1) * chains].reshape(chains * iterations, H)
             assert_same_bits(result.draws, added_one_by_one(lanes, domains))
+
+    def test_gaussian_sampler_folds_its_draws_in_frame_order(self):
+        # the same streams under the identity map draw the stratum values;
+        # a map's totals are those of adding them one by one
+        inputs = dict(estimates=[4.0, 6.5, 5.1, 3.3, 7.2], sampling_variances=[0.5, 1.0, 0.7, 0.4, 2.0])
+        domains = DomainMap([1, 0, 1, 1, 0], [3.0, 7.0, 11.0, 13.0, 17.0], 2)
+        config = McmcConfig(iterations=40, chains=2, seed=3)
+        (strata,) = fit_gaussian_fh([GaussianFHInput(**inputs, covariates=np.ones((5, 1)))], config)
+        (totals,) = fit_gaussian_fh([GaussianFHInput(**inputs, covariates=np.ones((5, 1)), domains=domains)], config)
+        assert_same_bits(totals.draws, added_one_by_one(strata.draws, domains))
 
     def test_identity_map_keeps_the_stratum_values(self):
         values = spread_values(np.random.default_rng(2), (5, 9))

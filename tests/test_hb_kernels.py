@@ -7,9 +7,11 @@ variance.  Every draw array, the chain tags and the acceptance rates must
 match to a relative 1e-9.  Property tests check that each chain reads only
 its own stream: a 2-chain fit is the first two chains of a 3-chain fit, and
 a model fitted alone draws what it draws in any position of a batch, bit for
-bit.  A recording generator pins stream contract v2: the order, method and
-size of every draw call, one per variate kind per lane per window, and the
-model-major order of the lanes' stream keys.
+bit.  A recording generator pins the stream contracts, the order, method and
+size of every draw call: v2 for the binary model, one call per variate kind
+per lane per window, with the lanes' stream keys in model-major order; v3
+for the Gaussian model, its uniforms (free variance only), coefficient
+normals and then stratum normals in blocks of rows.
 
 A change that is meant to move the draws re-baselines the fixture with
 ``PYTHONPATH=src python tests/test_hb_kernels.py`` and says why in CHANGES.md.
@@ -29,6 +31,7 @@ from postcal import hb
 from postcal.errors import DataError, NumericalError
 from postcal.hb import (
     BinaryHBInput,
+    DomainMap,
     GaussianFHInput,
     HBPrior,
     McmcConfig,
@@ -104,12 +107,14 @@ def test_kernel_matches_fixture(fixture, name):
         assert got["acceptance"][key] == pytest.approx(value, rel=REL_TOL, abs=0)
 
 
-def random_batch(data, size):
-    """``size`` small binary or Gaussian inputs that share one setting: the
-    covariates, the priors and a variance mode."""
+def random_batch(data, size, kind=None):
+    """``size`` small binary or Gaussian inputs (of ``kind`` if given) that
+    share one setting: the covariates, the priors, a variance mode and a
+    domain map."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="inputs"))
-    kind = data.draw(st.sampled_from(["binary", "gaussian"]), label="kind")
+    kind = kind or data.draw(st.sampled_from(["binary", "gaussian"]), label="kind")
     H = data.draw(st.integers(1, 6), label="strata")
+    domains = DomainMap(rng.integers(0, 2, H), rng.uniform(1.0, 50.0, H), 2)
     k = data.draw(st.integers(1, min(H, 3)), label="k")
     Z = np.column_stack([np.ones(H), rng.normal(size=(H, k - 1))])
     modes = [None, 0.4] if kind == "gaussian" else [None, 0.4, 0.0]
@@ -121,7 +126,7 @@ def random_batch(data, size):
             models.append(
                 BinaryHBInput(
                     successes=rng.integers(0, sizes + 1), sizes=sizes, covariates=Z,
-                    prior=HBPrior("binary", fixed_sigma2=fixed),
+                    prior=HBPrior("binary", fixed_sigma2=fixed), domains=domains,
                 )
             )
         return fit_binary_hb, models
@@ -131,6 +136,7 @@ def random_batch(data, size):
             sampling_variances=rng.uniform(0.1, 2.0, size=H),
             covariates=Z,
             prior=HBPrior("gaussian", fixed_sigma2=fixed),
+            domains=domains,
         )
         for _ in range(size)
     ]
@@ -261,6 +267,25 @@ def test_non_finite_log_posterior_during_sampling_names_its_model():
     assert caught.value.models == (1,)
 
 
+def test_unbracketed_sigma2_names_its_model():
+    # a prior scale this small is, in effect, the improper prior 1/sigma2, so
+    # the density of log sigma2 does not fall toward 0 within e^-200 of the
+    # second model's scale; the first model's smaller scale leaves room for it
+    prior = HBPrior("gaussian", prior_scale=1e-60)
+    model = GaussianFHInput(**_GAUSSIAN, prior=prior)
+    scaled = GaussianFHInput(
+        estimates=np.multiply(_GAUSSIAN["estimates"], 1e40),
+        sampling_variances=np.multiply(_GAUSSIAN["sampling_variances"], 1e80),
+        covariates=_Z5,
+        prior=prior,
+    )
+    config = McmcConfig(iterations=5, chains=2)
+    assert fit_gaussian_fh([model], config)[0].sigma2_draws.min() > 0.0
+    with pytest.raises(NumericalError, match="^sigma2 posterior is not bracketed on the log-sigma2 grid$") as caught:
+        fit_gaussian_fh([model, scaled], config, spawn_keys=[(0,), (1,)])
+    assert caught.value.models == (1,)
+
+
 class RecordingRng:
     """A generator that logs each call's method and the shape it returns."""
 
@@ -283,8 +308,6 @@ STREAM_CONTRACT = {
     "binary-free": ["normal k", "uniform k", "normal H", "uniform H", "chisquare"],
     "binary-pinned": ["normal k", "uniform k", "normal H", "uniform H"],
     "binary-no-effects": ["normal k", "uniform k"],
-    "gaussian-free": ["normal H", "normal k", "chisquare"],
-    "gaussian-pinned": ["normal H", "normal k"],
 }
 METHODS = {"normal": "standard_normal", "uniform": "random", "chisquare": "chisquare"}
 
@@ -326,6 +349,50 @@ def test_stream_contract_v2(stream_logs, name):
     assert list(stream_logs) == [(2, c) for c in range(3)]
     for log in stream_logs.values():
         assert log == contract_log(name, model)
+
+
+@pytest.mark.parametrize("name", ["gaussian-free", "gaussian-pinned"])
+def test_gaussian_stream_contract_v3(stream_logs, monkeypatch, name):
+    # per chain: the sigma2 uniforms (free variance only), the coefficient
+    # normals, then the stratum normals in blocks of rows, here of 4 rows of
+    # H = 5 values, so 45 iterations read 11 blocks of 4 and one of 1
+    _, model, _ = CASES[name]
+    monkeypatch.setattr(hb, "FOLD_BLOCK_BYTES", 8 * 5 * 4 + 7)
+    fit_gaussian_fh([model], _CONTRACT_MCMC, spawn_keys=[(2,)])
+    assert list(stream_logs) == [(2, c) for c in range(3)]
+    uniforms = [("random", (45,))] if name == "gaussian-free" else []
+    blocks = [("standard_normal", (4, 5))] * 11 + [("standard_normal", (1, 5))]
+    for log in stream_logs.values():
+        assert log == [*uniforms, ("standard_normal", (45, 2)), *blocks]
+
+
+def test_stratum_normals_drawn_in_blocks_are_one_call():
+    # the v3 contract reads the stratum normals as one (iterations, H) call
+    rng, blocked = hb.chain_rng(4, 1), hb.chain_rng(4, 1)
+    whole = rng.standard_normal((500, 40))
+    parts = [blocked.standard_normal((rows, 40)) for rows in (37, 200, 263)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 9))
+def test_gaussian_draws_do_not_depend_on_the_block_size(data, rows):
+    # theta is drawn and folded in blocks of at most FOLD_BLOCK_BYTES, and
+    # every product is row-wise, so any block size draws the same bits
+    fit, models = random_batch(data, 2, kind="gaussian")
+    H = models[0].covariates.shape[0]
+    config = McmcConfig(
+        iterations=data.draw(st.integers(1, 30), label="iterations"),
+        chains=data.draw(st.integers(1, 3), label="chains"),
+        seed=data.draw(st.integers(0, 2**31 - 1), label="seed"),
+    )
+    whole = fit(models, config, spawn_keys=[(0,), (1,)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hb, "FOLD_BLOCK_BYTES", 8 * H * rows)
+        blocked = fit(models, config, spawn_keys=[(0,), (1,)])
+    for one, other in zip(whole, blocked):
+        for name in ARRAYS:
+            assert np.array_equal(getattr(one, name), getattr(other, name)), name
 
 
 def test_stream_contract_two_models(stream_logs):

@@ -430,7 +430,8 @@ def _shared_setting(models: Sequence, spawn_keys: Sequence[tuple[int, ...]]):
 
 # Most bytes of kept stratum values that a sampler holds before it folds
 # them into the domain totals; the fold's weighted copy takes as much
-# again.  Each fold has a fixed cost, so a smaller block costs time: on 2
+# again.  The Gaussian sigma2 grid is evaluated in row blocks of the same
+# bound.  Each fold has a fixed cost, so a smaller block costs time: on 2
 # vCPUs, simulate-1w (a 24-lane binary call over 40 strata) peaked at 55.1,
 # 55.4 and 56.0 MiB with cycles of 112.8, 111.0 and 109.6 ms at 32, 64 and
 # 128 KiB, against 59.0 MiB and 111.1 ms with every kept value held, and
@@ -731,22 +732,27 @@ def _fitted(Z: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _sigma2_grid(model: GaussianFHInput, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Points t of log sigma2 and the CDF there (trapezoid rule) of p(t | y),
     proportional to p(sigma2) |V|^-1/2 |Z'V^-1 Z|^-1/2 exp(-y'Py / 2) times
-    the Jacobian sigma2, V = diag(psi + sigma2).  A first grid of 128 points
-    spans e^+-200 of the data's scale (mean psi plus the variance of y);
-    each next one spans the points within e^40 of the peak and their two
-    neighbours, until those fill half of it.  A mass that reaches an end of
-    the first grid is not bracketed: a ``NumericalError`` naming batch
-    position ``j``.
+    the Jacobian sigma2, V = diag(psi + sigma2), evaluated in row blocks of
+    at most ``FOLD_BLOCK_BYTES``.  A first grid of 128 points spans e^+-200
+    of the data's scale (mean psi plus the variance of y); each next one
+    spans the points within e^40 of the peak and their two neighbours,
+    until those fill half of it.  A mass that reaches an end of the first
+    grid is not bracketed: a ``NumericalError`` naming batch position ``j``.
     """
     Z, y, psi, prior = model.covariates, model.estimates, model.sampling_variances, model.prior
     center = np.log(psi.mean() + y.var())
     t = np.linspace(center - _GRID_REACH, center + _GRID_REACH, _GRID_POINTS // 8)
+    rows = max(FOLD_BLOCK_BYTES // (8 * len(y)), 1)
     while True:
-        w = 1.0 / (psi + np.exp(t)[:, None])
-        cov, beta = _gls(Z, y, w)
-        quad = (w * np.square(y - _fitted(Z, beta))).sum(axis=1)
-        log_prior = -prior.prior_df * (t + prior.prior_scale * np.exp(-t))
-        log_density = 0.5 * (np.log(w).sum(axis=1) + np.linalg.slogdet(cov)[1] - quad + log_prior)
+        log_density = np.empty(len(t))
+        for start in range(0, len(t), rows):
+            s = t[start : start + rows]
+            w = 1.0 / (psi + np.exp(s)[:, None])
+            cov, beta = _gls(Z, y, w)
+            quad = (w * np.square(y - _fitted(Z, beta))).sum(axis=1)
+            log_prior = -prior.prior_df * (s + prior.prior_scale * np.exp(-s))
+            log_det = np.log(w).sum(axis=1) + np.linalg.slogdet(cov)[1]
+            log_density[start : start + rows] = 0.5 * (log_det - quad + log_prior)
         # empty when the peak is not finite
         inside = np.flatnonzero(log_density > log_density.max() - _GRID_DROP)
         ends = inside.size == 0 or inside[0] == 0 or inside[-1] == len(t) - 1
